@@ -34,6 +34,17 @@ bench-smoke: bench-par
 	@echo "bench-smoke: BENCH_parallel.json OK (identical=true)"
 	dune exec bench/main.exe -- --profile fast --alloc-gate
 
+# Ladder smoke: one rep of the H-correction rung from sink set to
+# signoff (accurate characterization, synthesis, verification and
+# transient simulation; see ladder/README.md). Fails unless the ladder's
+# last line, its JSON summary, reports "failed": 0.
+ladder-smoke:
+	@out=$$(dune exec ladder/main.exe -- --workload hcorrect-r3-0.5 --reps 1) \
+	  || { echo "$$out"; echo "ladder-smoke: ladder exited non-zero"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"failed": 0' \
+	  || { echo 'ladder-smoke: last line does not report "failed": 0'; exit 1; }
+
 # QoR regression gate: synthesize the canonical fast-profile benchmark
 # (writes BENCH_qor.json) and compare it against the committed baseline
 # snapshot. Exit 6 = a gated metric regressed beyond its threshold.
@@ -163,7 +174,7 @@ clean-artifacts:
 clean: clean-artifacts
 	dune clean
 
-.PHONY: all test test-par bench bench-full bench-par bench-smoke \
+.PHONY: all test test-par bench bench-full bench-par bench-smoke ladder-smoke \
         qor-gate qor-baseline qor-gate-dp qor-baseline-dp \
         obs-gate obs-baseline lint lint-units \
         lint-race lint-exc lint-fixtures trace-smoke examples \

@@ -10,13 +10,27 @@
 val nmos_current : Tech.t -> size:float -> vgs:float -> vds:float -> float
 (** Drain current of a pull-down NMOS (>= 0); 0 when off or [vds <= 0]. *)
 
-val inverter_current : Tech.t -> size:float -> vin:float -> vout:float -> float
+type bias
+(** An inverter at a fixed size and input voltage: both devices'
+    saturation currents and [Vdsat], so evaluating it at many output
+    voltages (a Newton loop within one timestep) pays for the
+    alpha-power terms once. *)
+
+val bias : Tech.t -> size:float -> vin:float -> bias
+
+val bias_current : bias -> vout:float -> float
 (** Net current {e into} the inverter output node: positive = pull-up
     (PMOS) charging the node, negative = pull-down (NMOS) discharging.
     Both devices conduct in the crowbar region, as in a real inverter. *)
 
-val inverter_conductance :
-  Tech.t -> size:float -> vin:float -> vout:float -> float
+val bias_conductance : bias -> vout:float -> float
 (** [- d I / d Vout], the (non-negative) small-signal output conductance
     used to stamp the device semi-implicitly in the simulator. Computed
     by central finite difference. *)
+
+val inverter_current : Tech.t -> size:float -> vin:float -> vout:float -> float
+(** [bias_current (bias tech ~size ~vin) ~vout]. *)
+
+val inverter_conductance :
+  Tech.t -> size:float -> vin:float -> vout:float -> float
+(** [bias_conductance (bias tech ~size ~vin) ~vout]. *)

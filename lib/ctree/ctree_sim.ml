@@ -15,20 +15,20 @@ type metrics = {
 
 (* Build the RC tree of one stage: everything below [node]'s output until
    the next buffers (which appear as their gate capacitance). Returns the
-   RC tree plus the buffer nodes discovered at the stage boundary. *)
+   RC tree plus the buffers discovered at the stage boundary (node, cell
+   and gate tag) and the names of the sinks reached. *)
 let build_stage tech (node : Ctree.t) =
   let next_buffers = ref [] in
   let stage_sinks = ref [] in
   let rec sub (child : Ctree.t) : Rc.t =
     match child.Ctree.kind with
     | Ctree.Sink { name; cap } ->
-        stage_sinks := child :: !stage_sinks;
+        stage_sinks := name :: !stage_sinks;
         Rc.leaf ~tag:("sink:" ^ name) cap
     | Ctree.Buf b ->
-        next_buffers := (child, "buf:" ^ string_of_int child.Ctree.id) :: !next_buffers;
-        Rc.leaf
-          ~tag:("buf:" ^ string_of_int child.Ctree.id)
-          (Buffer_lib.input_cap tech b)
+        let tag = "buf:" ^ string_of_int child.Ctree.id in
+        next_buffers := (child, b, tag) :: !next_buffers;
+        Rc.leaf ~tag (Buffer_lib.input_cap tech b)
     | Ctree.Merge ->
         Rc.node ~tag:("m:" ^ string_of_int child.Ctree.id) (edges child)
   and edges (n : Ctree.t) =
@@ -43,16 +43,23 @@ let crop_margin = 100e-12
 
 let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
     (root : Ctree.t) =
-  (match root.Ctree.kind with
-  | Ctree.Buf _ -> ()
-  | Ctree.Sink _ | Ctree.Merge ->
-      invalid_arg "Ctree_sim.simulate: root must be a buffer");
+  let root_buf =
+    match root.Ctree.kind with
+    | Ctree.Buf b -> b
+    | Ctree.Sink _ | Ctree.Merge ->
+        invalid_arg "Ctree_sim.simulate: root must be a buffer"
+  in
   let vdd = tech.Circuit.Tech.vdd in
   let source = W.smooth_curve ~vdd ~slew:source_slew () in
   let t_source_50 =
     match W.crossing source (0.5 *. vdd) with
     | Some t -> t
-    | None -> assert false
+    | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Ctree_sim.simulate: source of slew %g ps never crosses 50%% \
+              of Vdd = %g V"
+             (source_slew *. 1e12) vdd)
   in
   let worst_slew = ref 0. in
   let worst_slew_node = ref "" in
@@ -68,38 +75,30 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
         end
     | None -> all_settled := false
   in
-  (* Worklist of buffer stages: (buffer node, input waveform). *)
+  (* Worklist of buffer stages: (buffer node, its cell, input waveform). *)
   let queue = Queue.create () in
-  Queue.add (root, source) queue;
+  Queue.add (root, root_buf, source) queue;
   while not (Queue.is_empty queue) do
-    let node, input = Queue.pop queue in
+    let node, buf, input = Queue.pop queue in
     incr n_stages;
-    let buf =
-      match node.Ctree.kind with
-      | Ctree.Buf b -> b
-      | Ctree.Sink _ | Ctree.Merge -> assert false
-    in
     let rc, next, stage_sinks = build_stage tech node in
     let res = T.simulate ~config tech (T.Driven_buffer (buf, input)) rc in
     if not (T.settled res) then all_settled := false;
     note_slew ("out:" ^ string_of_int node.Ctree.id) (T.root_waveform res);
     (* Sinks reached within this stage. *)
     List.iter
-      (fun (s : Ctree.t) ->
-        match s.Ctree.kind with
-        | Ctree.Sink { name; _ } -> (
-            let wave = T.waveform res ("sink:" ^ name) in
-            note_slew ("sink:" ^ name) wave;
-            match W.crossing wave (0.5 *. vdd) with
-            | Some t -> sink_arrivals := (name, t -. t_source_50) :: !sink_arrivals
-            | None ->
-                all_settled := false;
-                sink_arrivals := (name, Float.infinity) :: !sink_arrivals)
-        | Ctree.Buf _ | Ctree.Merge -> ())
+      (fun name ->
+        let wave = T.waveform res ("sink:" ^ name) in
+        note_slew ("sink:" ^ name) wave;
+        match W.crossing wave (0.5 *. vdd) with
+        | Some t -> sink_arrivals := (name, t -. t_source_50) :: !sink_arrivals
+        | None ->
+            all_settled := false;
+            sink_arrivals := (name, Float.infinity) :: !sink_arrivals)
       stage_sinks;
     (* Seed downstream buffer stages with cropped input waveforms. *)
     List.iter
-      (fun (bnode, tag) ->
+      (fun (bnode, bcell, tag) ->
         let wave = T.waveform res tag in
         note_slew tag wave;
         let cropped =
@@ -107,7 +106,7 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
           | Some t -> W.crop_before wave (t -. crop_margin)
           | None -> wave
         in
-        Queue.add (bnode, cropped) queue)
+        Queue.add (bnode, bcell, cropped) queue)
       next
   done;
   let delays = List.map snd !sink_arrivals in

@@ -30,4 +30,6 @@ val simulate :
 (** [simulate tech tree] drives the root buffer with a realistic curved
     edge of 10%-90% slew [source_slew] (default 60 ps) and reports
     tree-level metrics. Raises [Invalid_argument] if the root is not a
-    buffer or a sink never rises. *)
+    buffer, or if the source waveform never crosses 50% Vdd (possible
+    only for a non-finite [vdd]; the message names [source_slew]). A sink that never rises is reported through
+    an infinite delay and [all_settled = false]. *)

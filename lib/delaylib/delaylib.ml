@@ -152,12 +152,10 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
      them. *)
   let binput = Buffer_lib.smallest buffers in
   let all_slews = List.sort_uniq Float.compare (slews @ bslews) in
+  Log.debug (fun m -> m "input waves for %d slews" (List.length all_slews));
   let waves =
-    List.map
-      (fun s ->
-        Log.debug (fun m -> m "input wave for slew %.0f ps" (s *. 1e12));
-        (s, Wave_gen.buffer_output_wave tech binput ~slew:s))
-      all_slews
+    List.combine all_slews
+      (Wave_gen.buffer_output_waves tech binput ~slews:all_slews)
   in
   let wave_for s = List.assoc s waves in
   let single_job (drive : Buffer_lib.t) ci load_cap () =

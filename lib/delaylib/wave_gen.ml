@@ -15,8 +15,13 @@ let slew_for_length tech binput len =
   | Some s -> (s, wave)
   | None -> invalid_arg "Wave_gen: characterization stage did not rise"
 
+(* The shortest and longest input stages: (slew, wave) each. *)
+let endpoints tech binput =
+  (slew_for_length tech binput l_min, slew_for_length tech binput l_max)
+
 let achievable_slew_range tech binput =
-  (fst (slew_for_length tech binput l_min), fst (slew_for_length tech binput l_max))
+  let (s_min, _), (s_max, _) = endpoints tech binput in
+  (s_min, s_max)
 
 let normalize tech wave =
   (* Shift so the 1%-Vdd crossing sits at t = 0. *)
@@ -25,30 +30,24 @@ let normalize tech wave =
   | Some t -> W.shift wave (-.t)
   | None -> wave
 
-let buffer_output_wave ?(tol = 2e-12) tech binput ~slew =
-  let s_min, s_max = achievable_slew_range tech binput in
-  if slew <= s_min then normalize tech (snd (slew_for_length tech binput l_min))
-  else if slew >= s_max then
-    normalize tech (snd (slew_for_length tech binput l_max))
-  else begin
-    (* Bisection on wire length: slew grows monotonically with length. *)
-    let lo = ref l_min and hi = ref l_max in
-    let best = ref None in
-    let iter = ref 0 in
-    while
-      !iter < 24
-      &&
-      match !best with
-      | Some (s, _) -> Float.abs (s -. slew) > tol
-      | None -> true
-    do
-      incr iter;
-      let mid = (!lo +. !hi) /. 2. in
+let wave_for ?(tol = 2e-12) tech binput ((s_min, w_min), (s_max, w_max)) slew =
+  if slew <= s_min then normalize tech w_min
+  else if slew >= s_max then normalize tech w_max
+  else
+    (* Bisection on wire length: slew grows monotonically with length.
+       [iter] counts the stages simulated so far, this one included. *)
+    let rec bisect iter lo hi =
+      let mid = (lo +. hi) /. 2. in
       let s, w = slew_for_length tech binput mid in
-      best := Some (s, w);
-      if s < slew then lo := mid else hi := mid
-    done;
-    match !best with
-    | Some (_, w) -> normalize tech w
-    | None -> assert false
-  end
+      let lo, hi = if s < slew then (mid, hi) else (lo, mid) in
+      if iter < 24 && Float.abs (s -. slew) > tol then bisect (iter + 1) lo hi
+      else w
+    in
+    normalize tech (bisect 1 l_min l_max)
+
+let buffer_output_wave ?tol tech binput ~slew =
+  wave_for ?tol tech binput (endpoints tech binput) slew
+
+let buffer_output_waves ?tol tech binput ~slews =
+  let ends = endpoints tech binput in
+  List.map (wave_for ?tol tech binput ends) slews

@@ -19,6 +19,12 @@ val buffer_output_wave :
     driving a bisected-length wire into a 1 fF gate. Slews below what a
     minimal wire can produce saturate at the minimum achievable slew. *)
 
+val buffer_output_waves :
+  ?tol:(float[@cts.unit "ps"]) -> Circuit.Tech.t -> Circuit.Buffer_lib.t ->
+  slews:float list -> Waveform.t list
+(** [buffer_output_wave] for each slew in order, with the two
+    wire-length endpoint stages simulated once for the whole list. *)
+
 val achievable_slew_range :
   Circuit.Tech.t -> Circuit.Buffer_lib.t -> float * float
 (** Minimum and maximum slews reachable with wire lengths in

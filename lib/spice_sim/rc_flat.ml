@@ -27,18 +27,52 @@ let of_tree tree =
 
 let index_of_tag t tag = List.assoc tag t.tag_index
 
-let solve t ~diag ~rhs ~into =
+type factored = {
+  tree : t;
+  pivot : float array;
+  mult : float array;
+  root_children : int array;
+}
+
+let factor t ~diag =
   let n = t.n in
+  let pivot = Array.copy diag in
+  let mult = Array.make n 0. in
+  let root_children = ref [] in
   (* Leaf-to-root elimination: preorder numbering guarantees
-     parent.(i) < i, so a reverse sweep eliminates children first. *)
+     parent.(i) < i, so a reverse sweep eliminates children first. The
+     root row is left out; its children are kept in elimination order so
+     [root_solve] folds them in exactly as a full sweep would. *)
   for i = n - 1 downto 1 do
     let p = t.parent.(i) in
-    let f = t.g_edge.(i) /. diag.(i) in
-    diag.(p) <- diag.(p) -. (f *. t.g_edge.(i));
-    rhs.(p) <- rhs.(p) +. (f *. rhs.(i))
+    let f = t.g_edge.(i) /. pivot.(i) in
+    mult.(i) <- f;
+    if p = 0 then root_children := i :: !root_children
+    else pivot.(p) <- pivot.(p) -. (f *. t.g_edge.(i))
   done;
-  into.(0) <- rhs.(0) /. diag.(0);
-  for i = 1 to n - 1 do
+  { tree = t; pivot; mult; root_children = Array.of_list (List.rev !root_children) }
+
+let forward f ~rhs =
+  let parent = f.tree.parent and mult = f.mult in
+  for i = f.tree.n - 1 downto 1 do
+    let p = parent.(i) in
+    if p > 0 then rhs.(p) <- rhs.(p) +. (mult.(i) *. rhs.(i))
+  done
+
+let root_solve f ~diag0 ~rhs0 ~rhs =
+  let d = ref diag0 and r = ref rhs0 in
+  (* A loop, not Array.iter: refs captured by a closure are boxed. *)
+  for k = 0 to Array.length f.root_children - 1 do
+    let c = f.root_children.(k) in
+    d := !d -. (f.mult.(c) *. f.tree.g_edge.(c));
+    r := !r +. (f.mult.(c) *. rhs.(c))
+  done;
+  !r /. !d
+
+let back f ~rhs ~root ~into =
+  let t = f.tree in
+  into.(0) <- root;
+  for i = 1 to t.n - 1 do
     let p = t.parent.(i) in
-    into.(i) <- (rhs.(i) +. (t.g_edge.(i) *. into.(p))) /. diag.(i)
+    into.(i) <- (rhs.(i) +. (t.g_edge.(i) *. into.(p))) /. f.pivot.(i)
   done

@@ -1,10 +1,19 @@
-(** Flattened RC trees for fast repeated linear solves.
+(** Flattened RC trees and their factored tree solver.
 
     Nodes are numbered in preorder so every parent index precedes its
-    children, which lets the simulator run the exact O(n) tree
-    LU-elimination once per timestep. 
+    children. The simulator's system row [i] reads
+    [diag.(i) * v_i - g_edge.(i) * v_parent(i)
+     - sum_children g_edge.(c) * v_c = rhs.(i)], and only the root row
+    changes between solves (it carries the nonlinear driver stamp). So
+    the non-root rows are eliminated once ({!factor}), and each solve is
+    one leaf-to-root rhs sweep ({!forward}), a scalar solve at the root
+    over the root's children only ({!root_solve}, cheap enough to repeat
+    per Newton iteration), and one back-substitution ({!back}). The
+    result is bit-identical to a full O(n) elimination of the whole
+    matrix: every row sees the same float operations in the same order.
 
-    Domain-safety: a flattened tree carries per-instance solver arrays; use one instance per domain. No global state. *)
+    Domain-safety: a flattened or factored tree is immutable after
+    construction; the solve arrays are the caller's. No global state. *)
 
 type t = {
   n : int;
@@ -19,9 +28,24 @@ val of_tree : Circuit.Rc_tree.t -> t
 val index_of_tag : t -> string -> int
 (** Raises [Not_found] for unknown tags. *)
 
-val solve : t -> diag:float array -> rhs:float array -> into:float array -> unit
-(** [solve t ~diag ~rhs ~into] solves the symmetric tree-structured system
-    whose row [i] reads [diag.(i) * v_i - g_edge.(i) * v_parent(i)
-    - sum_children g_edge.(c) * v_c = rhs.(i)].
-    [diag] and [rhs] are clobbered; the solution is written to [into].
-    All arrays must have length [n]. *)
+type factored
+(** A tree with every non-root row eliminated. *)
+
+val factor : t -> diag:float array -> factored
+(** [factor t ~diag] eliminates rows [1 .. n-1] of the system with
+    diagonal [diag] (length [n], not modified). [diag.(0)] is ignored:
+    the root's diagonal is given to each {!root_solve}. *)
+
+val forward : factored -> rhs:float array -> unit
+(** Leaf-to-root elimination of the right-hand side of rows
+    [1 .. n-1], in place. [rhs.(0)] is neither read nor written. *)
+
+val root_solve :
+  factored -> diag0:float -> rhs0:float -> rhs:float array -> float
+(** The root unknown, for root diagonal [diag0] and root right-hand
+    side [rhs0], given [rhs] already passed through {!forward}. *)
+
+val back : factored -> rhs:float array -> root:float -> into:float array -> unit
+(** Back-substitution from the root value [root] (as returned by
+    {!root_solve}) over the {!forward}ed [rhs]; writes all [n] unknowns
+    to [into], which may be the array the rhs was built from. *)

@@ -47,10 +47,11 @@ end
 (* Scalar backward-Euler Newton step for the buffer's internal node. *)
 let advance_internal tech ~size ~cap ~dt ~iters ~vin ~v_old =
   let c_dt = cap /. dt in
+  let bias = Device.bias tech ~size ~vin in
   let v = ref v_old in
   for _ = 1 to iters do
-    let i = Device.inverter_current tech ~size ~vin ~vout:!v in
-    let g = Device.inverter_conductance tech ~size ~vin ~vout:!v in
+    let i = Device.bias_current bias ~vout:!v in
+    let g = Device.bias_conductance bias ~vout:!v in
     let f = (c_dt *. (!v -. v_old)) -. i in
     let fp = c_dt +. g in
     v := !v -. (f /. fp)
@@ -79,9 +80,8 @@ let simulate ?(config = default_config) (tech : Tech.t) driver tree =
     let p = flat.Rc_flat.parent.(i) in
     diag_base.(p) <- diag_base.(p) +. flat.Rc_flat.g_edge.(i)
   done;
+  let fac = Rc_flat.factor flat ~diag:diag_base in
   let v = Array.make n 0. in
-  let v_next = Array.make n 0. in
-  let diag = Array.make n 0. in
   let rhs = Array.make n 0. in
   let vdd = tech.Tech.vdd in
   (* Recording setup: every tagged node plus the root. *)
@@ -129,36 +129,33 @@ let simulate ?(config = default_config) (tech : Tech.t) driver tree =
           !v_a
       | Vsource _ -> 0.
     in
-    (* Newton on the tree system; only the root carries a nonlinear
-       device, so each iteration re-stamps the root and re-solves. *)
-    let iters =
-      match driver with Driven_buffer _ -> config.newton_iters | Vsource _ -> 1
-    in
-    let vr = ref v.(0) in
-    for _ = 1 to iters do
-      Array.blit diag_base 0 diag 0 n;
-      for i = 0 to n - 1 do
-        rhs.(i) <- c_dt.(i) *. v.(i)
-      done;
-      (match driver with
-      | Driven_buffer _ ->
-          let i_dev =
-            Device.inverter_current tech ~size:stage2_size ~vin:stage2_vin
-              ~vout:!vr
-          in
-          let g_dev =
-            Device.inverter_conductance tech ~size:stage2_size
-              ~vin:stage2_vin ~vout:!vr
-          in
-          diag.(0) <- diag.(0) +. g_dev;
-          rhs.(0) <- rhs.(0) +. i_dev +. (g_dev *. !vr)
-      | Vsource _ ->
-          diag.(0) <- diag.(0) +. g_source;
-          rhs.(0) <- rhs.(0) +. (g_source *. vin));
-      Rc_flat.solve flat ~diag ~rhs ~into:v_next;
-      vr := v_next.(0)
+    (* The tree rows are factored once; per step the rhs is swept once,
+       Newton runs on the root unknown alone (only the root carries a
+       nonlinear device), and one back-substitution finishes the step. *)
+    for i = 0 to n - 1 do
+      rhs.(i) <- c_dt.(i) *. v.(i)
     done;
-    Array.blit v_next 0 v 0 n;
+    Rc_flat.forward fac ~rhs;
+    let vr =
+      match driver with
+      | Driven_buffer _ ->
+          let bias = Device.bias tech ~size:stage2_size ~vin:stage2_vin in
+          let vr = ref v.(0) in
+          for _ = 1 to config.newton_iters do
+            let i_dev = Device.bias_current bias ~vout:!vr in
+            let g_dev = Device.bias_conductance bias ~vout:!vr in
+            vr :=
+              Rc_flat.root_solve fac ~diag0:(diag_base.(0) +. g_dev)
+                ~rhs0:(rhs.(0) +. i_dev +. (g_dev *. !vr))
+                ~rhs
+          done;
+          !vr
+      | Vsource _ ->
+          Rc_flat.root_solve fac ~diag0:(diag_base.(0) +. g_source)
+            ~rhs0:(rhs.(0) +. (g_source *. vin))
+            ~rhs
+    in
+    Rc_flat.back fac ~rhs ~root:vr ~into:v;
     t := t_new;
     incr step_count;
     if !step_count mod config.record_stride = 0 then record t_new;

@@ -4,8 +4,13 @@
     two-inverter buffer fed by a known input waveform — driving a lumped
     RC tree (the interconnect up to the next buffers' gates and sinks).
     Integration is backward Euler with semi-implicit (linearized per
-    Newton iteration) alpha-power inverter stamps; the tree-structured
-    linear system is solved in O(n) per step.
+    Newton iteration) alpha-power inverter stamps. Only the tree root
+    carries a nonlinear device, so the constant tree part of the
+    backward-Euler matrix is factored once per call ({!Rc_flat.factor}).
+    Each step then costs one O(n) rhs sweep, [newton_iters] scalar
+    Newton iterations on the root unknown (each touching only the
+    root's children, with the device biased once per step by
+    {!Circuit.Device.bias}), and one O(n) back-substitution.
 
     This staged decomposition is exact for clock trees because buffers
     present only their (constant) gate capacitance to the upstream stage;
@@ -23,9 +28,13 @@ type driver =
 
 type config = {
   dt : float;  (** Timestep (s). *)
-  t_margin : float;  (** Extra time simulated past the input window (s). *)
+  t_margin : float;
+      (** The settle check only runs once at least [t_margin / 10] has
+          been simulated from the input's start (s). *)
   t_max : float;  (** Hard stop (s). *)
-  newton_iters : int;  (** Fixed Newton iterations per step. *)
+  newton_iters : int;
+      (** Fixed Newton iterations per step for a buffer driver (at least
+          1); an ideal source is linear and takes one solve. *)
   record_stride : int;  (** Keep every k-th sample of recorded nodes. *)
 }
 

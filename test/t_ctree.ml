@@ -87,6 +87,16 @@ let sim_requires_buffer_root () =
     (Invalid_argument "Ctree_sim.simulate: root must be a buffer") (fun () ->
       ignore (Ctree_sim.simulate tech s))
 
+let sim_rejects_source_without_crossing () =
+  (* A raised-cosine source always reaches Vdd, so only a non-finite
+     supply leaves no 50% crossing. *)
+  let tech = { tech with Circuit.Tech.vdd = Float.nan } in
+  Alcotest.check_raises "source never crosses 50%"
+    (Invalid_argument
+       "Ctree_sim.simulate: source of slew 60 ps never crosses 50% of Vdd = \
+        nan V")
+    (fun () -> ignore (Ctree_sim.simulate tech (tiny_tree ())))
+
 let sim_cascaded_buffers () =
   (* Chain of 3 buffers: stages compose; latency exceeds single-stage. *)
   let s = Ctree.sink ~name:"s" ~pos:(P.make 900. 0.) ~cap:10e-15 in
@@ -191,6 +201,8 @@ let suite =
     Alcotest.test_case "sim symmetric zero skew" `Quick
       sim_balanced_tree_zero_skew;
     Alcotest.test_case "sim root check" `Quick sim_requires_buffer_root;
+    Alcotest.test_case "sim source check" `Quick
+      sim_rejects_source_without_crossing;
     Alcotest.test_case "sim cascaded buffers" `Quick sim_cascaded_buffers;
     Alcotest.test_case "netlist deck structure" `Quick netlist_deck_structure;
     Alcotest.test_case "netlist root check" `Quick netlist_rejects_merge_root;

@@ -38,8 +38,8 @@ let flat_preorder_parents () =
        (fun t -> Rc_flat.index_of_tag f t >= 0)
        [ "root"; "a"; "a1"; "b" ])
 
-(* The O(n) tree solve must agree with a dense Gaussian elimination on
-   the same symmetric system. *)
+(* The factored tree solve must agree with a dense Gaussian elimination
+   on the same symmetric system. *)
 let flat_solve_matches_dense () =
   let rng = Util.Rng.create 1234 in
   for _ = 1 to 10 do
@@ -72,13 +72,271 @@ let flat_solve_matches_dense () =
     for i = 1 to n - 1 do
       diag.(parent.(i)) <- diag.(parent.(i)) +. g.(i)
     done;
+    let fac = Rc_flat.factor flat ~diag in
     let rhs = Array.copy b in
+    Rc_flat.forward fac ~rhs;
+    let root = Rc_flat.root_solve fac ~diag0:diag.(0) ~rhs0:rhs.(0) ~rhs in
     let x = Array.make n 0. in
-    Rc_flat.solve flat ~diag ~rhs ~into:x;
+    Rc_flat.back fac ~rhs ~root ~into:x;
     Array.iteri
       (fun i v -> check_f 1e-8 (Printf.sprintf "x%d" i) dense.(i) v)
       x
   done
+
+(* ---------------- Oracles against the per-iteration kernel ----------------
+
+   A reference copy of the simulator as it was before the factor-once
+   rewrite: the device formula evaluated from scratch on every call, and
+   a full O(n) tree elimination on every Newton iteration. The
+   production kernel must reproduce it bit for bit. *)
+
+module Ref = struct
+  let nmos_current (tech : Circuit.Tech.t) ~size ~vgs ~vds =
+    if vgs <= tech.vt || vds <= 0. then 0.
+    else begin
+      let vov = vgs -. tech.vt in
+      let idsat = tech.k_per_x *. size *. (vov ** tech.alpha) in
+      let vdsat = tech.vdsat_frac *. vov in
+      if vds >= vdsat then idsat
+      else
+        let x = vds /. vdsat in
+        idsat *. x *. (2. -. x)
+    end
+
+  let inverter_current tech ~size ~vin ~vout =
+    let vdd = tech.Circuit.Tech.vdd in
+    let i_n = nmos_current tech ~size ~vgs:vin ~vds:vout in
+    let i_p = nmos_current tech ~size ~vgs:(vdd -. vin) ~vds:(vdd -. vout) in
+    i_p -. i_n
+
+  let inverter_conductance tech ~size ~vin ~vout =
+    let dv = 1e-4 in
+    let i_hi = inverter_current tech ~size ~vin ~vout:(vout +. dv) in
+    let i_lo = inverter_current tech ~size ~vin ~vout:(vout -. dv) in
+    Float.max 0. (-.(i_hi -. i_lo) /. (2. *. dv))
+
+  let solve (t : Rc_flat.t) ~diag ~rhs ~into =
+    let n = t.n in
+    for i = n - 1 downto 1 do
+      let p = t.parent.(i) in
+      let f = t.g_edge.(i) /. diag.(i) in
+      diag.(p) <- diag.(p) -. (f *. t.g_edge.(i));
+      rhs.(p) <- rhs.(p) +. (f *. rhs.(i))
+    done;
+    into.(0) <- rhs.(0) /. diag.(0);
+    for i = 1 to n - 1 do
+      let p = t.parent.(i) in
+      into.(i) <- (rhs.(i) +. (t.g_edge.(i) *. into.(p))) /. diag.(i)
+    done
+
+  let advance_internal tech ~size ~cap ~dt ~iters ~vin ~v_old =
+    let c_dt = cap /. dt in
+    let v = ref v_old in
+    for _ = 1 to iters do
+      let i = inverter_current tech ~size ~vin ~vout:!v in
+      let g = inverter_conductance tech ~size ~vin ~vout:!v in
+      let f = (c_dt *. (!v -. v_old)) -. i in
+      let fp = c_dt +. g in
+      v := !v -. (f /. fp)
+    done;
+    Float.max (-0.1 *. tech.Circuit.Tech.vdd)
+      (Float.min (1.1 *. tech.Circuit.Tech.vdd) !v)
+
+  let g_source = 1e4
+
+  (* Returns the sample times, the samples of the root and of every
+     tagged node (in [Rc_flat.tag_index] order), and the settled flag. *)
+  let simulate (config : T.config) tech driver tree =
+    let flat = Rc_flat.of_tree tree in
+    let n = flat.n in
+    let cap = Array.copy flat.cap in
+    (match driver with
+    | T.Driven_buffer (buf, _) -> cap.(0) <- cap.(0) +. B.output_cap tech buf
+    | T.Vsource _ -> ());
+    let input = match driver with T.Vsource w | T.Driven_buffer (_, w) -> w in
+    let dt = config.dt in
+    let c_dt = Array.map (fun c -> c /. dt) cap in
+    let diag_base = Array.copy c_dt in
+    for i = 1 to n - 1 do
+      diag_base.(i) <- diag_base.(i) +. flat.g_edge.(i);
+      let p = flat.parent.(i) in
+      diag_base.(p) <- diag_base.(p) +. flat.g_edge.(i)
+    done;
+    let v = Array.make n 0. and v_next = Array.make n 0. in
+    let diag = Array.make n 0. and rhs = Array.make n 0. in
+    let targets = 0 :: List.map snd flat.tag_index in
+    let times = ref [] and samples = ref [] in
+    let record t =
+      times := t :: !times;
+      samples := List.map (fun i -> v.(i)) targets :: !samples
+    in
+    let t0 = W.t_start input and t_input_end = W.t_end input in
+    let internal_cap, stage2_size =
+      match driver with
+      | T.Driven_buffer (buf, _) -> (B.internal_cap tech buf, buf.B.size)
+      | T.Vsource _ -> (0., 0.)
+    in
+    let v_a = ref vdd in
+    record t0;
+    let t = ref t0 and step_count = ref 0 and settled = ref false in
+    let all_settled () =
+      W.value_at input !t >= 0.99 *. vdd
+      && Array.for_all (fun x -> not (x < 0.99 *. vdd)) v
+    in
+    while (not !settled) && !t < config.t_max do
+      let t_new = !t +. dt in
+      let vin = W.value_at input t_new in
+      let stage2_vin =
+        match driver with
+        | T.Driven_buffer (buf, _) ->
+            v_a :=
+              advance_internal tech ~size:buf.B.stage1_size ~cap:internal_cap
+                ~dt ~iters:config.newton_iters ~vin ~v_old:!v_a;
+            !v_a
+        | T.Vsource _ -> 0.
+      in
+      let iters =
+        match driver with
+        | T.Driven_buffer _ -> config.newton_iters
+        | T.Vsource _ -> 1
+      in
+      let vr = ref v.(0) in
+      for _ = 1 to iters do
+        Array.blit diag_base 0 diag 0 n;
+        for i = 0 to n - 1 do
+          rhs.(i) <- c_dt.(i) *. v.(i)
+        done;
+        (match driver with
+        | T.Driven_buffer _ ->
+            let i_dev =
+              inverter_current tech ~size:stage2_size ~vin:stage2_vin ~vout:!vr
+            in
+            let g_dev =
+              inverter_conductance tech ~size:stage2_size ~vin:stage2_vin
+                ~vout:!vr
+            in
+            diag.(0) <- diag.(0) +. g_dev;
+            rhs.(0) <- rhs.(0) +. i_dev +. (g_dev *. !vr)
+        | T.Vsource _ ->
+            diag.(0) <- diag.(0) +. g_source;
+            rhs.(0) <- rhs.(0) +. (g_source *. vin));
+        solve flat ~diag ~rhs ~into:v_next;
+        vr := v_next.(0)
+      done;
+      Array.blit v_next 0 v 0 n;
+      t := t_new;
+      incr step_count;
+      if !step_count mod config.record_stride = 0 then record t_new;
+      if
+        !step_count mod 64 = 0
+        && t_new > t_input_end
+        && t_new > t0 +. (config.t_margin /. 10.)
+      then settled := all_settled ()
+    done;
+    let columns = List.rev !samples in
+    ( Array.of_list (List.rev !times),
+      List.mapi
+        (fun k _ -> Array.of_list (List.map (fun s -> List.nth s k) columns))
+        targets,
+      !settled )
+end
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A random RC tree: up to four root children (the root-only Newton
+   folds each one's fill-in separately), random depth, resistances and
+   caps, and a tag on roughly half the nodes. *)
+let random_tree rng =
+  let tags = ref 0 in
+  let rec build depth =
+    let tag =
+      if Util.Rng.int rng 2 = 0 then begin
+        incr tags;
+        Some (Printf.sprintf "n%d" !tags)
+      end
+      else None
+    in
+    let cap = Util.Rng.float_range rng 0.2e-15 20e-15 in
+    let n_children =
+      if depth = 0 then 1 + Util.Rng.int rng 4
+      else if depth >= 6 then 0
+      else Util.Rng.int rng 3
+    in
+    let children =
+      List.init n_children (fun _ ->
+          (Util.Rng.float_range rng 5. 400., build (depth + 1)))
+    in
+    Rc.node ?tag ~cap children
+  in
+  build 0
+
+let qcheck_transient_matches_reference =
+  QCheck.Test.make ~count:150
+    ~name:"Transient.simulate bit-identical to the per-iteration kernel"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let tree = random_tree rng in
+      let input =
+        let slew = Util.Rng.float_range rng 10e-12 200e-12 in
+        if Util.Rng.int rng 2 = 0 then W.smooth_curve ~vdd ~slew ()
+        else W.ramp ~vdd ~slew ()
+      in
+      let driver =
+        if Util.Rng.int rng 3 = 0 then T.Vsource input
+        else T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
+      in
+      let config =
+        {
+          T.default_config with
+          T.dt = (if Util.Rng.int rng 2 = 0 then 0.5e-12 else 1e-12);
+          newton_iters = (if Util.Rng.int rng 2 = 0 then 1 else 3);
+          record_stride = (if Util.Rng.int rng 2 = 0 then 1 else 3);
+          t_max = 2e-9;
+        }
+      in
+      let times, samples, settled = Ref.simulate config tech driver tree in
+      let res = T.simulate ~config tech driver tree in
+      let tags = List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index in
+      let waves = T.root_waveform res :: List.map (T.waveform res) tags in
+      Bool.equal settled (T.settled res)
+      && List.for_all (fun w -> bits_equal times (W.times w)) waves
+      && List.for_all2 (fun s w -> bits_equal s (W.values w)) samples waves)
+
+(* The biased device path against the direct formula, on a grid that
+   hits every branch: vin at and around vt and vdd - vt (either device
+   off), vout at and one finite-difference step around 0 and vdd, and
+   both sides of each device's saturation knee. *)
+let qcheck_device_bias_matches_formula =
+  let vt = tech.Circuit.Tech.vt and dv = 1e-4 and eps = 1e-12 in
+  let volts =
+    [ -0.2; -.dv; 0.; dv; eps; vt -. eps; vt; vt +. eps; 0.35; 0.5;
+      0.62; vdd -. vt -. eps; vdd -. vt; vdd -. vt +. eps; 0.8 -. dv; 0.8;
+      vdd -. dv; vdd -. eps; vdd; vdd +. dv; vdd +. 0.2 ]
+  in
+  let gen_v = QCheck.Gen.(oneof [ oneofl volts; float_range (-0.3) 1.3 ]) in
+  let gen_size = QCheck.Gen.(oneof [ oneofl [ 1.; 3.; 10.; 20.; 30. ]; float_range 0.5 40. ]) in
+  QCheck.Test.make ~count:2000 ~name:"Device bias path bit-identical to the direct formula"
+    (QCheck.make
+       ~print:QCheck.Print.(triple float float float)
+       QCheck.Gen.(triple gen_size gen_v gen_v))
+    (fun (size, vin, vout) ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let b = Circuit.Device.bias tech ~size ~vin in
+      same (Circuit.Device.nmos_current tech ~size ~vgs:vin ~vds:vout)
+        (Ref.nmos_current tech ~size ~vgs:vin ~vds:vout)
+      && same (Circuit.Device.bias_current b ~vout)
+           (Ref.inverter_current tech ~size ~vin ~vout)
+      && same (Circuit.Device.bias_conductance b ~vout)
+           (Ref.inverter_conductance tech ~size ~vin ~vout)
+      && same (Circuit.Device.inverter_current tech ~size ~vin ~vout)
+           (Ref.inverter_current tech ~size ~vin ~vout)
+      && same (Circuit.Device.inverter_conductance tech ~size ~vin ~vout)
+           (Ref.inverter_conductance tech ~size ~vin ~vout))
 
 (* ---------------- Transient physics ---------------- *)
 
@@ -229,4 +487,6 @@ let suite =
     Alcotest.test_case "timestep convergence" `Quick timestep_convergence;
     Alcotest.test_case "branch loads interact" `Quick branch_loads_interact;
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
+    QCheck_alcotest.to_alcotest qcheck_transient_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_device_bias_matches_formula;
   ]
