@@ -114,10 +114,10 @@ let rec tests (env : Experiments.env) =
   ]
   @ hot
 
-(* Hot-path kernels: the three lookups the allocation work targeted.
-   Each stages the steady-state (hit) path; pair the time estimate
-   with the minor-allocation column — all three should report ~0
-   words/run. Shared with [alloc_gate], which asserts that. *)
+(* Hot-path kernels: the lookups the allocation work targeted. Each
+   stages the steady-state (hit) path; pair the time estimate with the
+   minor-allocation column — all of them should report ~0 words/run.
+   Shared with [alloc_gate], which asserts that. *)
 and hot_tests (env : Experiments.env) =
   let dl = env.Experiments.dl in
   let lib = env.Experiments.lib in
@@ -129,10 +129,22 @@ and hot_tests (env : Experiments.env) =
       (Staged.stage (fun () ->
            ignore (Run.span dl cfg ~drive:b20 ~load_cap:5e-15)))
   in
-  let maze_memo = Maze.eval_memo dl cfg p1 ~max_d:3000. in
+  let maze_memo = Maze.memo dl cfg p1 ~max_d:3000. in
+  ignore (Maze.probe maze_memo 1234.5 : int);
   let t_hot_maze =
-    Test.make ~name:"hot-maze: Maze.eval_memo hit"
-      (Staged.stage (fun () -> ignore (maze_memo 1234.5)))
+    Test.make ~name:"hot-maze: Maze.memo hit"
+      (Staged.stage (fun () -> ignore (Maze.probe maze_memo 1234.5)))
+  in
+  let t_hot_wire =
+    Test.make ~name:"hot-wire: Delaylib.wire_delay"
+      (Staged.stage (fun () ->
+           ignore
+             (Delaylib.wire_delay dl ~drive:b20 ~load_cap:5e-15
+                ~input_slew:90e-12 ~length:640.)))
+  in
+  let t_hot_class =
+    Test.make ~name:"hot-class: Delaylib.class_index"
+      (Staged.stage (fun () -> ignore (Delaylib.class_index dl 7e-15)))
   in
   let s3 =
     (* Any smooth trivariate sample works; the kernel cost depends only
@@ -155,7 +167,7 @@ and hot_tests (env : Experiments.env) =
     Test.make ~name:"hot-eval3: Polyfit.eval3 (degree 3)"
       (Staged.stage (fun () -> ignore (Polyfit.eval3 s3 0.3 0.6 0.9)))
   in
-  [ t_hot_span; t_hot_maze; t_hot_eval3 ]
+  [ t_hot_span; t_hot_maze; t_hot_wire; t_hot_class; t_hot_eval3 ]
 
 let run env =
   print_endline "=== kernel timings (Bechamel) ===";

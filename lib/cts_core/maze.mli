@@ -34,17 +34,27 @@ val cache_key : (float[@cts.unit "um"]) -> int
     0.04 um apart while splitting lengths 0.01 um apart). Exposed for
     the rounding regression test. *)
 
-val eval_memo :
+type memo
+(** One expansion side's memo: per {!cache_key} cell, the side delay
+    ({!side_delay} of the eval at the first distance probed in the
+    cell), its feasibility and that first distance, stored unboxed.
+    Closure-captured scratch of one {!select}: private to one
+    evaluation, never shared across domains. *)
+
+val memo :
   Delaylib.t -> Cts_config.t -> Port.t -> max_d:(float[@cts.unit "um"]) ->
-  (float[@cts.unit "um"]) -> Run.eval
-(** [eval_memo dl cfg port ~max_d] — a memoizing evaluator for one
-    expansion side: distances quantized through {!cache_key} into a
-    flat table preallocated for keys up to [max_d] (a hit is a single
-    array read). Counts [Obs.Eval_cache_hits]/[Eval_cache_misses].
-    Probing a distance beyond [max_d] raises [Invalid_argument].
-    Closure-captured scratch: private to one evaluation, never shared
-    across domains. Exposed for the micro-benchmarks and the
-    memo-vs-direct oracle test. *)
+  memo
+  [@@cts.raises "Invalid_argument"]
+(** [memo dl cfg port ~max_d] — an empty memo with cells for distances
+    up to [max_d]. Under the greedy engine a miss evaluates through a
+    {!Run.chain} built here for [port]; under [Optimal_dp] it calls
+    {!Run.eval}. Adds the cell count to [Obs.Maze_memo_slots]. *)
+
+val probe : memo -> (float[@cts.unit "um"]) -> int
+(** [probe m d] — the index of the cell of distance [d], filled first
+    on a miss. Counts [Obs.Eval_cache_hits]/[Eval_cache_misses]. A hit
+    is one array read and allocates nothing. Probing a distance beyond
+    [max_d] raises [Invalid_argument]. *)
 
 val side_delay :
   Delaylib.t -> Cts_config.t -> Run.eval -> (float[@cts.unit "um"]) ->
@@ -56,4 +66,7 @@ val side_delay :
 val select : Delaylib.t -> Cts_config.t -> Port.t -> Port.t -> choice
 (** Run the bi-directional expansion and return the best merge bin.
     Near-direct bins (no detour) are scanned first; detour bins are only
-    explored when the direct scan leaves residual skew. *)
+    explored when the direct scan leaves residual skew. Each bin probes
+    both sides' {!memo}s; the best bin is tracked as scalars, and its
+    [eval1]/[eval2] are rebuilt with {!Run.eval} at the first distances
+    of its cells — two [Obs.Run_evals] per select. *)

@@ -255,11 +255,7 @@ let sample_span_gauges dl =
   end
 
 let stage_delay dl (cfg : Cts_config.t) drive ~length ~load_cap =
-  let e =
-    Delaylib.eval_single dl ~drive ~load_cap ~input_slew:cfg.slew_target
-      ~length
-  in
-  e.Delaylib.buf_delay +. e.Delaylib.wire_delay
+  Delaylib.stage_delay dl ~drive ~load_cap ~input_slew:cfg.slew_target ~length
 
 let stage_step dl (cfg : Cts_config.t) drive =
   let gate = Buffer_lib.input_cap (Delaylib.tech dl) drive in
@@ -278,94 +274,200 @@ let choose_buffer dl (cfg : Cts_config.t) ~stub_len ~load_cap =
   let best_span =
     List.fold_left (fun acc (_, s) -> Float.max acc s) neg_infinity candidates
   in
-  let good =
-    List.filter (fun (_, s) -> s >= best_span -. cfg.prefer_small_within) candidates
-  in
-  let smallest =
-    List.fold_left
-      (fun acc (b, s) ->
-        match acc with
-        | Some (bb, _) when bb.Buffer_lib.size <= b.Buffer_lib.size -> acc
-        | _ -> Some (b, s))
-      None good
-  in
-  match smallest with Some pick -> pick | None -> assert false
+  let good (_, s) = s >= best_span -. cfg.prefer_small_within in
+  (* The smallest good candidate, the first on a tie. The fold starts
+     from the library's first buffer with a NaN span, which is never
+     good, so the first good candidate replaces it. *)
+  List.fold_left
+    (fun pick ((b, _) as c) ->
+      if good c && not (good pick && (fst pick).Buffer_lib.size <= b.Buffer_lib.size)
+      then c
+      else pick)
+    (Delaylib.first_buffer dl, Float.nan)
+    candidates
 
-let eval_greedy ?(place = fun ~cur:_ d -> Some d) dl (cfg : Cts_config.t)
-    (port : Port.t) length =
-  Obs.incr Obs.Run_evals;
-  let tech = Delaylib.tech dl in
-  let delay = ref port.Port.delay in
-  let buffers = ref [] in
-  let pos = ref 0. in
-  let stub_len = ref port.Port.stub_len in
-  let stub_load = ref port.Port.stub_load in
-  let feasible = ref true in
-  let top_reached = ref false in
-  while not !top_reached do
-    let remaining = length -. !pos in
-    let assumed_span =
-      cfg.top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:!stub_load
-    in
-    if !stub_len +. remaining <= assumed_span then begin
-      (* The rest of the run can stay unbuffered under the assumed
-         upstream driver. *)
-      top_reached := true
-    end
-    else begin
-      let buf, buf_span = choose_buffer dl cfg ~stub_len:!stub_len ~load_cap:!stub_load in
-      let ideal = Float.max 0. (Float.min buf_span remaining) in
-      if buf_span <= 0. then feasible := false;
-      (* Legalize the planned position against blockages. [None] means
-         no legal position exists anywhere up the rest of the path. *)
-      match place ~cur:!pos (!pos +. ideal) with
-      | None ->
-          (* Explicit infeasibility from the legalizer: stop inserting;
-             the merge guard legalizes a buffer near the merge point. *)
-          feasible := false;
-          top_reached := true
-      | Some placed ->
-          if
-            placed <= ((!pos +. 1.) [@cts.unit_ok])
-            || placed >= ((length +. 0.5) [@cts.unit_ok])
-          then begin
-            (* Either the stub alone violates the budget, or the
-               legalized position degenerates (at/behind the previous
-               buffer, or past the run top): same bail-out. *)
-            feasible := false;
-            top_reached := true
-          end
-          else begin
-            let wire_above = Float.min (placed -. !pos) remaining in
-            if wire_above > (1.15 *. buf_span) +. 1. then feasible := false;
-            (* Stage: [buf] drives (wire_above + stub) into the stub
-               load. *)
-            delay :=
-              !delay
-              +. stage_delay dl cfg buf ~length:(wire_above +. !stub_len)
-                   ~load_cap:!stub_load;
-            pos := !pos +. wire_above;
-            buffers := { buf; dist = !pos } :: !buffers;
-            Obs.incr Obs.Run_buffers_placed;
-            stub_len := 0.;
-            stub_load := Buffer_lib.input_cap tech buf
-          end
-    end
-  done;
-  let top_free = length -. !pos in
-  let top_stub_len = !stub_len +. top_free in
-  let assumed_span =
-    cfg.top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:!stub_load
-  in
-  if top_stub_len > assumed_span then feasible := false;
+(* --------------------------------------------------------------- *)
+(* The greedy walk (Sec. 4.2.2).
+
+   One step of the walk has a length-independent half — the
+   assumed-driver span over the stub (kept in the state) and the buffer
+   intelligent sizing picks with its span — and a length-dependent half
+   that decides, at run length [length], whether the top is reached
+   ([reaches_top]) and otherwise whether the walk bails out or how much
+   wire the buffer drives ([next_wire]). [apply] then plants it. The
+   sizing is only computed below the top. Every walk — the legalizing
+   [?place] path, balance, the DP incumbent and the maze's prefix
+   chains — runs these functions; there is no second copy of the step
+   arithmetic. *)
+
+(* What the walk carries from one buffer to the next. *)
+type walk = {
+  pos : float;  (* last fixed node above the port (um) *)
+  stub_len : float;
+  stub_load : float;
+  assumed_span : float;  (* of the assumed driver over the stub *)
+  delay : float;
+  feasible : bool;
+  placed : placed list;  (* newest first *)
+}
+
+let assumed_span dl (cfg : Cts_config.t) ~stub_load =
+  cfg.top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:stub_load
+
+let start dl cfg (port : Port.t) =
   {
-    delay_below = !delay;
-    buffers = List.rev !buffers;
+    pos = 0.;
+    stub_len = port.Port.stub_len;
+    stub_load = port.Port.stub_load;
+    assumed_span = assumed_span dl cfg ~stub_load:port.Port.stub_load;
+    delay = port.Port.delay;
+    feasible = true;
+    placed = [];
+  }
+
+(* The rest of the run can stay unbuffered under the assumed upstream
+   driver. *)
+let[@inline] reaches_top ~length w =
+  w.stub_len +. (length -. w.pos) <= w.assumed_span
+
+(* [next_wire]'s bail-out code: a stage always drives more than 0.5 um
+   (it ends past [pos + 1] and before [length + 0.5]). *)
+let bail_out = -1.
+
+(* [placed] is the legalized position of the next buffer. *)
+let[@inline] stage_wire ~length ~pos ~remaining placed =
+  if
+    placed <= ((pos +. 1.) [@cts.unit_ok])
+    || placed >= ((length +. 0.5) [@cts.unit_ok])
+  then
+    (* Either the stub alone violates the budget, or the legalized
+       position degenerates (at/behind the previous buffer, or past the
+       run top): same bail-out. *)
+    bail_out
+  else Float.min (placed -. pos) remaining
+
+(* Below the top: the wire the next buffer, of span [buf_span], drives
+   at run length [length], or [bail_out]. [place = None] is the
+   blockage-free run. *)
+let[@inline] next_wire ~place ~length w ~buf_span =
+  let remaining = length -. w.pos in
+  let ideal = Float.max 0. (Float.min buf_span remaining) in
+  match place with
+  | None -> stage_wire ~length ~pos:w.pos ~remaining (w.pos +. ideal)
+  | Some legalize -> (
+      (* Legalize the planned position against blockages. [None] means
+         no legal position exists anywhere up the rest of the path:
+         stop inserting; the merge guard legalizes a buffer near the
+         merge point. *)
+      match legalize ~cur:w.pos (w.pos +. ideal) with
+      | None -> bail_out
+      | Some placed -> stage_wire ~length ~pos:w.pos ~remaining placed)
+
+(* Plant [buf] [wire] um above the state: it drives (wire + stub) into
+   the stub load. *)
+let apply dl cfg w ~buf ~buf_span wire =
+  Obs.incr Obs.Run_buffers_placed;
+  let pos = w.pos +. wire in
+  let stub_load = Buffer_lib.input_cap (Delaylib.tech dl) buf in
+  {
+    pos;
+    stub_len = 0.;
+    stub_load;
+    assumed_span = assumed_span dl cfg ~stub_load;
+    delay =
+      w.delay
+      +. stage_delay dl cfg buf ~length:(wire +. w.stub_len) ~load_cap:w.stub_load;
+    feasible =
+      w.feasible && not (buf_span <= 0. || wire > (1.15 *. buf_span) +. 1.);
+    placed = { buf; dist = pos } :: w.placed;
+  }
+
+(* The top of the run hangs under the assumed driver. *)
+let finish ~length w ~feasible =
+  let top_free = length -. w.pos in
+  let top_stub_len = w.stub_len +. top_free in
+  {
+    delay_below = w.delay;
+    buffers = List.rev w.placed;
     top_free;
     top_stub_len;
-    top_load = !stub_load;
-    feasible = !feasible;
+    top_load = w.stub_load;
+    feasible = feasible && not (top_stub_len > w.assumed_span);
   }
+
+(* [sizing] is the state's (buffer, span) when the caller has it. *)
+let rec walk_from dl cfg ~place ~length w sizing =
+  if reaches_top ~length w then finish ~length w ~feasible:w.feasible
+  else begin
+    let buf, buf_span =
+      match sizing with
+      | Some s -> s
+      | None -> choose_buffer dl cfg ~stub_len:w.stub_len ~load_cap:w.stub_load
+    in
+    let wire = next_wire ~place ~length w ~buf_span in
+    if wire > 0. then
+      walk_from dl cfg ~place ~length (apply dl cfg w ~buf ~buf_span wire) None
+    else finish ~length w ~feasible:false
+  end
+
+let eval_greedy ?place dl (cfg : Cts_config.t) (port : Port.t) length =
+  Obs.incr Obs.Run_evals;
+  walk_from dl cfg ~place ~length (start dl cfg port) None
+
+(* --------------------------------------------------------------- *)
+(* Prefix chains: the maze probes one port at thousands of lengths.
+   Buffer k lands at the same place for every length that extends past
+   it, so the walk at an unbounded length — every step a full span, the
+   top never reached — is recorded once, and a probe replays its
+   prefix. *)
+
+type link = {
+  state : walk;
+  buf : Buffer_lib.t;
+  buf_span : float;
+  wire : float;  (* full step to the next link; NaN on the last *)
+}
+
+type chain = link array
+
+let chain dl cfg (port : Port.t) ~max_d =
+  let rec grow w acc =
+    let buf, buf_span =
+      choose_buffer dl cfg ~stub_len:w.stub_len ~load_cap:w.stub_load
+    in
+    let wire = next_wire ~place:None ~length:Float.infinity w ~buf_span in
+    (* A probe of length L confirms a step only when the buffer lands
+       before L + 0.5, so states past max_d + 1 are never reached. *)
+    if (not (wire > 0.)) || w.pos +. wire > ((max_d +. 1.) [@cts.unit_ok]) then
+      Array.of_list
+        (List.rev ({ state = w; buf; buf_span; wire = Float.nan } :: acc))
+    else
+      grow
+        (apply dl cfg w ~buf ~buf_span wire)
+        ({ state = w; buf; buf_span; wire } :: acc)
+  in
+  grow (start dl cfg port) []
+
+(* Advance while the length-dependent half confirms, at [length], the
+   chain's full step to the next link — below the top, same wire to the
+   bit — and return the link reached. *)
+let rec confirmed (c : chain) ~length i =
+  if i + 1 >= Array.length c then i
+  else begin
+    let l = c.(i) in
+    if reaches_top ~length l.state then i
+    else begin
+      let wire = next_wire ~place:None ~length l.state ~buf_span:l.buf_span in
+      if Int64.equal (Int64.bits_of_float wire) (Int64.bits_of_float l.wire)
+      then confirmed c ~length (i + 1)
+      else i
+    end
+  end
+
+let eval_chain dl cfg (c : chain) length =
+  Obs.incr Obs.Run_evals;
+  let l = c.(confirmed c ~length 0) in
+  walk_from dl cfg ~place:None ~length l.state (Some (l.buf, l.buf_span))
 
 (* --------------------------------------------------------------- *)
 (* Optimal multi-cell insertion: van Ginneken-style candidate-set DP
@@ -378,12 +480,11 @@ let area_of_eval (e : eval) =
 
 let run_cost dl (cfg : Cts_config.t) (e : eval) =
   let top =
-    Delaylib.eval_single dl ~drive:cfg.assumed_driver ~load_cap:e.top_load
+    Delaylib.wire_delay dl ~drive:cfg.assumed_driver ~load_cap:e.top_load
       ~input_slew:cfg.slew_target ~length:e.top_stub_len
   in
   let area = area_of_eval e in
-  (e.delay_below +. top.Delaylib.wire_delay +. (cfg.dp_area_weight *. area),
-   area)
+  (e.delay_below +. top +. (cfg.dp_area_weight *. area), area)
 
 let cost_better c1 a1 c2 a2 =
   match Float.compare c1 c2 with
@@ -532,12 +633,12 @@ let eval_dp ?positions ?(place = fun ~cur:_ d -> Some d) dl
     let d = top_tab.(slot) in
     if d >= 0. then d
     else begin
-      let e =
-        Delaylib.eval_single dl ~drive:cfg.assumed_driver ~load_cap:top_load
+      let d =
+        Delaylib.wire_delay dl ~drive:cfg.assumed_driver ~load_cap:top_load
           ~input_slew:cfg.slew_target ~length:top_stub_len
       in
-      top_tab.(slot) <- e.Delaylib.wire_delay;
-      e.Delaylib.wire_delay
+      top_tab.(slot) <- d;
+      d
     end
   in
   (* best.(i*b + t): cheapest way to stand a type-t buffer at position

@@ -111,7 +111,38 @@ val eval_greedy :
   Delaylib.t -> Cts_config.t -> Port.t -> (float[@cts.unit "um"]) -> eval
   [@@cts.raises "Invalid_argument"]
 (** The slew-driven greedy engine (see {!eval} for the [place]
-    contract), regardless of [cfg.insertion]. *)
+    contract), regardless of [cfg.insertion]. It walks up from the port
+    one buffer at a time; each step splits into a length-independent
+    half (the assumed-driver span over the stub, and the buffer
+    {!choose_buffer} picks with its span) and a length-dependent half
+    (the top test, the planned and legalized positions, the wire above
+    and the bail-outs). {!eval_chain} runs the same two halves. *)
+
+type chain
+(** A greedy prefix chain for one port: the walk of {!eval_greedy} at
+    an unbounded length, where every step is a full span, recorded state
+    by state up to the probe range it was built for. *)
+
+val chain :
+  Delaylib.t -> Cts_config.t -> Port.t -> max_d:(float[@cts.unit "um"]) ->
+  chain
+  [@@cts.raises "Invalid_argument"]
+(** [chain dl cfg port ~max_d] records the walk from [port] while its
+    buffers land within [max_d + 1] um — past that, no length up to
+    [max_d] reaches them. Counts each recorded buffer once in
+    [Obs.Run_buffers_placed] and no [Obs.Run_evals]. [max_d] only bounds
+    the work: {!eval_chain} is exact at any length. *)
+
+val eval_chain :
+  Delaylib.t -> Cts_config.t -> chain -> (float[@cts.unit "um"]) -> eval
+  [@@cts.raises "Invalid_argument"]
+(** [eval_chain dl cfg c length] is [eval_greedy dl cfg port length]
+    bit for bit, for the chain's port, without a legalizer. It advances
+    through the chain states whose full step the length-dependent half
+    confirms at [length] — same wire to the bit, so the next state is
+    the recorded one — then finishes with the walk's own loop. Counts
+    one [Obs.Run_evals] and only the buffers planted after the chain
+    prefix. *)
 
 val eval_dp :
   ?positions:(float[@cts.unit "um"]) list ->
@@ -149,7 +180,10 @@ val choose_buffer :
   Circuit.Buffer_lib.t * (float[@cts.unit "um"])
 (** Intelligent sizing: the buffer type whose feasible span (after the
     existing unbuffered [stub_len]) best exploits the slew budget, and
-    that span (um; can be non-positive when the stub alone violates). *)
+    that span (um; can be non-positive when the stub alone violates).
+    The smallest type within [prefer_small_within] of the longest span
+    wins, the first on a tie. The pick is a fold seeded with the
+    library's first buffer, so it is total. *)
 
 val stage_step :
   Delaylib.t -> Cts_config.t -> Circuit.Buffer_lib.t -> (float[@cts.unit "um"])
@@ -160,4 +194,4 @@ val stage_delay :
   Delaylib.t -> Cts_config.t -> Circuit.Buffer_lib.t -> length:float ->
   load_cap:float -> float
 (** Buffer intrinsic delay plus wire delay of one stage at the target
-    input slew. *)
+    input slew ({!Delaylib.stage_delay}: two surfaces, not three). *)

@@ -29,7 +29,17 @@ type branch_fit = {
 type t = {
   tech : Tech.t;
   buffers : Buffer_lib.t list;
+  first_buffer : Buffer_lib.t;
+  names : string array;  (** Buffer slots: the cell names, library order. *)
   classes : float array;  (** Load-capacitance classes (F), ascending. *)
+  bound_lo : float array;
+      (** Per boundary between classes [k] and [k + 1]: the lower edge of
+          its undecided window (see {!class_index}). *)
+  bound_hi : float array;  (** Upper edges of the same windows. *)
+  fast_lo : float;
+      (** Caps in [[fast_lo, fast_hi]] take the boundary search; the
+          range excludes 0, negatives, non-finite and extreme caps. *)
+  fast_hi : float;
   branch_classes : int array;  (** Indices into [classes] used for branches. *)
   slew_lo : float;
   slew_hi : float;
@@ -37,7 +47,9 @@ type t = {
   len_hi : float;
   blen_lo : float;
   blen_hi : float;
-  singles : (string * int, single_fit) Hashtbl.t;
+  singles : single_fit array;
+      (** Flat [(buffer slot * n_classes) + class] table: every pair has
+          a fit (checked when the library is built). *)
   branches : (string * int * int, branch_fit) Hashtbl.t;
   residuals : (string * float * float) list;
 }
@@ -130,6 +142,95 @@ let residual_stats label fit_eval pts expected =
   let rms = Util.Stats.rms_error predicted expected in
   let worst = Util.Stats.max_abs_error predicted expected in
   (label, rms, worst)
+
+(* ------------------------------------------------------------------ *)
+(* Library assembly                                                    *)
+
+(* Relative half-width of the undecided window around each class
+   boundary (see [class_index]). *)
+let window = 1e-9
+
+(* Adjacent classes must differ by more than this factor: far above the
+   window and the log rounding error, so the boundary search and the
+   log loop agree away from the windows. *)
+let min_class_ratio = 1. +. 1e-6
+
+(* Slot of a cell name in [names]; -1 when absent. *)
+let rec scan_name names n i name =
+  if i >= n then -1
+  else if String.equal (Array.unsafe_get names i) name then i
+  else scan_name names n (i + 1) name
+
+(* Rejects a library, characterized or loaded, naming the problem. *)
+let fail fmt = Printf.ksprintf (fun m -> failwith ("Delaylib: " ^ m)) fmt
+
+(* Every library, characterized or loaded, is built here: the checks
+   make the flat tables total, so a single-wire lookup for one of the
+   library's own buffers cannot fail mid-synthesis. [singles] maps
+   (cell name, class) to its fit; a later duplicate replaces an earlier
+   one. *)
+let assemble ~tech ~buffers ~classes ~branch_classes
+    ~domains:(slew_lo, slew_hi, len_lo, len_hi, blen_lo, blen_hi) ~singles
+    ~branches ~residuals =
+  let first_buffer =
+    match buffers with b :: _ -> b | [] -> fail "the library has no buffers"
+  in
+  let names =
+    Array.of_list (List.map (fun (b : Buffer_lib.t) -> b.Buffer_lib.name) buffers)
+  in
+  Array.iteri
+    (fun i n -> if scan_name names i 0 n >= 0 then fail "duplicate buffer %s" n)
+    names;
+  let n_cls = Array.length classes in
+  if n_cls = 0 then fail "the library has no load classes";
+  Array.iteri
+    (fun k c ->
+      if not (Float.is_finite c && c > 0.) then
+        fail "load class %d (%g F) is not a positive finite capacitance" k c;
+      if k > 0 && not (c > classes.(k - 1) *. min_class_ratio) then
+        fail "load classes are not strictly ascending at class %d (%g F)" k c)
+    classes;
+  let table = Array.make (Array.length names * n_cls) None in
+  List.iter
+    (fun ((name, ci), f) ->
+      let slot = scan_name names (Array.length names) 0 name in
+      if slot < 0 then fail "single fit for unknown buffer %s" name;
+      if ci < 0 || ci >= n_cls then fail "single fit for unknown class %d" ci;
+      table.((slot * n_cls) + ci) <- Some f)
+    singles;
+  let singles =
+    Array.mapi
+      (fun idx -> function
+        | Some f -> f
+        | None ->
+            fail "no single fit for buffer %s, class %d" names.(idx / n_cls)
+              (idx mod n_cls))
+      table
+  in
+  let bound k = sqrt (classes.(k) *. classes.(k + 1)) in
+  {
+    tech;
+    buffers;
+    first_buffer;
+    names;
+    classes;
+    bound_lo = Array.init (n_cls - 1) (fun k -> bound k *. (1. -. window));
+    bound_hi = Array.init (n_cls - 1) (fun k -> bound k *. (1. +. window));
+    (* Every quotient cap / class stays within [2^-500, 2^500] over this
+       range: normal floats whose log is accurate to ~1e-13. *)
+    fast_lo = classes.(n_cls - 1) *. 0x1p-500;
+    fast_hi = classes.(0) *. 0x1p500;
+    branch_classes;
+    slew_lo;
+    slew_hi;
+    len_lo;
+    len_hi;
+    blen_lo;
+    blen_hi;
+    singles;
+    branches;
+    residuals;
+  }
 
 (* One characterization unit, runnable on any pool domain: fits for one
    (driver, load-class) single wire or one (driver, class-pair) branch.
@@ -275,47 +376,36 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
       buffers
   in
   let results = Parallel.map pool (fun job -> job ()) (Array.of_list jobs) in
-  let singles = Hashtbl.create 16 in
+  let singles = ref [] in
   let branches = Hashtbl.create 16 in
   let residuals = ref [] in
   Array.iter
     (function
       | R_single (key, f, chunk) ->
-          Hashtbl.replace singles key f;
+          singles := (key, f) :: !singles;
           residuals := chunk @ !residuals
       | R_branch (key, f, chunk) ->
           Hashtbl.replace branches key f;
           residuals := chunk @ !residuals)
     results;
-  {
-    tech;
-    buffers;
-    classes;
-    branch_classes;
-    (* The sweep lists are non-empty literals sorted ascending; fold
-       for the bounds rather than trusting the ordering with a partial
-       List.hd. *)
-    slew_lo = List.fold_left Float.min Float.infinity slews;
-    slew_hi = List.fold_left Float.max 0. slews;
-    len_lo = List.fold_left Float.min Float.infinity lens;
-    len_hi = List.fold_left Float.max 0. lens;
-    blen_lo = List.fold_left Float.min Float.infinity blens;
-    blen_hi = List.fold_left Float.max 0. blens;
-    singles;
-    branches;
-    residuals = List.rev !residuals;
-  }
+  (* The sweep lists are non-empty literals sorted ascending; fold for
+     the bounds rather than trusting the ordering with a partial
+     List.hd. *)
+  let lo = List.fold_left Float.min Float.infinity
+  and hi = List.fold_left Float.max 0. in
+  assemble ~tech ~buffers ~classes ~branch_classes
+    ~domains:(lo slews, hi slews, lo lens, hi lens, lo blens, hi blens)
+    ~singles:(List.rev !singles) ~branches ~residuals:(List.rev !residuals)
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 
 let clamp lo hi x = Float.max lo (Float.min hi x)
 
-(* Allocation-free: this runs on the span-memo hit path, where the
-   closure-and-ref version cost ~23 minor words per call (escaping refs
-   defeat float unboxing). A plain loop with non-escaping locals keeps
-   the identical first-wins nearest-in-log-space selection. *)
-let class_index t cap =
+(* The reference rule: the nearest class in log space, first wins on a
+   tie. Allocation-free: a plain loop with non-escaping locals (the
+   closure-and-ref version cost ~23 minor words per call). *)
+let class_index_log t cap =
   let classes = t.classes in
   let n = Array.length classes in
   let best = ref 0 in
@@ -328,6 +418,32 @@ let class_index t cap =
     end
   done;
   !best
+
+(* First class whose upper boundary window lies above [cap]; -1 when
+   [cap] falls inside a window. *)
+let rec scan_bounds lo hi n k cap =
+  if k >= n then n
+  else if cap < Array.unsafe_get lo k then k
+  else if cap <= Array.unsafe_get hi k then -1
+  else scan_bounds lo hi n (k + 1) cap
+
+(* Log-free form of [class_index_log]. Classes ascend by more than
+   1e-6 relative ([assemble]), so the nearest class in log space is
+   decided by the geometric-mean boundaries sqrt (c_k c_k+1). Outside
+   the 1e-9 windows around them the true log distances of the two
+   nearest classes differ by more than 2e-9, while over the fast range
+   each computed distance is within ~1e-13 of the true one: the loop's
+   comparisons cannot flip, so both rules pick the same class. Inside a
+   window, at caps <= 0, non-finite caps and caps so extreme that a
+   quotient could leave the normal range, the loop itself decides. *)
+let class_index t cap =
+  if cap >= t.fast_lo && cap <= t.fast_hi then begin
+    let k =
+      scan_bounds t.bound_lo t.bound_hi (Array.length t.bound_lo) 0 cap
+    in
+    if k >= 0 then k else class_index_log t cap
+  end
+  else class_index_log t cap
 
 let branch_class_index t cap =
   let bcs = t.branch_classes in
@@ -345,10 +461,11 @@ let branch_class_index t cap =
   !best
 
 let find_single t (drive : Buffer_lib.t) cap =
-  let ci = class_index t cap in
-  match Hashtbl.find_opt t.singles (drive.Buffer_lib.name, ci) with
-  | Some f -> f
-  | None -> invalid_arg ("Delaylib: unknown drive buffer " ^ drive.name)
+  let names = t.names in
+  let slot = scan_name names (Array.length names) 0 drive.Buffer_lib.name in
+  if slot < 0 then invalid_arg ("Delaylib: unknown drive buffer " ^ drive.name);
+  Array.unsafe_get t.singles
+    ((slot * Array.length t.classes) + class_index t cap)
 
 let eval_single t ~drive ~load_cap ~input_slew ~length =
   Obs.incr Obs.Delay_evals_single;
@@ -360,6 +477,23 @@ let eval_single t ~drive ~load_cap ~input_slew ~length =
     wire_delay = Float.max 0. (Polyfit.eval2 f.wire_delay_fit s l);
     wire_slew = Float.max 1e-13 (Polyfit.eval2 f.wire_slew_fit s l);
   }
+
+(* The two lookups below evaluate only the surfaces their callers read;
+   each is the same expression as the matching [eval_single] field. *)
+let wire_delay t ~drive ~load_cap ~input_slew ~length =
+  Obs.incr Obs.Delay_evals_single;
+  let f = find_single t drive load_cap in
+  let s = clamp t.slew_lo t.slew_hi input_slew in
+  let l = clamp t.len_lo t.len_hi length in
+  Float.max 0. (Polyfit.eval2 f.wire_delay_fit s l)
+
+let stage_delay t ~drive ~load_cap ~input_slew ~length =
+  Obs.incr Obs.Delay_evals_single;
+  let f = find_single t drive load_cap in
+  let s = clamp t.slew_lo t.slew_hi input_slew in
+  let l = clamp t.len_lo t.len_hi length in
+  Float.max 0. (Polyfit.eval2 f.buf_delay_fit s l)
+  +. Float.max 0. (Polyfit.eval2 f.wire_delay_fit s l)
 
 let eval_branch t ~drive ~load_cap_left ~load_cap_right ~input_slew ~len_left
     ~len_right =
@@ -397,7 +531,9 @@ let max_length_for_slew t ~drive ~load_cap ~input_slew ~slew_limit =
 
 let load_class_cap t cap = t.classes.(class_index t cap)
 let n_classes t = Array.length t.classes
+let classes t = Array.copy t.classes
 let buffers t = t.buffers
+let first_buffer t = t.first_buffer
 let tech t = t.tech
 let len_domain t = (t.len_lo, t.len_hi)
 let slew_domain t = (t.slew_lo, t.slew_hi)
@@ -443,9 +579,10 @@ let save t path =
           (Array.to_list (Array.map string_of_int t.branch_classes)));
      pf "domains %.17g %.17g %.17g %.17g %.17g %.17g\n" t.slew_lo t.slew_hi
        t.len_lo t.len_hi t.blen_lo t.blen_hi;
-     Hashtbl.iter
-       (fun (name, ci) f ->
-         pf "single %s %d\n" name ci;
+     let n_cls = Array.length t.classes in
+     Array.iteri
+       (fun idx f ->
+         pf "single %s %d\n" t.names.(idx / n_cls) (idx mod n_cls);
          pf "S %s\n" (Polyfit.surface2_to_string f.buf_delay_fit);
          pf "S %s\n" (Polyfit.surface2_to_string f.wire_delay_fit);
          pf "S %s\n" (Polyfit.surface2_to_string f.wire_slew_fit))
@@ -475,11 +612,10 @@ let load path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let next () = try Some (input_line ic) with End_of_file -> None in
-      let fail msg = failwith ("Delaylib.load: " ^ msg) in
       let expect_prefix prefix line =
         if not (String.length line >= String.length prefix
                 && String.sub line 0 (String.length prefix) = prefix)
-        then fail (Printf.sprintf "expected %S, got %S" prefix line)
+        then fail "expected %S, got %S" prefix line
       in
       let surface_line kind =
         match next () with
@@ -563,7 +699,7 @@ let load path =
             | _ -> fail "expected domains")
         | None -> fail "EOF"
       in
-      let singles = Hashtbl.create 16 in
+      let singles = ref [] in
       let branches = Hashtbl.create 16 in
       let residuals = ref [] in
       let rec loop () =
@@ -578,9 +714,10 @@ let load path =
                 let buf_delay_fit = Polyfit.surface2_of_string (surface_line "S") in
                 let wire_delay_fit = Polyfit.surface2_of_string (surface_line "S") in
                 let wire_slew_fit = Polyfit.surface2_of_string (surface_line "S") in
-                Hashtbl.replace singles
-                  (name, int_of_string ci)
-                  { buf_delay_fit; wire_delay_fit; wire_slew_fit }
+                singles :=
+                  ((name, int_of_string ci),
+                   { buf_delay_fit; wire_delay_fit; wire_slew_fit })
+                  :: !singles
             | [ "branch"; name; cl; cr ] ->
                 let delay_left_fit = Polyfit.surface3_of_string (surface_line "T") in
                 let delay_right_fit = Polyfit.surface3_of_string (surface_line "T") in
@@ -592,25 +729,14 @@ let load path =
             | "residual" :: label :: rms :: worst :: [] ->
                 residuals :=
                   (label, float_of_string rms, float_of_string worst) :: !residuals
-            | _ -> fail ("unrecognized line: " ^ line));
+            | _ -> fail "unrecognized line: %s" line);
             loop ()
       in
       loop ();
-      {
-        tech;
-        buffers;
-        classes;
-        branch_classes;
-        slew_lo;
-        slew_hi;
-        len_lo;
-        len_hi;
-        blen_lo;
-        blen_hi;
-        singles;
-        branches;
-        residuals = List.rev !residuals;
-      })
+      assemble ~tech ~buffers ~classes ~branch_classes
+        ~domains:(slew_lo, slew_hi, len_lo, len_hi, blen_lo, blen_hi)
+        ~singles:(List.rev !singles) ~branches
+        ~residuals:(List.rev !residuals))
 
 let load_or_characterize ?(profile = Accurate) ?pool ~cache tech buffers =
   if Sys.file_exists cache then

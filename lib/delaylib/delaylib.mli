@@ -55,7 +55,14 @@ val save : t -> string -> unit [@@cts.raises "Sys_error"]
 val load : string -> t [@@cts.raises "Failure,Invalid_argument,Sys_error"]
 (** Read a library back; raises [Failure] (or [Invalid_argument] from
     a malformed surface) on bad input, [Sys_error] on an unreadable
-    path. The channel is closed on every path. *)
+    path. The channel is closed on every path.
+
+    A file that parses is still rejected with a [Failure] naming the
+    problem when the library would be unusable: no buffers, a duplicate
+    buffer name, load classes that are not positive and strictly
+    ascending (each more than 1e-6 above the last), or a (buffer, load
+    class) pair without a single-wire fit. Every lookup on an accepted
+    library is therefore total. *)
 
 val load_or_characterize :
   ?profile:profile -> ?pool:Parallel.t -> cache:string -> Circuit.Tech.t ->
@@ -73,8 +80,29 @@ type single_eval = {
 val eval_single :
   t -> drive:Circuit.Buffer_lib.t -> load_cap:float -> input_slew:float ->
   length:float -> single_eval
+  [@@cts.raises "Invalid_argument"]
 (** Look up a single-wire component. Inputs are clamped into the
-    characterized domain. *)
+    characterized domain. The fits live in a flat (buffer slot, load
+    class) table; the class comes from {!class_index}. Raises
+    [Invalid_argument] for a [drive] cell the library does not hold.
+    Counts one [Obs.Delay_evals_single]. *)
+
+val wire_delay :
+  t -> drive:Circuit.Buffer_lib.t -> load_cap:(float[@cts.unit "ff"]) ->
+  input_slew:(float[@cts.unit "ps"]) -> length:(float[@cts.unit "um"]) ->
+  (float[@cts.unit "ps"])
+  [@@cts.raises "Invalid_argument"]
+(** [(eval_single ...).wire_delay], bit for bit, evaluating only the
+    wire-delay surface. Counts one [Obs.Delay_evals_single]. *)
+
+val stage_delay :
+  t -> drive:Circuit.Buffer_lib.t -> load_cap:(float[@cts.unit "ff"]) ->
+  input_slew:(float[@cts.unit "ps"]) -> length:(float[@cts.unit "um"]) ->
+  (float[@cts.unit "ps"])
+  [@@cts.raises "Invalid_argument"]
+(** [e.buf_delay +. e.wire_delay] for [e = eval_single ...], bit for
+    bit, evaluating only those two surfaces. Counts one
+    [Obs.Delay_evals_single]. *)
 
 type branch_eval = {
   delay_left : float;
@@ -99,6 +127,11 @@ val max_length_for_slew :
     characterized length domain. *)
 
 val buffers : t -> Circuit.Buffer_lib.t list
+
+val first_buffer : t -> Circuit.Buffer_lib.t
+(** The head of {!buffers}. Every library has one: {!characterize} and
+    {!load} reject a library without buffers. *)
+
 val tech : t -> Circuit.Tech.t
 
 val len_domain : t -> float * float
@@ -112,10 +145,21 @@ val class_index : t -> (float[@cts.unit "ff"]) -> int
 (** Index of that load class: [0 .. n_classes - 1]. Same equivalence
     classes as {!load_class_cap} ([load_class_cap t c] is the
     capacitance of class [class_index t c]); the integer form is the
-    key the arena memo tables index flat arrays with. *)
+    key the arena memo tables index flat arrays with.
+
+    The rule is the nearest class in log space, the first on a tie. It
+    is computed without [log] by comparing the cap with the precomputed
+    geometric-mean boundaries between adjacent classes, which gives the
+    same index: see DESIGN.md for the exactness argument. The [log]
+    loop still decides a cap within 1e-9 relative of a boundary, a cap
+    [<= 0], a non-finite cap, and a cap more than 2{^500} away from the
+    classes. *)
 
 val n_classes : t -> int
 (** Number of load classes the library quantizes into. *)
+
+val classes : t -> (float[@cts.unit "ff"]) array
+(** A copy of the load-class capacitances, ascending. *)
 
 val fit_report :
   t -> (string * (float[@cts.unit "ps"]) * (float[@cts.unit "ps"])) list

@@ -46,15 +46,22 @@ end
 type counter =
   | Maze_selects  (** Bi-directional maze scans ({!Maze.select} calls). *)
   | Maze_bins_evaluated  (** Grid bins evaluated across all maze scans. *)
-  | Eval_cache_hits  (** Maze per-side eval-cache hits. *)
-  | Eval_cache_misses  (** Maze per-side eval-cache misses. *)
+  | Eval_cache_hits  (** Maze per-side memo hits ({!Maze.probe}). *)
+  | Eval_cache_misses
+      (** Maze per-side memo misses: one run evaluation each. *)
   | Snake_stages  (** Balance-stage snaking iterations. *)
   | Bisection_iters  (** Binary-search timing evaluations. *)
   | Merges_routed  (** Merge-routing invocations (incl. explored ones). *)
   | Placer_adjusted  (** Buffer positions moved off a blockage. *)
   | Placer_infeasible  (** Runs with no legal buffer position left. *)
-  | Run_evals  (** Slew-driven run analyses ({!Run.eval} calls). *)
-  | Run_buffers_placed  (** Buffers planted by run analyses. *)
+  | Run_evals
+      (** Greedy run analyses: {!Run.eval_greedy} (also inside
+          {!Run.eval}) and {!Run.eval_chain} calls. Every maze select
+          adds 2 for the rebuilt evals of its winning bin. *)
+  | Run_buffers_placed
+      (** Buffers planted by greedy walks: each {!Run.chain} step once
+          per maze side, plus the buffers an evaluation plants past
+          its chain prefix (all of them for {!Run.eval_greedy}). *)
   | Dp_evals  (** Candidate-set DP run analyses ({!Run.eval_dp} calls). *)
   | Dp_candidates  (** DP candidate states generated (before pruning). *)
   | Dp_pruned  (** DP candidates dropped as inferior (Li–Shi prune). *)
@@ -63,7 +70,10 @@ type counter =
           feasible complete solution). *)
   | Span_cache_hits  (** {!Run.span} memo hits. *)
   | Span_cache_misses  (** {!Run.span} memo misses (one per distinct key). *)
-  | Delay_evals_single  (** Single-wire delay-library lookups. *)
+  | Delay_evals_single
+      (** Single-wire delay-library lookups: one per
+          {!Delaylib.eval_single}, {!Delaylib.wire_delay} or
+          {!Delaylib.stage_delay} call, whatever the surfaces read. *)
   | Delay_evals_branch  (** Branch delay-library lookups. *)
   | Char_sims  (** Characterization transient simulations. *)
   | Timing_stages  (** Stage analyses ({!Timing.analyze_stage}). *)
@@ -111,8 +121,8 @@ type gauge =
   | Span_arena_filled
       (** Arena cells holding a computed span result (sampled). *)
   | Maze_memo_slots
-      (** Slots allocated across maze per-side eval memo tables
-          (additive, one contribution per table created). *)
+      (** Cells allocated across maze per-side memos ({!Maze.memo};
+          additive, one contribution per memo created). *)
   | Dp_memo_slots
       (** Slots allocated across DP memo tables (additive). *)
   | Dp_memo_filled

@@ -150,6 +150,66 @@ let load_rejects_garbage () =
      Alcotest.fail "expected failure"
    with Failure _ -> Sys.remove path)
 
+(* Save the test library, pass its lines through [edit], and load the
+   result: the load must fail with a [Failure] whose message mentions
+   [expect]. *)
+let load_edited ~edit ~expect () =
+  let dl = T_env.get_dl () in
+  let path = Filename.temp_file "dl_edited" ".txt" in
+  Delaylib.save dl path;
+  let ic = open_in path in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let oc = open_out path in
+  output_string oc (String.concat "\n" (edit lines));
+  close_out oc;
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  match Delaylib.load path with
+  | _ ->
+      Sys.remove path;
+      Alcotest.fail "expected a Failure"
+  | exception Failure msg ->
+      Sys.remove path;
+      if not (contains msg expect) then
+        Alcotest.failf "failure %S does not mention %S" msg expect
+
+let starts_with prefix l =
+  String.length l >= String.length prefix
+  && String.sub l 0 (String.length prefix) = prefix
+
+(* Drop the first "single" block: its header and three surface lines. *)
+let drop_first_single lines =
+  let rec go = function
+    | l :: _ :: _ :: _ :: rest when starts_with "single " l -> rest
+    | l :: rest -> l :: go rest
+    | [] -> []
+  in
+  go lines
+
+let load_rejects_missing_single =
+  load_edited ~edit:drop_first_single ~expect:"no single fit"
+
+let load_rejects_no_buffers =
+  load_edited
+    ~edit:(List.filter_map (fun l ->
+         if starts_with "buffers " l then Some "buffers 0"
+         else if starts_with "buffer " l then None
+         else Some l))
+    ~expect:"no buffers"
+
+let load_rejects_unsorted_classes =
+  load_edited
+    ~edit:(List.map (fun l ->
+         if starts_with "classes " l then "classes 5e-15 0.75e-15 15e-15 35e-15"
+         else l))
+    ~expect:"not strictly ascending"
+
 let load_class_cap_stable () =
   let dl = T_env.get_dl () in
   let c1 = Delaylib.load_class_cap dl 5.2e-15 in
@@ -181,6 +241,11 @@ let suite =
     Alcotest.test_case "max length for slew" `Quick max_length_for_slew_properties;
     Alcotest.test_case "save/load roundtrip" `Quick save_load_roundtrip;
     Alcotest.test_case "load rejects garbage" `Quick load_rejects_garbage;
+    Alcotest.test_case "load rejects a missing single fit" `Quick
+      load_rejects_missing_single;
+    Alcotest.test_case "load rejects zero buffers" `Quick load_rejects_no_buffers;
+    Alcotest.test_case "load rejects unsorted classes" `Quick
+      load_rejects_unsorted_classes;
     Alcotest.test_case "load class stability" `Quick load_class_cap_stable;
     Alcotest.test_case "intrinsic delay vs slew" `Quick
       intrinsic_delay_increases_with_slew;

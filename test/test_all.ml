@@ -26,6 +26,7 @@ let () =
       ("parallel", T_parallel.suite);
       ("insertion", T_insertion.suite);
       ("obs", T_obs.suite);
+      ("probe", T_probe.suite);
       ("obs_snapshot", T_obs_snapshot.suite);
       ("qor", T_qor.suite);
       ("bench_cli", T_bench_cli.suite);
