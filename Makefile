@@ -34,12 +34,14 @@ bench-smoke: bench-par
 	@echo "bench-smoke: BENCH_parallel.json OK (identical=true)"
 	dune exec bench/main.exe -- --profile fast --alloc-gate
 
-# Ladder smoke: one rep of the H-correction rung from sink set to
-# signoff (accurate characterization, synthesis, verification and
-# transient simulation; see ladder/README.md). Fails unless the ladder's
-# last line, its JSON summary, reports "failed": 0.
+# Ladder smoke: one rep each of the H-correction rung and the
+# optimal-DP rung from sink set to signoff (accurate characterization,
+# synthesis, verification and transient simulation with its slew check;
+# see ladder/README.md). Fails unless the ladder's last line, its JSON
+# summary, reports "failed": 0.
 ladder-smoke:
-	@out=$$(dune exec ladder/main.exe -- --workload hcorrect-r3-0.5 --reps 1) \
+	@out=$$(dune exec ladder/main.exe -- --workload hcorrect-r3-0.5 \
+	  --workload dp-r1-0.3 --reps 1) \
 	  || { echo "$$out"; echo "ladder-smoke: ladder exited non-zero"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | tail -n 1 | grep -q '"failed": 0' \

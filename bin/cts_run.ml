@@ -33,6 +33,16 @@ let setup_domains = function
       exit 1
   | None -> ()
 
+(* An invalid configuration (a NaN or infinite --slew-limit, say) is a
+   one-line error before any work starts; synthesis would reject it with
+   the same messages. *)
+let check_config config =
+  match Cts_config.validate config with
+  | [] -> ()
+  | errs ->
+      Printf.eprintf "cts_run: invalid config: %s\n" (String.concat "; " errs);
+      exit 1
+
 let profile_t =
   let profile_conv =
     Arg.enum [ ("fast", Delaylib.Fast); ("accurate", Delaylib.Accurate) ]
@@ -288,6 +298,7 @@ let synth_cmd =
         slew_target = 0.8 *. slew_limit *. 1e-12;
       }
     in
+    check_config config;
     let t0 = Unix.gettimeofday () in
     let res =
       Obs.phase "synthesize" (fun () ->
@@ -417,6 +428,7 @@ let qor_cmd =
         slew_target = 0.8 *. slew_limit *. 1e-12;
       }
     in
+    check_config config;
     (* Observability is scoped to synthesis alone — after the library
        load — so a cold vs. warm characterization cache cannot perturb
        the deterministic counter totals in the snapshot. *)

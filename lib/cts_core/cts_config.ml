@@ -62,6 +62,27 @@ let insertion_name = function Greedy -> "greedy" | Optimal_dp -> "dp"
 let validate t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  (* NaN and infinities pass every comparison below, so each float field
+     is first checked on its own. *)
+  List.iter
+    (fun (name, v) ->
+      if not (Float.is_finite v) then err "%s must be finite (got %g)" name v)
+    [
+      ("slew_limit", t.slew_limit);
+      ("slew_target", t.slew_target);
+      ("target_bin_len", t.target_bin_len);
+      ("topology_beta", t.topology_beta);
+      ("max_stub_len", t.max_stub_len);
+      ("max_stub_cap", t.max_stub_cap);
+      ("prefer_small_within", t.prefer_small_within);
+      ("top_margin", t.top_margin);
+      ("dp_area_weight", t.dp_area_weight);
+    ];
+  List.iter
+    (fun (sink, v) ->
+      if not (Float.is_finite v) then
+        err "sink_offsets: the offset of %s must be finite (got %g)" sink v)
+    t.sink_offsets;
   if t.grid_bins < 1 then err "grid_bins must be >= 1 (got %d)" t.grid_bins;
   if t.max_grid_bins < t.grid_bins then
     err

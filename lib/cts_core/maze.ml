@@ -50,11 +50,7 @@ let memo dl (cfg : Cts_config.t) port ~max_d =
      additive gauge total is schedule-independent; with the
      Eval_cache_misses counter it yields the memo fill rate. *)
   Obs.gauge_add Obs.Maze_memo_slots slots;
-  let eval =
-    match cfg.insertion with
-    | Cts_config.Greedy -> Run.eval_chain dl cfg (Run.chain dl cfg port ~max_d)
-    | Cts_config.Optimal_dp -> Run.eval dl cfg port
-  in
+  let side = Run.side dl cfg port ~max_d in
   let delays = Array.make slots Float.nan
   and feasible = Bytes.make slots '\000'
   and first = Array.make slots Float.nan in
@@ -62,7 +58,7 @@ let memo dl (cfg : Cts_config.t) port ~max_d =
     let key = cache_key d in
     if Float.is_nan delays.(key) then begin
       Obs.incr Obs.Eval_cache_misses;
-      let e = eval d in
+      let e = Run.eval_side side d in
       delays.(key) <- side_delay dl cfg e e.Run.top_free;
       Bytes.set feasible key (if e.Run.feasible then '\001' else '\000');
       first.(key) <- d

@@ -8,7 +8,9 @@
     the bin with minimum delay difference — tie-broken by total
     wirelength — is picked as the tentative merge location. 
 
-    Domain-safety: per-select memo caches are closure-captured and private to one evaluation; nothing is shared across tasks or domains. *)
+    Domain-safety: per-select memo caches and {!Run.side} scratch are
+    closure-captured and private to one select; nothing is shared across
+    tasks or domains. *)
 
 type choice = {
   bin_center : Geometry.Point.t;
@@ -46,9 +48,11 @@ val memo :
   memo
   [@@cts.raises "Invalid_argument"]
 (** [memo dl cfg port ~max_d] — an empty memo with cells for distances
-    up to [max_d]. Under the greedy engine a miss evaluates through a
-    {!Run.chain} built here for [port]; under [Optimal_dp] it calls
-    {!Run.eval}. Adds the cell count to [Obs.Maze_memo_slots]. *)
+    up to [max_d]. A miss evaluates through a {!Run.side} built here for
+    [port] ({!Run.eval_side}, bit for bit {!Run.eval} under either
+    engine): greedy replays the side's prefix chain, [Optimal_dp] adds
+    the DP in the side's scratch. Adds the cell count to
+    [Obs.Maze_memo_slots]. *)
 
 val probe : memo -> (float[@cts.unit "um"]) -> int
 (** [probe m d] — the index of the cell of distance [d], filled first

@@ -486,346 +486,417 @@ let run_cost dl (cfg : Cts_config.t) (e : eval) =
   let area = area_of_eval e in
   (e.delay_below +. top +. (cfg.dp_area_weight *. area), area)
 
-let cost_better c1 a1 c2 a2 =
+let[@inline] cost_better c1 a1 c2 a2 =
   match Float.compare c1 c2 with
   | 0 -> Float.compare a1 a2 < 0
   | c -> c < 0
 
-(* One DP state: the last buffer planted so far, with the best (min
-   cost) way of reaching it. [cost] is delay plus the area term; [delay]
-   is the pure delay kept alongside so the reconstructed [eval] carries
-   the same [delay_below] semantics as the greedy engine. *)
-type dp_state = {
-  s_cost : float;
-  s_delay : float;
-  s_area : float;
-  s_from : int * int;  (* (position, type) below; (-1, -1) is the port *)
+(* The incumbent rule: the DP result [d] unless the greedy result [g] is
+   feasible where [d] is not, or cheaper under [run_cost]. Greedy's wins
+   count in [Obs.Dp_fallbacks]. *)
+let pick dl cfg (g : eval) (d : eval) =
+  let pick_greedy =
+    if g.feasible && not d.feasible then true
+    else if d.feasible && not g.feasible then false
+    else begin
+      let gc, ga = run_cost dl cfg g in
+      let dc, da = run_cost dl cfg d in
+      cost_better gc ga dc da
+    end
+  in
+  if pick_greedy then begin
+    Obs.incr Obs.Dp_fallbacks;
+    g
+  end
+  else d
+
+(* The stage-delay and top-wire memos key lengths to 0.01 um. *)
+let[@inline] quantize len =
+  int_of_float (Float.round ((len *. 100.) [@cts.unit_ok]))
+
+(* Dense ids 0, 1, ... for distinct int keys, in first-seen order: an
+   open-addressing table for at most [n] keys, at most half full, so a
+   probe always ends at the key or at an empty slot ([ids] < 0). The
+   DP keeps one per id space and clears it per evaluation. *)
+type interner = {
+  intern : int -> int;
+  count : unit -> int;
+  clear : unit -> unit;
 }
 
-let eval_dp ?positions ?(place = fun ~cur:_ d -> Some d) dl
-    (cfg : Cts_config.t) (port : Port.t) length =
-  Obs.incr Obs.Dp_evals;
+let rec pow2_above n k = if k > n then k else pow2_above n (2 * k)
+
+let rec id_slot (keys : int array) (ids : int array) mask (key : int) h =
+  if Array.unsafe_get ids h < 0 || Array.unsafe_get keys h = key then h
+  else id_slot keys ids mask key ((h + 1) land mask)
+
+let interner n =
+  let size = pow2_above (2 * n) 1 in
+  let mask = size - 1 in
+  let keys = Array.make size 0 and ids = Array.make size (-1) in
+  let next = ref 0 in
+  {
+    intern =
+      (fun key ->
+        let hash = ((key * 0x2545F4914F6CDD1D) lsr 32) land mask in
+        let h = id_slot keys ids mask key hash in
+        if ids.(h) < 0 then begin
+          keys.(h) <- key;
+          ids.(h) <- !next;
+          incr next
+        end;
+        ids.(h));
+    count = (fun () -> !next);
+    clear =
+      (fun () ->
+        Array.fill ids 0 size (-1);
+        next := 0);
+  }
+
+(* The front entry among [front.(base) .. front.(base + n - 1)] whose
+   type has load class [cls], or [n]. *)
+let rec class_at (front : int array) (cls_of_type : int array) base n
+    (cls : int) k =
+  if k >= n || cls_of_type.(front.(base + k)) = cls then k
+  else class_at front cls_of_type base n cls (k + 1)
+
+(* [from] of a (position, type) cell no chain reaches; -1 is the port. *)
+let no_state = -2
+
+type dp =
+  (cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
+   (float[@cts.unit "um"]) option) option ->
+  (float[@cts.unit "um"]) -> eval
+
+(* The DP of one port (DESIGN.md 5g, 5n). What depends only on the port
+   is computed here once: the buffer types with their input caps, areas
+   and load classes, their stable cap order, the port's load class and
+   all b^2 + 2b + 1 spans (a span depends only on the drive, the load
+   class and the slew target). The returned function runs the DP at one
+   run length in scratch sized here — from [dp_grid], or from the
+   caller's [positions] — and reset per call, so a call allocates
+   little beyond the delay-library lookups and its result. *)
+let dp_context ?positions dl (cfg : Cts_config.t) (port : Port.t) : dp =
   let tech = Delaylib.tech dl in
   let types = Array.of_list (Delaylib.buffers dl) in
   let b = Array.length types in
   let caps = Array.map (fun t -> Buffer_lib.input_cap tech t) types in
   let areas = Array.map Buffer_lib.area_x types in
-  (* Candidate positions: a uniform [dp_grid] grid (or the caller's
-     list), legalized one by one against blockages and kept strictly
-     increasing; degenerate positions — closer than 1 um to the port or
-     the previous candidate, or within 0.5 um of the run top — are
-     dropped, mirroring the greedy engine's bail-out conditions. *)
-  let raw =
-    match positions with
-    | Some ps -> List.sort Float.compare ps
-    | None ->
-        let n = cfg.dp_grid in
-        List.init (n - 1) (fun k ->
-            float_of_int (k + 1) *. length /. float_of_int n)
-  in
-  let pos_list =
-    let prev = ref 0. in
-    List.filter_map
-      (fun d ->
-        if d <= ((!prev +. 1.) [@cts.unit_ok]) || d >= ((length -. 0.5) [@cts.unit_ok]) then None
-        else
-          match place ~cur:!prev d with
-          | None -> None
-          | Some l ->
-              if
-                l <= ((!prev +. 1.) [@cts.unit_ok])
-                || l >= ((length -. 0.5) [@cts.unit_ok])
-              then None
-              else begin
-                prev := l;
-                Some l
-              end)
-      raw
-  in
-  let p = Array.of_list pos_list in
-  let m = Array.length p in
-  (* Stage-delay memo keyed (type, load class, 0.01 um-quantized length)
-     — the same key identity the old tuple-keyed hashtables used, so the
-     distinct-computation set (and with it the Obs delay-library
-     evaluation counts) is unchanged. The representation is flat: every
-     distinct quantized length gets a dense id up front (the candidate
-     positions are known), classes are {!Delaylib.class_index} ints, and
-     the memo is one float array indexed ((len * b) + type) * ncls + cls
-     with a -1 sentinel (stage delays are clamped non-negative by
-     [eval_single]). The O(b n^2) transition scan below therefore boxes
-     no tuple keys and hashes nothing; on a uniform grid the (i, j)
-     pairs collapse onto O(n) distinct lengths, so the table costs
-     O(b n) delay-library lookups. Call-local scratch, never shared
-     across domains. *)
+  let area_terms = Array.map (fun a -> cfg.dp_area_weight *. a) areas in
   let ncls = Delaylib.n_classes dl in
   let cls_of_type = Array.map (fun c -> Delaylib.class_index dl c) caps in
   let cls_port = Delaylib.class_index dl port.Port.stub_load in
-  let quantize len = int_of_float (Float.round ((len *. 100.) [@cts.unit_ok])) in
-  let len_ids : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let id_of_len len =
-    let k = quantize len in
-    match Hashtbl.find_opt len_ids k with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length len_ids in
-        Hashtbl.add len_ids k id;
-        id
+  (* rank.(t): the place of type t in the stable cap order. *)
+  let rank = Array.make b 0 in
+  List.iteri
+    (fun r t -> rank.(t) <- r)
+    (List.stable_sort
+       (fun t1 t2 -> Float.compare caps.(t1) caps.(t2))
+       (List.init b Fun.id));
+  let span_port =
+    Array.map
+      (fun d -> span dl cfg ~drive:d ~load_cap:port.Port.stub_load)
+      types
   in
-  let port_len_id =
-    Array.init m (fun i -> id_of_len (p.(i) +. port.Port.stub_len))
+  let span_tt =
+    Array.init (b * b) (fun k ->
+        span dl cfg ~drive:types.(k / b) ~load_cap:caps.(k mod b))
   in
-  let pair_len_id =
-    Array.init (m * m) (fun idx ->
-        let i = idx / m and j = idx mod m in
-        if j < i then id_of_len (p.(i) -. p.(j)) else -1)
-  in
-  let sd_tab =
-    Array.make (Int.max 1 (Hashtbl.length len_ids * b * ncls)) (-1.)
-  in
-  let stage_cost t_idx ~len_id ~len ~cls ~load_cap =
-    let slot = (((len_id * b) + t_idx) * ncls) + cls in
-    let d = Array.unsafe_get sd_tab slot in
-    if d >= 0. then d
-    else begin
-      let d = stage_delay dl cfg types.(t_idx) ~length:len ~load_cap in
-      Array.unsafe_set sd_tab slot d;
-      d
-    end
-  in
-  (* Spans hoisted out of the O(b n^2) scan: only b + 1 distinct loads
-     occur (each type's input cap and the port stub), so the mutex-guarded
-     process-global [span] memo is consulted O(b^2) times per eval instead
-     of once per transition. *)
-  let span_port = Array.init b (fun t ->
-      span dl cfg ~drive:types.(t) ~load_cap:port.Port.stub_load)
-  in
-  let span_tt = Array.init b (fun t ->
-      Array.init b (fun t' ->
-          span dl cfg ~drive:types.(t) ~load_cap:caps.(t')))
-  in
-  let assumed_span_cap = Array.init b (fun t ->
-      cfg.top_margin
-      *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:caps.(t))
+  let assumed_span_cap =
+    Array.map
+      (fun c ->
+        cfg.top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:c)
+      caps
   in
   let assumed_span_port =
     cfg.top_margin
     *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:port.Port.stub_load
   in
-  (* Top-wire delay memo, same quantization and flat layout as
-     [sd_tab]: the candidate tops collapse onto O(n) distinct lengths
-     and b + 1 load classes (wire delays are likewise clamped
-     non-negative, so -1 is free as the empty sentinel). *)
-  let top_ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let top_id_of len =
-    let k = quantize len in
-    match Hashtbl.find_opt top_ids k with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length top_ids in
-        Hashtbl.add top_ids k id;
-        id
+  (* Raw candidate positions: a uniform [dp_grid]-slot grid over the
+     run, or the caller's list in ascending order. *)
+  let fixed =
+    match positions with
+    | Some ps -> Some (Array.of_list (List.sort Float.compare ps))
+    | None -> None
   in
-  let base_top_id = top_id_of (length +. port.Port.stub_len) in
-  let cand_top_id = Array.init m (fun i -> top_id_of (length -. p.(i))) in
-  let top_tab = Array.make (Int.max 1 (Hashtbl.length top_ids * ncls)) (-1.) in
-  let top_wire_delay ~top_id ~cls ~top_stub_len ~top_load =
-    let slot = (top_id * ncls) + cls in
-    let d = top_tab.(slot) in
+  let slots =
+    match fixed with
+    | Some ps -> Array.length ps
+    | None -> Int.max 0 (cfg.dp_grid - 1)
+  in
+  let grid_n = float_of_int cfg.dp_grid in
+  (* Scratch. Port and pair stage lengths share one id space, the top
+     wires have their own; a memo slot is ((id * b) + type) * ncls +
+     load class and keeps the value of its first use (-1 = empty: delays
+     are clamped non-negative). A (position, type) cell holds the
+     cheapest chain that stands a buffer of that type there: cost (delay
+     plus the area term), delay, area and the cell below ([from]). A
+     position's front lists, in cap order, the types that survive the
+     per-load-class prune. *)
+  let max_len_ids = slots + (slots * (slots - 1) / 2) in
+  let p = Array.make slots 0. in
+  let len_ids = interner max_len_ids and top_ids = interner (slots + 1) in
+  let port_id = Array.make slots 0 and pair_id = Array.make (slots * slots) 0 in
+  let top_id = Array.make slots 0 in
+  let stage_memo = Array.make (max_len_ids * b * ncls) (-1.) in
+  let top_memo = Array.make ((slots + 1) * ncls) (-1.) in
+  let cost = Array.make (slots * b) 0. and delay = Array.make (slots * b) 0. in
+  let area = Array.make (slots * b) 0. in
+  let from = Array.make (slots * b) no_state in
+  let front = Array.make (slots * b) 0 and front_len = Array.make slots 0 in
+  let filled = ref 0 in
+  let top_delay slot ~load_cap ~length =
+    let d = top_memo.(slot) in
     if d >= 0. then d
     else begin
       let d =
-        Delaylib.wire_delay dl ~drive:cfg.assumed_driver ~load_cap:top_load
-          ~input_slew:cfg.slew_target ~length:top_stub_len
+        Delaylib.wire_delay dl ~drive:cfg.assumed_driver ~load_cap
+          ~input_slew:cfg.slew_target ~length
       in
-      top_tab.(slot) <- d;
+      top_memo.(slot) <- d;
+      if d >= 0. then incr filled;
       d
     end
   in
-  (* best.(i*b + t): cheapest way to stand a type-t buffer at position
-     i; None when no slew-feasible chain reaches that state. (Flat so
-     every write targets the call-local array head directly.) *)
-  let best = Array.make (m * b) None in
-  let best_get i t = best.((i * b) + t) in
-  (* Sorted candidate list per position (the Li–Shi trick): the row's
-     states collapsed per delay-library load class — states whose
-     class and cost are both no better than another's are inferior and
-     never consulted again — kept sorted by input capacitance. Future
-     stage delay and span depend on the source state only through its
-     load class, so the prune is exact. *)
-  let fronts = Array.make m [] in
-  let consider i t cand =
-    match best_get i t with
-    | Some cur when not (cost_better cand.s_cost cand.s_area cur.s_cost cur.s_area)
-      -> ()
-    | _ -> best.((i * b) + t) <- Some cand
-  in
-  for i = 0 to m - 1 do
-    for t = 0 to b - 1 do
-      (* From the port itself: the stage swallows the port stub. *)
-      let stage_len = p.(i) +. port.Port.stub_len in
-      if stage_len <= span_port.(t) then begin
-        let d =
-          stage_cost t ~len_id:port_len_id.(i) ~len:stage_len ~cls:cls_port
-            ~load_cap:port.Port.stub_load
-        in
-        consider i t
-          {
-            s_cost = port.Port.delay +. d +. (cfg.dp_area_weight *. areas.(t));
-            s_delay = port.Port.delay +. d;
-            s_area = areas.(t);
-            s_from = (-1, -1);
-          }
-      end;
-      (* From every earlier candidate's pruned front. *)
+  fun place length ->
+    Obs.incr Obs.Dp_evals;
+    (* Candidates are legalized one by one against blockages and kept
+       strictly increasing; degenerate positions — closer than 1 um to
+       the port or the previous candidate, or within 0.5 um of the run
+       top — are dropped, mirroring the greedy engine's bail-outs. *)
+    let m = ref 0 and prev = ref 0. in
+    for k = 0 to slots - 1 do
+      let d =
+        match fixed with
+        | Some ps -> ps.(k)
+        | None -> float_of_int (k + 1) *. length /. grid_n
+      in
+      if
+        d <= ((!prev +. 1.) [@cts.unit_ok])
+        || d >= ((length -. 0.5) [@cts.unit_ok])
+      then ()
+      else
+        match place with
+        | None ->
+            p.(!m) <- d;
+            incr m;
+            prev := d
+        | Some legalize -> (
+            match legalize ~cur:!prev d with
+            | None -> ()
+            | Some l ->
+                if
+                  l <= ((!prev +. 1.) [@cts.unit_ok])
+                  || l >= ((length -. 0.5) [@cts.unit_ok])
+                then ()
+                else begin
+                  p.(!m) <- l;
+                  incr m;
+                  prev := l
+                end)
+    done;
+    let m = !m in
+    len_ids.clear ();
+    for i = 0 to m - 1 do
+      port_id.(i) <- len_ids.intern (quantize (p.(i) +. port.Port.stub_len))
+    done;
+    for i = 0 to m - 1 do
       for j = 0 to i - 1 do
-        let stage_len = p.(i) -. p.(j) in
-        List.iter
-          (fun (t', (st : dp_state)) ->
-            if stage_len <= span_tt.(t).(t') then begin
-              let d =
-                stage_cost t
-                  ~len_id:pair_len_id.((i * m) + j)
-                  ~len:stage_len ~cls:cls_of_type.(t') ~load_cap:caps.(t')
-              in
-              consider i t
-                {
-                  s_cost = st.s_cost +. d +. (cfg.dp_area_weight *. areas.(t));
-                  s_delay = st.s_delay +. d;
-                  s_area = st.s_area +. areas.(t);
-                  s_from = (j, t');
-                }
-            end)
-          fronts.(j)
+        pair_id.((i * slots) + j) <- len_ids.intern (quantize (p.(i) -. p.(j)))
       done
     done;
-    (* Build position i's pruned front: best state per load class,
-       sorted by input cap (type order is cap order in a sane library;
-       sort anyway for libraries listed arbitrarily). *)
-    let row = ref [] in
-    for t = b - 1 downto 0 do
-      match best_get i t with
-      | Some st ->
-          Obs.incr Obs.Dp_candidates;
-          let cls = cls_of_type.(t) in
-          let replaced = ref false in
-          row :=
-            List.map
-              (fun (t', st') ->
-                if cls_of_type.(t') = cls then begin
-                  replaced := true;
-                  if cost_better st.s_cost st.s_area st'.s_cost st'.s_area
-                  then begin
-                    Obs.incr Obs.Dp_pruned;
-                    (t, st)
-                  end
-                  else begin
-                    Obs.incr Obs.Dp_pruned;
-                    (t', st')
-                  end
+    let stage_slots = len_ids.count () * b * ncls in
+    Array.fill stage_memo 0 stage_slots (-1.);
+    Array.fill from 0 (m * b) no_state;
+    filled := 0;
+    let candidates = ref 0 and pruned = ref 0 in
+    for i = 0 to m - 1 do
+      for t = 0 to b - 1 do
+        let s = (i * b) + t in
+        (* From the port itself: the stage swallows the port stub. *)
+        let stage_len = p.(i) +. port.Port.stub_len in
+        if stage_len <= span_port.(t) then begin
+          let slot = (((port_id.(i) * b) + t) * ncls) + cls_port in
+          let d = stage_memo.(slot) in
+          let d =
+            if d >= 0. then d
+            else begin
+              let d =
+                stage_delay dl cfg types.(t) ~length:stage_len
+                  ~load_cap:port.Port.stub_load
+              in
+              stage_memo.(slot) <- d;
+              if d >= 0. then incr filled;
+              d
+            end
+          in
+          let d_below = port.Port.delay +. d in
+          let c = d_below +. area_terms.(t) in
+          if from.(s) = no_state || cost_better c areas.(t) cost.(s) area.(s)
+          then begin
+            cost.(s) <- c;
+            delay.(s) <- d_below;
+            area.(s) <- areas.(t);
+            from.(s) <- -1
+          end
+        end;
+        (* From every earlier position's front. *)
+        for j = 0 to i - 1 do
+          let stage_len = p.(i) -. p.(j) in
+          let len_id = pair_id.((i * slots) + j) in
+          for k = 0 to front_len.(j) - 1 do
+            let t' = front.((j * b) + k) in
+            if stage_len <= span_tt.((t * b) + t') then begin
+              let slot = (((len_id * b) + t) * ncls) + cls_of_type.(t') in
+              let d = stage_memo.(slot) in
+              let d =
+                if d >= 0. then d
+                else begin
+                  let d =
+                    stage_delay dl cfg types.(t) ~length:stage_len
+                      ~load_cap:caps.(t')
+                  in
+                  stage_memo.(slot) <- d;
+                  if d >= 0. then incr filled;
+                  d
                 end
-                else (t', st'))
-              !row;
-          if not !replaced then row := (t, st) :: !row
-      | None -> ()
+              in
+              let s' = (j * b) + t' in
+              let c = cost.(s') +. d +. area_terms.(t) in
+              let a = area.(s') +. areas.(t) in
+              if from.(s) = no_state || cost_better c a cost.(s) area.(s)
+              then begin
+                cost.(s) <- c;
+                delay.(s) <- delay.(s') +. d;
+                area.(s) <- a;
+                from.(s) <- s'
+              end
+            end
+          done
+        done
+      done;
+      (* Position i's front: per load class the cheapest state — types
+         scanned from the last, a later-scanned one replacing the holder
+         only when strictly cheaper — then sorted into cap order. Future
+         stage delays and spans see a state only through its load class,
+         so the prune is exact (the Li–Shi sorted-list trick). *)
+      let base = i * b in
+      let n = ref 0 in
+      for t = b - 1 downto 0 do
+        let s = base + t in
+        if from.(s) <> no_state then begin
+          incr candidates;
+          let k = class_at front cls_of_type base !n cls_of_type.(t) 0 in
+          if k < !n then begin
+            incr pruned;
+            let s' = base + front.(base + k) in
+            if cost_better cost.(s) area.(s) cost.(s') area.(s') then
+              front.(base + k) <- t
+          end
+          else begin
+            front.(base + !n) <- t;
+            incr n
+          end
+        end
+      done;
+      for k = 1 to !n - 1 do
+        let t = front.(base + k) in
+        let q = ref (k - 1) in
+        while !q >= 0 && rank.(front.(base + !q)) > rank.(t) do
+          front.(base + !q + 1) <- front.(base + !q);
+          decr q
+        done;
+        front.(base + !q + 1) <- t
+      done;
+      front_len.(i) <- !n
     done;
-    fronts.(i) <-
-      List.sort (fun (t1, _) (t2, _) -> Float.compare caps.(t1) caps.(t2)) !row
-  done;
-  (* Finalize: every state (and the buffer-free base) tops out with the
-     remaining wire hanging under the assumed upstream driver — the same
-     convention and feasibility check as the greedy engine. *)
-  let finalize ~top_id ~cls ~top_stub_len ~top_load ~assumed_span ~cost ~area =
-    let top_ok = top_stub_len <= assumed_span in
-    (top_ok, cost +. top_wire_delay ~top_id ~cls ~top_stub_len ~top_load, area)
-  in
-  let best_final = ref None in
-  let consider_final key (ok, c, a) =
-    let better =
-      match !best_final with
-      | None -> true
-      | Some (ok', c', a', _) ->
-          if ok && not ok' then true
-          else if ok' && not ok then false
-          else cost_better c a c' a'
+    (* Finalize: the buffer-free base and every state top out with the
+       remaining wire under the assumed upstream driver — the greedy
+       engine's convention and feasibility check. The base is considered
+       first, so the pick always has a value. *)
+    top_ids.clear ();
+    let base_top = top_ids.intern (quantize (length +. port.Port.stub_len)) in
+    for i = 0 to m - 1 do
+      top_id.(i) <- top_ids.intern (quantize (length -. p.(i)))
+    done;
+    let top_slots = top_ids.count () * ncls in
+    Array.fill top_memo 0 top_slots (-1.);
+    let top_stub_len = length +. port.Port.stub_len in
+    let best = ref (-1) and best_ok = ref (top_stub_len <= assumed_span_port) in
+    let best_cost =
+      ref
+        (port.Port.delay
+        +. top_delay
+             ((base_top * ncls) + cls_port)
+             ~load_cap:port.Port.stub_load ~length:top_stub_len)
     in
-    if better then best_final := Some (ok, c, a, key)
-  in
-  consider_final (-1, -1)
-    (finalize ~top_id:base_top_id ~cls:cls_port
-       ~top_stub_len:(length +. port.Port.stub_len)
-       ~top_load:port.Port.stub_load ~assumed_span:assumed_span_port
-       ~cost:port.Port.delay ~area:0.);
-  for i = 0 to m - 1 do
-    for t = 0 to b - 1 do
-      match best_get i t with
-      | Some st ->
-          consider_final (i, t)
-            (finalize ~top_id:cand_top_id.(i) ~cls:cls_of_type.(t)
-               ~top_stub_len:(length -. p.(i))
-               ~top_load:caps.(t) ~assumed_span:assumed_span_cap.(t)
-               ~cost:st.s_cost ~area:st.s_area)
-      | None -> ()
-    done
-  done;
-  (* Memo-effectiveness gauges: slots allocated vs. slots written for
-     this eval's two flat tables. Additive across evals (and absorbed
-     from task deltas in task-index order), so the totals are
-     schedule-independent; the scan runs only when observability is on
-     and costs O(slots) against the O(b n^2) DP that just ran. *)
-  if Obs.enabled () then begin
-    let filled tab =
-      let k = ref 0 in
-      Array.iter (fun d -> if d >= 0. then incr k) tab;
-      !k
-    in
-    Obs.gauge_add Obs.Dp_memo_slots
-      (Array.length sd_tab + Array.length top_tab);
-    Obs.gauge_add Obs.Dp_memo_filled (filled sd_tab + filled top_tab)
-  end;
-  let feasible, (ri, rt) =
-    match !best_final with
-    | Some (ok, _, _, key) -> (ok, key)
-    | None -> assert false (* the base state is always considered *)
-  in
-  if ri < 0 then
-    {
-      delay_below = port.Port.delay;
-      buffers = [];
-      top_free = length;
-      top_stub_len = length +. port.Port.stub_len;
-      top_load = port.Port.stub_load;
-      feasible;
-    }
-  else begin
-    (* Walk the back-pointers down to the port. *)
-    let rec rebuild i t acc =
-      match best_get i t with
-      | None -> assert false
-      | Some st ->
-          let acc = { buf = types.(t); dist = p.(i) } :: acc in
-          let j, t' = st.s_from in
-          if j < 0 then acc else rebuild j t' acc
-    in
-    let buffers = rebuild ri rt [] in
-    (* [feasible] implies the DP sweep filled the root cell — rebuild
-       above already walked it. *)
-    let st =
-      match best_get ri rt with Some st -> st | None -> assert false
-    in
-    {
-      delay_below = st.s_delay;
-      buffers;
-      top_free = length -. p.(ri);
-      top_stub_len = length -. p.(ri);
-      top_load = caps.(rt);
-      feasible;
-    }
-  end
+    let best_area = ref 0. in
+    for i = 0 to m - 1 do
+      for t = 0 to b - 1 do
+        let s = (i * b) + t in
+        if from.(s) <> no_state then begin
+          let top_stub_len = length -. p.(i) in
+          let ok = top_stub_len <= assumed_span_cap.(t) in
+          let c =
+            cost.(s)
+            +. top_delay
+                 ((top_id.(i) * ncls) + cls_of_type.(t))
+                 ~load_cap:caps.(t) ~length:top_stub_len
+          in
+          let better =
+            if ok && not !best_ok then true
+            else if !best_ok && not ok then false
+            else cost_better c area.(s) !best_cost !best_area
+          in
+          if better then begin
+            best := s;
+            best_ok := ok;
+            best_cost := c;
+            best_area := area.(s)
+          end
+        end
+      done
+    done;
+    if Obs.enabled () then begin
+      Obs.incr ~n:!candidates Obs.Dp_candidates;
+      Obs.incr ~n:!pruned Obs.Dp_pruned;
+      Obs.gauge_add Obs.Dp_memo_slots
+        (Int.max 1 stage_slots + Int.max 1 top_slots);
+      Obs.gauge_add Obs.Dp_memo_filled !filled
+    end;
+    if !best < 0 then
+      {
+        delay_below = port.Port.delay;
+        buffers = [];
+        top_free = length;
+        top_stub_len = length +. port.Port.stub_len;
+        top_load = port.Port.stub_load;
+        feasible = !best_ok;
+      }
+    else begin
+      (* Walk the back-pointers down to the port. *)
+      let buffers = ref [] and s = ref !best in
+      while !s >= 0 do
+        buffers := { buf = types.(!s mod b); dist = p.(!s / b) } :: !buffers;
+        s := from.(!s)
+      done;
+      let top = length -. p.(!best / b) in
+      {
+        delay_below = delay.(!best);
+        buffers = !buffers;
+        top_free = top;
+        top_stub_len = top;
+        top_load = caps.(!best mod b);
+        feasible = !best_ok;
+      }
+    end
+
+let eval_dp ?positions ?place dl cfg port length =
+  dp_context ?positions dl cfg port place length
 
 (* The public entry point: dispatch on the configured engine. Under
-   [Optimal_dp] the greedy solution is kept as an incumbent — the DP
-   returns whichever of the two costs less under [run_cost], so the DP
-   engine is never worse than greedy on the shared objective (the
+   [Optimal_dp] the greedy solution is kept as an incumbent ([pick]), so
+   the DP engine is never worse than greedy on the shared objective (the
    property test/t_insertion.ml locks), and blockage-heavy runs where
    the discretized DP goes infeasible degrade to the proven greedy
    behavior. *)
@@ -834,18 +905,31 @@ let eval ?place dl (cfg : Cts_config.t) (port : Port.t) length =
   | Cts_config.Greedy -> eval_greedy ?place dl cfg port length
   | Cts_config.Optimal_dp ->
       let g = eval_greedy ?place dl cfg port length in
-      let d = eval_dp ?place dl cfg port length in
-      let pick_greedy =
-        if g.feasible && not d.feasible then true
-        else if d.feasible && not g.feasible then false
-        else begin
-          let gc, ga = run_cost dl cfg g in
-          let dc, da = run_cost dl cfg d in
-          cost_better gc ga dc da
-        end
-      in
-      if pick_greedy then begin
-        Obs.incr Obs.Dp_fallbacks;
-        g
-      end
-      else d
+      pick dl cfg g (eval_dp ?place dl cfg port length)
+
+(* --------------------------------------------------------------- *)
+(* A maze side: one port probed at many lengths within one select. *)
+
+type side = {
+  side_dl : Delaylib.t;
+  side_cfg : Cts_config.t;
+  side_chain : chain;
+  side_dp : dp option;  (* under [Optimal_dp] *)
+}
+
+let side dl (cfg : Cts_config.t) port ~max_d =
+  {
+    side_dl = dl;
+    side_cfg = cfg;
+    side_chain = chain dl cfg port ~max_d;
+    side_dp =
+      (match cfg.insertion with
+      | Cts_config.Greedy -> None
+      | Cts_config.Optimal_dp -> Some (dp_context dl cfg port));
+  }
+
+let eval_side s length =
+  let g = eval_chain s.side_dl s.side_cfg s.side_chain length in
+  match s.side_dp with
+  | None -> g
+  | Some dp -> pick s.side_dl s.side_cfg g (dp None length)

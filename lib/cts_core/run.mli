@@ -20,7 +20,9 @@
       O(b^2 n^2). Minimizes run delay plus [dp_area_weight] per unit of
       buffer area, subject to every stage meeting the slew target.
 
-    {!eval} dispatches on {!Cts_config.t} [insertion]. *)
+    {!eval} dispatches on {!Cts_config.t} [insertion]. The maze probes
+    one port at thousands of lengths through a {!side}, which keeps what
+    depends only on the port and returns the same [eval] bit for bit. *)
 
 type placed = { buf : Circuit.Buffer_lib.t; dist : float }
 (** A buffer planted [dist] um above the port along the run. *)
@@ -163,7 +165,39 @@ val eval_dp :
 
     Always returns an [eval]; the buffer-free base solution exists even
     when no buffered chain is slew-feasible, and [feasible] reports
-    whether the returned top stub passes the assumed-driver check. *)
+    whether the returned top stub passes the assumed-driver check.
+
+    Runs the same code as a {!side}'s DP over a context built for this
+    one call. Counts one [Obs.Dp_evals], the candidate states and
+    prunes, and adds the call's memo slots and fills to the
+    [Obs.Dp_memo_slots]/[Dp_memo_filled] gauges. *)
+
+type side
+(** One maze side: a port probed at many lengths within one select. It
+    holds the port's greedy {!chain} and, under [Optimal_dp], its DP
+    context: the buffer types in cap order with their input caps, areas
+    and load classes, the port's load class, every span the DP reads,
+    and scratch tables sized from [dp_grid]. Mutable scratch, private
+    to one select: never share a side across domains. *)
+
+val side :
+  Delaylib.t -> Cts_config.t -> Port.t -> max_d:(float[@cts.unit "um"]) ->
+  side
+  [@@cts.raises "Invalid_argument"]
+(** [side dl cfg port ~max_d] — the side of [port] for lengths up to
+    [max_d] (only the chain's extent depends on it; {!eval_side} is
+    exact at any length). Counts the chain's buffers in
+    [Obs.Run_buffers_placed] and its spans in the span-cache counters;
+    no [Obs.Run_evals]. *)
+
+val eval_side : side -> (float[@cts.unit "um"]) -> eval
+  [@@cts.raises "Invalid_argument"]
+(** [eval_side s length] is [eval dl cfg port length] bit for bit, for
+    the side's port, without a legalizer, with the same [Obs.Run_evals],
+    [Dp_evals], [Dp_candidates], [Dp_pruned], [Dp_fallbacks] and DP memo
+    gauges. The greedy result is {!eval_chain}'s; under [Optimal_dp] the
+    DP runs in the side's scratch and the cheaper of the two wins, as in
+    {!eval}. *)
 
 val run_cost :
   Delaylib.t -> Cts_config.t -> eval ->

@@ -420,8 +420,9 @@ let class_index_log t cap =
   !best
 
 (* First class whose upper boundary window lies above [cap]; -1 when
-   [cap] falls inside a window. *)
-let rec scan_bounds lo hi n k cap =
+   [cap] falls inside a window. The float annotations matter: without
+   them the comparisons are polymorphic and each read boxes a float. *)
+let rec scan_bounds (lo : float array) (hi : float array) n k (cap : float) =
   if k >= n then n
   else if cap < Array.unsafe_get lo k then k
   else if cap <= Array.unsafe_get hi k then -1

@@ -56,19 +56,27 @@ type counter =
   | Placer_infeasible  (** Runs with no legal buffer position left. *)
   | Run_evals
       (** Greedy run analyses: {!Run.eval_greedy} (also inside
-          {!Run.eval}) and {!Run.eval_chain} calls. Every maze select
+          {!Run.eval}) and {!Run.eval_chain} calls (also inside
+          {!Run.eval_side}, under either engine). Every maze select
           adds 2 for the rebuilt evals of its winning bin. *)
   | Run_buffers_placed
       (** Buffers planted by greedy walks: each {!Run.chain} step once
-          per maze side, plus the buffers an evaluation plants past
-          its chain prefix (all of them for {!Run.eval_greedy}). *)
-  | Dp_evals  (** Candidate-set DP run analyses ({!Run.eval_dp} calls). *)
+          per maze side (under either engine: the DP's greedy incumbent
+          replays the side's chain too), plus the buffers an evaluation
+          plants past its chain prefix (all of them for
+          {!Run.eval_greedy}). *)
+  | Dp_evals
+      (** Candidate-set DP run analyses: {!Run.eval_dp} calls, and
+          {!Run.eval}/{!Run.eval_side} calls under [Optimal_dp]. *)
   | Dp_candidates  (** DP candidate states generated (before pruning). *)
   | Dp_pruned  (** DP candidates dropped as inferior (Li–Shi prune). *)
   | Dp_fallbacks
       (** DP evals where the greedy incumbent won (or the DP had no
           feasible complete solution). *)
-  | Span_cache_hits  (** {!Run.span} memo hits. *)
+  | Span_cache_hits
+      (** {!Run.span} memo hits. The DP reads its b{^2} + 2b + 1 spans
+          once per context — per maze side, or per {!Run.eval_dp} /
+          {!Run.eval} call — not once per evaluation. *)
   | Span_cache_misses  (** {!Run.span} memo misses (one per distinct key). *)
   | Delay_evals_single
       (** Single-wire delay-library lookups: one per

@@ -51,11 +51,46 @@ let test_config_validation () =
   checkb "inverted grid bounds are reported" true
     (Cts_config.validate bad <> []);
   let specs = T_env.random_sinks ~seed:7 ~n:6 ~die:2000. () in
-  match Cts.synthesize ~config:bad dl specs with
+  (match Cts.synthesize ~config:bad dl specs with
   | _ -> Alcotest.fail "synthesize accepted an invalid config"
   | exception Invalid_argument msg ->
       checkb "the rejection names the offending field" true
-        (contains msg "max_grid_bins")
+        (contains msg "max_grid_bins"));
+  (* NaN and +-inf pass every ordering test; each float field and each
+     sink offset must still be rejected, by name. *)
+  let set name v =
+    match name with
+    | "slew_limit" -> { cfg with Cts_config.slew_limit = v }
+    | "slew_target" -> { cfg with Cts_config.slew_target = v }
+    | "target_bin_len" -> { cfg with Cts_config.target_bin_len = v }
+    | "topology_beta" -> { cfg with Cts_config.topology_beta = v }
+    | "max_stub_len" -> { cfg with Cts_config.max_stub_len = v }
+    | "max_stub_cap" -> { cfg with Cts_config.max_stub_cap = v }
+    | "prefer_small_within" -> { cfg with Cts_config.prefer_small_within = v }
+    | "top_margin" -> { cfg with Cts_config.top_margin = v }
+    | "dp_area_weight" -> { cfg with Cts_config.dp_area_weight = v }
+    | _ -> { cfg with Cts_config.sink_offsets = [ ("s0", 1e-12); (name, v) ] }
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun v ->
+          let errs = Cts_config.validate (set name v) in
+          checkb
+            (Printf.sprintf "%s = %g is reported by name" name v)
+            true
+            (List.exists (fun m -> contains m name) errs))
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    [
+      "slew_limit"; "slew_target"; "target_bin_len"; "topology_beta";
+      "max_stub_len"; "max_stub_cap"; "prefer_small_within"; "top_margin";
+      "dp_area_weight"; "sink_z9";
+    ];
+  match Cts.synthesize ~config:(set "slew_limit" Float.nan) dl specs with
+  | _ -> Alcotest.fail "synthesize accepted a NaN slew limit"
+  | exception Invalid_argument msg ->
+      checkb "a NaN slew limit is rejected by name" true
+        (contains msg "slew_limit must be finite")
 
 (* ------------------- placer infeasibility fallback ----------------- *)
 

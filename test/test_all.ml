@@ -27,6 +27,7 @@ let () =
       ("insertion", T_insertion.suite);
       ("obs", T_obs.suite);
       ("probe", T_probe.suite);
+      ("dp_probe", T_dp_probe.suite);
       ("obs_snapshot", T_obs_snapshot.suite);
       ("qor", T_qor.suite);
       ("bench_cli", T_bench_cli.suite);
