@@ -25,8 +25,9 @@ bench-par:
 # 1-domain and 4-domain runs produced identical results (the benchmark
 # itself exits non-zero on a violation; the grep keeps the contract
 # visible even if someone relaxes that), then the hot-kernel allocation
-# gate — the kernels PR 8 drove to zero words/run must stay there (the
-# bench exits 1 on a budget breach). CI uploads BENCH_parallel.json.
+# gate — the span, wire, class and eval3 lookups must stay at their
+# boxed-result floor and the DP probe under its budget (the bench exits
+# 1 on a budget breach). CI uploads BENCH_parallel.json.
 bench-smoke: bench-par
 	@if ! grep -q '"identical": true' BENCH_parallel.json \
 	  || grep -q '"identical": false' BENCH_parallel.json; then \
@@ -34,14 +35,14 @@ bench-smoke: bench-par
 	@echo "bench-smoke: BENCH_parallel.json OK (identical=true)"
 	dune exec bench/main.exe -- --profile fast --alloc-gate
 
-# Ladder smoke: one rep each of the H-correction rung and the
-# optimal-DP rung from sink set to signoff (accurate characterization,
-# synthesis, verification and transient simulation with its slew check;
-# see ladder/README.md). Fails unless the ladder's last line, its JSON
-# summary, reports "failed": 0.
+# Ladder smoke: one rep each of the H-correction, optimal-DP and
+# full-scale r4 rungs from sink set to signoff (accurate
+# characterization, synthesis, verification and transient simulation
+# with its slew check; see ladder/README.md). Fails unless the ladder's
+# last line, its JSON summary, reports "failed": 0.
 ladder-smoke:
 	@out=$$(dune exec ladder/main.exe -- --workload hcorrect-r3-0.5 \
-	  --workload dp-r1-0.3 --reps 1) \
+	  --workload dp-r1-0.3 --workload gsrc-r4 --reps 1) \
 	  || { echo "$$out"; echo "ladder-smoke: ladder exited non-zero"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | tail -n 1 | grep -q '"failed": 0' \

@@ -140,17 +140,10 @@ and hot_tests (env : Experiments.env) =
   let lib = env.Experiments.lib in
   let b20 = Buffer_lib.by_name lib "BUF20X" in
   let cfg = Cts_config.default dl in
-  let p1 = Port.of_sink (List.hd (mk_specs 25 4000. 11)) in
   let t_hot_span =
     Test.make ~name:"hot-span: Run.span arena hit"
       (Staged.stage (fun () ->
            ignore (Run.span dl cfg ~drive:b20 ~load_cap:5e-15)))
-  in
-  let maze_memo = Maze.memo dl cfg p1 ~max_d:3000. in
-  ignore (Maze.probe maze_memo 1234.5 : int);
-  let t_hot_maze =
-    Test.make ~name:"hot-maze: Maze.memo hit"
-      (Staged.stage (fun () -> ignore (Maze.probe maze_memo 1234.5)))
   in
   let t_hot_wire =
     Test.make ~name:"hot-wire: Delaylib.wire_delay"
@@ -184,7 +177,7 @@ and hot_tests (env : Experiments.env) =
     Test.make ~name:"hot-eval3: Polyfit.eval3 (degree 3)"
       (Staged.stage (fun () -> ignore (Polyfit.eval3 s3 0.3 0.6 0.9)))
   in
-  [ t_hot_span; t_hot_maze; t_hot_wire; t_hot_class; t_hot_eval3 ]
+  [ t_hot_span; t_hot_wire; t_hot_class; t_hot_eval3 ]
 
 (* One optimal-DP run evaluation on a prepared maze side: the greedy
    incumbent replayed from the side's chain, the DP in the side's
@@ -255,8 +248,8 @@ let run env =
 
 (* CI gate behind `make bench-smoke`: measure only the gated kernels and
    fail when any allocates beyond its budget, locking in the
-   allocation-free lookups the flattened arena/memo work bought and the
-   flat DP tables. *)
+   allocation-free lookups the flattened span arena and delay-library
+   fits bought and the flat DP tables. *)
 let alloc_gate env =
   print_endline "=== hot-kernel allocation gate (Bechamel) ===";
   let cfg_b =

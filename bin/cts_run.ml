@@ -43,6 +43,16 @@ let check_config config =
       Printf.eprintf "cts_run: invalid config: %s\n" (String.concat "; " errs);
       exit 1
 
+(* Invalid sinks (a duplicate name, a non-positive or NaN cap, an
+   infinite coordinate) are the same kind of one-line error, before the
+   library is even loaded. *)
+let check_sinks sinks =
+  match Sinks.validate sinks with
+  | [] -> ()
+  | errs ->
+      Printf.eprintf "cts_run: invalid sinks: %s\n" (String.concat "; " errs);
+      exit 1
+
 let profile_t =
   let profile_conv =
     Arg.enum [ ("fast", Delaylib.Fast); ("accurate", Delaylib.Accurate) ]
@@ -277,7 +287,6 @@ let synth_cmd =
     setup_logs verbose;
     setup_domains domains;
     with_obs ~stats ~trace @@ fun () ->
-    let dl = Obs.phase "load-library" (fun () -> load_dl profile cache) in
     let sinks, blocks =
       if n_blockages > 0 then begin
         match bench with
@@ -289,6 +298,8 @@ let synth_cmd =
       end
       else (sinks_of ~bench ~file ~format ~scale, [])
     in
+    check_sinks sinks;
+    let dl = Obs.phase "load-library" (fun () -> load_dl profile cache) in
     let config =
       {
         (Cts_config.default dl) with
@@ -418,8 +429,9 @@ let qor_cmd =
     setup_logs verbose;
     setup_domains domains;
     let t0 = Unix.gettimeofday () in
-    let dl = load_dl profile cache in
     let sinks = sinks_of ~bench ~file ~format ~scale in
+    check_sinks sinks;
+    let dl = load_dl profile cache in
     let config =
       {
         (Cts_config.default dl) with

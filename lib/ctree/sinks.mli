@@ -15,4 +15,6 @@ val bbox : spec list -> Geometry.Bbox.t
     an empty list. *)
 
 val validate : spec list -> string list
-(** Violations: duplicate names, non-positive capacitance, empty list. *)
+(** Violations: duplicate names, a NaN or infinite coordinate or
+    capacitance (naming the sink and the field), non-positive
+    capacitance, empty list. *)

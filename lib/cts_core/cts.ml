@@ -264,41 +264,41 @@ let synthesize_bisection ?config ?(blockages = Blockage.empty) ?pool
   (* Fork the recursion onto the pool near the root, where subtrees are
      big; below [par_levels] the task grain is too fine to pay off. *)
   let par_levels = if Parallel.size pool <= 1 then 0 else 3 in
-  (* Recursive median bisection along the longer bounding-box axis.
-     Returns the subtree port, the deepest level reached, and the merge
-     log in execution order (left subtree, right subtree, own merge) —
-     replayed by the caller so the shared counters accumulate in the
-     same deterministic order at every pool size. *)
+  (* Recursive median bisection along the longer bounding-box axis,
+     over a sink array ([Sinks.validate] guarantees at least one sink;
+     the halves of two or more are never empty). Returns the subtree
+     port, the deepest level reached, and the merge log in execution
+     order (left subtree, right subtree, own merge) — replayed by the
+     caller so the shared counters accumulate in the same deterministic
+     order at every pool size. *)
   let rec go specs level =
-    match specs with
-    | [] -> assert false
-    | [ s ] -> (leaf_port cfg s, level, [])
-    | _ :: _ :: _ ->
-        let bbox = Sinks.bbox specs in
-        let horizontal =
-          Geometry.Bbox.width bbox >= Geometry.Bbox.height bbox
-        in
-        let key (s : Sinks.spec) =
-          if horizontal then s.Sinks.pos.Point.x else s.Sinks.pos.Point.y
-        in
-        let sorted = List.sort (fun a b -> Float.compare (key a) (key b)) specs in
-        let n = List.length sorted in
-        let left = List.filteri (fun i _ -> i < n / 2) sorted in
-        let right = List.filteri (fun i _ -> i >= n / 2) sorted in
-        let (pl, dl_left, log_left), (pr, dl_right, log_right) =
-          if level < par_levels && n >= 8 then
-            match
-              Parallel.map pool (fun side -> go side (level + 1)) [| left; right |]
-            with
-            | [| l; r |] -> (l, r)
-            | _ -> assert false
-          else (go left (level + 1), go right (level + 1))
-        in
-        let sc = { st; log = [] } in
-        let port = do_merge sc ~commit:true pl pr in
-        (port, Int.max dl_left dl_right, log_left @ log_right @ entries_of sc)
+    let n = Array.length specs in
+    if n <= 1 then (leaf_port cfg specs.(0), level, [])
+    else begin
+      let bbox = Sinks.bbox (Array.to_list specs) in
+      let horizontal =
+        Geometry.Bbox.width bbox >= Geometry.Bbox.height bbox
+      in
+      let key (s : Sinks.spec) =
+        if horizontal then s.Sinks.pos.Point.x else s.Sinks.pos.Point.y
+      in
+      let sorted = Array.copy specs in
+      Array.stable_sort (fun a b -> Float.compare (key a) (key b)) sorted;
+      let halves = [| Array.sub sorted 0 (n / 2); Array.sub sorted (n / 2) (n - (n / 2)) |] in
+      let sub =
+        if level < par_levels && n >= 8 then
+          Parallel.map pool (fun side -> go side (level + 1)) halves
+        else Array.map (fun side -> go side (level + 1)) halves
+      in
+      let (pl, dl_left, log_left) = sub.(0) and (pr, dl_right, log_right) = sub.(1) in
+      let sc = { st; log = [] } in
+      let port = do_merge sc ~commit:true pl pr in
+      (port, Int.max dl_left dl_right, log_left @ log_right @ entries_of sc)
+    end
   in
-  let root_port, depth, log = Obs.phase "bisection" (fun () -> go specs 0) in
+  let root_port, depth, log =
+    Obs.phase "bisection" (fun () -> go (Array.of_list specs) 0)
+  in
   apply_entries st log;
   let res = finalize dl cfg st root_port ~levels:depth in
   if check then check_final dl cfg res;
@@ -314,15 +314,16 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
   let pool = match pool with Some p -> p | None -> Parallel.default_pool () in
   let st = fresh_state dl cfg blockages in
   let centroid = Sinks.centroid specs in
-  let ports = ref (List.map (leaf_port cfg) specs) in
+  (* Non-empty ([Sinks.validate]); each level at least halves it. *)
+  let ports = ref (Array.of_list (List.map (leaf_port cfg) specs)) in
   let levels = ref 0 in
-  while List.length !ports > 1 do
+  while Array.length !ports > 1 do
     incr levels;
     Obs.phase (Printf.sprintf "level %d" !levels) @@ fun () ->
     let inserted0 = st.inserted in
     let merges0 = Obs.read Obs.Merges_routed in
     let dp_cands0 = Obs.read Obs.Dp_candidates in
-    let items = Array.of_list !ports in
+    let items = !ports in
     let t_items = Array.map as_item items in
     let pairing =
       Topology.level_pairing ~beta:cfg.Cts_config.topology_beta ~centroid
@@ -378,10 +379,10 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
     Log.debug (fun m ->
         m "level %d: %d -> %d subtrees" !levels (Array.length items)
           (List.length !next));
-    ports := List.rev !next;
-    if check then check_level dl cfg !ports
+    ports := Array.of_list (List.rev !next);
+    if check then check_level dl cfg (Array.to_list !ports)
   done;
-  let root_port = match !ports with [ p ] -> p | _ -> assert false in
+  let root_port = !ports.(0) in
   let res = finalize dl cfg st root_port ~levels:!levels in
   if check then check_final dl cfg res;
   res

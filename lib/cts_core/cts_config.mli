@@ -22,7 +22,11 @@ type t = {
   slew_target : float;
       (** Slew budget used during synthesis, leaving a margin under the
           limit (default 80 ps, as in Sec. 5.1). *)
-  grid_bins : int;  (** Initial routing bins per dimension (paper: 45). *)
+  grid_bins : int;
+      (** Initial routing bins per dimension (paper: 45). With
+          [max_grid_bins] and [target_bin_len] it only sets the maze's
+          detour pitch ({!Maze.bins_for}): the split search samples no
+          grid. *)
   max_grid_bins : int;
       (** Upper bound when the dynamic grid refinement kicks in. *)
   target_bin_len : float;

@@ -16,8 +16,6 @@ module Clock = Obs_clock
 type counter =
   | Maze_selects
   | Maze_bins_evaluated
-  | Eval_cache_hits
-  | Eval_cache_misses
   | Snake_stages
   | Bisection_iters
   | Merges_routed
@@ -45,36 +43,34 @@ type histogram = Buffers_per_level | Merges_per_level | Dp_candidates_per_level
 let counter_index = function
   | Maze_selects -> 0
   | Maze_bins_evaluated -> 1
-  | Eval_cache_hits -> 2
-  | Eval_cache_misses -> 3
-  | Snake_stages -> 4
-  | Bisection_iters -> 5
-  | Merges_routed -> 6
-  | Placer_adjusted -> 7
-  | Placer_infeasible -> 8
-  | Run_evals -> 9
-  | Run_buffers_placed -> 10
-  | Dp_evals -> 11
-  | Dp_candidates -> 12
-  | Dp_pruned -> 13
-  | Dp_fallbacks -> 14
-  | Span_cache_hits -> 15
-  | Span_cache_misses -> 16
-  | Delay_evals_single -> 17
-  | Delay_evals_branch -> 18
-  | Char_sims -> 19
-  | Timing_stages -> 20
-  | Timing_analyses -> 21
-  | Topology_edge_costs -> 22
-  | Topology_pairings -> 23
-  | Pool_spawn_shortfall -> 24
+  | Snake_stages -> 2
+  | Bisection_iters -> 3
+  | Merges_routed -> 4
+  | Placer_adjusted -> 5
+  | Placer_infeasible -> 6
+  | Run_evals -> 7
+  | Run_buffers_placed -> 8
+  | Dp_evals -> 9
+  | Dp_candidates -> 10
+  | Dp_pruned -> 11
+  | Dp_fallbacks -> 12
+  | Span_cache_hits -> 13
+  | Span_cache_misses -> 14
+  | Delay_evals_single -> 15
+  | Delay_evals_branch -> 16
+  | Char_sims -> 17
+  | Timing_stages -> 18
+  | Timing_analyses -> 19
+  | Topology_edge_costs -> 20
+  | Topology_pairings -> 21
+  | Pool_spawn_shortfall -> 22
 
-let n_counters = 25
+let n_counters = 23
 
 let all_counters =
   [
-    Maze_selects; Maze_bins_evaluated; Eval_cache_hits; Eval_cache_misses;
-    Snake_stages; Bisection_iters; Merges_routed; Placer_adjusted;
+    Maze_selects; Maze_bins_evaluated; Snake_stages; Bisection_iters;
+    Merges_routed; Placer_adjusted;
     Placer_infeasible; Run_evals; Run_buffers_placed; Dp_evals; Dp_candidates;
     Dp_pruned; Dp_fallbacks; Span_cache_hits; Span_cache_misses;
     Delay_evals_single; Delay_evals_branch; Char_sims; Timing_stages;
@@ -85,8 +81,6 @@ let all_counters =
 let counter_name = function
   | Maze_selects -> "maze.selects"
   | Maze_bins_evaluated -> "maze.bins_evaluated"
-  | Eval_cache_hits -> "maze.eval_cache_hits"
-  | Eval_cache_misses -> "maze.eval_cache_misses"
   | Snake_stages -> "merge.snake_stages"
   | Bisection_iters -> "merge.bisection_iters"
   | Merges_routed -> "merge.merges_routed"
@@ -134,35 +128,31 @@ let histogram_name = function
 type gauge =
   | Span_arena_slots
   | Span_arena_filled
-  | Maze_memo_slots
   | Dp_memo_slots
   | Dp_memo_filled
 
 let gauge_index = function
   | Span_arena_slots -> 0
   | Span_arena_filled -> 1
-  | Maze_memo_slots -> 2
-  | Dp_memo_slots -> 3
-  | Dp_memo_filled -> 4
+  | Dp_memo_slots -> 2
+  | Dp_memo_filled -> 3
 
-let n_gauges = 5
+let n_gauges = 4
 
 let all_gauges =
   [
-    Span_arena_slots; Span_arena_filled; Maze_memo_slots; Dp_memo_slots;
-    Dp_memo_filled;
+    Span_arena_slots; Span_arena_filled; Dp_memo_slots; Dp_memo_filled;
   ]
 
 let gauge_name = function
   | Span_arena_slots -> "run.span_arena.slots"
   | Span_arena_filled -> "run.span_arena.filled"
-  | Maze_memo_slots -> "maze.memo_slots"
   | Dp_memo_slots -> "dp.memo_slots"
   | Dp_memo_filled -> "dp.memo_filled"
 
 let gauge_kind = function
   | Span_arena_slots | Span_arena_filled -> `Sampled
-  | Maze_memo_slots | Dp_memo_slots | Dp_memo_filled -> `Additive
+  | Dp_memo_slots | Dp_memo_filled -> `Additive
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)
@@ -507,12 +497,6 @@ let derived_rates snap =
       ( "run.span_cache.hit_pct",
         c "run.span_cache_hits",
         c "run.span_cache_hits" + c "run.span_cache_misses" );
-      ( "maze.eval_cache.hit_pct",
-        c "maze.eval_cache_hits",
-        c "maze.eval_cache_hits" + c "maze.eval_cache_misses" );
-      ( "maze.memo.fill_pct",
-        c "maze.eval_cache_misses",
-        g "maze.memo_slots" );
       ("dp.memo.fill_pct", g "dp.memo_filled", g "dp.memo_slots");
       ( "run.span_arena.occupancy_pct",
         g "run.span_arena.filled",

@@ -44,11 +44,10 @@ end
 (** {1 Counter taxonomy} *)
 
 type counter =
-  | Maze_selects  (** Bi-directional maze scans ({!Maze.select} calls). *)
-  | Maze_bins_evaluated  (** Grid bins evaluated across all maze scans. *)
-  | Eval_cache_hits  (** Maze per-side memo hits ({!Maze.probe}). *)
-  | Eval_cache_misses
-      (** Maze per-side memo misses: one run evaluation each. *)
+  | Maze_selects  (** Merge-location searches ({!Maze.select} calls). *)
+  | Maze_bins_evaluated
+      (** Split points probed across all maze searches (two run
+          evaluations each). *)
   | Snake_stages  (** Balance-stage snaking iterations. *)
   | Bisection_iters  (** Binary-search timing evaluations. *)
   | Merges_routed  (** Merge-routing invocations (incl. explored ones). *)
@@ -57,8 +56,7 @@ type counter =
   | Run_evals
       (** Greedy run analyses: {!Run.eval_greedy} (also inside
           {!Run.eval}) and {!Run.eval_chain} calls (also inside
-          {!Run.eval_side}, under either engine). Every maze select
-          adds 2 for the rebuilt evals of its winning bin. *)
+          {!Run.eval_side}, under either engine). *)
   | Run_buffers_placed
       (** Buffers planted by greedy walks: each {!Run.chain} step once
           per maze side (under either engine: the DP's greedy incumbent
@@ -118,8 +116,8 @@ val all_histograms : histogram list
     disciplines share the type. {e Sampled} gauges
     ({!Span_arena_slots}, {!Span_arena_filled}) are point-in-time sizes
     written with {!gauge_set} at phase boundaries on the coordinator.
-    {e Additive} gauges ({!Maze_memo_slots}, {!Dp_memo_slots},
-    {!Dp_memo_filled}) accumulate with {!gauge_add} exactly like
+    {e Additive} gauges ({!Dp_memo_slots}, {!Dp_memo_filled})
+    accumulate with {!gauge_add} exactly like
     counters and are absorbed from task deltas in task-index order, so
     both kinds end up schedule-independent. *)
 
@@ -128,9 +126,6 @@ type gauge =
       (** Total cells across all {!Run.span} arena layouts (sampled). *)
   | Span_arena_filled
       (** Arena cells holding a computed span result (sampled). *)
-  | Maze_memo_slots
-      (** Cells allocated across maze per-side memos ({!Maze.memo};
-          additive, one contribution per memo created). *)
   | Dp_memo_slots
       (** Slots allocated across DP memo tables (additive). *)
   | Dp_memo_filled
@@ -267,7 +262,7 @@ val snapshot : unit -> snapshot
 
 val derived_rates : snapshot -> (string * float) list
 (** Cache-effectiveness percentages computed from the deterministic
-    sections (span/eval cache hit rates, memo fill rates, arena
+    sections (span cache hit rate, DP memo fill rate, arena
     occupancy), rounded to 0.01%. Rates whose denominator is zero are
     omitted. *)
 

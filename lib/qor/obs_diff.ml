@@ -19,17 +19,13 @@ let default_threshold name =
   (* Cache misses are the cost the caches exist to avoid; a handful of
      extra distinct keys is legitimate drift (a new slew target, one
      more probe ring), a relative jump is thrashing. *)
-  | "maze.eval_cache_misses" | "run.span_cache_misses" ->
+  | "run.span_cache_misses" ->
       { abs_tol = 8.; rel_tol = 0.05; direction = Lower_better }
   (* Hit counters move whenever work moves; gating them would double-
      count the work counters below. Visible, never gating. *)
-  | "maze.eval_cache_hits" | "run.span_cache_hits" -> info
+  | "run.span_cache_hits" -> info
   (* The DP prune/fallback split is a quality signal, not a cost. *)
   | "dp.pruned" | "dp.fallbacks" -> info
-  (* Memo sizing tracks probe geometry; allocated slots are cheap but a
-     relative explosion means a quantization bug. *)
-  | "gauge.maze.memo_slots" ->
-      { abs_tol = 64.; rel_tol = 0.05; direction = Lower_better }
   | name when prefixed "gauge." name -> info
   | name when prefixed "hist." name -> info
   (* Cache effectiveness: absolute percentage points of slack, so a

@@ -18,8 +18,7 @@
     counters are informational so moved work is not double-counted.
     Derived [rate.*] percentages gate Higher-better with 2 percentage
     points of absolute slack. Gauges and histogram totals are
-    informational except [gauge.maze.memo_slots], whose relative
-    explosion would mean a quantization bug. [parallel.spawn_shortfall]
+    informational. [parallel.spawn_shortfall]
     gates at zero: any shortfall is a degraded pool.
 
     Domain-safety: pure functions over immutable snapshots; safe from

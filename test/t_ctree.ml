@@ -190,6 +190,19 @@ let sinks_validate () =
   Alcotest.(check bool) "bad cap flagged" true (Sinks.validate bad_cap <> []);
   Alcotest.(check bool) "empty flagged" true (Sinks.validate [] <> [])
 
+(* A NaN or infinite field is rejected with the sink and the field
+   named; the cap check alone passes a NaN ([nan <= 0.] is false). *)
+let sinks_reject_non_finite field set () =
+  let ok = { Sinks.name = "a"; pos = P.make 1. 1.; cap = 1e-15 } in
+  List.iter
+    (fun v ->
+      let errs = Sinks.validate [ set ok v ] in
+      let expected = Printf.sprintf "sink a has non-finite %s (%g)" field v in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %g names sink and field" field v)
+        true (List.mem expected errs))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   [
     Alcotest.test_case "structure accessors" `Quick structure_accessors;
@@ -211,4 +224,12 @@ let suite =
     Alcotest.test_case "dynamic power" `Quick dynamic_power_scales;
     Alcotest.test_case "svg rendering" `Quick svg_rendering;
     Alcotest.test_case "sinks validate" `Quick sinks_validate;
+    Alcotest.test_case "sinks reject non-finite cap" `Quick
+      (sinks_reject_non_finite "cap" (fun s v -> { s with Sinks.cap = v }));
+    Alcotest.test_case "sinks reject non-finite x" `Quick
+      (sinks_reject_non_finite "x" (fun s v ->
+           { s with Sinks.pos = { s.Sinks.pos with P.x = v } }));
+    Alcotest.test_case "sinks reject non-finite y" `Quick
+      (sinks_reject_non_finite "y" (fun s v ->
+           { s with Sinks.pos = { s.Sinks.pos with P.y = v } }));
   ]

@@ -309,9 +309,9 @@ let diff_injected_regression () =
   (* Misses gate at max(8, 5%): a 10% jump must trip exit 6, and the
      corresponding hit counter stays informational so the moved work is
      not double-counted. *)
-  let base = List.assoc "maze.eval_cache_misses" t.S.counters in
+  let base = List.assoc "run.span_cache_misses" t.S.counters in
   let worse =
-    set_counter t "maze.eval_cache_misses" (base + (base / 10) + 16)
+    set_counter t "run.span_cache_misses" (base + (base / 10) + 16)
   in
   let rep = Obs_diff.compare_snapshots ~baseline:t worse in
   Alcotest.(check bool) "miss jump regresses" true (C.has_regression rep);
@@ -338,7 +338,7 @@ let threshold_budgets () =
   Alcotest.(check bool) "rates gate higher-better" true
     ((th "rate.run.span_cache.hit_pct").C.direction = C.Higher_better);
   Alcotest.(check bool) "hits are informational" true
-    ((th "maze.eval_cache_hits").C.direction = C.Informational);
+    ((th "run.span_cache_hits").C.direction = C.Informational);
   (* Unknown names (future counters) fall back to the work-counter
      budget, so a new cost source is gated from its first baseline. *)
   let unknown = th "future.counter" in

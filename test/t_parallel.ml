@@ -192,6 +192,35 @@ let qcheck_bisection_deterministic =
               && seq.Cts.levels = par.Cts.levels
               && seq.Cts.est_latency = par.Cts.est_latency)))
 
+(* The identity properties above use 3-40 sinks. Full-scale r4 (1,903
+   sinks, 11 levels) runs every select inside chunked pool tasks across
+   wide levels: the deck, every result field and every Obs counter,
+   gauge and histogram must match between pool sizes 1 and 4. *)
+let test_r4_pool_identity () =
+  let dl = T_env.get_dl () in
+  let specs = Bmark.Synthetic.sinks (Bmark.Synthetic.find "r4") in
+  checkb "full-scale r4" true (List.length specs = 1903);
+  let run size =
+    Parallel.with_pool ~size (fun p ->
+        Run.reset_span_cache ();
+        Obs.reset ();
+        Obs.set_enabled true;
+        Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+            let res = Cts.synthesize ~pool:p dl specs in
+            let snap = Obs.snapshot () in
+            (res, snap)))
+  in
+  let seq, s1 = run 1 and par, s4 = run 4 in
+  checkb "netlist decks identical" true
+    (Ctree_netlist.to_deck T_env.tech seq.Cts.tree
+    = Ctree_netlist.to_deck T_env.tech par.Cts.tree);
+  checkb "result fields identical" true
+    ({ seq with Cts.tree = par.Cts.tree } = par);
+  checkb "counters identical" true (s1.Obs.counters = s4.Obs.counters);
+  checkb "gauges identical" true (s1.Obs.gauges = s4.Obs.gauges);
+  checkb "histograms identical" true (s1.Obs.histograms = s4.Obs.histograms);
+  checkb "selects counted" true (List.assoc "maze.selects" s1.Obs.counters > 1900)
+
 let test_characterize_deterministic () =
   (* The full Fast characterization under both pool sizes: identical fit
      report (labels and float-exact residuals, in the same order). *)
@@ -262,5 +291,7 @@ let suite =
       `Slow test_characterize_deterministic;
     QCheck_alcotest.to_alcotest qcheck_synthesize_deterministic;
     QCheck_alcotest.to_alcotest qcheck_bisection_deterministic;
+    Alcotest.test_case "full-scale r4: pool of 4 bit-identical to pool of 1"
+      `Slow test_r4_pool_identity;
     QCheck_alcotest.to_alcotest qcheck_cross_oracle_under_pool;
   ]

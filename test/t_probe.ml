@@ -4,8 +4,9 @@
    - Delaylib.class_index (boundary search) against the log loop;
    - Delaylib.wire_delay / stage_delay against the eval_single fields;
    - Run.eval_chain (prefix chain) against Run.eval_greedy;
-   - Maze.select (unboxed memo, scalar best) against the select that
-     kept every eval in an option table. *)
+   and the split search in Maze.select against the two-pass grid select
+   it replaced, by property: no worse where h is monotone, exact picks,
+   and no feasibility lost under Optimal_dp. *)
 
 let bits = Int64.bits_of_float
 let same a b = Int64.equal (bits a) (bits b)
@@ -166,23 +167,26 @@ let qcheck_chain =
 (* ------------------------------------------------------------------ *)
 (* Maze.select                                                         *)
 
-(* The select this module replaced: every probed eval kept in an
-   option table per side, every bin a boxed [choice]. *)
-let reference_select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
+(* The two-pass grid select the split search replaced, memo included:
+   an r x r bin grid over the port box plus one bin of margin, pass 0
+   over the near-direct bins, pass 1 over the detour bins when pass 0
+   leaves more than 0.5 ps of skew or no feasible bin. Each side is
+   memoized per 0.1 um cell (the first distance probed in a cell stands
+   for it), and the winner's evals are rebuilt at those first
+   distances. *)
+let cache_key d = int_of_float (Float.round (d *. 10.))
+
+let grid_select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
   let module Point = Geometry.Point in
   let pos1 = Port.pos p1 and pos2 = Port.pos p2 in
   let direct = Point.manhattan pos1 pos2 in
   let span = Float.max direct 1. in
   let r = Maze.bins_for cfg span in
-  let xmin = Float.min pos1.Point.x pos2.Point.x
-  and xmax = Float.max pos1.Point.x pos2.Point.x
-  and ymin = Float.min pos1.Point.y pos2.Point.y
-  and ymax = Float.max pos1.Point.y pos2.Point.y in
   let margin = span /. float_of_int r in
-  let xmin = xmin -. margin
-  and xmax = xmax +. margin
-  and ymin = ymin -. margin
-  and ymax = ymax +. margin in
+  let xmin = Float.min pos1.Point.x pos2.Point.x -. margin
+  and xmax = Float.max pos1.Point.x pos2.Point.x +. margin
+  and ymin = Float.min pos1.Point.y pos2.Point.y -. margin
+  and ymax = Float.max pos1.Point.y pos2.Point.y +. margin in
   let fr = float_of_int r in
   let bin_center i j : Point.t =
     {
@@ -194,119 +198,236 @@ let reference_select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
     Float.max (pos.Point.x -. xmin) (xmax -. pos.Point.x)
     +. Float.max (pos.Point.y -. ymin) (ymax -. pos.Point.y)
   in
-  let eval_memo port ~max_d =
-    let table = Array.make (Int.max 0 (Maze.cache_key max_d) + 2) None in
+  (* One side's memo: (side delay, feasible, first distance) per cell. *)
+  let memo port ~max_d =
+    let slots = Int.max 0 (cache_key max_d) + 2 in
+    let side = Run.side dl cfg port ~max_d in
+    let delays = Array.make slots Float.nan
+    and feasible = Array.make slots false
+    and first = Array.make slots Float.nan in
     fun d ->
-      let key = Maze.cache_key d in
-      match table.(key) with
-      | Some e -> e
-      | None ->
-          let e = Run.eval dl cfg port d in
-          table.(key) <- Some e;
-          e
+      let key = cache_key d in
+      if Float.is_nan delays.(key) then begin
+        let e = Run.eval_side side d in
+        delays.(key) <- Maze.side_delay dl cfg e e.Run.top_free;
+        feasible.(key) <- e.Run.feasible;
+        first.(key) <- d
+      end;
+      (delays.(key), feasible.(key), first.(key))
   in
-  let eval1 = eval_memo p1 ~max_d:(max_d_from pos1)
-  and eval2 = eval_memo p2 ~max_d:(max_d_from pos2) in
+  let m1 = memo p1 ~max_d:(max_d_from pos1)
+  and m2 = memo p2 ~max_d:(max_d_from pos2) in
   let best = ref None in
-  let consider (c : Maze.choice) =
-    let better =
+  for pass = 0 to 1 do
+    let detour_only = pass = 1 in
+    let settled =
       match !best with
-      | None -> true
-      | Some (b : Maze.choice) ->
-          let feas (c' : Maze.choice) = c'.eval1.Run.feasible && c'.eval2.Run.feasible in
-          if feas c && not (feas b) then true
-          else if feas b && not (feas c) then false
-          else if c.est_skew < b.est_skew -. 0.05e-12 then true
-          else if c.est_skew > b.est_skew +. 0.05e-12 then false
-          else c.d1 +. c.d2 < b.d1 +. b.d2 -. 1.
+      | Some (_, _, _, _, _, skew, feas) -> feas && skew <= 0.5e-12
+      | None -> false
     in
-    if better then best := Some c
-  in
-  let scan ~detour_only =
-    for i = 0 to r - 1 do
-      for j = 0 to r - 1 do
-        let center = bin_center i j in
-        let d1 = Point.manhattan pos1 center and d2 = Point.manhattan pos2 center in
-        let is_direct = d1 +. d2 <= direct +. (2. *. margin) in
-        if (not detour_only) = is_direct then begin
-          let e1 = eval1 d1 and e2 = eval2 d2 in
-          let t1 = Maze.side_delay dl cfg e1 e1.Run.top_free in
-          let t2 = Maze.side_delay dl cfg e2 e2.Run.top_free in
-          consider
-            {
-              Maze.bin_center = center;
-              d1;
-              d2;
-              eval1 = e1;
-              eval2 = e2;
-              est_skew = Float.abs (t1 -. t2);
-              bins_per_dim = r;
-            }
-        end
+    if not (detour_only && settled) then
+      for i = 0 to r - 1 do
+        for j = 0 to r - 1 do
+          let center = bin_center i j in
+          let d1 = Point.manhattan pos1 center and d2 = Point.manhattan pos2 center in
+          let is_direct = d1 +. d2 <= direct +. (2. *. margin) in
+          if (not detour_only) = is_direct then begin
+            let t1, f1, first1 = m1 d1 and t2, f2, first2 = m2 d2 in
+            let skew = Float.abs (t1 -. t2) and feas = f1 && f2 in
+            let better =
+              match !best with
+              | None -> true
+              | Some (_, bd1, bd2, _, _, bskew, bfeas) ->
+                  if feas && not bfeas then true
+                  else if bfeas && not feas then false
+                  else if skew < bskew -. 0.05e-12 then true
+                  else if skew > bskew +. 0.05e-12 then false
+                  else d1 +. d2 < bd1 +. bd2 -. 1.
+            in
+            if better then best := Some (center, d1, d2, first1, first2, skew, feas)
+          end
+        done
       done
-    done
-  in
-  scan ~detour_only:false;
-  (match !best with
-  | Some b when b.est_skew <= 0.5e-12 && b.eval1.Run.feasible && b.eval2.Run.feasible
-    -> ()
-  | _ -> scan ~detour_only:true);
-  !best
-
-let same_choice (a : Maze.choice) (b : Maze.choice) =
-  same a.Maze.bin_center.Geometry.Point.x b.Maze.bin_center.Geometry.Point.x
-  && same a.Maze.bin_center.Geometry.Point.y b.Maze.bin_center.Geometry.Point.y
-  && same a.Maze.d1 b.Maze.d1
-  && same a.Maze.d2 b.Maze.d2
-  && same_eval a.Maze.eval1 b.Maze.eval1
-  && same_eval a.Maze.eval2 b.Maze.eval2
-  && same a.Maze.est_skew b.Maze.est_skew
-  && a.Maze.bins_per_dim = b.Maze.bins_per_dim
-
-let select_matches cfg dl p1 p2 =
-  match reference_select dl cfg p1 p2 with
-  | Some ref_c -> same_choice (Maze.select dl cfg p1 p2) ref_c
-  | None -> false
+  done;
+  match !best with
+  | None -> None
+  | Some (center, d1, d2, first1, first2, skew, _) ->
+      Some
+        {
+          Maze.bin_center = center;
+          d1;
+          d2;
+          eval1 = Run.eval dl cfg p1 first1;
+          eval2 = Run.eval dl cfg p2 first2;
+          est_skew = skew;
+          bins_per_dim = r;
+        }
 
 let place (x, y) pd =
   let p = port_of pd in
   let node = { p.Port.node with Ctree.pos = Geometry.Point.make x y } in
   { p with Port.node }
 
-let pair_arb die =
+(* Port 2 up to [reach] um from port 1 in each axis, either direction. *)
+let pair_arb reach =
   QCheck.(
-    quad (float_range 0. die) (float_range 0. die) (float_range 0. die)
-      (float_range 0. die))
+    quad (float_range 0. 2000.) (float_range 0. 2000.)
+      (float_range (-.reach) reach) (float_range (-.reach) reach))
 
-let qcheck_select_greedy =
-  QCheck.Test.make ~name:"Maze.select = reference select (greedy)" ~count:25
-    QCheck.(triple (pair_arb 3000.) port_arb port_arb)
-    (fun ((x1, y1, x2, y2), pd1, pd2) ->
+let ports_of ((x, y, dx, dy), pd1, pd2) =
+  (place (x, y) pd1, place (x +. dx, y +. dy) pd2)
+
+let feasible (c : Maze.choice) = c.Maze.eval1.Run.feasible && c.Maze.eval2.Run.feasible
+
+(* h at the search's 33 direct scan points, through plain Run.eval. *)
+let scan_h dl cfg p1 p2 =
+  let d = Geometry.Point.manhattan (Port.pos p1) (Port.pos p2) in
+  List.init 33 (fun k ->
+      let d1 = d *. float_of_int k /. 32. in
+      let e1 = Run.eval dl cfg p1 d1 and e2 = Run.eval dl cfg p2 (d -. d1) in
+      Maze.side_delay dl cfg e1 e1.Run.top_free
+      -. Maze.side_delay dl cfg e2 e2.Run.top_free)
+
+let rec monotone cmp = function
+  | a :: (b :: _ as tl) -> cmp a b && monotone cmp tl
+  | [ _ ] | [] -> true
+
+(* (a) Where h is monotone over the scan and the grid's pick lies on
+   the port-to-port segment, the search is no worse than the grid: skew
+   within the selects' 0.05e-12 s tie window, and feasible whenever the
+   grid is. Off the segment the grid can beat the search: its
+   near-direct bins reach (d1, d2) with d1 + d2 up to two pitches over
+   D, which straddles a jump of h (a buffer step) that the segment
+   cannot — DESIGN.md 5o gives the measured gap. Returns [true] when
+   the precondition does not hold. *)
+let within_grid dl cfg p1 p2 =
+  match grid_select dl cfg p1 p2 with
+  | None -> false
+  | Some g ->
+      let c = Maze.select dl cfg p1 p2 in
+      let d = Geometry.Point.manhattan (Port.pos p1) (Port.pos p2) in
+      let on_segment = Float.abs (g.Maze.d1 +. g.Maze.d2 -. d) <= 1e-6 in
+      (feasible c || not (feasible g))
+      && ((not on_segment) || c.Maze.est_skew <= g.Maze.est_skew +. 0.05e-12)
+
+let no_worse_than_grid dl cfg p1 p2 =
+  let h = scan_h dl cfg p1 p2 in
+  (not (monotone ( <= ) h || monotone ( >= ) h)) || within_grid dl cfg p1 p2
+
+(* (b) The pick is exact: d1/d2 are the center's distances, a direct
+   pick lies on the segment, a detour's short side is at most two
+   pitches. And a pick that leaves more than 0.5 ps or no feasible run
+   scanned the detour family too: at least 33 split points per family. *)
+let exact_pick dl cfg p1 p2 =
+  let module Point = Geometry.Point in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let c, probes =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+        let c = Maze.select dl cfg p1 p2 in
+        (c, Obs.read Obs.Maze_bins_evaluated))
+  in
+  let d = Point.manhattan (Port.pos p1) (Port.pos p2) in
+  let pitch = Float.max d 1. /. float_of_int (Maze.bins_for cfg (Float.max d 1.)) in
+  let near a b = Float.abs (a -. b) <= 1e-6 in
+  let settled = feasible c && c.Maze.est_skew <= 0.5e-12 in
+  near c.Maze.d1 (Point.manhattan (Port.pos p1) c.Maze.bin_center)
+  && near c.Maze.d2 (Point.manhattan (Port.pos p2) c.Maze.bin_center)
+  && (near (c.Maze.d1 +. c.Maze.d2) d
+     || Float.min c.Maze.d1 c.Maze.d2 <= (2. *. pitch) +. 1e-6
+        && near (Float.max c.Maze.d1 c.Maze.d2) (d +. Float.min c.Maze.d1 c.Maze.d2))
+  && (settled || d <= 0.01 || probes >= 66)
+
+let qcheck_search_greedy =
+  QCheck.Test.make ~name:"Maze.select: no worse than the grid where h is monotone"
+    ~count:80
+    QCheck.(triple (pair_arb 4500.) port_arb port_arb)
+    (fun q ->
       let dl = T_env.get_dl () in
-      let cfg = Cts_config.default dl in
-      select_matches cfg dl (place (x1, y1) pd1) (place (x2, y2) pd2))
+      let p1, p2 = ports_of q in
+      no_worse_than_grid dl (Cts_config.default dl) p1 p2)
 
-let qcheck_select_dp =
-  QCheck.Test.make ~name:"Maze.select = reference select (Optimal_dp)" ~count:4
-    QCheck.(triple (pair_arb 600.) port_arb port_arb)
-    (fun ((x1, y1, x2, y2), pd1, pd2) ->
+let qcheck_search_exact =
+  QCheck.Test.make ~name:"Maze.select: direct picks on the segment, detours within 2 pitches"
+    ~count:200
+    QCheck.(triple (pair_arb 4500.) port_arb port_arb)
+    (fun q ->
+      let dl = T_env.get_dl () in
+      let p1, p2 = ports_of q in
+      exact_pick dl (Cts_config.default dl) p1 p2)
+
+let qcheck_search_dp =
+  QCheck.Test.make ~name:"Maze.select (Optimal_dp): feasible whenever the grid is"
+    ~count:6
+    QCheck.(triple (pair_arb 400.) port_arb port_arb)
+    (fun q ->
       let dl = T_env.get_dl () in
       let cfg = Cts_config.with_insertion (Cts_config.default dl) Cts_config.Optimal_dp in
-      select_matches cfg dl (place (x1, y1) pd1) (place (x2, y2) pd2))
+      let p1, p2 = ports_of q in
+      match grid_select dl cfg p1 p2 with
+      | None -> false
+      | Some g -> feasible (Maze.select dl cfg p1 p2) || not (feasible g))
+
+(* Under Optimal_dp with a heavy area weight h falls as well as rises:
+   these pinned pairs (found by a seeded search) have 3-5 sign changes
+   over the scan, and the root that matches the grid lies past the
+   first. The search bisects every bracket, so it stays within the tie
+   window of the grid's on-segment pick. *)
+let non_monotone_pairs =
+  [
+    ( (0x1.9b887d3af436dp+8, 0x1.178d2f95b66fbp+10, -0x1.13d1b73df3aa7p+10, -0x1.585da791f6c34p+10),
+      (0x1.3c02265552a92p+5, -0x1.c098d5c5576e8p+3, 0x1.d61bd282c6c38p+7),
+      (0x1.585f5842dfd92p+3, -0x1.c316dba5cc04fp+3, 0x1.7c7f5f749a51cp+7) );
+    ( (0x1.cbdb3d1227e3p+9, 0x1.04cd2e92762b5p+8, 0x1.c1be964d54d54p+10, 0x1.0b5aaf372f41p+11),
+      (0x1.d6d3d0de69748p+6, -0x1.ad1149fe9dddap+3, 0x1.ea81259aaa628p+3),
+      (0x1.2b553ff1aaa41p+8, -0x1.c0ef5ea555aedp+3, 0x1.32e941b039083p+7) );
+    ( (0x1.c17c228c90802p+10, 0x1.50a9e889babadp+10, -0x1.67899a6ec65d4p+10, 0x1.28d11cf22f07cp+9),
+      (0x1.fb02e4c9d9dd2p+8, -0x1.b065ab1db8e9bp+3, 0x1.03dd429b867bep+6),
+      (0x1.cb2072c7aff44p+7, -0x1.d40315fc48547p+3, 0x1.9494e4caf3e6p+7) );
+    ( (0x1.eefd73a560a5ep+4, 0x1.e732651757ad6p+9, -0x1.01acb5e611e1ep+11, -0x1.31c7bdb932af5p+11),
+      (0x1.56b9113cf5ad2p+8, -0x1.c63820c660bcfp+3, 0x1.c4fc8bed744e4p+6),
+      (0x1.2599cd4eb701fp+8, -0x1.c5c4fc6aeb1e6p+3, 0x1.325debb5110f6p+8) );
+  ]
+
+let test_select_every_bracket () =
+  let dl = T_env.get_dl () in
+  let cfg =
+    {
+      (Cts_config.with_insertion (Cts_config.default dl) Cts_config.Optimal_dp) with
+      Cts_config.dp_area_weight = 2e-12;
+    }
+  in
+  List.iteri
+    (fun i q ->
+      let p1, p2 = ports_of q in
+      let rec changes = function
+        | a :: (b :: _ as tl) ->
+            (if (a < 0. && b > 0.) || (a > 0. && b < 0.) then 1 else 0) + changes tl
+        | [ _ ] | [] -> 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "pair %d: several brackets" i)
+        true
+        (changes (scan_h dl cfg p1 p2) >= 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "pair %d: within the grid's tie window" i)
+        true (within_grid dl cfg p1 p2))
+    non_monotone_pairs
 
 let test_select_edges () =
   let dl = T_env.get_dl () in
   let cfg = Cts_config.default dl in
   let pd = (40., -14.5, 10.) and pd' = (0., -13.8, 0.) in
+  let check name p1 p2 =
+    Alcotest.(check bool) (name ^ ": exact") true (exact_pick dl cfg p1 p2);
+    Alcotest.(check bool) (name ^ ": vs grid") true (no_worse_than_grid dl cfg p1 p2)
+  in
   (* Coincident ports: a 1 um span. *)
-  Alcotest.(check bool) "coincident ports" true
-    (select_matches cfg dl (place (500., 500.) pd) (place (500., 500.) pd'));
+  check "coincident ports" (place (500., 500.) pd) (place (500., 500.) pd');
   (* A span long enough that the grid hits max_grid_bins. *)
-  let far = (11000., 300.) in
   Alcotest.(check int) "grid at the cap" cfg.Cts_config.max_grid_bins
     (Maze.bins_for cfg 11300.);
-  Alcotest.(check bool) "max_grid_bins span" true
-    (select_matches cfg dl (place (0., 0.) pd) (place far pd'))
+  check "max_grid_bins span" (place (0., 0.) pd) (place (11000., 300.) pd')
 
 let suite =
   [
@@ -315,8 +436,11 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_class_index;
     QCheck_alcotest.to_alcotest qcheck_surface_lookups;
     QCheck_alcotest.to_alcotest qcheck_chain;
-    QCheck_alcotest.to_alcotest qcheck_select_greedy;
-    QCheck_alcotest.to_alcotest qcheck_select_dp;
+    QCheck_alcotest.to_alcotest qcheck_search_greedy;
+    QCheck_alcotest.to_alcotest qcheck_search_exact;
+    QCheck_alcotest.to_alcotest qcheck_search_dp;
+    Alcotest.test_case "select (Optimal_dp): every bracket of a non-monotone h"
+      `Quick test_select_every_bracket;
     Alcotest.test_case "select: coincident ports and max_grid_bins" `Slow
       test_select_edges;
   ]
