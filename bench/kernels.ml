@@ -192,15 +192,33 @@ and hot_dp_test (env : Experiments.env) =
   Test.make ~name:"hot-dp: Run.eval_side under Optimal_dp (2000um)"
     (Staged.stage (fun () -> ignore (Run.eval_side side 2000.)))
 
+(* The fig1.1 stage (1,000 um wire, BUF20X, 769 samples) simulated
+   whole: per-stage set-up, then the step loop. *)
+and hot_step_test (env : Experiments.env) =
+  let tech = env.Experiments.tech and lib = env.Experiments.lib in
+  let input =
+    Delaylib.Wave_gen.buffer_output_wave tech (Buffer_lib.smallest lib)
+      ~slew:100e-12
+  in
+  let driver = T.Driven_buffer (Buffer_lib.by_name lib "BUF20X", input) in
+  let r, chain = Rc.wire tech ~length:1000. (Rc.leaf ~tag:"load" 5e-15) in
+  let tree = Rc.node [ (r, chain) ] in
+  Test.make ~name:"hot-step: Transient.simulate, fig1.1 stage"
+    (Staged.stage (fun () -> ignore (T.simulate tech driver tree)))
+
 (* The allocation-gated kernels with their per-run budgets in words. The
    lookups allocate at most their boxed float result (2 words); the
    slack absorbs OLS estimation noise, and a boxed argument, a closure
    or a polymorphic comparison on one of these paths breaches. The DP
    kernel allocates about 630 words, nearly all of it the boxed
    arguments and results of its ~73 delay-library lookups; boxed DP
-   states or per-evaluation tables would cost thousands more. *)
+   states or per-evaluation tables would cost thousands more. The stage
+   simulation allocates about 1,000 words of per-stage set-up (the
+   sample rows are major-heap blocks) and nothing per step: one boxed
+   float per step would add about 1,540. *)
 and gated_tests env =
-  List.map (fun t -> (8., t)) (hot_tests env) @ [ (2000., hot_dp_test env) ]
+  List.map (fun t -> (8., t)) (hot_tests env)
+  @ [ (2000., hot_dp_test env); (2000., hot_step_test env) ]
 
 let run env =
   print_endline "=== kernel timings (Bechamel) ===";
@@ -249,7 +267,7 @@ let run env =
 (* CI gate behind `make bench-smoke`: measure only the gated kernels and
    fail when any allocates beyond its budget, locking in the
    allocation-free lookups the flattened span arena and delay-library
-   fits bought and the flat DP tables. *)
+   fits bought, the flat DP tables and the transient step loop. *)
 let alloc_gate env =
   print_endline "=== hot-kernel allocation gate (Bechamel) ===";
   let cfg_b =

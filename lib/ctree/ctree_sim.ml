@@ -16,7 +16,9 @@ type metrics = {
 (* Build the RC tree of one stage: everything below [node]'s output until
    the next buffers (which appear as their gate capacitance). Returns the
    RC tree plus the buffers discovered at the stage boundary (node, cell
-   and gate tag) and the names of the sinks reached. *)
+   and gate tag) and the names of the sinks reached. Only those gates and
+   sinks are tagged: the simulator records every tag, and nothing reads
+   a merge node or the root (which it records anyway). *)
 let build_stage tech (node : Ctree.t) =
   let next_buffers = ref [] in
   let stage_sinks = ref [] in
@@ -29,14 +31,13 @@ let build_stage tech (node : Ctree.t) =
         let tag = "buf:" ^ string_of_int child.Ctree.id in
         next_buffers := (child, b, tag) :: !next_buffers;
         Rc.leaf ~tag (Buffer_lib.input_cap tech b)
-    | Ctree.Merge ->
-        Rc.node ~tag:("m:" ^ string_of_int child.Ctree.id) (edges child)
+    | Ctree.Merge -> Rc.node (edges child)
   and edges (n : Ctree.t) =
     List.map
       (fun (e : Ctree.edge) -> Rc.wire tech ~length:e.Ctree.length (sub e.Ctree.child))
       n.Ctree.children
   in
-  let tree = Rc.node ~tag:"out" (edges node) in
+  let tree = Rc.node (edges node) in
   (tree, !next_buffers, !stage_sinks)
 
 let crop_margin = 100e-12

@@ -97,7 +97,7 @@ let measure_single tech drive input ~length ~load_cap =
   Obs.incr Obs.Char_sims;
   let load = Rc_tree.leaf ~tag:"load" load_cap in
   let r, chain = Rc_tree.wire tech ~length load in
-  let tree = Rc_tree.node ~tag:"out" [ (r, chain) ] in
+  let tree = Rc_tree.node [ (r, chain) ] in
   let res = T.simulate ~config:char_sim_config tech (T.Driven_buffer (drive, input)) tree in
   let out = T.root_waveform res in
   let vdd = tech.Tech.vdd in
@@ -115,7 +115,7 @@ let measure_branch tech drive input ~len_left ~len_right ~cap_left ~cap_right =
   let right = Rc_tree.leaf ~tag:"right" cap_right in
   let rl, cl = Rc_tree.wire tech ~length:len_left left in
   let rr, cr = Rc_tree.wire tech ~length:len_right right in
-  let tree = Rc_tree.node ~tag:"out" [ (rl, cl); (rr, cr) ] in
+  let tree = Rc_tree.node [ (rl, cl); (rr, cr) ] in
   let res = T.simulate ~config:char_sim_config tech (T.Driven_buffer (drive, input)) tree in
   let out = T.root_waveform res in
   let vdd = tech.Tech.vdd in

@@ -25,8 +25,6 @@ let of_tree tree =
   visit tree (-1) 0.;
   { n; parent; g_edge; cap; tag_index = List.rev !tags }
 
-let index_of_tag t tag = List.assoc tag t.tag_index
-
 type factored = {
   tree : t;
   pivot : float array;
@@ -59,19 +57,21 @@ let forward f ~rhs =
     if p > 0 then rhs.(p) <- rhs.(p) +. (mult.(i) *. rhs.(i))
   done
 
-let root_solve f ~diag0 ~rhs0 ~rhs =
-  let d = ref diag0 and r = ref rhs0 in
+type root = { mutable diag0 : float; mutable rhs0 : float; mutable v0 : float }
+
+let root_solve f r ~rhs =
+  let d = ref r.diag0 and x = ref r.rhs0 in
   (* A loop, not Array.iter: refs captured by a closure are boxed. *)
   for k = 0 to Array.length f.root_children - 1 do
     let c = f.root_children.(k) in
     d := !d -. (f.mult.(c) *. f.tree.g_edge.(c));
-    r := !r +. (f.mult.(c) *. rhs.(c))
+    x := !x +. (f.mult.(c) *. rhs.(c))
   done;
-  !r /. !d
+  r.v0 <- !x /. !d
 
-let back f ~rhs ~root ~into =
+let back f r ~rhs ~into =
   let t = f.tree in
-  into.(0) <- root;
+  into.(0) <- r.v0;
   for i = 1 to t.n - 1 do
     let p = t.parent.(i) in
     into.(i) <- (rhs.(i) +. (t.g_edge.(i) *. into.(p))) /. f.pivot.(i)

@@ -13,7 +13,8 @@
     matrix: every row sees the same float operations in the same order.
 
     Domain-safety: a flattened or factored tree is immutable after
-    construction; the solve arrays are the caller's. No global state. *)
+    construction; the solve arrays and {!root} are the caller's. No
+    global state. *)
 
 type t = {
   n : int;
@@ -24,9 +25,6 @@ type t = {
 }
 
 val of_tree : Circuit.Rc_tree.t -> t
-
-val index_of_tag : t -> string -> int
-(** Raises [Not_found] for unknown tags. *)
 
 type factored
 (** A tree with every non-root row eliminated. *)
@@ -40,12 +38,15 @@ val forward : factored -> rhs:float array -> unit
 (** Leaf-to-root elimination of the right-hand side of rows
     [1 .. n-1], in place. [rhs.(0)] is neither read nor written. *)
 
-val root_solve :
-  factored -> diag0:float -> rhs0:float -> rhs:float array -> float
-(** The root unknown, for root diagonal [diag0] and root right-hand
-    side [rhs0], given [rhs] already passed through {!forward}. *)
+type root = { mutable diag0 : float; mutable rhs0 : float; mutable v0 : float }
+(** The root row's diagonal and right-hand side (in) and unknown (out),
+    in an all-float record so the calls below pass them unboxed. *)
 
-val back : factored -> rhs:float array -> root:float -> into:float array -> unit
-(** Back-substitution from the root value [root] (as returned by
+val root_solve : factored -> root -> rhs:float array -> unit
+(** Sets [v0] to the root unknown for [diag0] and [rhs0], given [rhs]
+    already passed through {!forward}. *)
+
+val back : factored -> root -> rhs:float array -> into:float array -> unit
+(** Back-substitution from the root value [v0] (as set by
     {!root_solve}) over the {!forward}ed [rhs]; writes all [n] unknowns
     to [into], which may be the array the rhs was built from. *)

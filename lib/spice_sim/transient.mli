@@ -7,15 +7,17 @@
     Newton iteration) alpha-power inverter stamps. Only the tree root
     carries a nonlinear device, so the constant tree part of the
     backward-Euler matrix is factored once per call ({!Rc_flat.factor}).
-    Each step then costs one O(n) rhs sweep, [newton_iters] scalar
-    Newton iterations on the root unknown (each touching only the
-    root's children, with the device biased once per step by
-    {!Circuit.Device.bias}), and one O(n) back-substitution.
+    Each step then costs one O(n) rhs sweep, at most [newton_iters]
+    scalar Newton iterations on the root unknown (each touching only the
+    root's children) and one O(n) back-substitution. A step allocates
+    nothing, and steps a stage spends at rest (input still within
+    [0, vt]) are recorded without solving (DESIGN.md 5p); every sample
+    keeps the bits of a full solve.
 
     This staged decomposition is exact for clock trees because buffers
     present only their (constant) gate capacitance to the upstream stage;
     it is how the paper's own delay/slew library cuts trees at buffered
-    nodes (Sec. 3.2). 
+    nodes (Sec. 3.2).
 
     Domain-safety: simulation state is per-call; no global state. *)
 
@@ -27,32 +29,35 @@ type driver =
           drives the tree root. *)
 
 type config = {
-  dt : float;  (** Timestep (s). *)
+  dt : float;  (** Timestep (s), finite and > 0. *)
   t_margin : float;
       (** The settle check only runs once at least [t_margin / 10] has
-          been simulated from the input's start (s). *)
-  t_max : float;  (** Hard stop (s). *)
+          been simulated from the input's start (s), finite and >= 0. *)
+  t_max : float;  (** Hard stop (s), finite and > 0. *)
   newton_iters : int;
       (** Fixed Newton iterations per step for a buffer driver (at least
           1); an ideal source is linear and takes one solve. *)
-  record_stride : int;  (** Keep every k-th sample of recorded nodes. *)
 }
 
 val default_config : config
-(** dt = 0.5 ps, margin = 1.5 ns, max = 40 ns, 3 Newton iterations,
-    stride 1. *)
+(** dt = 0.5 ps, margin = 1.5 ns, max = 40 ns, 3 Newton iterations. *)
 
 type result
 
 val simulate :
   ?config:config -> Circuit.Tech.t -> driver -> Circuit.Rc_tree.t -> result
+  [@@cts.raises "Invalid_argument"]
 (** Run the stage from an all-quiescent initial state (rising edge: every
-    tree node at 0 V). Simulation ends early once the input has finished
-    and every tree node has settled above 99% Vdd, or at [t_max]. *)
+    tree node at 0 V), recording every step at the root and every tagged
+    node. Simulation ends early once the input has finished and every
+    tree node has settled above 99% Vdd, or at [t_max]. Raises
+    [Invalid_argument] naming a [config] field outside its range. *)
 
 val waveform : result -> string -> Waveform.t
-(** Recorded waveform at a tagged node. Raises [Not_found] on unknown
-    tags. *)
+  [@@cts.raises "Invalid_argument"]
+(** Recorded waveform at a tagged node (the first in preorder when a tag
+    repeats). Raises [Invalid_argument] naming the tag and the recorded
+    ones when the tree has no such tag. *)
 
 val root_waveform : result -> Waveform.t
 (** Waveform at the tree root (the driver/buffer output). *)
@@ -61,9 +66,11 @@ val settled : result -> bool
 (** False when the simulation hit [t_max] before settling — a sign the
     stage is too weak to drive its load (severe slew violation). *)
 
-val stage_delay :
-  result -> input:Waveform.t -> tag:string -> float option
-(** 50%-50% delay from the driver input waveform to a tagged node. *)
+val stage_delay : result -> input:Waveform.t -> tag:string -> float option
+  [@@cts.raises "Invalid_argument"]
+(** 50%-50% delay from the driver input waveform to a tagged node.
+    Raises as {!waveform}. *)
 
 val node_slew : result -> tag:string -> float option
-(** 10%-90% slew at a tagged node. *)
+  [@@cts.raises "Invalid_argument"]
+(** 10%-90% slew at a tagged node. Raises as {!waveform}. *)

@@ -5,7 +5,7 @@ let make ts vs =
   if n = 0 || n <> Array.length vs then
     invalid_arg "Waveform.make: empty or mismatched arrays";
   for i = 1 to n - 1 do
-    if ts.(i) <= ts.(i - 1) then
+    if not (ts.(i) > ts.(i - 1)) (* rejects NaN too *) then
       invalid_arg "Waveform.make: times not strictly increasing"
   done;
   { ts; vs }
@@ -28,14 +28,29 @@ let locate w t =
   in
   if t < w.ts.(0) then -1 else if t >= w.ts.(n - 1) then n - 1 else go 0 (n - 1)
 
-let value_at w t =
-  let n = Array.length w.ts in
-  let i = locate w t in
-  if i < 0 then w.vs.(0)
-  else if i >= n - 1 then w.vs.(n - 1)
+(* [i]: the largest index with [ts.(i) <= t], or -1. Inlined, unboxed. *)
+let[@inline] interpolate ts vs i t =
+  let n = Array.length ts in
+  if i < 0 then vs.(0)
+  else if i >= n - 1 then vs.(n - 1)
   else
-    let f = (t -. w.ts.(i)) /. (w.ts.(i + 1) -. w.ts.(i)) in
-    w.vs.(i) +. (f *. (w.vs.(i + 1) -. w.vs.(i)))
+    let f = (t -. ts.(i)) /. (ts.(i + 1) -. ts.(i)) in
+    vs.(i) +. (f *. (vs.(i + 1) -. vs.(i)))
+
+let value_at w t = interpolate w.ts w.vs (locate w t) t
+
+type sample = { mutable time : float; mutable value : float }
+type cursor = { w : t; mutable i : int }
+
+let cursor w = { w; i = -1 }
+
+let read c s =
+  let ts = c.w.ts and t = s.time in
+  (* Times strictly increase, so walking forward finds [locate]'s index. *)
+  while c.i + 1 < Array.length ts && ts.(c.i + 1) <= t do
+    c.i <- c.i + 1
+  done;
+  s.value <- interpolate ts c.w.vs c.i t
 
 let crossing w level =
   let n = Array.length w.ts in

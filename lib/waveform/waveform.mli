@@ -6,7 +6,10 @@
     rising clock edges: generators produce 0 -> Vdd transitions and the
     measurement helpers ([slew_10_90], [crossing]) are phrased for
     monotone-on-average rising edges but work on any trace via
-    first-crossing semantics. *)
+    first-crossing semantics.
+
+    Domain-safety: waveforms are immutable; a {!cursor} or {!sample}
+    belongs to its maker. No global state. *)
 
 type t
 
@@ -20,6 +23,19 @@ val values : t -> float array
 
 val value_at : t -> float -> float
 (** Linear interpolation; clamped to the end values outside the window. *)
+
+type sample = { mutable time : float; mutable value : float }
+(** In and out of {!read}: fields of an all-float record are unboxed,
+    unlike floats passed to another module's function. *)
+
+type cursor
+(** {!value_at} at non-decreasing times, by a forward walk. *)
+
+val cursor : t -> cursor
+
+val read : cursor -> sample -> unit
+(** Sets [value] to [value_at w time], bit for bit, allocating nothing.
+    [time] must not decrease between reads of one cursor. *)
 
 val t_start : t -> float
 val t_end : t -> float

@@ -124,22 +124,6 @@ let sim_vsource_tracks_input () =
   Alcotest.(check bool) "tracks within 2ps" true
     (Float.abs (t50_out -. t50_in) < 2e-12)
 
-let record_stride_thins_samples () =
-  let input = W.smooth_curve ~vdd:1. ~slew:80e-12 () in
-  let mk () =
-    let load = Rc.leaf ~tag:"load" 5e-15 in
-    let r, chain = Rc.wire tech ~length:300. load in
-    Rc.node [ (r, chain) ]
-  in
-  let n_at stride =
-    let config = { T.default_config with T.record_stride = stride } in
-    W.n_samples
-      (T.root_waveform
-         (T.simulate ~config tech (T.Driven_buffer (T_env.b20, input)) (mk ())))
-  in
-  let n1 = n_at 1 and n4 = n_at 4 in
-  Alcotest.(check bool) "stride thins" true (n4 < (n1 / 3) + 2)
-
 (* ---------------- elmore edges ---------------- *)
 
 let elmore_50_ratio () =
@@ -368,7 +352,6 @@ let suite =
     Alcotest.test_case "wire card values" `Quick wire_card_values;
     Alcotest.test_case "sim deterministic" `Quick sim_deterministic;
     Alcotest.test_case "vsource tracks input" `Quick sim_vsource_tracks_input;
-    Alcotest.test_case "record stride" `Quick record_stride_thins_samples;
     Alcotest.test_case "elmore_50 ratio" `Quick elmore_50_ratio;
     Alcotest.test_case "delay vs load class" `Quick delay_grows_with_load_class;
     Alcotest.test_case "sample grid" `Quick sample_grid_size;

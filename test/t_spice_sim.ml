@@ -32,10 +32,11 @@ let flat_preorder_parents () =
     (fun i p ->
       if i > 0 then Alcotest.(check bool) "parent before child" true (p < i))
     f.Rc_flat.parent;
-  Alcotest.(check int) "tag lookup" 0 (Rc_flat.index_of_tag f "root");
+  let index_of_tag tag = List.assoc tag f.Rc_flat.tag_index in
+  Alcotest.(check int) "tag lookup" 0 (index_of_tag "root");
   Alcotest.(check bool) "all tags present" true
     (List.for_all
-       (fun t -> Rc_flat.index_of_tag f t >= 0)
+       (fun t -> index_of_tag t >= 0)
        [ "root"; "a"; "a1"; "b" ])
 
 (* The factored tree solve must agree with a dense Gaussian elimination
@@ -75,9 +76,10 @@ let flat_solve_matches_dense () =
     let fac = Rc_flat.factor flat ~diag in
     let rhs = Array.copy b in
     Rc_flat.forward fac ~rhs;
-    let root = Rc_flat.root_solve fac ~diag0:diag.(0) ~rhs0:rhs.(0) ~rhs in
+    let root = { Rc_flat.diag0 = diag.(0); rhs0 = rhs.(0); v0 = 0. } in
+    Rc_flat.root_solve fac root ~rhs;
     let x = Array.make n 0. in
-    Rc_flat.back fac ~rhs ~root ~into:x;
+    Rc_flat.back fac root ~rhs ~into:x;
     Array.iteri
       (fun i v -> check_f 1e-8 (Printf.sprintf "x%d" i) dense.(i) v)
       x
@@ -86,9 +88,13 @@ let flat_solve_matches_dense () =
 (* ---------------- Oracles against the per-iteration kernel ----------------
 
    A reference copy of the simulator as it was before the factor-once
-   rewrite: the device formula evaluated from scratch on every call, and
-   a full O(n) tree elimination on every Newton iteration. The
-   production kernel must reproduce it bit for bit. *)
+   rewrite (which an earlier form of this oracle showed bit-identical
+   to the engine that followed): the device formula evaluated from
+   scratch on every call, a full O(n) tree elimination on every Newton
+   iteration, the input read by [Waveform.value_at]'s binary search,
+   every step solved, and every tag recorded. The production kernel —
+   bias reuse, input cursor, flat sample rows and the quiescent-prefix
+   skip — must reproduce it bit for bit. *)
 
 module Ref = struct
   let nmos_current (tech : Circuit.Tech.t) ~size ~vgs ~vds =
@@ -146,7 +152,8 @@ module Ref = struct
 
   (* Returns the sample times, the samples of the root and of every
      tagged node (in [Rc_flat.tag_index] order), and the settled flag. *)
-  let simulate (config : T.config) tech driver tree =
+  let simulate (config : T.config) (tech : Circuit.Tech.t) driver tree =
+    let vdd = tech.vdd in
     let flat = Rc_flat.of_tree tree in
     let n = flat.n in
     let cap = Array.copy flat.cap in
@@ -226,7 +233,7 @@ module Ref = struct
       Array.blit v_next 0 v 0 n;
       t := t_new;
       incr step_count;
-      if !step_count mod config.record_stride = 0 then record t_new;
+      record t_new;
       if
         !step_count mod 64 = 0
         && t_new > t_input_end
@@ -274,20 +281,89 @@ let random_tree rng =
   in
   build 0
 
+(* Thresholds at the default, at 0 and below 0 (where a buffer's output
+   PMOS conducts with its gate at Vdd, so a step from rest is not a
+   fixed point), and above Vdd / 2; the last also without device
+   capacitance, where an input in [Vdd - vt, vt] turns both stage-1
+   devices off and its Newton denominator is 0. *)
+let techs =
+  List.map (fun vt -> { tech with Circuit.Tech.vt }) [ tech.Circuit.Tech.vt; 0.; -0.1; 0.6 ]
+  @ [ { tech with Circuit.Tech.vt = 0.6; gate_cap_per_x = 0.; drain_cap_per_x = 0. } ]
+
+let pwl points =
+  W.make
+    (Array.of_list (List.map fst points))
+    (Array.of_list (List.map snd points))
+
+(* Inputs with what the quiescent-prefix skip keys on: long holds at or
+   near 0 V before the edge, inputs that stop at or below vt or sit
+   exactly at vt, edges that dip back below vt after crossing it,
+   staircases that repeat voltages (bias reuse) and go below 0 V, and
+   cropped outputs of an upstream stage, as whole-tree signoff feeds
+   them. *)
+let random_input rng (tech : Circuit.Tech.t) =
+  let ps x = x *. 1e-12 in
+  let vt = tech.vt in
+  let slew = Util.Rng.float_range rng (ps 10.) (ps 200.) in
+  let t0 = Util.Rng.float_range rng 0. (ps 400.) in
+  let below_vt =
+    let lo = Float.min 0. vt in
+    lo +. (Util.Rng.float rng 1. *. (vt -. lo))
+  in
+  match Util.Rng.int rng 7 with
+  | 0 -> W.smooth_curve ~t0 ~vdd ~slew ()
+  | 1 -> W.ramp ~t0 ~vdd ~slew ()
+  | 2 ->
+      let top = if Util.Rng.bool rng then vt else below_vt in
+      pwl [ (0., 0.); (t0, 0.); (t0 +. slew, top); (t0 +. slew +. ps 300., top) ]
+  | 3 ->
+      pwl
+        [ (0., 0.); (t0, vt); (t0 +. ps 200., vt);
+          (t0 +. ps 200. +. slew, vdd) ]
+  | 4 ->
+      pwl
+        [ (0., 0.); (t0, 0.); (t0 +. slew, vt +. 0.1);
+          (t0 +. (2. *. slew), below_vt); (t0 +. (3. *. slew), below_vt);
+          (t0 +. (4. *. slew), vdd) ]
+  | 5 ->
+      let levels = [| -0.05; 0.; vt /. 2.; vt; vt +. 0.05; 0.7; vdd |] in
+      let t = ref 0. in
+      let points =
+        List.concat
+          (List.init (3 + Util.Rng.int rng 6) (fun _ ->
+               let level = levels.(Util.Rng.int rng (Array.length levels)) in
+               let a = !t +. Util.Rng.float_range rng (ps 0.5) (ps 40.) in
+               let b = a +. Util.Rng.float_range rng (ps 0.5) (ps 60.) in
+               t := b;
+               [ (a, level); (b, level) ]))
+      in
+      pwl (points @ [ (!t +. slew, vdd) ])
+  | _ ->
+      (* Crop 100 ps before the 1% crossing, as Ctree_sim does. *)
+      let load = Rc.leaf ~tag:"gate" (Util.Rng.float_range rng 1e-15 20e-15) in
+      let r, chain =
+        Rc.wire tech ~length:(Util.Rng.float_range rng 50. 1500.) load
+      in
+      let up = W.smooth_curve ~t0 ~vdd ~slew () in
+      let res =
+        T.simulate tech (T.Driven_buffer (b20, up)) (Rc.node [ (r, chain) ])
+      in
+      let wave = T.waveform res "gate" in
+      match W.crossing wave (0.01 *. vdd) with
+      | Some t -> W.crop_before wave (t -. ps 100.)
+      | None -> wave
+
 let qcheck_transient_matches_reference =
-  QCheck.Test.make ~count:150
+  QCheck.Test.make ~count:300
     ~name:"Transient.simulate bit-identical to the per-iteration kernel"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Rng.create seed in
       let tree = random_tree rng in
-      let input =
-        let slew = Util.Rng.float_range rng 10e-12 200e-12 in
-        if Util.Rng.int rng 2 = 0 then W.smooth_curve ~vdd ~slew ()
-        else W.ramp ~vdd ~slew ()
-      in
+      let tech = List.nth techs (Util.Rng.int rng (List.length techs)) in
+      let input = random_input rng tech in
       let driver =
-        if Util.Rng.int rng 3 = 0 then T.Vsource input
+        if Util.Rng.int rng 4 = 0 then T.Vsource input
         else T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
       in
       let config =
@@ -295,8 +371,7 @@ let qcheck_transient_matches_reference =
           T.default_config with
           T.dt = (if Util.Rng.int rng 2 = 0 then 0.5e-12 else 1e-12);
           newton_iters = (if Util.Rng.int rng 2 = 0 then 1 else 3);
-          record_stride = (if Util.Rng.int rng 2 = 0 then 1 else 3);
-          t_max = 2e-9;
+          t_max = 2.5e-9;
         }
       in
       let times, samples, settled = Ref.simulate config tech driver tree in
@@ -307,10 +382,12 @@ let qcheck_transient_matches_reference =
       && List.for_all (fun w -> bits_equal times (W.times w)) waves
       && List.for_all2 (fun s w -> bits_equal s (W.values w)) samples waves)
 
-(* The biased device path against the direct formula, on a grid that
-   hits every branch: vin at and around vt and vdd - vt (either device
-   off), vout at and one finite-difference step around 0 and vdd, and
-   both sides of each device's saturation knee. *)
+(* The inverter against the direct formula, on a grid that hits every
+   branch: vin at and around vt and vdd - vt (either device off), vout
+   at and one finite-difference step around 0 and vdd, and both sides
+   of each device's saturation knee. One inverter is evaluated along
+   the whole list, so consecutive equal inputs reuse its bias and
+   changed ones must re-bias it. *)
 let qcheck_device_bias_matches_formula =
   let vt = tech.Circuit.Tech.vt and dv = 1e-4 and eps = 1e-12 in
   let volts =
@@ -320,23 +397,32 @@ let qcheck_device_bias_matches_formula =
   in
   let gen_v = QCheck.Gen.(oneof [ oneofl volts; float_range (-0.3) 1.3 ]) in
   let gen_size = QCheck.Gen.(oneof [ oneofl [ 1.; 3.; 10.; 20.; 30. ]; float_range 0.5 40. ]) in
-  QCheck.Test.make ~count:2000 ~name:"Device bias path bit-identical to the direct formula"
+  QCheck.Test.make ~count:1000 ~name:"Device bias path bit-identical to the direct formula"
     (QCheck.make
-       ~print:QCheck.Print.(triple float float float)
-       QCheck.Gen.(triple gen_size gen_v gen_v))
-    (fun (size, vin, vout) ->
+       ~print:QCheck.Print.(pair float (list (triple bool float float)))
+       QCheck.Gen.(
+         pair gen_size (list_size (int_range 1 8) (triple bool gen_v gen_v))))
+    (fun (size, points) ->
+      let module D = Circuit.Device in
       let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-      let b = Circuit.Device.bias tech ~size ~vin in
-      same (Circuit.Device.nmos_current tech ~size ~vgs:vin ~vds:vout)
-        (Ref.nmos_current tech ~size ~vgs:vin ~vds:vout)
-      && same (Circuit.Device.bias_current b ~vout)
-           (Ref.inverter_current tech ~size ~vin ~vout)
-      && same (Circuit.Device.bias_conductance b ~vout)
-           (Ref.inverter_conductance tech ~size ~vin ~vout)
-      && same (Circuit.Device.inverter_current tech ~size ~vin ~vout)
-           (Ref.inverter_current tech ~size ~vin ~vout)
-      && same (Circuit.Device.inverter_conductance tech ~size ~vin ~vout)
-           (Ref.inverter_conductance tech ~size ~vin ~vout))
+      let _, vin0, _ = List.hd points in
+      let d = D.inverter tech ~size ~vin:vin0 in
+      (* [true] repeats the previous input voltage. *)
+      List.for_all
+        (fun (repeat, vin, vout) ->
+          let vin = if repeat then d.vin else vin in
+          d.vin <- vin;
+          d.vout <- vout;
+          D.eval tech d;
+          same (D.nmos_current tech ~size ~vgs:vin ~vds:vout)
+            (Ref.nmos_current tech ~size ~vgs:vin ~vds:vout)
+          && same d.current (Ref.inverter_current tech ~size ~vin ~vout)
+          && same d.conductance (Ref.inverter_conductance tech ~size ~vin ~vout)
+          && same (D.inverter_current tech ~size ~vin ~vout)
+               (Ref.inverter_current tech ~size ~vin ~vout)
+          && same (D.inverter_conductance tech ~size ~vin ~vout)
+               (Ref.inverter_conductance tech ~size ~vin ~vout))
+        points)
 
 (* ---------------- Transient physics ---------------- *)
 
@@ -472,6 +558,111 @@ let unsettled_detection () =
   in
   Alcotest.(check bool) "not settled" false (T.settled res)
 
+(* ---------------- Rejected inputs ---------------- *)
+
+let one_wire_stage () =
+  ( W.smooth_curve ~vdd ~slew:80e-12 (),
+    Rc.node [ (100., Rc.leaf ~tag:"load" 5e-15) ] )
+
+(* Each field outside its documented range raises instead of hanging
+   (dt <= 0 never advanced time) or returning an unsettled result. *)
+let config_rejects field cases () =
+  let input, tree = one_wire_stage () in
+  List.iter
+    (fun (config, shown, need) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s = %s" field shown)
+        (Invalid_argument
+           (Printf.sprintf "Transient.simulate: config.%s = %s, must be %s"
+              field shown need))
+        (fun () ->
+          ignore (T.simulate ~config tech (T.Driven_buffer (b20, input)) tree)))
+    cases
+
+let c = T.default_config
+let positive = "finite and > 0"
+
+let config_rejects_dt =
+  config_rejects "dt"
+    [ ({ c with T.dt = 0. }, "0", positive);
+      ({ c with T.dt = -1e-12 }, "-1e-12", positive);
+      ({ c with T.dt = Float.nan }, "nan", positive);
+      ({ c with T.dt = Float.infinity }, "inf", positive) ]
+
+let config_rejects_t_max =
+  config_rejects "t_max"
+    [ ({ c with T.t_max = 0. }, "0", positive);
+      ({ c with T.t_max = Float.infinity }, "inf", positive) ]
+
+let config_rejects_t_margin =
+  config_rejects "t_margin"
+    [ ({ c with T.t_margin = -1e-9 }, "-1e-09", "finite and >= 0");
+      ({ c with T.t_margin = Float.nan }, "nan", "finite and >= 0") ]
+
+let config_rejects_newton_iters =
+  config_rejects "newton_iters"
+    [ ({ c with T.newton_iters = 0 }, "0", ">= 1");
+      ({ c with T.newton_iters = -2 }, "-2", ">= 1") ]
+
+(* Tags the tree does not carry (a merge node's or the root's, which
+   the signoff and characterization stages no longer tag) are named in
+   the error. *)
+let unknown_tag_rejected () =
+  let input, tree = one_wire_stage () in
+  let res = T.simulate tech (T.Driven_buffer (b20, input)) tree in
+  let err = Invalid_argument "Transient.waveform: tag \"out\" not recorded (recorded: [load])" in
+  Alcotest.check_raises "waveform" err (fun () -> ignore (T.waveform res "out"));
+  Alcotest.check_raises "stage_delay" err (fun () ->
+      ignore (T.stage_delay res ~input ~tag:"out"));
+  Alcotest.check_raises "node_slew" err (fun () ->
+      ignore (T.node_slew res ~tag:"out"));
+  Alcotest.(check bool) "recorded tag" true (T.node_slew res ~tag:"load" <> None)
+
+(* ---------------- Golden bits ----------------
+
+   The fast-profile library file (a fresh characterization) and the
+   signoff of the 13-sink r1@0.05 instance synthesized with it, as
+   Int64 bits. CTS_UPDATE_QOR_FIXTURE=<dir> writes the file to <dir>
+   instead of comparing (run once, commit it), as for the QoR fixture.
+   The test action runs in _build/default/test. *)
+
+let golden_path = "../../../test/fixtures/sim/r1_fast_signoff_bits.txt"
+
+let golden_lines () =
+  let dl = Delaylib.characterize ~profile:Delaylib.Fast tech lib in
+  let file = Filename.temp_file "cts_fast_library" ".txt" in
+  Delaylib.save dl file;
+  let md5 = Digest.to_hex (Digest.file file) in
+  Sys.remove file;
+  let d = Bmark.Synthetic.scaled (Bmark.Synthetic.find "r1") 0.05 in
+  let tree = (Cts.synthesize dl (Bmark.Synthetic.sinks d)).Cts.tree in
+  let m = Ctree_sim.simulate tech tree in
+  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  [ "fast-library-md5 " ^ md5;
+    "skew " ^ bits m.Ctree_sim.skew;
+    "latency " ^ bits m.Ctree_sim.latency;
+    "worst-slew " ^ bits m.Ctree_sim.worst_slew ]
+  @ List.map
+      (fun (name, delay) -> Printf.sprintf "sink %s %s" name (bits delay))
+      m.Ctree_sim.sink_delays
+
+let golden_signoff_bits () =
+  let lines = golden_lines () in
+  Alcotest.(check int) "13 sinks" 13 (List.length lines - 4);
+  match Sys.getenv_opt "CTS_UPDATE_QOR_FIXTURE" with
+  | Some dir ->
+      let path = Filename.concat dir (Filename.basename golden_path) in
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+      Printf.printf "fixture regenerated: %s\n" path
+  | None ->
+      let expected =
+        In_channel.with_open_text golden_path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Alcotest.(check (list string)) "golden bits" expected lines
+
 let suite =
   [
     Alcotest.test_case "flat preorder/parents" `Quick flat_preorder_parents;
@@ -489,4 +680,12 @@ let suite =
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
     QCheck_alcotest.to_alcotest qcheck_transient_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_device_bias_matches_formula;
+    Alcotest.test_case "config rejects dt" `Quick config_rejects_dt;
+    Alcotest.test_case "config rejects t_max" `Quick config_rejects_t_max;
+    Alcotest.test_case "config rejects t_margin" `Quick config_rejects_t_margin;
+    Alcotest.test_case "config rejects newton_iters" `Quick
+      config_rejects_newton_iters;
+    Alcotest.test_case "unknown tag rejected" `Quick unknown_tag_rejected;
+    Alcotest.test_case "golden signoff bits (fast library, r1@0.05)" `Slow
+      golden_signoff_bits;
   ]

@@ -14,7 +14,10 @@ let make_rejects_bad_input () =
       ignore (W.make [| 0. |] [| 0.; 1. |]));
   Alcotest.check_raises "non-increasing"
     (Invalid_argument "Waveform.make: times not strictly increasing")
-    (fun () -> ignore (W.make [| 0.; 0. |] [| 0.; 1. |]))
+    (fun () -> ignore (W.make [| 0.; 0. |] [| 0.; 1. |]));
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Waveform.make: times not strictly increasing")
+    (fun () -> ignore (W.make [| 0.; Float.nan; 1. |] [| 0.; 1.; 1. |]))
 
 let value_interpolation () =
   let w = W.make [| 0.; 1.; 2. |] [| 0.; 1.; 0.5 |] in
@@ -98,9 +101,38 @@ let qcheck_crossing_monotone_levels =
       | Some t1, Some t2 -> t1 <= t2
       | _, _ -> false)
 
+(* The cursor against value_at's binary search, bit for bit, at
+   non-decreasing times that hit every sample time exactly (where the
+   segment choice decides the bits), repeat, and fall before the first
+   and after the last sample. *)
+let qcheck_cursor_matches_value_at =
+  QCheck.Test.make ~name:"cursor read = value_at bits" ~count:300
+    QCheck.(pair (int_range 1 12) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Util.Rng.create seed in
+      let ts = Array.make n 0. in
+      for i = 1 to n - 1 do
+        ts.(i) <- ts.(i - 1) +. Util.Rng.float_range rng 0.01 3.
+      done;
+      let w = W.make ts (Array.init n (fun _ -> Util.Rng.float_range rng (-0.2) 1.2)) in
+      let probes =
+        Array.to_list ts
+        @ List.init 40 (fun _ -> Util.Rng.float_range rng (-1.) (ts.(n - 1) +. 1.))
+      in
+      let probes = List.sort compare (probes @ probes) in
+      let c = W.cursor w and s = { W.time = 0.; value = 0. } in
+      List.for_all
+        (fun t ->
+          s.W.time <- t;
+          W.read c s;
+          Int64.equal (Int64.bits_of_float s.W.value)
+            (Int64.bits_of_float (W.value_at w t)))
+        probes)
+
 let suite =
   [
     Alcotest.test_case "make validation" `Quick make_rejects_bad_input;
+    QCheck_alcotest.to_alcotest qcheck_cursor_matches_value_at;
     Alcotest.test_case "value interpolation" `Quick value_interpolation;
     Alcotest.test_case "crossing interpolation" `Quick crossing_interpolated;
     Alcotest.test_case "first upward crossing" `Quick crossing_first_upward;
