@@ -25,7 +25,7 @@ bench-par:
 # 1-domain and 4-domain runs produced identical results (the benchmark
 # itself exits non-zero on a violation; the grep keeps the contract
 # visible even if someone relaxes that), then the hot-kernel allocation
-# gate — the span, wire, class and eval3 lookups must stay at their
+# gate — the span-table, wire, class and eval3 lookups must stay at their
 # boxed-result floor and the DP probe under its budget (the bench exits
 # 1 on a budget breach). CI uploads BENCH_parallel.json.
 bench-smoke: bench-par

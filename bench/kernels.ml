@@ -140,8 +140,8 @@ and hot_tests (env : Experiments.env) =
   let lib = env.Experiments.lib in
   let b20 = Buffer_lib.by_name lib "BUF20X" in
   let cfg = Cts_config.default dl in
-  let t_hot_span =
-    Test.make ~name:"hot-span: Run.span arena hit"
+  let t_hot_table =
+    Test.make ~name:"hot-table: Run.span table hit"
       (Staged.stage (fun () ->
            ignore (Run.span dl cfg ~drive:b20 ~load_cap:5e-15)))
   in
@@ -177,7 +177,7 @@ and hot_tests (env : Experiments.env) =
     Test.make ~name:"hot-eval3: Polyfit.eval3 (degree 3)"
       (Staged.stage (fun () -> ignore (Polyfit.eval3 s3 0.3 0.6 0.9)))
   in
-  [ t_hot_span; t_hot_wire; t_hot_class; t_hot_eval3 ]
+  [ t_hot_table; t_hot_wire; t_hot_class; t_hot_eval3 ]
 
 (* One optimal-DP run evaluation on a prepared maze side: the greedy
    incumbent replayed from the side's chain, the DP in the side's
@@ -266,7 +266,7 @@ let run env =
 
 (* CI gate behind `make bench-smoke`: measure only the gated kernels and
    fail when any allocates beyond its budget, locking in the
-   allocation-free lookups the flattened span arena and delay-library
+   allocation-free lookups the span table and the flat delay-library
    fits bought, the flat DP tables and the transient step loop. *)
 let alloc_gate env =
   print_endline "=== hot-kernel allocation gate (Bechamel) ===";

@@ -95,10 +95,6 @@ let run_obs ?(insertion = Cts_config.Greedy) ~profile () =
   let d = Bmark.Synthetic.scaled (Bmark.Synthetic.find bench_name) bench_scale in
   let sinks = Bmark.Synthetic.sinks d in
   let config = Cts_config.with_insertion (Cts_config.default dl) insertion in
-  (* The span arena is process-global: empty it so the snapshot's
-     span-cache misses measure this synthesis from cold, not whatever
-     ran earlier in the process. *)
-  Run.reset_span_cache ();
   Obs.reset ();
   Obs.set_enabled true;
   ignore

@@ -260,6 +260,7 @@ let synthesize_bisection ?config ?(blockages = Blockage.empty) ?pool
   let cfg = match config with Some c -> c | None -> Cts_config.default dl in
   let cfg = validated "Cts.synthesize_bisection" cfg in
   let pool = match pool with Some p -> p | None -> Parallel.default_pool () in
+  Run.build_span_table dl cfg;
   let st = fresh_state dl cfg blockages in
   (* Fork the recursion onto the pool near the root, where subtrees are
      big; below [par_levels] the task grain is too fine to pay off. *)
@@ -312,6 +313,9 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
   let cfg = match config with Some c -> c | None -> Cts_config.default dl in
   let cfg = validated "Cts.synthesize" cfg in
   let pool = match pool with Some p -> p | None -> Parallel.default_pool () in
+  (* Built here on the coordinator: pool tasks only read the table, and
+     each synthesis counts one build whatever ran before it. *)
+  Run.build_span_table dl cfg;
   let st = fresh_state dl cfg blockages in
   let centroid = Sinks.centroid specs in
   (* Non-empty ([Sinks.validate]); each level at least halves it. *)
@@ -331,7 +335,7 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
     in
     (* Every pair of a level is independent: fan the merge-routing out
        across the pool. Tasks read the shared state (children table,
-       delay library, span cache) but defer all writes to their logs;
+       delay library, span table) but defer all writes to their logs;
        the replay below happens in pair order, making the result — tree
        structure, netlist and counters — bit-identical to a sequential
        run.
@@ -373,9 +377,6 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
       (Obs.read Obs.Merges_routed - merges0);
     Obs.hist_add Obs.Dp_candidates_per_level ~bucket:!levels
       (Obs.read Obs.Dp_candidates - dp_cands0);
-    (* Phase-boundary sample: the final level's write is the snapshot's
-       end-of-synthesis arena occupancy. *)
-    Run.sample_span_gauges dl;
     Log.debug (fun m ->
         m "level %d: %d -> %d subtrees" !levels (Array.length items)
           (List.length !next));

@@ -92,8 +92,8 @@ val validate : t -> string list
 (** Sanity-check a configuration; each returned string names one
     problem (empty list: valid). Checks, among others, that every float
     field and every [sink_offsets] value is finite, by name (NaN and
-    infinities pass every ordering test, and a NaN slew target has no
-    row in the span memo), that [grid_bins <= max_grid_bins] — the
+    infinities pass every ordering test, and a NaN slew target matches
+    no span table), that [grid_bins <= max_grid_bins] — the
     dynamic grid refinement clamps at the cap, so a config violating
     this used to silently exceed [max_grid_bins] — that the slew target
     is positive and within the limit, and that [top_margin] is a

@@ -11,255 +11,92 @@ type eval = {
   feasible : bool;
 }
 
-(* Spans depend only on (buffer, load class, slew target); memoize.
-   The memo is an arena, not a hashed-tuple table: one arena per delay
-   library (physical identity), whose cells live in one flat array
-   indexed by (slew-target row, driver-name slot, load-class index) —
-   a span lookup is two short array scans and one array index, with no
-   tuple key allocation and no hashing.
-
-   Concurrency: each cell carries an atomic state (empty / computing /
-   ready). The ready fast path is lock-free; the miss computation runs
-   OUTSIDE the global critical section — [span_mutex] only brackets the
-   empty->computing and computing->ready transitions (and layout
-   growth), so first-time characterization of distinct keys proceeds in
-   parallel. The state machine still guarantees each key is computed
-   exactly once process-wide: racing domains used to duplicate the
-   (identical) computation, which was value-safe but made the Obs
-   delay-library evaluation counts schedule-dependent. Exactly one
-   caller takes the empty->computing transition (and counts the one
-   miss); everyone else waits on [span_cond] and counts a hit — the
-   same totals a sequential run reports. *)
-type span_cell = {
-  sc_state : int Atomic.t;  (* 0 empty, 1 computing, 2 ready *)
-  mutable sc_value : float; (* meaningful once [sc_state] = 2 *)
+(* A span is a pure function of (library, slew target, driver, load
+   class): [Delaylib.max_length_for_slew] reads the load cap only
+   through its class. One immutable table per (library by physical
+   identity, slew target) holds the span of every library buffer for
+   every load class, built in one pass and then only read, so lookups
+   from any domain need no lock. *)
+type span_table = {
+  st_dl : Delaylib.t;  (* identity key; never compared structurally *)
+  st_slew : float;
+  st_names : string array;  (* buffer-name slots, library order *)
+  st_classes : int;
+  st_spans : float array;  (* (slot * st_classes) + class *)
 }
 
-(* Layouts are immutable snapshots swapped atomically: a reader always
-   sees consistent (slews, names, cells) packing. Growth (a new slew
-   target or a foreign driver, both rare) copies the arrays but shares
-   the cell records, so values filled through any layout are visible
-   through every layout. *)
-type span_layout = {
-  sl_slews : float array;     (* slew-target rows, append-only *)
-  sl_names : string array;    (* driver-name slots, append-only *)
-  sl_cells : span_cell array; (* ((slew * names) + name) * classes + class *)
-}
+let span_tables : span_table list Atomic.t = Atomic.make []
 
-type span_arena = {
-  sa_dl : Delaylib.t;  (* identity key; never dereferenced for equality *)
-  sa_classes : int;
-  sa_layout : span_layout Atomic.t;
-}
+(* Exact equality is the key identity: epsilon-close but distinct slew
+   targets get distinct tables. *)
+let[@inline] has_key dl (slew : float) t =
+  t.st_dl == dl && (t.st_slew = slew) [@cts.float_eq_ok]
 
-let span_mutex = Mutex.create ()
-let span_cond = Condition.create ()
-let span_arenas : span_arena list Atomic.t = Atomic.make []
-
-let rec find_arena dl = function
+(* The lookup scans are top-level recursive functions, not local
+   [let rec]s: a local recursive closure capturing its arguments costs
+   ~6 minor words per call. *)
+let rec find_table dl slew = function
   | [] -> raise Not_found
-  | (a : span_arena) :: tl -> if a.sa_dl == dl then a else find_arena dl tl
+  | t :: tl -> if has_key dl slew t then t else find_table dl slew tl
 
-(* The scans are top-level recursive functions, not local [let rec]s:
-   a local recursive closure capturing the array costs ~6 minor words
-   per call, which is most of what the arena saved on the hit path. *)
 let rec scan_name names n i name =
   if i >= n then -1
   else if String.equal (Array.unsafe_get names i) name then i
   else scan_name names n (i + 1) name
 
-let idx_of_name names name = scan_name names (Array.length names) 0 name
+(* Replace any table with the same key: the one compare-and-set retries
+   only when another domain published in between. *)
+let[@cts.guarded "atomic"] rec publish t =
+  let old = Atomic.get span_tables in
+  let others = List.filter (fun u -> not (has_key t.st_dl t.st_slew u)) old in
+  if not (Atomic.compare_and_set span_tables old (t :: others)) then publish t
 
-let rec scan_slew slews n i (s : float) =
-  if i >= n then -1
-  else if (Array.unsafe_get slews i = s) [@cts.float_eq_ok] then i
-  else scan_slew slews n (i + 1) s
-
-(* Exact bit equality is the memo-key identity, as it was for the
-   hashed tuple key before: epsilon-close but distinct slew targets are
-   distinct keys. *)
-let idx_of_slew slews s = scan_slew slews (Array.length slews) 0 s
-
-let[@cts.guarded "mutex:span_mutex"] arena_for dl =
-  match find_arena dl (Atomic.get span_arenas) with
-  | a -> a
-  | exception Not_found ->
-      Mutex.lock span_mutex;
-      let a =
-        match find_arena dl (Atomic.get span_arenas) with
-        | a -> a
-        | exception Not_found ->
-            let names =
-              Array.of_list
-                (List.map
-                   (fun (b : Buffer_lib.t) -> b.Buffer_lib.name)
-                   (Delaylib.buffers dl))
-            in
-            let a =
-              {
-                sa_dl = dl;
-                sa_classes = Delaylib.n_classes dl;
-                sa_layout =
-                  Atomic.make
-                    { sl_slews = [||]; sl_names = names; sl_cells = [||] };
-              }
-            in
-            Atomic.set span_arenas (a :: Atomic.get span_arenas);
-            a
-      in
-      Mutex.unlock span_mutex;
-      a
-
-(* Called under [span_mutex]. Extends the layout so (slew, name) exists;
-   existing cells keep their (slew, name, class) coordinates because
-   both axes grow append-only. *)
-let[@cts.guarded "mutex:span_mutex"] grow_layout arena ~slew ~name =
-  let lay = Atomic.get arena.sa_layout in
-  let slews =
-    if idx_of_slew lay.sl_slews slew < 0 then
-      Array.append lay.sl_slews [| slew |]
-    else lay.sl_slews
+let build dl (cfg : Cts_config.t) =
+  let slew = cfg.slew_target in
+  let bufs = Array.of_list (Delaylib.buffers dl) in
+  let classes = Delaylib.classes dl in
+  let n = Array.length classes in
+  (* Evaluated at each class's own cap, which [class_index] maps back
+     to that class. *)
+  let spans =
+    Array.init (Array.length bufs * n) (fun k ->
+        Delaylib.max_length_for_slew dl ~drive:bufs.(k / n)
+          ~load_cap:classes.(k mod n) ~input_slew:slew ~slew_limit:slew)
   in
-  let names =
-    if idx_of_name lay.sl_names name < 0 then
-      Array.append lay.sl_names [| name |]
-    else lay.sl_names
+  Obs.incr ~n:(Array.length spans) Obs.Span_cache_misses;
+  let t =
+    {
+      st_dl = dl;
+      st_slew = slew;
+      st_names = Array.map (fun (b : Buffer_lib.t) -> b.Buffer_lib.name) bufs;
+      st_classes = n;
+      st_spans = spans;
+    }
   in
-  if slews != lay.sl_slews || names != lay.sl_names then begin
-    let nn = Array.length names in
-    let old_nn = Array.length lay.sl_names in
-    let old_ns = Array.length lay.sl_slews in
-    let cells =
-      Array.init
-        (Array.length slews * nn * arena.sa_classes)
-        (fun idx ->
-          let c = idx mod arena.sa_classes in
-          let rest = idx / arena.sa_classes in
-          let ni = rest mod nn and si = rest / nn in
-          if si < old_ns && ni < old_nn then
-            lay.sl_cells.((((si * old_nn) + ni) * arena.sa_classes) + c)
-          else { sc_state = Atomic.make 0; sc_value = 0. })
-    in
-    Atomic.set arena.sa_layout { sl_slews = slews; sl_names = names; sl_cells = cells }
-  end
+  publish t;
+  t
 
-let cell_index lay ~classes ~si ~ni ~cls =
-  (((si * Array.length lay.sl_names) + ni) * classes) + cls
-
-(* Settle one cell: wait out a concurrent computation, or claim the
-   empty->computing transition and fill the cell with the lock
-   released. *)
-let[@cts.guarded "mutex:span_mutex"] span_fill dl (cfg : Cts_config.t) ~drive
-    ~load_cap cell =
-  (* Claim or wait under the lock, compute with it released. Every
-     critical section is a [Mutex.protect] so a raise anywhere (the
-     delay model rejects infeasible coordinates) cannot leak the
-     lock. *)
-  let outcome =
-    Mutex.protect span_mutex (fun () ->
-        let rec wait () =
-          match Atomic.get cell.sc_state with
-          | 2 -> `Hit cell.sc_value
-          | 1 ->
-              Condition.wait span_cond span_mutex;
-              wait ()
-          | _ ->
-              Atomic.set cell.sc_state 1;
-              `Claimed
-        in
-        wait ())
-  in
-  match outcome with
-  | `Hit v ->
-      Obs.incr Obs.Span_cache_hits;
-      v
-  | `Claimed ->
-      Obs.incr Obs.Span_cache_misses;
-      let v =
-        try
-          Delaylib.max_length_for_slew dl ~drive ~load_cap
-            ~input_slew:cfg.slew_target ~slew_limit:cfg.slew_target
-        with e ->
-          (* Roll back so the key stays computable (and the next
-             attempt pays a fresh miss, as the old table did). *)
-          Mutex.protect span_mutex (fun () ->
-              Atomic.set cell.sc_state 0;
-              Condition.broadcast span_cond);
-          raise e
-      in
-      Mutex.protect span_mutex (fun () ->
-          cell.sc_value <- v;
-          Atomic.set cell.sc_state 2;
-          Condition.broadcast span_cond);
-      v
-
-let span_slow dl cfg ~drive ~load_cap ~cls arena =
-  (* The layout lacks this (slew, name) coordinate: grow it under the
-     lock, then settle the cell like any other. *)
-  Mutex.lock span_mutex;
-  grow_layout arena ~slew:cfg.Cts_config.slew_target
-    ~name:drive.Buffer_lib.name;
-  let lay = Atomic.get arena.sa_layout in
-  let si = idx_of_slew lay.sl_slews cfg.Cts_config.slew_target in
-  let ni = idx_of_name lay.sl_names drive.Buffer_lib.name in
-  let cell = lay.sl_cells.(cell_index lay ~classes:arena.sa_classes ~si ~ni ~cls) in
-  Mutex.unlock span_mutex;
-  span_fill dl cfg ~drive ~load_cap cell
+let build_span_table dl cfg = ignore (build dl cfg : span_table)
 
 let span dl (cfg : Cts_config.t) ~drive ~load_cap =
-  let cls = Delaylib.class_index dl load_cap in
-  let arena = arena_for dl in
-  let lay = Atomic.get arena.sa_layout in
-  let si = idx_of_slew lay.sl_slews cfg.slew_target in
-  let ni =
-    if si < 0 then -1 else idx_of_name lay.sl_names drive.Buffer_lib.name
+  let t =
+    match find_table dl cfg.slew_target (Atomic.get span_tables) with
+    | t -> t
+    | exception Not_found -> build dl cfg
   in
-  if ni >= 0 then begin
-    let cell = lay.sl_cells.(cell_index lay ~classes:arena.sa_classes ~si ~ni ~cls) in
-    if Atomic.get cell.sc_state = 2 then begin
-      Obs.incr Obs.Span_cache_hits;
-      cell.sc_value
-    end
-    else span_fill dl cfg ~drive ~load_cap cell
-  end
-  else span_slow dl cfg ~drive ~load_cap ~cls arena
+  let name = drive.Buffer_lib.name in
+  let slot = scan_name t.st_names (Array.length t.st_names) 0 name in
+  if slot < 0 then
+    invalid_arg ("Run.span: " ^ name ^ " is not a buffer of the delay library");
+  Obs.incr Obs.Span_cache_hits;
+  t.st_spans.((slot * t.st_classes) + Delaylib.class_index dl load_cap)
 
-(* The arenas are process-global and outlive one synthesis; tests that
-   compare counter snapshots across runs reset them so both runs pay
-   the same misses. *)
-let[@cts.guarded "mutex:span_mutex"] reset_span_cache () =
-  Mutex.lock span_mutex;
-  Atomic.set span_arenas [];
-  Mutex.unlock span_mutex
-
-(* Arena-occupancy gauges, sampled at phase boundaries on the
-   coordinator (Cts.synthesize level loop). Scans the cell array, so it
-   stays out of the hot path by construction; the layout read is the
-   same lock-free atomic load the hit path uses, and a cell counts as
-   filled only in the ready state — cells mid-computation are still
-   misses-in-flight. *)
-let sample_span_gauges dl =
-  if Obs.enabled () then begin
-    match find_arena dl (Atomic.get span_arenas) with
-    | exception Not_found ->
-        Obs.gauge_set Obs.Span_arena_slots 0;
-        Obs.gauge_set Obs.Span_arena_filled 0
-    | arena ->
-        let lay = Atomic.get arena.sa_layout in
-        let filled = ref 0 in
-        Array.iter
-          (fun cell -> if Atomic.get cell.sc_state = 2 then incr filled)
-          lay.sl_cells;
-        Obs.gauge_set Obs.Span_arena_slots (Array.length lay.sl_cells);
-        Obs.gauge_set Obs.Span_arena_filled !filled
-  end
+(* A synthesis builds its own table whatever is published, so only a
+   direct caller's counters see this. *)
+let reset_span_cache () = Atomic.set span_tables []
 
 let stage_delay dl (cfg : Cts_config.t) drive ~length ~load_cap =
   Delaylib.stage_delay dl ~drive ~load_cap ~input_slew:cfg.slew_target ~length
-
-let stage_step dl (cfg : Cts_config.t) drive =
-  let gate = Buffer_lib.input_cap (Delaylib.tech dl) drive in
-  span dl cfg ~drive ~load_cap:gate
 
 (* Intelligent sizing (Fig. 4.4): among all buffer types, find the one
    whose feasible span (stretching the slew closest to the target) is

@@ -48,39 +48,37 @@ val span :
   Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
   load_cap:float -> (float[@cts.unit "um"])
   [@@cts.raises "Invalid_argument"]
-(** Memoized longest wire [drive] can put in front of a load of the given
+(** The longest wire [drive] can put in front of a load of the given
     class while meeting the slew target under the target input-slew
-    assumption.
+    assumption: {!Delaylib.max_length_for_slew} bit for bit.
 
-    The memo is a per-library arena of state-machine cells in one flat
-    array indexed (slew target, driver name, load class) — a hit is a
-    lock-free atomic read with no key allocation or hashing.
+    Reads the span table of ([dl], [cfg.slew_target]): every library
+    buffer's span for every load class, built in one pass by
+    {!build_span_table} or, when none is published yet, by this first
+    lookup. A lookup scans the buffer names, computes the load class and
+    reads one array cell; it counts one [Obs.Span_cache_hits], and a
+    build counts one [Obs.Span_cache_misses] per cell.
 
-    Domain-safety: the arena may be hit from every domain of the
-    synthesis pool concurrently. Misses are computed {e outside} the
-    global critical section; the per-cell empty/computing/ready state
-    machine (transitions under the mutex, waiters on a condition
-    variable) still guarantees each key is evaluated exactly once
-    process-wide. Cached values are a pure function of the key, so which
-    domain fills an entry never changes any result — the parallel flow
-    stays bit-identical to the sequential one, and even the [Obs]
-    delay-library evaluation counts are schedule-independent (the one
-    computing caller counts the miss; waiters count hits). *)
+    Raises [Invalid_argument] naming [drive] when it is not a buffer of
+    [dl].
+
+    Domain-safety: a table is immutable once published, so lookups from
+    any domain only read it. Two domains that build the same table at
+    once compute the same values; the later publish replaces the
+    earlier. *)
+
+val build_span_table : Delaylib.t -> Cts_config.t -> unit
+  [@@cts.raises "Invalid_argument"]
+(** Build the span table of ([dl], [cfg.slew_target]) and publish it in
+    place of any table with the same key. {!Cts.synthesize} and
+    {!Cts.synthesize_bisection} call it on the coordinator before their
+    first pool task, so every synthesis counts exactly one build and its
+    tasks only read. *)
 
 val reset_span_cache : unit -> unit
-(** Empty the (process-global) span memo. For tests that compare [Obs]
-    counter snapshots across runs: both runs then pay the same cache
-    misses. Never needed for correctness — cached values are a pure
-    function of the key. *)
-
-val sample_span_gauges : Delaylib.t -> unit
-(** Write the {!Obs.Span_arena_slots} / {!Obs.Span_arena_filled} gauges
-    from [dl]'s span-arena occupancy (0/0 when no arena exists yet).
-    Sampled, so call it at phase boundaries on the coordinator — the
-    synthesis level loop does. No-op when observability is disabled.
-
-    Domain-safety: reads the arena through the same lock-free atomic
-    loads as the hit path; never blocks pool workers. *)
+(** Drop every published span table; the next {!span} on a key builds
+    it again. A synthesis builds its own table anyway, so this only
+    changes the counters of direct callers. *)
 
 val eval :
   ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
@@ -187,8 +185,8 @@ val side :
 (** [side dl cfg port ~max_d] — the side of [port] for lengths up to
     [max_d] (only the chain's extent depends on it; {!eval_side} is
     exact at any length). Counts the chain's buffers in
-    [Obs.Run_buffers_placed] and its spans in the span-cache counters;
-    no [Obs.Run_evals]. *)
+    [Obs.Run_buffers_placed] and its span lookups in
+    [Obs.Span_cache_hits]; no [Obs.Run_evals]. *)
 
 val eval_side : side -> (float[@cts.unit "um"]) -> eval
   [@@cts.raises "Invalid_argument"]
@@ -218,11 +216,6 @@ val choose_buffer :
     The smallest type within [prefer_small_within] of the longest span
     wins, the first on a tie. The pick is a fold seeded with the
     library's first buffer, so it is total. *)
-
-val stage_step :
-  Delaylib.t -> Cts_config.t -> Circuit.Buffer_lib.t -> (float[@cts.unit "um"])
-(** Stage pitch estimate: the span of a buffer driving a gate-class load,
-    used by the balance stage to bound what routing can absorb. *)
 
 val stage_delay :
   Delaylib.t -> Cts_config.t -> Circuit.Buffer_lib.t -> length:float ->

@@ -145,7 +145,7 @@ val class_index : t -> (float[@cts.unit "ff"]) -> int
 (** Index of that load class: [0 .. n_classes - 1]. Same equivalence
     classes as {!load_class_cap} ([load_class_cap t c] is the
     capacitance of class [class_index t c]); the integer form is the
-    key the arena memo tables index flat arrays with.
+    key the span table and the DP memos index flat arrays with.
 
     The rule is the nearest class in log space, the first on a tie. It
     is computed without [log] by comparing the cap with the precomputed

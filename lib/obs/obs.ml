@@ -119,40 +119,18 @@ let histogram_name = function
 (* ------------------------------------------------------------------ *)
 (* Gauges                                                              *)
 
-(* Cache-effectiveness gauges. Two recording disciplines share the
-   type: [`Sampled] gauges are point-in-time sizes written by
-   [gauge_set] at phase boundaries on the coordinator; [`Additive]
-   gauges accumulate like counters through [gauge_add] and are absorbed
-   from task deltas in task-index order, so their totals are as
-   schedule-independent as the counters'. *)
-type gauge =
-  | Span_arena_slots
-  | Span_arena_filled
-  | Dp_memo_slots
-  | Dp_memo_filled
+(* Cache-effectiveness gauges. They accumulate like counters through
+   [gauge_add] and are absorbed from task deltas in task-index order,
+   so their totals are as schedule-independent as the counters'. *)
+type gauge = Dp_memo_slots | Dp_memo_filled
 
-let gauge_index = function
-  | Span_arena_slots -> 0
-  | Span_arena_filled -> 1
-  | Dp_memo_slots -> 2
-  | Dp_memo_filled -> 3
-
-let n_gauges = 4
-
-let all_gauges =
-  [
-    Span_arena_slots; Span_arena_filled; Dp_memo_slots; Dp_memo_filled;
-  ]
+let gauge_index = function Dp_memo_slots -> 0 | Dp_memo_filled -> 1
+let n_gauges = 2
+let all_gauges = [ Dp_memo_slots; Dp_memo_filled ]
 
 let gauge_name = function
-  | Span_arena_slots -> "run.span_arena.slots"
-  | Span_arena_filled -> "run.span_arena.filled"
   | Dp_memo_slots -> "dp.memo_slots"
   | Dp_memo_filled -> "dp.memo_filled"
-
-let gauge_kind = function
-  | Span_arena_slots | Span_arena_filled -> `Sampled
-  | Dp_memo_slots | Dp_memo_filled -> `Additive
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)
@@ -171,11 +149,15 @@ let make_acc () =
     hists = Hashtbl.create 16;
   }
 
-let stack : acc list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [ make_acc () ])
+(* A domain's accumulators: the active one on top of those it will be
+   absorbed into. The base accumulator is the last of [below] (or [top]
+   itself), so the stack is never empty. *)
+type stack = { top : acc; below : acc list }
 
-let current () =
-  match !(Domain.DLS.get stack) with a :: _ -> a | [] -> assert false
+let stack : stack ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref { top = make_acc (); below = [] })
+
+let current () = !(Domain.DLS.get stack).top
 
 (* Read without synchronization on the hot path: the flag only changes
    on the main domain while no pool job is in flight, and a momentarily
@@ -207,9 +189,6 @@ let[@cts.guarded "domain-local"] hist_add h ~bucket n =
   end
 
 let read c = if !enabled_flag then (current ()).counts.(counter_index c) else 0
-
-let[@cts.guarded "domain-local"] gauge_set g v =
-  if !enabled_flag then (current ()).gauges.(gauge_index g) <- v
 
 let[@cts.guarded "domain-local"] gauge_add g n =
   if !enabled_flag && n <> 0 then begin
@@ -371,7 +350,7 @@ let[@cts.guarded "domain-local"] task_enter ?(ctx = no_task_ctx) () =
   if not !enabled_flag then not_entered
   else begin
     let s = Domain.DLS.get stack in
-    s := make_acc () :: !s;
+    s := { top = make_acc (); below = !s.top :: !s.below };
     let tt_span =
       match ctx with
       | None -> None
@@ -404,10 +383,11 @@ let[@cts.guarded "domain-local"] task_leave tok =
           });
     let s = Domain.DLS.get stack in
     match !s with
-    | top :: (_ :: _ as rest) ->
-        s := rest;
+    | { top; below = next :: below } ->
+        s := { top = next; below };
         Some top
-    | _ -> no_delta (* unbalanced: never pop a domain's base accumulator *)
+    | { below = []; _ } ->
+        no_delta (* unbalanced: never pop a domain's base accumulator *)
   end
 
 let[@cts.guarded "domain-local"] task_absorb = function
@@ -417,17 +397,9 @@ let[@cts.guarded "domain-local"] task_absorb = function
       for i = 0 to n_counters - 1 do
         a.counts.(i) <- a.counts.(i) + d.counts.(i)
       done;
-      List.iter
-        (fun g ->
-          let i = gauge_index g in
-          match gauge_kind g with
-          | `Additive -> a.gauges.(i) <- a.gauges.(i) + d.gauges.(i)
-          | `Sampled ->
-              (* Sampled gauges are coordinator-only by contract; a task
-                 delta carries them only if a task broke that contract,
-                 in which case last-write-wins is as good as anything. *)
-              if d.gauges.(i) <> 0 then a.gauges.(i) <- d.gauges.(i))
-        all_gauges;
+      for i = 0 to n_gauges - 1 do
+        a.gauges.(i) <- a.gauges.(i) + d.gauges.(i)
+      done;
       Hashtbl.iter
         (fun key v ->
           let prev =
@@ -498,9 +470,6 @@ let derived_rates snap =
         c "run.span_cache_hits",
         c "run.span_cache_hits" + c "run.span_cache_misses" );
       ("dp.memo.fill_pct", g "dp.memo_filled", g "dp.memo_slots");
-      ( "run.span_arena.occupancy_pct",
-        g "run.span_arena.filled",
-        g "run.span_arena.slots" );
     ]
 
 let summary snap =

@@ -72,10 +72,13 @@ type counter =
       (** DP evals where the greedy incumbent won (or the DP had no
           feasible complete solution). *)
   | Span_cache_hits
-      (** {!Run.span} memo hits. The DP reads its b{^2} + 2b + 1 spans
+      (** {!Run.span} lookups. The DP reads its b{^2} + 2b + 1 spans
           once per context — per maze side, or per {!Run.eval_dp} /
           {!Run.eval} call — not once per evaluation. *)
-  | Span_cache_misses  (** {!Run.span} memo misses (one per distinct key). *)
+  | Span_cache_misses
+      (** Span-table cells computed: buffers × load classes per table
+          build — once per synthesis ({!Run.build_span_table}), or at
+          a direct caller's first {!Run.span} on a key. *)
   | Delay_evals_single
       (** Single-wire delay-library lookups: one per
           {!Delaylib.eval_single}, {!Delaylib.wire_delay} or
@@ -112,37 +115,21 @@ val all_histograms : histogram list
 (** {1 Gauges}
 
     Cache-effectiveness gauges answer the question hit/miss counters
-    cannot: was a cache cold, right-sized, or thrashing? Two recording
-    disciplines share the type. {e Sampled} gauges
-    ({!Span_arena_slots}, {!Span_arena_filled}) are point-in-time sizes
-    written with {!gauge_set} at phase boundaries on the coordinator.
-    {e Additive} gauges ({!Dp_memo_slots}, {!Dp_memo_filled})
-    accumulate with {!gauge_add} exactly like
-    counters and are absorbed from task deltas in task-index order, so
-    both kinds end up schedule-independent. *)
+    cannot: was a cache cold, right-sized, or thrashing? They accumulate
+    with {!gauge_add} exactly like counters and are absorbed from task
+    deltas in task-index order, so they are as schedule-independent as
+    the counters. *)
 
 type gauge =
-  | Span_arena_slots
-      (** Total cells across all {!Run.span} arena layouts (sampled). *)
-  | Span_arena_filled
-      (** Arena cells holding a computed span result (sampled). *)
-  | Dp_memo_slots
-      (** Slots allocated across DP memo tables (additive). *)
-  | Dp_memo_filled
-      (** DP memo slots actually written (additive). *)
+  | Dp_memo_slots  (** Slots allocated across DP memo tables. *)
+  | Dp_memo_filled  (** DP memo slots actually written. *)
 
 val gauge_name : gauge -> string
 val all_gauges : gauge list
 
-val gauge_set : gauge -> int -> unit
-(** Overwrite a sampled gauge in the calling domain's active
-    accumulator. Coordinator-only by convention: call it outside pool
-    tasks so the value lands in the process totals. No-op when
-    disabled. *)
-
 val gauge_add : gauge -> int -> unit
-(** Add to an additive gauge (task-safe; absorbed like a counter).
-    No-op when disabled or the amount is zero. *)
+(** Add to a gauge (task-safe; absorbed like a counter). No-op when
+    disabled or the amount is zero. *)
 
 val gauge_read : gauge -> int
 (** Current value in the calling domain's active accumulator; 0 when
@@ -262,9 +249,8 @@ val snapshot : unit -> snapshot
 
 val derived_rates : snapshot -> (string * float) list
 (** Cache-effectiveness percentages computed from the deterministic
-    sections (span cache hit rate, DP memo fill rate, arena
-    occupancy), rounded to 0.01%. Rates whose denominator is zero are
-    omitted. *)
+    sections (span cache hit rate, DP memo fill rate), rounded to
+    0.01%. Rates whose denominator is zero are omitted. *)
 
 val summary : snapshot -> string
 (** Human-readable table: counters, gauges, derived hit/fill rates,

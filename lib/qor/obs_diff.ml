@@ -16,9 +16,8 @@ let default_threshold name =
   (* Any shortfall at all means the pool degraded: gate at zero slack. *)
   | "parallel.spawn_shortfall" ->
       { abs_tol = 0.; rel_tol = 0.; direction = Lower_better }
-  (* Cache misses are the cost the caches exist to avoid; a handful of
-     extra distinct keys is legitimate drift (a new slew target, one
-     more probe ring), a relative jump is thrashing. *)
+  (* Span-table cells computed: buffers x load classes, one table per
+     synthesis. A rise means more tables or a bigger library. *)
   | "run.span_cache_misses" ->
       { abs_tol = 8.; rel_tol = 0.05; direction = Lower_better }
   (* Hit counters move whenever work moves; gating them would double-

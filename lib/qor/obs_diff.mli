@@ -13,9 +13,10 @@
     evals, DP transitions...) gate Lower-better with a small absolute
     floor plus 5% relative slack — honest drift from an intentional
     algorithm change should move the baseline, not widen the budget.
-    Cache misses gate tighter absolutely (8) because each one is a
-    recomputation the cache exists to avoid; the corresponding hit
-    counters are informational so moved work is not double-counted.
+    Span-cache misses (span-table cells computed) gate tighter
+    absolutely (8) because the count is fixed by the library and one
+    table per synthesis; the hit counter, one per lookup, is
+    informational so moved work is not double-counted.
     Derived [rate.*] percentages gate Higher-better with 2 percentage
     points of absolute slack. Gauges and histogram totals are
     informational. [parallel.spawn_shortfall]

@@ -43,25 +43,22 @@ type report = {
   warnings : string list;
 }
 
+(* [adverse] is the change in the metric's bad direction. *)
+let graded th base adverse =
+  let tau = Float.max th.abs_tol (th.rel_tol *. Float.abs base) in
+  (* Strictly beyond the threshold, robust to rounding noise: a delta
+     exactly at tau is not a regression. *)
+  if F.definitely_lt tau adverse then Regressed
+  else if F.definitely_lt tau (-.adverse) then Improved
+  else Unchanged
+
 let classify th base cand =
   if F.approx_eq base cand then Unchanged
   else
     match th.direction with
     | Informational -> Changed
-    | Lower_better | Higher_better ->
-        let delta = cand -. base in
-        let adverse =
-          match th.direction with
-          | Lower_better -> delta
-          | Higher_better -> -.delta
-          | Informational -> assert false
-        in
-        let tau = Float.max th.abs_tol (th.rel_tol *. Float.abs base) in
-        (* Strictly beyond the threshold, robust to rounding noise: a
-           delta exactly at tau is not a regression. *)
-        if F.definitely_lt tau adverse then Regressed
-        else if F.definitely_lt tau (-.adverse) then Improved
-        else Unchanged
+    | Lower_better -> graded th base (cand -. base)
+    | Higher_better -> graded th base (base -. cand)
 
 let of_metrics ?(threshold = default_threshold) ~baseline candidate =
   let rows_base =

@@ -2,7 +2,9 @@
    instruments: the grid-bin cap clamp order and the placer's
    no-legal-position fallback. Plus the
    determinism contract: counter snapshots are identical at any pool
-   size, and an enabled layer never perturbs the synthesized tree. *)
+   size and after any earlier synthesis in the process, and an enabled
+   layer never perturbs the synthesized tree. And the span table that
+   the span counters count: it agrees with the direct computation. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -161,9 +163,7 @@ let test_enabled_run_identical_and_counted () =
   let dl = T_env.get_dl () in
   let specs = T_env.random_sinks ~seed:42 ~n:12 ~die:3000. () in
   Obs.set_enabled false;
-  Run.reset_span_cache ();
   let plain = Cts.synthesize dl specs in
-  Run.reset_span_cache ();
   let observed, snap =
     with_obs (fun () ->
         let r = Cts.synthesize dl specs in
@@ -227,7 +227,6 @@ let qcheck_counters_schedule_independent =
       in
       let snap_at size =
         Parallel.with_pool ~size (fun p ->
-            Run.reset_span_cache ();
             with_obs (fun () ->
                 ignore (Cts.synthesize ~config:cfg ~pool:p dl specs);
                 Obs.snapshot ()))
@@ -237,39 +236,116 @@ let qcheck_counters_schedule_independent =
       s1.Obs.counters = s4.Obs.counters
       && s1.Obs.histograms = s4.Obs.histograms)
 
-(* ------------------ memo tables vs direct compute ------------------ *)
+(* ----------------- counters independent of history ----------------- *)
 
-(* The arena/flat-table rewrites of the hot-path memos must be
-   invisible: a memoized lookup returns the exact value the direct
-   computation yields, on the miss path and on the hit path alike. *)
+(* Each synthesis builds its own span table, so what ran earlier in the
+   process cannot change its counters. The slew target is one no other
+   test uses: at the first run no table for it exists in any test
+   order, at the second the first run's does. *)
+let test_back_to_back_counters_equal () =
+  let dl = T_env.get_dl () in
+  let specs = T_env.random_sinks ~seed:42 ~n:12 ~die:3000. () in
+  let cfg = Cts_config.default dl in
+  let cfg =
+    { cfg with Cts_config.slew_target = 0.97 *. cfg.Cts_config.slew_target }
+  in
+  let observe () =
+    with_obs (fun () ->
+        ignore (Cts.synthesize ~config:cfg dl specs : Cts.result);
+        Obs.snapshot ())
+  in
+  let first = observe () in
+  let second = observe () in
+  Alcotest.(check (list (pair string int)))
+    "counters equal" first.Obs.counters second.Obs.counters;
+  Alcotest.(check (list (pair string int)))
+    "gauges equal" first.Obs.gauges second.Obs.gauges;
+  checkb "histograms equal" true (first.Obs.histograms = second.Obs.histograms);
+  checki "one table build per synthesis"
+    (List.length (Delaylib.buffers dl) * Delaylib.n_classes dl)
+    (List.assoc "run.span_cache_misses" second.Obs.counters)
 
-let qcheck_span_arena_matches_direct =
-  QCheck.Test.make ~name:"obs: Run.span arena = direct max_length_for_slew"
+(* ------------------- span table vs direct compute ------------------- *)
+
+let bits = Int64.bits_of_float
+
+(* At several slew targets and at a random cap inside every load class,
+   for every library buffer, a table lookup returns the exact value the
+   direct computation yields. *)
+let qcheck_span_table_matches_direct =
+  QCheck.Test.make ~name:"obs: Run.span table = direct max_length_for_slew"
     ~count:40
-    QCheck.(pair (int_range 0 1000) (float_range 1e-15 60e-15))
-    (fun (salt, load_cap) ->
+    QCheck.(triple (int_range 0 4) (float_range 0. 0.49) bool)
+    (fun (k, t, upward) ->
       let dl = T_env.get_dl () in
       let cfg = Cts_config.default dl in
-      let bufs = Array.of_list (Delaylib.buffers dl) in
-      let drive = bufs.(salt mod Array.length bufs) in
-      (* Exercise the layout-growth path too: every distinct slew
-         target appends a slew row to the arena. *)
       let cfg =
         {
           cfg with
           Cts_config.slew_target =
-            cfg.Cts_config.slew_target
-            *. (1. +. (float_of_int (salt mod 5) /. 100.));
+            cfg.Cts_config.slew_target *. (0.9 +. (0.05 *. float_of_int k));
         }
       in
-      let direct =
-        Delaylib.max_length_for_slew dl ~drive ~load_cap
-          ~input_slew:cfg.Cts_config.slew_target
-          ~slew_limit:cfg.Cts_config.slew_target
+      let slew = cfg.Cts_config.slew_target in
+      let classes = Delaylib.classes dl in
+      let n = Array.length classes in
+      (* A cap [t] of the way (in log space) from class [c] towards a
+         neighbour, or towards a factor of 2 beyond the end classes:
+         still nearest to [c], so [class_index] returns [c]. *)
+      let cap c =
+        let toward =
+          if upward then if c + 1 < n then classes.(c + 1) else 2. *. classes.(c)
+          else if c > 0 then classes.(c - 1)
+          else 0.5 *. classes.(c)
+        in
+        exp (((1. -. t) *. log classes.(c)) +. (t *. log toward))
       in
-      let first = Run.span dl cfg ~drive ~load_cap in
-      let second = Run.span dl cfg ~drive ~load_cap in
-      Float.equal first direct && Float.equal second direct)
+      List.for_all
+        (fun drive ->
+          List.for_all
+            (fun c ->
+              let load_cap = cap c in
+              let direct =
+                Delaylib.max_length_for_slew dl ~drive ~load_cap
+                  ~input_slew:slew ~slew_limit:slew
+              in
+              Delaylib.class_index dl load_cap = c
+              && Int64.equal (bits (Run.span dl cfg ~drive ~load_cap))
+                   (bits direct))
+            (List.init n Fun.id))
+        (Delaylib.buffers dl))
+
+(* A driver outside the library has no span: the lookup names it, after
+   building the table for its key (a slew target no other test uses, so
+   no table exists yet), and the table still serves valid lookups. *)
+let test_span_foreign_driver () =
+  let dl = T_env.get_dl () in
+  let cfg = Cts_config.default dl in
+  let cfg =
+    { cfg with Cts_config.slew_target = 0.93 *. cfg.Cts_config.slew_target }
+  in
+  let foreign = Circuit.Buffer_lib.make ~name:"BUF99X" ~size:99. in
+  with_obs (fun () ->
+      (match Run.span dl cfg ~drive:foreign ~load_cap:5e-15 with
+      | _ -> Alcotest.fail "a driver outside the library got a span"
+      | exception Invalid_argument msg ->
+          checkb ("the error names the driver: " ^ msg) true
+            (contains msg "BUF99X"));
+      let built = Obs.read Obs.Span_cache_misses in
+      checki "the failed lookup built the table"
+        (List.length (Delaylib.buffers dl) * Delaylib.n_classes dl)
+        built;
+      let drive = Delaylib.first_buffer dl in
+      let slew = cfg.Cts_config.slew_target in
+      let direct =
+        Delaylib.max_length_for_slew dl ~drive ~load_cap:5e-15
+          ~input_slew:slew ~slew_limit:slew
+      in
+      checkb "a later valid lookup returns the direct span" true
+        (Int64.equal (bits (Run.span dl cfg ~drive ~load_cap:5e-15))
+           (bits direct));
+      checki "and reads the published table" built
+        (Obs.read Obs.Span_cache_misses))
 
 let suite =
   [
@@ -286,5 +362,9 @@ let suite =
     Alcotest.test_case "observing perturbs nothing and counts" `Slow
       test_enabled_run_identical_and_counted;
     QCheck_alcotest.to_alcotest qcheck_counters_schedule_independent;
-    QCheck_alcotest.to_alcotest qcheck_span_arena_matches_direct;
+    Alcotest.test_case "back-to-back syntheses count the same" `Slow
+      test_back_to_back_counters_equal;
+    QCheck_alcotest.to_alcotest qcheck_span_table_matches_direct;
+    Alcotest.test_case "span of a driver outside the library" `Quick
+      test_span_foreign_driver;
   ]

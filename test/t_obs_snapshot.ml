@@ -12,14 +12,12 @@ let contains_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* One observed synthesis; the span cache is reset so arena-occupancy
-   gauges measure this run alone, not residue from earlier suites. *)
+(* One observed synthesis. *)
 let synth_obs ?(pool_size = 1) ?(runtime = false) () =
   let dl = T_env.get_dl () in
   let sinks = T_env.random_sinks ~seed:19 ~n:24 ~die:2000. () in
   let config = Cts_config.default dl in
   let pool = Parallel.create ~size:pool_size () in
-  Run.reset_span_cache ();
   Obs.reset ();
   Obs.set_enabled true;
   ignore (Cts.synthesize ~config ~pool dl sinks);

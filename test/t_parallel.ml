@@ -202,7 +202,6 @@ let test_r4_pool_identity () =
   checkb "full-scale r4" true (List.length specs = 1903);
   let run size =
     Parallel.with_pool ~size (fun p ->
-        Run.reset_span_cache ();
         Obs.reset ();
         Obs.set_enabled true;
         Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
