@@ -92,55 +92,35 @@ obs-baseline:
 	cp BENCH_obs.json bench/baselines/BENCH_obs_fast.json
 	@echo "baseline refreshed: bench/baselines/BENCH_obs_fast.json"
 
-# All four lint passes: determinism / domain-safety rules (L1-L5),
-# the physical-units checker (U1-U4), the concurrency-effect race
-# analyzer (C1-C5) and the exception-flow / resource-safety analyzer
-# (E1-E5); see DESIGN.md sections 5e/5f/5h/5k. This one target is the
-# local pre-commit story.
+# One lint run over lib/ and bin/: determinism / domain-safety rules
+# (L1-L5), the physical-units checker (U1-U4), the concurrency-effect
+# race analyzer (C1-C5) and the exception-flow / resource-safety
+# analyzer (E1-E5), over one parse of the sources (DESIGN.md 5r). It
+# writes the machine-readable report CI uploads as an artifact. This
+# one target is the local pre-commit story.
 lint:
-	dune build @lint
-
-# Units checker alone (U1-U4), with the machine-readable report CI
-# uploads as an artifact.
-lint-units:
 	dune build bin/cts_lint.exe
-	dune exec --no-build bin/cts_lint.exe -- --only-units \
-	  --json lint_report.json lib bin
-
-# Race analyzer alone (C1-C5): verifies every [@cts.guarded] claim
-# instead of trusting it. CI uploads the JSON report as an artifact.
-lint-race:
-	dune build bin/cts_lint.exe
-	dune exec --no-build bin/cts_lint.exe -- --only-race \
-	  --json race_report.json lib bin
-
-# Exception-flow analyzer alone (E1-E5): verifies every [@cts.raises]
-# contract instead of trusting it, and checks task closures, resource
-# brackets and catch-alls. CI uploads the JSON report as an artifact.
-lint-exc:
-	dune build bin/cts_lint.exe
-	dune exec --no-build bin/cts_lint.exe -- --only-exc \
-	  --json exc_report.json lib bin
+	dune exec --no-build bin/cts_lint.exe -- --json lint_report.json lib bin
 
 # Smoke-check the seeded lint fixtures: each must still trigger its
 # rule, or the fixture (and the test pinned to it) has rotted.
 lint-fixtures:
 	dune build bin/cts_lint.exe
-	@if dune exec --no-build bin/cts_lint.exe -- --only-units \
+	@if dune exec --no-build bin/cts_lint.exe -- \
 	  --json lint_fixtures.json test/fixtures/lint > /dev/null; then \
 	  echo "lint-fixtures: expected diagnostics, got none"; exit 1; fi
 	@for r in U1 U2 U3 U4; do \
 	  grep -q "\"rule\": \"$$r\"" lint_fixtures.json \
 	    || { echo "lint-fixtures: rule $$r did not fire"; exit 1; }; \
 	done
-	@if dune exec --no-build bin/cts_lint.exe -- --only-race \
+	@if dune exec --no-build bin/cts_lint.exe -- \
 	  --json race_fixtures.json test/fixtures/lint/race > /dev/null; then \
 	  echo "lint-fixtures: expected race diagnostics, got none"; exit 1; fi
 	@for r in C1 C2 C3 C4 C5; do \
 	  grep -q "\"rule\": \"$$r\"" race_fixtures.json \
 	    || { echo "lint-fixtures: rule $$r did not fire"; exit 1; }; \
 	done
-	@if dune exec --no-build bin/cts_lint.exe -- --only-exc \
+	@if dune exec --no-build bin/cts_lint.exe -- \
 	  --json exc_fixtures.json test/fixtures/lint/exc > /dev/null; then \
 	  echo "lint-fixtures: expected exc diagnostics, got none"; exit 1; fi
 	@for r in E1 E2 E3 E4 E5; do \
@@ -166,11 +146,12 @@ examples:
 	         delay_model_tour tree_gallery; do \
 	  echo "== $$e =="; dune exec examples/$$e.exe; done
 
-# Generated root scratch: lint/race reports, bench outputs, fixture
-# smoke reports, the cached characterization text and the smoke trace.
+# Generated files at the repository root: the lint report, bench
+# outputs, fixture smoke reports, the cached characterization text and
+# the smoke trace.
 # Committed baselines under bench/baselines/ are untouched.
 clean-artifacts:
-	rm -f lint_report.json race_report.json exc_report.json \
+	rm -f lint_report.json \
 	  lint_fixtures.json race_fixtures.json exc_fixtures.json \
 	  BENCH_*.json test_delaylib_fast.txt trace_smoke.json
 
@@ -179,6 +160,5 @@ clean: clean-artifacts
 
 .PHONY: all test test-par bench bench-full bench-par bench-smoke ladder-smoke \
         qor-gate qor-baseline qor-gate-dp qor-baseline-dp \
-        obs-gate obs-baseline lint lint-units \
-        lint-race lint-exc lint-fixtures trace-smoke examples \
+        obs-gate obs-baseline lint lint-fixtures trace-smoke examples \
         clean clean-artifacts

@@ -1,75 +1,41 @@
-(* Determinism / domain-safety / units / race / exception lint driver.
+(* The lint executable: determinism / domain-safety (L1-L5), physical units
+   (U1-U4), concurrency effects (C1-C5) and exception flow (E1-E5), all
+   four families in one run over one parse of the sources.
 
-   Usage: cts_lint [--units] [--only-units] [--race] [--only-race]
-                   [--exc] [--only-exc] [--raises-table] [--json FILE]
-                   [DIR-OR-FILE ...]
+   Usage: cts_lint [--json FILE] [--raises-table] [DIR-OR-FILE ...]
    (default paths: lib bin)
 
-   --units        run the physical-units checker (U1-U4) in addition to
-                  the determinism rules (L1-L5)
-   --only-units   run only the units checker
-   --race         run the concurrency-effect race analyzer (C1-C5) in
-                  addition to the determinism rules
-   --only-race    run only the race analyzer
-   --exc          run the exception-flow analyzer (E1-E5) in addition
-                  to the determinism rules
-   --only-exc     run only the exception-flow analyzer
-   --raises-table print the inferred may-raise effect table
-                  ("Module.name: Exn1,Exn2" per line) and exit 0 —
-                  the source of truth for [@cts.raises] contracts
    --json FILE    additionally write the diagnostics as canonical JSON
                   (Obs_json writer, stable (file,line,col,rule) order);
                   FILE may be "-" for stdout; the human-readable report
                   still goes to stdout
-
-   Whenever the race analyzer runs, the exception analyzer's inferred
-   effect table is computed and shared with it, so C4 can flag
-   lock-holding calls to may-raise callees — the two passes use one
-   blocking/raising effect table instead of re-walking.
+   --raises-table print the inferred may-raise effect table
+                  ("Module.name: Exn1,Exn2" per line) and exit 0 —
+                  the source of truth for [@cts.raises] contracts
 
    Exits 1 if any diagnostic is reported, 0 otherwise, 2 on usage
-   errors, an unwritable --json path, or nothing to lint. Run from the
-   repository root so that rule scoping by relative path (lib/cts_core,
-   lib/report, ...) applies; paths are normalized (see
-   Lint.normalize_path), so ./-prefixed and absolute spellings of
-   repository files scope identically. *)
+   errors, a path that does not exist or cannot be read, an unwritable
+   --json path, or nothing to lint. Run from the repository root so
+   that rule scoping by relative path (lib/cts_core, lib/report, ...)
+   applies; paths are normalized (see Front.normalize_path), so
+   ./-prefixed and absolute spellings of repository files scope
+   identically. *)
 
 let usage () =
   prerr_endline
-    "usage: cts_lint [--units] [--only-units] [--race] [--only-race] [--exc] \
-     [--only-exc] [--raises-table] [--json FILE] [DIR-OR-FILE ...]";
+    "usage: cts_lint [--json FILE] [--raises-table] [DIR-OR-FILE ...]";
+  exit 2
+
+let fail msg =
+  Printf.eprintf "cts_lint: %s\n" msg;
   exit 2
 
 let () =
-  let units = ref false in
-  let only_units = ref false in
-  let race = ref false in
-  let only_race = ref false in
-  let exc = ref false in
-  let only_exc = ref false in
   let raises_table = ref false in
   let json_out = ref None in
   let paths = ref [] in
   let rec parse_args = function
     | [] -> ()
-    | "--units" :: rest ->
-        units := true;
-        parse_args rest
-    | "--only-units" :: rest ->
-        only_units := true;
-        parse_args rest
-    | "--race" :: rest ->
-        race := true;
-        parse_args rest
-    | "--only-race" :: rest ->
-        only_race := true;
-        parse_args rest
-    | "--exc" :: rest ->
-        exc := true;
-        parse_args rest
-    | "--only-exc" :: rest ->
-        only_exc := true;
-        parse_args rest
     | "--raises-table" :: rest ->
         raises_table := true;
         parse_args rest
@@ -89,52 +55,26 @@ let () =
   let args =
     match List.rev !paths with [] -> [ "lib"; "bin" ] | ps -> ps
   in
-  let files = Lint.scan (List.filter Sys.file_exists args) in
-  if files = [] then begin
-    Printf.eprintf "cts_lint: nothing to lint under: %s\n"
-      (String.concat " " args);
-    exit 2
-  end;
-  let ml_count =
-    List.length (List.filter (fun f -> Filename.check_suffix f ".ml") files)
+  let files =
+    match Front.scan args with Ok files -> files | Error msg -> fail msg
   in
-  let base = not (!only_units || !only_race || !only_exc) in
-  let want_race = !race || !only_race in
-  let want_exc = !exc || !only_exc in
-  (* One analysis feeds both the E-rules and the race analyzer's
-     raise-aware C4. *)
-  let exc_result =
-    if want_race || want_exc || !raises_table then
-      Some (Exc.analyze_paths files)
-    else None
+  if files = [] then
+    fail ("nothing to lint under: " ^ String.concat " " args);
+  let result =
+    match Lint.run_paths files with
+    | r -> r
+    | exception Sys_error msg -> fail msg
   in
   if !raises_table then begin
-    (match exc_result with
-    | Some r ->
-        List.iter
-          (fun ((m, n), exns) ->
-            Printf.printf "%s.%s: %s\n" m n (String.concat "," exns))
-          r.Exc.raises
-    | None -> ());
+    List.iter
+      (fun ((m, n), exns) ->
+        Printf.printf "%s.%s: %s\n" m n (String.concat "," exns))
+      result.raises;
     exit 0
   end;
-  let diags =
-    let l = if base then Lint.lint_paths files else [] in
-    let u = if !units || !only_units then Units.check_paths files else [] in
-    let c =
-      if want_race then
-        let raises =
-          match exc_result with Some r -> r.Exc.raises | None -> []
-        in
-        Race.check_paths ~raises files
-      else []
-    in
-    let e =
-      if want_exc then
-        match exc_result with Some r -> r.Exc.diagnostics | None -> []
-      else []
-    in
-    Lint.sort_diagnostics (l @ u @ c @ e)
+  let diags = result.diagnostics in
+  let ml_count =
+    List.length (List.filter (fun f -> Filename.check_suffix f ".ml") files)
   in
   (match !json_out with
   | None -> ()
@@ -142,10 +82,8 @@ let () =
       let json = Lint_report.json_of ~files_scanned:ml_count diags in
       match Lint_report.write ~path:file json with
       | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "cts_lint: cannot write JSON report: %s\n" msg;
-          exit 2));
-  List.iter (fun d -> print_endline (Lint.to_string d)) diags;
+      | Error msg -> fail ("cannot write JSON report: " ^ msg)));
+  List.iter (fun d -> print_endline (Front.to_string d)) diags;
   match diags with
   | [] -> Printf.printf "cts_lint: %d files clean\n" ml_count
   | _ ->

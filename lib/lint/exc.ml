@@ -28,7 +28,7 @@
    documents (E1 only reports undocumented escapes).
 
    Pass 3 emits E1-E5. Everything lands in one list sorted through
-   Lint.sort_diagnostics; summaries are processed in sorted-source
+   Front.sort_diagnostics; summaries are processed in sorted-source
    order, so the report is identical under any file-visit order.
 
    Deliberate trust boundaries (see DESIGN.md section 5k): array /
@@ -40,59 +40,6 @@
 
 open Parsetree
 module SS = Set.Make (String)
-
-(* ------------------------------------------------------------------ *)
-(* Small syntactic helpers (shared shape with race.ml)                  *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
-
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> match lbl with Asttypes.Nolabel -> Some e | _ -> None)
-    args
 
 let rec strip_constraint e =
   match e.pexp_desc with
@@ -176,7 +123,7 @@ type bracket = {
   mutable b_safe : bool;  (* release guaranteed on unwind (Fun.protect) *)
 }
 
-type skind = S_exn of string | S_call of string * string
+type skind = S_exn of string | S_call of (string * string)
 
 type site = {
   s_kind : skind;
@@ -189,8 +136,7 @@ type site = {
 
 type info = {
   i_file : string;
-  i_mod : string;
-  i_name : string;
+  i_key : string * string;  (* (Module, name) *)
   i_loc : Location.t;
   i_public : bool;  (* structure-level definition: exported in raise table *)
   i_task : string option;  (* Some "Parallel.map" | "Domain.spawn" for roots *)
@@ -210,104 +156,76 @@ type contract = {
 }
 
 type global = {
-  defs : (string * string, info) Hashtbl.t;
-  mutable infos : info list;  (* reverse insertion order until finalize *)
-  mutable roots : info list;
-  exndecls : (string * string, unit) Hashtbl.t;
+  table : info Front.table;
+  exndecls : (string * string) list;  (* top-level [exception] items *)
   contracts : (string * string, contract) Hashtbl.t;
   mutable contract_list : contract list;
   mutable next_uid : int;
-  mutable diags : Lint.diagnostic list;
-}
-
-type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
+  mutable diags : Front.diagnostic list;
 }
 
 type ctx = {
   glob : global;
-  fc : fctx;
+  file : Front.file;
   info : info;
   defname : string;
   catch_all_ok : bool;  (* [@cts.catch_all_ok "reason"] in scope *)
   partial_ok : bool;  (* [@cts.partial_ok] in scope *)
 }
 
-let diag_at glob file (loc : Location.t) rule message =
-  let p = loc.Location.loc_start in
-  glob.diags <-
-    {
-      Lint.rule;
-      file;
-      line = p.Lexing.pos_lnum;
-      col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-      message;
-    }
-    :: glob.diags
+let add glob d = glob.diags <- d :: glob.diags
 
-let get_def glob key file modname name loc ~public ~task =
-  match Hashtbl.find_opt glob.defs key with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          i_file = file;
-          i_mod = modname;
-          i_name = name;
-          i_loc = loc;
-          i_public = public;
-          i_task = task;
-          i_sites = [];
-          i_partials = [];
-          i_eff = [];
-          i_undecl = [];
-        }
-      in
-      Hashtbl.replace glob.defs key i;
-      glob.infos <- i :: glob.infos;
-      i
+let new_info file loc ~public ~task key =
+  {
+    i_file = file;
+    i_key = key;
+    i_loc = loc;
+    i_public = public;
+    i_task = task;
+    i_sites = [];
+    i_partials = [];
+    i_eff = [];
+    i_undecl = [];
+  }
+
+(* The summary of a definition (or local function) of [ctx]'s file. *)
+let define ctx name loc ~public =
+  let key = (ctx.file.Front.modname, name) in
+  Front.summary ctx.glob.table key
+    (new_info ctx.file.path loc ~public ~task:None)
 
 (* ------------------------------------------------------------------ *)
 (* Environment and proven-shape facts                                   *)
 
 module Env = Map.Make (String)
 
-(* KFn (Some key): a let-bound local function summarized as its own
-   child definition under [key]; references become call edges to it. *)
-type kind = KFn of string option | KVal
+(* KFn key: a let-bound local function summarized as its own child
+   definition under [key]; references become call edges to it. *)
+type kind = KFn of string | KVal
 
 let bind_vals env p =
-  List.fold_left (fun e v -> Env.add v KVal e) env (pattern_vars p)
+  List.fold_left (fun e v -> Env.add v KVal e) env (Front.pattern_vars p)
 
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
+let qualified_name ctx lid =
+  match Front.qualified ctx.file lid with
+  | Some (m, n) -> m ^ "." ^ n
+  | None -> "<anon>"
 
 let qualify ctx (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [ x ] ->
-      if Hashtbl.mem ctx.glob.exndecls (ctx.fc.f_mod, x) then
-        ctx.fc.f_mod ^ "." ^ x
+  match lid with
+  | Lident x ->
+      if List.mem (ctx.file.Front.modname, x) ctx.glob.exndecls then
+        ctx.file.modname ^ "." ^ x
       else x
-  | segs -> (
-      match List.rev segs with
-      | n :: m :: _ -> resolve_alias ctx.fc m ^ "." ^ n
-      | [ n ] -> n
-      | [] -> "<anon>")
+  | _ -> qualified_name ctx lid
 
 (* Resolved identity of a mutex expression (coarse, as in race.ml). *)
 let rec res_id ctx env e =
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match List.rev (Longident.flatten txt) with
-      | [ x ] -> if Env.mem x env then x else ctx.fc.f_mod ^ "." ^ x
-      | x :: m :: _ -> resolve_alias ctx.fc m ^ "." ^ x
-      | [] -> "<anon>")
-  | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (Longident.flatten txt) with
-      | f :: _ -> "<." ^ f ^ ">"
-      | [] -> "<anon>")
+  | Pexp_ident { txt = Lident x; _ } ->
+      if Env.mem x env then x else ctx.file.Front.modname ^ "." ^ x
+  | Pexp_ident { txt; _ } -> qualified_name ctx txt
+  | Pexp_field (_, { txt = Lident f | Ldot (_, f); _ }) -> "<." ^ f ^ ">"
   | Pexp_constraint (e', _) -> res_id ctx env e'
   | _ -> "<anon>"
 
@@ -342,9 +260,9 @@ let is_zero e =
 let length_var e =
   match (strip_constraint e).pexp_desc with
   | Pexp_apply (f, [ (Asttypes.Nolabel, a) ]) -> (
-      match apply_head f with
-      | Some segs when List.mem (dotted segs) [ "List.length"; "Array.length" ]
-        ->
+      match Front.apply_head f with
+      | Some segs
+        when List.mem (Front.dotted segs) [ "List.length"; "Array.length" ] ->
           var_of a
       | _ -> None)
   | _ -> None
@@ -353,7 +271,7 @@ let length_var e =
 let rec facts_of_cond c : SS.t * SS.t =
   match (strip_constraint c).pexp_desc with
   | Pexp_apply (f, [ (_, a); (_, b) ]) -> (
-      match apply_head f with
+      match Front.apply_head f with
       | Some [ "<>" ] -> (
           match
             if is_nil b || is_none b then var_of a
@@ -389,7 +307,7 @@ let rec facts_of_cond c : SS.t * SS.t =
           (SS.empty, SS.union ea eb)
       | _ -> (SS.empty, SS.empty))
   | Pexp_apply (f, [ (_, a) ]) -> (
-      match apply_head f with
+      match Front.apply_head f with
       | Some [ "not" ] ->
           let t, e = facts_of_cond a in
           (e, t)
@@ -414,9 +332,9 @@ let rec facts_of_cond c : SS.t * SS.t =
 let rec definitely_raises e =
   match e.pexp_desc with
   | Pexp_apply (f, _) -> (
-      match apply_head f with
+      match Front.apply_head f with
       | Some segs ->
-          List.mem (dotted segs)
+          List.mem (Front.dotted segs)
             ("failwith" :: "invalid_arg" :: raise_prims)
       | None -> false)
   | Pexp_sequence (_, b) -> definitely_raises b
@@ -431,7 +349,7 @@ let flags_of_attrs ctx (attrs : attributes) =
     (fun ctx (a : attribute) ->
       match a.attr_name.Location.txt with
       | "cts.catch_all_ok"
-        when Option.is_some (string_payload a.attr_payload) ->
+        when Option.is_some (Front.string_payload a.attr_payload) ->
           { ctx with catch_all_ok = true }
       | "cts.partial_ok" -> { ctx with partial_ok = true }
       | _ -> ctx)
@@ -441,7 +359,7 @@ let has_catch_all_ok (attrs : attributes) =
   List.exists
     (fun (a : attribute) ->
       a.attr_name.Location.txt = "cts.catch_all_ok"
-      && Option.is_some (string_payload a.attr_payload))
+      && Option.is_some (Front.string_payload a.attr_payload))
     attrs
 
 let parse_contract s =
@@ -469,6 +387,15 @@ let add_contract glob key file (loc : Location.t) exns =
   Hashtbl.replace glob.contracts key co;
   glob.contract_list <- co :: glob.contract_list
 
+(* The [@cts.raises] payload among [attrs], if any. *)
+let raises_attr (attrs : attributes) =
+  List.find_map
+    (fun (a : attribute) ->
+      if a.attr_name.Location.txt = "cts.raises" then
+        Front.string_payload a.attr_payload
+      else None)
+    attrs
+
 let contract_exns glob key =
   match Hashtbl.find_opt glob.contracts key with
   | Some c -> c.co_exns
@@ -494,21 +421,19 @@ let add_site ?(poly = false) ctx hs brks kind what loc =
     }
     :: ctx.info.i_sites
 
-let add_call ctx hs brks (m, n) loc =
-  add_site ctx hs brks (S_call (m, n)) "call" loc
+let add_call ctx hs brks key loc = add_site ctx hs brks (S_call key) "call" loc
 
 let note_ref ctx env hs brks (lid : Longident.t) loc =
-  match Longident.flatten lid with
-  | [ x ] -> (
+  match lid with
+  | Lident x -> (
       match Env.find_opt x env with
-      | Some (KFn (Some key)) -> add_call ctx hs brks ("", key) loc
-      | Some _ -> ()
-      | None -> add_call ctx hs brks ("", x) loc)
-  | _ :: _ :: _ as segs -> (
-      match List.rev segs with
-      | n :: m :: _ -> add_call ctx hs brks (resolve_alias ctx.fc m, n) loc
-      | _ -> ())
-  | [] -> ()
+      | Some (KFn key) -> add_call ctx hs brks (ctx.file.Front.modname, key) loc
+      | Some KVal -> ()
+      | None -> add_call ctx hs brks (ctx.file.modname, x) loc)
+  | _ ->
+      Option.iter
+        (fun key -> add_call ctx hs brks key loc)
+        (Front.qualified ctx.file lid)
 
 let frame_catches hf x =
   match hf.hf_handled with
@@ -541,8 +466,8 @@ let released_ids ctx env e =
         (fun it e' ->
           (match e'.pexp_desc with
           | Pexp_apply (f, args) -> (
-              match (apply_head f, nolabel_args args) with
-              | Some segs, m :: _ when dotted segs = "Mutex.unlock" ->
+              match (Front.apply_head f, Front.nolabel_args args) with
+              | Some segs, m :: _ when Front.dotted segs = "Mutex.unlock" ->
                   acc := ("lock:" ^ res_id ctx env m) :: !acc
               | Some [ p ], a :: _ when List.mem p close_prims -> (
                   match var_of a with
@@ -565,8 +490,9 @@ let reraises v e =
         (fun it e' ->
           (match e'.pexp_desc with
           | Pexp_apply (f, args) -> (
-              match (apply_head f, nolabel_args args) with
-              | Some segs, a :: _ when List.mem (dotted segs) raise_prims -> (
+              match (Front.apply_head f, Front.nolabel_args args) with
+              | Some segs, a :: _ when List.mem (Front.dotted segs) raise_prims
+                -> (
                   match var_of a with
                   | Some v' when v' = v -> found := true
                   | _ -> ())
@@ -640,11 +566,12 @@ let classify_handlers ctx env brks cases =
               if
                 not (ctx.catch_all_ok || has_catch_all_ok rhs.pexp_attributes)
               then
-                diag_at ctx.glob ctx.fc.f_path pat.ppat_loc "E4"
-                  "catch-all handler swallows every exception \
-                   (Out_of_memory and Stack_overflow included); enumerate \
-                   the expected exceptions or annotate [@cts.catch_all_ok \
-                   \"reason\"]"
+                add ctx.glob
+                  (Front.diag "E4" ctx.file.path pat.ppat_loc
+                     "catch-all handler swallows every exception \
+                      (Out_of_memory and Stack_overflow included); enumerate \
+                      the expected exceptions or annotate \
+                      [@cts.catch_all_ok \"reason\"]")
             end
       end)
     cases;
@@ -676,10 +603,7 @@ let rec walk ctx env prov hs brks e : bracket list =
         Printf.sprintf "%s.<fn@%d:%d>" ctx.defname p.Lexing.pos_lnum
           (p.Lexing.pos_cnum - p.Lexing.pos_bol)
       in
-      let ci =
-        get_def ctx.glob (ctx.fc.f_mod, name) ctx.fc.f_path ctx.fc.f_mod name
-          e.pexp_loc ~public:false ~task:None
-      in
+      let ci = define ctx name e.pexp_loc ~public:false in
       do_body { ctx with info = ci; defname = name } env e;
       brks
   | Pexp_try (body, cases) ->
@@ -862,23 +786,16 @@ and walk_lambda_inline ctx env prov hs brks a =
    from the submitter to the root because Parallel.map re-raises the
    first task exception on the coordinator. *)
 and walk_closure_as_root ctx env hs brks task a =
-  let p = a.pexp_loc.Location.loc_start in
-  let name =
-    Printf.sprintf "<task@%d:%d>" p.Lexing.pos_lnum
-      (p.Lexing.pos_cnum - p.Lexing.pos_bol)
-  in
-  let fresh = not (Hashtbl.mem ctx.glob.defs (ctx.fc.f_mod, name)) in
   let ri =
-    get_def ctx.glob (ctx.fc.f_mod, name) ctx.fc.f_path ctx.fc.f_mod name
-      a.pexp_loc ~public:false ~task:(Some task)
+    Front.root ctx.glob.table ctx.file a.pexp_loc
+      (new_info ctx.file.path a.pexp_loc ~public:false ~task:(Some task))
   in
-  if fresh then ctx.glob.roots <- ri :: ctx.glob.roots;
-  let rctx = { ctx with info = ri; defname = name } in
+  let rctx = { ctx with info = ri; defname = snd ri.i_key } in
   (match a.pexp_desc with
   | Pexp_fun _ | Pexp_function _ -> do_body rctx env a
   | Pexp_ident { txt; _ } -> note_ref rctx env [] [] txt a.pexp_loc
   | _ -> ());
-  add_call ctx hs brks ("", name) a.pexp_loc
+  add_call ctx hs brks ri.i_key a.pexp_loc
 
 and walk_let ctx env prov hs brks rf vbs body =
   let binds =
@@ -897,7 +814,7 @@ and walk_let ctx env prov hs brks rf vbs body =
     List.fold_left
       (fun env b ->
         match b with
-        | `Fn (v, key, _) -> Env.add v (KFn (Some key)) env
+        | `Fn (v, key, _) -> Env.add v (KFn key) env
         | `Val vb -> bind_vals env vb.pvb_pat)
       env binds
   in
@@ -910,22 +827,12 @@ and walk_let ctx env prov hs brks rf vbs body =
             (* Local function: its own child summary, walked with empty
                frames and brackets — applied later, the call edge
                carries the application-site context. *)
-            let ci =
-              get_def ctx.glob (ctx.fc.f_mod, key) ctx.fc.f_path ctx.fc.f_mod
-                key vb.pvb_loc ~public:false ~task:None
-            in
-            (match
-               List.find_map
-                 (fun (a : attribute) ->
-                   if a.attr_name.Location.txt = "cts.raises" then
-                     string_payload a.attr_payload
-                   else None)
-                 vb.pvb_attributes
-             with
-            | Some s ->
-                add_contract ctx.glob (ctx.fc.f_mod, key) ctx.fc.f_path
-                  vb.pvb_loc (parse_contract s)
-            | None -> ());
+            let ci = define ctx key vb.pvb_loc ~public:false in
+            Option.iter
+              (fun s ->
+                add_contract ctx.glob ci.i_key ctx.file.path vb.pvb_loc
+                  (parse_contract s))
+              (raises_attr vb.pvb_attributes);
             let cctx =
               flags_of_attrs
                 { ctx with info = ci; defname = key }
@@ -946,10 +853,10 @@ and walk_let ctx env prov hs brks rf vbs body =
             let brks =
               match (vb.pvb_pat.ppat_desc, rhs.pexp_desc) with
               | Ppat_var { txt = v; _ }, Pexp_apply (f, _) -> (
-                  match apply_head f with
-                  | Some segs when List.mem (dotted segs) open_prims ->
+                  match Front.apply_head f with
+                  | Some segs when List.mem (Front.dotted segs) open_prims ->
                       open_bracket ctx brks ("chan:" ^ v)
-                        (dotted segs ^ " " ^ v) vb.pvb_loc
+                        (Front.dotted segs ^ " " ^ v) vb.pvb_loc
                   | _ -> brks)
               | _ -> brks
             in
@@ -971,13 +878,14 @@ and walk_raise ctx env prov hs brks x loc =
       brks
 
 and walk_apply ctx env prov hs brks e f args =
-  match apply_head f with
+  match Front.apply_head f with
   | None ->
       let brks' = walk ctx env prov hs brks f in
       List.fold_left (fun b (_, a) -> walk ctx env prov hs b a) brks' args
   | Some segs -> (
-      let d = dotted segs in
-      let pos = nolabel_args args in
+      let d = Front.dotted segs in
+      let pos = Front.nolabel_args args in
+      let task = Front.task_call ctx.file segs in
       match (d, pos) with
       | ("raise" | "raise_notrace"), x :: _ ->
           walk_raise ctx env prov hs brks x e.pexp_loc
@@ -1019,18 +927,11 @@ and walk_apply ctx env prov hs brks e f args =
           match var_of a with
           | Some v -> close_bracket brks ("chan:" ^ v)
           | None -> brks)
-      | ("Domain.spawn" | "Domain.Spawn.spawn"), args' ->
-          List.iter
-            (walk_closure_as_root ctx env hs brks "Domain.spawn")
-            args';
+      | _ when task = Some Front.Spawn ->
+          List.iter (walk_closure_as_root ctx env hs brks "Domain.spawn") pos;
           brks
       | _ ->
-          let is_pool =
-            match segs with
-            | [ m; ("map" | "iter") ] -> resolve_alias ctx.fc m = "Parallel"
-            | _ -> false
-          in
-          if is_pool then begin
+          if task = Some Front.Pool then begin
             List.iteri
               (fun i a ->
                 if i = 0 then ignore (walk ctx env prov hs brks a)
@@ -1087,93 +988,47 @@ and walk_apply ctx env prov hs brks e f args =
 (* ------------------------------------------------------------------ *)
 (* Structure / signature passes                                         *)
 
-(* Pre-pass: locally declared exceptions (for qualification) and
-   module aliases. *)
-let classify_toplevel glob fc (str : structure) =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_exception te ->
-          Hashtbl.replace glob.exndecls
-            (fc.f_mod, te.ptyexn_constructor.pext_name.Location.txt)
-            ()
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | _ -> ())
-      | _ -> ())
-    str
+(* Locally declared exceptions, for qualification. *)
+let exception_decls (front : Front.t) =
+  List.concat_map
+    (fun ((file : Front.file), str) ->
+      List.filter_map
+        (fun item ->
+          match item.pstr_desc with
+          | Pstr_exception te ->
+              Some (file.modname, te.ptyexn_constructor.pext_name.Location.txt)
+          | _ -> None)
+        str)
+    (Front.implementations front)
 
-let do_structure glob fc (str : structure) =
+let summarize glob (front : Front.t) =
   List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | _ ->
-                    Printf.sprintf "_top_%d"
-                      item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              in
-              (match
-                 List.find_map
-                   (fun (a : attribute) ->
-                     if a.attr_name.Location.txt = "cts.raises" then
-                       string_payload a.attr_payload
-                     else None)
-                   vb.pvb_attributes
-               with
-              | Some s ->
-                  add_contract glob (fc.f_mod, name) fc.f_path vb.pvb_loc
-                    (parse_contract s)
-              | None -> ());
-              let info =
-                get_def glob (fc.f_mod, name) fc.f_path fc.f_mod name
-                  vb.pvb_loc ~public:true ~task:None
-              in
-              let ctx =
-                {
-                  glob;
-                  fc;
-                  info;
-                  defname = name;
-                  catch_all_ok = false;
-                  partial_ok = false;
-                }
-              in
-              let ctx = flags_of_attrs ctx vb.pvb_attributes in
-              do_body ctx Env.empty vb.pvb_expr)
-            vbs
-      | Pstr_eval (e, attrs) ->
-          let info =
-            get_def glob (fc.f_mod, "_eval") fc.f_path fc.f_mod "_eval"
-              item.pstr_loc ~public:true ~task:None
-          in
-          let ctx =
-            {
-              glob;
-              fc;
-              info;
-              defname = "_eval";
-              catch_all_ok = false;
-              partial_ok = false;
-            }
-          in
-          let ctx = flags_of_attrs ctx attrs in
-          ignore (walk ctx Env.empty SS.empty [] [] e)
-      | _ -> ())
-    str
+    (fun (d : Front.def) ->
+      let key = (d.file.modname, d.name) in
+      Option.iter
+        (fun s -> add_contract glob key d.file.path d.loc (parse_contract s))
+        (raises_attr d.attrs);
+      let info =
+        Front.summary glob.table key
+          (new_info d.file.path d.loc ~public:true ~task:None)
+      in
+      let ctx =
+        {
+          glob;
+          file = d.file;
+          info;
+          defname = d.name;
+          catch_all_ok = false;
+          partial_ok = false;
+        }
+      in
+      do_body (flags_of_attrs ctx d.attrs) Env.empty d.expr)
+    front.defs
 
 (* Contracts from mli signatures ([@@cts.raises "Exn1,Exn2"] /
    [@@cts.raises ""] on a val). Top-level values only: the library is
    unwrapped, so (Module, name) keys line up with the ml summaries. *)
-let do_interface glob fc (sg : signature) =
+let do_interface glob (file : Front.file) (sg : signature) =
   List.iter
     (fun item ->
       match item.psig_desc with
@@ -1181,15 +1036,17 @@ let do_interface glob fc (sg : signature) =
           List.iter
             (fun (a : attribute) ->
               if a.attr_name.Location.txt = "cts.raises" then
-                match string_payload a.attr_payload with
+                match Front.string_payload a.attr_payload with
                 | Some s ->
                     add_contract glob
-                      (fc.f_mod, vd.pval_name.Location.txt)
-                      fc.f_path a.attr_loc (parse_contract s)
+                      (file.modname, vd.pval_name.Location.txt)
+                      file.path a.attr_loc (parse_contract s)
                 | None ->
-                    diag_at glob fc.f_path a.attr_loc "E2"
-                      "malformed [@cts.raises] payload: expected a string \
-                       of comma-separated exception names (\"\" for total)")
+                    add glob
+                      (Front.diag "E2" file.path a.attr_loc
+                         "malformed [@cts.raises] payload: expected a \
+                          string of comma-separated exception names (\"\" \
+                          for total)"))
             vd.pval_attributes
       | _ -> ())
     sg
@@ -1202,89 +1059,49 @@ let wit_of info (s : site) =
   Printf.sprintf "%s at %s:%d:%d" s.s_what info.i_file p.Lexing.pos_lnum
     (p.Lexing.pos_cnum - p.Lexing.pos_bol)
 
-let seed_effects glob =
+let seed_effects glob info =
+  let co = contract_exns glob info.i_key in
   List.iter
-    (fun info ->
-      let co = contract_exns glob (info.i_mod, info.i_name) in
-      List.iter
-        (fun s ->
-          match s.s_kind with
-          | S_exn x when (not s.s_poly) && not (absorbed s.s_hsnap x) ->
-              let w = wit_of info s in
-              if not (List.exists (fun (y, _) -> exn_matches x y) info.i_eff)
-              then
-                info.i_eff <- info.i_eff @ [ (x, w) ];
-              if (not (in_contract co x)) && not (List.mem_assoc x info.i_undecl)
-              then info.i_undecl <- info.i_undecl @ [ (x, w) ]
-          | _ -> ())
-        info.i_sites)
-    glob.infos
+    (fun s ->
+      match s.s_kind with
+      | S_exn x when (not s.s_poly) && not (absorbed s.s_hsnap x) ->
+          let w = wit_of info s in
+          if not (List.exists (fun (y, _) -> exn_matches x y) info.i_eff) then
+            info.i_eff <- info.i_eff @ [ (x, w) ];
+          if (not (in_contract co x)) && not (List.mem_assoc x info.i_undecl)
+          then info.i_undecl <- info.i_undecl @ [ (x, w) ]
+      | _ -> ())
+    info.i_sites
 
-let fixpoint glob =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun info ->
-        let co = contract_exns glob (info.i_mod, info.i_name) in
-        List.iter
-          (fun s ->
-            match s.s_kind with
-            | S_call (m, n) -> (
-                let m = if m = "" then info.i_mod else m in
-                match Hashtbl.find_opt glob.defs (m, n) with
-                | Some callee when callee != info ->
-                    let chain w = Printf.sprintf "%s.%s -> %s" m n w in
-                    List.iter
-                      (fun (x, w) ->
-                        if
-                          (not (absorbed s.s_hsnap x))
-                          && not (List.mem_assoc x info.i_eff)
-                        then begin
-                          info.i_eff <- info.i_eff @ [ (x, chain w) ];
-                          changed := true
-                        end)
-                      callee.i_eff;
-                    List.iter
-                      (fun (x, w) ->
-                        if
-                          (not (absorbed s.s_hsnap x))
-                          && (not (in_contract co x))
-                          && not (List.mem_assoc x info.i_undecl)
-                        then begin
-                          info.i_undecl <- info.i_undecl @ [ (x, chain w) ];
-                          changed := true
-                        end)
-                      callee.i_undecl
-                | _ -> ())
-            | _ -> ())
-          info.i_sites)
-      glob.infos
-  done
+(* A callee's effects flow through a call site, filtered by the
+   handler frames active there; the undeclared set also by the
+   caller's own contract. *)
+let transfer glob info s callee =
+  let co = contract_exns glob info.i_key in
+  let flow keep own theirs =
+    List.fold_left
+      (fun acc (x, w) ->
+        if keep x && (not (absorbed s.s_hsnap x)) && not (List.mem_assoc x acc)
+        then acc @ [ (x, Front.via callee.i_key w) ]
+        else acc)
+      own theirs
+  in
+  let eff = flow (fun _ -> true) info.i_eff callee.i_eff in
+  let undecl =
+    flow (fun x -> not (in_contract co x)) info.i_undecl callee.i_undecl
+  in
+  let changed =
+    List.length eff <> List.length info.i_eff
+    || List.length undecl <> List.length info.i_undecl
+  in
+  info.i_eff <- eff;
+  info.i_undecl <- undecl;
+  changed
 
-let task_reachable glob =
-  let visited : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let reached = ref [] in
-  let queue = Queue.create () in
-  List.iter (fun r -> Queue.add r queue) glob.roots;
-  while not (Queue.is_empty queue) do
-    let info = Queue.pop queue in
-    reached := info :: !reached;
-    List.iter
-      (fun s ->
-        match s.s_kind with
-        | S_call (m, n) -> (
-            let key = ((if m = "" then info.i_mod else m), n) in
-            if not (Hashtbl.mem visited key) then begin
-              Hashtbl.replace visited key ();
-              match Hashtbl.find_opt glob.defs key with
-              | Some i -> Queue.add i queue
-              | None -> ()
-            end)
-        | _ -> ())
-      info.i_sites
-  done;
-  !reached
+let calls info =
+  List.filter_map
+    (fun s -> match s.s_kind with S_call key -> Some (key, s) | S_exn _ -> None)
+    info.i_sites
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: diagnostics                                                  *)
@@ -1296,14 +1113,16 @@ let report_e1 glob =
       let task = match root.i_task with Some t -> t | None -> "task" in
       List.iter
         (fun (x, w) ->
-          diag_at glob root.i_file root.i_loc "E1"
-            (Printf.sprintf
-               "exception %s may escape this %s task closure (%s): a \
-                raising task poisons the pool; catch it inside the task or \
-                declare it in the provider's [@cts.raises] mli contract"
-               x task w))
+          add glob
+            (Front.diag "E1" root.i_file root.i_loc
+               (Printf.sprintf
+                  "exception %s may escape this %s task closure (%s): a \
+                   raising task poisons the pool; catch it inside the task \
+                   or declare it in the provider's [@cts.raises] mli \
+                   contract"
+                  x task w)))
         root.i_undecl)
-    glob.roots
+    (Front.roots glob.table)
 
 (* E2: contract verification — violated and stale directions. *)
 let report_e2 glob =
@@ -1317,19 +1136,18 @@ let report_e2 glob =
   in
   List.iter
     (fun co ->
-      match Hashtbl.find_opt glob.defs co.co_key with
+      match Front.find glob.table co.co_key with
       | None -> ()
       | Some info ->
-          let d msg =
-            glob.diags <-
+          let d message =
+            add glob
               {
-                Lint.rule = "E2";
+                Front.rule = "E2";
                 file = co.co_file;
                 line = co.co_line;
                 col = co.co_col;
-                message = msg;
+                message;
               }
-              :: glob.diags
           in
           let m, n = co.co_key in
           List.iter
@@ -1368,9 +1186,8 @@ let report_e3 glob =
                   else x
                 in
                 [ (x, Printf.sprintf "%s may raise %s" s.s_what what) ]
-            | S_call (m, n) -> (
-                let m = if m = "" then info.i_mod else m in
-                match Hashtbl.find_opt glob.defs (m, n) with
+            | S_call ((m, n) as key) -> (
+                match Front.find glob.table key with
                 | Some callee ->
                     List.map
                       (fun (x, w) ->
@@ -1385,17 +1202,18 @@ let report_e3 glob =
               List.iter
                 (fun (x, desc) ->
                   if leaks b x s.s_hsnap then
-                    diag_at glob info.i_file s.s_loc "E3"
-                      (Printf.sprintf
-                         "%s while %s (opened at line %d) is pending \
-                          release: the raising path leaks it; use \
-                          Mutex.protect/Fun.protect or release in an \
-                          exception handler"
-                         desc b.b_desc b.b_line))
+                    add glob
+                      (Front.diag "E3" info.i_file s.s_loc
+                         (Printf.sprintf
+                            "%s while %s (opened at line %d) is pending \
+                             release: the raising path leaks it; use \
+                             Mutex.protect/Fun.protect or release in an \
+                             exception handler"
+                            desc b.b_desc b.b_line)))
                 candidates)
             s.s_bsnap)
         info.i_sites)
-    glob.infos
+    (Front.summaries glob.table)
 
 (* E5: partial calls on unproven shapes in task-reachable code. *)
 let report_e5 glob reached =
@@ -1404,122 +1222,63 @@ let report_e5 glob reached =
       if List.memq info reached then
         List.iter
           (fun (prim, loc) ->
-            diag_at glob info.i_file loc "E5"
-              (Printf.sprintf
-                 "partial %s on a value of unproven shape is reachable \
-                  from a Parallel/Domain task (via %s.%s); match the shape \
-                  explicitly or annotate [@cts.partial_ok]"
-                 prim info.i_mod info.i_name))
+            add glob
+              (Front.diag "E5" info.i_file loc
+                 (Printf.sprintf
+                    "partial %s on a value of unproven shape is reachable \
+                     from a Parallel/Domain task (via %s.%s); match the \
+                     shape explicitly or annotate [@cts.partial_ok]"
+                    prim (fst info.i_key) (snd info.i_key))))
           info.i_partials)
-    glob.infos
+    (Front.summaries glob.table)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 
 type result = {
-  diagnostics : Lint.diagnostic list;
+  diagnostics : Front.diagnostic list;
   raises : ((string * string) * string list) list;
 }
 
-let parse_with parser path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  parser lexbuf
-
-let syntax_diag glob path exn =
-  let line, col, msg =
-    match Location.error_of_exn exn with
-    | Some (`Ok (err : Location.error)) ->
-        let loc = err.Location.main.Location.loc in
-        let p = loc.Location.loc_start in
-        ( p.Lexing.pos_lnum,
-          p.Lexing.pos_cnum - p.Lexing.pos_bol,
-          Format.asprintf "%t" err.Location.main.Location.txt )
-    | _ -> (1, 0, Printexc.to_string exn)
-  in
-  glob.diags <-
-    { Lint.rule = "syntax"; file = path; line; col; message = msg }
-    :: glob.diags
-
-let analyze_sources sources =
-  let sources = List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources in
-  let pick suffix =
-    List.sort compare
-      (List.filter (fun (p, _) -> Filename.check_suffix p suffix) sources)
-  in
-  let mls = pick ".ml" and mlis = pick ".mli" in
+let analyze (front : Front.t) =
   let glob =
     {
-      defs = Hashtbl.create 256;
-      infos = [];
-      roots = [];
-      exndecls = Hashtbl.create 32;
+      table = Front.table ();
+      exndecls = exception_decls front;
       contracts = Hashtbl.create 64;
       contract_list = [];
       next_uid = 0;
       diags = [];
     }
   in
-  let mk_fc path =
-    { f_path = path; f_mod = module_name_of path; f_aliases = Hashtbl.create 8 }
-  in
-  let[@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"] parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        match parse_with Parse.implementation path contents with
-        | str -> Some (mk_fc path, str)
-        | exception exn ->
-            syntax_diag glob path exn;
-            None)
-      mls
-  in
-  List.iter (fun (fc, str) -> classify_toplevel glob fc str) parsed;
-  (* mli contracts before the walk so ml-level [@cts.raises] attributes
-     never shadow an mli contract's location. *)
-  List.iter (fun (fc, str) -> do_structure glob fc str) parsed;
+  summarize glob front;
+  (* mli contracts after the walk, so an mli contract replaces an
+     ml-level [@cts.raises] on the same definition. *)
   List.iter
-    (fun (path, contents) ->
-      match parse_with Parse.interface path contents with
-      | sg -> do_interface glob (mk_fc path) sg
-      | exception exn ->
-          (syntax_diag glob path exn
-          [@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"]))
-    mlis;
-  glob.infos <- List.rev glob.infos;
-  glob.roots <- List.rev glob.roots;
+    (fun (file, sg) -> do_interface glob file sg)
+    (Front.interfaces front);
+  let infos = Front.summaries glob.table in
   List.iter
     (fun i ->
       i.i_sites <- List.rev i.i_sites;
-      i.i_partials <- List.rev i.i_partials)
-    glob.infos;
-  seed_effects glob;
-  fixpoint glob;
-  let reached = task_reachable glob in
+      i.i_partials <- List.rev i.i_partials;
+      seed_effects glob i)
+    infos;
+  Front.propagate glob.table ~edges:calls (transfer glob);
+  let roots = Front.roots glob.table in
   report_e1 glob;
   report_e2 glob;
   report_e3 glob;
-  report_e5 glob reached;
-  let raises =
-    List.sort compare
-      (List.filter_map
-         (fun info ->
-           if info.i_public && info.i_eff <> [] then
-             Some
-               ( (info.i_mod, info.i_name),
-                 List.sort compare (List.map fst info.i_eff) )
-           else None)
-         glob.infos)
-  in
-  { diagnostics = Lint.sort_diagnostics glob.diags; raises }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let analyze_paths paths =
-  analyze_sources (List.map (fun p -> (p, read_file p)) paths)
-
-let check_sources sources = (analyze_sources sources).diagnostics
-let check_paths paths = (analyze_paths paths).diagnostics
+  report_e5 glob
+    (Front.reachable glob.table roots (fun i -> List.map fst (calls i)));
+  {
+    diagnostics = glob.diags;
+    raises =
+      List.sort compare
+        (List.filter_map
+           (fun info ->
+             if info.i_public && info.i_eff <> [] then
+               Some (info.i_key, List.sort compare (List.map fst info.i_eff))
+             else None)
+           infos);
+  }

@@ -3,8 +3,9 @@
     The fourth analysis pillar (after L1–L5, U1–U4, C1–C5): where the
     race analyzer verifies [[@cts.guarded]] claims about concurrency
     effects, this pass verifies [[@cts.raises]] contracts about
-    exception effects. Three passes over the parsetree (no typer),
-    reusing the race analyzer's summary/fixpoint architecture:
+    exception effects. Three passes over the {!Front} definitions (no
+    typer), on the summary table, fixpoint and reachability walk the
+    race analyzer also uses:
 
     + {b Summaries} — every top-level definition (and every let-bound
       local function, summarized separately so a closure's effects
@@ -68,31 +69,18 @@
     Diagnostics are deterministic: sorted by (file, line, col, rule)
     and independent of the order sources are supplied in.
 
-    Domain-safety: all analysis state is call-local to
-    {!analyze_sources}; safe to run from any domain. *)
+    Domain-safety: all analysis state is call-local to {!analyze};
+    safe to run from any domain. *)
 
 type result = {
-  diagnostics : Lint.diagnostic list;
+  diagnostics : Front.diagnostic list;  (** E1–E5, unsorted *)
   raises : ((string * string) * string list) list;
       (** Inferred may-raise table for top-level definitions:
           [(Module, name)] -> sorted exception names; only non-empty
-          sets are listed. Shared with the race analyzer's C4 so the
-          two passes use one effect table (see {!Race.check_sources}'s
-          [?raises]). *)
+          sets are listed. The race analyzer's C4 reads it, so the two
+          families use one effect table. *)
 }
 
-val analyze_sources : (string * string) list -> result
-(** [analyze_sources [(path, contents); ...]] analyzes in-memory
-    sources. Paths are normalized as in {!Lint.normalize_path}; [.ml]
-    entries are summarized, [.mli] entries contribute
-    [[@cts.raises]] contracts. *)
-
-val analyze_paths : string list -> result
-(** Read the given files from disk and analyze them; directory
-    traversal is the caller's job (see {!Lint.scan}). *)
-
-val check_sources : (string * string) list -> Lint.diagnostic list
-(** {!analyze_sources} keeping only the diagnostics. *)
-
-val check_paths : string list -> Lint.diagnostic list
-(** {!analyze_paths} keeping only the diagnostics. *)
+val analyze : Front.t -> result
+(** E1–E5 over the parsed sources: [.ml] entries are summarized,
+    [.mli] entries contribute [[@cts.raises]] contracts. *)

@@ -1,181 +1,54 @@
-(* Determinism / domain-safety lint. See lint.mli for the rule set.
+(* Determinism / domain-safety lint (L1-L5) and the one entry point
+   that runs all four lint families. See lint.mli for the rule set.
 
-   The analysis is purely syntactic (compiler-libs parsetree, no
-   typing). Its one non-local part is rule L1: a module-level
-   call-graph approximation. Each top-level definition is walked once,
-   recording (a) mutation primitives applied to targets that are not
-   provably task-local and (b) references that may resolve to other
-   top-level definitions. Call sites of [Parallel.map]/[Parallel.iter]
-   re-walk their function arguments into separate "root" records; L1
-   then reports every unguarded shared mutation reachable from a root
-   through the recorded edges.
-
-   Locality: a target is task-local when its head identifier is
-   let-bound in scope to a syntactically fresh mutable allocation
-   ([ref e], [Hashtbl.create], a record or array literal, ...).
-   Parameters and module-level names are conservatively shared:
-   writing through them from a pool task needs a [@cts.guarded]
-   mechanism annotation. *)
+   L1 reads the effect summaries the race analyzer builds (race.ml):
+   its writes to state that is not task-local, and what is reachable
+   from a Parallel.map/iter task. Unlike C1 it trusts any well-formed
+   [@cts.guarded] claim. L2-L5 are local: one walk per top-level
+   definition for L1's malformed-claim check, L2, L3, L4 and the L5
+   "holds mutable state" indicator, which type declarations also set. *)
 
 open Parsetree
 
-type diagnostic = {
-  rule : string;
-  file : string;
-  line : int;
-  col : int;
-  message : string;
-}
-
-let to_string d =
-  Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message
-
-(* The documented report order: position first, rule as a tie-break.
-   (Bare polymorphic compare on the record would sort by [rule] first —
-   the field order — interleaving files in the report.) *)
-let compare_diagnostic a b =
-  let c = compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = compare a.line b.line in
-    if c <> 0 then c
-    else
-      let c = compare a.col b.col in
-      if c <> 0 then c
-      else
-        let c = compare a.rule b.rule in
-        if c <> 0 then c else compare a.message b.message
-
-let sort_diagnostics ds = List.sort_uniq compare_diagnostic ds
-
 (* ------------------------------------------------------------------ *)
-(* Paths and rule scopes                                               *)
-
-(* Rule scoping (L2-L5, and the units pass's U-rules) keys off paths
-   relative to the repository root, like "lib/cts_core/cts.ml". When
-   cts_lint is invoked from outside the root, or with "./"-prefixed or
-   absolute arguments, the raw path would defeat every prefix test, so
-   normalization re-roots each path at the last segment naming a known
-   top-level source directory. A path containing none of them (a
-   scratch file in /tmp) is only cleaned of "." and ".." segments. *)
-
-let top_level_dirs = [ "lib"; "bin"; "bench"; "test"; "examples" ]
-
-let normalize_path path =
-  let segs =
-    List.filter
-      (fun s -> s <> "" && s <> ".")
-      (String.split_on_char '/' path)
-  in
-  let segs =
-    (* Resolve ".." against a preceding real segment where possible. *)
-    List.rev
-      (List.fold_left
-         (fun acc s ->
-           match (s, acc) with
-           | "..", p :: tl when p <> ".." -> tl
-           | _ -> s :: acc)
-         [] segs)
-  in
-  let root_at =
-    let rec go i best = function
-      | [] -> best
-      | s :: tl ->
-          go (i + 1) (if List.mem s top_level_dirs then Some i else best) tl
-    in
-    go 0 None segs
-  in
-  let segs =
-    match root_at with
-    | Some i -> List.filteri (fun j _ -> j >= i) segs
-    | None -> segs
-  in
-  String.concat "/" segs
-
-let norm = normalize_path
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let has_suffix suf s =
-  let ls = String.length s and l = String.length suf in
-  ls >= l && String.sub s (ls - l) l = suf
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
+(* Rule scopes and tables                                              *)
 
 let l2_exempt path =
-  has_suffix "lib/util/rng.ml" path
-  || has_suffix "lib/bmark/synthetic.ml" path
+  Front.has_suffix "lib/util/rng.ml" path
+  || Front.has_suffix "lib/bmark/synthetic.ml" path
   || path = "rng.ml" || path = "synthetic.ml"
 
 (* The observability clock (lib/obs/obs_clock.ml) is the single blessed
    wall-clock module: everything else in lib/ must go through Obs.Clock
    so timing side-effects stay confined to one auditable site. *)
 let l3_in_scope path =
-  has_prefix "lib/" path
-  && (not (has_prefix "lib/report/" path))
-  && (not (has_prefix "lib/bench/" path))
-  && not (has_suffix "lib/obs/obs_clock.ml" path)
+  Front.has_prefix "lib/" path
+  && (not (Front.has_prefix "lib/report/" path))
+  && (not (Front.has_prefix "lib/bench/" path))
+  && not (Front.has_suffix "lib/obs/obs_clock.ml" path)
 
 let l4_in_scope path =
-  has_prefix "lib/cts_core/" path
-  || has_prefix "lib/dme/" path
-  || has_prefix "lib/numerics/" path
-  || has_prefix "lib/qor/" path
+  List.exists
+    (fun dir -> Front.has_prefix dir path)
+    [ "lib/cts_core/"; "lib/dme/"; "lib/numerics/"; "lib/qor/" ]
 
-let l5_in_scope path = has_prefix "lib/" path
-
-(* ------------------------------------------------------------------ *)
-(* Primitive tables                                                    *)
-
-(* Write primitives: resolved head name -> index of the mutated
-   positional argument. *)
-let write_prims =
-  [
-    (":=", 0); ("incr", 0); ("decr", 0);
-    ("Hashtbl.replace", 0); ("Hashtbl.add", 0); ("Hashtbl.remove", 0);
-    ("Hashtbl.reset", 0); ("Hashtbl.clear", 0);
-    ("Hashtbl.filter_map_inplace", 1);
-    ("Array.set", 0); ("Array.unsafe_set", 0); ("Array.fill", 0);
-    ("Array.blit", 2); ("Array.sort", 1); ("Array.fast_sort", 1);
-    ("Array.stable_sort", 1);
-    ("Bytes.set", 0); ("Bytes.unsafe_set", 0); ("Bytes.fill", 0);
-    ("Bytes.blit", 2);
-    ("Buffer.add_string", 0); ("Buffer.add_char", 0);
-    ("Buffer.add_bytes", 0); ("Buffer.add_buffer", 0);
-    ("Buffer.add_substring", 0); ("Buffer.add_subbytes", 0);
-    ("Buffer.clear", 0); ("Buffer.reset", 0); ("Buffer.truncate", 0);
-    ("Queue.add", 1); ("Queue.push", 1); ("Queue.pop", 0);
-    ("Queue.take", 0); ("Queue.clear", 0); ("Queue.transfer", 0);
-    ("Stack.push", 1); ("Stack.pop", 0); ("Stack.clear", 0);
-    ("Atomic.set", 0); ("Atomic.exchange", 0); ("Atomic.compare_and_set", 0);
-    ("Atomic.fetch_and_add", 0); ("Atomic.incr", 0); ("Atomic.decr", 0);
-  ]
-
-(* Allocators whose result is fresh mutable state: a let-bound name
-   holding one of these is task-local. *)
-let fresh_allocs =
-  [
-    "ref"; "Hashtbl.create"; "Hashtbl.copy"; "Queue.create"; "Queue.copy";
-    "Buffer.create"; "Stack.create"; "Atomic.make"; "Mutex.create";
-    "Condition.create"; "Array.make"; "Array.init"; "Array.create_float";
-    "Array.of_list"; "Array.copy"; "Array.make_matrix"; "Array.append";
-    "Array.concat"; "Array.sub"; "Array.map"; "Array.mapi"; "Bytes.create";
-    "Bytes.make"; "Bytes.copy"; "Bytes.of_string";
-  ]
+let l5_in_scope path = Front.has_prefix "lib/" path
 
 (* Allocators that make a module stateful for rule L5 (deliberately
-   narrower: a local [Array.of_list] scratchpad is not "module holds
-   mutable state", but any ref cell, table, queue or lock is). *)
+   narrower than Front.fresh_allocs: a local [Array.of_list] work array
+   is not "module holds mutable state", but any ref cell, table, queue
+   or lock is). *)
 let l5_allocs =
   [
     "ref"; "Hashtbl.create"; "Queue.create"; "Buffer.create";
     "Stack.create"; "Atomic.make"; "Mutex.create"; "Condition.create";
   ]
 
-let mechanisms = [ "replay-log"; "mutex"; "atomic"; "domain-local" ]
+let l5_types =
+  [
+    "Hashtbl.t"; "Queue.t"; "Buffer.t"; "Stack.t"; "Atomic.t"; "Mutex.t";
+    "Condition.t"; "ref";
+  ]
 
 let wallclock = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
 
@@ -189,116 +62,12 @@ let float_ops =
     "Float.of_string"; "Float.round"; "Float.ceil"; "Float.floor";
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Analysis state                                                      *)
-
-type mut = { prim : string; mloc : Location.t; mguard : string option }
-
-type info = {
-  i_file : string;
-  i_mod : string;
-  mutable i_muts : mut list;  (* shared-target mutations only *)
-  mutable i_calls : (string * string) list;
-      (* ("", n): top-level [n] of the same module; (m, n): value [n]
-         of module [m] (aliases already resolved). *)
-}
-
-type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
-  mutable f_mutable : bool;  (* L5 indicator *)
-}
-
-type global = {
-  defs : (string * string, info) Hashtbl.t;
-  mutable roots : info list;
-  mutable files : fctx list;
-  mutable diags : diagnostic list;
-}
-
-type ctx = {
-  glob : global;
-  fc : fctx;
-  info : info;
-  defname : string;  (* top-level definition being walked *)
-  in_root : bool;
-}
-
-let diag ctx rule (loc : Location.t) message =
-  let p = loc.Location.loc_start in
-  ctx.glob.diags <-
-    {
-      rule;
-      file = ctx.fc.f_path;
-      line = p.Lexing.pos_lnum;
-      col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-      message;
-    }
-    :: ctx.glob.diags
-
-let get_def glob key file modname =
-  match Hashtbl.find_opt glob.defs key with
-  | Some i -> i
-  | None ->
-      let i = { i_file = file; i_mod = modname; i_muts = []; i_calls = [] } in
-      Hashtbl.replace glob.defs key i;
-      i
-
-(* ------------------------------------------------------------------ *)
-(* Environment: locally-bound names                                    *)
-
-module Env = Map.Make (String)
-
-type kind = KFresh | KFn | KPlain
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let bind_plain env p =
-  List.fold_left (fun e v -> Env.add v KPlain e) env (pattern_vars p)
-
-(* ------------------------------------------------------------------ *)
-(* Syntactic helpers                                                   *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let rec head_ident e =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident x; _ } -> Some x
-  | Pexp_field (e', _) -> head_ident e'
-  | Pexp_constraint (e', _) -> head_ident e'
-  | _ -> None
-
 let rec is_floatish e =
   match e.pexp_desc with
   | Pexp_constant (Pconst_float _) -> true
   | Pexp_apply (f, _) -> (
-      match apply_head f with
-      | Some segs -> List.mem (dotted segs) float_ops
+      match Front.apply_head f with
+      | Some segs -> List.mem (Front.dotted segs) float_ops
       | None -> false)
   | Pexp_constraint (e', t) -> (
       match t.ptyp_desc with
@@ -307,268 +76,107 @@ let rec is_floatish e =
   | Pexp_ifthenelse (_, a, Some b) -> is_floatish a || is_floatish b
   | _ -> false
 
-let rec kind_of_rhs e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> KFn
-  | Pexp_record _ | Pexp_array _ -> KFresh
-  | Pexp_apply (f, _) -> (
-      match apply_head f with
-      | Some segs when List.mem (dotted segs) fresh_allocs -> KFresh
-      | _ -> KPlain)
-  | Pexp_constraint (e', _) -> kind_of_rhs e'
-  | Pexp_lazy e' -> kind_of_rhs e'
-  | _ -> KPlain
-
 (* ------------------------------------------------------------------ *)
-(* Attributes                                                          *)
+(* L1-L4 and the L5 indicator, per implementation                      *)
 
-type guards = { guard : string option; feq : bool }
-
-let no_guards = { guard = None; feq = false }
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
-
-let guards_of_attrs ctx g attrs =
-  List.fold_left
-    (fun g (a : attribute) ->
-      match a.attr_name.Location.txt with
-      | "cts.guarded" -> (
-          (* A "mutex:NAME" payload names the specific lock; the race
-             analyzer (race.ml) verifies the name, L1 only accepts the
-             shape. *)
-          let mechanism_of m =
-            if List.mem m mechanisms then Some m
-            else
-              match String.index_opt m ':' with
-              | Some i
-                when String.sub m 0 i = "mutex" && i + 1 < String.length m ->
-                  Some "mutex"
-              | _ -> None
-          in
-          match Option.bind (string_payload a.attr_payload) mechanism_of with
-          | Some m -> { g with guard = Some m }
-          | None ->
-              diag ctx "L1" a.attr_loc
-                "[@cts.guarded] must name its mechanism: \"replay-log\", \
-                 \"mutex[:NAME]\", \"atomic\" or \"domain-local\"";
-              g)
-      | "cts.float_eq_ok" -> { g with feq = true }
-      | _ -> g)
-    g attrs
-
-(* ------------------------------------------------------------------ *)
-(* Reference notes: call edges + L2/L3                                 *)
-
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
-
-let add_call ctx edge =
-  if not (List.mem edge ctx.info.i_calls) then
-    ctx.info.i_calls <- edge :: ctx.info.i_calls
-
-let note_ref ctx env (lid : Longident.t) loc =
-  let segs = Longident.flatten lid in
-  (match segs with
-  | [ x ] -> (
-      match Env.find_opt x env with
-      | Some KFn ->
-          (* Reference to a local function from inside a pool-task
-             lambda: its body was analyzed as part of the enclosing
-             top-level definition, so link the root to that whole
-             definition (conservative). *)
-          if ctx.in_root then add_call ctx ("", ctx.defname)
-      | Some (KFresh | KPlain) -> ()
-      | None -> add_call ctx ("", x))
-  | _ :: _ :: _ ->
-      let rec split acc = function
-        | [ last ] -> (List.rev acc, last)
-        | x :: tl -> split (x :: acc) tl
-        | [] -> assert false
-      in
-      let mods, name = split [] segs in
-      (* L2: any Random/Rng module segment. *)
-      if
-        List.exists (fun m -> m = "Random" || m = "Rng") mods
-        && not (l2_exempt ctx.fc.f_path)
-      then
-        diag ctx "L2" loc
-          (Printf.sprintf
-             "%s: randomness outside lib/util/rng.ml and \
-              lib/bmark/synthetic.ml breaks determinism"
-             (String.concat "." segs));
-      (* L3: wall-clock in lib/ outside report/bench. *)
-      let d = dotted segs in
-      if List.mem d wallclock && l3_in_scope ctx.fc.f_path then
-        diag ctx "L3" loc
-          (Printf.sprintf
-             "wall-clock call %s in lib/ (allowed only under lib/report, \
-              lib/bench and Obs.Clock)"
-             d);
-      let m = resolve_alias ctx.fc (List.nth mods (List.length mods - 1)) in
-      add_call ctx (m, name)
-  | [] -> ())
-
-(* ------------------------------------------------------------------ *)
-(* The walker                                                          *)
-
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> match lbl with Asttypes.Nolabel -> Some e | _ -> None)
-    args
-
-let record_mut ctx env g prim (target : expression option) loc =
-  ctx.fc.f_mutable <- true;
-  let local =
-    match target with
-    | Some t -> (
-        match head_ident t with
-        | Some x -> Env.find_opt x env = Some KFresh
-        | None -> false)
-    | None -> false
+(* The walk of one definition: [feq] is an enclosing
+   [@cts.float_eq_ok]. Returns whether the code mutates state. *)
+let check_def add (d : Front.def) =
+  let path = d.file.path in
+  let mutates = ref false in
+  let attrs feq (attrs : attributes) =
+    List.fold_left
+      (fun feq (a : attribute) ->
+        match a.attr_name.Location.txt with
+        | "cts.guarded" ->
+            (* A "mutex:NAME" payload names the specific lock; the
+               race analyzer verifies the name, L1 only the shape. *)
+            if
+              Option.bind (Front.string_payload a.attr_payload)
+                Front.guard_mechanism
+              = None
+            then
+              add
+                (Front.diag "L1" path a.attr_loc
+                   "[@cts.guarded] must name its mechanism: \
+                    \"replay-log\", \"mutex[:NAME]\", \"atomic\" or \
+                    \"domain-local\"");
+            feq
+        | "cts.float_eq_ok" -> true
+        | _ -> feq)
+      feq attrs
   in
-  if not local then
-    ctx.info.i_muts <- { prim; mloc = loc; mguard = g.guard } :: ctx.info.i_muts
+  let rec expr feq e =
+    let feq = attrs feq e.pexp_attributes in
+    (match e.pexp_desc with
+    | Pexp_ident { txt = Ldot (prefix, _) as lid; _ } ->
+        let segs = Longident.flatten lid in
+        if
+          List.exists
+            (fun m -> m = "Random" || m = "Rng")
+            (Longident.flatten prefix)
+          && not (l2_exempt path)
+        then
+          add
+            (Front.diag "L2" path e.pexp_loc
+               (Printf.sprintf
+                  "%s: randomness outside lib/util/rng.ml and \
+                   lib/bmark/synthetic.ml breaks determinism"
+                  (String.concat "." segs)));
+        let d = Front.dotted segs in
+        if List.mem d wallclock && l3_in_scope path then
+          add
+            (Front.diag "L3" path e.pexp_loc
+               (Printf.sprintf
+                  "wall-clock call %s in lib/ (allowed only under \
+                   lib/report, lib/bench and Obs.Clock)"
+                  d))
+    | Pexp_apply (f, args) -> (
+        match Front.apply_head f with
+        | Some segs -> (
+            let d = Front.dotted segs in
+            if List.mem_assoc d Front.write_prims || List.mem d l5_allocs then
+              mutates := true;
+            match (d, Front.nolabel_args args) with
+            | ("=" | "<>"), [ a; b ]
+              when l4_in_scope path
+                   && (is_floatish a || is_floatish b)
+                   && not feq ->
+                add
+                  (Front.diag "L4" path e.pexp_loc
+                     (Printf.sprintf
+                        "float equality %s: use an epsilon helper \
+                         (Numerics.Float_cmp) or annotate \
+                         [@cts.float_eq_ok]"
+                        d))
+            | _ -> ())
+        | None -> ())
+    | Pexp_setfield _ | Pexp_setinstvar _ -> mutates := true
+    | _ -> ());
+    let it =
+      {
+        Ast_iterator.default_iterator with
+        expr = (fun _ e' -> expr feq e');
+        value_binding =
+          (fun _ vb -> expr (attrs feq vb.pvb_attributes) vb.pvb_expr);
+        attributes = (fun _ _ -> ());
+        pat = (fun _ _ -> ());
+        typ = (fun _ _ -> ());
+      }
+    in
+    Ast_iterator.default_iterator.expr it e
+  in
+  expr (attrs false d.attrs) d.expr;
+  !mutates
 
-let rec walk ctx env g e =
-  let g = guards_of_attrs ctx g e.pexp_attributes in
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> note_ref ctx env txt e.pexp_loc
-  | Pexp_apply (f, args) ->
-      (match apply_head f with
-      | Some segs ->
-          let d = dotted segs in
-          let pos = nolabel_args args in
-          (* Mutation primitives. *)
-          (match List.assoc_opt d write_prims with
-          | Some idx ->
-              let target = List.nth_opt pos idx in
-              record_mut ctx env g d target e.pexp_loc
-          | None ->
-              if List.mem d l5_allocs then ctx.fc.f_mutable <- true);
-          (* L4: float equality. *)
-          (match (d, pos) with
-          | ("=" | "<>"), [ a; b ]
-            when l4_in_scope ctx.fc.f_path
-                 && (is_floatish a || is_floatish b)
-                 && not g.feq ->
-              diag ctx "L4" e.pexp_loc
-                (Printf.sprintf
-                   "float equality %s: use an epsilon helper \
-                    (Numerics.Float_cmp) or annotate [@cts.float_eq_ok]"
-                   d)
-          | _ -> ());
-          (* Pool-task roots. *)
-          let is_pool_submit =
-            match segs with
-            | [ m; ("map" | "iter") ] -> resolve_alias ctx.fc m = "Parallel"
-            | _ -> false
-          in
-          if is_pool_submit then
-            List.iter
-              (fun arg ->
-                match arg.pexp_desc with
-                | Pexp_fun _ | Pexp_function _ | Pexp_ident _ ->
-                    let rinfo =
-                      {
-                        i_file = ctx.fc.f_path;
-                        i_mod = ctx.fc.f_mod;
-                        i_muts = [];
-                        i_calls = [];
-                      }
-                    in
-                    ctx.glob.roots <- rinfo :: ctx.glob.roots;
-                    walk { ctx with info = rinfo; in_root = true } env g arg
-                | _ -> ())
-              pos
-      | None -> ());
-      walk ctx env g f;
-      List.iter (fun (_, a) -> walk ctx env g a) args
-  | Pexp_setfield (tgt, _, v) ->
-      record_mut ctx env g "<- (mutable field set)" (Some tgt) e.pexp_loc;
-      walk ctx env g tgt;
-      walk ctx env g v
-  | Pexp_setinstvar (_, v) ->
-      record_mut ctx env g "<- (instance variable set)" None e.pexp_loc;
-      walk ctx env g v
-  | Pexp_let (rf, vbs, body) ->
-      let bound =
-        List.concat_map
-          (fun vb ->
-            match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } -> [ (txt, kind_of_rhs vb.pvb_expr) ]
-            | _ -> List.map (fun v -> (v, KPlain)) (pattern_vars vb.pvb_pat))
-          vbs
-      in
-      let env' =
-        List.fold_left (fun e (v, k) -> Env.add v k e) env bound
-      in
-      let rhs_env = if rf = Asttypes.Recursive then env' else env in
-      List.iter
-        (fun vb ->
-          let g' = guards_of_attrs ctx g vb.pvb_attributes in
-          walk ctx rhs_env g' vb.pvb_expr)
-        vbs;
-      walk ctx env' g body
-  | Pexp_fun (_, default, pat, body) ->
-      Option.iter (walk ctx env g) default;
-      walk ctx (bind_plain env pat) g body
-  | Pexp_function cases -> walk_cases ctx env g cases
-  | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-      walk ctx env g scrut;
-      walk_cases ctx env g cases
-  | Pexp_for (pat, lo, hi, _, body) ->
-      walk ctx env g lo;
-      walk ctx env g hi;
-      walk ctx (bind_plain env pat) g body
-  | _ ->
-      (* Generic fallback: visit child expressions with the current
-         environment; no constructor left unhandled introduces value
-         bindings that matter to locality (cases are caught above). *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> walk ctx env g e');
-          case =
-            (fun _ c ->
-              let env = bind_plain env c.pc_lhs in
-              Option.iter (walk ctx env g) c.pc_guard;
-              walk ctx env g c.pc_rhs);
-          attributes = (fun _ _ -> ());
-          pat = (fun _ _ -> ());
-          typ = (fun _ _ -> ());
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
-
-and walk_cases ctx env g cases =
-  List.iter
-    (fun c ->
-      let env = bind_plain env c.pc_lhs in
-      Option.iter (walk ctx env g) c.pc_guard;
-      walk ctx env g c.pc_rhs)
-    cases
-
-(* ------------------------------------------------------------------ *)
-(* Structure pass                                                      *)
-
-let type_decl_mutable fc (td : type_declaration) =
-  (match td.ptype_kind with
-  | Ptype_record lds ->
-      List.iter
-        (fun ld -> if ld.pld_mutable = Asttypes.Mutable then fc.f_mutable <- true)
-        lds
-  | _ -> ());
+let type_decl_mutable (td : type_declaration) =
+  let found =
+    ref
+      (match td.ptype_kind with
+      | Ptype_record lds ->
+          List.exists (fun ld -> ld.pld_mutable = Asttypes.Mutable) lds
+      | _ -> false)
+  in
   let it =
     {
       Ast_iterator.default_iterator with
@@ -576,215 +184,86 @@ let type_decl_mutable fc (td : type_declaration) =
         (fun it t ->
           (match t.ptyp_desc with
           | Ptyp_constr ({ txt; _ }, _) ->
-              let segs = Longident.flatten txt in
-              let d = dotted segs in
-              if
-                List.mem d
-                  [
-                    "Hashtbl.t"; "Queue.t"; "Buffer.t"; "Stack.t";
-                    "Atomic.t"; "Mutex.t"; "Condition.t";
-                  ]
-                || d = "ref"
-              then fc.f_mutable <- true
+              if List.mem (Front.dotted (Longident.flatten txt)) l5_types then
+                found := true
           | _ -> ());
           Ast_iterator.default_iterator.typ it t);
     }
   in
-  it.type_declaration it td
+  it.type_declaration it td;
+  !found
 
-let do_structure glob fc (str : structure) =
+let l1_message prim =
+  Printf.sprintf
+    "%s writes shared state reachable from a Parallel pool task; annotate \
+     the enclosing definition with [@cts.guarded \
+     \"replay-log\"|\"mutex\"|\"atomic\"|\"domain-local\"] or keep the \
+     target task-local"
+    prim
+
+let check (front : Front.t) (race : Race.result) =
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let stateful = Hashtbl.create 64 in
   List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | _ ->
-                    Printf.sprintf "_top_%d"
-                      item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              in
-              let info = get_def glob (fc.f_mod, name) fc.f_path fc.f_mod in
-              let ctx =
-                { glob; fc; info; defname = name; in_root = false }
-              in
-              let g = guards_of_attrs ctx no_guards vb.pvb_attributes in
-              walk ctx Env.empty g vb.pvb_expr)
-            vbs
-      | Pstr_eval (e, attrs) ->
-          let info = get_def glob (fc.f_mod, "_eval") fc.f_path fc.f_mod in
-          let ctx = { glob; fc; info; defname = "_eval"; in_root = false } in
-          let g = guards_of_attrs ctx no_guards attrs in
-          walk ctx Env.empty g e
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | _ -> ())
-      | Pstr_type (_, tds) -> List.iter (type_decl_mutable fc) tds
-      | _ -> ())
-    str
-
-(* ------------------------------------------------------------------ *)
-(* L1 reachability                                                     *)
-
-let report_l1 glob =
-  let visited : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter (fun r -> Queue.add r queue) glob.roots;
-  let reached = ref [] in
-  while not (Queue.is_empty queue) do
-    let info = Queue.pop queue in
-    reached := info :: !reached;
-    List.iter
-      (fun (m, n) ->
-        let key = ((if m = "" then info.i_mod else m), n) in
-        if not (Hashtbl.mem visited key) then begin
-          Hashtbl.replace visited key ();
-          match Hashtbl.find_opt glob.defs key with
-          | Some i -> Queue.add i queue
-          | None -> ()
-        end)
-      info.i_calls
-  done;
+    (fun (d : Front.def) ->
+      if check_def add d then Hashtbl.replace stateful d.file.path ())
+    front.defs;
   List.iter
-    (fun info ->
+    (fun ((file : Front.file), str) ->
       List.iter
-        (fun m ->
-          match m.mguard with
-          | Some _ -> ()
-          | None ->
-              let p = m.mloc.Location.loc_start in
-              glob.diags <-
-                {
-                  rule = "L1";
-                  file = info.i_file;
-                  line = p.Lexing.pos_lnum;
-                  col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-                  message =
-                    Printf.sprintf
-                      "%s writes shared state reachable from a Parallel \
-                       pool task; annotate the enclosing definition with \
-                       [@cts.guarded \
-                       \"replay-log\"|\"mutex\"|\"atomic\"|\"domain-local\"] \
-                       or keep the target task-local"
-                      m.prim;
-                }
-                :: glob.diags)
-        info.i_muts)
-    !reached
+        (fun item ->
+          match item.pstr_desc with
+          | Pstr_type (_, tds) when List.exists type_decl_mutable tds ->
+              Hashtbl.replace stateful file.path ()
+          | _ -> ())
+        str)
+    (Front.implementations front);
+  (* L5: a stateful lib/ module's interface states its domain-safety. *)
+  List.iter
+    (fun (mli : Front.file) ->
+      let ml = Filename.remove_extension mli.path ^ ".ml" in
+      if
+        Filename.check_suffix mli.path ".mli"
+        && Hashtbl.mem stateful ml && l5_in_scope ml
+        && not (Front.contains mli.text "Domain-safety:")
+      then
+        add
+          {
+            Front.rule = "L5";
+            file = mli.path;
+            line = 1;
+            col = 0;
+            message =
+              Printf.sprintf
+                "%s holds mutable state but its .mli has no \
+                 'Domain-safety:' doc line"
+                (Front.module_name_of ml);
+          })
+    front.files;
+  List.map
+    (fun (file, loc, prim) -> Front.diag "L1" file loc (l1_message prim))
+    race.pool_writes
+  @ !diags
 
 (* ------------------------------------------------------------------ *)
-(* L5                                                                  *)
+(* The entry point                                                     *)
 
-let report_l5 glob mlis =
-  List.iter
-    (fun fc ->
-      if fc.f_mutable && l5_in_scope fc.f_path then begin
-        let mli_path = Filename.remove_extension fc.f_path ^ ".mli" in
-        match List.assoc_opt mli_path mlis with
-        | None -> ()  (* no interface: nothing to document *)
-        | Some text ->
-            let has_line =
-              let needle = "Domain-safety:" in
-              let nl = String.length needle and tl = String.length text in
-              let rec search i =
-                i + nl <= tl
-                && (String.sub text i nl = needle || search (i + 1))
-              in
-              search 0
-            in
-            if not has_line then
-              glob.diags <-
-                {
-                  rule = "L5";
-                  file = mli_path;
-                  line = 1;
-                  col = 0;
-                  message =
-                    Printf.sprintf
-                      "%s holds mutable state but its .mli has no \
-                       'Domain-safety:' doc line"
-                      fc.f_mod;
-                }
-                :: glob.diags
-      end)
-    glob.files
+type result = {
+  diagnostics : Front.diagnostic list;
+  raises : ((string * string) * string list) list;
+}
 
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
+let run sources =
+  let front = Front.parse sources in
+  let exc = Exc.analyze front in
+  let race = Race.analyze front ~raises:exc.raises in
+  {
+    diagnostics =
+      Front.sort_diagnostics
+        (front.syntax @ check front race @ Units.check front
+       @ race.diagnostics @ exc.diagnostics);
+    raises = exc.raises;
+  }
 
-let parse_structure path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
-
-let lint_sources sources =
-  let sources = List.map (fun (p, c) -> (norm p, c)) sources in
-  let mls = List.filter (fun (p, _) -> Filename.check_suffix p ".ml") sources in
-  let mlis =
-    List.filter (fun (p, _) -> Filename.check_suffix p ".mli") sources
-  in
-  let glob =
-    { defs = Hashtbl.create 256; roots = []; files = []; diags = [] }
-  in
-  List.iter
-    (fun (path, contents) ->
-      let fc =
-        {
-          f_path = path;
-          f_mod = module_name_of path;
-          f_aliases = Hashtbl.create 8;
-          f_mutable = false;
-        }
-      in
-      glob.files <- fc :: glob.files;
-      match parse_structure path contents with
-      | str -> do_structure glob fc str
-      | exception exn ->
-          (let line, col, msg =
-             match Location.error_of_exn exn with
-             | Some (`Ok (e : Location.error)) ->
-                 let loc = e.Location.main.Location.loc in
-                 let p = loc.Location.loc_start in
-                 ( p.Lexing.pos_lnum,
-                   p.Lexing.pos_cnum - p.Lexing.pos_bol,
-                   Format.asprintf "%t" e.Location.main.Location.txt )
-             | _ -> (1, 0, Printexc.to_string exn)
-           in
-           glob.diags <-
-             { rule = "syntax"; file = path; line; col; message = msg }
-             :: glob.diags)
-          [@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"])
-    mls;
-  report_l1 glob;
-  report_l5 glob mlis;
-  sort_diagnostics glob.diags
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_paths paths =
-  lint_sources (List.map (fun p -> (p, read_file p)) paths)
-
-let rec scan_one acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if entry = "_build" || entry = ".git" || has_prefix "." entry then acc
-        else scan_one acc (Filename.concat path entry))
-      acc (Sys.readdir path)
-  else if
-    Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then path :: acc
-  else acc
-
-let scan paths =
-  List.sort compare (List.fold_left scan_one [] paths)
+let run_paths paths = run (List.map (fun p -> (p, Front.read_file p)) paths)

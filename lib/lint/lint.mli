@@ -1,11 +1,12 @@
-(** Source-level determinism / domain-safety lint for this repository.
+(** Source-level lint for this repository: the determinism /
+    domain-safety rules L1–L5, and {!run}, the one entry point that
+    runs all four lint families — L1–L5 here, {!Units} (U1–U4),
+    {!Race} (C1–C5) and {!Exc} (E1–E5) — over one {!Front.parse} of
+    the sources.
 
-    Parses every [.ml] under the scanned directories with compiler-libs
-    ([Parse.implementation]) and enforces the conventions PR 1's
-    parallel synthesis relies on. Nothing here runs the type-checker:
-    the analysis is a deliberately conservative syntactic
-    approximation, tuned so that the repository itself lints clean
-    while seeded violations are caught.
+    Nothing here runs the type-checker: the analysis is a deliberately
+    conservative syntactic approximation, tuned so that the repository
+    itself lints clean while seeded violations are caught.
 
     Rules:
 
@@ -20,10 +21,10 @@
       deterministically by the coordinator).
       Mutation of values freshly allocated inside the task ([let r =
       ref ...], [let h = Hashtbl.create ...], record/array literals)
-      is task-local and always allowed. Reachability is a
-      module-level call-graph approximation rooted at the lambda (or
-      named function) arguments of [Parallel.map] / [Parallel.iter]
-      call sites.
+      is task-local and always allowed. The writes and the call graph
+      are the race analyzer's summaries ({!Race.result}); L1's roots
+      are the lambda (or named function) arguments of [Parallel.map] /
+      [Parallel.iter] call sites.
     - {b L2} — no [Random.*] or [Rng] use outside [lib/util/rng.ml]
       and [lib/bmark/synthetic.ml].
     - {b L3} — no wall-clock ([Unix.gettimeofday], [Unix.time],
@@ -31,8 +32,8 @@
       the observability clock [lib/obs/obs_clock.ml] ([Obs.Clock] is
       the one blessed gateway; timers must go through it).
     - {b L4} — float equality [=] / [<>] on syntactically-float
-      operands in [lib/cts_core], [lib/dme], [lib/numerics], unless
-      annotated [[@cts.float_eq_ok]].
+      operands in [lib/cts_core], [lib/dme], [lib/numerics] and
+      [lib/qor], unless annotated [[@cts.float_eq_ok]].
     - {b L5} — every [.mli] of a [lib/] module whose implementation
       holds or manipulates mutable state must contain a
       [Domain-safety:] doc line.
@@ -41,46 +42,26 @@
     one of the four known mechanisms (a ["mutex:NAME"] payload naming
     the specific lock is accepted; {!Race} verifies the name) is
     itself reported (rule L1): blanket suppressions are not
-    accepted. *)
+    accepted.
 
-type diagnostic = {
-  rule : string;  (** "L1" .. "L5", or "syntax" for unparseable input. *)
-  file : string;
-  line : int;
-  col : int;
-  message : string;
+    Domain-safety: pure analysis over in-memory sources; every table is
+    local to one {!run}. *)
+
+type result = {
+  diagnostics : Front.diagnostic list;
+      (** every family's diagnostics and the syntax diagnostics, sorted
+          by {!Front.sort_diagnostics} *)
+  raises : ((string * string) * string list) list;
+      (** the may-raise table of {!Exc.analyze} *)
 }
 
-val to_string : diagnostic -> string
-(** ["file:line:col: [rule] message"]. *)
+val run : (string * string) list -> result
+(** [run [(path, contents); ...]] lints in-memory sources. Paths are
+    significant: rule scoping keys off normalized relative paths such
+    as ["lib/cts_core/cts.ml"] ({!Front.normalize_path}); the result
+    does not depend on the order of the sources. *)
 
-val compare_diagnostic : diagnostic -> diagnostic -> int
-(** Report order: (file, line, col, rule, message). *)
-
-val sort_diagnostics : diagnostic list -> diagnostic list
-(** Sort by {!compare_diagnostic} and deduplicate. *)
-
-val normalize_path : string -> string
-(** Normalize a source path for rule scoping: drop ["."] segments,
-    resolve [".."] where possible, and re-root at the last segment
-    naming a known top-level source directory ([lib], [bin], [bench],
-    [test], [examples]) — so ["./lib/dme/d.ml"],
-    ["/abs/checkout/lib/dme/d.ml"] and ["lib/dme/d.ml"] all scope (and
-    report) identically. Paths containing no known root are only
-    cleaned. *)
-
-val lint_sources : (string * string) list -> diagnostic list
-(** [lint_sources [(path, contents); ...]] lints in-memory sources.
-    Paths are significant: rule scoping (L2–L5) keys off normalized
-    relative paths such as ["lib/cts_core/cts.ml"]; [.mli] entries are
-    consulted (as text) by L5 only. Diagnostics are sorted by
-    (file, line, col, rule) and deduplicated. *)
-
-val lint_paths : string list -> diagnostic list
-(** Read the given files from disk and lint them; directory traversal
-    is the caller's job (see {!scan}). *)
-
-val scan : string list -> string list
-(** Recursively collect [.ml] and [.mli] files under the given files
-    or directories, skipping [_build], [.git] and hidden directories;
-    the result is sorted for deterministic reports. *)
+val run_paths : string list -> result
+(** {!run} over files read from disk (directory traversal is
+    {!Front.scan}'s job); raises [Sys_error] when a file cannot be
+    read. *)

@@ -6,7 +6,7 @@ let json_of ~files_scanned diags =
       ( "diagnostics",
         Arr
           (List.map
-             (fun (d : Lint.diagnostic) ->
+             (fun (d : Front.diagnostic) ->
                Obj
                  [
                    ("rule", Str d.rule);

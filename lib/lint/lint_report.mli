@@ -2,11 +2,11 @@
 
     Shared by the [cts_lint] driver and the tests: one function builds
     the canonical {!Obs_json.t} value (stable member order, diagnostics
-    pre-sorted by the caller via {!Lint.sort_diagnostics}), one writes
+    pre-sorted by the caller via {!Front.sort_diagnostics}), one writes
     it with explicit error handling so an unwritable [--json] path is a
     reported failure, not an uncaught exception. *)
 
-val json_of : files_scanned:int -> Lint.diagnostic list -> Obs_json.t
+val json_of : files_scanned:int -> Front.diagnostic list -> Obs_json.t
 (** [{"files_scanned": n, "diagnostics": [{rule,file,line,col,message}]}]
     with members in exactly that order. *)
 

@@ -17,62 +17,16 @@
    Pass 2 computes fixpoints over the call graph (transitive lock
    acquisition for C3, transitive Domain.DLS use for "domain-local"
    claim verification, transitive may-block for C4) and the set of
-   summaries reachable from pool-task roots.
+   summaries reachable from task roots.
 
    Pass 3 emits C1-C5. Everything is emitted into one list and sorted
-   through Lint.sort_diagnostics, and all cross-function grouping
+   through Front.sort_diagnostics, and all cross-function grouping
    (C2 lock-set comparison, C3 pair matching) sorts its sites first,
-   so the report is identical under any file-visit order. *)
+   so the report is identical under any file-visit order. The same
+   summaries feed rule L1 (lint.ml), which trusts the claims this
+   pass verifies. *)
 
 open Parsetree
-
-(* ------------------------------------------------------------------ *)
-(* Small syntactic helpers (shared shape with lint.ml)                  *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
 
 (* Does the expression syntactically involve a Domain.DLS access?
    (Used for dls-derived bindings and the C5 escape check.) *)
@@ -98,52 +52,9 @@ let mentions_dls e =
 (* ------------------------------------------------------------------ *)
 (* Primitive tables                                                     *)
 
-(* Mutation primitives: resolved head -> (mutated argument index,
-   stored-value argument index if meaningful for C5). *)
-let write_prims =
-  [
-    (":=", (0, Some 1)); ("incr", (0, None)); ("decr", (0, None));
-    ("Hashtbl.replace", (0, Some 2)); ("Hashtbl.add", (0, Some 2));
-    ("Hashtbl.remove", (0, None)); ("Hashtbl.reset", (0, None));
-    ("Hashtbl.clear", (0, None)); ("Hashtbl.filter_map_inplace", (1, None));
-    ("Array.set", (0, Some 2)); ("Array.unsafe_set", (0, Some 2));
-    ("Array.fill", (0, Some 3)); ("Array.blit", (2, None));
-    ("Array.sort", (1, None)); ("Array.fast_sort", (1, None));
-    ("Array.stable_sort", (1, None));
-    ("Bytes.set", (0, None)); ("Bytes.unsafe_set", (0, None));
-    ("Bytes.fill", (0, None)); ("Bytes.blit", (2, None));
-    ("Buffer.add_string", (0, None)); ("Buffer.add_char", (0, None));
-    ("Buffer.add_bytes", (0, None)); ("Buffer.add_buffer", (0, None));
-    ("Buffer.add_substring", (0, None)); ("Buffer.add_subbytes", (0, None));
-    ("Buffer.clear", (0, None)); ("Buffer.reset", (0, None));
-    ("Buffer.truncate", (0, None));
-    ("Queue.add", (1, Some 0)); ("Queue.push", (1, Some 0));
-    ("Queue.pop", (0, None)); ("Queue.take", (0, None));
-    ("Queue.clear", (0, None)); ("Queue.transfer", (0, None));
-    ("Stack.push", (1, Some 0)); ("Stack.pop", (0, None));
-    ("Stack.clear", (0, None));
-    ("Atomic.set", (0, Some 1)); ("Atomic.exchange", (0, Some 1));
-    ("Atomic.compare_and_set", (0, Some 2));
-    ("Atomic.fetch_and_add", (0, None)); ("Atomic.incr", (0, None));
-    ("Atomic.decr", (0, None));
-  ]
-
 let is_atomic_prim d =
   String.length d > 7 && String.sub d 0 7 = "Atomic."
 
-let fresh_allocs =
-  [
-    "ref"; "Hashtbl.create"; "Hashtbl.copy"; "Queue.create"; "Queue.copy";
-    "Buffer.create"; "Stack.create"; "Atomic.make"; "Mutex.create";
-    "Condition.create"; "Array.make"; "Array.init"; "Array.create_float";
-    "Array.of_list"; "Array.copy"; "Array.make_matrix"; "Array.append";
-    "Array.concat"; "Array.sub"; "Array.map"; "Array.mapi"; "Bytes.create";
-    "Bytes.make"; "Bytes.copy"; "Bytes.of_string";
-  ]
-
-(* Module-level binding classification (pre-pass). *)
-let mutex_allocs = [ "Mutex.create" ]
-let atomic_allocs = [ "Atomic.make" ]
 let dls_allocs = [ "Domain.DLS.new_key"; "DLS.new_key" ]
 
 (* Blocking / allocating-heavy primitives for C4. [Condition.wait] is
@@ -170,7 +81,7 @@ let blocking_prims =
 let blocking_modules = [ "Unix"; "In_channel"; "Out_channel" ]
 
 let blocking_head segs =
-  let d = dotted segs in
+  let d = Front.dotted segs in
   if List.mem d blocking_prims then Some d
   else
     match segs with
@@ -189,15 +100,6 @@ type claim = {
   mutable cl_used : bool;  (* some mutation was recorded in its scope *)
 }
 
-let parse_mechanism s =
-  let mechanisms = [ "replay-log"; "mutex"; "atomic"; "domain-local" ] in
-  if List.mem s mechanisms then Some (s, None)
-  else
-    match String.index_opt s ':' with
-    | Some i when String.sub s 0 i = "mutex" && i + 1 < String.length s ->
-        Some ("mutex", Some (String.sub s (i + 1) (String.length s - i - 1)))
-    | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Summaries                                                            *)
 
@@ -209,7 +111,8 @@ type wclass =
   | W_dls  (* rooted at a Domain.DLS.get result *)
 
 type write = {
-  w_prim : string;
+  w_prim : string;  (* ":=", "Hashtbl.replace", "<- (mutable field set)" *)
+  w_field : string option;  (* the field a mutable-field set assigns *)
   w_class : wclass;
   w_id : string option;  (* stable identity for C2 grouping *)
   w_atomic : bool;
@@ -219,15 +122,19 @@ type write = {
   w_loc : Location.t;
 }
 
+type call = {
+  c_key : string * string;  (* resolved callee *)
+  c_locks : string list;  (* held at the reference *)
+  c_shielded : bool;  (* under a try body or a protect combinator *)
+  c_loc : Location.t;
+}
+
 type info = {
   i_file : string;
-  i_mod : string;
-  i_name : string;  (* definition name, or "<task@line>" for roots *)
+  i_pool : bool;  (* a Parallel.map/iter task root *)
   mutable i_writes : write list;
-  mutable i_calls : (string * string * string list * bool * Location.t) list;
-      (* (module ("" = same), name, locks held at the reference,
-         shielded — under a try body or a protect combinator, loc) *)
-  mutable i_acquires : (string * Location.t) list;
+  mutable i_calls : call list;
+  mutable i_acquires : string list;
   mutable i_pairs : (string * string * Location.t) list;
       (* (outer, inner): inner acquired while outer held, same body *)
   mutable i_blocking : (string * string list * Location.t) list;
@@ -239,24 +146,15 @@ type info = {
 }
 
 type global = {
-  defs : (string * string, info) Hashtbl.t;
-  mutable infos : info list;  (* reverse insertion order *)
-  mutable roots : info list;
-  toplevel : (string * string, string) Hashtbl.t;
-      (* (Module, name) -> "mutex" | "atomic" | "dls-key" | "mutable" *)
+  table : info Front.table;
+  mutexes : (string * string) list;  (* module-level Mutex.create bindings *)
   mutable claims : claim list;
-  mutable diags : Lint.diagnostic list;
-}
-
-type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
+  mutable diags : Front.diagnostic list;
 }
 
 type ctx = {
   glob : global;
-  fc : fctx;
+  file : Front.file;
   info : info;
   defname : string;
   in_root : bool;
@@ -266,41 +164,22 @@ type ctx = {
                        Mutex.protect / Fun.protect combinator *)
 }
 
-let diag_at glob file (loc : Location.t) rule message =
-  let p = loc.Location.loc_start in
-  glob.diags <-
-    {
-      Lint.rule;
-      file;
-      line = p.Lexing.pos_lnum;
-      col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-      message;
-    }
-    :: glob.diags
+let add glob d = glob.diags <- d :: glob.diags
 
-let get_def glob key file modname name =
-  match Hashtbl.find_opt glob.defs key with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          i_file = file;
-          i_mod = modname;
-          i_name = name;
-          i_writes = [];
-          i_calls = [];
-          i_acquires = [];
-          i_pairs = [];
-          i_blocking = [];
-          i_dls = false;
-          i_trans_dls = false;
-          i_trans_acq = [];
-          i_may_block = None;
-        }
-      in
-      Hashtbl.replace glob.defs key i;
-      glob.infos <- i :: glob.infos;
-      i
+let new_info file ~pool _key =
+  {
+    i_file = file;
+    i_pool = pool;
+    i_writes = [];
+    i_calls = [];
+    i_acquires = [];
+    i_pairs = [];
+    i_blocking = [];
+    i_dls = false;
+    i_trans_dls = false;
+    i_trans_acq = [];
+    i_may_block = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Environment                                                          *)
@@ -314,10 +193,10 @@ let rec kind_of_rhs e =
   | Pexp_fun _ | Pexp_function _ -> KFn
   | Pexp_record _ | Pexp_array _ -> KFresh
   | Pexp_apply (f, _) -> (
-      match apply_head f with
+      match Front.apply_head f with
       | Some segs ->
-          let d = dotted segs in
-          if List.mem d fresh_allocs then KFresh
+          let d = Front.dotted segs in
+          if List.mem d Front.fresh_allocs then KFresh
           else if List.mem d dls_allocs || d = "DLS.get" then KDls
           else if
             match segs with
@@ -329,11 +208,8 @@ let rec kind_of_rhs e =
   | Pexp_constraint (e', _) | Pexp_lazy e' -> kind_of_rhs e'
   | _ -> if mentions_dls e then KDls else KPlain
 
-let bind_params env p =
-  List.fold_left (fun e v -> Env.add v KParam e) env (pattern_vars p)
-
-let bind_plain env p =
-  List.fold_left (fun e v -> Env.add v KPlain e) env (pattern_vars p)
+let bind kind env p =
+  List.fold_left (fun e v -> Env.add v kind e) env (Front.pattern_vars p)
 
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                           *)
@@ -343,14 +219,17 @@ let guards_of_attrs ctx (attrs : attributes) =
     (fun ctx (a : attribute) ->
       match a.attr_name.Location.txt with
       | "cts.guarded" -> (
-          match Option.map parse_mechanism (string_payload a.attr_payload) with
-          | Some (Some (mech, lock)) ->
+          match
+            Option.bind (Front.string_payload a.attr_payload)
+              Front.guard_mechanism
+          with
+          | Some (mech, lock) ->
               let p = a.attr_loc.Location.loc_start in
               let cl =
                 {
                   cl_mech = mech;
                   cl_lock = lock;
-                  cl_file = ctx.fc.f_path;
+                  cl_file = ctx.file.Front.path;
                   cl_line = p.Lexing.pos_lnum;
                   cl_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
                   cl_used = false;
@@ -358,7 +237,7 @@ let guards_of_attrs ctx (attrs : attributes) =
               in
               ctx.glob.claims <- cl :: ctx.glob.claims;
               { ctx with claim = Some cl }
-          | Some None | None -> ctx (* malformed payloads are L1's job *))
+          | None -> ctx (* malformed payloads are L1's job *))
       | "cts.blocking_ok" -> { ctx with blocking_ok = true }
       | _ -> ctx)
     ctx attrs
@@ -366,8 +245,8 @@ let guards_of_attrs ctx (attrs : attributes) =
 (* ------------------------------------------------------------------ *)
 (* Identity resolution                                                  *)
 
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
+let field_name (lid : Longident.t) =
+  match lid with Lident f | Ldot (_, f) -> f | Lapply _ -> "?"
 
 (* Resolved identity of a lock expression. Module-level mutexes get
    their qualified path; record fields a field-keyed identity (every
@@ -381,16 +260,12 @@ let rec lock_id ctx env e =
       | Some (KParam | KPlain | KFn) -> "<local:" ^ x ^ ">"
       | Some KFresh -> "<fresh:" ^ x ^ ">"
       | Some KDls -> "<dls:" ^ x ^ ">"
-      | None -> ctx.fc.f_mod ^ "." ^ x)
+      | None -> ctx.file.Front.modname ^ "." ^ x)
   | Pexp_ident { txt; _ } -> (
-      match List.rev (Longident.flatten txt) with
-      | x :: m :: _ -> resolve_alias ctx.fc m ^ "." ^ x
-      | [ x ] -> ctx.fc.f_mod ^ "." ^ x
-      | [] -> "<anon>")
-  | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (Longident.flatten txt) with
-      | f :: _ -> "<." ^ f ^ ">"
-      | [] -> "<anon>")
+      match Front.qualified ctx.file txt with
+      | Some (m, x) -> m ^ "." ^ x
+      | None -> "<anon>")
+  | Pexp_field (_, { txt; _ }) -> "<." ^ field_name txt ^ ">"
   | Pexp_constraint (e', _) -> lock_id ctx env e'
   | _ -> "<anon>"
 
@@ -400,16 +275,10 @@ let rec lock_id ctx env e =
 let classify_target ctx env (target : expression option) =
   match target with
   | None -> (W_opaque, None)
-  | Some t ->
+  | Some t -> (
       let rec peel fields e =
         match e.pexp_desc with
-        | Pexp_field (e', { txt; _ }) ->
-            let f =
-              match List.rev (Longident.flatten txt) with
-              | x :: _ -> x
-              | [] -> "?"
-            in
-            peel (f :: fields) e'
+        | Pexp_field (e', { txt; _ }) -> peel (field_name txt :: fields) e'
         | Pexp_constraint (e', _) -> peel fields e'
         | _ -> (fields, e)
       in
@@ -417,7 +286,7 @@ let classify_target ctx env (target : expression option) =
       let field_id () =
         match fields with [] -> None | f :: _ -> Some ("<." ^ f ^ ">")
       in
-      (match base.pexp_desc with
+      match base.pexp_desc with
       | Pexp_ident { txt = Longident.Lident x; _ } -> (
           match Env.find_opt x env with
           | Some KFresh -> (W_local, None)
@@ -425,19 +294,20 @@ let classify_target ctx env (target : expression option) =
           | Some (KParam | KFn) -> (W_param, field_id ())
           | Some KPlain -> (W_opaque, field_id ())
           | None ->
-              let id = ctx.fc.f_mod ^ "." ^ x in
+              let id = ctx.file.Front.modname ^ "." ^ x in
               (W_shared id, Some id))
       | Pexp_ident { txt; _ } -> (
-          match List.rev (Longident.flatten txt) with
-          | x :: m :: _ ->
-              let id = resolve_alias ctx.fc m ^ "." ^ x in
+          match Front.qualified ctx.file txt with
+          | Some (m, x) ->
+              let id = m ^ "." ^ x in
               (W_shared id, Some id)
-          | _ -> (W_opaque, field_id ()))
+          | None -> (W_opaque, field_id ()))
       | Pexp_apply (f, _) -> (
           (* A projection through a call: [ (current ()).counts ].
              DLS-returning callees make the target domain-local. *)
-          match apply_head f with
-          | Some segs when List.mem (dotted segs) dls_allocs -> (W_dls, None)
+          match Front.apply_head f with
+          | Some segs when List.mem (Front.dotted segs) dls_allocs ->
+              (W_dls, None)
           | Some [ "Domain"; "DLS"; "get" ] | Some [ "DLS"; "get" ] ->
               (W_dls, None)
           | _ -> (W_opaque, field_id ()))
@@ -446,32 +316,28 @@ let classify_target ctx env (target : expression option) =
 (* ------------------------------------------------------------------ *)
 (* The walker                                                           *)
 
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> match lbl with Asttypes.Nolabel -> Some e | _ -> None)
-    args
-
-let add_call ctx locks (edge : string * string) loc =
-  let m, n = edge in
-  ctx.info.i_calls <- (m, n, locks, ctx.shielded, loc) :: ctx.info.i_calls
+let add_call ctx locks key loc =
+  ctx.info.i_calls <-
+    { c_key = key; c_locks = locks; c_shielded = ctx.shielded; c_loc = loc }
+    :: ctx.info.i_calls
 
 let note_ref ctx env locks (lid : Longident.t) loc =
-  match Longident.flatten lid with
-  | [ x ] -> (
+  match lid with
+  | Lident x -> (
       match Env.find_opt x env with
       | Some KFn ->
           (* Local function referenced from a pool-task lambda: link
              the root to the whole enclosing definition. *)
-          if ctx.in_root then add_call ctx locks ("", ctx.defname) loc
+          if ctx.in_root then
+            add_call ctx locks (ctx.file.Front.modname, ctx.defname) loc
       | Some _ -> ()
-      | None -> add_call ctx locks ("", x) loc)
-  | _ :: _ :: _ as segs -> (
-      match List.rev segs with
-      | n :: m :: _ -> add_call ctx locks (resolve_alias ctx.fc m, n) loc
-      | _ -> ())
-  | [] -> ()
+      | None -> add_call ctx locks (ctx.file.Front.modname, x) loc)
+  | _ ->
+      Option.iter
+        (fun key -> add_call ctx locks key loc)
+        (Front.qualified ctx.file lid)
 
-let record_write ctx env locks ~prim ~atomic target value loc =
+let record_write ctx env locks ~prim ~field ~atomic target value loc =
   let cls, id = classify_target ctx env target in
   (match ctx.claim with
   | Some cl when cls <> W_local -> cl.cl_used <- true
@@ -480,6 +346,7 @@ let record_write ctx env locks ~prim ~atomic target value loc =
     ctx.info.i_writes <-
       {
         w_prim = prim;
+        w_field = field;
         w_class = cls;
         w_id = id;
         w_atomic = atomic;
@@ -497,7 +364,7 @@ let record_write ctx env locks ~prim ~atomic target value loc =
       :: ctx.info.i_writes
 
 let acquire ctx locks l loc =
-  ctx.info.i_acquires <- (l, loc) :: ctx.info.i_acquires;
+  ctx.info.i_acquires <- l :: ctx.info.i_acquires;
   List.iter (fun h -> ctx.info.i_pairs <- (h, l, loc) :: ctx.info.i_pairs) locks;
   locks @ [ l ]
 
@@ -508,28 +375,6 @@ let release locks l =
     | x :: tl -> if x = l && not (List.mem l tl) then tl else x :: go tl
   in
   go locks
-
-let mk_root ctx (loc : Location.t) =
-  let p = loc.Location.loc_start in
-  let rinfo =
-    {
-      i_file = ctx.fc.f_path;
-      i_mod = ctx.fc.f_mod;
-      i_name = Printf.sprintf "<task@%d>" p.Lexing.pos_lnum;
-      i_writes = [];
-      i_calls = [];
-      i_acquires = [];
-      i_pairs = [];
-      i_blocking = [];
-      i_dls = false;
-      i_trans_dls = false;
-      i_trans_acq = [];
-      i_may_block = None;
-    }
-  in
-  ctx.glob.roots <- rinfo :: ctx.glob.roots;
-  ctx.glob.infos <- rinfo :: ctx.glob.infos;
-  rinfo
 
 (* [walk] returns the lock state after the expression so sequences and
    let-chains thread it. *)
@@ -546,32 +391,25 @@ let rec walk ctx env locks e : string list =
       locks
   | Pexp_apply (f, args) -> walk_apply ctx env locks e f args
   | Pexp_setfield (tgt, fld, v) ->
-      let fname =
-        match List.rev (Longident.flatten fld.Location.txt) with
-        | x :: _ -> x
-        | [] -> "?"
-      in
-      record_write ctx env locks
-        ~prim:(Printf.sprintf "%s <- (mutable field set)" fname)
-        ~atomic:false
+      record_write ctx env locks ~prim:"<- (mutable field set)"
+        ~field:(Some (field_name fld.Location.txt)) ~atomic:false
         (Some { e with pexp_desc = Pexp_field (tgt, fld) })
         (Some v) e.pexp_loc;
       let locks' = walk ctx env locks tgt in
       walk ctx env locks' v
   | Pexp_setinstvar (_, v) ->
       record_write ctx env locks ~prim:"<- (instance variable set)"
-        ~atomic:false None (Some v) e.pexp_loc;
+        ~field:None ~atomic:false None (Some v) e.pexp_loc;
       walk ctx env locks v
   | Pexp_let (rf, vbs, body) ->
-      let bound =
-        List.concat_map
-          (fun vb ->
+      let env' =
+        List.fold_left
+          (fun env vb ->
             match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } -> [ (txt, kind_of_rhs vb.pvb_expr) ]
-            | _ -> List.map (fun v -> (v, KPlain)) (pattern_vars vb.pvb_pat))
-          vbs
+            | Ppat_var { txt; _ } -> Env.add txt (kind_of_rhs vb.pvb_expr) env
+            | _ -> bind KPlain env vb.pvb_pat)
+          env vbs
       in
-      let env' = List.fold_left (fun e (v, k) -> Env.add v k e) env bound in
       let rhs_env = if rf = Asttypes.Recursive then env' else env in
       let locks' =
         List.fold_left
@@ -583,7 +421,7 @@ let rec walk ctx env locks e : string list =
       walk ctx env' locks' body
   | Pexp_fun (_, default, pat, body) ->
       Option.iter (fun d -> ignore (walk ctx env locks d)) default;
-      ignore (walk ctx (bind_params env pat) locks body);
+      ignore (walk ctx (bind KParam env pat) locks body);
       locks
   | Pexp_function cases ->
       walk_cases ctx env locks cases;
@@ -623,7 +461,7 @@ let rec walk ctx env locks e : string list =
   | Pexp_for (pat, lo, hi, _, body) ->
       let locks' = walk ctx env locks lo in
       let locks' = walk ctx env locks' hi in
-      ignore (walk ctx (bind_plain env pat) locks' body);
+      ignore (walk ctx (bind KPlain env pat) locks' body);
       locks'
   | _ ->
       let it =
@@ -632,7 +470,7 @@ let rec walk ctx env locks e : string list =
           expr = (fun _ e' -> ignore (walk ctx env locks e'));
           case =
             (fun _ c ->
-              let env = bind_plain env c.pc_lhs in
+              let env = bind KPlain env c.pc_lhs in
               Option.iter (fun g -> ignore (walk ctx env locks g)) c.pc_guard;
               ignore (walk ctx env locks c.pc_rhs));
           attributes = (fun _ _ -> ());
@@ -646,28 +484,32 @@ let rec walk ctx env locks e : string list =
 and walk_cases ctx env locks cases =
   List.iter
     (fun c ->
-      let env = bind_plain env c.pc_lhs in
+      let env = bind KPlain env c.pc_lhs in
       Option.iter (fun g -> ignore (walk ctx env locks g)) c.pc_guard;
       ignore (walk ctx env locks c.pc_rhs))
     cases
 
-and walk_closure_as_root ctx env arg =
+and walk_closure_as_root ctx env ~pool arg =
   (* Deferred-execution closure: its effects belong to a fresh root
      summary and it never inherits the submitter's lock state. *)
   match arg.pexp_desc with
   | Pexp_fun _ | Pexp_function _ | Pexp_ident _ ->
-      let rinfo = mk_root ctx arg.pexp_loc in
+      let rinfo =
+        Front.root ctx.glob.table ctx.file arg.pexp_loc
+          (new_info ctx.file.Front.path ~pool)
+      in
       ignore (walk { ctx with info = rinfo; in_root = true } env [] arg)
   | _ -> ignore (walk ctx env [] arg)
 
 and walk_apply ctx env locks e f args =
-  match apply_head f with
+  match Front.apply_head f with
   | None ->
       let locks' = walk ctx env locks f in
       List.fold_left (fun lks (_, a) -> walk ctx env lks a) locks' args
   | Some segs -> (
-      let d = dotted segs in
-      let pos = nolabel_args args in
+      let d = Front.dotted segs in
+      let pos = Front.nolabel_args args in
+      let task = Front.task_call ctx.file segs in
       match (d, pos) with
       | "Mutex.lock", m :: _ ->
           ignore (walk ctx env locks m);
@@ -687,24 +529,19 @@ and walk_apply ctx env locks e f args =
           let ctx = { ctx with shielded = true } in
           List.iter (fun (_, a) -> ignore (walk ctx env locks a)) args;
           locks
-      | ("Domain.spawn" | "Domain.Spawn.spawn"), args' ->
-          List.iter (walk_closure_as_root ctx env) args';
+      | _ when task = Some Front.Spawn ->
+          List.iter (walk_closure_as_root ctx env ~pool:false) pos;
           locks
       | _ ->
-          let is_pool_submit =
-            match segs with
-            | [ m; ("map" | "iter") ] -> resolve_alias ctx.fc m = "Parallel"
-            | _ -> false
-          in
           (* Mutation primitives. *)
-          (match List.assoc_opt d write_prims with
+          (match List.assoc_opt d Front.write_prims with
           | Some (tgt_idx, val_idx) ->
               let target = List.nth_opt pos tgt_idx in
               let value =
                 Option.bind val_idx (fun i -> List.nth_opt pos i)
               in
-              record_write ctx env locks ~prim:d ~atomic:(is_atomic_prim d)
-                target value e.pexp_loc
+              record_write ctx env locks ~prim:d ~field:None
+                ~atomic:(is_atomic_prim d) target value e.pexp_loc
           | None -> ());
           (* Blocking calls. *)
           (match blocking_head segs with
@@ -712,7 +549,7 @@ and walk_apply ctx env locks e f args =
               ctx.info.i_blocking <- (b, locks, e.pexp_loc) :: ctx.info.i_blocking
           | _ -> ());
           ignore (walk ctx env locks f);
-          if is_pool_submit then begin
+          if task = Some Front.Pool then begin
             (* First positional argument is the pool, the rest carry
                the task closures; walk closures as roots, everything
                else normally. *)
@@ -722,11 +559,11 @@ and walk_apply ctx env locks e f args =
                 else
                   match a.pexp_desc with
                   | Pexp_fun _ | Pexp_function _ ->
-                      walk_closure_as_root ctx env a
+                      walk_closure_as_root ctx env ~pool:true a
                   | Pexp_ident _ ->
                       (* Both: the name is callable from the task, and
                          the reference itself is recorded normally. *)
-                      walk_closure_as_root ctx env a;
+                      walk_closure_as_root ctx env ~pool:true a;
                       ignore (walk ctx env locks a)
                   | _ -> ignore (walk ctx env locks a))
               pos;
@@ -742,217 +579,98 @@ and walk_apply ctx env locks e f args =
             List.fold_left (fun lks (_, a) -> walk ctx env lks a) locks args)
 
 (* ------------------------------------------------------------------ *)
-(* Structure passes                                                     *)
+(* Pass 1: module-level mutexes, then the summaries                    *)
 
-(* Pre-pass: classify module-level bindings (mutexes, atomics, DLS
-   keys, mutable containers) and record module aliases. *)
-let classify_toplevel glob fc (str : structure) =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> (
-                  let rec head e =
-                    match e.pexp_desc with
-                    | Pexp_apply (f, _) -> apply_head f
-                    | Pexp_constraint (e', _) -> head e'
-                    | _ -> None
-                  in
-                  match head vb.pvb_expr with
-                  | Some segs ->
-                      let d = dotted segs in
-                      let full =
-                        match segs with
-                        | [ _; _; _ ] -> String.concat "." segs
-                        | _ -> d
-                      in
-                      let kind =
-                        if List.mem d mutex_allocs then Some "mutex"
-                        else if List.mem d atomic_allocs then Some "atomic"
-                        else if
-                          List.mem d dls_allocs || List.mem full dls_allocs
-                        then Some "dls-key"
-                        else if List.mem d fresh_allocs then Some "mutable"
-                        else None
-                      in
-                      Option.iter
-                        (fun k ->
-                          Hashtbl.replace glob.toplevel (fc.f_mod, txt) k)
-                        kind
-                  | None -> ())
-              | _ -> ())
-            vbs
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | _ -> ())
-      | _ -> ())
-    str
+let module_mutexes (front : Front.t) =
+  let rec head e =
+    match e.pexp_desc with
+    | Pexp_apply (f, _) -> Front.apply_head f
+    | Pexp_constraint (e', _) -> head e'
+    | _ -> None
+  in
+  List.filter_map
+    (fun (d : Front.def) ->
+      match head d.expr with
+      | Some segs when Front.dotted segs = "Mutex.create" ->
+          Some (d.file.modname, d.name)
+      | _ -> None)
+    front.defs
 
-let do_structure glob fc (str : structure) =
+let summarize glob (front : Front.t) =
   List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | _ ->
-                    Printf.sprintf "_top_%d"
-                      item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              in
-              let info =
-                get_def glob (fc.f_mod, name) fc.f_path fc.f_mod name
-              in
-              let ctx =
-                {
-                  glob;
-                  fc;
-                  info;
-                  defname = name;
-                  in_root = false;
-                  claim = None;
-                  blocking_ok = false;
-                  shielded = false;
-                }
-              in
-              let ctx = guards_of_attrs ctx vb.pvb_attributes in
-              ignore (walk ctx Env.empty [] vb.pvb_expr))
-            vbs
-      | Pstr_eval (e, attrs) ->
-          let info = get_def glob (fc.f_mod, "_eval") fc.f_path fc.f_mod "_eval" in
-          let ctx =
-            {
-              glob;
-              fc;
-              info;
-              defname = "_eval";
-              in_root = false;
-              claim = None;
-              blocking_ok = false;
-              shielded = false;
-            }
-          in
-          let ctx = guards_of_attrs ctx attrs in
-          ignore (walk ctx Env.empty [] e)
-      | _ -> ())
-    str
+    (fun (d : Front.def) ->
+      let info =
+        Front.summary glob.table (d.file.modname, d.name)
+          (new_info d.file.path ~pool:false)
+      in
+      let ctx =
+        {
+          glob;
+          file = d.file;
+          info;
+          defname = d.name;
+          in_root = false;
+          claim = None;
+          blocking_ok = false;
+          shielded = false;
+        }
+      in
+      ignore (walk (guards_of_attrs ctx d.attrs) Env.empty [] d.expr))
+    front.defs
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: fixpoints and reachability                                   *)
 
-let fixpoint glob =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun info ->
-        List.iter
-          (fun (m, n, locks, _, _) ->
-            let key = ((if m = "" then info.i_mod else m), n) in
-            match Hashtbl.find_opt glob.defs key with
-            | None -> ()
-            | Some callee ->
-                if callee == info then ()
-                else begin
-                  if callee.i_trans_dls && not info.i_trans_dls then begin
-                    info.i_trans_dls <- true;
-                    changed := true
-                  end;
-                  List.iter
-                    (fun l ->
-                      if not (List.mem l info.i_trans_acq) then begin
-                        info.i_trans_acq <- l :: info.i_trans_acq;
-                        changed := true
-                      end)
-                    callee.i_trans_acq;
-                  (match (callee.i_may_block, info.i_may_block) with
-                  | Some w, None ->
-                      info.i_may_block <-
-                        Some
-                          (Printf.sprintf "%s.%s -> %s"
-                             (if m = "" then info.i_mod else m)
-                             n w);
-                      changed := true
-                  | _ -> ());
-                  ignore locks
-                end)
-          info.i_calls)
-      glob.infos
-  done
-
-let seed_fixpoint glob =
+let seed info =
+  if info.i_dls then info.i_trans_dls <- true;
   List.iter
-    (fun info ->
-      if info.i_dls then info.i_trans_dls <- true;
-      List.iter
-        (fun (l, _) ->
-          if not (List.mem l info.i_trans_acq) then
-            info.i_trans_acq <- l :: info.i_trans_acq)
-        info.i_acquires;
-      match info.i_blocking with
-      | (b, _, _) :: _ -> info.i_may_block <- Some b
-      | [] -> ())
-    glob.infos
+    (fun l ->
+      if not (List.mem l info.i_trans_acq) then
+        info.i_trans_acq <- l :: info.i_trans_acq)
+    info.i_acquires;
+  match info.i_blocking with
+  | (b, _, _) :: _ -> info.i_may_block <- Some b
+  | [] -> ()
 
-let task_reachable glob =
-  let visited : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let reached = ref [] in
-  let queue = Queue.create () in
-  List.iter (fun r -> Queue.add r queue) glob.roots;
-  while not (Queue.is_empty queue) do
-    let info = Queue.pop queue in
-    reached := info :: !reached;
-    List.iter
-      (fun (m, n, _, _, _) ->
-        let key = ((if m = "" then info.i_mod else m), n) in
-        if not (Hashtbl.mem visited key) then begin
-          Hashtbl.replace visited key ();
-          match Hashtbl.find_opt glob.defs key with
-          | Some i -> Queue.add i queue
-          | None -> ()
-        end)
-      info.i_calls
-  done;
-  !reached
+let transfer info call callee =
+  let dls = callee.i_trans_dls && not info.i_trans_dls in
+  if dls then info.i_trans_dls <- true;
+  let acq =
+    List.filter (fun l -> not (List.mem l info.i_trans_acq)) callee.i_trans_acq
+  in
+  info.i_trans_acq <- List.rev_append acq info.i_trans_acq;
+  let blocks =
+    match (callee.i_may_block, info.i_may_block) with
+    | Some w, None ->
+        info.i_may_block <- Some (Front.via call.c_key w);
+        true
+    | _ -> false
+  in
+  dls || acq <> [] || blocks
+
+let callees info = List.map (fun c -> c.c_key) info.i_calls
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: diagnostics                                                  *)
 
 let known_mutex glob name =
-  Hashtbl.fold
-    (fun (m, n) kind acc ->
-      acc
-      || kind = "mutex"
-         && (n = name || m ^ "." ^ n = name))
-    glob.toplevel false
+  List.exists (fun (m, n) -> n = name || m ^ "." ^ n = name) glob.mutexes
 
 let lock_matches name l =
-  l = name
-  ||
-  let suffix = "." ^ name in
-  let ll = String.length l and ls = String.length suffix in
-  ll >= ls && String.sub l (ll - ls) ls = suffix
+  l = name || Front.has_suffix ("." ^ name) l
 
 let describe_target w =
-  match w.w_id with
-  | Some id -> Printf.sprintf "%s (%s)" w.w_prim id
-  | None -> w.w_prim
+  let prim =
+    match w.w_field with Some f -> f ^ " " ^ w.w_prim | None -> w.w_prim
+  in
+  match w.w_id with Some id -> Printf.sprintf "%s (%s)" prim id | None -> prim
 
 let mechanism_list =
   "\"replay-log\"|\"mutex[:NAME]\"|\"atomic\"|\"domain-local\""
 
-(* C1: every shared mutation reachable from a pool task must be
-   provably protected; [@cts.guarded] claims are verified, never
-   trusted. Claim verification runs over ALL summaries — a claim is a
+(* C1: every shared mutation reachable from a task must be provably
+   protected; [@cts.guarded] claims are verified, never trusted.
+   Claim verification runs over ALL summaries — a claim is a
    concurrency-safety statement whether or not today's call graph
    reaches it from a task; only the unclaimed-unguarded-write
    diagnostic is gated on task reachability. *)
@@ -967,7 +685,7 @@ let report_c1 glob reached =
             | Some n -> Printf.sprintf "\"mutex:%s\"" n
             | None -> Printf.sprintf "%S" cl.cl_mech
           in
-          let emit msg = diag_at glob info.i_file w.w_loc "C1" msg in
+          let emit msg = add glob (Front.diag "C1" info.i_file w.w_loc msg) in
           if w.w_atomic then ()
           else if w.w_locks <> [] then begin
             match w.w_claim with
@@ -1025,7 +743,7 @@ let report_c1 glob reached =
                        (describe_target w) mechanism_list)
           end)
         info.i_writes)
-    glob.infos
+    (Front.summaries glob.table)
 
 (* Claim-level checks: a "mutex:NAME" payload must name a module-level
    mutex that exists; a claim whose scope performs no mutation is
@@ -1041,16 +759,10 @@ let report_claims glob =
   in
   List.iter
     (fun cl ->
-      let d rule msg =
-        glob.diags <-
-          {
-            Lint.rule;
-            file = cl.cl_file;
-            line = cl.cl_line;
-            col = cl.cl_col;
-            message = msg;
-          }
-          :: glob.diags
+      let d rule message =
+        add glob
+          { Front.rule; file = cl.cl_file; line = cl.cl_line; col = cl.cl_col;
+            message }
       in
       match cl.cl_lock with
       | Some name when not (known_mutex glob name) ->
@@ -1071,52 +783,46 @@ let report_claims glob =
                  | None -> "")))
     claims
 
+let pos (loc : Location.t) =
+  let p = loc.Location.loc_start in
+  (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
+
 (* C2: the same shared state written under disjoint non-empty lock
    sets at two sites. *)
 let report_c2 glob =
-  let sites : (string, (string * Location.t * string list) list) Hashtbl.t =
+  let sites : (string, (string * int * int * string list) list) Hashtbl.t =
     Hashtbl.create 64
   in
   List.iter
     (fun info ->
       List.iter
         (fun w ->
-          if w.w_locks <> [] && not w.w_atomic then
-            match w.w_id with
-            | Some id ->
-                let prev =
-                  match Hashtbl.find_opt sites id with
-                  | Some l -> l
-                  | None -> []
-                in
-                Hashtbl.replace sites id
-                  ((info.i_file, w.w_loc, w.w_locks) :: prev)
-            | None -> ())
+          match w.w_id with
+          | Some id when w.w_locks <> [] && not w.w_atomic ->
+              let line, col = pos w.w_loc in
+              let prev = Option.value ~default:[] (Hashtbl.find_opt sites id) in
+              Hashtbl.replace sites id
+                ((info.i_file, line, col, w.w_locks) :: prev)
+          | _ -> ())
         info.i_writes)
-    glob.infos;
-  let ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) sites []) in
+    (Front.summaries glob.table);
+  let ids =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) sites [])
+  in
   List.iter
     (fun id ->
-      let entries =
-        List.sort_uniq compare
-          (List.map
-             (fun (f, loc, lks) ->
-               let p = loc.Location.loc_start in
-               (f, p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol, lks))
-             (Hashtbl.find sites id))
-      in
-      match entries with
+      match List.sort_uniq compare (Hashtbl.find sites id) with
       | [] | [ _ ] -> ()
       | (f0, l0, c0, locks0) :: rest ->
           List.iter
-            (fun (f, l, c, locks) ->
+            (fun (file, line, col, locks) ->
               if not (List.exists (fun x -> List.mem x locks0) locks) then
-                glob.diags <-
+                add glob
                   {
-                    Lint.rule = "C2";
-                    file = f;
-                    line = l;
-                    col = c;
+                    Front.rule = "C2";
+                    file;
+                    line;
+                    col;
                     message =
                       Printf.sprintf
                         "inconsistent lock set: %s is guarded by {%s} here \
@@ -1125,8 +831,7 @@ let report_c2 glob =
                         (String.concat ", " locks)
                         (String.concat ", " locks0)
                         f0 l0 c0;
-                  }
-                  :: glob.diags)
+                  })
             rest)
     ids
 
@@ -1134,56 +839,39 @@ let report_c2 glob =
    sources: local pairs, plus (held, transitively-acquired-by-callee)
    at every call site made under a lock. *)
 let report_c3 glob =
-  let pairs : (string * string, string * Location.t) Hashtbl.t =
+  let pairs : (string * string, string * (int * int)) Hashtbl.t =
     Hashtbl.create 64
   in
-  let add outer inner who loc =
-    let key = (outer, inner) in
-    let better (f, l) (f', l') =
-      let pos (loc : Location.t) =
-        let p = loc.Location.loc_start in
-        (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
-      in
-      compare (f, pos l) (f', pos l') < 0
-    in
-    match Hashtbl.find_opt pairs key with
-    | Some (f, l) when better (f, l) (who, loc) -> ()
-    | _ -> Hashtbl.replace pairs key (who, loc)
+  let add_pair outer inner file loc =
+    let site = (file, pos loc) in
+    match Hashtbl.find_opt pairs (outer, inner) with
+    | Some best when compare best site < 0 -> ()
+    | _ -> Hashtbl.replace pairs (outer, inner) site
   in
   List.iter
     (fun info ->
-      List.iter (fun (o, i, loc) -> add o i info.i_file loc) info.i_pairs;
+      List.iter (fun (o, i, loc) -> add_pair o i info.i_file loc) info.i_pairs;
       List.iter
-        (fun (m, n, locks, _, loc) ->
-          if locks <> [] then
-            let key = ((if m = "" then info.i_mod else m), n) in
-            match Hashtbl.find_opt glob.defs key with
-            | None -> ()
-            | Some callee ->
-                List.iter
-                  (fun h ->
-                    List.iter
-                      (fun l -> add h l info.i_file loc)
-                      callee.i_trans_acq)
-                  locks)
+        (fun c ->
+          match Front.find glob.table c.c_key with
+          | Some callee when c.c_locks <> [] ->
+              List.iter
+                (fun h ->
+                  List.iter
+                    (fun l -> add_pair h l info.i_file c.c_loc)
+                    callee.i_trans_acq)
+                c.c_locks
+          | _ -> ())
         info.i_calls)
-    glob.infos;
+    (Front.summaries glob.table);
   let entries =
     List.sort compare
-      (Hashtbl.fold
-         (fun (o, i) (f, loc) acc ->
-           let p = loc.Location.loc_start in
-           ( (o, i),
-             (f, p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol) )
-           :: acc)
-         pairs [])
+      (Hashtbl.fold (fun k site acc -> (k, site) :: acc) pairs [])
   in
   List.iter
-    (fun ((o, i), (f, line, col)) ->
-      let d msg =
-        glob.diags <-
-          { Lint.rule = "C3"; file = f; line; col; message = msg }
-          :: glob.diags
+    (fun ((o, i), (file, (line, col))) ->
+      let d message =
+        add glob { Front.rule = "C3"; file; line; col; message }
       in
       if o = i then
         d
@@ -1193,7 +881,7 @@ let report_c3 glob =
              o)
       else if o < i then
         match List.assoc_opt (i, o) entries with
-        | Some (f', l', c') ->
+        | Some (f', (l', c')) ->
             d
               (Printf.sprintf
                  "lock-order inversion: %s is acquired under %s here, but \
@@ -1202,74 +890,58 @@ let report_c3 glob =
         | None -> ())
     entries
 
-(* C4: blocking call while holding a lock — directly, or via a callee
-   that may block. *)
-let report_c4 glob =
+(* C4: a blocking call while holding a lock — directly, or via a callee
+   that may block — and, in the raise direction, a call made while
+   holding a lock, outside any try body or protect combinator, to a
+   callee whose inferred may-raise set (the exception-flow analyzer's
+   table, Exc) is non-empty: a raise there unwinds past the unlock and
+   leaks the lock. *)
+let report_c4 glob raises =
+  let may_raise = Hashtbl.create 256 in
+  List.iter (fun (k, exns) -> Hashtbl.replace may_raise k exns) raises;
   List.iter
     (fun info ->
       List.iter
         (fun (prim, locks, loc) ->
           if locks <> [] then
-            diag_at glob info.i_file loc "C4"
-              (Printf.sprintf
-                 "blocking call %s while holding {%s}; move the I/O outside \
-                  the critical section or annotate [@cts.blocking_ok]"
-                 prim
-                 (String.concat ", " locks)))
+            add glob
+              (Front.diag "C4" info.i_file loc
+                 (Printf.sprintf
+                    "blocking call %s while holding {%s}; move the I/O \
+                     outside the critical section or annotate \
+                     [@cts.blocking_ok]"
+                    prim
+                    (String.concat ", " locks))))
         info.i_blocking;
       List.iter
-        (fun (m, n, locks, _, loc) ->
-          if locks <> [] then
-            let key = ((if m = "" then info.i_mod else m), n) in
-            match Hashtbl.find_opt glob.defs key with
-            | Some callee -> (
-                match callee.i_may_block with
-                | Some witness ->
-                    diag_at glob info.i_file loc "C4"
-                      (Printf.sprintf
-                         "call to %s.%s may block (%s) while holding {%s}; \
-                          move the I/O outside the critical section or \
-                          annotate [@cts.blocking_ok]"
-                         (if m = "" then info.i_mod else m)
-                         n witness
-                         (String.concat ", " locks))
-                | None -> ())
-            | None -> ())
+        (fun c ->
+          let m, n = c.c_key in
+          let held = String.concat ", " c.c_locks in
+          if c.c_locks <> [] then begin
+            (match Front.find glob.table c.c_key with
+            | Some { i_may_block = Some witness; _ } ->
+                add glob
+                  (Front.diag "C4" info.i_file c.c_loc
+                     (Printf.sprintf
+                        "call to %s.%s may block (%s) while holding {%s}; \
+                         move the I/O outside the critical section or \
+                         annotate [@cts.blocking_ok]"
+                        m n witness held))
+            | _ -> ());
+            match Hashtbl.find_opt may_raise c.c_key with
+            | Some (_ :: _ as exns) when not c.c_shielded ->
+                add glob
+                  (Front.diag "C4" info.i_file c.c_loc
+                     (Printf.sprintf
+                        "call to %s.%s may raise (%s) while holding {%s}: a \
+                         raise here unwinds past the unlock and leaks the \
+                         lock; wrap the critical section in Mutex.protect \
+                         or catch and release"
+                        m n (String.concat ", " exns) held))
+            | _ -> ()
+          end)
         info.i_calls)
-    glob.infos
-
-(* C4 (raise direction): a call made while holding a lock, outside any
-   try body or protect combinator, to a callee whose inferred
-   [@cts.raises] effect set (shared table from the exception-flow
-   analyzer, Exc) is non-empty — a raise there unwinds past the unlock
-   and leaks the lock. *)
-let report_c4_raises glob raises =
-  if raises <> [] then begin
-    let tbl : (string * string, string list) Hashtbl.t =
-      Hashtbl.create (List.length raises)
-    in
-    List.iter (fun (k, exns) -> Hashtbl.replace tbl k exns) raises;
-    List.iter
-      (fun info ->
-        List.iter
-          (fun (m, n, locks, shielded, loc) ->
-            if locks <> [] && not shielded then
-              let m = if m = "" then info.i_mod else m in
-              match Hashtbl.find_opt tbl (m, n) with
-              | Some (_ :: _ as exns) ->
-                  diag_at glob info.i_file loc "C4"
-                    (Printf.sprintf
-                       "call to %s.%s may raise (%s) while holding {%s}: a \
-                        raise here unwinds past the unlock and leaks the \
-                        lock; wrap the critical section in Mutex.protect \
-                        or catch and release"
-                       m n
-                       (String.concat ", " exns)
-                       (String.concat ", " locks))
-              | Some [] | None -> ())
-          info.i_calls)
-      glob.infos
-  end
+    (Front.summaries glob.table)
 
 (* C5: a Domain.DLS-derived value stored into shared mutable state. *)
 let report_c5 glob =
@@ -1279,91 +951,56 @@ let report_c5 glob =
         (fun w ->
           match w.w_class with
           | W_shared id when w.w_value_dls ->
-              diag_at glob info.i_file w.w_loc "C5"
-                (Printf.sprintf
-                   "Domain.DLS-derived value stored into shared state %s: \
-                    domain-local data must not escape its domain"
-                   id)
+              add glob
+                (Front.diag "C5" info.i_file w.w_loc
+                   (Printf.sprintf
+                      "Domain.DLS-derived value stored into shared state %s: \
+                       domain-local data must not escape its domain"
+                      id))
           | _ -> ())
         info.i_writes)
-    glob.infos
+    (Front.summaries glob.table)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 
-let parse_structure path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
+type result = {
+  diagnostics : Front.diagnostic list;
+  pool_writes : (string * Location.t * string) list;
+}
 
-let check_sources ?(raises = []) sources =
-  let sources = List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources in
-  let mls =
-    List.sort compare
-      (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") sources)
-  in
+let analyze (front : Front.t) ~raises =
   let glob =
     {
-      defs = Hashtbl.create 256;
-      infos = [];
-      roots = [];
-      toplevel = Hashtbl.create 128;
+      table = Front.table ();
+      mutexes = module_mutexes front;
       claims = [];
       diags = [];
     }
   in
-  let[@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"] parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        let fc =
-          {
-            f_path = path;
-            f_mod = module_name_of path;
-            f_aliases = Hashtbl.create 8;
-          }
-        in
-        match parse_structure path contents with
-        | str -> Some (fc, str)
-        | exception exn ->
-            let line, col, msg =
-              match Location.error_of_exn exn with
-              | Some (`Ok (err : Location.error)) ->
-                  let loc = err.Location.main.Location.loc in
-                  let p = loc.Location.loc_start in
-                  ( p.Lexing.pos_lnum,
-                    p.Lexing.pos_cnum - p.Lexing.pos_bol,
-                    Format.asprintf "%t" err.Location.main.Location.txt )
-              | _ -> (1, 0, Printexc.to_string exn)
-            in
-            glob.diags <-
-              { Lint.rule = "syntax"; file = path; line; col; message = msg }
-              :: glob.diags;
-            None)
-      mls
-  in
-  (* Pre-pass before any walk: claim verification and lock resolution
-     consult the module-level tables across files. *)
-  List.iter (fun (fc, str) -> classify_toplevel glob fc str) parsed;
-  List.iter (fun (fc, str) -> do_structure glob fc str) parsed;
-  glob.infos <- List.rev glob.infos;
-  glob.roots <- List.rev glob.roots;
-  seed_fixpoint glob;
-  fixpoint glob;
-  let reached = task_reachable glob in
-  report_c1 glob reached;
+  summarize glob front;
+  let infos = Front.summaries glob.table in
+  List.iter seed infos;
+  Front.propagate glob.table
+    ~edges:(fun info -> List.map (fun c -> (c.c_key, c)) info.i_calls)
+    transfer;
+  let roots = Front.roots glob.table in
+  report_c1 glob (Front.reachable glob.table roots callees);
   report_claims glob;
   report_c2 glob;
   report_c3 glob;
-  report_c4 glob;
-  report_c4_raises glob raises;
+  report_c4 glob raises;
   report_c5 glob;
-  Lint.sort_diagnostics glob.diags
-
-let check_paths ?raises paths =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  check_sources ?raises (List.map (fun p -> (p, read_file p)) paths)
+  let pool_roots = List.filter (fun r -> r.i_pool) roots in
+  {
+    diagnostics = glob.diags;
+    pool_writes =
+      List.concat_map
+        (fun info ->
+          List.filter_map
+            (fun w ->
+              if w.w_claim = None then Some (info.i_file, w.w_loc, w.w_prim)
+              else None)
+            info.i_writes)
+        (Front.reachable glob.table pool_roots callees);
+  }

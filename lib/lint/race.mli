@@ -1,8 +1,8 @@
 (** Interprocedural concurrency-effect race analyzer.
 
     Where rule L1 (lint.ml) {e trusts} a [[@cts.guarded]] annotation,
-    this pass {e verifies} it. Three passes over the parsetree (no
-    typer), structured like the units checker:
+    this pass {e verifies} it; L1 reads the summaries and reachability
+    built here. Three passes over the {!Front} definitions (no typer):
 
     + {b Summaries} — every top-level definition is walked once into a
       per-function effect summary: shared mutations (module-level
@@ -47,11 +47,11 @@
       shared channels) executed, directly or transitively, while
       holding a lock. [Condition.wait] is exempt (it releases the
       mutex); [[@cts.blocking_ok]] on the call or an enclosing
-      definition is the reviewed escape hatch. When a [?raises] effect
-      table (from {!Exc.analyze_sources}) is supplied, C4 also flags a
-      call made while holding a lock — outside any [try] body,
-      [Mutex.protect] or [Fun.protect] — to a callee that may raise:
-      the raise unwinds past the unlock and leaks the lock.
+      definition is the reviewed escape hatch. With the may-raise table
+      of {!Exc.analyze}, C4 also flags a call made while holding a lock
+      — outside any [try] body, [Mutex.protect] or [Fun.protect] — to a
+      callee that may raise: the raise unwinds past the unlock and
+      leaks the lock.
     - {b C5} — a [Domain.DLS]-derived value stored into shared
       (module-level) mutable state, escaping its domain.
 
@@ -59,24 +59,19 @@
     and independent of the order sources are supplied in.
 
     Domain-safety: all analysis state (summary tables, callgraph,
-    worklists) is call-local to {!check_sources}; safe to run from any
+    worklists) is call-local to {!analyze}; safe to run from any
     domain. *)
 
-val check_sources :
-  ?raises:((string * string) * string list) list ->
-  (string * string) list ->
-  Lint.diagnostic list
-(** [check_sources [(path, contents); ...]] analyzes in-memory
-    sources. Paths are normalized as in {!Lint.normalize_path}; only
-    [.ml] entries are analyzed ([.mli] entries are ignored).
-    [?raises] is the shared may-raise effect table produced by
-    {!Exc.analyze_sources} ([(Module, name)] -> exception names); when
-    supplied, C4 additionally reports lock-holding calls to may-raise
-    callees (default: empty — behavior is unchanged). *)
+type result = {
+  diagnostics : Front.diagnostic list;  (** C1–C5, unsorted *)
+  pool_writes : (string * Location.t * string) list;
+      (** Writes to state that is not task-local, with no
+          [[@cts.guarded]] claim in scope, in summaries reachable from
+          a [Parallel.map]/[Parallel.iter] task: (file, location,
+          primitive). Rule L1 reports these. *)
+}
 
-val check_paths :
-  ?raises:((string * string) * string list) list ->
-  string list ->
-  Lint.diagnostic list
-(** Read the given files from disk and analyze them; directory
-    traversal is the caller's job (see {!Lint.scan}). *)
+val analyze :
+  Front.t -> raises:((string * string) * string list) list -> result
+(** C1–C5 over the parsed implementations; [raises] is the may-raise
+    table of {!Exc.analyze}. *)

@@ -99,15 +99,6 @@ let first_known a b = match a with Known _ -> a | Unknown -> b
 (* ------------------------------------------------------------------ *)
 (* Naming-convention fallback                                          *)
 
-let has_suffix suf s =
-  let ls = String.length s and l = String.length suf in
-  ls >= l && String.sub s (ls - l) l = suf
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* Naming-convention rules, most specific first:
 
    - [unit_res] / [unit_cap] are the per-unit-length tech constants
@@ -123,26 +114,26 @@ let contains s sub =
      delay budget. *)
 let rec dim_of_ident name =
   let n = String.lowercase_ascii name in
-  if contains n "unit_res" then Some { dt = 1; dl = -1; dc = -1 }
-  else if contains n "unit_cap" then Some { dt = 0; dl = -1; dc = 1 }
-  else if has_suffix "_sq" n then
+  if Front.contains n "unit_res" then Some { dt = 1; dl = -1; dc = -1 }
+  else if Front.contains n "unit_cap" then Some { dt = 0; dl = -1; dc = 1 }
+  else if Front.has_suffix "_sq" n then
     Option.map
       (fun d -> { dt = 2 * d.dt; dl = 2 * d.dl; dc = 2 * d.dc })
       (dim_of_ident (String.sub n 0 (String.length n - 3)))
-  else if has_suffix "_ps" n then Some d_ps
-  else if has_suffix "_um" n then Some d_um
-  else if has_suffix "_ff" n then Some d_ff
-  else if has_suffix "_ohm" n then Some d_ohm
+  else if Front.has_suffix "_ps" n then Some d_ps
+  else if Front.has_suffix "_um" n then Some d_um
+  else if Front.has_suffix "_ff" n then Some d_ff
+  else if Front.has_suffix "_ohm" n then Some d_ohm
   else
     let time =
-      contains n "slew" || contains n "delay" || contains n "latenc"
-      || contains n "skew" || contains n "offset"
+      List.exists (Front.contains n)
+        [ "slew"; "delay"; "latenc"; "skew"; "offset" ]
     in
     let length =
-      contains n "len" || contains n "dist" || contains n "snak"
+      List.exists (Front.contains n) [ "len"; "dist"; "snak" ]
     in
-    let cap = contains n "cap" && not (contains n "capacity") in
-    let res = has_suffix "_res" n || contains n "resist" in
+    let cap = Front.contains n "cap" && not (Front.contains n "capacity") in
+    let res = Front.has_suffix "_res" n || Front.contains n "resist" in
     match (time, length, cap, res) with
     | true, false, false, false -> Some d_ps
     | false, true, false, false -> Some d_um
@@ -167,68 +158,37 @@ type gctx = {
   vals : (string * string, scheme) Hashtbl.t;  (* (Module, name) *)
   mli_vals : (string * string, unit) Hashtbl.t;  (* mli-seeded keys *)
   fields : (string, uinfo) Hashtbl.t;  (* record field name -> unit *)
-  mutable diags : Lint.diagnostic list;
+  mutable diags : Front.diagnostic list;
   mutable emit : bool;  (* false during the scheme-collection passes *)
 }
 
 type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
+  file : Front.file;
+  f_mod : string;  (* the file's module, or a nested module's name *)
   mutable f_opens : string list;  (* later opens first *)
 }
 
-let diag g fc rule (loc : Location.t) message =
-  if g.emit then begin
-    let p = loc.Location.loc_start in
-    g.diags <-
-      {
-        Lint.rule;
-        file = fc.f_path;
-        line = p.Lexing.pos_lnum;
-        col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-        message;
-      }
-      :: g.diags
-  end
+let diag g fc rule loc message =
+  if g.emit then g.diags <- Front.diag rule fc.file.path loc message :: g.diags
 
 (* ------------------------------------------------------------------ *)
 (* Rule scopes                                                         *)
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 (* U3: the dimensioned core whose public float signatures must carry
    units. *)
 let u3_scope path =
-  has_prefix "lib/delaylib/" path
-  || has_prefix "lib/cts_core/" path
-  || has_prefix "lib/dme/" path
-  || has_prefix "lib/ctree/" path
+  Front.has_prefix "lib/delaylib/" path
+  || Front.has_prefix "lib/cts_core/" path
+  || Front.has_prefix "lib/dme/" path
+  || Front.has_prefix "lib/ctree/" path
 
 (* U1/U2/U4 check every analyzed source under lib/ and bin/. *)
-let u12_scope path = has_prefix "lib/" path || has_prefix "bin/" path
+let u12_scope path =
+  Front.has_prefix "lib/" path || Front.has_prefix "bin/" path
 let u4_scope = u12_scope
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
 
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                          *)
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
 
 (* [@cts.unit "..."] on a core type, expression, pattern or field. *)
 type attr_unit = A_none | A_unit of dim | A_bad of string * Location.t
@@ -238,7 +198,7 @@ let unit_attr (attrs : attributes) =
     (fun acc (a : attribute) ->
       match a.attr_name.Location.txt with
       | "cts.unit" -> (
-          match string_payload a.attr_payload with
+          match Front.string_payload a.attr_payload with
           | Some s -> (
               match dim_of_name s with
               | Some d -> A_unit d
@@ -371,7 +331,7 @@ let do_label_decls g fc ~public lds =
       in
       if is_float_constr ld.pld_type || attr <> A_none then
         note_field g name u;
-      if public && u3_scope fc.f_path then
+      if public && u3_scope fc.file.path then
         match attr with
         | A_unit _ -> ()
         | _ -> scan_public_floats g fc ~name ld.pld_type)
@@ -386,7 +346,7 @@ let do_type_decl g fc ~public (td : type_declaration) =
           match cd.pcd_args with
           | Pcstr_record lds -> do_label_decls g fc ~public lds
           | Pcstr_tuple tys ->
-              if public && u3_scope fc.f_path then
+              if public && u3_scope fc.file.path then
                 List.iter
                   (scan_public_floats g fc ~name:cd.pcd_name.Location.txt)
                   tys)
@@ -405,22 +365,19 @@ let rec do_signature g fc (sg : signature) =
           let sch = scheme_of_val g fc name vd.pval_type in
           Hashtbl.replace g.vals (fc.f_mod, name) sch;
           Hashtbl.replace g.mli_vals (fc.f_mod, name) ();
-          if u3_scope fc.f_path then
+          if u3_scope fc.file.path then
             scan_public_floats g fc ~name vd.pval_type
       | Psig_type (_, tds) ->
           List.iter (do_type_decl g fc ~public:true) tds
       | Psig_module
-          { pmd_name = { txt = Some sub; _ }; pmd_type = mt; _ } -> (
-          match mt.pmty_desc with
-          | Pmty_signature sub_sg ->
-              (* Nested signature: values live under the submodule's
-                 own name ([Obs.Clock] style access). *)
-              do_signature g { fc with f_mod = sub } sub_sg
-          | Pmty_alias { txt; _ } | Pmty_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases sub last
-              | [] -> ())
-          | _ -> ())
+          {
+            pmd_name = { txt = Some sub; _ };
+            pmd_type = { pmty_desc = Pmty_signature sub_sg; _ };
+            _;
+          } ->
+          (* Nested signature: values live under the submodule's own
+             name ([Obs.Clock] style access). *)
+          do_signature g { fc with f_mod = sub } sub_sg
       | _ -> ())
     sg
 
@@ -430,25 +387,11 @@ let rec do_signature g fc (sg : signature) =
 module Env = Map.Make (String)
 (* Local environment: name -> scheme. *)
 
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
-
 (* Look a (possibly qualified) identifier up: local environment, the
    current module's top levels, then opened modules. *)
 let lookup_scheme g fc env (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [ x ] -> (
+  match lid with
+  | Lident x -> (
       match Env.find_opt x env with
       | Some sch -> Some sch
       | None -> (
@@ -458,10 +401,7 @@ let lookup_scheme g fc env (lid : Longident.t) =
               List.find_map
                 (fun m -> Hashtbl.find_opt g.vals (m, x))
                 fc.f_opens))
-  | segs -> (
-      match List.rev segs with
-      | x :: m :: _ -> Hashtbl.find_opt g.vals (resolve_alias fc m, x)
-      | _ -> None)
+  | _ -> Option.bind (Front.qualified fc.file lid) (Hashtbl.find_opt g.vals)
 
 let field_unit g (lid : Longident.t) =
   match List.rev (Longident.flatten lid) with
@@ -577,11 +517,11 @@ and infer_desc ctx env e =
       let uv = infer ctx env v in
       let uf = field_unit g lid.Location.txt in
       (match (uf, uv) with
-      | Known df, Known dv when df <> dv && u12_scope fc.f_path ->
+      | Known df, Known dv when df <> dv && u12_scope fc.file.path ->
           diag g fc "U1" e.pexp_loc
             (Printf.sprintf
                "unit mismatch: record field %s holds %s but gets %s"
-               (dotted (Longident.flatten lid.Location.txt))
+               (Front.dotted (Longident.flatten lid.Location.txt))
                (dim_name df) (dim_name dv))
       | _ -> ());
       Unknown
@@ -592,11 +532,11 @@ and infer_desc ctx env e =
           let uv = infer ctx env v in
           let uf = field_unit g lid.Location.txt in
           match (uf, uv) with
-          | Known df, Known dv when df <> dv && u12_scope fc.f_path ->
+          | Known df, Known dv when df <> dv && u12_scope fc.file.path ->
               diag g fc "U1" v.pexp_loc
                 (Printf.sprintf
                    "unit mismatch: record field %s holds %s but gets %s"
-                   (dotted (Longident.flatten lid.Location.txt))
+                   (Front.dotted (Longident.flatten lid.Location.txt))
                    (dim_name df) (dim_name dv))
           | _ -> ())
         members;
@@ -751,26 +691,21 @@ and scheme_of_binding ctx env e ~name =
 
 and infer_apply ctx env e f args =
   let g = ctx.g and fc = ctx.fc in
-  let pos_args =
-    List.filter_map
-      (fun (lbl, a) ->
-        match lbl with Asttypes.Nolabel -> Some a | _ -> None)
-      args
-  in
+  let pos_args = Front.nolabel_args args in
   let arith_mismatch op da db loc =
-    if u12_scope fc.f_path then
+    if u12_scope fc.file.path then
       diag g fc "U1" loc
         (Printf.sprintf "unit mismatch: (%s) combines %s with %s" op
            (dim_name da) (dim_name db))
   in
   let cmp_mismatch op da db loc =
-    if u12_scope fc.f_path then
+    if u12_scope fc.file.path then
       diag g fc "U2" loc
         (Printf.sprintf "unit mismatch: %s compares %s with %s" op
            (dim_name da) (dim_name db))
   in
   let u4_check op ua ub a b =
-    if u4_scope fc.f_path && not ctx.u4ok then
+    if u4_scope fc.file.path && not ctx.u4ok then
       let check u lit_e other_u =
         match (u, literal_const lit_e, other_u) with
         | Unknown, Some s, Known d
@@ -786,9 +721,9 @@ and infer_apply ctx env e f args =
       check ua a ub;
       check ub b ua
   in
-  match apply_head f with
+  match Front.apply_head f with
   | Some segs -> (
-      let d = dotted segs in
+      let d = Front.dotted segs in
       match (d, pos_args) with
       | ("@@", [ fn; arg ]) -> infer_apply ctx env e fn [ (Asttypes.Nolabel, arg) ]
       | ("|>", [ arg; fn ]) -> infer_apply ctx env e fn [ (Asttypes.Nolabel, arg) ]
@@ -834,7 +769,8 @@ and infer_apply ctx env e f args =
           let is_float_cmp =
             match List.rev segs with
             | fn :: m :: _ ->
-                resolve_alias fc m = "Float_cmp" && List.mem fn float_cmp_fns
+                Front.resolve_alias fc.file m = "Float_cmp"
+                && List.mem fn float_cmp_fns
             | _ -> false
           in
           if is_float_cmp then begin
@@ -875,7 +811,9 @@ and generic_apply ctx env f args =
     | _ -> None
   in
   let callee =
-    match apply_head f with Some segs -> dotted segs | None -> "<fun>"
+    match Front.apply_head f with
+    | Some segs -> Front.dotted segs
+    | None -> "<fun>"
   in
   match scheme with
   | None ->
@@ -907,7 +845,7 @@ and generic_apply ctx env f args =
             | Asttypes.Labelled l | Asttypes.Optional l -> take_labelled l
           in
           match (param, ua) with
-          | Some (Known dp), Known da when dp <> da && u12_scope fc.f_path
+          | Some (Known dp), Known da when dp <> da && u12_scope fc.file.path
             ->
               let argname =
                 match lbl with
@@ -992,97 +930,58 @@ let rec do_structure g fc (str : structure) =
           match List.rev (Longident.flatten txt) with
           | last :: _ -> fc.f_opens <- last :: fc.f_opens
           | [] -> ())
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | Some sub, Pmod_structure sub_str ->
-              (* Analyze the nested structure; its top levels are
-                 addressable as [Sub.name]. Never displace an
-                 mli-seeded module of the same name. *)
-              if not (Hashtbl.mem g.mli_vals (sub, "")) then
-                do_structure g { fc with f_mod = sub } sub_str
-          | _ -> ())
+      | Pstr_module
+          {
+            pmb_name = { txt = Some sub; _ };
+            pmb_expr = { pmod_desc = Pmod_structure sub_str; _ };
+            _;
+          } ->
+          (* Analyze the nested structure; its top levels are
+             addressable as [Sub.name]. *)
+          do_structure g { fc with f_mod = sub } sub_str
       | _ -> ())
     str
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let parse_with parser path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  parser lexbuf
+(* Silent rounds over the implementations before the emitting one: a
+   unit reaches a call site one definition per round when callers are
+   visited before callees, so rounds repeat until the scheme table
+   stops changing. [join] can send a scheme back to Unknown, so the
+   table need not settle; the cap bounds that case. *)
+let max_inference_rounds = 10
 
-let check_sources sources =
-  let sources =
-    List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources
-  in
+let same_schemes a b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold (fun k v same -> same && Hashtbl.find_opt b k = Some v) a true
+
+let check (front : Front.t) =
   let g =
     {
       vals = Hashtbl.create 512;
       mli_vals = Hashtbl.create 512;
       fields = Hashtbl.create 256;
       diags = [];
-      emit = false;
+      emit = true;
     }
   in
-  let fresh_fc path =
-    {
-      f_path = path;
-      f_mod = module_name_of path;
-      f_aliases = Hashtbl.create 8;
-      f_opens = [];
-    }
+  let fctx (file : Front.file) = { file; f_mod = file.modname; f_opens = [] } in
+  let walk_all () =
+    List.iter
+      (fun (file, str) -> do_structure g (fctx file) str)
+      (Front.implementations front)
   in
-  let[@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"] parsed
-      parser suffix =
-    List.filter_map
-      (fun (path, contents) ->
-        if not (Filename.check_suffix path suffix) then None
-        else
-          match parse_with parser path contents with
-          | ast -> Some (path, ast)
-          | exception exn ->
-              let line, col, msg =
-                match Location.error_of_exn exn with
-                | Some (`Ok (err : Location.error)) ->
-                    let loc = err.Location.main.Location.loc in
-                    let p = loc.Location.loc_start in
-                    ( p.Lexing.pos_lnum,
-                      p.Lexing.pos_cnum - p.Lexing.pos_bol,
-                      Format.asprintf "%t" err.Location.main.Location.txt )
-                | _ -> (1, 0, Printexc.to_string exn)
-              in
-              g.diags <-
-                { Lint.rule = "syntax"; file = path; line; col; message = msg }
-                :: g.diags;
-              None)
-      sources
-  in
-  let mlis = parsed Parse.interface ".mli" in
-  let mls = parsed Parse.implementation ".ml" in
-  (* Pass 1 (emitting): interfaces seed schemes, field units and U3. *)
-  g.emit <- true;
-  List.iter (fun (path, sg) -> do_signature g (fresh_fc path) sg) mlis;
+  (* Interfaces (emitting) seed schemes, field units and U3. *)
+  List.iter
+    (fun (file, sg) -> do_signature g (fctx file) sg)
+    (Front.interfaces front);
   g.emit <- false;
-  (* Passes 2-3 (silent): two rounds over implementations so schemes
-     inferred late feed call sites analyzed early, across files. *)
-  for _ = 1 to 2 do
-    List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls
-  done;
-  (* Pass 4 (emitting): the real walk with the full global table. *)
+  Front.fixpoint ~max_rounds:max_inference_rounds (fun () ->
+      let before = Hashtbl.copy g.vals in
+      walk_all ();
+      not (same_schemes before g.vals));
+  (* The emitting walk with the settled table. *)
   g.emit <- true;
-  List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls;
-  Lint.sort_diagnostics g.diags
-
-let check_paths paths =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  check_sources (List.map (fun p -> (p, read_file p)) paths)
+  walk_all ();
+  g.diags

@@ -56,28 +56,22 @@
     variable never holds ps at one program point and um at another
     (that would already be a bug this pass exists to catch).
 
-    Interprocedural: two silent passes over all implementations build
-    unit schemes (parameter and result units) for unannotated
-    top-level values before the emitting pass runs, so call sites are
-    checked against inferred signatures across files and forward
-    references.
+    Interprocedural: silent passes over all implementations build unit
+    schemes (parameter and result units) for unannotated top-level
+    values before the emitting pass runs, so call sites are checked
+    against inferred signatures across files and forward references.
+    The silent passes run on {!Front.fixpoint} until the scheme table
+    stops changing (at most ten rounds: a branch join can send a scheme
+    back to unknown), so a unit crosses a call chain of up to ten
+    definitions whatever the file order.
 
-    Scoping (on {!Lint.normalize_path}-normalized paths): U3 is
+    Scoping (on {!Front.normalize_path}-normalized paths): U3 is
     restricted to the four core interface directories above; U1, U2
     and U4 apply to every analyzed file under [lib/] and [bin/].
 
     Domain-safety: pure analysis over in-memory sources; no shared
-    mutable state escapes {!check_sources}. *)
+    mutable state escapes {!check}. *)
 
-val check_sources : (string * string) list -> Lint.diagnostic list
-(** [check_sources [(path, contents); ...]] analyzes in-memory
-    sources. Both [.mli] (scheme seeding + U3) and [.ml]
-    (U1/U2/U4) entries participate; paths are normalized with
-    {!Lint.normalize_path} before rule scoping. Unparseable inputs
-    yield ["syntax"] diagnostics, mirroring {!Lint.lint_sources}.
-    Diagnostics are sorted by (file, line, col, rule) and
-    deduplicated. *)
-
-val check_paths : string list -> Lint.diagnostic list
-(** Read the given files from disk and analyze them; directory
-    traversal is the caller's job (see {!Lint.scan}). *)
+val check : Front.t -> Front.diagnostic list
+(** U1–U4 over the parsed sources: [.mli] entries seed schemes and
+    carry U3, [.ml] entries U1/U2/U4. Unsorted; {!Lint.run} sorts. *)

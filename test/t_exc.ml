@@ -1,17 +1,17 @@
 (* Tests for the exception-flow & resource-safety analyzer
    (lib/lint/exc.ml).
 
-   Mirrors t_race's style: in-memory fixtures through
-   [Exc.check_sources], each rule pinned to its exact file:line:col
-   diagnostic, with clean counterparts proving the analysis does not
-   overfire. The seeded on-disk fixtures under test/fixtures/lint/exc
-   (kept alive by `make lint-fixtures`) are exercised too, as are the
-   acceptance bar (the repository's own sources carry no E1-E5
-   diagnostic and every [@@cts.raises] contract verifies) and the
-   shared effect table handed to the race analyzer's C4. *)
+   Mirrors t_race's style: in-memory fixtures through [Lint.run],
+   keeping the E-rule diagnostics, each rule pinned to its exact
+   file:line:col diagnostic, with clean counterparts proving the
+   analysis does not overfire. The seeded on-disk fixtures under
+   test/fixtures/lint/exc (kept alive by `make lint-fixtures`) are
+   exercised too, as is the shared effect table the race analyzer's C4
+   reads. The repository's own contracts verify in t_lint's whole-run
+   test. *)
 
 let strings = Alcotest.(list string)
-let check srcs = List.map Lint.to_string (Exc.check_sources srcs)
+let check srcs = T_lint.family 'E' srcs
 
 let check_diags name expected srcs =
   Alcotest.check strings name expected (check srcs)
@@ -237,13 +237,11 @@ let test_raises_table () =
          let total x = x + 1\n" );
     ]
   in
-  let r = Exc.analyze_sources srcs in
   Alcotest.(check (list (pair (pair string string) (list string))))
     "only non-empty effect sets are listed"
     [ (("A", "parse"), [ "Failure" ]) ]
-    r.Exc.raises;
-  (* Handing the table to the race analyzer turns on C4's lock-leak
-     direction... *)
+    (Lint.run srcs).raises;
+  (* The race analyzer reads the table: C4's lock-leak direction. *)
   let racy =
     [
       ( "lib/x/b.ml",
@@ -259,10 +257,7 @@ let test_raises_table () =
        lock; wrap the critical section in Mutex.protect or catch and \
        release";
     ]
-    (List.map Lint.to_string (Race.check_sources ~raises:r.Exc.raises racy));
-  (* ...and without the table the behavior is unchanged. *)
-  Alcotest.check strings "no table, no lock-leak C4" []
-    (List.map Lint.to_string (Race.check_sources racy))
+    (T_lint.family 'C' (srcs @ racy))
 
 (* -------------------------- determinism ---------------------------- *)
 
@@ -295,8 +290,8 @@ let test_determinism_shuffle () =
   (* And the output is sorted by (file, line, col). *)
   let keys =
     List.map
-      (fun (d : Lint.diagnostic) -> (d.file, d.line, d.col))
-      (Exc.check_sources files)
+      (fun (d : Front.diagnostic) -> (d.file, d.line, d.col))
+      (Lint.run files).diagnostics
   in
   Alcotest.(check bool)
     "sorted by (file,line,col)" true
@@ -311,14 +306,16 @@ let test_repo_fixtures () =
      pairs need their mli alongside the ml. *)
   let dir = "../../../test/fixtures/lint/exc/lib/excfix" in
   let expect files diags =
-    let ds = Exc.check_paths (List.map (Filename.concat dir) files) in
+    let r = Lint.run_paths (List.map (Filename.concat dir) files) in
     Alcotest.(check (list string))
       (String.concat "+" files ^ " diagnostics")
       diags
-      (List.map
-         (fun (d : Lint.diagnostic) ->
-           Printf.sprintf "%s:%d:%d:%s" d.file d.line d.col d.rule)
-         ds)
+      (List.filter_map
+         (fun (d : Front.diagnostic) ->
+           if d.rule.[0] = 'E' then
+             Some (Printf.sprintf "%s:%d:%d:%s" d.file d.line d.col d.rule)
+           else None)
+         r.diagnostics)
   in
   expect [ "e1_escape.ml" ] [ "lib/excfix/e1_escape.ml:8:40:E1" ];
   expect [ "e1_clean.ml" ] [];
@@ -342,21 +339,13 @@ let test_repo_fixtures () =
 
 let test_repo_lints_clean () =
   (* The acceptance bar: every [@@cts.raises] contract in the
-     repository's own mlis verifies, and no E1-E5 diagnostic remains.
-     Run from test/_build, so climb to the repo root. *)
-  let root = "../../.." in
-  let paths =
-    Lint.scan [ Filename.concat root "lib"; Filename.concat root "bin" ]
-  in
-  Alcotest.(check bool) "sources found" true (List.length paths > 50);
-  let r = Exc.analyze_paths paths in
+     repository's own mlis verifies, and no E1-E5 diagnostic remains. *)
   Alcotest.(check (list string))
-    "no exception-flow diagnostics" []
-    (List.map Lint.to_string r.Exc.diagnostics);
+    "no exception-flow diagnostics" [] (T_lint.repo_family 'E');
   (* The shared effect table is non-trivial on the real tree. *)
   Alcotest.(check bool)
     "effect table populated" true
-    (List.length r.Exc.raises > 20)
+    (List.length (Lazy.force T_lint.repo_run).raises > 20)
 
 let suite =
   [

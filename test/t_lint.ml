@@ -1,12 +1,26 @@
-(* Tests for the determinism / domain-safety source lint (lib/lint).
+(* Tests for the determinism / domain-safety source lint (lib/lint),
+   and for the whole lint run: every family, the shared scan, and the
+   repository's own sources.
 
-   Fixtures are in-memory sources fed through [Lint.lint_sources];
-   paths matter because rules L2-L5 key off them. Each rule gets a
-   violating fixture pinned to its exact diagnostic and a clean
-   counterpart proving the rule does not overfire. *)
+   Fixtures are in-memory sources fed through [Lint.run], the one entry
+   point every family's tests use; each suite keeps its own family's
+   diagnostics (and syntax diagnostics). Paths matter because rules
+   L2-L5 key off them. Each rule gets a violating fixture pinned to its
+   exact diagnostic and a clean counterpart proving the rule does not
+   overfire. *)
 
 let strings = Alcotest.(list string)
-let lint srcs = List.map Lint.to_string (Lint.lint_sources srcs)
+
+(* The diagnostics of family [letter] ('L', 'U', 'C' or 'E') and the
+   syntax diagnostics, from a whole run. *)
+let family letter srcs =
+  List.filter_map
+    (fun (d : Front.diagnostic) ->
+      if d.rule = "syntax" || d.rule.[0] = letter then Some (Front.to_string d)
+      else None)
+    (Lint.run srcs).diagnostics
+
+let lint srcs = family 'L' srcs
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -234,16 +248,16 @@ let test_path_normalization () =
      segment before scoping applies. *)
   Alcotest.(check string)
     "dot-slash prefix" "lib/dme/a.ml"
-    (Lint.normalize_path "./lib/dme/a.ml");
+    (Front.normalize_path "./lib/dme/a.ml");
   Alcotest.(check string)
     "absolute path" "lib/dme/a.ml"
-    (Lint.normalize_path "/root/repo/lib/dme/a.ml");
+    (Front.normalize_path "/abs/checkout/lib/dme/a.ml");
   Alcotest.(check string)
     "parent segments resolved" "lib/dme/a.ml"
-    (Lint.normalize_path "lib/../lib/dme/./a.ml");
+    (Front.normalize_path "lib/../lib/dme/./a.ml");
   Alcotest.(check string)
     "build sandbox prefix dropped" "test/t_lint.ml"
-    (Lint.normalize_path "_build/default/test/t_lint.ml");
+    (Front.normalize_path "_build/default/test/t_lint.ml");
   let src = "let eq a b = a = b +. 0.\n" in
   let expected = [ "lib/dme/a.ml:1:13: [L4] " ^ l4_message "=" ] in
   Alcotest.(check (list string))
@@ -252,6 +266,123 @@ let test_path_normalization () =
   Alcotest.(check (list string))
     "absolute sources still lint" expected
     (lint [ ("/root/repo/lib/dme/a.ml", src) ])
+
+(* ------------------------------ whole run ------------------------- *)
+
+let test_scan_rejects_unlintable_paths () =
+  (* A missing argument or a dangling symlink under a scanned directory
+     is an error naming the path, not a silently smaller report. *)
+  let dir = Filename.temp_file "scan" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let ml = Filename.concat dir "a.ml" and link = Filename.concat dir "b.ml" in
+  Out_channel.with_open_bin ml (fun oc -> output_string oc "let x = 1\n");
+  Unix.symlink (Filename.concat dir "gone.ml") link;
+  let names_path path = function
+    | Ok _ -> Alcotest.failf "scan accepted %s" path
+    | Error msg -> Alcotest.(check bool) msg true (contains msg path)
+  in
+  names_path link (Front.scan [ dir ]);
+  let missing = Filename.concat dir "missing_dir" in
+  names_path missing (Front.scan [ ml; missing ]);
+  Sys.remove link;
+  Alcotest.(check (result (list string) string))
+    "a clean directory scans" (Ok [ ml ]) (Front.scan [ dir ]);
+  Sys.remove ml;
+  Sys.rmdir dir
+
+let test_whole_run_deterministic () =
+  (* Every family fires, and the report is byte-identical under any
+     order of the sources. The lib/x chain carries a unit through four
+     files to z.ml: the units fixpoint must find it even when callers
+     sort before their callees. *)
+  let files =
+    [
+      ( "lib/race/ra.ml",
+        "let hits = ref 0\n\
+         let bump () = hits := !hits + 1\n\
+         let run pool xs = Parallel.iter pool (fun _y -> bump ()) xs\n" );
+      ( "lib/race/rb.ml",
+        "let lock_a = Mutex.create ()\n\
+         let lock_b = Mutex.create ()\n\
+         let ab () = Mutex.lock lock_a; Mutex.lock lock_b;\n\
+        \  Mutex.unlock lock_b; Mutex.unlock lock_a\n\
+         let ba () = Mutex.lock lock_b; Mutex.lock lock_a;\n\
+        \  Mutex.unlock lock_a; Mutex.unlock lock_b\n" );
+      ( "lib/race/rc.ml",
+        "let m = Mutex.create ()\n\
+         let noisy () = Mutex.lock m; Printf.printf \"x\\n\"; Mutex.unlock \
+         m\n" );
+      ("lib/race/rd.ml", "let total = ref 0\nlet read () = !total\n");
+      ( "lib/exc/ea.ml",
+        "exception Boom\n\
+         let helper x = if x > 3 then raise Boom\n\
+         let run pool xs = Parallel.iter pool (fun y -> helper y) xs\n" );
+      ( "lib/exc/eb.mli",
+        "val size : int -> int [@@cts.raises \"Not_found\"]\n" );
+      ("lib/exc/eb.ml", "let size x = x + 1\n");
+      ("lib/exc/ec.ml", "let safe s = try int_of_string s with _ -> 0\n");
+      ("lib/exc/ed.ml", "let total x = x * 2\n");
+      ( "lib/foo/counter.ml",
+        "let count = ref 0\n\
+         let bump () = incr count\n\
+         let work pool xs = Parallel.iter pool (fun _ -> bump ()) xs\n" );
+      ("lib/x/a.ml", "let e () = B.f ()\n");
+      ("lib/x/b.ml", "let f () = C.g ()\n");
+      ("lib/x/c.ml", "let g () = D.h ()\n");
+      ("lib/x/d.ml", "let h () = let t_ps = 1.0 in t_ps\n");
+      ("lib/x/z.ml", "let bad len_um = A.e () +. len_um\n");
+    ]
+  in
+  let run fs = List.map Front.to_string (Lint.run fs).diagnostics in
+  let expected = run files in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        (rule ^ " fires") true
+        (List.exists (fun d -> contains d ("[" ^ rule)) expected))
+    [ "L1"; "U1"; "C1"; "E1" ];
+  Alcotest.(check bool)
+    "the unit crosses the four-file chain" true
+    (List.mem
+       "lib/x/z.ml:1:17: [U1] unit mismatch: (+.) combines ps with um"
+       expected);
+  let prop =
+    QCheck.Test.make ~count:30
+      ~name:"diagnostics independent of file-visit order"
+      (QCheck.make
+         QCheck.Gen.(shuffle_l files)
+         ~print:(fun fs -> String.concat "," (List.map fst fs)))
+      (fun shuffled -> run shuffled = expected)
+  in
+  QCheck.Test.check_exn prop
+
+(* The repository's own sources, linted once for every suite that checks
+   them. Run from test/_build, so climb to the repo root. *)
+let repo_run =
+  lazy
+    (let root = "../../.." in
+     let dirs = [ Filename.concat root "lib"; Filename.concat root "bin" ] in
+     match Front.scan dirs with
+     | Error msg -> Alcotest.fail msg
+     | Ok paths ->
+         Alcotest.(check bool) "sources found" true (List.length paths > 50);
+         Lint.run_paths paths)
+
+(* The repository's diagnostics of family [letter]. *)
+let repo_family letter =
+  List.filter_map
+    (fun (d : Front.diagnostic) ->
+      if d.rule.[0] = letter then Some (Front.to_string d) else None)
+    (Lazy.force repo_run).diagnostics
+
+let test_repo_lints_clean () =
+  (* The acceptance bar: the repository's own sources carry no
+     diagnostic of any family. The family suites check their own slice
+     of the same run. *)
+  Alcotest.(check (list string))
+    "no diagnostics" []
+    (List.map Front.to_string (Lazy.force repo_run).diagnostics)
 
 let suite =
   [
@@ -273,4 +404,9 @@ let suite =
     Alcotest.test_case "diagnostics sorted and deduped" `Quick
       test_sorted_deduped;
     Alcotest.test_case "path normalization" `Quick test_path_normalization;
+    Alcotest.test_case "scan rejects unlintable paths" `Quick
+      test_scan_rejects_unlintable_paths;
+    Alcotest.test_case "whole run is order-independent" `Quick
+      test_whole_run_deterministic;
+    Alcotest.test_case "repository lints clean" `Quick test_repo_lints_clean;
   ]

@@ -1,15 +1,15 @@
 (* Tests for the concurrency-effect race analyzer (lib/lint/race.ml).
 
-   Mirrors t_units's style: in-memory fixtures through
-   [Race.check_sources], each rule pinned to its exact file:line:col
-   diagnostic, with clean counterparts proving the analysis does not
-   overfire. The seeded on-disk fixtures under test/fixtures/lint/race
-   (kept alive by `make lint-fixtures`) are exercised too, as is the
-   acceptance bar: the repository's own ~30 [@cts.guarded] sites all
-   verify clean. *)
+   Mirrors t_units's style: in-memory fixtures through [Lint.run],
+   keeping the C-rule diagnostics, each rule pinned to its exact
+   file:line:col diagnostic, with clean counterparts proving the
+   analysis does not overfire. The seeded on-disk fixtures under
+   test/fixtures/lint/race (kept alive by `make lint-fixtures`) are
+   exercised too; the repository's own [@cts.guarded] sites verify
+   clean in t_lint's whole-run test. *)
 
 let strings = Alcotest.(list string)
-let check srcs = List.map Lint.to_string (Race.check_sources srcs)
+let check srcs = T_lint.family 'C' srcs
 
 let check_diags name expected srcs =
   Alcotest.check strings name expected (check srcs)
@@ -417,8 +417,8 @@ let test_determinism_shuffle () =
   (* And the output is sorted by (file, line, col). *)
   let keys =
     List.map
-      (fun (d : Lint.diagnostic) -> (d.file, d.line, d.col))
-      (Race.check_sources files)
+      (fun (d : Front.diagnostic) -> (d.file, d.line, d.col))
+      (Lint.run files).diagnostics
   in
   Alcotest.(check bool)
     "sorted by (file,line,col)" true
@@ -430,13 +430,15 @@ let test_repo_fixtures () =
      pinned location. *)
   let dir = "../../../test/fixtures/lint/race/lib/racefix" in
   let expect file diags =
-    let ds = Race.check_paths [ Filename.concat dir file ] in
+    let r = Lint.run_paths [ Filename.concat dir file ] in
     Alcotest.(check (list string))
       (file ^ " diagnostics") diags
-      (List.map
-         (fun (d : Lint.diagnostic) ->
-           Printf.sprintf "%s:%d:%d:%s" d.file d.line d.col d.rule)
-         ds)
+      (List.filter_map
+         (fun (d : Front.diagnostic) ->
+           if d.rule.[0] = 'C' then
+             Some (Printf.sprintf "%s:%d:%d:%s" d.file d.line d.col d.rule)
+           else None)
+         r.diagnostics)
   in
   expect "c1_unguarded.ml" [ "lib/racefix/c1_unguarded.ml:6:14:C1" ];
   expect "c1_badclaim.ml" [ "lib/racefix/c1_badclaim.ml:6:35:C1" ];
@@ -453,17 +455,9 @@ let test_repo_fixtures () =
 
 let test_repo_lints_clean () =
   (* The acceptance bar: every [@cts.guarded] site in the repository's
-     own sources verifies, and no C1-C5 diagnostic remains. Run from
-     test/_build, so climb to the repo root. *)
-  let root = "../../.." in
-  let paths =
-    Lint.scan [ Filename.concat root "lib"; Filename.concat root "bin" ]
-  in
-  Alcotest.(check bool) "sources found" true (List.length paths > 50);
-  let ds = Race.check_paths paths in
+     own sources verifies, and no C1-C5 diagnostic remains. *)
   Alcotest.(check (list string))
-    "no race diagnostics" []
-    (List.map Lint.to_string ds)
+    "no race diagnostics" [] (T_lint.repo_family 'C')
 
 (* ----------------------- JSON report plumbing ---------------------- *)
 
@@ -471,7 +465,7 @@ let test_report_json () =
   let diags =
     [
       {
-        Lint.rule = "C1";
+        Front.rule = "C1";
         file = "lib/x/a.ml";
         line = 2;
         col = 14;

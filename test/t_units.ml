@@ -1,14 +1,14 @@
 (* Tests for the physical-units checker (lib/lint/units.ml).
 
-   Mirrors t_lint's style: in-memory fixtures through
-   [Units.check_sources], each rule pinned to its exact
+   Mirrors t_lint's style: in-memory fixtures through [Lint.run],
+   keeping the U-rule diagnostics, each rule pinned to its exact
    file:line:col diagnostic, with clean counterparts proving the
    inference does not overfire. The seeded on-disk fixtures under
    test/fixtures/lint (kept alive by `make lint-fixtures`) are also
    exercised here so the two stay in sync. *)
 
 let strings = Alcotest.(list string)
-let check srcs = List.map Lint.to_string (Units.check_sources srcs)
+let check srcs = T_lint.family 'U' srcs
 
 let check_diags name expected srcs =
   Alcotest.check strings name expected (check srcs)
@@ -263,10 +263,13 @@ let test_repo_fixtures () =
      lint-fixtures`): each must trigger exactly its rule. *)
   let dir = "../../../test/fixtures/lint/lib/cts_core" in
   let expect file rules =
-    let ds = Units.check_paths [ Filename.concat dir file ] in
+    let r = Lint.run_paths [ Filename.concat dir file ] in
     Alcotest.(check (list string))
       (file ^ " rules") rules
-      (List.map (fun d -> d.Lint.rule) ds)
+      (List.filter_map
+         (fun (d : Front.diagnostic) ->
+           if d.rule.[0] = 'U' then Some d.rule else None)
+         r.diagnostics)
   in
   expect "u1_swap.ml" [ "U1" ];
   expect "u2_compare.ml" [ "U2"; "U2" ];
@@ -275,16 +278,9 @@ let test_repo_fixtures () =
 
 let test_repo_lints_clean () =
   (* The acceptance bar: the repository's own sources carry no unit
-     diagnostics. Run from test/_build, so climb to the repo root. *)
-  let root = "../../.." in
-  let paths =
-    Lint.scan [ Filename.concat root "lib"; Filename.concat root "bin" ]
-  in
-  Alcotest.(check bool) "sources found" true (List.length paths > 50);
-  let ds = Units.check_paths paths in
+     diagnostics. *)
   Alcotest.(check (list string))
-    "no unit diagnostics" []
-    (List.map Lint.to_string ds)
+    "no unit diagnostics" [] (T_lint.repo_family 'U')
 
 let suite =
   [
