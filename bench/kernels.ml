@@ -192,9 +192,11 @@ and hot_dp_test (env : Experiments.env) =
   Test.make ~name:"hot-dp: Run.eval_side under Optimal_dp (2000um)"
     (Staged.stage (fun () -> ignore (Run.eval_side side 2000.)))
 
-(* The fig1.1 stage (1,000 um wire, BUF20X, 769 samples) simulated
-   whole: per-stage set-up, then the step loop. *)
-and hot_step_test (env : Experiments.env) =
+(* The fig1.1 stage (1,000 um wire, BUF20X) simulated whole: per-stage
+   set-up, then the step loop. At the default config (769 samples) and
+   at characterization's (dt = 1 ps, [stop_at = Some 0.9]: 272
+   samples), where the stop check runs on every step. *)
+and hot_step_test ?config ~name (env : Experiments.env) =
   let tech = env.Experiments.tech and lib = env.Experiments.lib in
   let input =
     Delaylib.Wave_gen.buffer_output_wave tech (Buffer_lib.smallest lib)
@@ -203,8 +205,8 @@ and hot_step_test (env : Experiments.env) =
   let driver = T.Driven_buffer (Buffer_lib.by_name lib "BUF20X", input) in
   let r, chain = Rc.wire tech ~length:1000. (Rc.leaf ~tag:"load" 5e-15) in
   let tree = Rc.node [ (r, chain) ] in
-  Test.make ~name:"hot-step: Transient.simulate, fig1.1 stage"
-    (Staged.stage (fun () -> ignore (T.simulate tech driver tree)))
+  Test.make ~name
+    (Staged.stage (fun () -> ignore (T.simulate ?config tech driver tree)))
 
 (* The allocation-gated kernels with their per-run budgets in words. The
    lookups allocate at most their boxed float result (2 words); the
@@ -213,12 +215,19 @@ and hot_step_test (env : Experiments.env) =
    kernel allocates about 630 words, nearly all of it the boxed
    arguments and results of its ~73 delay-library lookups; boxed DP
    states or per-evaluation tables would cost thousands more. The stage
-   simulation allocates about 1,000 words of per-stage set-up (the
-   sample rows are major-heap blocks) and nothing per step: one boxed
-   float per step would add about 1,540. *)
+   simulation allocates about 1,000-1,300 words of per-stage set-up
+   (the sample rows are major-heap blocks) and nothing per step: one
+   boxed float per step would add about 1,540 at the default config and
+   about 540 (to ~1,860) with the early stop. *)
 and gated_tests env =
   List.map (fun t -> (8., t)) (hot_tests env)
-  @ [ (2000., hot_dp_test env); (2000., hot_step_test env) ]
+  @ [
+      (2000., hot_dp_test env);
+      (2000., hot_step_test env ~name:"hot-step: Transient.simulate, fig1.1 stage");
+      ( 1550.,
+        hot_step_test env ~name:"hot-step-stop: the same, stop_at 0.9, dt 1 ps"
+          ~config:{ T.default_config with T.dt = 1e-12; stop_at = Some 0.9 } );
+    ]
 
 let run env =
   print_endline "=== kernel timings (Bechamel) ===";

@@ -88,7 +88,11 @@ let branch_sweep = function
 let default_classes = [| 0.75e-15; 5e-15; 15e-15; 35e-15 |]
 let default_branch_classes = [| 0; 2; 3 |]
 
-let char_sim_config = { T.default_config with T.dt = 1e-12 }
+(* The measurements below read only first crossings at 10, 50 and 90%
+   Vdd, so a run may end once every recorded node has reached 90%: the
+   upper level of [Waveform.slew_10_90], the highest one read. *)
+let char_sim_config =
+  { T.default_config with T.dt = 1e-12; stop_at = Some 0.9 }
 
 (* ------------------------------------------------------------------ *)
 (* Characterization circuits                                           *)
@@ -274,8 +278,8 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
                 ws := s :: !ws
             | None ->
                 Log.warn (fun m ->
-                    m "dropping unsettled sample %s/%d L=%g" drive.name ci
-                      length))
+                    m "dropping sample %s/%d L=%g: a crossing is missing"
+                      drive.name ci length))
           lens)
       slews;
     let pts = Array.of_list (List.rev !pts) in
@@ -559,8 +563,13 @@ let sample_grid_single t ~drive ~load_cap =
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
+(* Through a temporary file in the same directory and a rename, so a
+   reader, or a concurrent save, never sees a partly written file. *)
 let save t path =
-  let oc = open_out path in
+  let tmp, oc =
+    Filename.open_temp_file ~perms:0o666 ~temp_dir:(Filename.dirname path)
+      (Filename.basename path) ".tmp"
+  in
   let pf fmt = Printf.fprintf oc fmt in
   (try
      pf "delaylib v1\n";
@@ -599,11 +608,13 @@ let save t path =
      List.iter
        (fun (label, rms, worst) -> pf "residual %s %.17g %.17g\n" label rms worst)
        t.residuals;
-     pf "end\n"
+     pf "end\n";
+     close_out oc;
+     Sys.rename tmp path
    with e ->
      close_out_noerr oc;
-     raise e);
-  close_out oc
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e)
 
 let load path =
   let ic = open_in path in
@@ -740,17 +751,12 @@ let load path =
         ~residuals:(List.rev !residuals))
 
 let load_or_characterize ?(profile = Accurate) ?pool ~cache tech buffers =
-  if Sys.file_exists cache then
-    (* A corrupt or stale cache is recoverable: re-characterize and
-       overwrite. Only the parse/IO exceptions load can actually raise
-       are absorbed; anything else still propagates. *)
-    try load cache
-    with Sys_error _ | Failure _ | Invalid_argument _ ->
+  (* A missing, corrupt or stale cache is recoverable: re-characterize
+     and overwrite. Only the parse/IO exceptions load can actually raise
+     are absorbed; a failed save costs only the cache. *)
+  match load cache with
+  | t -> t
+  | exception (Sys_error _ | Failure _ | Invalid_argument _) ->
       let t = characterize ~profile ?pool tech buffers in
-      save t cache;
+      (try save t cache with Sys_error _ -> ());
       t
-  else begin
-    let t = characterize ~profile ?pool tech buffers in
-    (try save t cache with Sys_error _ -> ());
-    t
-  end

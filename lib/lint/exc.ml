@@ -64,6 +64,8 @@ let raising_prims =
     ("open_in", "Sys_error"); ("open_in_bin", "Sys_error");
     ("open_in_gen", "Sys_error"); ("open_out", "Sys_error");
     ("open_out_bin", "Sys_error"); ("open_out_gen", "Sys_error");
+    ("Filename.open_temp_file", "Sys_error"); ("Sys.rename", "Sys_error");
+    ("Sys.remove", "Sys_error");
     ("input_line", "End_of_file"); ("input_char", "End_of_file");
     ("input_byte", "End_of_file"); ("input_value", "End_of_file");
     ("really_input", "End_of_file"); ("really_input_string", "End_of_file");

@@ -5,10 +5,14 @@ module Device = Circuit.Device
 
 type driver = Vsource of W.t | Driven_buffer of Circuit.Buffer_lib.t * W.t
 
-type config = { dt : float; t_margin : float; t_max : float; newton_iters : int }
+type config = {
+  dt : float; t_margin : float; t_max : float; newton_iters : int;
+  stop_at : float option;
+}
 
 let default_config =
-  { dt = 0.5e-12; t_margin = 1.5e-9; t_max = 40e-9; newton_iters = 3 }
+  { dt = 0.5e-12; t_margin = 1.5e-9; t_max = 40e-9; newton_iters = 3;
+    stop_at = None }
 
 type result = {
   vdd : float;
@@ -30,7 +34,10 @@ let validate c =
   check "t_margin" (finite c.t_margin && c.t_margin >= 0.) (g c.t_margin)
     "finite and >= 0";
   check "newton_iters" (c.newton_iters >= 1) (string_of_int c.newton_iters)
-    ">= 1"
+    ">= 1";
+  Option.iter
+    (fun l -> check "stop_at" (l > 0. && l <= 1.) (g l) "in (0, 1]")
+    c.stop_at
 
 let[@inline] same_bits a b =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -122,8 +129,16 @@ let simulate ?(config = default_config) (tech : Tech.t) driver tree =
   let quiet = ref (buffer && stage1_quiescent tech ~size:size1 ~c_dt:c_dt1) in
   let rest = ref true and fixed = ref false in
   record rows src v 0 t0;
+  (* [stop_at] (DESIGN.md 5s): [reached.(j)] once sample row [j] has
+     had a value >= [level], the comparison [Waveform.crossing] makes
+     (row 0, the times, from the start); [pending] counts the rows that
+     have not. *)
+  let stop = Option.is_some config.stop_at in
+  let level = vdd *. Option.value config.stop_at ~default:1. in
+  let reached = Array.mapi (fun j i -> j = 0 || v.(i) >= level) src in
+  let pending = ref (List.length (List.filter not (Array.to_list reached))) in
   let t = ref t0 and steps = ref 0 and settled = ref false in
-  while (not !settled) && !t < config.t_max do
+  while (not !settled) && not (stop && !pending = 0) && !t < config.t_max do
     let t_new = !t +. dt in
     at.time <- t_new;
     W.read cursor at;
@@ -176,6 +191,13 @@ let simulate ?(config = default_config) (tech : Tech.t) driver tree =
     t := t_new;
     incr steps;
     record rows src v !steps t_new;
+    if stop then
+      for j = 1 to Array.length src - 1 do
+        if (not reached.(j)) && v.(src.(j)) >= level then begin
+          reached.(j) <- true;
+          decr pending
+        end
+      done;
     if !steps mod 64 = 0 && t_new > t_input_end && t_new > t_settle then begin
       let ok = ref (vin >= 0.99 *. vdd) and i = ref 0 in
       while !ok && !i < n do

@@ -37,10 +37,22 @@ type config = {
   newton_iters : int;
       (** Fixed Newton iterations per step for a buffer driver (at least
           1); an ideal source is linear and takes one solve. *)
+  stop_at : float option;
+      (** [None]: run until settled or [t_max]. [Some l], a fraction of
+          Vdd in (0, 1]: also end right after recording the first
+          sample at which every recorded series (the root and every
+          tag) has had a sample [>= l *. vdd], the comparison
+          {!Waveform.crossing} makes. The samples are then a prefix of
+          the [None] run's, bit for bit, so every first crossing at or
+          below [l] is too (DESIGN.md 5s). Characterization, which
+          reads only 10/50/90% crossings, stops at 0.9; signoff needs
+          the settle check and a stage's whole gate waveform, so it
+          keeps [None]. *)
 }
 
 val default_config : config
-(** dt = 0.5 ps, margin = 1.5 ns, max = 40 ns, 3 Newton iterations. *)
+(** dt = 0.5 ps, margin = 1.5 ns, max = 40 ns, 3 Newton iterations, no
+    early stop. *)
 
 type result
 
@@ -50,8 +62,9 @@ val simulate :
 (** Run the stage from an all-quiescent initial state (rising edge: every
     tree node at 0 V), recording every step at the root and every tagged
     node. Simulation ends early once the input has finished and every
-    tree node has settled above 99% Vdd, or at [t_max]. Raises
-    [Invalid_argument] naming a [config] field outside its range. *)
+    tree node has settled above 99% Vdd, at the [stop_at] sample, or at
+    [t_max]. Raises [Invalid_argument] naming a [config] field outside
+    its range. *)
 
 val waveform : result -> string -> Waveform.t
   [@@cts.raises "Invalid_argument"]
@@ -63,8 +76,10 @@ val root_waveform : result -> Waveform.t
 (** Waveform at the tree root (the driver/buffer output). *)
 
 val settled : result -> bool
-(** False when the simulation hit [t_max] before settling — a sign the
-    stage is too weak to drive its load (severe slew violation). *)
+(** Whether the 99% settle check passed. False when the simulation hit
+    [t_max] before settling — a sign the stage is too weak to drive its
+    load (severe slew violation) — and for a run [stop_at] ended, unless
+    the settle check also passed by then. *)
 
 val stage_delay : result -> input:Waveform.t -> tag:string -> float option
   [@@cts.raises "Invalid_argument"]

@@ -210,6 +210,59 @@ let load_rejects_unsorted_classes =
          else l))
     ~expect:"not strictly ascending"
 
+(* [load_or_characterize] with a cache it cannot use: the library it
+   returns must be the characterized one (compared with the shared test
+   library, whose fits survive save/load exactly), and no temporary
+   file may be left beside the cache. *)
+let same_library a b =
+  let bits x = Int64.bits_of_float x in
+  let single dl =
+    Delaylib.eval_single dl ~drive:T_env.b20 ~load_cap:5e-15 ~input_slew:90e-12
+      ~length:500.
+  and branch dl =
+    Delaylib.eval_branch dl ~drive:T_env.b30 ~load_cap_left:0.75e-15
+      ~load_cap_right:15e-15 ~input_slew:70e-12 ~len_left:250. ~len_right:650.
+  in
+  let s = single a and s' = single b and r = branch a and r' = branch b in
+  Alcotest.(check (list int64)) "same fits"
+    (List.map bits
+       [ s.Delaylib.buf_delay; s.wire_delay; s.wire_slew; r.Delaylib.delay_left;
+         r.delay_right; r.slew_left; r.slew_right ])
+    (List.map bits
+       [ s'.Delaylib.buf_delay; s'.wire_delay; s'.wire_slew;
+         r'.Delaylib.delay_left; r'.delay_right; r'.slew_left; r'.slew_right ])
+
+let in_temp_dir f =
+  let dir = Filename.temp_dir "dl_cache" "" in
+  let cache = Filename.concat dir "lib.txt" in
+  let entries () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  f cache;
+  Alcotest.(check (list string)) "only the cache is left" [ "lib.txt" ] (entries ());
+  if Sys.is_directory cache then Sys.rmdir cache else Sys.remove cache;
+  Sys.rmdir dir
+
+let cache_is_a_directory () =
+  in_temp_dir (fun cache ->
+      Sys.mkdir cache 0o755;
+      same_library (T_env.get_dl ())
+        (Delaylib.load_or_characterize ~profile:Delaylib.Fast ~cache tech T_env.lib))
+
+(* A reader that opened the old file keeps reading it whole: the save
+   replaces the file instead of rewriting it in place. *)
+let corrupt_cache_replaced () =
+  in_temp_dir (fun cache ->
+      let corrupt = "delaylib v1\ntech 1.0" in
+      Out_channel.with_open_text cache (fun oc -> output_string oc corrupt);
+      In_channel.with_open_text cache (fun reader ->
+          let dl =
+            Delaylib.load_or_characterize ~profile:Delaylib.Fast ~cache tech
+              T_env.lib
+          in
+          Alcotest.(check bool) "a reader of the old file reads it whole" true
+            (String.equal corrupt (In_channel.input_all reader));
+          same_library (T_env.get_dl ()) dl;
+          same_library dl (Delaylib.load cache)))
+
 let load_class_cap_stable () =
   let dl = T_env.get_dl () in
   let c1 = Delaylib.load_class_cap dl 5.2e-15 in
@@ -246,6 +299,8 @@ let suite =
     Alcotest.test_case "load rejects zero buffers" `Quick load_rejects_no_buffers;
     Alcotest.test_case "load rejects unsorted classes" `Quick
       load_rejects_unsorted_classes;
+    Alcotest.test_case "cache path that is a directory" `Quick cache_is_a_directory;
+    Alcotest.test_case "corrupt cache replaced whole" `Quick corrupt_cache_replaced;
     Alcotest.test_case "load class stability" `Quick load_class_cap_stable;
     Alcotest.test_case "intrinsic delay vs slew" `Quick
       intrinsic_delay_increases_with_slew;

@@ -353,27 +353,33 @@ let random_input rng (tech : Circuit.Tech.t) =
       | Some t -> W.crop_before wave (t -. ps 100.)
       | None -> wave
 
+(* One random stage: a tree, a tech, a driver of either kind over a
+   random input, and a config at dt 0.5 or 1 ps with 1 or 3 Newton
+   iterations. *)
+let random_case rng =
+  let tree = random_tree rng in
+  let tech = List.nth techs (Util.Rng.int rng (List.length techs)) in
+  let input = random_input rng tech in
+  let driver =
+    if Util.Rng.int rng 4 = 0 then T.Vsource input
+    else T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
+  in
+  let config =
+    {
+      T.default_config with
+      T.dt = (if Util.Rng.int rng 2 = 0 then 0.5e-12 else 1e-12);
+      newton_iters = (if Util.Rng.int rng 2 = 0 then 1 else 3);
+      t_max = 2.5e-9;
+    }
+  in
+  (tree, tech, driver, config)
+
 let qcheck_transient_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"Transient.simulate bit-identical to the per-iteration kernel"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let rng = Util.Rng.create seed in
-      let tree = random_tree rng in
-      let tech = List.nth techs (Util.Rng.int rng (List.length techs)) in
-      let input = random_input rng tech in
-      let driver =
-        if Util.Rng.int rng 4 = 0 then T.Vsource input
-        else T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
-      in
-      let config =
-        {
-          T.default_config with
-          T.dt = (if Util.Rng.int rng 2 = 0 then 0.5e-12 else 1e-12);
-          newton_iters = (if Util.Rng.int rng 2 = 0 then 1 else 3);
-          t_max = 2.5e-9;
-        }
-      in
+      let tree, tech, driver, config = random_case (Util.Rng.create seed) in
       let times, samples, settled = Ref.simulate config tech driver tree in
       let res = T.simulate ~config tech driver tree in
       let tags = List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index in
@@ -381,6 +387,78 @@ let qcheck_transient_matches_reference =
       Bool.equal settled (T.settled res)
       && List.for_all (fun w -> bits_equal times (W.times w)) waves
       && List.for_all2 (fun s w -> bits_equal s (W.values w)) samples waves)
+
+(* [stop_at = Some l] against the same stage run to the end: its
+   samples are an exact prefix of the full run's, ending at the first
+   sample by which every recorded series has had one >= l * Vdd (or
+   where the full run ends, if that comes first); the first crossings
+   at 0.1, 0.5 and l that lie at or below l keep their bits; and
+   [settled] holds only when the full run settled at the same sample.
+   A quarter of the levels are a recorded sample of the full run, so
+   the comparison's equality case is hit. *)
+let qcheck_stop_at_is_a_prefix =
+  QCheck.Test.make ~count:300
+    ~name:"Transient stop_at run is an exact prefix of the full run"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let tree, tech, driver, config = random_case rng in
+      let vdd = tech.Circuit.Tech.vdd in
+      let series res =
+        T.root_waveform res
+        :: List.map (T.waveform res)
+             (List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index)
+      in
+      let full = T.simulate ~config tech driver tree in
+      let full_w = series full in
+      let samples =
+        List.concat_map
+          (fun w ->
+            List.filter (fun x -> x > 0. && x <= vdd) (Array.to_list (W.values w)))
+          full_w
+      in
+      let l =
+        match Util.Rng.int rng 4 with
+        | 0 -> 0.9
+        | 1 -> 1.
+        | 2 when samples <> [] ->
+            List.nth samples (Util.Rng.int rng (List.length samples)) /. vdd
+        | _ -> 1. -. Util.Rng.float rng 1.
+      in
+      let stopped = T.simulate ~config:{ config with T.stop_at = Some l } tech driver tree in
+      let stopped_w = series stopped in
+      let level = l *. vdd in
+      let n_full = W.n_samples (T.root_waveform full) in
+      (* The first sample by which every series has reached [level]. *)
+      let reached_at w =
+        let vs = W.values w in
+        let rec go i = if i >= Array.length vs || vs.(i) >= level then i else go (i + 1) in
+        go 0
+      in
+      let expected_n =
+        1 + List.fold_left (fun k w -> max k (reached_at w)) 0 full_w
+      in
+      let n = W.n_samples (T.root_waveform stopped) in
+      let prefix a b = bits_equal a (Array.sub b 0 (Array.length a)) in
+      let same_crossing a b =
+        match (a, b) with
+        | Some x, Some y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | None, None -> true
+        | _ -> false
+      in
+      let levels = List.filter (fun c -> c <= l) [ 0.1; 0.5; l ] in
+      n = min expected_n n_full
+      && List.for_all2
+           (fun s f ->
+             prefix (W.times s) (W.times f)
+             && prefix (W.values s) (W.values f)
+             && List.for_all
+                  (fun c ->
+                    let c = c *. vdd in
+                    same_crossing (W.crossing s c) (W.crossing f c))
+                  levels)
+           stopped_w full_w
+      && Bool.equal (T.settled stopped) (T.settled full && n = n_full))
 
 (* The inverter against the direct formula, on a grid that hits every
    branch: vin at and around vt and vdd - vt (either device off), vout
@@ -604,6 +682,11 @@ let config_rejects_newton_iters =
     [ ({ c with T.newton_iters = 0 }, "0", ">= 1");
       ({ c with T.newton_iters = -2 }, "-2", ">= 1") ]
 
+let config_rejects_stop_at =
+  let bad l shown = ({ c with T.stop_at = Some l }, shown, "in (0, 1]") in
+  config_rejects "stop_at"
+    [ bad Float.nan "nan"; bad 0. "0"; bad (-0.5) "-0.5"; bad 1.5 "1.5" ]
+
 (* Tags the tree does not carry (a merge node's or the root's, which
    the signoff and characterization stages no longer tag) are named in
    the error. *)
@@ -620,25 +703,31 @@ let unknown_tag_rejected () =
 
 (* ---------------- Golden bits ----------------
 
-   The fast-profile library file (a fresh characterization) and the
-   signoff of the 13-sink r1@0.05 instance synthesized with it, as
-   Int64 bits. CTS_UPDATE_QOR_FIXTURE=<dir> writes the file to <dir>
-   instead of comparing (run once, commit it), as for the QoR fixture.
-   The test action runs in _build/default/test. *)
+   The fast- and accurate-profile library files (fresh
+   characterizations) and the signoff of the 13-sink r1@0.05 instance
+   synthesized with the fast one, as Int64 bits.
+   CTS_UPDATE_QOR_FIXTURE=<dir> writes the file to <dir> instead of
+   comparing (run once, commit it), as for the QoR fixture. The test
+   action runs in _build/default/test. *)
 
 let golden_path = "../../../test/fixtures/sim/r1_fast_signoff_bits.txt"
 
-let golden_lines () =
-  let dl = Delaylib.characterize ~profile:Delaylib.Fast tech lib in
-  let file = Filename.temp_file "cts_fast_library" ".txt" in
+let library_md5 dl =
+  let file = Filename.temp_file "cts_library" ".txt" in
   Delaylib.save dl file;
   let md5 = Digest.to_hex (Digest.file file) in
   Sys.remove file;
+  md5
+
+let golden_lines () =
+  let dl = Delaylib.characterize ~profile:Delaylib.Fast tech lib in
+  let accurate = Delaylib.characterize ~profile:Delaylib.Accurate tech lib in
   let d = Bmark.Synthetic.scaled (Bmark.Synthetic.find "r1") 0.05 in
   let tree = (Cts.synthesize dl (Bmark.Synthetic.sinks d)).Cts.tree in
   let m = Ctree_sim.simulate tech tree in
   let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
-  [ "fast-library-md5 " ^ md5;
+  [ "fast-library-md5 " ^ library_md5 dl;
+    "accurate-library-md5 " ^ library_md5 accurate;
     "skew " ^ bits m.Ctree_sim.skew;
     "latency " ^ bits m.Ctree_sim.latency;
     "worst-slew " ^ bits m.Ctree_sim.worst_slew ]
@@ -648,7 +737,7 @@ let golden_lines () =
 
 let golden_signoff_bits () =
   let lines = golden_lines () in
-  Alcotest.(check int) "13 sinks" 13 (List.length lines - 4);
+  Alcotest.(check int) "13 sinks" 13 (List.length lines - 5);
   match Sys.getenv_opt "CTS_UPDATE_QOR_FIXTURE" with
   | Some dir ->
       let path = Filename.concat dir (Filename.basename golden_path) in
@@ -679,12 +768,14 @@ let suite =
     Alcotest.test_case "branch loads interact" `Quick branch_loads_interact;
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
     QCheck_alcotest.to_alcotest qcheck_transient_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_stop_at_is_a_prefix;
     QCheck_alcotest.to_alcotest qcheck_device_bias_matches_formula;
     Alcotest.test_case "config rejects dt" `Quick config_rejects_dt;
     Alcotest.test_case "config rejects t_max" `Quick config_rejects_t_max;
     Alcotest.test_case "config rejects t_margin" `Quick config_rejects_t_margin;
     Alcotest.test_case "config rejects newton_iters" `Quick
       config_rejects_newton_iters;
+    Alcotest.test_case "config rejects stop_at" `Quick config_rejects_stop_at;
     Alcotest.test_case "unknown tag rejected" `Quick unknown_tag_rejected;
     Alcotest.test_case "golden signoff bits (fast library, r1@0.05)" `Slow
       golden_signoff_bits;
