@@ -48,49 +48,30 @@ ladder-smoke:
 	echo "$$out" | tail -n 1 | grep -q '"failed": 0' \
 	  || { echo 'ladder-smoke: last line does not report "failed": 0'; exit 1; }
 
-# QoR regression gate: synthesize the canonical fast-profile benchmark
-# (writes BENCH_qor.json) and compare it against the committed baseline
-# snapshot. Exit 6 = a gated metric regressed beyond its threshold.
+# Regression gate: synthesize the canonical fast-profile benchmark (the
+# r1 @ 0.05 instance trace-smoke uses) once per insertion engine, write
+# each run record (QoR plus counters, gauges and histograms; no runtime
+# section, so the files are byte-identical at any CTS_DOMAINS) and
+# compare it against its committed baseline. Exit 6 = a gated metric
+# regressed beyond its threshold.
 qor-gate:
-	dune exec bench/main.exe -- --profile fast --qor-bench
+	dune exec bin/cts_run.exe -- qor --bench r1 --scale 0.05 --profile fast \
+	  --cache .cache/delaylib_fast.txt -o BENCH_qor.json
+	dune exec bin/cts_run.exe -- qor --bench r1 --scale 0.05 --profile fast \
+	  --cache .cache/delaylib_fast.txt --insertion dp -o BENCH_qor_dp.json
 	dune exec bin/cts_run.exe -- compare \
 	  bench/baselines/BENCH_qor_fast.json BENCH_qor.json
-
-# Refresh the committed baseline after an intentional QoR change.
-qor-baseline:
-	dune exec bench/main.exe -- --profile fast --qor-bench
-	cp BENCH_qor.json bench/baselines/BENCH_qor_fast.json
-	@echo "baseline refreshed: bench/baselines/BENCH_qor_fast.json"
-
-# Same gate for the optimal-DP insertion engine: synthesize the same
-# canonical benchmark with --insertion dp (writes BENCH_qor_dp.json)
-# and compare against its own committed baseline.
-qor-gate-dp:
-	dune exec bench/main.exe -- --profile fast --insertion dp --qor-bench
 	dune exec bin/cts_run.exe -- compare \
 	  bench/baselines/BENCH_qor_dp.json BENCH_qor_dp.json
 
-qor-baseline-dp:
-	dune exec bench/main.exe -- --profile fast --insertion dp --qor-bench
-	cp BENCH_qor_dp.json bench/baselines/BENCH_qor_dp.json
-	@echo "baseline refreshed: bench/baselines/BENCH_qor_dp.json"
-
-# Cost-regression gate: synthesize the same canonical benchmark with
-# observability on (writes BENCH_obs.json — counters, gauges, cache
-# rates; no runtime section, so the file is byte-identical at any
-# CTS_DOMAINS) and diff it against the committed baseline under the
-# Obs_diff budgets. Exit 6 = a gated cost metric regressed.
-obs-gate:
-	dune exec bench/main.exe -- --profile fast --obs-bench
-	dune exec bin/cts_run.exe -- obs diff \
-	  bench/baselines/BENCH_obs_fast.json BENCH_obs.json
-
-# Refresh the committed cost baseline after an intentional change
-# (algorithm work that legitimately moves counters).
-obs-baseline:
-	dune exec bench/main.exe -- --profile fast --obs-bench
-	cp BENCH_obs.json bench/baselines/BENCH_obs_fast.json
-	@echo "baseline refreshed: bench/baselines/BENCH_obs_fast.json"
+# Refresh both committed baselines after an intentional change (one
+# that moves QoR or counters); the diff documents it in review.
+qor-baseline:
+	dune exec bin/cts_run.exe -- qor --bench r1 --scale 0.05 --profile fast \
+	  --cache .cache/delaylib_fast.txt -o bench/baselines/BENCH_qor_fast.json
+	dune exec bin/cts_run.exe -- qor --bench r1 --scale 0.05 --profile fast \
+	  --cache .cache/delaylib_fast.txt --insertion dp \
+	  -o bench/baselines/BENCH_qor_dp.json
 
 # One lint run over lib/ and bin/: determinism / domain-safety rules
 # (L1-L5), the physical-units checker (U1-U4), the concurrency-effect
@@ -159,6 +140,5 @@ clean: clean-artifacts
 	dune clean
 
 .PHONY: all test test-par bench bench-full bench-par bench-smoke ladder-smoke \
-        qor-gate qor-baseline qor-gate-dp qor-baseline-dp \
-        obs-gate obs-baseline lint lint-fixtures trace-smoke examples \
+        qor-gate qor-baseline lint lint-fixtures trace-smoke examples \
         clean clean-artifacts

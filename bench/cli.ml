@@ -1,11 +1,8 @@
 type opts = {
   scale : float;
   profile : Delaylib.profile;
-  insertion : Cts_config.insertion;
   kernels : bool;
   parallel_bench : bool;
-  qor_bench : bool;
-  obs_bench : bool;
   alloc_gate : bool;
   trace : string option;
   stats : bool;
@@ -17,11 +14,8 @@ let default =
   {
     scale = 0.25;
     profile = Delaylib.Accurate;
-    insertion = Cts_config.Greedy;
     kernels = true;
     parallel_bench = false;
-    qor_bench = false;
-    obs_bench = false;
     alloc_gate = false;
     trace = None;
     stats = false;
@@ -31,9 +25,8 @@ let default =
 
 let usage ~known =
   Printf.sprintf
-    "usage: main.exe [--scale F] [--profile fast|accurate] \
-     [--insertion greedy|dp] [--no-kernels] [--parallel-bench] \
-     [--qor-bench] [--obs-bench] [--alloc-gate] [--stats] [--trace FILE] \
+    "usage: main.exe [--scale F] [--profile fast|accurate] [--no-kernels] \
+     [--parallel-bench] [--alloc-gate] [--stats] [--trace FILE] \
      [experiment ...]\n\
      experiments: %s"
     (String.concat " " known)
@@ -63,19 +56,8 @@ let parse ~known args =
             Error
               (Printf.sprintf
                  "unknown --profile %S (expected fast or accurate)" v))
-    | "--insertion" :: rest -> (
-        match rest with
-        | [] -> Error "option --insertion needs a value (greedy or dp)"
-        | "greedy" :: rest -> go { acc with insertion = Cts_config.Greedy } rest
-        | "dp" :: rest -> go { acc with insertion = Cts_config.Optimal_dp } rest
-        | v :: _ ->
-            Error
-              (Printf.sprintf "unknown --insertion %S (expected greedy or dp)"
-                 v))
     | "--no-kernels" :: rest -> go { acc with kernels = false } rest
     | "--parallel-bench" :: rest -> go { acc with parallel_bench = true } rest
-    | "--qor-bench" :: rest -> go { acc with qor_bench = true } rest
-    | "--obs-bench" :: rest -> go { acc with obs_bench = true } rest
     | "--alloc-gate" :: rest -> go { acc with alloc_gate = true } rest
     | "--trace" :: rest -> (
         match rest with

@@ -7,17 +7,8 @@
 type opts = {
   scale : float;  (** Benchmark scale factor (default 0.25). *)
   profile : Delaylib.profile;  (** Characterization profile. *)
-  insertion : Cts_config.insertion;
-      (** Buffer-insertion engine for synthesis-based runs (default
-          [Greedy]); [--qor-bench] with [Optimal_dp] writes
-          [BENCH_qor_dp.json] instead of [BENCH_qor.json]. *)
   kernels : bool;  (** Run the Bechamel kernel timings. *)
   parallel_bench : bool;  (** Run only the parallel-speedup benchmark. *)
-  qor_bench : bool;
-      (** Run only the canonical QoR benchmark (writes [BENCH_qor.json]). *)
-  obs_bench : bool;
-      (** Run only the canonical obs cost benchmark (writes
-          [BENCH_obs.json] for [make obs-gate]). *)
   alloc_gate : bool;
       (** Run only the hot-path kernels and fail (exit 1) if any
           allocates beyond the per-run budget. *)
@@ -35,8 +26,7 @@ val parse : known:string list -> string list -> (opts, string) result
     [known] lists the valid experiment ids. Returns [Error msg] — a
     one-line description naming the offending argument — on an unknown
     option or experiment, a missing option value, a non-float or
-    non-positive [--scale], or an unknown [--profile] or [--insertion]
-    value. *)
+    non-positive [--scale], or an unknown [--profile] value. *)
 
 val usage : known:string list -> string
 (** Usage text listing options and the known experiment ids. *)

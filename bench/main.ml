@@ -7,8 +7,7 @@
      dune exec bench/main.exe -- tab5.1        -- one experiment
      dune exec bench/main.exe -- --scale 1.0   -- full-size benchmarks
      dune exec bench/main.exe -- --profile fast --no-kernels
-     dune exec bench/main.exe -- --profile fast --parallel-bench
-     dune exec bench/main.exe -- --profile fast --qor-bench *)
+     dune exec bench/main.exe -- --profile fast --parallel-bench *)
 
 let () =
   let known = List.map fst Experiments.all in
@@ -33,11 +32,6 @@ let () =
     Obs.set_enabled true
   end;
   if opts.Cli.parallel_bench then Par_bench.run ~profile:opts.Cli.profile ()
-  else if opts.Cli.qor_bench then
-    Qor_bench.run ~insertion:opts.Cli.insertion ~profile:opts.Cli.profile ()
-  else if opts.Cli.obs_bench then
-    Qor_bench.run_obs ~insertion:opts.Cli.insertion ~profile:opts.Cli.profile
-      ()
   else if opts.Cli.alloc_gate then begin
     let env =
       Experiments.make_env ~profile:opts.Cli.profile ~scale:opts.Cli.scale ()

@@ -5,7 +5,10 @@
      characterize  build and save the delay/slew library
      synth         synthesize a clock tree and verify it by simulation
      baseline      merge-node-only buffered DME on the same input
-     experiments   run the paper-reproduction experiment drivers *)
+     experiments   run the paper-reproduction experiment drivers
+     qor           synthesize and write the run record (JSON)
+     compare       gate a run record against a baseline record
+     trace-check   validate a Chrome trace written by --trace *)
 
 open Cmdliner
 
@@ -33,25 +36,28 @@ let setup_domains = function
       exit 1
   | None -> ()
 
-(* An invalid configuration (a NaN or infinite --slew-limit, say) is a
-   one-line error before any work starts; synthesis would reject it with
-   the same messages. *)
+(* Bad input is one [cts_run: ...] line and exit 1, before any work
+   starts. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "cts_run: %s\n" msg;
+      exit 1)
+    fmt
+
+(* An invalid configuration (a NaN or infinite --slew-limit, say);
+   synthesis would reject it with the same messages. *)
 let check_config config =
   match Cts_config.validate config with
   | [] -> ()
-  | errs ->
-      Printf.eprintf "cts_run: invalid config: %s\n" (String.concat "; " errs);
-      exit 1
+  | errs -> die "invalid config: %s" (String.concat "; " errs)
 
 (* Invalid sinks (a duplicate name, a non-positive or NaN cap, an
-   infinite coordinate) are the same kind of one-line error, before the
-   library is even loaded. *)
+   infinite coordinate), before the library is even loaded. *)
 let check_sinks sinks =
   match Sinks.validate sinks with
   | [] -> ()
-  | errs ->
-      Printf.eprintf "cts_run: invalid sinks: %s\n" (String.concat "; " errs);
-      exit 1
+  | errs -> die "invalid sinks: %s" (String.concat "; " errs)
 
 let profile_t =
   let profile_conv =
@@ -151,18 +157,33 @@ let load_dl profile cache =
   Delaylib.load_or_characterize ~profile ~cache Circuit.Tech.default
     Circuit.Buffer_lib.default_library
 
+let descriptor_of name scale =
+  let all = Bmark.Synthetic.all in
+  match
+    List.find_opt (fun d -> String.equal d.Bmark.Synthetic.name name) all
+  with
+  | Some d -> if scale < 1. then Bmark.Synthetic.scaled d scale else d
+  | None ->
+      die "unknown benchmark %S (known: %s)" name
+        (String.concat " " (List.map (fun d -> d.Bmark.Synthetic.name) all))
+
 let sinks_of ~bench ~file ~format ~scale =
   match (bench, file) with
-  | Some name, None ->
-      let d = Bmark.Synthetic.find name in
-      let d = if scale < 1. then Bmark.Synthetic.scaled d scale else d in
-      Bmark.Synthetic.sinks d
+  | Some name, None -> Bmark.Synthetic.sinks (descriptor_of name scale)
   | None, Some path -> (
-      match format with
-      | `Gsrc -> fst (Bmark.Gsrc_format.parse_file path)
-      | `Ispd -> (Bmark.Ispd_format.parse_file path).Bmark.Ispd_format.sinks)
-  | None, None -> failwith "specify --bench or --file"
-  | Some _, Some _ -> failwith "--bench and --file are mutually exclusive"
+      let text =
+        match Obs_json.read_file path with Ok t -> t | Error msg -> die "%s" msg
+      in
+      match
+        match format with
+        | `Gsrc -> fst (Bmark.Gsrc_format.parse text)
+        | `Ispd -> (Bmark.Ispd_format.parse text).Bmark.Ispd_format.sinks
+      with
+      | sinks -> sinks
+      | exception (Failure msg | Invalid_argument msg) ->
+          die "%s: %s" path msg)
+  | None, None -> die "specify --bench or --file"
+  | Some _, Some _ -> die "--bench and --file are mutually exclusive"
 
 let report_metrics label tree (m : Ctree_sim.metrics) =
   Printf.printf "%s\n  %s\n" label (Format.asprintf "%a" Ctree.pp_summary tree);
@@ -186,9 +207,7 @@ let gen_cmd =
   let run bench scale format out verbose =
     setup_logs verbose;
     let name = Option.value ~default:"r1" bench in
-    let d = Bmark.Synthetic.find name in
-    let d = if scale < 1. then Bmark.Synthetic.scaled d scale else d in
-    let sinks = Bmark.Synthetic.sinks d in
+    let sinks = Bmark.Synthetic.sinks (descriptor_of name scale) in
     (match format with
     | `Gsrc ->
         Bmark.Gsrc_format.write_file
@@ -291,10 +310,9 @@ let synth_cmd =
       if n_blockages > 0 then begin
         match bench with
         | Some name ->
-            let d = Bmark.Synthetic.find name in
-            let d = if scale < 1. then Bmark.Synthetic.scaled d scale else d in
-            Bmark.Synthetic.blocked_instance d ~n_blockages
-        | None -> failwith "--blockages requires --bench"
+            Bmark.Synthetic.blocked_instance (descriptor_of name scale)
+              ~n_blockages
+        | None -> die "--blockages requires --bench"
       end
       else (sinks_of ~bench ~file ~format ~scale, [])
     in
@@ -408,16 +426,17 @@ let qor_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"PATH"
-          ~doc:"Write the snapshot to this file instead of stdout.")
+          ~doc:"Write the record to this file instead of stdout.")
   in
   let runtime_t =
     Arg.(
       value & flag
       & info [ "runtime" ]
           ~doc:
-            "Include the wall-clock runtime section. Off by default: \
-             runtime is non-deterministic and breaks the byte-identity \
-             guarantee of the snapshot (compare ignores it either way).")
+            "Include the runtime section: the span tree with wall-clock \
+             times and GC deltas. Off by default: runtime is \
+             non-deterministic and breaks the byte-identity guarantee of \
+             the record (compare ignores it either way).")
   in
   let slew_limit_t =
     Arg.(
@@ -428,7 +447,6 @@ let qor_cmd =
       with_runtime domains verbose =
     setup_logs verbose;
     setup_domains domains;
-    let t0 = Unix.gettimeofday () in
     let sinks = sinks_of ~bench ~file ~format ~scale in
     check_sinks sinks;
     let dl = load_dl profile cache in
@@ -443,41 +461,44 @@ let qor_cmd =
     check_config config;
     (* Observability is scoped to synthesis alone — after the library
        load — so a cold vs. warm characterization cache cannot perturb
-       the deterministic counter totals in the snapshot. *)
+       the deterministic counters in the record. *)
     Obs.reset ();
     Obs.set_enabled true;
     let res = Obs.phase "synthesize" (fun () -> Cts.synthesize ~config dl sinks) in
     let obs = Obs.snapshot () in
     Obs.set_enabled false;
-    let runtime =
-      if with_runtime then
-        Some (Qor.runtime_of_obs ~wall_s:(Unix.gettimeofday () -. t0) obs)
-      else None
-    in
     let label =
       match (bench, file) with
       | Some name, _ -> name
       | None, Some path -> Filename.basename path
       | None, None -> "unnamed"
     in
+    (* The engine is part of the label, so a DP record is never
+       compared as a greedy one by accident. *)
+    let label =
+      match insertion with
+      | Cts_config.Greedy -> label
+      | Cts_config.Optimal_dp -> label ^ "-dp"
+    in
     let profile_name =
       match profile with Delaylib.Fast -> "fast" | Delaylib.Accurate -> "accurate"
     in
     let q =
-      Qor.capture ~label ~profile:profile_name ~scale ~obs ?runtime dl config
-        res
+      Qor.capture ~label ~profile:profile_name ~scale ~obs
+        ~runtime:with_runtime dl config res
     in
     match out with
     | Some path ->
         Qor.write_file path q;
-        Printf.printf "QoR snapshot written to %s\n" path
+        Printf.printf "QoR record written to %s\n" path
     | None -> print_string (Qor.render q)
   in
   Cmd.v
     (Cmd.info "qor"
        ~doc:
-         "Synthesize and emit a versioned QoR snapshot (JSON). \
-          Deterministic: byte-identical at any --domains value.")
+         "Synthesize and emit the versioned run record (JSON): QoR, \
+          counters, gauges and histograms. Deterministic: \
+          byte-identical at any --domains value.")
     Term.(
       const run $ bench_t $ file_t $ format_t $ scale_t $ profile_t $ cache_t
       $ insertion_t $ slew_limit_t $ out_t $ runtime_t $ domains_t
@@ -490,13 +511,13 @@ let compare_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline QoR snapshot (JSON).")
+      & info [] ~docv:"BASELINE" ~doc:"Baseline run record (JSON).")
   in
   let candidate_t =
     Arg.(
       required
       & pos 1 (some string) None
-      & info [] ~docv:"CANDIDATE" ~doc:"Candidate QoR snapshot (JSON).")
+      & info [] ~docv:"CANDIDATE" ~doc:"Candidate run record (JSON).")
   in
   let run base_path cand_path =
     match Qor_compare.compare_files ~baseline:base_path cand_path with
@@ -510,111 +531,10 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:
-         "Compare two QoR snapshots metric by metric. Exits 6 when any \
+         "Compare two run records metric by metric. Exits 6 when any \
           gated metric regressed beyond its threshold, 2 when a \
-          snapshot cannot be read.")
+          record cannot be read.")
     Term.(const run $ baseline_t $ candidate_t)
-
-(* ---------------------------- obs --------------------------------- *)
-
-(* The cost-side mirror of qor/compare: [obs snapshot] emits a
-   canonical Obs_snapshot of one synthesis, [obs diff] gates a
-   candidate snapshot against a baseline with the Qor_compare
-   classifier under the Obs_diff budgets. *)
-
-let obs_snapshot_cmd =
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"PATH"
-          ~doc:"Write the snapshot to this file instead of stdout.")
-  in
-  let runtime_t =
-    Arg.(
-      value & flag
-      & info [ "runtime" ]
-          ~doc:
-            "Include the span-tree runtime section (wall-clock times, \
-             GC deltas). Off by default: runtime is non-deterministic \
-             and breaks the byte-identity guarantee of the snapshot \
-             (obs diff ignores it either way).")
-  in
-  let run bench file format scale profile cache insertion out with_runtime
-      domains verbose =
-    setup_logs verbose;
-    setup_domains domains;
-    let dl = load_dl profile cache in
-    let sinks = sinks_of ~bench ~file ~format ~scale in
-    let config = { (Cts_config.default dl) with Cts_config.insertion } in
-    (* Scoped to synthesis alone, after the library load, exactly like
-       the qor command: a cold characterization cache cannot perturb
-       the counter totals. *)
-    Obs.reset ();
-    Obs.set_enabled true;
-    ignore
-      (Obs.phase "synthesize" (fun () -> Cts.synthesize ~config dl sinks)
-        : Cts.result);
-    let obs = Obs.snapshot () in
-    Obs.set_enabled false;
-    let label =
-      match (bench, file) with
-      | Some name, _ -> name
-      | None, Some path -> Filename.basename path
-      | None, None -> "unnamed"
-    in
-    let snap = Obs_snapshot.of_obs ~label ~runtime:with_runtime obs in
-    match out with
-    | Some path ->
-        Obs_snapshot.write_file path snap;
-        Printf.printf "obs snapshot written to %s\n" path
-    | None -> print_string (Obs_snapshot.render snap)
-  in
-  Cmd.v
-    (Cmd.info "snapshot"
-       ~doc:
-         "Synthesize and emit a versioned obs cost snapshot (JSON). \
-          Deterministic: byte-identical at any --domains value.")
-    Term.(
-      const run $ bench_t $ file_t $ format_t $ scale_t $ profile_t $ cache_t
-      $ insertion_t $ out_t $ runtime_t $ domains_t $ verbose_t)
-
-let obs_diff_cmd =
-  let baseline_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline obs snapshot (JSON).")
-  in
-  let candidate_t =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"CANDIDATE" ~doc:"Candidate obs snapshot (JSON).")
-  in
-  let run base_path cand_path =
-    match Obs_diff.compare_files ~baseline:base_path cand_path with
-    | Error msg ->
-        Printf.eprintf "cts_run: %s\n" msg;
-        exit 2
-    | Ok rep ->
-        print_string (Qor_compare.render rep);
-        exit (Qor_compare.exit_code rep)
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two obs cost snapshots counter by counter. Exits 6 \
-          when any gated counter, gauge or rate regressed beyond its \
-          budget, 2 when a snapshot cannot be read.")
-    Term.(const run $ baseline_t $ candidate_t)
-
-let obs_cmd =
-  Cmd.group
-    (Cmd.info "obs"
-       ~doc:"Observability cost snapshots: emit and diff (the cost-side \
-             counterpart of qor/compare)")
-    [ obs_snapshot_cmd; obs_diff_cmd ]
 
 (* ------------------------- trace-check ---------------------------- *)
 
@@ -626,21 +546,23 @@ let trace_check_cmd =
       & info [] ~docv:"FILE" ~doc:"Trace file written by --trace.")
   in
   let run path =
-    let contents =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.validate_trace contents with
-    | Ok n -> Printf.printf "valid trace (%d events)\n" n
+    match Obs_json.read_file path with
     | Error msg ->
-        Printf.eprintf "cts_run: %s: invalid trace: %s\n" path msg;
-        exit 1
+        Printf.eprintf "cts_run: %s\n" msg;
+        exit 2
+    | Ok contents -> (
+        match Obs.validate_trace contents with
+        | Ok n -> Printf.printf "valid trace (%d events)\n" n
+        | Error msg ->
+            Printf.eprintf "cts_run: %s: invalid trace: %s\n" path msg;
+            exit 1)
   in
   Cmd.v
     (Cmd.info "trace-check"
-       ~doc:"Validate a Chrome trace-event JSON file written by --trace")
+       ~doc:
+         "Validate a Chrome trace-event JSON file written by --trace. \
+          Exits 1 when the trace is invalid, 2 when the file cannot be \
+          read.")
     Term.(const run $ file_t)
 
 let () =
@@ -659,6 +581,5 @@ let () =
             experiments_cmd;
             qor_cmd;
             compare_cmd;
-            obs_cmd;
             trace_check_cmd;
           ]))

@@ -1,8 +1,8 @@
 (** Deterministic observability: typed counters, histograms,
     cache-effectiveness gauges and hierarchical phase spans for the
     synthesis hot paths, with export as a summary table, as Chrome
-    trace-event JSON, and (through {!Obs_snapshot}) as a canonical,
-    diffable snapshot file.
+    trace-event JSON, and (through the run record of [lib/qor]) as a
+    canonical, diffable file.
 
     {b Determinism contract.} The layer is measurement-only: no counter,
     histogram, gauge or timer value ever feeds back into a synthesis
@@ -18,7 +18,7 @@
     cannot even introduce rounding differences; the ordering is kept to
     mirror the replay-log pattern and keep the contract uniform.)
     Span ids, wall-clock times and GC words are {e not} deterministic;
-    {!Obs_snapshot} therefore confines them to an optional runtime
+    the run record therefore confines them to an optional runtime
     section that the CI gate omits.
 
     {b Overhead.} Disabled (the default), every recording entry point

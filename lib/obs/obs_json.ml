@@ -269,6 +269,20 @@ let write_file path v =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ~pretty:true v))
 
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg (* open errors name the path *)
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | text -> Ok text
+      | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+      | exception End_of_file ->
+          Error (Printf.sprintf "%s: file shrank while being read" path))
+
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 

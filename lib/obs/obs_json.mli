@@ -56,6 +56,11 @@ val to_string : ?pretty:bool -> t -> string
 val write_file : string -> t -> unit
 (** Write {!to_string}[ ~pretty:true] to a file. *)
 
+val read_file : string -> (string, string) result
+(** A whole file as text. [Error] names the path and the reason: a
+    missing or unreadable file, a directory, a short read. The one
+    read path of the strict readers and of [cts_run]'s input files. *)
+
 (** {1 Accessors (for strict readers)} *)
 
 val member : string -> t -> t option

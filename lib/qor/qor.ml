@@ -1,12 +1,11 @@
-(* Quality-of-results snapshots. See qor.mli for the determinism and
-   versioning contracts. *)
+(* The run record. See qor.mli for the determinism and versioning
+   contracts. *)
 
 module J = Obs_json
 
-let schema_version = 1
+let schema_version = 2
 
 type buffer_type_row = { cell : string; count : int; area_x : float }
-type level_row = { level : int; merges : int; buffers : int }
 
 type slew_margin = {
   stages : int;
@@ -16,7 +15,24 @@ type slew_margin = {
   max_ps : float;
 }
 
-type runtime = { phases : (string * float) list; wall_s : float }
+type gc = {
+  minor_words : float;
+  major_words : float;
+  promoted_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
+
+type span = {
+  name : string;
+  id : int;
+  parent : int;
+  depth : int;
+  domain : int;
+  start_ms : float;
+  dur_ms : float;
+  gc : gc option;
+}
 
 type t = {
   version : int;
@@ -35,33 +51,29 @@ type t = {
   buffer_count : int;
   buffer_area_x : float;
   buffers_by_type : buffer_type_row list;
-  by_level : level_row list;
   counters : (string * int) list;
-  runtime : runtime option;
+  gauges : (string * int) list;
+  histograms : (string * (int * int) list) list;
+  spans : span list;
 }
 
 let round3 x = Float.round (x *. 1e3) /. 1e3
 let ps x = round3 (x *. 1e12)
 
-let buffer_area_x = Circuit.Buffer_lib.area_x
-
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
 
+(* Worst endpoint slew (s) of every buffer stage, breadth-first from
+   the source driver. Each queue entry carries its driving buffer, so
+   only buffers can be popped. *)
 let stage_slews ?(source_slew = 60e-12) dl cfg tree =
+  let queue = Queue.create () in
   (match tree.Ctree.kind with
-  | Ctree.Buf _ -> ()
+  | Ctree.Buf b -> Queue.add (source_slew, b, tree) queue
   | _ -> invalid_arg "Qor.stage_slews: tree root must be the source driver");
   let out = ref [] in
-  let queue = Queue.create () in
-  Queue.add (source_slew, tree) queue;
   while not (Queue.is_empty queue) do
-    let input_slew, root = Queue.pop queue in
-    let drive =
-      match root.Ctree.kind with
-      | Ctree.Buf b -> b
-      | _ -> assert false (* only buffers are ever enqueued *)
-    in
+    let input_slew, drive, root = Queue.pop queue in
     let endpoints = Timing.analyze_stage dl cfg ~drive ~input_slew root in
     let worst =
       List.fold_left (fun w (_, _, s) -> Float.max w s) 0. endpoints
@@ -70,49 +82,47 @@ let stage_slews ?(source_slew = 60e-12) dl cfg tree =
     List.iter
       (fun ((n : Ctree.t), _, s) ->
         match n.Ctree.kind with
-        | Ctree.Buf _ -> Queue.add (s, n) queue
+        | Ctree.Buf b -> Queue.add (s, b, n) queue
         | _ -> ())
       endpoints
   done;
   List.rev !out
 
-let runtime_of_obs ~wall_s (snap : Obs.snapshot) =
-  (* Sum repeated spans per name, keeping first-completion order. *)
-  let order = ref [] in
-  let totals = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Obs.span) ->
-      let ms = Float.max 0. (s.Obs.t_stop -. s.Obs.t_start) *. 1e3 in
-      (match Hashtbl.find_opt totals s.Obs.span_name with
-      | None ->
-          order := s.Obs.span_name :: !order;
-          Hashtbl.replace totals s.Obs.span_name ms
-      | Some prev -> Hashtbl.replace totals s.Obs.span_name (prev +. ms)))
-    snap.Obs.spans;
-  {
-    phases =
-      List.rev_map (fun n -> (n, Hashtbl.find totals n)) !order;
-    wall_s;
-  }
-
-let by_level_of_obs (snap : Obs.snapshot) =
-  let get name =
-    match List.assoc_opt name snap.Obs.histograms with
-    | Some buckets -> buckets
-    | None -> []
-  in
-  let merges = get "merges_per_level" and buffers = get "buffers_per_level" in
-  let levels =
-    List.sort_uniq compare (List.map fst merges @ List.map fst buffers)
+let spans_of (snap : Obs.snapshot) =
+  let t0 =
+    List.fold_left
+      (fun t (s : Obs.span) -> Float.min t s.Obs.t_start)
+      infinity snap.Obs.spans
   in
   List.map
-    (fun level ->
-      let find l = Option.value ~default:0 (List.assoc_opt level l) in
-      { level; merges = find merges; buffers = find buffers })
-    levels
+    (fun (s : Obs.span) ->
+      {
+        name = s.Obs.span_name;
+        id = s.Obs.span_id;
+        parent = s.Obs.parent_id;
+        depth = s.Obs.depth;
+        domain = s.Obs.domain;
+        start_ms = round3 ((s.Obs.t_start -. t0) *. 1e3);
+        dur_ms = round3 (Float.max 0. (s.Obs.t_stop -. s.Obs.t_start) *. 1e3);
+        gc =
+          Option.map
+            (fun (g : Obs.gc_delta) ->
+              {
+                minor_words = g.Obs.minor_words;
+                major_words = g.Obs.major_words;
+                promoted_words = g.Obs.promoted_words;
+                minor_collections = g.Obs.minor_collections;
+                major_collections = g.Obs.major_collections;
+              })
+            s.Obs.gc;
+      })
+    snap.Obs.spans
 
-let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0) ?obs
-    ?runtime ?source_slew dl (config : Cts_config.t) (res : Cts.result) =
+let no_obs = { Obs.counters = []; gauges = []; histograms = []; spans = [] }
+
+let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0)
+    ?(obs = no_obs) ?(runtime = false) ?source_slew dl
+    (config : Cts_config.t) (res : Cts.result) =
   let tree = res.Cts.tree in
   let report = Timing.analyze_tree dl config ?source_slew tree in
   let delays = Array.of_list (List.map snd report.Timing.sink_delays) in
@@ -122,17 +132,15 @@ let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0) ?obs
          (fun s -> (config.Cts_config.slew_limit -. s) *. 1e12)
          (stage_slews ?source_slew dl config tree))
   in
+  let pct = Util.Stats.percentile margins in
   let slew_margin =
-    match Util.Stats.percentiles margins [ 0.5; 0.95; 1.0; 0.0 ] with
-    | [ p50; p95 ; mx; mn ] ->
-        {
-          stages = Array.length margins;
-          min_ps = round3 mn;
-          p50_ps = round3 p50;
-          p95_ps = round3 p95;
-          max_ps = round3 mx;
-        }
-    | _ -> assert false
+    {
+      stages = Array.length margins;
+      min_ps = round3 (pct 0.0);
+      p50_ps = round3 (pct 0.5);
+      p95_ps = round3 (pct 0.95);
+      max_ps = round3 (pct 1.0);
+    }
   in
   let lib = Delaylib.buffers dl in
   let buffers_by_type =
@@ -147,7 +155,7 @@ let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0) ?obs
                    String.equal b.Circuit.Buffer_lib.name cell)
                  lib
              with
-             | Some b -> float_of_int count *. buffer_area_x b
+             | Some b -> float_of_int count *. Circuit.Buffer_lib.area_x b
              | None -> 0.
            in
            { cell; count; area_x = round3 area })
@@ -156,10 +164,6 @@ let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0) ?obs
   let buffer_area_x =
     round3 (List.fold_left (fun a r -> a +. r.area_x) 0. buffers_by_type)
   in
-  let counters =
-    match obs with Some (s : Obs.snapshot) -> s.Obs.counters | None -> []
-  in
-  let by_level = match obs with Some s -> by_level_of_obs s | None -> [] in
   {
     version = schema_version;
     label;
@@ -177,15 +181,19 @@ let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0) ?obs
     buffer_count = Ctree.n_buffers tree;
     buffer_area_x;
     buffers_by_type;
-    by_level;
-    counters;
-    runtime;
+    counters = obs.Obs.counters;
+    gauges = obs.Obs.gauges;
+    histograms = obs.Obs.histograms;
+    spans = (if runtime then spans_of obs else []);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
 let metrics q =
+  let count prefix l =
+    List.map (fun (n, v) -> (prefix ^ n, float_of_int v)) l
+  in
   [
     ("timing.skew_ps", q.skew_ps);
     ("timing.max_latency_ps", q.max_latency_ps);
@@ -201,7 +209,117 @@ let metrics q =
     ("tree.levels", float_of_int q.levels);
     ("tree.sinks", float_of_int q.sinks);
   ]
-  @ List.map (fun (n, v) -> ("obs." ^ n, float_of_int v)) q.counters
+  @ count "obs." q.counters
+  @ count "gauge." q.gauges
+  @ List.map
+      (fun (n, buckets) ->
+        ( "hist." ^ n ^ ".total",
+          float_of_int (List.fold_left (fun a (_, v) -> a + v) 0 buckets) ))
+      q.histograms
+  @ List.map
+      (fun (n, p) -> ("rate." ^ n, p))
+      (Obs.derived_rates
+         { no_obs with Obs.counters = q.counters; gauges = q.gauges })
+
+(* ------------------------------------------------------------------ *)
+(* Span-tree well-formedness                                           *)
+
+(* Wall-clock rounding noise: two spans that abut may overlap by up to
+   one rounding quantum on each edge. *)
+let overlap_eps_ms = 0.002
+
+let check_spans spans =
+  let by_id = Hashtbl.create 64 in
+  let dup =
+    List.find_opt
+      (fun s ->
+        let seen = Hashtbl.mem by_id s.id in
+        Hashtbl.replace by_id s.id s;
+        seen)
+      spans
+  in
+  match dup with
+  | Some s -> Error (Printf.sprintf "duplicate span id %d (%s)" s.id s.name)
+  | None -> (
+      let bad =
+        List.find_map
+          (fun s ->
+            if s.parent < 0 then
+              if s.depth <> 0 then
+                Some
+                  (Printf.sprintf "root span %d (%s) has depth %d, want 0"
+                     s.id s.name s.depth)
+              else None
+            else
+              match Hashtbl.find_opt by_id s.parent with
+              | None ->
+                  Some
+                    (Printf.sprintf "span %d (%s) has orphan parent %d" s.id
+                       s.name s.parent)
+              | Some p ->
+                  if s.depth <> p.depth + 1 then
+                    Some
+                      (Printf.sprintf
+                         "span %d (%s) depth %d under parent depth %d" s.id
+                         s.name s.depth p.depth)
+                  else if
+                    s.start_ms +. overlap_eps_ms < p.start_ms
+                    || s.start_ms +. s.dur_ms
+                       > p.start_ms +. p.dur_ms +. overlap_eps_ms
+                  then
+                    Some
+                      (Printf.sprintf
+                         "span %d (%s) [%g..%g] escapes parent %d [%g..%g]"
+                         s.id s.name s.start_ms (s.start_ms +. s.dur_ms)
+                         p.id p.start_ms (p.start_ms +. p.dur_ms))
+                  else None)
+          spans
+      in
+      match bad with
+      | Some msg -> Error msg
+      | None ->
+          (* Siblings on one domain share that domain's open-span stack,
+             so they must be properly nested in time: sort each
+             (parent, domain) family by start and demand disjointness.
+             Cross-domain siblings (pool tasks of one job) legitimately
+             overlap — that is the parallelism. *)
+          let families = Hashtbl.create 16 in
+          List.iter
+            (fun s ->
+              let key = (s.parent, s.domain) in
+              let prev =
+                match Hashtbl.find_opt families key with
+                | Some l -> l
+                | None -> []
+              in
+              Hashtbl.replace families key (s :: prev))
+            spans;
+          let bad = ref None in
+          Hashtbl.iter
+            (fun _ sibs ->
+              if !bad = None then begin
+                let sorted =
+                  List.sort
+                    (fun a b -> Float.compare a.start_ms b.start_ms)
+                    sibs
+                in
+                let rec walk = function
+                  | a :: (b :: _ as tl) ->
+                      if b.start_ms +. overlap_eps_ms < a.start_ms +. a.dur_ms
+                      then
+                        bad :=
+                          Some
+                            (Printf.sprintf
+                               "sibling spans %d (%s) and %d (%s) overlap \
+                                on domain %d"
+                               a.id a.name b.id b.name a.domain)
+                      else walk tl
+                  | _ -> ()
+                in
+                walk sorted
+              end)
+            families;
+          (match !bad with Some msg -> Error msg | None -> Ok ()))
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -209,6 +327,7 @@ let metrics q =
 let to_json q =
   let num x = J.Num x in
   let int x = J.Num (float_of_int x) in
+  let counts l = J.Obj (List.map (fun (n, v) -> (n, int v)) l) in
   let base =
     [
       ("qor_version", int q.version);
@@ -254,38 +373,51 @@ let to_json q =
                          ("area_x", num r.area_x);
                        ])
                    q.buffers_by_type) );
-            ( "by_level",
-              J.Arr
-                (List.map
-                   (fun r ->
-                     J.Obj
-                       [
-                         ("level", int r.level);
-                         ("merges", int r.merges);
-                         ("buffers", int r.buffers);
-                       ])
-                   q.by_level) );
           ] );
-      ("counters", J.Obj (List.map (fun (n, v) -> (n, int v)) q.counters));
+      ("counters", counts q.counters);
+      ("gauges", counts q.gauges);
+      ( "histograms",
+        J.Obj
+          (List.map
+             (fun (n, buckets) ->
+               ( n,
+                 J.Obj
+                   (List.map
+                      (fun (k, v) -> (string_of_int k, int v))
+                      buckets) ))
+             q.histograms) );
     ]
   in
+  let span s =
+    J.Obj
+      ([
+         ("name", J.Str s.name);
+         ("id", int s.id);
+         ("parent", int s.parent);
+         ("depth", int s.depth);
+         ("domain", int s.domain);
+         ("start_ms", num s.start_ms);
+         ("dur_ms", num s.dur_ms);
+       ]
+      @
+      match s.gc with
+      | None -> []
+      | Some g ->
+          [
+            ( "gc",
+              J.Obj
+                [
+                  ("minor_words", num g.minor_words);
+                  ("major_words", num g.major_words);
+                  ("promoted_words", num g.promoted_words);
+                  ("minor_collections", int g.minor_collections);
+                  ("major_collections", int g.major_collections);
+                ] );
+          ])
+  in
   let runtime =
-    match q.runtime with
-    | None -> []
-    | Some r ->
-        [
-          ( "runtime",
-            J.Obj
-              [
-                ("wall_s", num r.wall_s);
-                ( "phases",
-                  J.Arr
-                    (List.map
-                       (fun (n, ms) ->
-                         J.Obj [ ("name", J.Str n); ("ms", num ms) ])
-                       r.phases) );
-              ] );
-        ]
+    if q.spans = [] then []
+    else [ ("runtime", J.Obj [ ("spans", J.Arr (List.map span q.spans)) ]) ]
   in
   J.Obj (base @ runtime)
 
@@ -326,6 +458,15 @@ let reject_unknown path ms allowed =
   | Some (k, _) -> err (path ^ "." ^ k) "unknown field (strict reader)"
   | None -> Ok ()
 
+(* The path and members of the object at [path.key], after rejecting
+   any key outside [allowed]. *)
+let section path ms key allowed =
+  let* v = field path ms key in
+  let spath = path ^ "." ^ key in
+  let* sms = obj spath v in
+  let* () = reject_unknown spath sms allowed in
+  Ok (spath, sms)
+
 let list_fold path f items =
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
@@ -335,30 +476,8 @@ let list_fold path f items =
   in
   go 0 [] items
 
-let read_by_type path v =
-  let* ms = obj path v in
-  let* () = reject_unknown path ms [ "cell"; "count"; "area_x" ] in
-  let* cell = fstr path ms "cell" in
-  let* count = fint path ms "count" in
-  let* area_x = fnum path ms "area_x" in
-  Ok { cell; count; area_x }
-
-let read_by_level path v =
-  let* ms = obj path v in
-  let* () = reject_unknown path ms [ "level"; "merges"; "buffers" ] in
-  let* level = fint path ms "level" in
-  let* merges = fint path ms "merges" in
-  let* buffers = fint path ms "buffers" in
-  Ok { level; merges; buffers }
-
-let read_phase path v =
-  let* ms = obj path v in
-  let* () = reject_unknown path ms [ "name"; "ms" ] in
-  let* name = fstr path ms "name" in
-  let* ms_v = fnum path ms "ms" in
-  Ok (name, ms_v)
-
-let read_counters path v =
+(* An open map of named integers ([counters], [gauges]). *)
+let read_counts path v =
   let* ms = obj path v in
   list_fold path
     (fun p (n, v) ->
@@ -368,6 +487,77 @@ let read_counters path v =
       Ok (n, i))
     ms
 
+let read_histograms path v =
+  let* ms = obj path v in
+  list_fold path
+    (fun p (n, v) ->
+      let hp = Printf.sprintf "%s(%s)" p n in
+      let* bms = obj hp v in
+      let* buckets =
+        list_fold hp
+          (fun bp (k, v) ->
+            let* bucket =
+              match int_of_string_opt k with
+              | Some b -> Ok b
+              | None -> err bp (Printf.sprintf "non-integer bucket key %S" k)
+            in
+            let* count =
+              Result.map_error (Printf.sprintf "%s(%s): %s" bp k) (J.to_int v)
+            in
+            Ok (bucket, count))
+          bms
+      in
+      Ok (n, buckets))
+    ms
+
+let read_by_type path v =
+  let* ms = obj path v in
+  let* () = reject_unknown path ms [ "cell"; "count"; "area_x" ] in
+  let* cell = fstr path ms "cell" in
+  let* count = fint path ms "count" in
+  let* area_x = fnum path ms "area_x" in
+  Ok { cell; count; area_x }
+
+let read_span path v =
+  let* ms = obj path v in
+  let* () =
+    reject_unknown path ms
+      [ "name"; "id"; "parent"; "depth"; "domain"; "start_ms"; "dur_ms"; "gc" ]
+  in
+  let* name = fstr path ms "name" in
+  let* id = fint path ms "id" in
+  let* parent = fint path ms "parent" in
+  let* depth = fint path ms "depth" in
+  let* domain = fint path ms "domain" in
+  let* start_ms = fnum path ms "start_ms" in
+  let* dur_ms = fnum path ms "dur_ms" in
+  let* gc =
+    if not (List.mem_assoc "gc" ms) then Ok None
+    else
+      let* gpath, g =
+        section path ms "gc"
+          [
+            "minor_words"; "major_words"; "promoted_words";
+            "minor_collections"; "major_collections";
+          ]
+      in
+      let* minor_words = fnum gpath g "minor_words" in
+      let* major_words = fnum gpath g "major_words" in
+      let* promoted_words = fnum gpath g "promoted_words" in
+      let* minor_collections = fint gpath g "minor_collections" in
+      let* major_collections = fint gpath g "major_collections" in
+      Ok
+        (Some
+           {
+             minor_words;
+             major_words;
+             promoted_words;
+             minor_collections;
+             major_collections;
+           })
+  in
+  Ok { name; id; parent; depth; domain; start_ms; dur_ms; gc }
+
 let of_json v =
   let path = "qor" in
   let* ms = obj path v in
@@ -376,13 +566,13 @@ let of_json v =
       [
         "qor_version"; "label"; "profile"; "scale"; "sinks"; "levels";
         "timing_ps"; "slew_margin_ps"; "wire_um"; "buffers"; "counters";
-        "runtime";
+        "gauges"; "histograms"; "runtime";
       ]
   in
   let* version = fint path ms "qor_version" in
-  if version < 1 || version > schema_version then
+  if version <> schema_version then
     err (path ^ ".qor_version")
-      (Printf.sprintf "unsupported version %d (supported: 1..%d)" version
+      (Printf.sprintf "unsupported version %d (supported: %d)" version
          schema_version)
   else
     let* label = fstr path ms "label" in
@@ -390,39 +580,27 @@ let of_json v =
     let* scale = fnum path ms "scale" in
     let* sinks = fint path ms "sinks" in
     let* levels = fint path ms "levels" in
-    let* timing = field path ms "timing_ps" in
-    let tpath = path ^ ".timing_ps" in
-    let* tms = obj tpath timing in
-    let* () =
-      reject_unknown tpath tms
+    let* tpath, tms =
+      section path ms "timing_ps"
         [ "skew"; "max_latency"; "mean_latency"; "worst_slew" ]
     in
     let* skew_ps = fnum tpath tms "skew" in
     let* max_latency_ps = fnum tpath tms "max_latency" in
     let* mean_latency_ps = fnum tpath tms "mean_latency" in
     let* worst_slew_ps = fnum tpath tms "worst_slew" in
-    let* sm = field path ms "slew_margin_ps" in
-    let spath = path ^ ".slew_margin_ps" in
-    let* sms = obj spath sm in
-    let* () =
-      reject_unknown spath sms [ "stages"; "min"; "p50"; "p95"; "max" ]
+    let* spath, sms =
+      section path ms "slew_margin_ps" [ "stages"; "min"; "p50"; "p95"; "max" ]
     in
     let* stages = fint spath sms "stages" in
     let* min_ps = fnum spath sms "min" in
     let* p50_ps = fnum spath sms "p50" in
     let* p95_ps = fnum spath sms "p95" in
     let* max_ps = fnum spath sms "max" in
-    let* wire = field path ms "wire_um" in
-    let wpath = path ^ ".wire_um" in
-    let* wms = obj wpath wire in
-    let* () = reject_unknown wpath wms [ "total"; "snaked" ] in
+    let* wpath, wms = section path ms "wire_um" [ "total"; "snaked" ] in
     let* total_wire_um = fnum wpath wms "total" in
     let* snaked_wire_um = fnum wpath wms "snaked" in
-    let* bufs = field path ms "buffers" in
-    let bpath = path ^ ".buffers" in
-    let* bms = obj bpath bufs in
-    let* () =
-      reject_unknown bpath bms [ "count"; "area_x"; "by_type"; "by_level" ]
+    let* bpath, bms =
+      section path ms "buffers" [ "count"; "area_x"; "by_type" ]
     in
     let* buffer_count = fint bpath bms "count" in
     let* buffer_area_x = fnum bpath bms "area_x" in
@@ -431,25 +609,19 @@ let of_json v =
     let* buffers_by_type =
       list_fold (bpath ^ ".by_type") read_by_type by_type_items
     in
-    let* by_level_v = field bpath bms "by_level" in
-    let* by_level_items = arr (bpath ^ ".by_level") by_level_v in
-    let* by_level =
-      list_fold (bpath ^ ".by_level") read_by_level by_level_items
-    in
     let* counters_v = field path ms "counters" in
-    let* counters = read_counters (path ^ ".counters") counters_v in
-    let* runtime =
-      match List.assoc_opt "runtime" ms with
-      | None -> Ok None
-      | Some r ->
-          let rpath = path ^ ".runtime" in
-          let* rms = obj rpath r in
-          let* () = reject_unknown rpath rms [ "wall_s"; "phases" ] in
-          let* wall_s = fnum rpath rms "wall_s" in
-          let* phases_v = field rpath rms "phases" in
-          let* phase_items = arr (rpath ^ ".phases") phases_v in
-          let* phases = list_fold (rpath ^ ".phases") read_phase phase_items in
-          Ok (Some { phases; wall_s })
+    let* counters = read_counts (path ^ ".counters") counters_v in
+    let* gauges_v = field path ms "gauges" in
+    let* gauges = read_counts (path ^ ".gauges") gauges_v in
+    let* hists_v = field path ms "histograms" in
+    let* histograms = read_histograms (path ^ ".histograms") hists_v in
+    let* spans =
+      if not (List.mem_assoc "runtime" ms) then Ok []
+      else
+        let* rpath, rms = section path ms "runtime" [ "spans" ] in
+        let* spans_v = field rpath rms "spans" in
+        let* items = arr (rpath ^ ".spans") spans_v in
+        list_fold (rpath ^ ".spans") read_span items
     in
     Ok
       {
@@ -469,9 +641,10 @@ let of_json v =
         buffer_count;
         buffer_area_x;
         buffers_by_type;
-        by_level;
         counters;
-        runtime;
+        gauges;
+        histograms;
+        spans;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -481,15 +654,7 @@ let render q = J.to_string ~pretty:true (to_json q)
 let write_file path q = J.write_file path (to_json q)
 
 let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | contents -> (
-      match J.parse contents with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok v ->
-          Result.map_error (Printf.sprintf "%s: %s" path) (of_json v))
+  let* contents = J.read_file path in
+  Result.map_error (Printf.sprintf "%s: %s" path)
+    (let* v = J.parse contents in
+     of_json v)

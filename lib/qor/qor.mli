@@ -1,48 +1,46 @@
-(** Versioned quality-of-results snapshots of a synthesized clock tree.
+(** The run record: one versioned document per synthesis run.
 
     The paper's whole evaluation is a QoR story — skew, sink latency,
     slew margin, wirelength, buffer area per benchmark (thesis Ch. 5 /
-    the DAC tables) — and this module is its machine-readable record:
-    one {!t} per synthesis run, serialized through the canonical
-    {!Obs_json} writer as a versioned JSON document, plus a strict
-    reader/validator so a snapshot written by one commit can be read
-    and gated against by another ({!Qor_compare}, [cts_run compare],
+    the DAC tables). This module is its machine-readable record, and
+    the record also carries what the run cost: the deterministic
+    {!Obs} counters, gauges and histograms, and on request the span
+    tree with wall-clock times. One {!t} per run, serialized through
+    the canonical {!Obs_json} writer, read back by one strict reader,
+    and gated by one comparator ({!Qor_compare}, [cts_run compare],
     [make qor-gate]).
 
     {b Determinism contract.} Every field of {!t} except the optional
-    {!runtime} section is derived from the synthesized tree, the delay
-    library and the deterministic {!Obs} counters — all of which are
-    bit-identical at any [CTS_DOMAINS] value (PR 1/PR 3 oracles). The
-    numeric fields are rounded to a fixed decimal precision at capture
-    time ({!round3}) and printed through {!Obs_json.to_string}'s one
-    canonical number format, so the rendered snapshot for a given seed
-    is {e byte-identical} between sequential and parallel runs — the
-    property [test/t_qor.ml] locks in. Wall-clock may only appear in
-    {!runtime}, which capture omits unless explicitly provided and
-    which {!Qor_compare} ignores.
+    runtime section ({!t.spans}) is derived from the synthesized tree,
+    the delay library and the deterministic {!Obs} accumulators — all
+    bit-identical at any [CTS_DOMAINS] value. Floats are rounded to a
+    fixed decimal precision at capture time ({!round3}) and printed
+    through {!Obs_json.to_string}'s one canonical number format, so
+    the rendered record for a given seed is {e byte-identical} between
+    sequential and parallel runs — the property [test/t_qor.ml] locks
+    in. Wall-clock may only appear in the runtime section, which
+    capture omits unless asked and which {!Qor_compare} ignores.
 
-    {b Versioning rules.} [schema_version] is bumped whenever a field
-    is added, removed or changes meaning/unit. Readers accept any
-    version from 1 up to the current one; fields introduced later are
-    simply absent from older files, and {!Qor_compare} reports metrics
-    missing from a baseline as "new", never as regressions. Unknown
-    object keys are rejected (strict mode), so typos and
-    future-version files fail loudly instead of comparing garbage.
+    {b Versioning rules.} [qor_version] is bumped whenever a field is
+    added, removed or changes meaning or unit, and the change that
+    bumps it rewrites the committed baselines and fixtures in the same
+    commit. The reader accepts exactly {!schema_version}: any other
+    version is an error naming [qor_version] and the supported
+    version. Unknown object keys are rejected, so typos fail loudly.
+    The counter and gauge sections are open maps: a counter added
+    without a schema bump reads fine and compares as "new", never as a
+    regression.
 
     Domain-safety: capture mutates only call-local scratch (a stage
-    worklist and accumulators); snapshots are immutable values. Safe
+    worklist and accumulators); records are immutable values. Safe
     from any domain. *)
 
 val schema_version : int
-(** Current schema version (1). *)
+(** Current schema version (2). *)
 
 type buffer_type_row = { cell : string; count : int; area_x : float }
 (** Buffer count and area for one library cell, area in unit-inverter
     equivalents (second stage + first stage size). *)
-
-type level_row = { level : int; merges : int; buffers : int }
-(** Merge/buffer totals of one synthesis level (from the {!Obs}
-    per-level histograms; empty when no snapshot was supplied). *)
 
 type slew_margin = {
   stages : int;  (** Buffer stages measured. *)
@@ -53,20 +51,32 @@ type slew_margin = {
 }
 (** Distribution of per-stage slew margin (slew limit minus the
     stage's worst endpoint slew, ps) over all buffer stages, via
-    {!Util.Stats.percentiles}. *)
+    {!Util.Stats.percentile}. *)
 
-type runtime = {
-  phases : (string * float) list;
-      (** Wall-clock per phase name (ms), first-completion order,
-          repeated spans summed. *)
-  wall_s : float;  (** Whole-run wall-clock (s). *)
+type gc = {
+  minor_words : float;
+  major_words : float;
+  promoted_words : float;
+  minor_collections : int;
+  major_collections : int;
 }
-(** Non-deterministic wall-clock section: never part of the
-    determinism contract, never compared by {!Qor_compare}. *)
+(** {!Obs.gc_delta} of a main-domain span. *)
+
+type span = {
+  name : string;
+  id : int;
+  parent : int;  (** [-1] for roots. *)
+  depth : int;
+  domain : int;
+  start_ms : float;  (** Relative to the earliest span start; 3 decimals. *)
+  dur_ms : float;
+  gc : gc option;
+}
+(** One node of the runtime span tree. *)
 
 type t = {
   version : int;
-  label : string;  (** Benchmark name or input file. *)
+  label : string;  (** Benchmark name or input file; [-dp] for DP runs. *)
   profile : string;  (** Characterization profile ("fast"/"accurate"). *)
   scale : float;
   sinks : int;
@@ -81,52 +91,59 @@ type t = {
   buffer_count : int;
   buffer_area_x : float;  (** Total area, unit-inverter equivalents. *)
   buffers_by_type : buffer_type_row list;  (** Sorted by cell name. *)
-  by_level : level_row list;  (** Sorted by level. *)
   counters : (string * int) list;
-      (** Deterministic {!Obs} counter totals, {!Obs.all_counters}
-          order; empty when captured without an {!Obs.snapshot}. *)
-  runtime : runtime option;
+      (** {!Obs} counter totals in {!Obs.all_counters} order; empty
+          when captured without an {!Obs.snapshot}. *)
+  gauges : (string * int) list;  (** {!Obs} gauges, same rule. *)
+  histograms : (string * (int * int) list) list;
+      (** {!Obs} histograms as [(bucket, value)] pairs, same rule. *)
+  spans : span list;
+      (** The runtime section: empty unless captured with
+          [~runtime:true]. Wall-clock, never compared. *)
 }
 
 val round3 : float -> float
 (** Fixed capture precision: round to 3 decimals (1 fs in ps units,
     1 nm in um units) so serialized values are decimal-stable. *)
 
-val buffer_area_x : Circuit.Buffer_lib.t -> float
-(** Area proxy in unit-inverter equivalents: stage-2 + stage-1 size. *)
-
-val stage_slews :
-  ?source_slew:float -> Delaylib.t -> Cts_config.t -> Ctree.t ->
-  float list
-(** Worst endpoint slew (s) of every buffer stage, breadth-first from
-    the root driver, via {!Timing.analyze_stage}. The tree root must
-    be the planted source driver buffer. *)
-
-val runtime_of_obs : wall_s:float -> Obs.snapshot -> runtime
-(** Aggregate the snapshot's wall-clock spans per phase name. *)
-
 val capture :
   ?label:string -> ?profile:string -> ?scale:float ->
-  ?obs:Obs.snapshot -> ?runtime:runtime -> ?source_slew:float ->
+  ?obs:Obs.snapshot -> ?runtime:bool -> ?source_slew:float ->
   Delaylib.t -> Cts_config.t -> Cts.result -> t
   [@@cts.raises "Invalid_argument"]
-(** Take a snapshot of a finished synthesis. Timing comes from
+(** Take the record of a finished synthesis. Timing comes from
     {!Timing.analyze_tree} (the deterministic analyzer, not SPICE);
-    the slew-margin distribution from {!stage_slews} against
-    [config.slew_limit]; wire/buffer totals from the tree; counters
-    and per-level rows from [obs] when given. [label] defaults to
-    ["unnamed"], [profile] to ["custom"], [scale] to [1.0]. *)
+    the slew-margin distribution from the worst endpoint slew of every
+    buffer stage, breadth-first from the source driver, against
+    [config.slew_limit]; wire and buffer totals from the tree;
+    counters, gauges and histograms from [obs] when given. [runtime]
+    (default [false]) also keeps [obs]'s span tree, with times rebased
+    to the earliest span start. [label] defaults to ["unnamed"],
+    [profile] to ["custom"], [scale] to [1.0]. Raises
+    [Invalid_argument] when the tree root is not the source driver. *)
 
 val metrics : t -> (string * float) list
-(** Canonical scalar metric list — the tuple {!Qor_compare} gates on
-    (["timing.skew_ps"], ["wire.total_um"], ["buffers.count"], ...)
-    followed by the informational ["obs.*"] counter totals. *)
+(** Canonical scalar metric list, the names {!Qor_compare} gates on:
+    the QoR rows (["timing.skew_ps"], ["wire.total_um"],
+    ["buffers.count"], ...), then ["obs.<counter>"],
+    ["gauge.<gauge>"], ["hist.<histogram>.total"] and
+    ["rate.<rate>"] ({!Obs.derived_rates}). The namespaces do not
+    overlap. *)
+
+val check_spans : span list -> (unit, string) result
+(** Well-formedness of a runtime span tree: span ids unique, no
+    orphan parents, child depth = parent depth + 1 (roots at 0),
+    children contained in their parent's interval, and same-domain
+    siblings non-overlapping — cross-domain siblings (pool tasks) may
+    overlap freely. Timing checks allow a small rounding epsilon.
+    [Ok ()] on an empty list. *)
 
 val to_json : t -> Obs_json.t
-(** Canonical field order; floats pre-rounded per {!round3}. *)
+(** Canonical field order; floats pre-rounded per {!round3}. The
+    runtime section is omitted when {!t.spans} is empty. *)
 
 val of_json : Obs_json.t -> (t, string) result
-(** Strict reader: checks the version range, every field's type, and
+(** Strict reader: checks the version, every field's type, and
     rejects unknown keys. The error names the offending path. *)
 
 val render : t -> string
@@ -135,5 +152,6 @@ val render : t -> string
 val write_file : string -> t -> unit
   [@@cts.raises "Invalid_argument,Sys_error"]
 
-val load_file : string -> (t, string) result [@@cts.raises "End_of_file"]
-(** Read + parse + validate; errors are prefixed with the path. *)
+val load_file : string -> (t, string) result
+(** Read ({!Obs_json.read_file}), parse and validate; every error
+    names the path. *)

@@ -9,6 +9,10 @@ type threshold = { abs_tol : float; rel_tol : float; direction : direction }
 
 let info = { abs_tol = 0.; rel_tol = 0.; direction = Informational }
 
+let prefixed p name =
+  String.length name >= String.length p
+  && String.equal (String.sub name 0 (String.length p)) p
+
 let default_threshold name =
   match name with
   | "timing.skew_ps" -> { abs_tol = 0.5; rel_tol = 0.02; direction = Lower_better }
@@ -22,9 +26,29 @@ let default_threshold name =
   | "wire.snaked_um" -> { abs_tol = 1.0; rel_tol = 0.05; direction = Lower_better }
   | "buffers.count" -> { abs_tol = 0.5; rel_tol = 0.05; direction = Lower_better }
   | "buffers.area_x" -> { abs_tol = 1.0; rel_tol = 0.05; direction = Lower_better }
+  (* Any shortfall at all means the pool degraded: gate at zero slack. *)
+  | "obs.parallel.spawn_shortfall" ->
+      { abs_tol = 0.; rel_tol = 0.; direction = Lower_better }
+  (* Span-table cells computed: buffers x load classes, one table per
+     synthesis. A rise means more tables or a bigger library. *)
+  | "obs.run.span_cache_misses" ->
+      { abs_tol = 8.; rel_tol = 0.05; direction = Lower_better }
+  (* Hit counters move whenever work moves; gating them would double-
+     count the work counters. The DP prune/fallback split is a quality
+     signal, not a cost. Visible, never gating. *)
+  | "obs.run.span_cache_hits" | "obs.dp.pruned" | "obs.dp.fallbacks" -> info
+  (* Every other counter, unknown ones included, measures work
+     performed (split points, delay-library evals, DP transitions,
+     timing stages...): more of it is a cost regression. *)
+  | _ when prefixed "obs." name ->
+      { abs_tol = 16.; rel_tol = 0.05; direction = Lower_better }
+  (* Cache effectiveness: absolute percentage points of slack, so a
+     96% -> 95% wobble passes and a 96% -> 80% collapse gates. *)
+  | _ when prefixed "rate." name ->
+      { abs_tol = 2.0; rel_tol = 0.; direction = Higher_better }
   | _ ->
-      (* slew_margin.p50/p95, tree.*, obs.*, and any metric a future
-         schema version introduces: visible, never gating. *)
+      (* slew_margin.p50/p95, tree.*, gauge.*, hist.*, and any metric a
+         future schema version introduces: visible, never gating. *)
       info
 
 type verdict = Improved | Unchanged | Regressed | New | Dropped | Changed

@@ -1,14 +1,14 @@
-(** Baseline regression gate over {!Qor} snapshots (the [Compare] side
-    of the QoR subsystem: [cts_run compare], [make qor-gate]).
+(** The one regression gate over {!Qor} run records ([cts_run
+    compare], [make qor-gate]).
 
     Each scalar metric from {!Qor.metrics} is classified against its
     per-metric threshold into a typed verdict: improved, unchanged,
-    regressed, new (present only in the candidate — e.g. a metric a
-    newer schema version added), or dropped (present only in the
-    baseline). Only [Regressed] gates; informational metrics (tree
-    shape, [obs.*] counter totals) are shown when they move but never
-    fail the gate, and the non-deterministic {!Qor.runtime} section is
-    ignored entirely.
+    regressed, new (present only in the candidate — e.g. a counter
+    added since the baseline was written), or dropped (present only in
+    the baseline). Only [Regressed] gates; informational metrics (tree
+    shape, gauges, histogram totals) are shown when they move but
+    never fail the gate, and the non-deterministic runtime section
+    ({!Qor.t.spans}) is ignored entirely.
 
     All float decisions go through {!Numerics.Float_cmp}: epsilon-equal
     values are unchanged, and a delta must exceed its threshold
@@ -29,10 +29,22 @@ type threshold = { abs_tol : float; rel_tol : float; direction : direction }
     [max abs_tol (rel_tol *. |baseline|)]. *)
 
 val default_threshold : string -> threshold
-(** Per-metric defaults keyed by {!Qor.metrics} name: timing metrics
-    gate at 2% relative / sub-ps absolute, wire and buffer metrics at
-    5%, ["tree.*"] and ["obs.*"] are informational. Unknown metric
-    names (future schema versions) default to informational. *)
+(** The one threshold table, keyed by {!Qor.metrics} name.
+    - QoR rows: timing metrics gate lower-better at 2% relative with a
+      sub-ps absolute floor, wire and buffer metrics at 2–5%,
+      ["slew_margin.min_ps"] higher-better at 5%; the other slew-margin
+      points and ["tree.*"] are informational.
+    - ["obs.*"] counters measure work and gate lower-better at
+      max(16, 5%), unknown counters included, so a new cost source is
+      gated from the first baseline that records it. Exceptions:
+      ["obs.parallel.spawn_shortfall"] has zero slack (any shortfall is
+      a degraded pool), ["obs.run.span_cache_misses"] gates at
+      max(8, 5%), and ["obs.run.span_cache_hits"], ["obs.dp.pruned"]
+      and ["obs.dp.fallbacks"] are informational.
+    - ["rate.*"] percentages gate higher-better with 2 points of
+      absolute slack.
+    - ["gauge.*"], ["hist.*"] and any other unknown name are
+      informational. *)
 
 type verdict = Improved | Unchanged | Regressed | New | Dropped | Changed
 (** [Changed] is an informational metric that moved; [New]/[Dropped]
@@ -50,8 +62,8 @@ type report = {
   n_regressed : int;
   n_improved : int;
   warnings : string list;
-      (** Label/profile/scale/sink-count mismatches: the two snapshots
-          may not be comparing the same experiment. *)
+      (** Label/profile/scale/sink-count/version mismatches: the two
+          records may not be comparing the same experiment. *)
 }
 
 val of_metrics :
@@ -65,9 +77,8 @@ val of_metrics :
 
 val compare_snapshots :
   ?threshold:(string -> threshold) -> baseline:Qor.t -> Qor.t -> report
-(** {!of_metrics} over {!Qor.metrics} of the baseline and the (positional)
-    candidate, plus
-    metadata-mismatch warnings. *)
+(** {!of_metrics} over {!Qor.metrics} of the baseline and the
+    (positional) candidate, plus metadata-mismatch warnings. *)
 
 val render : report -> string
 (** Delta table via {!Tables.render} — metric, baseline,
@@ -86,8 +97,8 @@ val compare_files :
   baseline:string ->
   string ->
   (report, string) result
-(** Load both snapshot files through {!Qor.load_file} (strict reader)
+(** Load both record files through {!Qor.load_file} (strict reader)
     and compare. [Error] carries the offending path and covers every
     input [cts_run compare] maps to exit 2: a missing or unreadable
-    file, malformed/truncated JSON, and a [qor_version] newer than this
-    reader. *)
+    file, malformed/truncated JSON, and a [qor_version] other than
+    {!Qor.schema_version}. *)

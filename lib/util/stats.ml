@@ -32,17 +32,11 @@ let interp_sorted sorted p =
   if i >= n - 1 then sorted.(n - 1)
   else sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
 
-let percentile a p =
+let percentile a =
   assert (Array.length a > 0);
   let sorted = Array.copy a in
   Array.sort Float.compare sorted;
-  interp_sorted sorted p
-
-let percentiles a ps =
-  assert (Array.length a > 0);
-  let sorted = Array.copy a in
-  Array.sort Float.compare sorted;
-  List.map (interp_sorted sorted) ps
+  interp_sorted sorted
 
 let rms_error a b =
   assert (Array.length a = Array.length b && Array.length a > 0);

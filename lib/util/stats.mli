@@ -21,12 +21,10 @@ val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [\[0,1\]], linear interpolation on the
     sorted copy of [a]. Edge behaviour: [p = 0.] returns the minimum,
     [p = 1.] the maximum, and a singleton array returns its only
-    element for every [p]. Requires a non-empty array. *)
-
-val percentiles : float array -> float list -> float list
-(** [percentiles a ps] equals [List.map (percentile a) ps] but sorts
-    [a] once instead of once per requested point — the form the QoR
-    snapshot uses for its p50/p95/max slew-margin distribution. *)
+    element for every [p]. Requires a non-empty array. The partial
+    application [percentile a] sorts once for every point it is then
+    applied to — the form the QoR record uses for its min/p50/p95/max
+    slew-margin distribution. *)
 
 val rms_error : float array -> float array -> float
 (** Root-mean-square difference of two same-length arrays. *)

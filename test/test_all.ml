@@ -28,7 +28,7 @@ let () =
       ("obs", T_obs.suite);
       ("probe", T_probe.suite);
       ("dp_probe", T_dp_probe.suite);
-      ("obs_snapshot", T_obs_snapshot.suite);
+      ("obs_snapshot", T_qor.cost_suite);
       ("qor", T_qor.suite);
       ("bench_cli", T_bench_cli.suite);
       ("lint", T_lint.suite);
