@@ -208,6 +208,25 @@ and hot_step_test ?config ~name (env : Experiments.env) =
   Test.make ~name
     (Staged.stage (fun () -> ignore (T.simulate ?config tech driver tree)))
 
+(* Characterization's lane group on the fig1.1 stage: the four load
+   classes of the library as the lanes of one run, at characterization's
+   config. *)
+and hot_step_lanes_test (env : Experiments.env) =
+  let tech = env.Experiments.tech and lib = env.Experiments.lib in
+  let input =
+    Delaylib.Wave_gen.buffer_output_wave tech (Buffer_lib.smallest lib)
+      ~slew:100e-12
+  in
+  let driver = T.Driven_buffer (Buffer_lib.by_name lib "BUF20X", input) in
+  let stage load =
+    let r, chain = Rc.wire tech ~length:1000. (Rc.leaf ~tag:"load" load) in
+    Rc.node [ (r, chain) ]
+  in
+  let trees = Array.map stage (Delaylib.classes env.Experiments.dl) in
+  let config = { T.default_config with T.dt = 1e-12; stop_at = Some 0.9 } in
+  Test.make ~name:"hot-step-lanes: the four load classes as lanes"
+    (Staged.stage (fun () -> ignore (T.simulate_lanes ~config tech driver trees)))
+
 (* The allocation-gated kernels with their per-run budgets in words. The
    lookups allocate at most their boxed float result (2 words); the
    slack absorbs OLS estimation noise, and a boxed argument, a closure
@@ -218,7 +237,10 @@ and hot_step_test ?config ~name (env : Experiments.env) =
    simulation allocates about 1,000-1,300 words of per-stage set-up
    (the sample rows are major-heap blocks) and nothing per step: one
    boxed float per step would add about 1,540 at the default config and
-   about 540 (to ~1,860) with the early stop. *)
+   about 540 (to ~1,800) with the early stop. The four-lane group
+   allocates about 4,200 words of set-up and nothing per lane-step; its
+   lanes take 1,117 steps between them, so one boxed float per
+   lane-step would add about 2,230 (to ~6,400). *)
 and gated_tests env =
   List.map (fun t -> (8., t)) (hot_tests env)
   @ [
@@ -227,6 +249,7 @@ and gated_tests env =
       ( 1550.,
         hot_step_test env ~name:"hot-step-stop: the same, stop_at 0.9, dt 1 ps"
           ~config:{ T.default_config with T.dt = 1e-12; stop_at = Some 0.9 } );
+      (5000., hot_step_lanes_test env);
     ]
 
 let run env =

@@ -165,10 +165,19 @@ let verify ?(canonical_ids = true) ?(require_root_buffer = true)
     match expected_latencies with
     | None -> []
     | Some expected ->
+        (* Name -> latency, the first binding winning as in
+           [List.assoc_opt]: one table per side keeps the cross-check
+           linear in the sinks. *)
+        let table l =
+          let h = Hashtbl.create (List.length l) in
+          List.iter (fun (sink, d) -> if not (Hashtbl.mem h sink) then Hashtbl.add h sink d) l;
+          h
+        in
+        let got_at = table latencies and expected_at = table expected in
         let v = ref [] in
         List.iter
           (fun (sink, e) ->
-            match List.assoc_opt sink latencies with
+            match Hashtbl.find_opt got_at sink with
             | None -> v := Missing_sink { sink } :: !v
             | Some got ->
                 if Float.abs (got -. e) > tol then
@@ -176,7 +185,7 @@ let verify ?(canonical_ids = true) ?(require_root_buffer = true)
           expected;
         List.iter
           (fun (sink, _) ->
-            if not (List.mem_assoc sink expected) then
+            if not (Hashtbl.mem expected_at sink) then
               v := Missing_sink { sink } :: !v)
           latencies;
         List.rev !v

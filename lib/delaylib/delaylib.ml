@@ -97,12 +97,28 @@ let char_sim_config =
 (* ------------------------------------------------------------------ *)
 (* Characterization circuits                                           *)
 
-let measure_single tech drive input ~length ~load_cap =
-  Obs.incr Obs.Char_sims;
+(* A driver into one wire and its tagged load, and into two wires
+   (left, right) and theirs. The wire discretization depends on the
+   length alone, so every load class (or class pair) of a length gives
+   a stage of one shape: the lanes of one run. *)
+let single_stage tech ~length load_cap =
   let load = Rc_tree.leaf ~tag:"load" load_cap in
   let r, chain = Rc_tree.wire tech ~length load in
-  let tree = Rc_tree.node [ (r, chain) ] in
-  let res = T.simulate ~config:char_sim_config tech (T.Driven_buffer (drive, input)) tree in
+  Rc_tree.node [ (r, chain) ]
+
+let branch_stage tech ~len_left ~len_right (cap_left, cap_right) =
+  let left = Rc_tree.leaf ~tag:"left" cap_left in
+  let right = Rc_tree.leaf ~tag:"right" cap_right in
+  let rl, cl = Rc_tree.wire tech ~length:len_left left in
+  let rr, cr = Rc_tree.wire tech ~length:len_right right in
+  Rc_tree.node [ (rl, cl); (rr, cr) ]
+
+let simulate_lanes tech drive input stages =
+  T.simulate_lanes ~config:char_sim_config tech (T.Driven_buffer (drive, input)) stages
+
+(* One simulation's samples: buffer delay, wire delay and load slew. *)
+let measure_single tech input res =
+  Obs.incr Obs.Char_sims;
   let out = T.root_waveform res in
   let vdd = tech.Tech.vdd in
   match
@@ -113,14 +129,9 @@ let measure_single tech drive input ~length ~load_cap =
   | Some bd, Some total, Some slew -> Some (bd, total -. bd, slew)
   | _, _, _ -> None
 
-let measure_branch tech drive input ~len_left ~len_right ~cap_left ~cap_right =
+(* Delays from the buffer output to each load, and each load's slew. *)
+let measure_branch tech res =
   Obs.incr Obs.Char_sims;
-  let left = Rc_tree.leaf ~tag:"left" cap_left in
-  let right = Rc_tree.leaf ~tag:"right" cap_right in
-  let rl, cl = Rc_tree.wire tech ~length:len_left left in
-  let rr, cr = Rc_tree.wire tech ~length:len_right right in
-  let tree = Rc_tree.node [ (rl, cl); (rr, cr) ] in
-  let res = T.simulate ~config:char_sim_config tech (T.Driven_buffer (drive, input)) tree in
   let out = T.root_waveform res in
   let vdd = tech.Tech.vdd in
   let delay_from_out tag =
@@ -236,15 +247,6 @@ let assemble ~tech ~buffers ~classes ~branch_classes
     residuals;
   }
 
-(* One characterization unit, runnable on any pool domain: fits for one
-   (driver, load-class) single wire or one (driver, class-pair) branch.
-   The residual chunk is kept in the same newest-first order the
-   sequential loop used to prepend, so the join below rebuilds the exact
-   sequential residual list. *)
-type char_result =
-  | R_single of (string * int) * single_fit * (string * float * float) list
-  | R_branch of (string * int * int) * branch_fit * (string * float * float) list
-
 let characterize ?(profile = Accurate) ?pool tech buffers =
   if buffers = [] then invalid_arg "Delaylib.characterize: no buffers";
   let pool = match pool with Some p -> p | None -> Parallel.default_pool () in
@@ -252,6 +254,15 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
   let deg_b, bslews, blens = branch_sweep profile in
   let classes = default_classes in
   let branch_classes = default_branch_classes in
+  let pairs =
+    Array.of_list
+      (List.concat_map
+         (fun cl ->
+           List.filter_map
+             (fun cr -> if cl <= cr then Some (cl, cr) else None)
+             (Array.to_list branch_classes))
+         (Array.to_list branch_classes))
+  in
   (* Input waveforms shaped by a real input buffer, one per slew value.
      Computed up front on the calling domain; the jobs below only read
      them. *)
@@ -263,14 +274,48 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
       (Wave_gen.buffer_output_waves tech binput ~slews:all_slews)
   in
   let wave_for s = List.assoc s waves in
-  let single_job (drive : Buffer_lib.t) ci load_cap () =
+  (* Pool tasks, one per (buffer, slew), runnable on any domain: every
+     length (pair) of the sweep, each simulated once with the load
+     classes (class pairs) as its lanes. Per length, the samples come
+     back in class (pair) order. *)
+  let single_samples (drive : Buffer_lib.t) slew () =
+    let input = wave_for slew in
+    List.map
+      (fun length ->
+        let res = simulate_lanes tech drive input (Array.map (single_stage tech ~length) classes) in
+        (length, Array.map (measure_single tech input) res))
+      lens
+  in
+  let branch_samples (drive : Buffer_lib.t) slew () =
+    let input = wave_for slew in
+    List.concat_map
+      (fun len_left ->
+        List.map
+          (fun len_right ->
+            let stage (cl, cr) =
+              branch_stage tech ~len_left ~len_right (classes.(cl), classes.(cr))
+            in
+            let res = simulate_lanes tech drive input (Array.map stage pairs) in
+            ((len_left, len_right), Array.map (measure_branch tech) res))
+          blens)
+      blens
+  in
+  let per_slew task sweep =
+    Array.of_list (List.concat_map (fun d -> List.map (task d) sweep) buffers)
+  in
+  let run jobs = Parallel.map pool (fun job -> job ()) jobs in
+  let singles_at = run (per_slew single_samples slews) in
+  let branches_at = run (per_slew branch_samples bslews) in
+  (* The fits, buffer by buffer: per class, then per class pair, each
+     over its samples in slew-major order. That order fixes the fit
+     bits, the residual list and the save file. *)
+  let fit_single bi (drive : Buffer_lib.t) ci =
     let pts = ref [] and bd = ref [] and wd = ref [] and ws = ref [] in
-    List.iter
-      (fun slew ->
-        let input = wave_for slew in
+    List.iteri
+      (fun si slew ->
         List.iter
-          (fun length ->
-            match measure_single tech drive input ~length ~load_cap with
+          (fun (length, samples) ->
+            match samples.(ci) with
             | Some (b, w, s) ->
                 pts := (slew, length) :: !pts;
                 bd := b :: !bd;
@@ -280,7 +325,7 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
                 Log.warn (fun m ->
                     m "dropping sample %s/%d L=%g: a crossing is missing"
                       drive.name ci length))
-          lens)
+          singles_at.((bi * List.length slews) + si))
       slews;
     let pts = Array.of_list (List.rev !pts) in
     let bd = Array.of_list (List.rev !bd) in
@@ -295,6 +340,8 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
       }
     in
     let lbl kind = Printf.sprintf "%s/c%d/%s" drive.name ci kind in
+    (* Newest first: the join prepends each chunk and reverses the
+       whole list at the end. *)
     let chunk =
       [
         residual_stats (lbl "buf_delay")
@@ -308,32 +355,25 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
           pts ws;
       ]
     in
-    R_single ((drive.Buffer_lib.name, ci), f, chunk)
+    ((drive.Buffer_lib.name, ci), f, chunk)
   in
-  let branch_job (drive : Buffer_lib.t) cl cr () =
+  let fit_branch bi (drive : Buffer_lib.t) pi =
     let pts = ref []
     and dl = ref []
     and dr = ref []
     and sl = ref []
     and sr = ref [] in
-    List.iter
-      (fun slew ->
-        let input = wave_for slew in
+    List.iteri
+      (fun si slew ->
         List.iter
-          (fun len_left ->
-            List.iter
-              (fun len_right ->
-                let a, b, c, d =
-                  measure_branch tech drive input ~len_left ~len_right
-                    ~cap_left:classes.(cl) ~cap_right:classes.(cr)
-                in
-                pts := (slew, len_left, len_right) :: !pts;
-                dl := a :: !dl;
-                dr := b :: !dr;
-                sl := c :: !sl;
-                sr := d :: !sr)
-              blens)
-          blens)
+          (fun ((len_left, len_right), samples) ->
+            let a, b, c, d = samples.(pi) in
+            pts := (slew, len_left, len_right) :: !pts;
+            dl := a :: !dl;
+            dr := b :: !dr;
+            sl := c :: !sl;
+            sr := d :: !sr)
+          branches_at.((bi * List.length bslews) + si))
       bslews;
     let pts = Array.of_list (List.rev !pts) in
     let arr r = Array.of_list (List.rev !r) in
@@ -346,6 +386,7 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
         slew_right_fit = fit pts (arr sr);
       }
     in
+    let cl, cr = pairs.(pi) in
     let lbl kind = Printf.sprintf "%s/b%d-%d/%s" drive.name cl cr kind in
     let chunk =
       [
@@ -357,41 +398,26 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
           pts (arr sl);
       ]
     in
-    R_branch ((drive.Buffer_lib.name, cl, cr), f, chunk)
+    ((drive.Buffer_lib.name, cl, cr), f, chunk)
   in
-  (* Enumerate jobs in the exact order the sequential loops visited them;
-     the pool may finish them in any order but results come back indexed,
-     and the join below walks them in job order. *)
-  let jobs =
-    List.concat_map
-      (fun (drive : Buffer_lib.t) ->
-        let s_jobs =
-          Array.to_list (Array.mapi (fun ci cap -> single_job drive ci cap) classes)
-        in
-        let b_jobs =
-          List.concat_map
-            (fun cl ->
-              List.filter_map
-                (fun cr -> if cl <= cr then Some (branch_job drive cl cr) else None)
-                (Array.to_list branch_classes))
-            (Array.to_list branch_classes)
-        in
-        s_jobs @ b_jobs)
-      buffers
-  in
-  let results = Parallel.map pool (fun job -> job ()) (Array.of_list jobs) in
   let singles = ref [] in
   let branches = Hashtbl.create 16 in
   let residuals = ref [] in
-  Array.iter
-    (function
-      | R_single (key, f, chunk) ->
+  List.iteri
+    (fun bi drive ->
+      Array.iteri
+        (fun ci _ ->
+          let key, f, chunk = fit_single bi drive ci in
           singles := (key, f) :: !singles;
-          residuals := chunk @ !residuals
-      | R_branch (key, f, chunk) ->
+          residuals := chunk @ !residuals)
+        classes;
+      Array.iteri
+        (fun pi _ ->
+          let key, f, chunk = fit_branch bi drive pi in
           Hashtbl.replace branches key f;
           residuals := chunk @ !residuals)
-    results;
+        pairs)
+    buffers;
   (* The sweep lists are non-empty literals sorted ascending; fold for
      the bounds rather than trusting the ordering with a partial
      List.hd. *)

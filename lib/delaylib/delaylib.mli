@@ -20,7 +20,7 @@
     mirroring the paper's "approximate by a buffer of similar load
     capacitance". 
 
-    Domain-safety: characterization distributes independent fitting jobs over a domain pool with task-local accumulation; the resulting library value is immutable and safe for unsynchronized concurrent reads. *)
+    Domain-safety: characterization distributes independent sampling jobs over a domain pool with task-local accumulation and fits on the calling domain; the resulting library value is immutable and safe for unsynchronized concurrent reads. *)
 
 module Wave_gen = Wave_gen
 (** Re-exported: characterization input waveform generation. *)
@@ -36,16 +36,21 @@ val characterize :
   ?profile:profile -> ?pool:Parallel.t -> Circuit.Tech.t ->
   Circuit.Buffer_lib.t list -> t
   [@@cts.raises "Failure,Invalid_argument,Not_found"]
-(** Run all characterization simulations and fit: ~0.3 s ([Fast]) and
-    ~0.6 s ([Accurate]) on one domain of a 2-CPU x86-64 host. Each
+(** Run all characterization simulations and fit: ~0.2 s ([Fast]) and
+    ~0.5 s ([Accurate]) on one domain of a 2-CPU x86-64 host. Each
     simulation stops once every node it measures has reached 90% Vdd,
     the highest crossing the fits read ({!Spice_sim.Transient.config}'s
-    [stop_at]). See {!load_or_characterize} for the cached entry
-    point.
+    [stop_at]). The load classes of one (buffer, slew, length), and the
+    class pairs of one (buffer, slew, left length, right length), are
+    the lanes of one run ({!Spice_sim.Transient.simulate_lanes}): 2,556
+    simulations ([Accurate]) in 489 runs. See {!load_or_characterize}
+    for the cached entry point.
 
-    [pool] (default {!Parallel.default_pool}) distributes the independent
-    per-(driver, load-class) sample-and-fit units across domains. Results
-    are joined in the sequential enumeration order, so the library —
+    [pool] (default {!Parallel.default_pool}) distributes the
+    independent per-(buffer, slew) sample tasks across domains: 21
+    single-wire and 12 branch tasks ([Accurate]). The fits then run on
+    the calling domain per (buffer, class) and per (buffer, class pair),
+    each over its samples in slew-major order, so the library —
     including fit-report ordering and save-file layout — is identical at
     any pool size.
 

@@ -30,7 +30,7 @@ let normalize tech wave =
   | Some t -> W.shift wave (-.t)
   | None -> wave
 
-let wave_for ?(tol = 2e-12) tech binput ((s_min, w_min), (s_max, w_max)) slew =
+let wave_for ?(tol = 2e-12) tech ~probe ((s_min, w_min), (s_max, w_max)) slew =
   if slew <= s_min then normalize tech w_min
   else if slew >= s_max then normalize tech w_max
   else
@@ -38,7 +38,7 @@ let wave_for ?(tol = 2e-12) tech binput ((s_min, w_min), (s_max, w_max)) slew =
        [iter] counts the stages simulated so far, this one included. *)
     let rec bisect iter lo hi =
       let mid = (lo +. hi) /. 2. in
-      let s, w = slew_for_length tech binput mid in
+      let s, w = probe mid in
       let lo, hi = if s < slew then (mid, hi) else (lo, mid) in
       if iter < 24 && Float.abs (s -. slew) > tol then bisect (iter + 1) lo hi
       else w
@@ -46,8 +46,21 @@ let wave_for ?(tol = 2e-12) tech binput ((s_min, w_min), (s_max, w_max)) slew =
     normalize tech (bisect 1 l_min l_max)
 
 let buffer_output_wave ?tol tech binput ~slew =
-  wave_for ?tol tech binput (endpoints tech binput) slew
+  wave_for ?tol tech ~probe:(slew_for_length tech binput) (endpoints tech binput)
+    slew
 
 let buffer_output_waves ?tol tech binput ~slews =
-  let ends = endpoints tech binput in
-  List.map (wave_for ?tol tech binput ends) slews
+  (* Every bisection starts from the same bracket, so the slews share
+     their first probes: each length is simulated once, keyed by its
+     bits (a probe is a function of the length alone). *)
+  let probed = Hashtbl.create 64 in
+  let probe len =
+    let key = Int64.bits_of_float len in
+    match Hashtbl.find_opt probed key with
+    | Some r -> r
+    | None ->
+        let r = slew_for_length tech binput len in
+        Hashtbl.add probed key r;
+        r
+  in
+  List.map (wave_for ?tol tech ~probe (probe l_min, probe l_max)) slews

@@ -22,8 +22,10 @@ val buffer_output_wave :
 val buffer_output_waves :
   ?tol:(float[@cts.unit "ps"]) -> Circuit.Tech.t -> Circuit.Buffer_lib.t ->
   slews:float list -> Waveform.t list
-(** [buffer_output_wave] for each slew in order, with the two
-    wire-length endpoint stages simulated once for the whole list. *)
+(** [buffer_output_wave] for each slew in order, bit for bit, with each
+    wire length simulated once for the whole list: the two endpoint
+    stages, and the bisection probes the slews share (every bisection
+    starts from the same bracket). *)
 
 val achievable_slew_range :
   Circuit.Tech.t -> Circuit.Buffer_lib.t -> float * float

@@ -30,11 +30,14 @@ let identity n =
   done;
   m
 
+(* [transpose], [mul] and [mul_vec] index the flat arrays directly:
+   [get]/[set] are compiled as calls, each boxing the float it passes. *)
 let transpose m =
   let t = create m.c m.r in
+  let a = m.a and ta = t.a in
   for i = 0 to m.r - 1 do
     for j = 0 to m.c - 1 do
-      set t j i (get m i j)
+      ta.((j * m.r) + i) <- a.((i * m.c) + j)
     done
   done;
   t
@@ -42,14 +45,15 @@ let transpose m =
 let mul a b =
   if a.c <> b.r then invalid_arg "Matrix.mul: dimension mismatch";
   let m = create a.r b.c in
+  let aa = a.a and ba = b.a and ma = m.a and n = b.c in
   for i = 0 to a.r - 1 do
     for k = 0 to a.c - 1 do
-      let aik = get a i k in
+      let aik = aa.((i * a.c) + k) in
       (* Exact: skipping true zeros is a sparsity fast path, not a
          tolerance decision. *)
       if (aik <> 0.) [@cts.float_eq_ok] then
-        for j = 0 to b.c - 1 do
-          set m i j (get m i j +. (aik *. get b k j))
+        for j = 0 to n - 1 do
+          ma.((i * n) + j) <- ma.((i * n) + j) +. (aik *. ba.((k * n) + j))
         done
     done
   done;
@@ -57,12 +61,15 @@ let mul a b =
 
 let mul_vec a v =
   if a.c <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.init a.r (fun i ->
-      let acc = ref 0. in
-      for j = 0 to a.c - 1 do
-        acc := !acc +. (get a i j *. v.(j))
-      done;
-      !acc)
+  let out = Array.make a.r 0. in
+  for i = 0 to a.r - 1 do
+    let acc = ref 0. in
+    for j = 0 to a.c - 1 do
+      acc := !acc +. (a.a.((i * a.c) + j) *. v.(j))
+    done;
+    out.(i) <- !acc
+  done;
+  out
 
 let solve a0 b0 =
   if a0.r <> a0.c then invalid_arg "Matrix.solve: not square";

@@ -12,6 +12,13 @@
     result is bit-identical to a full O(n) elimination of the whole
     matrix: every row sees the same float operations in the same order.
 
+    The solver runs [k >= 1] trees of one shape (node count and parent
+    array) as lanes: node [i] of lane [l] sits at [(i * k) + l] of every
+    per-node array (node-major, lane-minor). A sweep visits the nodes
+    once and, at each, the lanes it is given, so the lanes' dependent
+    chains overlap; each lane sees its one-lane operations in the
+    one-lane order, bit for bit (DESIGN.md 5t).
+
     Domain-safety: a flattened or factored tree is immutable after
     construction; the solve arrays and {!root} are the caller's. No
     global state. *)
@@ -27,26 +34,36 @@ type t = {
 val of_tree : Circuit.Rc_tree.t -> t
 
 type factored
-(** A tree with every non-root row eliminated. *)
+(** Lanes of one shape with every non-root row eliminated. *)
 
-val factor : t -> diag:float array -> factored
-(** [factor t ~diag] eliminates rows [1 .. n-1] of the system with
-    diagonal [diag] (length [n], not modified). [diag.(0)] is ignored:
-    the root's diagonal is given to each {!root_solve}. *)
+val factor : t array -> diag:float array -> factored
+(** [factor lanes ~diag] eliminates rows [1 .. n-1] of each lane's
+    system: [lanes.(l)]'s edge conductances with diagonal
+    [diag.((i * k) + l)] ([diag] of length [n * k], not modified).
+    Every lane must have lane 0's [n] and [parent] (the caller checks);
+    the root's diagonals are ignored and given to each {!root_solve}. *)
 
-val forward : factored -> rhs:float array -> unit
-(** Leaf-to-root elimination of the right-hand side of rows
-    [1 .. n-1], in place. [rhs.(0)] is neither read nor written. *)
+val forward : factored -> lanes:int array -> m:int -> rhs:float array -> unit
+(** Leaf-to-root elimination of the right-hand side of rows [1 .. n-1]
+    of the lanes [lanes.(0 .. m-1)], in place. Row 0 is neither read
+    nor written, and neither is any other lane. *)
 
 type root = { mutable diag0 : float; mutable rhs0 : float; mutable v0 : float }
 (** The root row's diagonal and right-hand side (in) and unknown (out),
     in an all-float record so the calls below pass them unboxed. *)
 
-val root_solve : factored -> root -> rhs:float array -> unit
-(** Sets [v0] to the root unknown for [diag0] and [rhs0], given [rhs]
-    already passed through {!forward}. *)
+val root_solve : factored -> lane:int -> root -> rhs:float array -> unit
+(** Sets [v0] to [lane]'s root unknown for [diag0] and [rhs0], given
+    [rhs] already passed through {!forward}. *)
 
-val back : factored -> root -> rhs:float array -> into:float array -> unit
-(** Back-substitution from the root value [v0] (as set by
-    {!root_solve}) over the {!forward}ed [rhs]; writes all [n] unknowns
-    to [into], which may be the array the rhs was built from. *)
+val back :
+  factored -> lanes:int array -> m:int -> roots:float array ->
+  rhs:float array -> into:float array -> next:float array -> unit
+(** Back-substitution of the lanes [lanes.(0 .. m-1)] from their root
+    values [roots.(l)] (as set by {!root_solve}) over the {!forward}ed
+    [rhs]; writes their [n] unknowns each to [into], which may be the
+    array the rhs was built from. With a non-empty [next] (length
+    [n * k]) the same pass also sets those lanes' [rhs.(j)] to
+    [next.(j) *. into.(j)]: the next solve's right-hand side before
+    {!forward}, so a time step's rhs sweep rides along with the previous
+    step's back-substitution. With [[||]], [rhs] is only read. *)

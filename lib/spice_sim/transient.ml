@@ -72,24 +72,59 @@ let stage1_quiescent (tech : Tech.t) ~size ~c_dt =
 
 let g_source = 1e4 (* 0.1 mohm source impedance for Dirichlet forcing *)
 
-(* Sample rows: row 0 holds the times, row [j > 0] node [src.(j)]. A
-   full row doubles; its copied second half is overwritten before read. *)
-let[@inline] record (rows : float array array) src (v : float array) k t =
-  if k = Array.length rows.(0) then
-    for j = 0 to Array.length rows - 1 do
-      rows.(j) <- Array.append rows.(j) rows.(j)
-    done;
-  rows.(0).(k) <- t;
-  for j = 1 to Array.length src - 1 do
-    rows.(j).(k) <- v.(src.(j))
+(* The lanes' trees must share one shape: node count, parent array and
+   tag positions (DESIGN.md 5t). *)
+let check_shapes (flats : Rc_flat.t array) =
+  let f0 = flats.(0) in
+  let positions (f : Rc_flat.t) = List.map snd f.Rc_flat.tag_index in
+  Array.iteri
+    (fun l (f : Rc_flat.t) ->
+      let differs what =
+        invalid_arg
+          (Printf.sprintf "Transient.simulate_lanes: lane %d's %s differs from lane 0's"
+             l what)
+      in
+      if f.n <> f0.n then differs "node count"
+      else if not (Array.for_all2 Int.equal f.parent f0.parent) then
+        differs "parent array"
+      else if not (List.equal Int.equal (positions f) (positions f0)) then
+        differs "tag positions")
+    flats
+
+(* Removes [live.(a)] from the first [m] entries, keeping their order. *)
+let drop live ~m a = Array.blit live (a + 1) live a (m - a - 1)
+
+(* [rhs] = C/dt * v over the lanes [lanes.(0 .. m-1)]. *)
+let sweep_rhs ~c_dt ~v ~rhs ~k ~n ~lanes ~m =
+  for i = 0 to n - 1 do
+    for a = 0 to m - 1 do
+      let j = (i * k) + lanes.(a) in
+      rhs.(j) <- c_dt.(j) *. v.(j)
+    done
   done
 
-let simulate ?(config = default_config) (tech : Tech.t) driver tree =
-  validate config;
-  let flat = Rc_flat.of_tree tree in
-  let n = flat.Rc_flat.n in
-  let cap = Array.copy flat.Rc_flat.cap in
+(* Whether every node of lane [l] is +0. *)
+let lane_at_rest v ~k ~n l =
+  let zero = ref true and i = ref 0 in
+  while !zero && !i < n do
+    if not (same_bits v.((!i * k) + l) 0.) then zero := false;
+    incr i
+  done;
+  !zero
+
+(* The step loop over [flats], k >= 1 lanes of one shape. *)
+let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
+  let k = Array.length flats in
+  let f0 = flats.(0) in
+  let n = f0.Rc_flat.n and parent = f0.Rc_flat.parent in
   let dt = config.dt and iters = config.newton_iters in
+  (* Node-major, lane-minor: node [i] of lane [l] at [(i * k) + l]. *)
+  let cap = Array.make (n * k) 0. in
+  for l = 0 to k - 1 do
+    for i = 0 to n - 1 do
+      cap.((i * k) + l) <- flats.(l).cap.(i)
+    done
+  done;
   (* A buffer's stage 1 drives its internal node (starting at Vdd),
      stage 2 the root, whose load gains the output diffusion
      capacitance. A source drives the root directly. *)
@@ -97,7 +132,10 @@ let simulate ?(config = default_config) (tech : Tech.t) driver tree =
     match driver with
     | Vsource w -> (w, false, 0., 0., 0.)
     | Driven_buffer (buf, w) ->
-        cap.(0) <- cap.(0) +. Buffer_lib.output_cap tech buf;
+        let c_out = Buffer_lib.output_cap tech buf in
+        for l = 0 to k - 1 do
+          cap.(l) <- cap.(l) +. c_out
+        done;
         ( w, true, buf.Buffer_lib.stage1_size, buf.Buffer_lib.size,
           Buffer_lib.internal_cap tech buf /. dt )
   in
@@ -106,112 +144,244 @@ let simulate ?(config = default_config) (tech : Tech.t) driver tree =
      conductances. *)
   let diag_base = Array.copy c_dt in
   for i = 1 to n - 1 do
-    diag_base.(i) <- diag_base.(i) +. flat.Rc_flat.g_edge.(i);
-    let p = flat.Rc_flat.parent.(i) in
-    diag_base.(p) <- diag_base.(p) +. flat.Rc_flat.g_edge.(i)
+    let p = parent.(i) in
+    for l = 0 to k - 1 do
+      let g = flats.(l).g_edge.(i) in
+      diag_base.((i * k) + l) <- diag_base.((i * k) + l) +. g;
+      diag_base.((p * k) + l) <- diag_base.((p * k) + l) +. g
+    done
   done;
-  let fac = Rc_flat.factor flat ~diag:diag_base in
+  let fac = Rc_flat.factor flats ~diag:diag_base in
   let root = { Rc_flat.diag0 = 0.; rhs0 = 0.; v0 = 0. } in
-  let v = Array.make n 0. and rhs = Array.make n 0. in
+  let v = Array.make (n * k) 0. and rhs = Array.make (n * k) 0. in
+  let roots = Array.make k 0. in
   let vdd = tech.vdd and vt = tech.vt in
-  (* Recorded: the root and every tagged node. *)
-  let src = Array.of_list (0 :: 0 :: List.map snd flat.Rc_flat.tag_index) in
-  let rows = Array.map (fun _ -> Array.make 1024 0.) src in
+  (* Recorded series: the root and every tagged node. The times are one
+     row for all lanes; series [j] of lane [l] is [rows.(l).(j)]. A full
+     row doubles; its copied second half is overwritten before read. *)
+  let src = Array.of_list (0 :: List.map snd f0.Rc_flat.tag_index) in
+  let ns = Array.length src in
+  let times = ref (Array.make 1024 0.) in
+  let rows = Array.init k (fun _ -> Array.init ns (fun _ -> Array.make 1024 0.)) in
   let t0 = W.t_start input and t_input_end = W.t_end input in
   let t_settle = t0 +. (config.t_margin /. 10.) in
   let cursor = W.cursor input and at = { W.time = t0; value = 0. } in
+  (* Stage 1 sees only the input and its own capacitance, and stage 2's
+     bias only stage 1's output: one of each serves every lane. *)
   let stage1 = Device.inverter tech ~size:size1 ~vin:0. in
   let stage2 = Device.inverter tech ~size:size2 ~vin:vdd in
   stage1.vout <- vdd;
-  (* At rest (DESIGN.md 5p): [rest] while every tree node is +0, [fixed]
-     once a solved step showed that the tree maps rest to rest, [quiet]
-     while the internal node is also still at Vdd. *)
-  let quiet = ref (buffer && stage1_quiescent tech ~size:size1 ~c_dt:c_dt1) in
-  let rest = ref true and fixed = ref false in
-  record rows src v 0 t0;
-  (* [stop_at] (DESIGN.md 5s): [reached.(j)] once sample row [j] has
-     had a value >= [level], the comparison [Waveform.crossing] makes
-     (row 0, the times, from the start); [pending] counts the rows that
+  (* At rest, per lane (DESIGN.md 5p): [rest] while every tree node is
+     +0, [fixed] once a solved step showed that the tree maps rest to
+     rest, [quiet] while the internal node is also still at Vdd. *)
+  let quiet =
+    Array.make k (buffer && stage1_quiescent tech ~size:size1 ~c_dt:c_dt1)
+  in
+  let rest = Array.make k true and fixed = Array.make k false in
+  (* [stop_at] (DESIGN.md 5s), per lane: [reached.((l * ns) + j)] once
+     series [j] has had a value >= [level], the comparison
+     [Waveform.crossing] makes; [pending.(l)] counts the series that
      have not. *)
   let stop = Option.is_some config.stop_at in
   let level = vdd *. Option.value config.stop_at ~default:1. in
-  let reached = Array.mapi (fun j i -> j = 0 || v.(i) >= level) src in
-  let pending = ref (List.length (List.filter not (Array.to_list reached))) in
-  let t = ref t0 and steps = ref 0 and settled = ref false in
-  while (not !settled) && not (stop && !pending = 0) && !t < config.t_max do
+  let reached = Array.make (k * ns) false and pending = Array.make k ns in
+  let settled = Array.make k false and len = Array.make k 1 in
+  (* The live lanes, in ascending order. While some of them is still
+     at rest ([resting] counts those), the lanes that solve a step, and
+     of those the ones that sweep and back-substitute, are chosen per
+     lane; after that every live lane does all three, and no flag can
+     change. *)
+  let live = Array.make k 0 and nlive = ref 0 and resting = ref 0 in
+  let solving = Array.make k 0 and sweeping = Array.make k 0 in
+  let backing = Array.make k 0 in
+  !times.(0) <- t0;
+  for l = 0 to k - 1 do
+    for j = 0 to ns - 1 do
+      let x = v.((src.(j) * k) + l) in
+      rows.(l).(j).(0) <- x;
+      if x >= level then begin
+        reached.((l * ns) + j) <- true;
+        pending.(l) <- pending.(l) - 1
+      end
+    done;
+    if not (stop && pending.(l) = 0) then begin
+      live.(!nlive) <- l;
+      incr nlive
+    end
+  done;
+  resting := !nlive;
+  let t = ref t0 and steps = ref 0 and swept = ref false in
+  while !nlive > 0 && !t < config.t_max do
     let t_new = !t +. dt in
     at.time <- t_new;
     W.read cursor at;
     let vin = at.value in
-    if not (!quiet && !fixed && 0. <= vin && vin <= vt) then begin
-      (* The buffer's internal node first (it sees only the input and
-         its own capacitance), then one rhs sweep, Newton on the root
-         unknown alone and one back-substitution. *)
+    let solve = ref live and ms = ref !nlive in
+    let sweep = ref live and mw = ref !nlive in
+    let back = ref live and mb = ref 0 in
+    if !resting > 0 then begin
+      (* A lane at rest whose tree maps rest to rest, with the internal
+         node at Vdd and the input within [0, vt], would change
+         nothing; the step is skipped only when every live lane would
+         skip it. At rest, [rhs] still holds the fixed step's sweep. *)
+      let window = 0. <= vin && vin <= vt in
+      ms := 0;
+      mw := 0;
+      for a = 0 to !nlive - 1 do
+        let l = live.(a) in
+        if not (quiet.(l) && fixed.(l) && window) then begin
+          solving.(!ms) <- l;
+          incr ms;
+          if not (rest.(l) && fixed.(l)) then begin
+            sweeping.(!mw) <- l;
+            incr mw
+          end
+        end
+      done;
+      solve := solving;
+      sweep := sweeping;
+      back := backing
+    end;
+    if !ms > 0 then begin
+      (* The buffer's internal node first, once for every lane: for a
+         lane that would have skipped, the step returns Vdd bit for bit
+         (DESIGN.md 5p), so that lane is left as it is. Then one rhs
+         sweep, Newton on each lane's root unknown alone and one
+         back-substitution. *)
       if buffer then begin
         stage1.vin <- vin;
         advance_internal tech stage1 ~c_dt:c_dt1 ~iters
       end;
-      (* At rest, [rhs] still holds the fixed step's sweep. *)
-      if not (!rest && !fixed) then begin
-        for i = 0 to n - 1 do
-          rhs.(i) <- c_dt.(i) *. v.(i)
-        done;
-        Rc_flat.forward fac ~rhs
+      if !mw > 0 then begin
+        if not !swept then sweep_rhs ~c_dt ~v ~rhs ~k ~n ~lanes:!sweep ~m:!mw;
+        Rc_flat.forward fac ~lanes:!sweep ~m:!mw ~rhs
       end;
-      if buffer then begin
-        stage2.vin <- stage1.vout;
-        let vr = ref v.(0) and k = ref 0 in
-        while !k < iters do
-          stage2.vout <- !vr;
-          Device.eval tech stage2;
-          let g = stage2.conductance in
-          root.diag0 <- diag_base.(0) +. g;
-          root.rhs0 <- rhs.(0) +. stage2.current +. (g *. !vr);
-          Rc_flat.root_solve fac root ~rhs;
-          (* As in [advance_internal]: [rhs] is fixed within the step. *)
-          k := if same_bits root.v0 !vr then iters else !k + 1;
-          vr := root.v0
+      if buffer then stage2.vin <- stage1.vout;
+      let solve = !solve in
+      for a = 0 to !ms - 1 do
+        let l = solve.(a) in
+        if buffer then begin
+          let vr = ref v.(l) and it = ref 0 in
+          while !it < iters do
+            stage2.vout <- !vr;
+            Device.eval tech stage2;
+            let g = stage2.conductance in
+            root.diag0 <- diag_base.(l) +. g;
+            root.rhs0 <- rhs.(l) +. stage2.current +. (g *. !vr);
+            Rc_flat.root_solve fac ~lane:l root ~rhs;
+            (* As in [advance_internal]: [rhs] is fixed within the
+               step. *)
+            it := if same_bits root.v0 !vr then iters else !it + 1;
+            vr := root.v0
+          done
+        end
+        else begin
+          root.diag0 <- diag_base.(l) +. g_source;
+          root.rhs0 <- rhs.(l) +. (g_source *. vin);
+          Rc_flat.root_solve fac ~lane:l root ~rhs
+        end;
+        roots.(l) <- root.v0;
+        (* A +0 root from rest: the back-substitution would repeat the
+           fixed step's. *)
+        if !resting = 0 then mb := !ms
+        else if not (rest.(l) && fixed.(l) && same_bits root.v0 0.) then begin
+          backing.(!mb) <- l;
+          incr mb
+        end
+      done;
+      (* Once no lane is at rest, every step sweeps every live lane, so
+         the back-substitution sweeps the next step's rhs as it goes. *)
+      if !mb > 0 then begin
+        swept := !resting = 0;
+        Rc_flat.back fac ~lanes:!back ~m:!mb ~roots ~rhs ~into:v
+          ~next:(if !swept then c_dt else [||])
+      end;
+      if !resting > 0 then begin
+        for a = 0 to !mb - 1 do
+          let l = backing.(a) in
+          if rest.(l) then
+            if lane_at_rest v ~k ~n l then fixed.(l) <- true
+            else begin
+              rest.(l) <- false;
+              decr resting
+            end
+        done;
+        for a = 0 to !ms - 1 do
+          let l = solve.(a) in
+          if not (rest.(l) && same_bits stage1.vout vdd) then quiet.(l) <- false
         done
       end
-      else begin
-        root.diag0 <- diag_base.(0) +. g_source;
-        root.rhs0 <- rhs.(0) +. (g_source *. vin);
-        Rc_flat.root_solve fac root ~rhs
-      end;
-      (* A +0 root from rest: the back-substitution would repeat the
-         fixed step's. *)
-      if not (!rest && !fixed && same_bits root.v0 0.) then begin
-        Rc_flat.back fac root ~rhs ~into:v;
-        if !rest then
-          if Array.for_all (fun x -> same_bits x 0.) v then fixed := true
-          else rest := false
-      end;
-      if not (!rest && same_bits stage1.vout vdd) then quiet := false
     end;
     t := t_new;
     incr steps;
-    record rows src v !steps t_new;
-    if stop then
-      for j = 1 to Array.length src - 1 do
-        if (not reached.(j)) && v.(src.(j)) >= level then begin
-          reached.(j) <- true;
-          decr pending
-        end
+    let s = !steps in
+    if s = Array.length !times then begin
+      times := Array.append !times !times;
+      for a = 0 to !nlive - 1 do
+        let r = rows.(live.(a)) in
+        for j = 0 to ns - 1 do
+          r.(j) <- Array.append r.(j) r.(j)
+        done
+      done
+    end;
+    !times.(s) <- t_new;
+    let settle_check = s mod 64 = 0 && t_new > t_input_end && t_new > t_settle in
+    (* Each live lane records the step, then may end: at [stop_at] or
+       settled, it stops recording and drops out of the sweeps. *)
+    let a = ref 0 in
+    while !a < !nlive do
+      let l = live.(!a) in
+      let r = rows.(l) in
+      for j = 0 to ns - 1 do
+        r.(j).(s) <- v.((src.(j) * k) + l)
       done;
-    if !steps mod 64 = 0 && t_new > t_input_end && t_new > t_settle then begin
-      let ok = ref (vin >= 0.99 *. vdd) and i = ref 0 in
-      while !ok && !i < n do
-        if v.(!i) < 0.99 *. vdd then ok := false;
-        incr i
-      done;
-      settled := !ok
-    end
+      if stop then
+        for j = 0 to ns - 1 do
+          if (not reached.((l * ns) + j)) && v.((src.(j) * k) + l) >= level
+          then begin
+            reached.((l * ns) + j) <- true;
+            pending.(l) <- pending.(l) - 1
+          end
+        done;
+      if settle_check then begin
+        let ok = ref (vin >= 0.99 *. vdd) and i = ref 0 in
+        while !ok && !i < n do
+          if v.((!i * k) + l) < 0.99 *. vdd then ok := false;
+          incr i
+        done;
+        settled.(l) <- !ok
+      end;
+      if settled.(l) || (stop && pending.(l) = 0) then begin
+        len.(l) <- s + 1;
+        if rest.(l) then decr resting;
+        drop live ~m:!nlive !a;
+        decr nlive
+      end
+      else incr a
+    done
   done;
-  let len = !steps + 1 in
-  let ts = Array.sub rows.(0) 0 len in
-  let wave j = W.make ts (Array.sub rows.(j) 0 len) in
-  let recorded = List.mapi (fun j (tag, _) -> (tag, wave (j + 2))) flat.tag_index in
-  { vdd; recorded; root = wave 1; settled_flag = !settled }
+  for a = 0 to !nlive - 1 do
+    len.(live.(a)) <- !steps + 1
+  done;
+  Array.mapi
+    (fun l (f : Rc_flat.t) ->
+      let ts = Array.sub !times 0 len.(l) in
+      let wave j = W.make ts (Array.sub rows.(l).(j) 0 len.(l)) in
+      let recorded = List.mapi (fun j (tag, _) -> (tag, wave (j + 1))) f.tag_index in
+      { vdd; recorded; root = wave 0; settled_flag = settled.(l) })
+    flats
+
+let simulate_lanes ?(config = default_config) tech driver trees =
+  validate config;
+  if Array.length trees = 0 then [||]
+  else begin
+    let flats = Array.map Rc_flat.of_tree trees in
+    check_shapes flats;
+    run_lanes config tech driver flats
+  end
+
+let simulate ?config tech driver tree =
+  (simulate_lanes ?config tech driver [| tree |]).(0)
 
 let waveform r tag =
   match List.assoc_opt tag r.recorded with

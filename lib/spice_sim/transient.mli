@@ -9,10 +9,13 @@
     backward-Euler matrix is factored once per call ({!Rc_flat.factor}).
     Each step then costs one O(n) rhs sweep, at most [newton_iters]
     scalar Newton iterations on the root unknown (each touching only the
-    root's children) and one O(n) back-substitution. A step allocates
+    root's children) and one O(n) back-substitution, which also sweeps
+    the next step's rhs once the stage has left rest. A step allocates
     nothing, and steps a stage spends at rest (input still within
     [0, vt]) are recorded without solving (DESIGN.md 5p); every sample
-    keeps the bits of a full solve.
+    keeps the bits of a full solve. Trees of one shape under one driver
+    run as the lanes of one loop ({!simulate_lanes}); {!simulate} is its
+    one-lane case.
 
     This staged decomposition is exact for clock trees because buffers
     present only their (constant) gate capacitance to the upstream stage;
@@ -56,15 +59,37 @@ val default_config : config
 
 type result
 
+val simulate_lanes :
+  ?config:config -> Circuit.Tech.t -> driver -> Circuit.Rc_tree.t array ->
+  result array
+  [@@cts.raises "Invalid_argument"]
+(** Run [k] trees of one shape, each from an all-quiescent initial state
+    (rising edge: every tree node at 0 V), as the lanes of one
+    simulation under one [driver]: result [l] is tree [l]'s run, bit for
+    bit what {!simulate} returns for it alone, samples, sample count and
+    [settled] included (DESIGN.md 5t). The lanes share the input, the
+    time grid and, for a buffer, its stage-1 trajectory and stage-2
+    bias; each sweep of the tree solve visits every node once for all
+    the lanes it serves, so their dependent chains overlap. Each lane
+    keeps its own root Newton exit, rest flags, [stop_at] bookkeeping
+    and settle check, and drops out of the sweeps when it ends. [[||]]
+    gives [[||]].
+
+    Raises [Invalid_argument] naming a [config] field outside its range,
+    or the first lane whose node count, parent array (the preorder
+    parent of every node) or tag positions differ from lane 0's. Tag
+    names may differ: each lane's result records its own. *)
+
 val simulate :
   ?config:config -> Circuit.Tech.t -> driver -> Circuit.Rc_tree.t -> result
   [@@cts.raises "Invalid_argument"]
-(** Run the stage from an all-quiescent initial state (rising edge: every
-    tree node at 0 V), recording every step at the root and every tagged
-    node. Simulation ends early once the input has finished and every
-    tree node has settled above 99% Vdd, at the [stop_at] sample, or at
-    [t_max]. Raises [Invalid_argument] naming a [config] field outside
-    its range. *)
+(** [simulate ?config tech driver tree] is the one-lane run of
+    {!simulate_lanes}: the stage from an all-quiescent initial state,
+    recording every step at the root and every tagged node. Simulation
+    ends early once the input has finished and every tree node has
+    settled above 99% Vdd, at the [stop_at] sample, or at [t_max].
+    Raises [Invalid_argument] naming a [config] field outside its
+    range. *)
 
 val waveform : result -> string -> Waveform.t
   [@@cts.raises "Invalid_argument"]

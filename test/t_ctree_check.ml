@@ -18,6 +18,21 @@ let edge ?(route = []) ~length child = { C.length; route; child }
 
 let driver () = Circuit.Buffer_lib.largest (Delaylib.buffers (dl ()))
 
+(* Two sinks per merge, sink [k] 100 um from (0, 0) in direction [k],
+   under one driver buffer, numbered in preorder. *)
+let quad_tree names =
+  let dirs = [| (100., 0.); (0., 100.); (-100., 0.); (0., -100.) |] in
+  let sk id k =
+    let x, y = dirs.(k) in
+    edge ~length:100. (sink ~id ~name:names.(k) ~pos:(P.make x y) ~cap:10e-15)
+  in
+  let o = P.make 0. 0. in
+  bnode ~id:1 ~pos:o (driver ())
+    [ edge ~length:0.
+        (mnode ~id:2 ~pos:o
+           [ edge ~length:0. (mnode ~id:3 ~pos:o [ sk 4 0; sk 5 1 ]);
+             edge ~length:0. (mnode ~id:6 ~pos:o [ sk 7 2; sk 8 3 ]) ]) ]
+
 (* A small, well-formed, canonically numbered tree. *)
 let good_tree () =
   let s1 = sink ~id:3 ~name:"a" ~pos:(P.make 100. 0.) ~cap:10e-15 in
@@ -159,7 +174,78 @@ let test_latency_reference () =
   Alcotest.(check bool) "reference sink absent from tree caught" true
     (has
        (function Ctree_check.Missing_sink { sink = "ghost" } -> true | _ -> false)
-       (Ctree_check.verify ~expected_latencies:extra e (good_tree ())))
+       (Ctree_check.verify ~expected_latencies:extra e (good_tree ())));
+  let d name = List.assoc name lats in
+  let violations expected = Ctree_check.verify ~expected_latencies:expected e (good_tree ()) in
+  Alcotest.(check bool) "a duplicate reference name is checked against the tree's sink"
+    true
+    (violations [ ("a", d "a"); ("b", d "b"); ("a", d "a" +. 5e-12) ]
+    = [ Ctree_check.Latency_mismatch
+          { sink = "a"; got = d "a"; expected = d "a" +. 5e-12; tol = 1e-12 } ]);
+  Alcotest.(check bool) "a tree sink missing from the reference is caught" true
+    (violations [ ("a", d "a") ] = [ Ctree_check.Missing_sink { sink = "b" } ]);
+  Alcotest.(check bool) "reference-side and tree-side misses keep their order" true
+    (violations [ ("x", 0.); ("a", d "a"); ("y", 0.) ]
+    = Ctree_check.
+        [ Missing_sink { sink = "x" }; Missing_sink { sink = "y" };
+          Missing_sink { sink = "b" } ]);
+  (* Two tree sinks named "a": the first in preorder is the one
+     compared, as a list scan found it. *)
+  let twin = quad_tree [| "a"; "b"; "a"; "b" |] in
+  let _, twin_lats = Ctree_check.timing e twin in
+  let first = List.assoc "a" twin_lats in
+  Alcotest.(check bool) "duplicate tree names: the first binding wins" true
+    (Ctree_check.verify ~expected_latencies:[ ("a", first); ("b", List.assoc "b" twin_lats) ] e twin
+    = Ctree_check.verify e twin)
+
+(* The latency section as a list scan per sink: the reference for the
+   hash-table version. *)
+let list_latency_section ~tol latencies expected =
+  let v = ref [] in
+  List.iter
+    (fun (sink, e) ->
+      match List.assoc_opt sink latencies with
+      | None -> v := Ctree_check.Missing_sink { sink } :: !v
+      | Some got ->
+          if Float.abs (got -. e) > tol then
+            v := Ctree_check.Latency_mismatch { sink; got; expected = e; tol } :: !v)
+    expected;
+  List.iter
+    (fun (sink, _) ->
+      if not (List.mem_assoc sink expected) then v := Ctree_check.Missing_sink { sink } :: !v)
+    latencies;
+  List.rev !v
+
+(* Random sink names from a pool of four (so trees and references hold
+   duplicates), references that drop, repeat, perturb and invent names,
+   in any order: the violations equal the list scan's, in order. *)
+let qcheck_latency_section_matches_list =
+  QCheck.Test.make ~count:200 ~name:"latency cross-check = the list-scan version"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let name () = [| "a"; "b"; "c"; "d" |].(Util.Rng.int rng 4) in
+      let tree = quad_tree (Array.init 4 (fun _ -> name ())) in
+      let e = env () in
+      let _, lats = Ctree_check.timing e tree in
+      let base = Ctree_check.verify e tree in
+      let expected =
+        List.concat_map
+          (fun (n, d) ->
+            match Util.Rng.int rng 5 with
+            | 0 -> []
+            | 1 -> [ (n, d); (n, d +. 3e-12) ]
+            | 2 -> [ (n, d +. 0.5e-12) ]
+            | 3 -> [ (name (), d) ]
+            | _ -> [ (n, d) ])
+          lats
+        @ List.init (Util.Rng.int rng 3) (fun i -> (Printf.sprintf "ghost%d" i, 1e-10))
+      in
+      let expected =
+        if Util.Rng.bool rng then List.rev expected else expected
+      in
+      Ctree_check.verify ~expected_latencies:expected e tree
+      = base @ list_latency_section ~tol:1e-12 lats expected)
 
 let test_verify_exn () =
   Alcotest.check_raises "verify_exn raises on a broken tree"
@@ -266,6 +352,7 @@ let suite =
       test_gsrc_roundtrip_verifies;
     Alcotest.test_case "ISPD round-trip synthesis verifies" `Slow
       test_ispd_roundtrip_verifies;
+    QCheck_alcotest.to_alcotest qcheck_latency_section_matches_list;
     QCheck_alcotest.to_alcotest qcheck_synthesized_trees_verify;
     Alcotest.test_case "H-structure near-tie records no flip" `Quick
       test_hstructure_near_tie;

@@ -279,10 +279,36 @@ let intrinsic_delay_increases_with_slew () =
   Alcotest.(check bool) "monotone in input slew" true
     (d 30e-12 < d 80e-12 && d 80e-12 < d 150e-12)
 
+(* The shared probe table changes no bit: for both profiles' slew sets
+   (including the fast ones the table shares), the list equals the
+   single-slew waves. *)
+let wave_gen_list_matches_single () =
+  let bits w =
+    Array.map Int64.bits_of_float
+      (Array.append (Waveform.times w) (Waveform.values w))
+  in
+  let binput = Circuit.Buffer_lib.smallest Circuit.Buffer_lib.default_library in
+  List.iter
+    (fun slews ->
+      let listed = Delaylib.Wave_gen.buffer_output_waves tech binput ~slews in
+      List.iter2
+        (fun slew w ->
+          let single = Delaylib.Wave_gen.buffer_output_wave tech binput ~slew in
+          Alcotest.(check (array int64))
+            (Printf.sprintf "slew %g ps" (slew *. 1e12))
+            (bits single) (bits w))
+        slews listed)
+    [
+      List.map (fun p -> p *. 1e-12) [ 20.; 30.; 40.; 70.; 100.; 120.; 140.; 180.; 190.; 250. ];
+      List.map (fun p -> p *. 1e-12) [ 30.; 40.; 80.; 120.; 150. ];
+    ]
+
 let suite =
   [
     Alcotest.test_case "wave gen hits target slew" `Quick wave_gen_hits_target_slew;
     Alcotest.test_case "wave gen range" `Quick wave_gen_range_sane;
+    Alcotest.test_case "wave gen list = single waves" `Quick
+      wave_gen_list_matches_single;
     Alcotest.test_case "fit quality" `Quick fit_quality;
     Alcotest.test_case "library vs simulator off-grid" `Quick
       library_matches_simulator_offgrid;

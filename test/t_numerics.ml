@@ -295,6 +295,66 @@ let qcheck_bisect_finds_root =
       let root = Roots.bisect f 0. 10. in
       Float.abs (f root) < 1e-6 *. (1. +. target))
 
+(* [Matrix.mul], [transpose] and [mul_vec] against copies of the
+   per-element [get]/[set] versions they replaced, in Int64 bits, on
+   random shapes whose entries are a third exact zeros (the skip). *)
+module Elementwise = struct
+  let transpose m =
+    let t = M.create (M.cols m) (M.rows m) in
+    for i = 0 to M.rows m - 1 do
+      for j = 0 to M.cols m - 1 do
+        M.set t j i (M.get m i j)
+      done
+    done;
+    t
+
+  let mul a b =
+    let m = M.create (M.rows a) (M.cols b) in
+    for i = 0 to M.rows a - 1 do
+      for k = 0 to M.cols a - 1 do
+        let aik = M.get a i k in
+        if (aik <> 0.) [@cts.float_eq_ok] then
+          for j = 0 to M.cols b - 1 do
+            M.set m i j (M.get m i j +. (aik *. M.get b k j))
+          done
+      done
+    done;
+    m
+
+  let mul_vec a v =
+    Array.init (M.rows a) (fun i ->
+        let acc = ref 0. in
+        for j = 0 to M.cols a - 1 do
+          acc := !acc +. (M.get a i j *. v.(j))
+        done;
+        !acc)
+end
+
+let qcheck_matrix_products_bit_identical =
+  QCheck.Test.make ~count:300
+    ~name:"Matrix mul/transpose/mul_vec bit-identical to the per-element loops"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let entry () =
+        if Util.Rng.int rng 3 = 0 then 0. else Util.Rng.float_range rng (-1e3) 1e3
+      in
+      let r = 1 + Util.Rng.int rng 12
+      and c = 1 + Util.Rng.int rng 12
+      and q = 1 + Util.Rng.int rng 12 in
+      let a = M.of_arrays (Array.init r (fun _ -> Array.init c (fun _ -> entry ()))) in
+      let b = M.of_arrays (Array.init c (fun _ -> Array.init q (fun _ -> entry ()))) in
+      let v = Array.init c (fun _ -> entry ()) in
+      let bits m =
+        Array.init (M.rows m * M.cols m) (fun x ->
+            Int64.bits_of_float (M.get m (x / M.cols m) (x mod M.cols m)))
+      in
+      let same x y = M.rows x = M.rows y && M.cols x = M.cols y && bits x = bits y in
+      same (M.mul a b) (Elementwise.mul a b)
+      && same (M.transpose a) (Elementwise.transpose a)
+      && Array.map Int64.bits_of_float (M.mul_vec a v)
+         = Array.map Int64.bits_of_float (Elementwise.mul_vec a v))
+
 let suite =
   [
     Alcotest.test_case "solve identity" `Quick matrix_solve_identity;
@@ -320,6 +380,7 @@ let suite =
     Alcotest.test_case "golden min" `Quick golden_min_quadratic;
     Alcotest.test_case "polyfit rejects non-finite samples" `Quick
       polyfit_rejects_non_finite;
+    QCheck_alcotest.to_alcotest qcheck_matrix_products_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_eval2_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_eval3_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_bisect_finds_root;

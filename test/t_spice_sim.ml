@@ -40,49 +40,70 @@ let flat_preorder_parents () =
        [ "root"; "a"; "a1"; "b" ])
 
 (* The factored tree solve must agree with a dense Gaussian elimination
-   on the same symmetric system. *)
+   on the same symmetric system, for every lane of a group of one shape
+   with per-lane conductances and diagonals. *)
 let flat_solve_matches_dense () =
   let rng = Util.Rng.create 1234 in
   for _ = 1 to 10 do
     (* Random tree with random conductances and diagonals. *)
     let n = 2 + Util.Rng.int rng 12 in
+    let k = 1 + Util.Rng.int rng 4 in
     let parent = Array.init n (fun i -> if i = 0 then -1 else Util.Rng.int rng i) in
-    let g = Array.init n (fun i -> if i = 0 then 0. else Util.Rng.float_range rng 0.1 2.) in
-    let flat =
-      { Rc_flat.n; parent; g_edge = g; cap = Array.make n 0.; tag_index = [] }
+    let lanes =
+      Array.init k (fun _ ->
+          let g = Array.init n (fun i -> if i = 0 then 0. else Util.Rng.float_range rng 0.1 2.) in
+          let extra = Array.init n (fun _ -> Util.Rng.float_range rng 0.5 3.) in
+          let b = Array.init n (fun _ -> Util.Rng.float_range rng (-1.) 1.) in
+          (g, extra, b))
     in
-    let extra = Array.init n (fun _ -> Util.Rng.float_range rng 0.5 3.) in
-    (* Build the dense symmetric matrix. *)
-    let a = M.create n n in
-    for i = 0 to n - 1 do
-      M.set a i i (M.get a i i +. extra.(i))
-    done;
-    for i = 1 to n - 1 do
-      let p = parent.(i) in
-      M.set a i i (M.get a i i +. g.(i));
-      M.set a p p (M.get a p p +. g.(i));
-      M.set a i p (M.get a i p -. g.(i));
-      M.set a p i (M.get a p i -. g.(i))
-    done;
-    let b = Array.init n (fun _ -> Util.Rng.float_range rng (-1.) 1.) in
-    let dense = M.solve a b in
-    let diag = Array.make n 0. in
-    for i = 0 to n - 1 do
-      diag.(i) <- extra.(i) +. (if i > 0 then g.(i) else 0.)
-    done;
-    for i = 1 to n - 1 do
-      diag.(parent.(i)) <- diag.(parent.(i)) +. g.(i)
-    done;
-    let fac = Rc_flat.factor flat ~diag in
-    let rhs = Array.copy b in
-    Rc_flat.forward fac ~rhs;
-    let root = { Rc_flat.diag0 = diag.(0); rhs0 = rhs.(0); v0 = 0. } in
-    Rc_flat.root_solve fac root ~rhs;
-    let x = Array.make n 0. in
-    Rc_flat.back fac root ~rhs ~into:x;
+    let flats =
+      Array.map
+        (fun (g, _, _) ->
+          { Rc_flat.n; parent; g_edge = g; cap = Array.make n 0.; tag_index = [] })
+        lanes
+    in
+    let diag = Array.make (n * k) 0. and rhs = Array.make (n * k) 0. in
     Array.iteri
-      (fun i v -> check_f 1e-8 (Printf.sprintf "x%d" i) dense.(i) v)
-      x
+      (fun l (g, extra, b) ->
+        for i = 0 to n - 1 do
+          diag.((i * k) + l) <- extra.(i) +. (if i > 0 then g.(i) else 0.);
+          rhs.((i * k) + l) <- b.(i)
+        done;
+        for i = 1 to n - 1 do
+          let p = (parent.(i) * k) + l in
+          diag.(p) <- diag.(p) +. g.(i)
+        done)
+      lanes;
+    let fac = Rc_flat.factor flats ~diag in
+    let all = Array.init k Fun.id in
+    Rc_flat.forward fac ~lanes:all ~m:k ~rhs;
+    let roots = Array.make k 0. in
+    for l = 0 to k - 1 do
+      let root = { Rc_flat.diag0 = diag.(l); rhs0 = rhs.(l); v0 = 0. } in
+      Rc_flat.root_solve fac ~lane:l root ~rhs;
+      roots.(l) <- root.v0
+    done;
+    let x = Array.make (n * k) 0. in
+    Rc_flat.back fac ~lanes:all ~m:k ~roots ~rhs ~into:x ~next:[||];
+    Array.iteri
+      (fun l (g, extra, b) ->
+        (* Build the dense symmetric matrix. *)
+        let a = M.create n n in
+        for i = 0 to n - 1 do
+          M.set a i i (M.get a i i +. extra.(i))
+        done;
+        for i = 1 to n - 1 do
+          let p = parent.(i) in
+          M.set a i i (M.get a i i +. g.(i));
+          M.set a p p (M.get a p p +. g.(i));
+          M.set a i p (M.get a i p -. g.(i));
+          M.set a p i (M.get a p i -. g.(i))
+        done;
+        let dense = M.solve a b in
+        for i = 0 to n - 1 do
+          check_f 1e-8 (Printf.sprintf "lane %d x%d" l i) dense.(i) x.((i * k) + l)
+        done)
+      lanes
   done
 
 (* ---------------- Oracles against the per-iteration kernel ----------------
@@ -185,12 +206,19 @@ module Ref = struct
     in
     let v_a = ref vdd in
     record t0;
+    (* [stop_at]: end once every recorded series has had a sample at or
+       above the level, the initial one included. *)
+    let stop = Option.is_some config.stop_at in
+    let level = vdd *. Option.value config.stop_at ~default:1. in
+    let reached = Array.of_list (List.map (fun i -> v.(i) >= level) targets) in
     let t = ref t0 and step_count = ref 0 and settled = ref false in
     let all_settled () =
       W.value_at input !t >= 0.99 *. vdd
       && Array.for_all (fun x -> not (x < 0.99 *. vdd)) v
     in
-    while (not !settled) && !t < config.t_max do
+    while
+      (not !settled) && (not (stop && Array.for_all Fun.id reached)) && !t < config.t_max
+    do
       let t_new = !t +. dt in
       let vin = W.value_at input t_new in
       let stage2_vin =
@@ -234,6 +262,7 @@ module Ref = struct
       t := t_new;
       incr step_count;
       record t_new;
+      List.iteri (fun j i -> if v.(i) >= level then reached.(j) <- true) targets;
       if
         !step_count mod 64 = 0
         && t_new > t_input_end
@@ -374,19 +403,24 @@ let random_case rng =
   in
   (tree, tech, driver, config)
 
+(* Whether [res] holds the reference kernel's run of the stage: the
+   Int64 bits of every sample at the root and every tag, the sample
+   count and the settled flag. *)
+let matches_reference config tech driver tree res =
+  let times, samples, settled = Ref.simulate config tech driver tree in
+  let tags = List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index in
+  let waves = T.root_waveform res :: List.map (T.waveform res) tags in
+  Bool.equal settled (T.settled res)
+  && List.for_all (fun w -> bits_equal times (W.times w)) waves
+  && List.for_all2 (fun s w -> bits_equal s (W.values w)) samples waves
+
 let qcheck_transient_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"Transient.simulate bit-identical to the per-iteration kernel"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let tree, tech, driver, config = random_case (Util.Rng.create seed) in
-      let times, samples, settled = Ref.simulate config tech driver tree in
-      let res = T.simulate ~config tech driver tree in
-      let tags = List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index in
-      let waves = T.root_waveform res :: List.map (T.waveform res) tags in
-      Bool.equal settled (T.settled res)
-      && List.for_all (fun w -> bits_equal times (W.times w)) waves
-      && List.for_all2 (fun s w -> bits_equal s (W.values w)) samples waves)
+      matches_reference config tech driver tree (T.simulate ~config tech driver tree))
 
 (* [stop_at = Some l] against the same stage run to the end: its
    samples are an exact prefix of the full run's, ending at the first
@@ -459,6 +493,125 @@ let qcheck_stop_at_is_a_prefix =
                   levels)
            stopped_w full_w
       && Bool.equal (T.settled stopped) (T.settled full && n = n_full))
+
+(* ---------------- Lanes ---------------- *)
+
+(* A lane of [tree]'s group: its shape and tags, with every capacitance
+   and resistance scaled by a per-lane factor in [1/4, 4] and a per-node
+   one in [0.8, 1.25], so the lanes of a group converge, settle and stop
+   at different steps. *)
+let relane rng (tree : Rc.t) =
+  let lane = 4. ** Util.Rng.float_range rng (-1.) 1. in
+  let f () = lane *. (1.25 ** Util.Rng.float_range rng (-1.) 1.) in
+  let rec go (t : Rc.t) =
+    Rc.node ?tag:t.tag ~cap:(t.cap *. f ())
+      (List.map (fun (r, child) -> (r *. f (), go child)) t.children)
+  in
+  go tree
+
+(* The scalar oracle's stages as groups of k in 1..7 lanes, with
+   [stop_at] [None] or a uniform level: every lane must be the reference
+   kernel's run of its own tree. *)
+let qcheck_lanes_match_reference =
+  QCheck.Test.make ~count:100
+    ~name:"Transient.simulate_lanes: every lane bit-identical to the per-iteration kernel"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let tree, tech, driver, config = random_case rng in
+      let stop_at = if Util.Rng.bool rng then None else Some (1. -. Util.Rng.float rng 1.) in
+      let config = { config with T.stop_at } in
+      let trees = Array.init (1 + Util.Rng.int rng 7) (fun _ -> relane rng tree) in
+      let res = T.simulate_lanes ~config tech driver trees in
+      Array.length res = Array.length trees
+      && Array.for_all2 (fun tree r -> matches_reference config tech driver tree r) trees res)
+
+let n_samples r = W.n_samples (T.root_waveform r)
+
+(* Characterization's shape (a wire into a tagged load) at its four load
+   classes plus a 1 nF load that never reaches 90% before [t_max]: the
+   lanes stop at four different steps and the last runs to the end. *)
+let lanes_stop_apart () =
+  let config = { T.default_config with T.dt = 1e-12; stop_at = Some 0.9; t_max = 2.5e-9 } in
+  let input = W.smooth_curve ~t0:50e-12 ~vdd ~slew:80e-12 () in
+  let driver = T.Driven_buffer (b20, input) in
+  let stage load =
+    let r, chain = Rc.wire tech ~length:600. (Rc.leaf ~tag:"load" load) in
+    Rc.node [ (r, chain) ]
+  in
+  let trees = Array.map stage [| 0.75e-15; 5e-15; 15e-15; 35e-15; 1e-9 |] in
+  let res = T.simulate_lanes ~config tech driver trees in
+  Array.iteri
+    (fun l r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d matches the reference" l)
+        true
+        (matches_reference config tech driver trees.(l) r))
+    res;
+  let counts = Array.map n_samples res in
+  Alcotest.(check bool) "stops strictly later with the load" true
+    (counts.(0) < counts.(1) && counts.(1) < counts.(2) && counts.(2) < counts.(3)
+    && counts.(3) < counts.(4));
+  let last = T.waveform res.(4) "load" in
+  Alcotest.(check bool) "the 1 nF load never reaches 90%" true
+    (Option.is_none (W.crossing last (0.9 *. vdd)));
+  Alcotest.(check bool) "and runs to t_max" true
+    (W.t_end last >= config.t_max)
+
+(* A source holding the smallest subnormal voltage: the 1e4 S source
+   stamp carries ~5e-320 A into the root, which a light lane's root
+   divides into a nonzero voltage and a 20 nF root rounds to +0. That
+   lane stays at rest, sweeps and back-substitutes nothing, until the
+   edge arrives. *)
+let lane_leaves_rest_late () =
+  let config = { T.default_config with T.dt = 1e-12; t_max = 1e-9 } in
+  let tiny = Float.succ 0. in
+  let input = pwl [ (0., tiny); (200e-12, tiny); (260e-12, vdd) ] in
+  let driver = T.Vsource input in
+  let stage root_cap =
+    let r, chain = Rc.wire tech ~length:300. (Rc.leaf ~tag:"load" 5e-15) in
+    Rc.node ~cap:root_cap [ (r, chain) ]
+  in
+  let trees = [| stage 1e-15; stage 2e-8 |] in
+  let res = T.simulate_lanes ~config tech driver trees in
+  Array.iteri
+    (fun l r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d matches the reference" l)
+        true
+        (matches_reference config tech driver trees.(l) r))
+    res;
+  let first_nonzero r =
+    let vs = W.values (T.root_waveform r) in
+    let rec go i = if i >= Array.length vs || vs.(i) <> 0. then i else go (i + 1) in
+    go 0
+  in
+  Alcotest.(check int) "the light lane leaves rest on the first step" 1
+    (first_nonzero res.(0));
+  Alcotest.(check bool) "the heavy lane leaves rest with the edge" true
+    (first_nonzero res.(1) > 150)
+
+let lanes_reject_other_shapes () =
+  let input = W.smooth_curve ~vdd ~slew:80e-12 () in
+  let driver = T.Driven_buffer (b20, input) in
+  let leaf = Rc.leaf ~tag:"a" 1e-15 in
+  let base = Rc.node [ (10., leaf); (20., Rc.leaf 2e-15) ] in
+  let rejects name trees what lane =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf
+            "Transient.simulate_lanes: lane %d's %s differs from lane 0's" lane what))
+      (fun () -> ignore (T.simulate_lanes tech driver trees))
+  in
+  rejects "node count" [| base; base; Rc.node [ (10., leaf) ] |] "node count" 2;
+  rejects "parent array"
+    [| base; Rc.node [ (10., Rc.node [ (5., leaf) ]) ] |]
+    "parent array" 1;
+  rejects "tag positions"
+    [| base; Rc.node [ (10., Rc.leaf 1e-15); (20., Rc.leaf ~tag:"a" 2e-15) ] |]
+    "tag positions" 1;
+  Alcotest.(check int) "no lanes, no results" 0
+    (Array.length (T.simulate_lanes tech driver [||]))
 
 (* The inverter against the direct formula, on a grid that hits every
    branch: vin at and around vt and vdd - vt (either device off), vout
@@ -769,6 +922,10 @@ let suite =
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
     QCheck_alcotest.to_alcotest qcheck_transient_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_stop_at_is_a_prefix;
+    QCheck_alcotest.to_alcotest qcheck_lanes_match_reference;
+    Alcotest.test_case "lanes stop apart" `Quick lanes_stop_apart;
+    Alcotest.test_case "lane leaves rest late" `Quick lane_leaves_rest_late;
+    Alcotest.test_case "lanes reject other shapes" `Quick lanes_reject_other_shapes;
     QCheck_alcotest.to_alcotest qcheck_device_bias_matches_formula;
     Alcotest.test_case "config rejects dt" `Quick config_rejects_dt;
     Alcotest.test_case "config rejects t_max" `Quick config_rejects_t_max;
