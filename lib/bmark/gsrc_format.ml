@@ -18,17 +18,27 @@ let parse text =
   let fail lineno msg =
     failwith (Printf.sprintf "Gsrc_format.parse: line %d: %s" lineno msg)
   in
+  let number lineno what v =
+    match float_of_string_opt v with
+    | Some x -> x
+    | None ->
+        fail lineno (Printf.sprintf "%s: expected a number, got %S" what v)
+  in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
       match tokens line with
       | [] -> ()
-      | [ "NumPins"; ":"; n ] | [ "NumPins:"; n ] ->
-          declared := Some (int_of_string n)
+      | [ "NumPins"; ":"; n ] | [ "NumPins:"; n ] -> (
+          match int_of_string_opt n with
+          | Some k when k >= 0 -> declared := Some k
+          | Some _ | None ->
+              fail lineno
+                (Printf.sprintf "NumPins: expected a count, got %S" n))
       | [ "UnitRes"; ":"; v ] | [ "UnitRes:"; v ] ->
-          unit_res := Some (float_of_string v)
+          unit_res := Some (number lineno "UnitRes" v)
       | [ "UnitCap"; ":"; v ] | [ "UnitCap:"; v ] ->
-          unit_cap := Some (float_of_string v)
+          unit_cap := Some (number lineno "UnitCap" v)
       | [ x; y; cap ] -> (
           match
             (float_of_string_opt x, float_of_string_opt y,

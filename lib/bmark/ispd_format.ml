@@ -23,6 +23,16 @@ let parse text =
   let fail lineno msg =
     failwith (Printf.sprintf "Ispd_format.parse: line %d: %s" lineno msg)
   in
+  let number lineno v =
+    match float_of_string_opt v with
+    | Some x -> x
+    | None -> fail lineno (Printf.sprintf "expected a number, got %S" v)
+  in
+  let count lineno v =
+    match int_of_string_opt v with
+    | Some k when k >= 0 -> k
+    | Some _ | None -> fail lineno (Printf.sprintf "expected a count, got %S" v)
+  in
   let sinks = ref [] in
   let wirelib = ref [] in
   let bufferlib = ref [] in
@@ -48,9 +58,8 @@ let parse text =
     | None -> ()
     | Some (lineno, tk) ->
         (match tk with
-        | [ "num"; "sink"; count ] ->
-            let count = int_of_string count in
-            for _ = 1 to count do
+        | [ "num"; "sink"; n ] ->
+            for _ = 1 to count lineno n do
               match next_tokens () with
               | Some (ln, [ id; x; y; cap ]) -> (
                   match
@@ -65,42 +74,41 @@ let parse text =
               | Some (ln, _) -> fail ln "expected <id> <x> <y> <cap>"
               | None -> fail lineno "truncated sink section"
             done
-        | [ "num"; "wirelib"; count ] ->
-            for _ = 1 to int_of_string count do
+        | [ "num"; "wirelib"; n ] ->
+            for _ = 1 to count lineno n do
               match next_tokens () with
-              | Some (_, [ _idx; r; c ]) ->
-                  wirelib := (float_of_string r, float_of_string c) :: !wirelib
+              | Some (ln, [ _idx; r; c ]) ->
+                  wirelib := (number ln r, number ln c) :: !wirelib
               | Some (ln, _) -> fail ln "expected <idx> <res> <cap>"
               | None -> fail lineno "truncated wirelib section"
             done
-        | [ "num"; "bufferlib"; count ] ->
-            for _ = 1 to int_of_string count do
+        | [ "num"; "bufferlib"; n ] ->
+            for _ = 1 to count lineno n do
               match next_tokens () with
-              | Some (_, [ _idx; name; size ]) ->
-                  bufferlib := (name, float_of_string size) :: !bufferlib
+              | Some (ln, [ _idx; name; size ]) ->
+                  bufferlib := (name, number ln size) :: !bufferlib
               | Some (ln, _) -> fail ln "expected <idx> <name> <size>"
               | None -> fail lineno "truncated bufferlib section"
             done
-        | [ "num"; "blockage"; count ] ->
-            for _ = 1 to int_of_string count do
+        | [ "num"; "blockage"; n ] ->
+            for _ = 1 to count lineno n do
               match next_tokens () with
-              | Some (_, [ x1; y1; x2; y2 ]) ->
-                  blockages :=
-                    Geometry.Bbox.make (float_of_string x1)
-                      (float_of_string y1) (float_of_string x2)
-                      (float_of_string y2)
-                    :: !blockages
+              | Some (ln, [ x1; y1; x2; y2 ]) ->
+                  let x1 = number ln x1 and y1 = number ln y1 in
+                  let x2 = number ln x2 and y2 = number ln y2 in
+                  if x1 > x2 || y1 > y2 then fail ln "inverted blockage";
+                  blockages := Geometry.Bbox.make x1 y1 x2 y2 :: !blockages
               | Some (ln, _) -> fail ln "expected <x1> <y1> <x2> <y2>"
               | None -> fail lineno "truncated blockage section"
             done
-        | [ "slew"; "limit"; v ] -> slew_limit := Some (float_of_string v)
+        | [ "slew"; "limit"; v ] -> slew_limit := Some (number lineno v)
         | [ "die"; a; b; c; d ] ->
             die :=
               Some
-                ( float_of_string a,
-                  float_of_string b,
-                  float_of_string c,
-                  float_of_string d )
+                ( number lineno a,
+                  number lineno b,
+                  number lineno c,
+                  number lineno d )
         | _ -> fail lineno "unrecognized section");
         section ()
   in

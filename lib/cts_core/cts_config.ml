@@ -102,6 +102,11 @@ let validate t =
     err "max_stub_len must be non-negative (got %g um)" t.max_stub_len;
   if t.max_stub_cap < 0. then
     err "max_stub_cap must be non-negative (got %g F)" t.max_stub_cap;
+  if t.topology_beta < 0. then
+    err
+      "topology_beta must be non-negative (got %g um/s): a negative weight \
+       rewards delay imbalance"
+      t.topology_beta;
   if t.dp_area_weight < 0. then
     err "dp_area_weight must be non-negative (got %g s/X)" t.dp_area_weight;
   if t.dp_grid < 2 then

@@ -96,7 +96,8 @@ val validate : t -> string list
     no span table), that [grid_bins <= max_grid_bins] — the
     dynamic grid refinement clamps at the cap, so a config violating
     this used to silently exceed [max_grid_bins] — that the slew target
-    is positive and within the limit, and that [top_margin] is a
-    fraction.
+    is positive and within the limit, that [top_margin] is a
+    fraction, and that [topology_beta] is non-negative (a negative
+    Eq. 4.1 weight would reward delay imbalance).
     {!Cts.synthesize} and {!Cts.synthesize_bisection} reject invalid
     configs with [Invalid_argument]. *)

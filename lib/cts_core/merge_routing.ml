@@ -133,13 +133,9 @@ let binary_search dl (cfg : Cts_config.t) ~(e1 : Run.eval) ~(e2 : Run.eval)
   let r_lo = Float.max 0. (1. -. (w2_max /. Float.max seg_len 1e-9)) in
   let r_hi = Float.min 1. (w1_max /. Float.max seg_len 1e-9) in
   let r_lo, r_hi = if r_lo <= r_hi then (r_lo, r_hi) else (0.5, 0.5) in
-  let side1 = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Ctree.t) ->
-      match s.Ctree.kind with
-      | Ctree.Sink { name; _ } -> Hashtbl.replace side1 name ()
-      | Ctree.Buf _ | Ctree.Merge -> ())
-    (Ctree.sinks v1);
+  (* Each probe is one top-down analysis of the candidate; a side's mid
+     delay is taken over the sinks under its edge of the merge node. *)
+  let mid = function Some (lo, hi) -> (hi +. lo) /. 2. | None -> 0. in
   let diff r =
     Obs.incr Obs.Bisection_iters;
     let pos = Lpath.point_at seg (r *. seg_len) in
@@ -147,31 +143,28 @@ let binary_search dl (cfg : Cts_config.t) ~(e1 : Run.eval) ~(e2 : Run.eval)
       candidate_tree ~pos ~v1 ~v2 ~w1:(r *. seg_len)
         ~w2:((1. -. r) *. seg_len)
     in
-    let rep =
-      Timing.analyze_driven dl cfg ~drive:cfg.assumed_driver
+    let side1, side2 =
+      Timing.side_delays dl cfg ~drive:cfg.assumed_driver
         ~input_slew:cfg.slew_target cand
     in
-    let mid sel =
-      let ds =
-        List.filter_map
-          (fun (name, d) -> if sel name then Some d else None)
-          rep.Timing.sink_delays
-      in
-      match ds with
-      | [] -> 0.
-      | d :: rest ->
-          (List.fold_left Float.max d rest +. List.fold_left Float.min d rest)
-          /. 2.
-    in
-    mid (Hashtbl.mem side1) -. mid (fun n -> not (Hashtbl.mem side1 n))
+    mid side1 -. mid side2
   in
-  let r =
-    if seg_len <= 1e-9 || r_hi -. r_lo <= 1e-9 then (r_lo +. r_hi) /. 2.
-    else if diff r_lo >= 0. then r_lo
-    else if diff r_hi <= 0. then r_hi
-    else Numerics.Roots.bisect ~tol:1e-3 diff r_lo r_hi
-  in
-  (r, Float.abs (diff r))
+  (* The clamp tests' end values feed the bisection, and a clamped
+     search reports its end's value, so neither end is probed twice. *)
+  if seg_len <= 1e-9 || r_hi -. r_lo <= 1e-9 then
+    let r = (r_lo +. r_hi) /. 2. in
+    (r, Float.abs (diff r))
+  else
+    let flo = diff r_lo in
+    if flo >= 0. then (r_lo, Float.abs flo)
+    else
+      let fhi = diff r_hi in
+      if fhi <= 0. then (r_hi, Float.abs fhi)
+      else
+        let r =
+          Numerics.Roots.bisect_with ~tol:1e-3 ~flo ~fhi diff r_lo r_hi
+        in
+        (r, Float.abs (diff r))
 
 (* --------------------------------------------------------------- *)
 

@@ -10,8 +10,20 @@ type report = {
 let skew r = r.max_delay -. r.min_delay
 let mid_delay r = (r.max_delay +. r.min_delay) /. 2.
 
+type reached =
+  | At_sink of { node : Ctree.t; name : string }
+  | At_buffer of { node : Ctree.t; cell : Buffer_lib.t }
+
+type stage_end = {
+  reached : reached;
+  branch : int;
+  delay : float;
+  slew : float;
+}
+
 type endpoint = {
-  node : Ctree.t;
+  reached : reached;
+  branch : int;  (** Index of the stage root's edge above the endpoint. *)
   path_len : float;
   cap : float;
   side_correction : float;  (** Elmore side-load delay add-on (s). *)
@@ -19,6 +31,15 @@ type endpoint = {
       (** Squared slew degradation from off-path loads, RSS-combined with
           the fitted wire slew (s^2). *)
 }
+
+(* A stage ends at the first sink or buffer below its root: the
+   endpoint and the capacitance it presents; [None] at a merge. *)
+let ends_at tech (n : Ctree.t) =
+  match n.Ctree.kind with
+  | Ctree.Sink { name; cap } -> Some (At_sink { node = n; name }, cap)
+  | Ctree.Buf cell ->
+      Some (At_buffer { node = n; cell }, Buffer_lib.input_cap tech cell)
+  | Ctree.Merge -> None
 
 (* Total unbuffered capacitance of a stage region subtree: wires plus the
    gates/sinks terminating it. *)
@@ -40,19 +61,14 @@ let stage_endpoints tech ~drive (root : Ctree.t) =
   let rd = Buffer_lib.drive_resistance tech drive in
   let unit_res = (tech : Circuit.Tech.t).unit_res in
   let acc = ref [] in
-  let rec walk (n : Ctree.t) path_len side slew_sq =
-    match n.Ctree.kind with
-    | Ctree.Sink { cap; _ } ->
+  let rec walk branch (n : Ctree.t) path_len side slew_sq =
+    match ends_at tech n with
+    | Some (reached, cap) ->
         acc :=
-          { node = n; path_len; cap; side_correction = side;
+          { reached; branch; path_len; cap; side_correction = side;
             side_slew_sq = slew_sq }
           :: !acc
-    | Ctree.Buf b ->
-        acc :=
-          { node = n; path_len; cap = Buffer_lib.input_cap tech b;
-            side_correction = side; side_slew_sq = slew_sq }
-          :: !acc
-    | Ctree.Merge ->
+    | None ->
         List.iter
           (fun (e : Ctree.edge) ->
             let others =
@@ -65,44 +81,36 @@ let stage_endpoints tech ~drive (root : Ctree.t) =
             (* An off-path load acts like an extra pole of time constant
                tau: ~ln 9 * tau of added 10-90 transition, RSS-combined. *)
             let dslew = 2.2 *. tau in
-            walk e.Ctree.child (path_len +. e.Ctree.length) (side +. tau)
-              (slew_sq +. (dslew *. dslew)))
+            walk branch e.Ctree.child (path_len +. e.Ctree.length)
+              (side +. tau) (slew_sq +. (dslew *. dslew)))
           n.Ctree.children
   in
-  List.iter
-    (fun (e : Ctree.edge) -> walk e.Ctree.child e.Ctree.length 0. 0.)
+  List.iteri
+    (fun branch (e : Ctree.edge) ->
+      walk branch e.Ctree.child e.Ctree.length 0. 0.)
     root.Ctree.children;
   List.rev !acc
 
 (* Is the stage exactly the characterized branch shape: a driver at a
    fork whose two edges run straight (no intermediate merges) into
    endpoints? *)
-let branch_shape (root : Ctree.t) =
+let branch_shape tech (root : Ctree.t) =
   match root.Ctree.children with
   | [ e1; e2 ] -> (
-      match (e1.Ctree.child.Ctree.kind, e2.Ctree.child.Ctree.kind) with
-      | (Ctree.Sink _ | Ctree.Buf _), (Ctree.Sink _ | Ctree.Buf _) ->
-          Some (e1, e2)
+      match (ends_at tech e1.Ctree.child, ends_at tech e2.Ctree.child) with
+      | Some (r1, c1), Some (r2, c2) -> Some ((e1, r1, c1), (e2, r2, c2))
       | _, _ -> None)
   | _ -> None
 
-let endpoint_cap tech (n : Ctree.t) =
-  match n.Ctree.kind with
-  | Ctree.Sink { cap; _ } -> cap
-  | Ctree.Buf b -> Buffer_lib.input_cap tech b
-  | Ctree.Merge -> 0.
-
-(* Analyze one stage: returns (endpoint node, delay from driver input,
-   slew at endpoint) for each endpoint. *)
+(* Analyze one stage: each endpoint with the root edge it hangs under,
+   its delay from the driver input and the slew at it. *)
 let analyze_stage dl (cfg : Cts_config.t) ~drive ~input_slew (root : Ctree.t)
     =
   Obs.incr Obs.Timing_stages;
   let tech = Delaylib.tech dl in
   ignore cfg;
-  match branch_shape root with
-  | Some (e1, e2) ->
-      let c1 = endpoint_cap tech e1.Ctree.child in
-      let c2 = endpoint_cap tech e2.Ctree.child in
+  match branch_shape tech root with
+  | Some ((e1, r1, c1), (e2, r2, c2)) ->
       let b =
         Delaylib.eval_branch dl ~drive ~load_cap_left:c1 ~load_cap_right:c2
           ~input_slew ~len_left:e1.Ctree.length ~len_right:e2.Ctree.length
@@ -115,12 +123,18 @@ let analyze_stage dl (cfg : Cts_config.t) ~drive ~input_slew (root : Ctree.t)
           .Delaylib.buf_delay
       in
       [
-        ( e1.Ctree.child,
-          intrinsic +. b.Delaylib.delay_left,
-          b.Delaylib.slew_left );
-        ( e2.Ctree.child,
-          intrinsic +. b.Delaylib.delay_right,
-          b.Delaylib.slew_right );
+        {
+          reached = r1;
+          branch = 0;
+          delay = intrinsic +. b.Delaylib.delay_left;
+          slew = b.Delaylib.slew_left;
+        };
+        {
+          reached = r2;
+          branch = 1;
+          delay = intrinsic +. b.Delaylib.delay_right;
+          slew = b.Delaylib.slew_right;
+        };
       ]
   | None ->
       let eps = stage_endpoints tech ~drive root in
@@ -135,57 +149,94 @@ let analyze_stage dl (cfg : Cts_config.t) ~drive ~input_slew (root : Ctree.t)
               ((ev.Delaylib.wire_slew *. ev.Delaylib.wire_slew)
               +. ep.side_slew_sq)
           in
-          ( ep.node,
-            ev.Delaylib.buf_delay +. ev.Delaylib.wire_delay
-            +. ep.side_correction,
-            slew ))
+          {
+            reached = ep.reached;
+            branch = ep.branch;
+            delay =
+              ev.Delaylib.buf_delay +. ev.Delaylib.wire_delay
+              +. ep.side_correction;
+            slew;
+          })
         eps
 
 let stage_worst_slew dl cfg ~drive ~input_slew (region : Ctree.t) =
   let endpoints = analyze_stage dl cfg ~drive ~input_slew region in
-  List.fold_left (fun acc (_, _, s) -> Float.max acc s) 0. endpoints
+  List.fold_left (fun acc e -> Float.max acc e.slew) 0. endpoints
+
+(* Useful skew: sink arrivals are compared net of their prescribed
+   offsets, so balancing drives each sink toward its own target. *)
+let offset (cfg : Cts_config.t) name =
+  match List.assoc_opt name cfg.Cts_config.sink_offsets with
+  | Some o -> o
+  | None -> 0.
+
+(* The one top-down walk both analyses share: stages breadth-first from
+   the region root. [sink side name d] sees each sink with the region
+   root's edge it hangs under and its delay net of its offset; the
+   result is the worst endpoint slew. *)
+let iter_sinks dl cfg ~drive ~input_slew (region : Ctree.t) sink =
+  let worst_slew = ref 0. in
+  (* Worklist: (driver type, input slew, arrival at driver input, region
+     root, root edge; -1 while still at the region root). *)
+  let queue = Queue.create () in
+  (match region.Ctree.kind with
+  | Ctree.Buf b -> Queue.add (b, input_slew, 0., region, -1) queue
+  | Ctree.Merge -> Queue.add (drive, input_slew, 0., region, -1) queue
+  | Ctree.Sink _ -> invalid_arg "Timing.analyze_driven: sink region");
+  while not (Queue.is_empty queue) do
+    let drv, slew_in, t0, root, side = Queue.pop queue in
+    List.iter
+      (fun e ->
+        if e.slew > !worst_slew then worst_slew := e.slew;
+        let side = if side < 0 then e.branch else side in
+        match e.reached with
+        | At_sink { name; _ } ->
+            sink side name (t0 +. e.delay -. offset cfg name)
+        | At_buffer { node; cell } ->
+            Queue.add (cell, e.slew, t0 +. e.delay, node, side) queue)
+      (analyze_stage dl cfg ~drive:drv ~input_slew:slew_in root)
+  done;
+  !worst_slew
 
 let analyze_driven dl cfg ~drive ~input_slew (region : Ctree.t) =
   Obs.incr Obs.Timing_analyses;
-  (* Useful skew: sink arrivals are compared net of their prescribed
-     offsets, so balancing drives each sink toward its own target. *)
-  let offset name =
-    match List.assoc_opt name cfg.Cts_config.sink_offsets with
-    | Some o -> o
-    | None -> 0.
-  in
   let sink_delays = ref [] in
-  let worst_slew = ref 0. in
-  (* Worklist: (driver type, input slew, arrival at driver input, region
-     root). *)
-  let queue = Queue.create () in
-  (match region.Ctree.kind with
-  | Ctree.Buf b -> Queue.add (b, input_slew, 0., region) queue
-  | Ctree.Merge -> Queue.add (drive, input_slew, 0., region) queue
-  | Ctree.Sink _ -> invalid_arg "Timing.analyze_driven: sink region");
-  while not (Queue.is_empty queue) do
-    let drv, slew_in, t0, root = Queue.pop queue in
-    let endpoints = analyze_stage dl cfg ~drive:drv ~input_slew:slew_in root in
-    List.iter
-      (fun ((n : Ctree.t), d, s) ->
-        if s > !worst_slew then worst_slew := s;
-        match n.Ctree.kind with
-        | Ctree.Sink { name; _ } ->
-            sink_delays := (name, t0 +. d -. offset name) :: !sink_delays
-        | Ctree.Buf b -> Queue.add (b, s, t0 +. d, n) queue
-        | Ctree.Merge -> assert false)
-      endpoints
-  done;
-  let delays = List.map snd !sink_delays in
-  match delays with
+  let worst_slew =
+    iter_sinks dl cfg ~drive ~input_slew region
+      (fun _ name d -> sink_delays := (name, d) :: !sink_delays)
+  in
+  match !sink_delays with
   | [] -> invalid_arg "Timing.analyze_driven: no sinks reached"
-  | d :: rest ->
+  | (_, d) :: rest ->
       {
         sink_delays = List.rev !sink_delays;
-        max_delay = List.fold_left Float.max d rest;
-        min_delay = List.fold_left Float.min d rest;
-        worst_slew = !worst_slew;
+        max_delay = List.fold_left (fun m (_, d) -> Float.max m d) d rest;
+        min_delay = List.fold_left (fun m (_, d) -> Float.min m d) d rest;
+        worst_slew;
       }
+
+let side_delays dl cfg ~drive ~input_slew (region : Ctree.t) =
+  (match (region.Ctree.kind, region.Ctree.children) with
+  | Ctree.Merge, [ _; _ ] -> ()
+  | (Ctree.Merge | Ctree.Buf _ | Ctree.Sink _), _ ->
+      invalid_arg "Timing.side_delays: region must be a two-edge merge");
+  Obs.incr Obs.Timing_analyses;
+  (* min, max of side 0 then side 1. Seeding with -inf/+inf leaves every
+     bit as a fold seeded with the first delay: [Float.min]/[Float.max]
+     do not depend on order for non-NaN values. *)
+  let span = [| infinity; neg_infinity; infinity; neg_infinity |] in
+  let seen = [| false; false |] in
+  ignore
+    (iter_sinks dl cfg ~drive ~input_slew region
+       (fun side _ d ->
+         let k = 2 * side in
+         span.(k) <- Float.min span.(k) d;
+         span.(k + 1) <- Float.max span.(k + 1) d;
+         seen.(side) <- true));
+  let side i =
+    if seen.(i) then Some (span.(2 * i), span.((2 * i) + 1)) else None
+  in
+  (side 0, side 1)
 
 let analyze_tree dl cfg ?(source_slew = 60e-12) tree =
   match tree.Ctree.kind with

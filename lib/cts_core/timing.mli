@@ -28,6 +28,20 @@ val skew : report -> float
 val mid_delay : report -> float
 (** Midpoint [(max + min) / 2] — the quantity merge-routing equalizes. *)
 
+type reached =
+  | At_sink of { node : Ctree.t; name : string }
+  | At_buffer of { node : Ctree.t; cell : Circuit.Buffer_lib.t }
+      (** The next stage's driver: its node and its cell. *)
+(** Where a stage ends: at a sink, or at the buffer that drives the
+    next stage. A merge never ends a stage. *)
+
+type stage_end = {
+  reached : reached;
+  branch : int;  (** Index of the stage root's edge the endpoint hangs under. *)
+  delay : float [@cts.unit "ps"];  (** Delay from the driver input. *)
+  slew : float [@cts.unit "ps"];  (** Slew presented at the endpoint. *)
+}
+
 val analyze_driven :
   Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
   input_slew:float -> Ctree.t -> report
@@ -38,6 +52,19 @@ val analyze_driven :
     sink. If the region root is itself a buffer, that buffer is analyzed
     (and [drive] is ignored). *)
 
+val side_delays :
+  Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
+  input_slew:float -> Ctree.t ->
+  ((float[@cts.unit "ps"]) * (float[@cts.unit "ps"])) option
+  * ((float[@cts.unit "ps"]) * (float[@cts.unit "ps"])) option
+  [@@cts.raises "Invalid_argument"]
+(** [side_delays dl cfg ~drive ~input_slew region] is the (min, max)
+    sink delay under each edge of [region], a two-edge merge driven as in
+    {!analyze_driven}; [None] for a side with no sink. Delays are net of
+    useful-skew offsets, and each equals the one {!analyze_driven}
+    reports for that sink: both run the same stage fold. Merge-routing's
+    binary search probes with it; it builds no per-sink list. *)
+
 val analyze_tree :
   Delaylib.t -> Cts_config.t -> ?source_slew:float -> Ctree.t -> report
   [@@cts.raises "Invalid_argument"]
@@ -45,15 +72,14 @@ val analyze_tree :
 
 val analyze_stage :
   Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
-  input_slew:float -> Ctree.t ->
-  (Ctree.t * (float[@cts.unit "ps"]) * (float[@cts.unit "ps"])) list
+  input_slew:float -> Ctree.t -> stage_end list
   [@@cts.raises "Invalid_argument"]
-(** Endpoints [(node, delay, slew)] of the single buffer stage rooted at
-    the given region: each first buffer or sink below the root, with its
-    delay from the driver input and the slew presented at it. This is
-    the primitive {!analyze_driven} iterates — exported so the
-    {!Ctree_check} environment ({!Cts.check_env}) can walk stages with
-    exactly the analyzer's numbers. *)
+(** Endpoints of the single buffer stage rooted at the given region:
+    each first buffer or sink below the root, with its delay from the
+    driver input and the slew presented at it. This is the primitive
+    {!analyze_driven} iterates — exported so the {!Ctree_check}
+    environment ({!Cts.check_env}) can walk stages with exactly the
+    analyzer's numbers. *)
 
 val stage_worst_slew :
   Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->

@@ -30,7 +30,7 @@ let identity n =
   done;
   m
 
-(* [transpose], [mul] and [mul_vec] index the flat arrays directly:
+(* [transpose], [mul], [mul_vec] and [solve] index the flat arrays directly:
    [get]/[set] are compiled as calls, each boxing the float it passes. *)
 let transpose m =
   let t = create m.c m.r in
@@ -75,31 +75,33 @@ let solve a0 b0 =
   if a0.r <> a0.c then invalid_arg "Matrix.solve: not square";
   if a0.r <> Array.length b0 then invalid_arg "Matrix.solve: rhs size";
   let n = a0.r in
-  let a = copy a0 and b = Array.copy b0 in
+  let a = Array.copy a0.a and b = Array.copy b0 in
   for col = 0 to n - 1 do
     (* Partial pivoting. *)
     let piv = ref col in
     for i = col + 1 to n - 1 do
-      if Float.abs (get a i col) > Float.abs (get a !piv col) then piv := i
+      if Float.abs a.((i * n) + col) > Float.abs a.((!piv * n) + col) then
+        piv := i
     done;
-    if Float.abs (get a !piv col) < 1e-300 then
+    let p = !piv in
+    if Float.abs a.((p * n) + col) < 1e-300 then
       failwith "Matrix.solve: singular matrix";
-    if !piv <> col then begin
+    if p <> col then begin
       for j = 0 to n - 1 do
-        let t = get a col j in
-        set a col j (get a !piv j);
-        set a !piv j t
+        let t = a.((col * n) + j) in
+        a.((col * n) + j) <- a.((p * n) + j);
+        a.((p * n) + j) <- t
       done;
       let t = b.(col) in
-      b.(col) <- b.(!piv);
-      b.(!piv) <- t
+      b.(col) <- b.(p);
+      b.(p) <- t
     end;
-    let d = get a col col in
+    let d = a.((col * n) + col) in
     for i = col + 1 to n - 1 do
-      let f = get a i col /. d in
+      let f = a.((i * n) + col) /. d in
       if (f <> 0.) [@cts.float_eq_ok] then begin
         for j = col to n - 1 do
-          set a i j (get a i j -. (f *. get a col j))
+          a.((i * n) + j) <- a.((i * n) + j) -. (f *. a.((col * n) + j))
         done;
         b.(i) <- b.(i) -. (f *. b.(col))
       end
@@ -109,9 +111,9 @@ let solve a0 b0 =
   for i = n - 1 downto 0 do
     let acc = ref b.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (get a i j *. x.(j))
+      acc := !acc -. (a.((i * n) + j) *. x.(j))
     done;
-    x.(i) <- !acc /. get a i i
+    x.(i) <- !acc /. a.((i * n) + i)
   done;
   x
 

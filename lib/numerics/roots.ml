@@ -1,5 +1,4 @@
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f lo hi =
-  let flo = f lo and fhi = f hi in
+let bisect_with ?(tol = 1e-12) ?(max_iter = 200) ~flo ~fhi f lo hi =
   (* Exact zero tests are intentional: a root that lands exactly on an
      endpoint or midpoint short-circuits the search. *)
   if (flo = 0.) [@cts.float_eq_ok] then lo
@@ -17,6 +16,11 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) f lo hi =
         else go mid hi fmid (iter + 1)
     in
     go lo hi flo 0
+
+let bisect ?tol ?max_iter f lo hi =
+  let flo = f lo in
+  let fhi = f hi in
+  bisect_with ?tol ?max_iter ~flo ~fhi f lo hi
 
 let golden_min ?(tol = 1e-9) ?(max_iter = 200) f lo hi =
   let phi = (sqrt 5. -. 1.) /. 2. in

@@ -76,14 +76,17 @@ let stage_slews ?(source_slew = 60e-12) dl cfg tree =
     let input_slew, drive, root = Queue.pop queue in
     let endpoints = Timing.analyze_stage dl cfg ~drive ~input_slew root in
     let worst =
-      List.fold_left (fun w (_, _, s) -> Float.max w s) 0. endpoints
+      List.fold_left
+        (fun w (e : Timing.stage_end) -> Float.max w e.Timing.slew)
+        0. endpoints
     in
     out := worst :: !out;
     List.iter
-      (fun ((n : Ctree.t), _, s) ->
-        match n.Ctree.kind with
-        | Ctree.Buf b -> Queue.add (s, b, n) queue
-        | _ -> ())
+      (fun (e : Timing.stage_end) ->
+        match e.Timing.reached with
+        | Timing.At_buffer { node; cell } ->
+            Queue.add (e.Timing.slew, cell, node) queue
+        | Timing.At_sink _ -> ())
       endpoints
   done;
   List.rev !out

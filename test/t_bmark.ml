@@ -83,6 +83,52 @@ let ispd_unknown_section () =
     (try ignore (I.parse "bogus section here\n"); false
      with Failure _ -> true)
 
+(* One-line mutations of a valid file: each must fail with the parser's
+   line-numbered error for the mutated line, not a bare [Failure
+   "int_of_string"] or a silently empty section. *)
+let parse_errors_name_the_line () =
+  let check_table parser prefix base table =
+    ignore (parser (String.concat "\n" base));
+    List.iter
+      (fun (lineno, line) ->
+        let text =
+          String.concat "\n"
+            (List.mapi (fun i l -> if i + 1 = lineno then line else l) base)
+        in
+        let want = Printf.sprintf "%s: line %d:" prefix lineno in
+        match parser text with
+        | _ -> Alcotest.failf "%S accepted %S" prefix line
+        | exception Failure m ->
+            if
+              String.length m < String.length want
+              || String.sub m 0 (String.length want) <> want
+            then Alcotest.failf "%S: got %S, want %S..." line m want)
+      table
+  in
+  check_table
+    (fun t -> ignore (G.parse t))
+    "Gsrc_format.parse"
+    [ "NumPins : 2"; "UnitRes : 0.3"; "UnitCap : 2e-16"; "s0 1 2 3e-15";
+      "s1 4 5 6e-15" ]
+    [
+      (1, "NumPins : x"); (1, "NumPins : -2"); (1, "NumPins: 2.5");
+      (2, "UnitRes : abc"); (2, "UnitRes: 0.3ohm"); (3, "UnitCap : 1e-15x");
+      (3, "UnitCap: ?"); (4, "s0 1 2"); (5, "s1 4 y 6e-15");
+    ];
+  check_table
+    (fun t -> ignore (I.parse t))
+    "Ispd_format.parse"
+    [ "die 0 0 100 100"; "slew limit 1e-10"; "num sink 2"; "ff0 1 2 3e-15";
+      "ff1 4 5 6e-15"; "num wirelib 1"; "1 0.3 2e-16"; "num bufferlib 1";
+      "1 BUF10X 10"; "num blockage 1"; "10 10 20 20" ]
+    [
+      (1, "die 0 0 x 100"); (2, "slew limit fast"); (3, "num sink two");
+      (3, "num sink -1"); (4, "ff0 1 two 3e-15"); (6, "num wirelib -3");
+      (6, "num wirelib x"); (7, "1 0.3 cap"); (7, "1 r 2e-16");
+      (8, "num bufferlib 1.5"); (9, "1 BUF10X big"); (10, "num blockage -1");
+      (11, "10 10 20 y"); (11, "20 10 10 20");
+    ]
+
 let synthetic_descriptor_counts () =
   (* The published sink counts of the paper's benchmark suites. *)
   let expect =
@@ -156,6 +202,8 @@ let suite =
     Alcotest.test_case "ispd minimal" `Quick ispd_minimal;
     Alcotest.test_case "ispd truncated" `Quick ispd_truncated_section;
     Alcotest.test_case "ispd unknown section" `Quick ispd_unknown_section;
+    Alcotest.test_case "parse errors name the line" `Quick
+      parse_errors_name_the_line;
     Alcotest.test_case "descriptor sink counts" `Quick synthetic_descriptor_counts;
     Alcotest.test_case "synthetic valid" `Quick synthetic_generation_valid;
     Alcotest.test_case "synthetic deterministic" `Quick synthetic_deterministic;

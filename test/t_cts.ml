@@ -238,6 +238,105 @@ let timing_stage_slew_branch_aware () =
   in
   Alcotest.(check bool) "branch worse than single" true (s_branch > s_single)
 
+(* The binary search's side mids as they were computed before
+   [Timing.side_delays]: one [analyze_driven], then each side's sinks
+   picked out of its (name, delay) list by a table of side-1 names. *)
+let reference_mid_diff dl cfg ~drive ~input_slew (cand : Ctree.t) =
+  let v1 =
+    match cand.Ctree.children with
+    | e :: _ -> e.Ctree.child
+    | [] -> Alcotest.fail "candidate without edges"
+  in
+  let side1 = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Ctree.t) ->
+      match s.Ctree.kind with
+      | Ctree.Sink { name; _ } -> Hashtbl.replace side1 name ()
+      | Ctree.Buf _ | Ctree.Merge -> ())
+    (Ctree.sinks v1);
+  let rep = Timing.analyze_driven dl cfg ~drive ~input_slew cand in
+  let mid sel =
+    let ds =
+      List.filter_map
+        (fun (name, d) -> if sel name then Some d else None)
+        rep.Timing.sink_delays
+    in
+    match ds with
+    | [] -> 0.
+    | d :: rest ->
+        (List.fold_left Float.max d rest +. List.fold_left Float.min d rest)
+        /. 2.
+  in
+  mid (Hashtbl.mem side1) -. mid (fun n -> not (Hashtbl.mem side1 n))
+
+(* Every two-edge merge of a random small synthesis, analyzed as a
+   candidate merge under each buffer type, with and without useful-skew
+   offsets on a random third of the sinks: [side_delays] must give the
+   reference's mid difference in Int64 bits. *)
+let qcheck_side_delays_match_name_table =
+  QCheck.Test.make ~count:12
+    ~name:"side_delays mids bit-identical to the name-table mids"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let dl = dl () in
+      let rng = Util.Rng.create seed in
+      let n = 3 + Util.Rng.int rng 14 in
+      let specs = T_env.random_sinks ~seed ~n ~die:3000. () in
+      let offsets =
+        List.filter_map
+          (fun (sp : Sinks.spec) ->
+            if Util.Rng.int rng 3 = 0 then
+              Some (sp.Sinks.name, Util.Rng.float_range rng (-30e-12) 30e-12)
+            else None)
+          specs
+      in
+      let base = cfg () in
+      let with_offsets = { base with Cts_config.sink_offsets = offsets } in
+      let tree = (Cts.synthesize ~config:with_offsets dl specs).Cts.tree in
+      let merges = ref [] in
+      Ctree.iter
+        (fun (t : Ctree.t) ->
+          match (t.Ctree.kind, t.Ctree.children) with
+          | Ctree.Merge, [ _; _ ] -> merges := t :: !merges
+          | _, _ -> ())
+        tree;
+      !merges <> []
+      && List.for_all
+           (fun cand ->
+             List.for_all
+               (fun (cfg, drive) ->
+                 let input_slew = cfg.Cts_config.slew_target in
+                 let mid = function
+                   | Some (lo, hi) -> (hi +. lo) /. 2.
+                   | None -> 0.
+                 in
+                 let s1, s2 =
+                   Timing.side_delays dl cfg ~drive ~input_slew cand
+                 in
+                 Int64.bits_of_float (mid s1 -. mid s2)
+                 = Int64.bits_of_float
+                     (reference_mid_diff dl cfg ~drive ~input_slew cand))
+               [
+                 (base, base.Cts_config.assumed_driver);
+                 (with_offsets, base.Cts_config.assumed_driver);
+                 (with_offsets, T_env.b10);
+                 (base, T_env.b30);
+               ])
+           !merges)
+
+let side_delays_rejects_non_merge () =
+  let dl = dl () and cfg = cfg () in
+  let s = Ctree.sink ~name:"x" ~pos:P.origin ~cap:1e-15 in
+  let one = Ctree.merge ~pos:P.origin [ Ctree.edge ~length:10. s ] in
+  List.iter
+    (fun region ->
+      match
+        Timing.side_delays dl cfg ~drive:T_env.b20 ~input_slew:80e-12 region
+      with
+      | _ -> Alcotest.fail "side_delays accepted a region without two edges"
+      | exception Invalid_argument _ -> ())
+    [ s; one ]
+
 (* ---------------- Full synthesis ---------------- *)
 
 let synth_meets_slew_limit () =
@@ -457,6 +556,9 @@ let suite =
     Alcotest.test_case "timing rejects sink" `Quick timing_rejects_sink_region;
     Alcotest.test_case "timing branch-aware slew" `Quick
       timing_stage_slew_branch_aware;
+    Alcotest.test_case "side delays reject non-merge" `Quick
+      side_delays_rejects_non_merge;
+    QCheck_alcotest.to_alcotest qcheck_side_delays_match_name_table;
     Alcotest.test_case "synthesis meets slew limit" `Slow synth_meets_slew_limit;
     Alcotest.test_case "synthesis skew reasonable" `Slow synth_skew_reasonable;
     Alcotest.test_case "mid-path buffer insertion" `Quick

@@ -328,6 +328,48 @@ module Elementwise = struct
           acc := !acc +. (M.get a i j *. v.(j))
         done;
         !acc)
+
+  let solve a0 b0 =
+    let n = M.rows a0 in
+    let a = M.copy a0 and b = Array.copy b0 in
+    for col = 0 to n - 1 do
+      let piv = ref col in
+      for i = col + 1 to n - 1 do
+        if Float.abs (M.get a i col) > Float.abs (M.get a !piv col) then
+          piv := i
+      done;
+      if Float.abs (M.get a !piv col) < 1e-300 then
+        failwith "Matrix.solve: singular matrix";
+      if !piv <> col then begin
+        for j = 0 to n - 1 do
+          let t = M.get a col j in
+          M.set a col j (M.get a !piv j);
+          M.set a !piv j t
+        done;
+        let t = b.(col) in
+        b.(col) <- b.(!piv);
+        b.(!piv) <- t
+      end;
+      let d = M.get a col col in
+      for i = col + 1 to n - 1 do
+        let f = M.get a i col /. d in
+        if (f <> 0.) [@cts.float_eq_ok] then begin
+          for j = col to n - 1 do
+            M.set a i j (M.get a i j -. (f *. M.get a col j))
+          done;
+          b.(i) <- b.(i) -. (f *. b.(col))
+        end
+      done
+    done;
+    let x = Array.make n 0. in
+    for i = n - 1 downto 0 do
+      let acc = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (M.get a i j *. x.(j))
+      done;
+      x.(i) <- !acc /. M.get a i i
+    done;
+    x
 end
 
 let qcheck_matrix_products_bit_identical =
@@ -354,6 +396,103 @@ let qcheck_matrix_products_bit_identical =
       && same (M.transpose a) (Elementwise.transpose a)
       && Array.map Int64.bits_of_float (M.mul_vec a v)
          = Array.map Int64.bits_of_float (Elementwise.mul_vec a v))
+
+(* [Matrix.solve] against the per-element copy above, in Int64 bits.
+   Half the systems are diagonally dominant (no row swap), the rest are
+   random (swaps). A third of the entries are exact zeros (the skip),
+   small integers in some systems tie pivot candidates (the strict [>]),
+   and a singular system must fail the same way in both. *)
+let qcheck_solve_bit_identical =
+  QCheck.Test.make ~count:500
+    ~name:"Matrix.solve bit-identical to the per-element elimination"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let n = 1 + Util.Rng.int rng 10 in
+      let dominant = Util.Rng.int rng 2 = 0 in
+      let integers = Util.Rng.int rng 3 = 0 in
+      let entry () =
+        if Util.Rng.int rng 3 = 0 then 0.
+        else if integers then float_of_int (Util.Rng.int rng 7 - 3)
+        else Util.Rng.float_range rng (-1e3) 1e3
+      in
+      let rows =
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                if dominant && i = j then 1e5 +. Util.Rng.float rng 1e3
+                else entry ()))
+      in
+      let a = M.of_arrays rows in
+      let b = Array.init n (fun _ -> entry ()) in
+      let run solve =
+        match solve a b with
+        | x -> Ok (Array.map Int64.bits_of_float x)
+        | exception Failure m -> Error m
+      in
+      let got = run M.solve in
+      got = run Elementwise.solve
+      && Array.for_all2 (fun x y -> x = y) (Array.concat (Array.to_list rows))
+           (Array.init (n * n) (fun k -> M.get a (k / n) (k mod n))))
+
+(* The pre-[bisect_with] [Roots.bisect], which evaluated both ends
+   itself. *)
+let reference_bisect ?(tol = 1e-12) ?(max_iter = 200) f lo hi =
+  let flo = f lo and fhi = f hi in
+  if (flo = 0.) [@cts.float_eq_ok] then lo
+  else if (fhi = 0.) [@cts.float_eq_ok] then hi
+  else if flo *. fhi > 0. then
+    invalid_arg "Roots.bisect: no sign change on interval"
+  else
+    let rec go lo hi flo iter =
+      let mid = (lo +. hi) /. 2. in
+      if hi -. lo <= tol || iter >= max_iter then mid
+      else
+        let fmid = f mid in
+        if (fmid = 0.) [@cts.float_eq_ok] then mid
+        else if flo *. fmid < 0. then go lo mid flo (iter + 1)
+        else go mid hi fmid (iter + 1)
+    in
+    go lo hi flo 0
+
+(* [bisect] and [bisect_with] against the reference in Int64 bits, on
+   steps and lines whose root may sit exactly on an end or on a
+   bisection midpoint (dyadic roots), and on brackets with no sign
+   change. [bisect_with] must not evaluate either end. *)
+let qcheck_bisect_with_bit_identical =
+  QCheck.Test.make ~count:1000
+    ~name:"bisect and bisect_with bit-identical to the two-end reference"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let lo = float_of_int (Util.Rng.int rng 5 - 2) in
+      let hi = lo +. float_of_int (1 + Util.Rng.int rng 4) in
+      let root =
+        match Util.Rng.int rng 4 with
+        | 0 -> lo
+        | 1 -> hi
+        | 2 -> lo +. ((hi -. lo) *. float_of_int (Util.Rng.int rng 9) /. 8.)
+        | _ -> Util.Rng.float_range rng (lo -. 1.) (hi +. 1.)
+      in
+      let slope = Util.Rng.float_range rng (-3.) 3. in
+      let f x = slope *. (x -. root) in
+      let tol = [| 1e-12; 1e-3; 0.5 |].(Util.Rng.int rng 3) in
+      let max_iter = [| 200; 5 |].(Util.Rng.int rng 2) in
+      let outcome g =
+        match g () with
+        | r -> Ok (Int64.bits_of_float r)
+        | exception Invalid_argument m -> Error m
+      in
+      let at_end x = (x = lo || x = hi) [@cts.float_eq_ok] in
+      let f_inner x =
+        if at_end x then failwith "bisect_with evaluated an end";
+        f x
+      in
+      let want = outcome (fun () -> reference_bisect ~tol ~max_iter f lo hi) in
+      want = outcome (fun () -> Roots.bisect ~tol ~max_iter f lo hi)
+      && want
+         = outcome (fun () ->
+               Roots.bisect_with ~tol ~max_iter ~flo:(f lo) ~fhi:(f hi)
+                 f_inner lo hi))
 
 let suite =
   [
@@ -384,4 +523,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_eval2_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_eval3_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_bisect_finds_root;
+    QCheck_alcotest.to_alcotest qcheck_solve_bit_identical;
+    QCheck_alcotest.to_alcotest qcheck_bisect_with_bit_identical;
   ]

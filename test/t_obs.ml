@@ -73,6 +73,14 @@ let test_config_validation () =
       "max_stub_len"; "max_stub_cap"; "prefer_small_within"; "top_margin";
       "dp_area_weight"; "sink_z9";
     ];
+  (* A negative Eq. 4.1 weight rewards delay imbalance, and the pairing
+     sweep's bound needs beta >= 0. *)
+  checkb "a negative topology_beta is reported by name" true
+    (List.exists
+       (fun m -> contains m "topology_beta must be non-negative")
+       (Cts_config.validate (set "topology_beta" (-1.))));
+  checkb "a zero topology_beta is valid" true
+    (Cts_config.validate (set "topology_beta" 0.) = []);
   match Cts.synthesize ~config:(set "slew_limit" Float.nan) dl specs with
   | _ -> Alcotest.fail "synthesize accepted a NaN slew limit"
   | exception Invalid_argument msg ->
