@@ -22,9 +22,7 @@ let () =
         exit 1
   in
   Printf.printf "aggressive_cts benchmark harness (profile=%s, scale=%.2f)\n\n"
-    (match opts.Cli.profile with
-    | Delaylib.Fast -> "fast"
-    | Delaylib.Accurate -> "accurate")
+    (Delaylib.profile_name opts.Cli.profile)
     opts.Cli.scale;
   let observing = opts.Cli.stats || opts.Cli.trace <> None in
   if observing then begin

@@ -64,10 +64,7 @@ let run ~profile () =
        {
          Bench_json.domains = par_domains;
          available_cpus = Domain.recommended_domain_count ();
-         profile =
-           (match profile with
-           | Delaylib.Fast -> "fast"
-           | Delaylib.Accurate -> "accurate");
+         profile = Delaylib.profile_name profile;
          char_seq_s = t_char_seq;
          char_par_s = t_char_par;
          char_identical;

@@ -71,8 +71,11 @@ let profile_t =
 let cache_t =
   Arg.(
     value
-    & opt string ".cache/delaylib.txt"
-    & info [ "cache" ] ~docv:"FILE" ~doc:"Delay/slew library cache file.")
+    & opt (some string) None
+    & info [ "cache" ] ~docv:"FILE"
+        ~doc:
+          "Delay/slew library cache file (default: \
+           .cache/delaylib_PROFILE.txt).")
 
 let scale_t =
   Arg.(
@@ -151,9 +154,7 @@ let with_obs ~stats ~trace f =
   end
 
 let load_dl profile cache =
-  let dir = Filename.dirname cache in
-  (try if dir <> "." && not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-   with Unix.Unix_error _ -> ());
+  let cache = Delaylib.cache_file ?path:cache profile in
   Delaylib.load_or_characterize ~profile ~cache Circuit.Tech.default
     Circuit.Buffer_lib.default_library
 
@@ -229,8 +230,9 @@ let characterize_cmd =
   let out_t =
     Arg.(
       value
-      & opt string ".cache/delaylib.txt"
-      & info [ "o"; "output" ] ~docv:"PATH" ~doc:"Library output file.")
+      & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"PATH"
+          ~doc:"Library output file (default: .cache/delaylib_PROFILE.txt).")
   in
   let run profile out stats trace domains verbose =
     setup_logs verbose;
@@ -242,6 +244,7 @@ let characterize_cmd =
           Delaylib.characterize ~profile Circuit.Tech.default
             Circuit.Buffer_lib.default_library)
     in
+    let out = Delaylib.cache_file ?path:out profile in
     Delaylib.save dl out;
     Printf.printf "characterized in %.1f s; %d fits; saved to %s\n"
       (Unix.gettimeofday () -. t0)
@@ -480,11 +483,8 @@ let qor_cmd =
       | Cts_config.Greedy -> label
       | Cts_config.Optimal_dp -> label ^ "-dp"
     in
-    let profile_name =
-      match profile with Delaylib.Fast -> "fast" | Delaylib.Accurate -> "accurate"
-    in
     let q =
-      Qor.capture ~label ~profile:profile_name ~scale ~obs
+      Qor.capture ~label ~profile:(Delaylib.profile_name profile) ~scale ~obs
         ~runtime:with_runtime dl config res
     in
     match out with

@@ -44,4 +44,3 @@ let drive_resistance (tech : Tech.t) b =
   tech.vdd /. (2. *. idsat)
 
 let equal a b = a.name = b.name && a.size = b.size
-let pp fmt b = Format.fprintf fmt "%s(%gX)" b.name b.size

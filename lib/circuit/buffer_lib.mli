@@ -55,4 +55,3 @@ val drive_resistance : Tech.t -> t -> float
     alpha-power model). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -29,17 +29,3 @@ let rec total_cap t =
 
 let rec n_nodes t =
   List.fold_left (fun acc (_, c) -> acc + n_nodes c) 1 t.children
-
-let rec tags t =
-  let own = match t.tag with Some s -> [ s ] | None -> [] in
-  own @ List.concat_map (fun (_, c) -> tags c) t.children
-
-let rec find_tag t tag =
-  if t.tag = Some tag then Some t
-  else
-    List.fold_left
-      (fun acc (_, c) -> match acc with Some _ -> acc | None -> find_tag c tag)
-      None t.children
-
-let rec max_depth t =
-  1 + List.fold_left (fun acc (_, c) -> Int.max acc (max_depth c)) 0 t.children

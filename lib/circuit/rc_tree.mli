@@ -33,11 +33,3 @@ val total_cap : t -> float
 (** Sum of all grounded capacitance in the tree (F). *)
 
 val n_nodes : t -> int
-
-val tags : t -> string list
-(** All tags in preorder. *)
-
-val find_tag : t -> string -> t option
-(** First node carrying the given tag, in preorder. *)
-
-val max_depth : t -> int

@@ -25,6 +25,5 @@ let default =
     unit_cap = 0.2e-15;
   }
 
-let bookshelf_scaled = default
 let wire_res t len = t.unit_res *. len
 let wire_cap t len = t.unit_cap *. len

@@ -22,11 +22,9 @@ type t = {
 }
 
 val default : t
-(** The 45 nm-class settings used by all experiments. *)
-
-val bookshelf_scaled : t
-(** {!default} — alias documenting that the wire parasitics are already
-    the 10x-scaled GSRC-bookshelf values, as in the paper's Sec. 5.1. *)
+(** The 45 nm-class settings used by all experiments. Its wire
+    parasitics are the 10x-scaled GSRC-bookshelf values, as in the
+    paper's Sec. 5.1. *)
 
 val wire_res : t -> float -> float
 (** [wire_res t len] is the total resistance of [len] um of wire. *)

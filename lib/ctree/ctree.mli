@@ -66,8 +66,6 @@ val dynamic_power :
     outside the units checker's lattice; [dimensionless] marks them as
     deliberately unchecked scalars. *)
 
-val depth : t -> int
-
 val validate : t -> string list
 (** Structural invariant violations (empty = valid): sinks must be
     leaves, arity at most 2, edge length at least the Manhattan distance
@@ -75,12 +73,6 @@ val validate : t -> string list
 
 val iter : (t -> unit) -> t -> unit
 (** Preorder traversal. *)
-
-val fresh_id : unit -> int
-(** Global id supply used by the constructors (exposed for tools that
-    rebuild trees by hand). Atomic — safe to call from any domain; the
-    values are unique but their order is schedule-dependent under
-    parallel construction (see {!renumber}). *)
 
 val renumber : t -> t
 (** Rebuild the tree with ids reassigned 1..n in preorder. This is the

@@ -201,12 +201,3 @@ let () =
           (Printf.sprintf "Ctree_check.Check_failed:\n  %s"
              (String.concat "\n  " (List.map to_string vs)))
     | _ -> None)
-
-let verify_exn ?canonical_ids ?require_root_buffer ?expected_latencies ?tol env
-    tree =
-  match
-    verify ?canonical_ids ?require_root_buffer ?expected_latencies ?tol env
-      tree
-  with
-  | [] -> ()
-  | vs -> raise (Check_failed vs)

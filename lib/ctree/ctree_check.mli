@@ -116,14 +116,5 @@ val verify :
     planted source driver. *)
 
 exception Check_failed of violation list
-
-val verify_exn :
-  ?canonical_ids:bool ->
-  ?require_root_buffer:bool ->
-  ?expected_latencies:(string * (float[@cts.unit "ps"])) list ->
-  ?tol:(float[@cts.unit "ps"]) ->
-  env ->
-  Ctree.t ->
-  unit
-  [@@cts.raises "Check_failed,Invalid_argument"]
-(** Raises {!Check_failed} with the (non-empty) violation list. *)
+(** The (non-empty) violation list of a failed check; {!Cts.synthesize}
+    raises it under [~check:true]. *)

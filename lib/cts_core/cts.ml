@@ -211,7 +211,7 @@ let check_env ?(source_slew = 60e-12) dl (cfg : Cts_config.t) =
             match e.Timing.reached with
             | Timing.At_sink { node; _ } | Timing.At_buffer { node; _ } ->
                 (node, e.Timing.delay, e.Timing.slew))
-          (Timing.analyze_stage dl cfg ~drive ~input_slew root));
+          (Timing.analyze_stage dl ~drive ~input_slew root));
     default_driver = cfg.Cts_config.assumed_driver;
     slew_limit = cfg.Cts_config.slew_limit;
     slew_range = (0., hi);

@@ -22,16 +22,6 @@ type t = {
   slew_target : float;
       (** Slew budget used during synthesis, leaving a margin under the
           limit (default 80 ps, as in Sec. 5.1). *)
-  grid_bins : int;
-      (** Initial routing bins per dimension (paper: 45). With
-          [max_grid_bins] and [target_bin_len] it only sets the maze's
-          detour pitch ({!Maze.bins_for}): the split search samples no
-          grid. *)
-  max_grid_bins : int;
-      (** Upper bound when the dynamic grid refinement kicks in. *)
-  target_bin_len : float;
-      (** Desired bin pitch (um); bins grow in count beyond [grid_bins]
-          for long nets to keep the pitch at most this. *)
   topology_beta : float [@cts.unit "dimensionless"];
       (** Delay-difference weight of Eq. 4.1 (um per second — a
           mixed-dimension heuristic weight outside the units checker's
@@ -39,10 +29,6 @@ type t = {
   assumed_driver : Circuit.Buffer_lib.t;
       (** Buffer type assumed to drive a merge node before its real
           driver is known (bottom-up slew assumption of Sec. 4.2.2). *)
-  max_stub_len : float;
-      (** Unbuffered stub length at a merge node above which a buffer is
-          planted on the merge node itself (um). *)
-  max_stub_cap : float;  (** Capacitance analogue of [max_stub_len] (F). *)
   hstructure : hstructure;
   prefer_small_within : float [@cts.unit "um"];
       (** Intelligent sizing: a smaller buffer is preferred when its
@@ -51,10 +37,6 @@ type t = {
       (** Useful-skew schedule: per-sink extra arrival time (s). A sink
           listed with offset [o] is balanced toward arriving [o] later
           than the rest; unlisted sinks have offset 0. *)
-  top_margin : float [@cts.unit "dimensionless"];
-      (** Fraction of a driver's single-wire span that the top (merge-side)
-          unbuffered segment of a routing run may use — headroom for the
-          sibling branch's loading at the merge node (default 0.7). *)
   enable_balance : bool;
       (** Ablation switch: run the pre-routing balance stage. *)
   enable_binary_search : bool;
@@ -78,26 +60,22 @@ type t = {
 
 val default : Delaylib.t -> t
 (** Defaults matching the paper's experimental setup: 100 ps limit, 80 ps
-    synthesis target, 45 initial bins, mid-size assumed driver, H-structure
-    handling off. *)
+    synthesis target, mid-size assumed driver, H-structure handling off.
+    The maze's bin counts ({!Maze.bins_for}), the merge-node stub guard's
+    bounds ({!Merge_routing.merge}) and the top-segment margin
+    ({!Run.top_margin}) are constants of those modules. *)
 
 val with_hstructure : t -> hstructure -> t
 
 val with_insertion : t -> insertion -> t
-
-val insertion_name : insertion -> string
-(** Stable CLI/report name: ["greedy"] or ["dp"]. *)
 
 val validate : t -> string list
 (** Sanity-check a configuration; each returned string names one
     problem (empty list: valid). Checks, among others, that every float
     field and every [sink_offsets] value is finite, by name (NaN and
     infinities pass every ordering test, and a NaN slew target matches
-    no span table), that [grid_bins <= max_grid_bins] — the
-    dynamic grid refinement clamps at the cap, so a config violating
-    this used to silently exceed [max_grid_bins] — that the slew target
-    is positive and within the limit, that [top_margin] is a
-    fraction, and that [topology_beta] is non-negative (a negative
-    Eq. 4.1 weight would reward delay imbalance).
+    no span table), that the slew target is positive and within the
+    limit, and that [topology_beta] is non-negative (a negative Eq. 4.1
+    weight would reward delay imbalance).
     {!Cts.synthesize} and {!Cts.synthesize_bisection} reject invalid
     configs with [Invalid_argument]. *)

@@ -34,9 +34,6 @@ let make ?(vertical_first = false) a b = of_points ~vertical_first [ a; b ]
 let via ?(vertical_first = false) a w b = of_points ~vertical_first [ a; w; b ]
 let length t = t.cum.(Array.length t.cum - 1)
 
-let corner t =
-  if Array.length t.pts >= 2 then t.pts.(1) else t.pts.(0)
-
 let waypoints t = Array.to_list t.pts
 
 let point_at t d =

@@ -27,8 +27,5 @@ val length : t -> float
 val point_at : t -> (float[@cts.unit "um"]) -> Geometry.Point.t
 (** Point at a given distance from the start; clamped to the ends. *)
 
-val corner : t -> Geometry.Point.t
-(** First bend point (equals an endpoint for axis-aligned paths). *)
-
 val waypoints : t -> Geometry.Point.t list
 (** All polyline vertices, start to end. *)

@@ -7,7 +7,6 @@ type choice = {
   eval1 : Run.eval;
   eval2 : Run.eval;
   est_skew : float;
-  bins_per_dim : int;
 }
 
 let side_delay dl (cfg : Cts_config.t) (e : Run.eval) top_wire =
@@ -16,13 +15,15 @@ let side_delay dl (cfg : Cts_config.t) (e : Run.eval) top_wire =
   +. Delaylib.wire_delay dl ~drive:cfg.assumed_driver ~load_cap:e.Run.top_load
        ~input_slew:cfg.slew_target ~length
 
-(* The cap clamps last so it binds even against [grid_bins]: with the
-   old [max grid_bins (min cap wanted)] order a config carrying
-   [grid_bins > max_grid_bins] silently exceeded the cap ([Cts_config]
-   now also rejects such configs up front). *)
-let bins_for (cfg : Cts_config.t) span =
-  let wanted = int_of_float (Float.ceil (span /. cfg.target_bin_len)) in
-  Int.min cfg.max_grid_bins (Int.max cfg.grid_bins wanted)
+(* The paper's R = 45 bins per dimension, grown toward a 60 um pitch
+   on long nets and capped at 181. *)
+let grid_bins = 45
+let max_grid_bins = 181
+let target_bin_len = 60.
+
+let bins_for span =
+  let wanted = int_of_float (Float.ceil (span /. target_bin_len)) in
+  Int.min max_grid_bins (Int.max grid_bins wanted)
 
 (* Split points per scanned family (32 intervals), the bisection
    resolution, the skew tie window and the residual that triggers the
@@ -73,7 +74,7 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
   let pos1 = Port.pos p1 and pos2 = Port.pos p2 in
   let direct = Point.manhattan pos1 pos2 in
   let span = Float.max direct 1. in
-  let r = bins_for cfg span in
+  let r = bins_for span in
   let reach = 2. *. span /. float_of_int r in
   let s1 = Run.side dl cfg p1 ~max_d:(direct +. reach)
   and s2 = Run.side dl cfg p2 ~max_d:(direct +. reach) in
@@ -153,5 +154,4 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
     eval1 = b.e1;
     eval2 = b.e2;
     est_skew = Float.abs b.h;
-    bins_per_dim = r;
   }

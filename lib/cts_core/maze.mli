@@ -27,15 +27,13 @@ type choice = {
   eval1 : Run.eval;  (** Side 1's run at [d1]. *)
   eval2 : Run.eval;
   est_skew : float;  (** |delay1 - delay2| including top-wire estimates. *)
-  bins_per_dim : int;  (** {!bins_for} of the port distance. *)
 }
 
-val bins_for : Cts_config.t -> (float[@cts.unit "um"]) -> int
+val bins_for : (float[@cts.unit "um"]) -> int
 (** Grid bins per dimension for a net spanning the given distance (um):
-    [grid_bins] grown toward a [target_bin_len] pitch, capped at
-    [max_grid_bins] (the cap binds even against a misconfigured
-    [grid_bins]; {!Cts_config.validate} rejects such configs). The
-    span over this count is the detour pitch; nothing else reads it. *)
+    the paper's 45, grown toward a 60 um pitch on long nets, capped at
+    181. The span over this count is the detour pitch; nothing else
+    reads it. *)
 
 val side_delay :
   Delaylib.t -> Cts_config.t -> Run.eval -> (float[@cts.unit "um"]) ->

@@ -37,17 +37,24 @@ let snake_stage dl (cfg : Cts_config.t) ~blockages (port : Port.t) ~max_delay =
       Run.stage_delay dl cfg buf ~length:(len +. port.Port.stub_len)
         ~load_cap:port.Port.stub_load
     in
-    let len =
-      if delay_of buf_span <= max_delay then buf_span
+    let at_span = delay_of buf_span in
+    let len, added =
+      if at_span <= max_delay then (buf_span, at_span)
       else begin
         (* Delay grows monotonically with length; find the length meeting
-           the target. *)
+           the target. Both clamp values feed the bisection as its ends. *)
+        let at_one = delay_of 1. in
         let f l = delay_of l -. max_delay in
-        if f 1. >= 0. then 1.
-        else Numerics.Roots.bisect ~tol:0.5 f 1. buf_span
+        let flo = at_one -. max_delay in
+        if flo >= 0. then (1., at_one)
+        else
+          let len =
+            Numerics.Roots.bisect_with ~tol:0.5 ~flo
+              ~fhi:(at_span -. max_delay) f 1. buf_span
+          in
+          (len, delay_of len)
       end
     in
-    let added = delay_of len in
     let pos = Blockage.nearest_legal blockages (Port.pos port) in
     let len = Float.max len (Point.manhattan pos (Port.pos port)) in
     let node =
@@ -190,6 +197,11 @@ let placer blockages path ~cur d_ideal =
           None
   end
 
+(* Merge-node stub guard bounds: an unbuffered region at M longer or
+   heavier than this gets a buffer planted on M itself. *)
+let max_stub_len = 300.
+let max_stub_cap = 30e-15
+
 let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
   Obs.incr Obs.Merges_routed;
   let tech = Delaylib.tech dl in
@@ -245,15 +257,15 @@ let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
   let n_sinks = p1.Port.n_sinks + p2.Port.n_sinks in
   let inserted = List.length e1.Run.buffers + List.length e2.Run.buffers in
   (* Merge-node stub guard: when the unbuffered region at M grows past
-     the configured bounds (or routing could not keep the slew legal),
-     plant a buffer directly on the merge node. *)
+     [max_stub_len] or [max_stub_cap] (or routing could not keep the
+     slew legal), plant a buffer directly on the merge node. *)
   let stage_slew =
-    Timing.stage_worst_slew dl cfg ~drive:cfg.assumed_driver
+    Timing.stage_worst_slew dl ~drive:cfg.assumed_driver
       ~input_slew:cfg.slew_target merge_node
   in
   let needs_buffer =
-    stub_len > cfg.max_stub_len
-    || stub_load > cfg.max_stub_cap
+    stub_len > max_stub_len
+    || stub_load > max_stub_cap
     || stage_slew > cfg.slew_target
     || not (e1.Run.feasible && e2.Run.feasible)
   in
@@ -264,7 +276,7 @@ let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
          back to the strongest type when the sized pick cannot. *)
       let buf =
         if
-          Timing.stage_worst_slew dl cfg ~drive:pick
+          Timing.stage_worst_slew dl ~drive:pick
             ~input_slew:cfg.slew_target merge_node
           <= cfg.slew_target
         then pick

@@ -54,4 +54,4 @@ val balance_capacity :
   (float[@cts.unit "ps"])
 (** Estimated delay a buffered run of the given length can add to a side
     — the threshold the balance stage compares the delay difference
-    against. Exposed for tests and the ablation bench. *)
+    against. Exposed for its unit test. *)

@@ -148,8 +148,10 @@ type walk = {
   placed : placed list;  (* newest first *)
 }
 
+let top_margin = 0.7
+
 let assumed_span dl (cfg : Cts_config.t) ~stub_load =
-  cfg.top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:stub_load
+  top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:stub_load
 
 let start dl cfg (port : Port.t) =
   {
@@ -442,11 +444,11 @@ let dp_context ?positions dl (cfg : Cts_config.t) (port : Port.t) : dp =
   let assumed_span_cap =
     Array.map
       (fun c ->
-        cfg.top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:c)
+        top_margin *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:c)
       caps
   in
   let assumed_span_port =
-    cfg.top_margin
+    top_margin
     *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:port.Port.stub_load
   in
   (* Raw candidate positions: a uniform [dp_grid]-slot grid over the

@@ -44,6 +44,11 @@ type eval = {
           slew target. *)
 }
 
+val top_margin : (float[@cts.unit "dimensionless"])
+(** Fraction of a driver's single-wire span that the top (merge-side)
+    unbuffered segment of a run may use: headroom for the sibling
+    branch's loading at the merge node (0.7). *)
+
 val span :
   Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
   load_cap:float -> (float[@cts.unit "um"])

@@ -8,7 +8,6 @@ type report = {
 }
 
 let skew r = r.max_delay -. r.min_delay
-let mid_delay r = (r.max_delay +. r.min_delay) /. 2.
 
 type reached =
   | At_sink of { node : Ctree.t; name : string }
@@ -104,11 +103,9 @@ let branch_shape tech (root : Ctree.t) =
 
 (* Analyze one stage: each endpoint with the root edge it hangs under,
    its delay from the driver input and the slew at it. *)
-let analyze_stage dl (cfg : Cts_config.t) ~drive ~input_slew (root : Ctree.t)
-    =
+let analyze_stage dl ~drive ~input_slew (root : Ctree.t) =
   Obs.incr Obs.Timing_stages;
   let tech = Delaylib.tech dl in
-  ignore cfg;
   match branch_shape tech root with
   | Some ((e1, r1, c1), (e2, r2, c2)) ->
       let b =
@@ -159,8 +156,8 @@ let analyze_stage dl (cfg : Cts_config.t) ~drive ~input_slew (root : Ctree.t)
           })
         eps
 
-let stage_worst_slew dl cfg ~drive ~input_slew (region : Ctree.t) =
-  let endpoints = analyze_stage dl cfg ~drive ~input_slew region in
+let stage_worst_slew dl ~drive ~input_slew (region : Ctree.t) =
+  let endpoints = analyze_stage dl ~drive ~input_slew region in
   List.fold_left (fun acc e -> Float.max acc e.slew) 0. endpoints
 
 (* Useful skew: sink arrivals are compared net of their prescribed
@@ -194,7 +191,7 @@ let iter_sinks dl cfg ~drive ~input_slew (region : Ctree.t) sink =
             sink side name (t0 +. e.delay -. offset cfg name)
         | At_buffer { node; cell } ->
             Queue.add (cell, e.slew, t0 +. e.delay, node, side) queue)
-      (analyze_stage dl cfg ~drive:drv ~input_slew:slew_in root)
+      (analyze_stage dl ~drive:drv ~input_slew:slew_in root)
   done;
   !worst_slew
 

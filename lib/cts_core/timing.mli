@@ -25,8 +25,6 @@ type report = {
 }
 
 val skew : report -> float
-val mid_delay : report -> float
-(** Midpoint [(max + min) / 2] — the quantity merge-routing equalizes. *)
 
 type reached =
   | At_sink of { node : Ctree.t; name : string }
@@ -71,8 +69,8 @@ val analyze_tree :
 (** Analyze a complete tree whose root is the source driver buffer. *)
 
 val analyze_stage :
-  Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
-  input_slew:float -> Ctree.t -> stage_end list
+  Delaylib.t -> drive:Circuit.Buffer_lib.t -> input_slew:float -> Ctree.t ->
+  stage_end list
   [@@cts.raises "Invalid_argument"]
 (** Endpoints of the single buffer stage rooted at the given region:
     each first buffer or sink below the root, with its delay from the
@@ -82,8 +80,8 @@ val analyze_stage :
     analyzer's numbers. *)
 
 val stage_worst_slew :
-  Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
-  input_slew:float -> Ctree.t -> float
+  Delaylib.t -> drive:Circuit.Buffer_lib.t -> input_slew:float -> Ctree.t ->
+  float
   [@@cts.raises "Invalid_argument"]
 (** Worst endpoint slew of the single stage rooted at the given region
     (down to the first buffers/sinks only) — the branch-aware slew check

@@ -13,6 +13,20 @@ module Wave_gen = Wave_gen
 
 type profile = Fast | Accurate
 
+let profile_name = function Fast -> "fast" | Accurate -> "accurate"
+
+let cache_file ?path profile =
+  let path =
+    match path with
+    | Some p -> p
+    | None ->
+        Filename.concat ".cache" ("delaylib_" ^ profile_name profile ^ ".txt")
+  in
+  let dir = Filename.dirname path in
+  (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+   with Sys_error _ -> ());
+  path
+
 type single_fit = {
   buf_delay_fit : Polyfit.surface2;
   wire_delay_fit : Polyfit.surface2;
@@ -560,7 +574,6 @@ let max_length_for_slew t ~drive ~load_cap ~input_slew ~slew_limit =
     Numerics.Roots.bisect ~tol:1. (fun l -> slew_at l -. slew_limit) t.len_lo
       t.len_hi
 
-let load_class_cap t cap = t.classes.(class_index t cap)
 let n_classes t = Array.length t.classes
 let classes t = Array.copy t.classes
 let buffers t = t.buffers
@@ -569,22 +582,6 @@ let tech t = t.tech
 let len_domain t = (t.len_lo, t.len_hi)
 let slew_domain t = (t.slew_lo, t.slew_hi)
 let fit_report t = t.residuals
-
-let sample_grid_single t ~drive ~load_cap =
-  let grid = ref [] in
-  let n = 8 in
-  for i = 0 to n do
-    for j = 0 to n do
-      let s =
-        t.slew_lo +. (float_of_int i /. float_of_int n *. (t.slew_hi -. t.slew_lo))
-      in
-      let l =
-        t.len_lo +. (float_of_int j /. float_of_int n *. (t.len_hi -. t.len_lo))
-      in
-      grid := (s, l, eval_single t ~drive ~load_cap ~input_slew:s ~length:l) :: !grid
-    done
-  done;
-  List.rev !grid
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

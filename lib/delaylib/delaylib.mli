@@ -32,6 +32,17 @@ type profile = Fast | Accurate
     tests; [Accurate] (degree 4 singles, degree 3 branches, dense sweep)
     is for experiments. *)
 
+val profile_name : profile -> string
+(** ["fast"] or ["accurate"]: the name on the command line and in run
+    records. *)
+
+val cache_file : ?path:string -> profile -> string
+(** The library cache file of a profile: [path] when given, else
+    [".cache/delaylib_<profile>.txt"] under the current directory, one
+    file per profile so a run never loads another profile's library.
+    The file's directory is created when missing (one level); a failure
+    is ignored, and {!load_or_characterize} then only skips the save. *)
+
 val characterize :
   ?profile:profile -> ?pool:Parallel.t -> Circuit.Tech.t ->
   Circuit.Buffer_lib.t list -> t
@@ -150,15 +161,11 @@ val tech : t -> Circuit.Tech.t
 val len_domain : t -> float * float
 val slew_domain : t -> float * float
 
-val load_class_cap : t -> (float[@cts.unit "ff"]) -> (float[@cts.unit "ff"])
-(** Representative capacitance of the load class a given capacitance maps
-    to — stable across nearby caps, usable as a memoization key. *)
-
 val class_index : t -> (float[@cts.unit "ff"]) -> int
-(** Index of that load class: [0 .. n_classes - 1]. Same equivalence
-    classes as {!load_class_cap} ([load_class_cap t c] is the
-    capacitance of class [class_index t c]); the integer form is the
-    key the span table and the DP memos index flat arrays with.
+(** Index of the load class a given capacitance maps to:
+    [0 .. n_classes - 1], stable across nearby caps. The single-wire
+    fits read a load only through its class, so the index is the key
+    the span table and the DP memos index flat arrays with.
 
     The rule is the nearest class in log space, the first on a tie. It
     is computed without [log] by comparing the cap with the precomputed
@@ -178,9 +185,3 @@ val fit_report :
   t -> (string * (float[@cts.unit "ps"]) * (float[@cts.unit "ps"])) list
 (** Per-fit [(label, rms residual, max |residual|)] against the
     characterization samples, in seconds. *)
-
-val sample_grid_single :
-  t -> drive:Circuit.Buffer_lib.t -> load_cap:float ->
-  ((float[@cts.unit "ps"]) * (float[@cts.unit "um"]) * single_eval) list
-(** Evaluate the fitted surfaces on a display grid of
-    [(input slew, length, values)] — used to regenerate Fig. 3.4. *)

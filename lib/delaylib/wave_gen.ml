@@ -19,10 +19,6 @@ let slew_for_length tech binput len =
 let endpoints tech binput =
   (slew_for_length tech binput l_min, slew_for_length tech binput l_max)
 
-let achievable_slew_range tech binput =
-  let (s_min, _), (s_max, _) = endpoints tech binput in
-  (s_min, s_max)
-
 let normalize tech wave =
   (* Shift so the 1%-Vdd crossing sits at t = 0. *)
   let vdd = tech.Circuit.Tech.vdd in

@@ -16,8 +16,9 @@ val buffer_output_wave :
   Waveform.t
 (** [buffer_output_wave tech binput ~slew] produces a waveform with the
     requested slew (within [tol], default 2 ps), shaped by [binput]
-    driving a bisected-length wire into a 1 fF gate. Slews below what a
-    minimal wire can produce saturate at the minimum achievable slew. *)
+    driving a bisected-length wire into a 1 fF gate. Slews outside what
+    wires of 1 to 4000 um produce saturate at the nearer end of that
+    range. *)
 
 val buffer_output_waves :
   ?tol:(float[@cts.unit "ps"]) -> Circuit.Tech.t -> Circuit.Buffer_lib.t ->
@@ -26,8 +27,3 @@ val buffer_output_waves :
     wire length simulated once for the whole list: the two endpoint
     stages, and the bisection probes the slews share (every bisection
     starts from the same bracket). *)
-
-val achievable_slew_range :
-  Circuit.Tech.t -> Circuit.Buffer_lib.t -> float * float
-(** Minimum and maximum slews reachable with wire lengths in
-    [1, 4000] um. *)

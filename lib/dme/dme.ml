@@ -68,28 +68,39 @@ let merge_pair tech ~buffering lib a b =
       end
       else node None m.Merge_seg.delay m.Merge_seg.cap
 
-let bottom_up ?beta tech ~buffering lib specs =
-  let centroid = Sinks.centroid specs in
-  let current = ref (List.map leaf specs) in
-  while List.length !current > 1 do
-    let items = Array.of_list !current in
-    let t_items =
-      Array.map
-        (fun n -> { Topology.pos = Trr.center n.arc; delay = n.delay })
-        items
-    in
-    let pairing = Topology.level_pairing ?beta ~centroid t_items in
-    let next = ref [] in
-    (match pairing.Topology.seed with
-    | Some i -> next := items.(i) :: !next
-    | None -> ());
-    List.iter
-      (fun (i, j) ->
-        next := merge_pair tech ~buffering lib items.(i) items.(j) :: !next)
-      pairing.Topology.pairs;
-    current := List.rev !next
-  done;
-  match !current with [ root ] -> root | _ -> assert false
+(* Pair a level, merge each pair and recurse until one item remains.
+   A level is its head and the rest, so it is never empty and the
+   one-item level is the only exit. The next level lists the unpaired
+   seed first, then the merged pairs in pairing order. A pairing that
+   merged nothing (the matching pairs every level of two or more) would
+   merge the first two items, so every sink still appears once. *)
+let rec reduce ?beta ~centroid ~item ~merge (head, rest) =
+  match rest with
+  | [] -> head
+  | second :: rest' ->
+      let items = Array.of_list (head :: rest) in
+      let pairing =
+        Topology.level_pairing ?beta ~centroid (Array.map item items)
+      in
+      let merged =
+        List.map
+          (fun (i, j) -> merge items.(i) items.(j))
+          pairing.Topology.pairs
+      in
+      let level =
+        match (pairing.Topology.seed, merged) with
+        | Some i, _ -> (items.(i), merged)
+        | None, m :: ms -> (m, ms)
+        | None, [] -> (merge head second, rest')
+      in
+      reduce ?beta ~centroid ~item ~merge level
+
+let bottom_up ?beta tech ~buffering lib (s, specs) =
+  reduce ?beta
+    ~centroid:(Sinks.centroid (s :: specs))
+    ~item:(fun n -> { Topology.pos = Trr.center n.arc; delay = n.delay })
+    ~merge:(merge_pair tech ~buffering lib)
+    (leaf s, List.map leaf specs)
 
 (* Top-down embedding: fix each merge point at the closest point of its
    merge segment to the already-placed parent. *)
@@ -176,78 +187,53 @@ let synthesize_bounded ?beta ~skew_bound tech specs =
   if skew_bound < 0. then invalid_arg "Dme.synthesize_bounded: negative bound";
   match specs with
   | [] -> invalid_arg "Dme.synthesize_bounded: no sinks"
-  | [ s ] -> Ctree.sink ~name:s.Sinks.name ~pos:s.Sinks.pos ~cap:s.Sinks.cap
-  | _ :: _ :: _ ->
-      let centroid = Sinks.centroid specs in
-      let current = ref (List.map bounded_leaf specs) in
-      while List.length !current > 1 do
-        let items = Array.of_list !current in
-        let t_items =
-          Array.map
-            (fun n ->
-              {
-                Topology.pos = Trr.center n.barc;
-                delay = (n.tmin +. n.tmax) /. 2.;
-              })
-            items
+  | s :: rest ->
+      let merge a b =
+        let m =
+          Merge_seg.merge_bounded tech ~skew_bound ~arc1:a.barc ~t1_min:a.tmin
+            ~t1_max:a.tmax ~c1:a.bcap ~arc2:b.barc ~t2_min:b.tmin
+            ~t2_max:b.tmax ~c2:b.bcap
         in
-        let pairing = Topology.level_pairing ?beta ~centroid t_items in
-        let next = ref [] in
-        (match pairing.Topology.seed with
-        | Some i -> next := items.(i) :: !next
-        | None -> ());
-        List.iter
-          (fun (i, j) ->
-            let a = items.(i) and b = items.(j) in
-            let m =
-              Merge_seg.merge_bounded tech ~skew_bound ~arc1:a.barc
-                ~t1_min:a.tmin ~t1_max:a.tmax ~c1:a.bcap ~arc2:b.barc
-                ~t2_min:b.tmin ~t2_max:b.tmax ~c2:b.bcap
-            in
-            next :=
+        {
+          barc = m.Merge_seg.bms;
+          tmin = m.Merge_seg.bdelay_min;
+          tmax = m.Merge_seg.bdelay_max;
+          bcap = m.Merge_seg.bcap;
+          bshape =
+            BNode
               {
-                barc = m.Merge_seg.bms;
-                tmin = m.Merge_seg.bdelay_min;
-                tmax = m.Merge_seg.bdelay_max;
-                bcap = m.Merge_seg.bcap;
-                bshape =
-                  BNode
-                    {
-                      r_lo = m.Merge_seg.r_lo;
-                      r_hi = m.Merge_seg.r_hi;
-                      total_l = m.Merge_seg.total_l;
-                      bchild1 = a;
-                      bchild2 = b;
-                    };
-              }
-              :: !next)
-          pairing.Topology.pairs;
-        current := List.rev !next
-      done;
-      (match !current with
-      | [ root ] -> bounded_embed root None
-      | _ -> assert false)
+                r_lo = m.Merge_seg.r_lo;
+                r_hi = m.Merge_seg.r_hi;
+                total_l = m.Merge_seg.total_l;
+                bchild1 = a;
+                bchild2 = b;
+              };
+        }
+      in
+      let root =
+        reduce ?beta ~centroid:(Sinks.centroid specs)
+          ~item:(fun n ->
+            {
+              Topology.pos = Trr.center n.barc;
+              delay = (n.tmin +. n.tmax) /. 2.;
+            })
+          ~merge
+          (bounded_leaf s, List.map bounded_leaf rest)
+      in
+      bounded_embed root None
 
 let synthesize ?beta tech specs =
   match specs with
   | [] -> invalid_arg "Dme.synthesize: no sinks"
-  | [ s ] -> Ctree.sink ~name:s.Sinks.name ~pos:s.Sinks.pos ~cap:s.Sinks.cap
-  | _ :: _ :: _ ->
-      let root = bottom_up ?beta tech ~buffering:None [] specs in
-      embed root None
+  | s :: rest -> embed (bottom_up ?beta tech ~buffering:None [] (s, rest)) None
 
 let synthesize_buffered ?beta ?(cap_limit = 60e-15) tech lib specs =
   if lib = [] then invalid_arg "Dme.synthesize_buffered: empty buffer library";
   match specs with
   | [] -> invalid_arg "Dme.synthesize_buffered: no sinks"
-  | _ :: _ ->
-      let tree =
-        match specs with
-        | [ s ] -> Ctree.sink ~name:s.Sinks.name ~pos:s.Sinks.pos ~cap:s.Sinks.cap
-        | _ ->
-            let root = bottom_up ?beta tech ~buffering:(Some cap_limit) lib specs in
-            embed root None
-      in
+  | s :: rest ->
+      let root = bottom_up ?beta tech ~buffering:(Some cap_limit) lib (s, rest) in
+      let tree = embed root None in
       (* Root driver: the largest buffer, placed at the tree root. *)
       let driver = Buffer_lib.largest lib in
       Ctree.buffer ~pos:tree.Ctree.pos driver

@@ -1,8 +1,4 @@
-type node_data = {
-  mu1 : float;
-  mu2 : float;
-  down_cap : float;
-}
+type node_data = { mu1 : float; mu2 : float }
 
 type t = (string * node_data) list
 
@@ -58,19 +54,17 @@ let analyze ?(source_res = 0.) tree =
   let m0 = Array.make n 1. in
   let m1 = moment m0 in
   let m2 = moment m1 in
-  let caps_down = subtree_sum cap in
   for i = 0 to n - 1 do
     match tag.(i) with
     | None -> ()
     | Some name ->
         let mu1 = -.m1.(i) and mu2 = 2. *. m2.(i) in
-        acc := (name, { mu1; mu2; down_cap = caps_down.(i) }) :: !acc
+        acc := (name, { mu1; mu2 }) :: !acc
   done;
   List.rev !acc
 
 let find t name = List.assoc name t
 let elmore t name = (find t name).mu1
-let elmore_50 t name = Float.log 2. *. (find t name).mu1
 
 let d2m t name =
   let d = find t name in
@@ -87,6 +81,3 @@ let step_slew t name =
 let ramp_slew t name ~input_slew =
   let s = step_slew t name in
   sqrt ((s *. s) +. (input_slew *. input_slew))
-
-let downstream_cap t name = (find t name).down_cap
-let tags t = List.map fst t

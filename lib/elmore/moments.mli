@@ -24,9 +24,6 @@ val elmore : t -> string -> float
 (** Elmore delay (first moment, seconds) at a tagged node. Raises
     [Not_found] on unknown tags. *)
 
-val elmore_50 : t -> string -> float
-(** [ln 2] x Elmore — the 50% point of a single-pole response. *)
-
 val d2m : t -> string -> float
 (** The D2M metric of Alpert et al.: [ln 2 * m1^2 / sqrt m2]; exact for a
     single pole, tighter than Elmore elsewhere. *)
@@ -38,8 +35,3 @@ val step_slew : t -> string -> float
 val ramp_slew : t -> string -> input_slew:float -> float
 (** PERI-style extension to ramp inputs: root-sum-square of the step slew
     and the input slew. *)
-
-val downstream_cap : t -> string -> float
-(** Total capacitance below (and including) a tagged node. *)
-
-val tags : t -> string list

@@ -29,17 +29,3 @@ let expand b m =
 
 let contains b (p : Point.t) =
   p.x >= b.xmin && p.x <= b.xmax && p.y >= b.ymin && p.y <= b.ymax
-
-let center b : Point.t =
-  { x = (b.xmin +. b.xmax) /. 2.; y = (b.ymin +. b.ymax) /. 2. }
-
-let union a b =
-  {
-    xmin = Float.min a.xmin b.xmin;
-    ymin = Float.min a.ymin b.ymin;
-    xmax = Float.max a.xmax b.xmax;
-    ymax = Float.max a.ymax b.ymax;
-  }
-
-let pp fmt b =
-  Format.fprintf fmt "[%g,%g]x[%g,%g]" b.xmin b.xmax b.ymin b.ymax

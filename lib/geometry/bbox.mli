@@ -24,6 +24,3 @@ val expand : t -> float -> t
 (** Grow by a margin on every side. *)
 
 val contains : t -> Point.t -> bool
-val center : t -> Point.t
-val union : t -> t -> t
-val pp : Format.formatter -> t -> unit

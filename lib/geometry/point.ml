@@ -4,18 +4,11 @@ let make x y = { x; y }
 let origin = { x = 0.; y = 0. }
 let manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)
 
-let euclidean a b =
-  let dx = a.x -. b.x and dy = a.y -. b.y in
-  sqrt ((dx *. dx) +. (dy *. dy))
-
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
-let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
 let scale k p = { x = k *. p.x; y = k *. p.y }
 
 let lerp a b t =
   { x = a.x +. (t *. (b.x -. a.x)); y = a.y +. (t *. (b.y -. a.y)) }
-
-let midpoint a b = lerp a b 0.5
 
 let centroid pts =
   match pts with
@@ -27,5 +20,3 @@ let centroid pts =
 
 let equal ?(eps = 1e-9) a b =
   Float.abs (a.x -. b.x) <= eps && Float.abs (a.y -. b.y) <= eps
-
-let pp fmt p = Format.fprintf fmt "(%g, %g)" p.x p.y

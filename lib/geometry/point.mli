@@ -11,16 +11,8 @@ val origin : t
 val manhattan : t -> t -> float
 (** [manhattan a b] is [|ax - bx| + |ay - by|]. *)
 
-val euclidean : t -> t -> float
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-
 val lerp : t -> t -> float -> t
 (** [lerp a b t] is the affine interpolation [(1-t)*a + t*b]. *)
-
-val midpoint : t -> t -> t
 
 val centroid : t list -> t
   [@@cts.raises "Invalid_argument"]
@@ -29,5 +21,3 @@ val centroid : t list -> t
 
 val equal : ?eps:float -> t -> t -> bool
 (** Componentwise comparison with absolute tolerance [eps] (default 1e-9). *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,6 +77,3 @@ let contains ?(eps = 1e-9) t p =
 
 let sample t a b =
   of_uv (t.ulo +. (a *. (t.uhi -. t.ulo))) (t.vlo +. (b *. (t.vhi -. t.vlo)))
-
-let pp fmt t =
-  Format.fprintf fmt "TRR[u:%g..%g v:%g..%g]" t.ulo t.uhi t.vlo t.vhi

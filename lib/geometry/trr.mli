@@ -53,5 +53,3 @@ val contains : ?eps:float -> t -> Point.t -> bool
 val sample : t -> float -> float -> Point.t
 (** [sample t a b] with [a, b] in [0,1] parameterizes the region; corners
     map to corner parameter values. Useful for property tests. *)
-
-val pp : Format.formatter -> t -> unit

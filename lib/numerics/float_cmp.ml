@@ -5,6 +5,3 @@ let approx_eq ?(rel = rel_default) ?(abs = 0.) a b =
 
 let definitely_lt ?(rel = rel_default) ?(abs = 0.) a b =
   a < b && not (approx_eq ~rel ~abs a b)
-
-let cmp ?(rel = rel_default) a b =
-  if approx_eq ~rel a b then 0 else compare a b

@@ -6,12 +6,10 @@
     flipping a decision that should be a tie. These helpers give such
     decisions an explicit relative tolerance. *)
 
-val rel_default : float
-(** Default relative tolerance, [1e-9]: far above double rounding
-    noise, far below any physically meaningful cost difference. *)
-
 val approx_eq : ?rel:float -> ?abs:float -> float -> float -> bool
-(** [approx_eq a b] is true when [|a - b| <= max abs (rel * max |a| |b|)]. *)
+(** [approx_eq a b] is true when [|a - b| <= max abs (rel * max |a| |b|)];
+    [rel] defaults to 1e-9, far above double rounding noise and far
+    below any physically meaningful cost difference. *)
 
 val definitely_lt : ?rel:float -> ?abs:float -> float -> float -> bool
 (** [definitely_lt a b]: [a < b] by more than the tolerance — false on
@@ -21,6 +19,3 @@ val definitely_lt : ?rel:float -> ?abs:float -> float -> float -> bool
     mathematically zero but computed along different paths can land at
     different noise magnitudes, where a relative test alone still sees
     a "win". *)
-
-val cmp : ?rel:float -> float -> float -> int
-(** Three-way comparison under {!approx_eq}: 0 on near-ties. *)

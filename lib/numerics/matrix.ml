@@ -127,11 +127,3 @@ let lstsq a b =
   done;
   let atb = mul_vec at b in
   solve ata atb
-
-let pp fmt m =
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      Format.fprintf fmt "%10.4g " (get m i j)
-    done;
-    Format.pp_print_newline fmt ()
-  done

@@ -27,5 +27,3 @@ val lstsq : t -> float array -> float array
 (** [lstsq a b] minimizes [||a x - b||_2] via the normal equations with
     Tikhonov damping 1e-12 on the diagonal; suitable for the
     well-conditioned normalized bases used in this project. *)
-
-val pp : Format.formatter -> t -> unit

@@ -101,17 +101,6 @@ type histogram =
       (** DP candidate states generated per merge level (empty under the
           greedy insertion engine). *)
 
-val counter_name : counter -> string
-(** Stable dotted identifier (["maze.bins_evaluated"], ...) used by the
-    summary table and trace export. *)
-
-val histogram_name : histogram -> string
-
-val all_counters : counter list
-(** Every counter, in the fixed reporting order. *)
-
-val all_histograms : histogram list
-
 (** {1 Gauges}
 
     Cache-effectiveness gauges answer the question hit/miss counters
@@ -123,9 +112,6 @@ val all_histograms : histogram list
 type gauge =
   | Dp_memo_slots  (** Slots allocated across DP memo tables. *)
   | Dp_memo_filled  (** DP memo slots actually written. *)
-
-val gauge_name : gauge -> string
-val all_gauges : gauge list
 
 val gauge_add : gauge -> int -> unit
 (** Add to a gauge (task-safe; absorbed like a counter). No-op when
@@ -175,11 +161,9 @@ type task_ctx
     hang. Capture once per job with {!task_context} on the submitting
     domain and pass the same value to every {!task_enter}. *)
 
-val no_task_ctx : task_ctx
-
 val task_context : unit -> task_ctx
-(** Snapshot the calling domain's innermost open span ({!no_task_ctx}
-    when the layer is disabled — task spans are then not recorded). *)
+(** Snapshot the calling domain's innermost open span (none when the
+    layer is disabled — task spans are then not recorded). *)
 
 type task_token
 (** Proof that {!task_enter} ran, carrying what {!task_leave} must undo:
@@ -237,8 +221,10 @@ val phase : string -> (unit -> 'a) -> 'a
 (** {1 Export} *)
 
 type snapshot = {
-  counters : (string * int) list;  (** In {!all_counters} order. *)
-  gauges : (string * int) list;  (** In {!all_gauges} order. *)
+  counters : (string * int) list;
+      (** Every counter by its stable dotted identifier
+          (["maze.bins_evaluated"], ...), in one fixed reporting order. *)
+  gauges : (string * int) list;  (** Every gauge, in one fixed order. *)
   histograms : (string * (int * int) list) list;
       (** [(bucket, value)] pairs sorted by bucket. *)
   spans : span list;  (** Completion order. *)

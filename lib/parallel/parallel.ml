@@ -219,8 +219,6 @@ let map pool f arr =
         Array.map (function Some v -> v | None -> assert false) results
   end
 
-let iter pool f arr = ignore (map pool (fun x -> f x) arr : unit array)
-
 (* ------------------------------------------------------------------ *)
 (* Shared default pool                                                 *)
 

@@ -44,25 +44,18 @@ val parse_size : string -> int option
 (** Parse a pool size from an environment-variable value: a positive
     decimal integer, clamped to [1, 64]. [None] on anything else. *)
 
-val size_from_env : unit -> int option
-(** [CTS_DOMAINS] parsed with {!parse_size}; [None] when unset or
-    invalid. Re-read on every call. *)
-
-val default_size : unit -> int
-(** Size used by {!create} when none is given: the {!set_default_size}
-    override if any, else [CTS_DOMAINS], else
-    [Domain.recommended_domain_count ()] capped at 8. *)
-
 val create : ?spawn:((unit -> unit) -> unit Domain.t) -> ?size:int -> unit -> t
-(** Create a pool with [size - 1] worker domains (default
-    {!default_size}; clamped to at least 1). Degrades gracefully on
-    resource exhaustion — the [Failure] that [Domain.spawn] raises when
-    the runtime cannot allocate another domain: the pool runs with the
-    workers it got (possibly none, i.e. fully sequential) and the
-    shortfall is recorded in [Obs.Pool_spawn_shortfall]. Any other
-    exception (e.g. [Out_of_memory], [Stack_overflow]) is a genuine
-    error and re-raises after the workers already spawned are shut
-    down.
+(** Create a pool with [size - 1] worker domains (clamped to at least
+    1). The default size is the {!set_default_size} override if any,
+    else [CTS_DOMAINS] parsed with {!parse_size} (re-read on every
+    call), else [Domain.recommended_domain_count ()] capped at 8.
+    Degrades gracefully on resource exhaustion — the [Failure] that
+    [Domain.spawn] raises when the runtime cannot allocate another
+    domain: the pool runs with the workers it got (possibly none, i.e.
+    fully sequential) and the shortfall is recorded in
+    [Obs.Pool_spawn_shortfall]. Any other exception (e.g.
+    [Out_of_memory], [Stack_overflow]) is a genuine error and re-raises
+    after the workers already spawned are shut down.
 
     [spawn] (default [Domain.spawn]) exists for tests that exercise the
     degradation path without exhausting real domains; it must either
@@ -89,13 +82,9 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     used to either hang waiting for dead workers or silently run
     sequentially. *)
 
-val iter : t -> ('a -> unit) -> 'a array -> unit
-  [@@cts.raises "Invalid_argument"]
-(** Parallel [Array.iter]; same contracts as {!map}. *)
-
 val default_pool : unit -> t
-(** The process-wide shared pool, created on first use with
-    {!default_size} and shut down automatically at exit. *)
+(** The process-wide shared pool, created on first use at the default
+    size of {!create} and shut down automatically at exit. *)
 
 val set_default_size : int -> unit
 (** Override the default pool size (e.g. from a [--domains N] flag). If

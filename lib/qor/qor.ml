@@ -66,7 +66,7 @@ let ps x = round3 (x *. 1e12)
 (* Worst endpoint slew (s) of every buffer stage, breadth-first from
    the source driver. Each queue entry carries its driving buffer, so
    only buffers can be popped. *)
-let stage_slews ?(source_slew = 60e-12) dl cfg tree =
+let stage_slews ?(source_slew = 60e-12) dl tree =
   let queue = Queue.create () in
   (match tree.Ctree.kind with
   | Ctree.Buf b -> Queue.add (source_slew, b, tree) queue
@@ -74,7 +74,7 @@ let stage_slews ?(source_slew = 60e-12) dl cfg tree =
   let out = ref [] in
   while not (Queue.is_empty queue) do
     let input_slew, drive, root = Queue.pop queue in
-    let endpoints = Timing.analyze_stage dl cfg ~drive ~input_slew root in
+    let endpoints = Timing.analyze_stage dl ~drive ~input_slew root in
     let worst =
       List.fold_left
         (fun w (e : Timing.stage_end) -> Float.max w e.Timing.slew)
@@ -133,7 +133,7 @@ let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0)
     Array.of_list
       (List.map
          (fun s -> (config.Cts_config.slew_limit -. s) *. 1e12)
-         (stage_slews ?source_slew dl config tree))
+         (stage_slews ?source_slew dl tree))
   in
   let pct = Util.Stats.percentile margins in
   let slew_margin =

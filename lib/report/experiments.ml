@@ -11,20 +11,10 @@ type env = {
   sim_config : T.config;
 }
 
-let profile_name = function Delaylib.Fast -> "fast" | Delaylib.Accurate -> "accurate"
-
 let make_env ?(profile = Delaylib.Accurate) ?(scale = 1.) ?cache () =
   let tech = Circuit.Tech.default in
   let lib = Buffer_lib.default_library in
-  let cache =
-    match cache with
-    | Some c -> c
-    | None ->
-        let dir = ".cache" in
-        (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-         with Unix.Unix_error _ -> ());
-        Filename.concat dir ("delaylib_" ^ profile_name profile ^ ".txt")
-  in
+  let cache = Delaylib.cache_file ?path:cache profile in
   let dl = Delaylib.load_or_characterize ~profile ~cache tech lib in
   { tech; lib; dl; scale; sim_config = { T.default_config with T.dt = 1e-12 } }
 

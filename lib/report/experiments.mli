@@ -16,37 +16,48 @@ type env = {
 val make_env :
   ?profile:Delaylib.profile -> ?scale:float -> ?cache:string -> unit -> env
 (** Build the shared experiment environment. The delay library is loaded
-    from [cache] (default [".cache/delaylib_<profile>.txt"] under the
-    current directory) or characterized and saved there. [scale] scales
+    from [cache] (default {!Delaylib.cache_file} of the profile) or
+    characterized and saved there. [scale] scales
     benchmark sink counts/die sizes for quick runs (default 1). *)
 
-(** {1 Figures} *)
+(** {1 Experiments} *)
 
-val fig1_1 : env -> string
-(** Wire output slew vs. length for 20X and 30X drivers (Fig. 1.1):
-    buffer sizing alone cannot control slew. *)
+val all : (string * (env -> string)) list
+(** Every experiment driver, keyed by id; each returns its rendered
+    table.
+    - ["fig1.1"]: wire output slew vs. length for 20X and 30X drivers
+      (Fig. 1.1): buffer sizing alone cannot control slew.
+    - ["fig3.2"]: curve vs. ramp input of identical slew (Fig. 3.2).
+    - ["fig3.4"]: fitted buffer intrinsic-delay surface (Fig. 3.4).
+    - ["fig3.6"]: fitted branch wire-delay surfaces (Figs. 3.6/3.7).
+    - ["model-acc"]: Sec. 3.1 reproduction: Elmore / higher-moment
+      metrics vs. library vs. simulator.
+    - ["tab5.1"]: GSRC results incl. the merge-node-only baseline
+      (Table 5.1); ["tab5.2"]: ISPD results (Table 5.2).
+    - ["tab5.3"]: H-structure re-estimation/correction study
+      (Table 5.3).
+    - ["abl-sizing"]: intelligent look-ahead buffer sizing vs. a fixed
+      smallest type; ["abl-balance"]: balance and binary-search stages
+      switched off individually; ["abl-slew"]: slew-limit sweep, how
+      many buffers a tighter constraint costs; ["abl-topology"]:
+      dynamic levelized topology generation vs. a fixed
+      recursive-bisection topology ({!Cts.synthesize_bisection}).
+    - Extensions beyond the paper: ["ext-corners"], process-corner
+      robustness (trees synthesized at nominal re-simulated at
+      slow/fast transistor and +-10% RC corners); ["ext-power"],
+      capacitance breakdown and dynamic power at 1 GHz vs. the
+      merge-node-only baseline; ["ext-blockage"], blockage-aware buffer
+      legalization (ISPD'09 macros that wires may cross but buffers must
+      avoid); ["ext-useful-skew"], a subset of sinks targeted 50 ps
+      late; ["ext-bst"], bounded-skew DME wirelength vs. skew bound
+      (ref [4]). *)
 
 val fig1_1_rows : env -> (float * float * float) list
-(** [(length, slew20x, slew30x)] data behind {!fig1_1}. *)
-
-val fig3_2 : env -> string
-(** Curve vs. ramp input experiment (Fig. 3.2). *)
+(** [(length, slew20x, slew30x)] data behind ["fig1.1"]. *)
 
 val fig3_2_shift : env -> float
-(** The output-shift (s) between equal-slew curve and ramp inputs; the
-    paper reports 32 ps. *)
-
-val fig3_4 : env -> string
-(** Fitted buffer intrinsic-delay surface (Fig. 3.4). *)
-
-val fig3_6 : env -> string
-(** Fitted branch wire-delay surfaces (Figs. 3.6/3.7). *)
-
-val model_accuracy : env -> string
-(** Sec. 3.1 reproduction: Elmore / higher-moment metrics vs. library vs.
-    simulator. *)
-
-(** {1 Tables} *)
+(** The output shift (s) between equal-slew curve and ramp inputs
+    behind ["fig3.2"]; the paper reports 32 ps. *)
 
 type cts_row = {
   bench : string;
@@ -62,62 +73,5 @@ type cts_row = {
 }
 
 val run_gsrc_row : env -> ?baseline:bool -> Bmark.Synthetic.descriptor -> cts_row
-
-val tab5_1 : env -> string
-(** GSRC results incl. the merge-node-only baseline (Table 5.1). *)
-
-val tab5_2 : env -> string
-(** ISPD results (Table 5.2). *)
-
-type h_row = {
-  h_bench : string;
-  skew_orig : float;
-  skew_reest : float;
-  skew_corr : float;
-  flippings : int;
-}
-
-val tab5_3 : env -> string
-(** H-structure re-estimation/correction study (Table 5.3). *)
-
-val tab5_3_rows : env -> h_row list
-
-(** {1 Ablations} *)
-
-val abl_sizing : env -> string
-(** Intelligent look-ahead buffer sizing vs. fixed smallest type. *)
-
-val abl_balance : env -> string
-(** Balance and binary-search stages switched off individually. *)
-
-val abl_slew : env -> string
-(** Slew-limit sweep: how many buffers a tighter constraint costs. *)
-
-val abl_topology : env -> string
-(** Dynamic levelized topology generation vs a fixed recursive-bisection
-    topology ({!Cts.synthesize_bisection}). *)
-
-(** {1 Extensions beyond the paper} *)
-
-val ext_corners : env -> string
-(** Process-corner robustness (the concern of the variation-aware CTS
-    line of work the paper cites): trees synthesized at nominal are
-    re-simulated at slow/fast transistor and +-10% RC corners. *)
-
-val ext_power : env -> string
-(** Clock-network capacitance breakdown and dynamic power at 1 GHz,
-    aggressive CTS vs the merge-node-only baseline. *)
-
-val ext_blockage : env -> string
-(** Blockage-aware buffer legalization: ISPD'09 macros that wires may
-    cross but buffers must avoid. *)
-
-val ext_useful_skew : env -> string
-(** Useful-skew scheduling: a subset of sinks targeted 50 ps late; the
-    flow balances each sink toward its own prescribed arrival. *)
-
-val ext_bst : env -> string
-(** Bounded-skew DME: wirelength vs skew-bound tradeoff (ref [4]). *)
-
-val all : (string * (env -> string)) list
-(** Every driver, keyed by experiment id (e.g. "tab5.1"). *)
+(** One row of ["tab5.1"]: synthesize a GSRC-style benchmark (and, with
+    [baseline], the merge-node-only DME baseline) and simulate it. *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -38,13 +36,3 @@ let gaussian t =
   let u1 = float t 1. +. 1e-300 in
   let u2 = float t 1. in
   sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t = { state = int64 t }

@@ -17,9 +17,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from a 63-bit seed. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -37,9 +34,3 @@ val bool : t -> bool
 
 val gaussian : t -> float
 (** Standard normal deviate (Box-Muller). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val split : t -> t
-(** [split t] derives a new independent stream and advances [t]. *)

@@ -16,10 +16,6 @@ let min_max a =
     (a.(0), a.(0))
     a
 
-let spread a =
-  let lo, hi = min_max a in
-  hi -. lo
-
 (* Interpolation over an already-sorted array: p = 0 is the minimum,
    p = 1 the maximum, and a singleton returns its only element for any
    p (pos is 0 and the i >= n-1 branch fires). *)

@@ -5,17 +5,11 @@
 val mean : float array -> float
 (** Arithmetic mean. Requires a non-empty array. *)
 
-val variance : float array -> float
-(** Population variance. Requires a non-empty array. *)
-
 val stddev : float array -> float
-(** Population standard deviation. *)
+(** Population standard deviation. Requires a non-empty array. *)
 
 val min_max : float array -> float * float
 (** [(min, max)] of a non-empty array. *)
-
-val spread : float array -> float
-(** [max - min] of a non-empty array; 0 on singletons. *)
 
 val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [\[0,1\]], linear interpolation on the

@@ -115,7 +115,3 @@ let smooth_curve ?(t0 = 0.) ~vdd ~slew () =
 
 let is_complete_rise w ~vdd =
   w.vs.(0) <= 0.1 *. vdd && final_value w >= 0.9 *. vdd
-
-let pp fmt w =
-  Format.fprintf fmt "waveform[%d samples, t=%g..%g, v=%g..%g]"
-    (n_samples w) (t_start w) (t_end w) w.vs.(0) (final_value w)

@@ -74,5 +74,3 @@ val final_value : t -> float
 
 val is_complete_rise : t -> vdd:float -> bool
 (** True when the waveform starts below 10% and ends above 90% of [vdd]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -122,15 +122,6 @@ let rc_tree_zero_length_wire () =
   Alcotest.(check bool) "tiny resistance" true (r <= 1e-3);
   Alcotest.(check int) "tail unchanged" 1 (Rc.n_nodes chain)
 
-let rc_tree_tags () =
-  let t =
-    Rc.node ~tag:"root"
-      [ (1., Rc.leaf ~tag:"a" 1e-15); (2., Rc.leaf ~tag:"b" 2e-15) ]
-  in
-  Alcotest.(check (list string)) "tags preorder" [ "root"; "a"; "b" ] (Rc.tags t);
-  Alcotest.(check bool) "find existing" true (Rc.find_tag t "b" <> None);
-  Alcotest.(check bool) "find missing" true (Rc.find_tag t "c" = None)
-
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i =
@@ -165,6 +156,5 @@ let suite =
     Alcotest.test_case "rc wire conservation" `Quick rc_tree_wire_conservation;
     Alcotest.test_case "rc wire discretization" `Quick rc_tree_wire_discretization;
     Alcotest.test_case "rc zero-length wire" `Quick rc_tree_zero_length_wire;
-    Alcotest.test_case "rc tags" `Quick rc_tree_tags;
     Alcotest.test_case "spice deck text" `Quick spice_deck_text;
   ]

@@ -24,7 +24,6 @@ let structure_accessors () =
   Alcotest.(check int) "nodes" 4 (Ctree.n_nodes t);
   Alcotest.(check int) "buffers" 1 (Ctree.n_buffers t);
   Alcotest.(check int) "sinks" 2 (List.length (Ctree.sinks t));
-  Alcotest.(check int) "depth" 3 (Ctree.depth t);
   check_f 1e-9 "wirelength" (300. +. 200. +. 250.) (Ctree.total_wirelength t);
   check_f 1e-20 "sink cap" 22e-15 (Ctree.total_sink_cap t);
   Alcotest.(check (list (pair string int))) "histogram"

@@ -247,15 +247,6 @@ let qcheck_latency_section_matches_list =
       Ctree_check.verify ~expected_latencies:expected e tree
       = base @ list_latency_section ~tol:1e-12 lats expected)
 
-let test_verify_exn () =
-  Alcotest.check_raises "verify_exn raises on a broken tree"
-    (Ctree_check.Check_failed
-       [ Ctree_check.Childless_internal { id = 2 } ])
-    (fun () ->
-      let hollow = mnode ~id:2 ~pos:(P.make 0. 0.) [] in
-      let t = bnode ~id:1 ~pos:(P.make 0. 0.) (driver ()) [ edge ~length:0. hollow ] in
-      Ctree_check.verify_exn (env ()) t)
-
 (* -------------------- synthesized trees verify --------------------- *)
 
 let test_synthesis_verifies () =
@@ -343,7 +334,6 @@ let suite =
     Alcotest.test_case "buffer input-slew range" `Quick test_buffer_input_slew;
     Alcotest.test_case "sink latency reference comparison" `Quick
       test_latency_reference;
-    Alcotest.test_case "verify_exn raises Check_failed" `Quick test_verify_exn;
     Alcotest.test_case "random synthesis verifies (level checks on)" `Slow
       test_synthesis_verifies;
     Alcotest.test_case "bisection synthesis verifies" `Slow

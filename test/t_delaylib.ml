@@ -17,8 +17,14 @@ let wave_gen_hits_target_slew () =
       | None -> Alcotest.fail "no slew")
     [ 40e-12; 80e-12; 150e-12 ]
 
+(* A request outside the achievable range saturates at its nearer end:
+   the shortest wire's slew below 1 ps, the longest one's above 1 ns. *)
 let wave_gen_range_sane () =
-  let lo, hi = Delaylib.Wave_gen.achievable_slew_range tech T_env.b10 in
+  let slew_for target =
+    let w = Delaylib.Wave_gen.buffer_output_wave tech T_env.b10 ~slew:target in
+    Option.get (W.slew_10_90 w ~vdd:tech.Circuit.Tech.vdd)
+  in
+  let lo = slew_for 1e-12 and hi = slew_for 1e-9 in
   Alcotest.(check bool) "lo < hi" true (lo < hi);
   Alcotest.(check bool) "lo under 40ps" true (lo < 40e-12);
   Alcotest.(check bool) "hi over 250ps" true (hi > 250e-12)
@@ -263,11 +269,17 @@ let corrupt_cache_replaced () =
           same_library (T_env.get_dl ()) dl;
           same_library dl (Delaylib.load cache)))
 
+let cache_file_per_profile () =
+  Alcotest.(check bool) "the default caches differ" true
+    (Delaylib.cache_file Delaylib.Fast
+    <> Delaylib.cache_file Delaylib.Accurate);
+  Alcotest.(check string) "a given path is kept" "lib.txt"
+    (Delaylib.cache_file ~path:"lib.txt" Delaylib.Fast)
+
 let load_class_cap_stable () =
   let dl = T_env.get_dl () in
-  let c1 = Delaylib.load_class_cap dl 5.2e-15 in
-  let c2 = Delaylib.load_class_cap dl 5.6e-15 in
-  check_f 1e-20 "nearby caps share a class" c1 c2
+  Alcotest.(check int) "nearby caps share a class"
+    (Delaylib.class_index dl 5.2e-15) (Delaylib.class_index dl 5.6e-15)
 
 let intrinsic_delay_increases_with_slew () =
   let dl = T_env.get_dl () in
@@ -328,6 +340,8 @@ let suite =
     Alcotest.test_case "cache path that is a directory" `Quick cache_is_a_directory;
     Alcotest.test_case "corrupt cache replaced whole" `Quick corrupt_cache_replaced;
     Alcotest.test_case "load class stability" `Quick load_class_cap_stable;
+    Alcotest.test_case "one default cache per profile" `Quick
+      cache_file_per_profile;
     Alcotest.test_case "intrinsic delay vs slew" `Quick
       intrinsic_delay_increases_with_slew;
   ]

@@ -111,11 +111,11 @@ let reference_eval_dp ?positions ?(place = fun ~cur:_ d -> Some d) dl
   in
   let assumed_span_cap =
     Array.init b (fun t ->
-        cfg.top_margin
+        Run.top_margin
         *. Run.span dl cfg ~drive:cfg.assumed_driver ~load_cap:caps.(t))
   in
   let assumed_span_port =
-    cfg.top_margin
+    Run.top_margin
     *. Run.span dl cfg ~drive:cfg.assumed_driver ~load_cap:port.Port.stub_load
   in
   let top_ids : (int, int) Hashtbl.t = Hashtbl.create 64 in

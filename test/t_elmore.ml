@@ -13,7 +13,6 @@ let single_pole_exact () =
   let m = Mo.analyze tree in
   let tau = r *. c in
   check_f (1e-6 *. tau) "elmore = RC" tau (Mo.elmore m "load");
-  check_f (1e-6 *. tau) "elmore_50" (Float.log 2. *. tau) (Mo.elmore_50 m "load");
   check_f (1e-6 *. tau) "d2m exact on one pole" (Float.log 2. *. tau)
     (Mo.d2m m "load");
   (* Exponential step response: variance = tau^2, Gaussian 10-90 approx. *)
@@ -85,15 +84,6 @@ let ramp_slew_rss () =
     s_ramp;
   Alcotest.(check bool) "ramp slew above step slew" true (s_ramp > s0)
 
-let downstream_cap_accounting () =
-  let tree =
-    Rc.node ~tag:"root"
-      [ (100., Rc.node ~tag:"a" ~cap:3e-15 [ (50., Rc.leaf ~tag:"b" 7e-15) ]) ]
-  in
-  let m = Mo.analyze tree in
-  check_f 1e-20 "at a" 10e-15 (Mo.downstream_cap m "a");
-  check_f 1e-20 "at b" 7e-15 (Mo.downstream_cap m "b")
-
 let unknown_tag_raises () =
   let tree = Rc.node [ (1., Rc.leaf ~tag:"x" 1e-15) ] in
   let m = Mo.analyze tree in
@@ -122,7 +112,6 @@ let suite =
       distributed_wire_matches_formula;
     Alcotest.test_case "d2m below elmore" `Quick d2m_below_elmore;
     Alcotest.test_case "ramp slew rss" `Quick ramp_slew_rss;
-    Alcotest.test_case "downstream cap" `Quick downstream_cap_accounting;
     Alcotest.test_case "unknown tag" `Quick unknown_tag_raises;
     QCheck_alcotest.to_alcotest qcheck_elmore_monotone_in_length;
   ]

@@ -100,7 +100,7 @@ let eval_chain dl (cfg : Cts_config.t) (port : Port.t) ~length chain =
         let top_stub_len = length -. prev_pos +. prev_stub in
         let top_ok =
           top_stub_len
-          <= cfg.Cts_config.top_margin
+          <= Run.top_margin
              *. Run.span dl cfg ~drive:cfg.Cts_config.assumed_driver
                   ~load_cap:prev_load
         in

@@ -1,6 +1,5 @@
-(* The observability layer (lib/obs) and the hot-path bugfixes it
-   instruments: the grid-bin cap clamp order and the placer's
-   no-legal-position fallback. Plus the
+(* The observability layer (lib/obs) and the hot-path bugfix it
+   instruments: the placer's no-legal-position fallback. Plus the
    determinism contract: counter snapshots are identical at any pool
    size and after any earlier synthesis in the process, and an enabled
    layer never perturbs the synthesized tree. And the span table that
@@ -14,47 +13,27 @@ let contains hay needle =
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   nn = 0 || at 0
 
-(* ----------------------- bins_for clamp order ---------------------- *)
-
-let test_bins_for_cap () =
-  let dl = T_env.get_dl () in
-  let cfg = Cts_config.default dl in
-  checki "short span keeps the initial grid" cfg.Cts_config.grid_bins
-    (Maze.bins_for cfg 600.);
-  checki "long span saturates at the cap" cfg.Cts_config.max_grid_bins
-    (Maze.bins_for cfg 1e6);
-  (* Invalid config (grid_bins beyond the cap): synthesis rejects it,
-     but if bins_for is reached anyway the cap must still bind — the
-     old clamp order returned grid_bins (200) here. *)
-  let bad = { cfg with Cts_config.grid_bins = 200; max_grid_bins = 100 } in
-  checki "cap binds even against grid_bins" 100 (Maze.bins_for bad 600.)
-
 let test_config_validation () =
   let dl = T_env.get_dl () in
   let cfg = Cts_config.default dl in
   Alcotest.(check (list string)) "default config is valid" []
     (Cts_config.validate cfg);
-  let bad = { cfg with Cts_config.grid_bins = 200; max_grid_bins = 100 } in
-  checkb "inverted grid bounds are reported" true
-    (Cts_config.validate bad <> []);
+  let bad = { cfg with Cts_config.dp_grid = 1 } in
+  checkb "a one-slot DP grid is reported" true (Cts_config.validate bad <> []);
   let specs = T_env.random_sinks ~seed:7 ~n:6 ~die:2000. () in
   (match Cts.synthesize ~config:bad dl specs with
   | _ -> Alcotest.fail "synthesize accepted an invalid config"
   | exception Invalid_argument msg ->
       checkb "the rejection names the offending field" true
-        (contains msg "max_grid_bins"));
+        (contains msg "dp_grid"));
   (* NaN and +-inf pass every ordering test; each float field and each
      sink offset must still be rejected, by name. *)
   let set name v =
     match name with
     | "slew_limit" -> { cfg with Cts_config.slew_limit = v }
     | "slew_target" -> { cfg with Cts_config.slew_target = v }
-    | "target_bin_len" -> { cfg with Cts_config.target_bin_len = v }
     | "topology_beta" -> { cfg with Cts_config.topology_beta = v }
-    | "max_stub_len" -> { cfg with Cts_config.max_stub_len = v }
-    | "max_stub_cap" -> { cfg with Cts_config.max_stub_cap = v }
     | "prefer_small_within" -> { cfg with Cts_config.prefer_small_within = v }
-    | "top_margin" -> { cfg with Cts_config.top_margin = v }
     | "dp_area_weight" -> { cfg with Cts_config.dp_area_weight = v }
     | _ -> { cfg with Cts_config.sink_offsets = [ ("s0", 1e-12); (name, v) ] }
   in
@@ -69,8 +48,7 @@ let test_config_validation () =
             (List.exists (fun m -> contains m name) errs))
         [ Float.nan; Float.infinity; Float.neg_infinity ])
     [
-      "slew_limit"; "slew_target"; "target_bin_len"; "topology_beta";
-      "max_stub_len"; "max_stub_cap"; "prefer_small_within"; "top_margin";
+      "slew_limit"; "slew_target"; "topology_beta"; "prefer_small_within";
       "dp_area_weight"; "sink_z9";
     ];
   (* A negative Eq. 4.1 weight rewards delay imbalance, and the pairing
@@ -357,7 +335,6 @@ let test_span_foreign_driver () =
 
 let suite =
   [
-    Alcotest.test_case "grid-bin cap clamps last" `Quick test_bins_for_cap;
     Alcotest.test_case "invalid configs are rejected" `Quick
       test_config_validation;
     Alcotest.test_case "placer reports infeasibility" `Quick

@@ -133,7 +133,7 @@ let threshold_lengths dl cfg (port : Port.t) ~max_d =
   List.concat_map
     (fun (pos, stub_len, stub_load) ->
       let assumed =
-        cfg.Cts_config.top_margin
+        Run.top_margin
         *. Run.span dl cfg ~drive:cfg.Cts_config.assumed_driver ~load_cap:stub_load
       in
       let _, buf_span = Run.choose_buffer dl cfg ~stub_len ~load_cap:stub_load in
@@ -181,7 +181,7 @@ let grid_select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
   let pos1 = Port.pos p1 and pos2 = Port.pos p2 in
   let direct = Point.manhattan pos1 pos2 in
   let span = Float.max direct 1. in
-  let r = Maze.bins_for cfg span in
+  let r = Maze.bins_for span in
   let margin = span /. float_of_int r in
   let xmin = Float.min pos1.Point.x pos2.Point.x -. margin
   and xmax = Float.max pos1.Point.x pos2.Point.x +. margin
@@ -260,7 +260,6 @@ let grid_select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
           eval1 = Run.eval dl cfg p1 first1;
           eval2 = Run.eval dl cfg p2 first2;
           est_skew = skew;
-          bins_per_dim = r;
         }
 
 let place (x, y) pd =
@@ -328,7 +327,7 @@ let exact_pick dl cfg p1 p2 =
         (c, Obs.read Obs.Maze_bins_evaluated))
   in
   let d = Point.manhattan (Port.pos p1) (Port.pos p2) in
-  let pitch = Float.max d 1. /. float_of_int (Maze.bins_for cfg (Float.max d 1.)) in
+  let pitch = Float.max d 1. /. float_of_int (Maze.bins_for (Float.max d 1.)) in
   let near a b = Float.abs (a -. b) <= 1e-6 in
   let settled = feasible c && c.Maze.est_skew <= 0.5e-12 in
   near c.Maze.d1 (Point.manhattan (Port.pos p1) c.Maze.bin_center)
@@ -425,8 +424,7 @@ let test_select_edges () =
   (* Coincident ports: a 1 um span. *)
   check "coincident ports" (place (500., 500.) pd) (place (500., 500.) pd');
   (* A span long enough that the grid hits max_grid_bins. *)
-  Alcotest.(check int) "grid at the cap" cfg.Cts_config.max_grid_bins
-    (Maze.bins_for cfg 11300.);
+  Alcotest.(check int) "grid at the cap" 181 (Maze.bins_for 11300.);
   check "max_grid_bins span" (place (0., 0.) pd) (place (11000., 300.) pd')
 
 let suite =

@@ -141,7 +141,7 @@ let qcheck_random_instances_meet_slew =
 
 let qcheck_dme_vs_cts_sink_sets =
   QCheck.Test.make ~name:"DME and CTS preserve the sink set" ~count:10
-    QCheck.(int_range 3 20)
+    QCheck.(int_range 1 40)
     (fun n ->
       let specs = T_env.random_sinks ~seed:(2000 + n) ~n ~die:2000. () in
       let names =
@@ -156,9 +156,14 @@ let qcheck_dme_vs_cts_sink_sets =
                | _ -> None)
              (Ctree.sinks t))
       in
-      of_tree (Dme.synthesize tech specs) = names
-      && of_tree (Cts.synthesize (T_env.get_dl ()) specs).Cts.tree |> fun l ->
-         l = names)
+      List.for_all
+        (fun tree -> of_tree tree = names)
+        [
+          Dme.synthesize tech specs;
+          Dme.synthesize_bounded ~skew_bound:20e-12 tech specs;
+          Dme.synthesize_buffered tech T_env.lib specs;
+          (Cts.synthesize (T_env.get_dl ()) specs).Cts.tree;
+        ])
 
 let useful_skew_scheduling () =
   let dl = T_env.get_dl () in

@@ -13,17 +13,6 @@ let rng_seed_sensitivity () =
   Alcotest.(check bool) "different seeds differ" true
     (Util.Rng.int64 a <> Util.Rng.int64 b)
 
-let rng_copy_independent () =
-  let a = Util.Rng.create 7 in
-  ignore (Util.Rng.int64 a);
-  let b = Util.Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Util.Rng.int64 a)
-    (Util.Rng.int64 b);
-  ignore (Util.Rng.int64 a);
-  (* a advanced once more; streams now diverge *)
-  Alcotest.(check bool) "streams independent after divergence" true
-    (Util.Rng.int64 a <> Util.Rng.int64 b)
-
 let rng_float_bounds () =
   let rng = Util.Rng.create 3 in
   for _ = 1 to 1000 do
@@ -57,24 +46,9 @@ let rng_gaussian_moments () =
   Alcotest.(check bool) "mean near 0" true (Float.abs mean < 0.05);
   Alcotest.(check bool) "stddev near 1" true (Float.abs (sd -. 1.) < 0.05)
 
-let rng_shuffle_permutation () =
-  let rng = Util.Rng.create 8 in
-  let a = Array.init 50 Fun.id in
-  Util.Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
-let rng_split_independent () =
-  let a = Util.Rng.create 9 in
-  let b = Util.Rng.split a in
-  Alcotest.(check bool) "split stream differs" true
-    (Util.Rng.int64 a <> Util.Rng.int64 b)
-
 let stats_mean_variance () =
   let a = [| 1.; 2.; 3.; 4. |] in
   check_f "mean" 2.5 (Util.Stats.mean a);
-  check_f "variance" 1.25 (Util.Stats.variance a);
   check_f "stddev" (sqrt 1.25) (Util.Stats.stddev a)
 
 let stats_min_max_spread () =
@@ -82,8 +56,8 @@ let stats_min_max_spread () =
   let lo, hi = Util.Stats.min_max a in
   check_f "min" (-1.) lo;
   check_f "max" 7. hi;
-  check_f "spread" 8. (Util.Stats.spread a);
-  check_f "singleton spread" 0. (Util.Stats.spread [| 5. |])
+  let lo1, hi1 = Util.Stats.min_max [| 5. |] in
+  check_f "singleton spread" 0. (hi1 -. lo1)
 
 let stats_percentile () =
   let a = [| 10.; 20.; 30.; 40.; 50. |] in
@@ -132,13 +106,10 @@ let suite =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
     Alcotest.test_case "rng seed sensitivity" `Quick rng_seed_sensitivity;
-    Alcotest.test_case "rng copy" `Quick rng_copy_independent;
     Alcotest.test_case "rng float bounds" `Quick rng_float_bounds;
     Alcotest.test_case "rng int bounds" `Quick rng_int_bounds;
     Alcotest.test_case "rng int coverage" `Quick rng_int_coverage;
     Alcotest.test_case "rng gaussian moments" `Quick rng_gaussian_moments;
-    Alcotest.test_case "rng shuffle permutation" `Quick rng_shuffle_permutation;
-    Alcotest.test_case "rng split" `Quick rng_split_independent;
     Alcotest.test_case "stats mean/variance" `Quick stats_mean_variance;
     Alcotest.test_case "stats min/max/spread" `Quick stats_min_max_spread;
     Alcotest.test_case "stats percentile" `Quick stats_percentile;
