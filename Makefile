@@ -11,15 +11,17 @@ test-par:
 	CTS_DOMAINS=4 dune runtest --force
 	CTS_DOMAINS=1 dune runtest --force
 
+# Time and minor words per run of the allocation-gated kernels.
 bench:
-	dune exec bench/main.exe
+	dune exec bench/main.exe -- kernels
 
+# Every paper table and figure, at full scale (the default --scale).
 bench-full:
-	dune exec bench/main.exe -- --scale 1.0
+	dune exec bin/cts_run.exe -- experiments
 
 # Sequential-vs-parallel wall-clock comparison; writes BENCH_parallel.json.
 bench-par:
-	dune exec bench/main.exe -- --profile fast --parallel-bench
+	dune exec bench/main.exe -- parallel
 
 # CI smoke: the quick parallel benchmark plus an explicit check that the
 # 1-domain and 4-domain runs produced identical results (the benchmark
@@ -33,7 +35,15 @@ bench-smoke: bench-par
 	  || grep -q '"identical": false' BENCH_parallel.json; then \
 	  echo "bench-smoke: parallel run not identical to sequential"; exit 1; fi
 	@echo "bench-smoke: BENCH_parallel.json OK (identical=true)"
-	dune exec bench/main.exe -- --profile fast --alloc-gate
+	dune exec bench/main.exe -- alloc-gate
+
+# The experiment runner: one cheap experiment end to end, and an
+# unknown experiment id must fail before any work.
+experiments-smoke:
+	dune exec bin/cts_run.exe -- experiments --profile fast fig3.4
+	@if dune exec bin/cts_run.exe -- experiments tab9.9 2>/dev/null; then \
+	  echo "experiments-smoke: unknown experiment id accepted"; exit 1; fi
+	@echo "experiments-smoke: unknown experiment id rejected"
 
 # Ladder smoke: one rep each of the H-correction, optimal-DP and
 # full-scale r4 rungs from sink set to signoff (accurate
@@ -139,6 +149,6 @@ clean-artifacts:
 clean: clean-artifacts
 	dune clean
 
-.PHONY: all test test-par bench bench-full bench-par bench-smoke ladder-smoke \
-        qor-gate qor-baseline lint lint-fixtures trace-smoke examples \
+.PHONY: all test test-par bench bench-full bench-par bench-smoke \
+        experiments-smoke ladder-smoke qor-gate qor-baseline lint lint-fixtures trace-smoke examples \
         clean clean-artifacts

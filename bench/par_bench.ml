@@ -7,13 +7,14 @@
 
 let out_file = "BENCH_parallel.json"
 let par_domains = 4
+let profile = Delaylib.Fast
 
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let run ~profile () =
+let run () =
   let tech = Circuit.Tech.default in
   let lib = Circuit.Buffer_lib.default_library in
   let p1 = Parallel.create ~size:1 () in

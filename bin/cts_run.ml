@@ -77,11 +77,19 @@ let cache_t =
           "Delay/slew library cache file (default: \
            .cache/delaylib_PROFILE.txt).")
 
+(* A scale outside (0, 1] is one [cts_run: ...] line and exit 1, before
+   the command runs. *)
 let scale_t =
-  Arg.(
-    value & opt float 1.0
-    & info [ "scale" ] ~docv:"F"
-        ~doc:"Scale factor in (0,1] applied to named benchmarks.")
+  let check scale =
+    if scale > 0. && scale <= 1. then scale
+    else die "--scale must be in (0, 1] (got %g)" scale
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt float 1.0
+        & info [ "scale" ] ~docv:"F"
+            ~doc:"Scale factor in (0,1] applied to named benchmarks."))
 
 let bench_t =
   Arg.(
@@ -400,14 +408,12 @@ let experiments_cmd =
   let run names scale profile stats trace domains verbose =
     setup_logs verbose;
     setup_domains domains;
+    let todo =
+      match Experiments.select names with Ok d -> d | Error msg -> die "%s" msg
+    in
     with_obs ~stats ~trace @@ fun () ->
     let env =
       Obs.phase "characterize" (fun () -> Experiments.make_env ~profile ~scale ())
-    in
-    let todo =
-      match names with
-      | [] -> Experiments.all
-      | _ -> List.filter (fun (n, _) -> List.mem n names) Experiments.all
     in
     List.iter
       (fun (name, driver) ->

@@ -8,6 +8,8 @@ type kind =
 type t = { id : int; kind : kind; pos : Point.t; children : edge list }
 and edge = { length : float; route : Point.t list; child : t }
 
+let source_slew = 60e-12
+
 (* Atomic: synthesis builds subtrees from several domains at once. Raw
    ids are therefore unique but schedule-dependent; Cts renumbers the
    finished tree canonically (see [renumber]) before returning it. *)

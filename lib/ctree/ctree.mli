@@ -24,6 +24,11 @@ type kind =
 type t = { id : int; kind : kind; pos : Geometry.Point.t; children : edge list }
 and edge = { length : float; route : Geometry.Point.t list; child : t }
 
+val source_slew : float
+(** The clock source's 10%-90% slew at the root buffer's input, 60 ps:
+    the edge that timing analysis, the invariant check, signoff
+    simulation and the SPICE deck all present to a finished tree. *)
+
 val sink : name:string -> pos:Geometry.Point.t -> cap:float -> t
 val merge : pos:Geometry.Point.t -> edge list -> t
 val buffer : pos:Geometry.Point.t -> Circuit.Buffer_lib.t -> edge list -> t

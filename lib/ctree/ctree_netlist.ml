@@ -2,7 +2,10 @@ module Spice_deck = Circuit.Spice_deck
 
 let node_name (n : Ctree.t) prefix = Printf.sprintf "%s%d" prefix n.Ctree.id
 
-let to_deck ?(source_slew = 60e-12) ?(t_stop = 20e-9) tech (root : Ctree.t) =
+(* End of the deck's transient run. *)
+let t_stop = 20e-9
+
+let to_deck tech (root : Ctree.t) =
   (match root.Ctree.kind with
   | Ctree.Buf _ -> ()
   | Ctree.Sink _ | Ctree.Merge ->
@@ -10,7 +13,7 @@ let to_deck ?(source_slew = 60e-12) ?(t_stop = 20e-9) tech (root : Ctree.t) =
   let b = Stdlib.Buffer.create 4096 in
   let add s = Stdlib.Buffer.add_string b s in
   add (Spice_deck.header tech);
-  let ramp = source_slew /. 0.8 in
+  let ramp = Ctree.source_slew /. 0.8 in
   add
     (Printf.sprintf "Vclk clkin 0 PWL(0 0 100p 0 %.4g '%g')\n"
        (100e-12 +. ramp) tech.Circuit.Tech.vdd);
@@ -55,8 +58,8 @@ let to_deck ?(source_slew = 60e-12) ?(t_stop = 20e-9) tech (root : Ctree.t) =
   add (Spice_deck.footer ~t_stop);
   Stdlib.Buffer.contents b
 
-let write_file ?source_slew ?t_stop tech root path =
-  let deck = to_deck ?source_slew ?t_stop tech root in
+let write_file tech root path =
+  let deck = to_deck tech root in
   let oc = open_out path in
   output_string oc deck;
   close_out oc

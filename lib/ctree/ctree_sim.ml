@@ -42,8 +42,7 @@ let build_stage tech (node : Ctree.t) =
 
 let crop_margin = 100e-12
 
-let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
-    (root : Ctree.t) =
+let simulate ?(config = T.default_config) tech (root : Ctree.t) =
   let root_buf =
     match root.Ctree.kind with
     | Ctree.Buf b -> b
@@ -51,7 +50,7 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
         invalid_arg "Ctree_sim.simulate: root must be a buffer"
   in
   let vdd = tech.Circuit.Tech.vdd in
-  let source = W.smooth_curve ~vdd ~slew:source_slew () in
+  let source = W.smooth_curve ~vdd ~slew:Ctree.source_slew () in
   let t_source_50 =
     match W.crossing source (0.5 *. vdd) with
     | Some t -> t
@@ -60,7 +59,7 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
           (Printf.sprintf
              "Ctree_sim.simulate: source of slew %g ps never crosses 50%% \
               of Vdd = %g V"
-             (source_slew *. 1e12) vdd)
+             (Ctree.source_slew *. 1e12) vdd)
   in
   let worst_slew = ref 0. in
   let worst_slew_node = ref "" in

@@ -25,11 +25,10 @@ type metrics = {
 }
 
 val simulate :
-  ?config:Spice_sim.Transient.config -> ?source_slew:float ->
-  Circuit.Tech.t -> Ctree.t -> metrics
+  ?config:Spice_sim.Transient.config -> Circuit.Tech.t -> Ctree.t -> metrics
 (** [simulate tech tree] drives the root buffer with a realistic curved
-    edge of 10%-90% slew [source_slew] (default 60 ps) and reports
-    tree-level metrics. Raises [Invalid_argument] if the root is not a
-    buffer, or if the source waveform never crosses 50% Vdd (possible
-    only for a non-finite [vdd]; the message names [source_slew]). A sink that never rises is reported through
+    edge of 10%-90% slew {!Ctree.source_slew} and reports tree-level
+    metrics. Raises [Invalid_argument] if the root is not a buffer, or
+    if the source waveform never crosses 50% Vdd (possible only for a
+    non-finite [vdd]; the message names the source slew). A sink that never rises is reported through
     an infinite delay and [all_settled = false]. *)

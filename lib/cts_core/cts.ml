@@ -196,7 +196,7 @@ let leaf_port (cfg : Cts_config.t) (s : Sinks.spec) =
 (* ------------------------------------------------------------------ *)
 (* Invariant checking (Ctree_check glue)                               *)
 
-let check_env ?(source_slew = 60e-12) dl (cfg : Cts_config.t) =
+let check_env ~source_slew dl (cfg : Cts_config.t) =
   (* Trusted input-slew range: [Delaylib.eval_single] clamps into the
      characterized fit domain, so an edge faster than [lo] is evaluated
      at [lo] — a pessimistic, therefore safe, saturation. Above [hi]
@@ -218,9 +218,9 @@ let check_env ?(source_slew = 60e-12) dl (cfg : Cts_config.t) =
     source_slew;
   }
 
-let verify_tree ?(source_slew = 60e-12) dl (cfg : Cts_config.t) tree =
-  let env = check_env ~source_slew dl cfg in
-  let report = Timing.analyze_tree dl cfg ~source_slew tree in
+let verify_tree dl (cfg : Cts_config.t) tree =
+  let env = check_env ~source_slew:Ctree.source_slew dl cfg in
+  let report = Timing.analyze_tree dl cfg tree in
   (* The reference reports arrivals net of prescribed offsets; the
      checker accumulates absolute latencies, so add them back. *)
   let offset name =

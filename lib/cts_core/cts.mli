@@ -64,7 +64,7 @@ val synthesize_bisection :
     {!synthesize} keeps the result bit-identical to a sequential run.
     [check] verifies the finished tree as in {!synthesize}. *)
 
-val check_env : ?source_slew:float -> Delaylib.t -> Cts_config.t ->
+val check_env : source_slew:float -> Delaylib.t -> Cts_config.t ->
   Ctree_check.env
 (** The {!Ctree_check} timing environment for this library and
     configuration: stages are analyzed by {!Timing.analyze_stage}, the
@@ -72,11 +72,11 @@ val check_env : ?source_slew:float -> Delaylib.t -> Cts_config.t ->
     trusted buffer input-slew range is [(0, hi)] where [hi] is the top
     of [Delaylib.slew_domain] — the library clamps faster-than-
     characterized edges pessimistically, so only the slow side of the
-    fit domain is a hard bound. [source_slew] defaults to the 60 ps of
-    [Timing.analyze_tree]. *)
+    fit domain is a hard bound. [source_slew] is the input slew of the
+    checked region's root: {!Ctree.source_slew} for a finished tree. *)
 
-val verify_tree : ?source_slew:float -> Delaylib.t -> Cts_config.t ->
-  Ctree.t -> Ctree_check.violation list
+val verify_tree : Delaylib.t -> Cts_config.t -> Ctree.t ->
+  Ctree_check.violation list
 (** Full post-synthesis verification of a finished tree: structural
     invariants, canonical preorder ids, per-stage slews, buffer
     input-slew ranges, and the checker's independently accumulated sink

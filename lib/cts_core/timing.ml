@@ -5,6 +5,7 @@ type report = {
   max_delay : float;
   min_delay : float;
   worst_slew : float;
+  stage_slews : float list;
 }
 
 let skew r = r.max_delay -. r.min_delay
@@ -169,9 +170,10 @@ let offset (cfg : Cts_config.t) name =
 
 (* The one top-down walk both analyses share: stages breadth-first from
    the region root. [sink side name d] sees each sink with the region
-   root's edge it hangs under and its delay net of its offset; the
-   result is the worst endpoint slew. *)
-let iter_sinks dl cfg ~drive ~input_slew (region : Ctree.t) sink =
+   root's edge it hangs under and its delay net of its offset, and
+   [stage endpoints] each stage's endpoints after its sinks; the result
+   is the worst endpoint slew. *)
+let iter_sinks dl cfg ~drive ~input_slew (region : Ctree.t) ~stage sink =
   let worst_slew = ref 0. in
   (* Worklist: (driver type, input slew, arrival at driver input, region
      root, root edge; -1 while still at the region root). *)
@@ -182,6 +184,7 @@ let iter_sinks dl cfg ~drive ~input_slew (region : Ctree.t) sink =
   | Ctree.Sink _ -> invalid_arg "Timing.analyze_driven: sink region");
   while not (Queue.is_empty queue) do
     let drv, slew_in, t0, root, side = Queue.pop queue in
+    let endpoints = analyze_stage dl ~drive:drv ~input_slew:slew_in root in
     List.iter
       (fun e ->
         if e.slew > !worst_slew then worst_slew := e.slew;
@@ -191,15 +194,19 @@ let iter_sinks dl cfg ~drive ~input_slew (region : Ctree.t) sink =
             sink side name (t0 +. e.delay -. offset cfg name)
         | At_buffer { node; cell } ->
             Queue.add (cell, e.slew, t0 +. e.delay, node, side) queue)
-      (analyze_stage dl ~drive:drv ~input_slew:slew_in root)
+      endpoints;
+    stage endpoints
   done;
   !worst_slew
 
 let analyze_driven dl cfg ~drive ~input_slew (region : Ctree.t) =
   Obs.incr Obs.Timing_analyses;
-  let sink_delays = ref [] in
+  let sink_delays = ref [] and stage_slews = ref [] in
   let worst_slew =
     iter_sinks dl cfg ~drive ~input_slew region
+      ~stage:(fun endpoints ->
+        let worst = List.fold_left (fun w e -> Float.max w e.slew) 0. endpoints in
+        stage_slews := worst :: !stage_slews)
       (fun _ name d -> sink_delays := (name, d) :: !sink_delays)
   in
   match !sink_delays with
@@ -210,6 +217,7 @@ let analyze_driven dl cfg ~drive ~input_slew (region : Ctree.t) =
         max_delay = List.fold_left (fun m (_, d) -> Float.max m d) d rest;
         min_delay = List.fold_left (fun m (_, d) -> Float.min m d) d rest;
         worst_slew;
+        stage_slews = List.rev !stage_slews;
       }
 
 let side_delays dl cfg ~drive ~input_slew (region : Ctree.t) =
@@ -224,7 +232,7 @@ let side_delays dl cfg ~drive ~input_slew (region : Ctree.t) =
   let span = [| infinity; neg_infinity; infinity; neg_infinity |] in
   let seen = [| false; false |] in
   ignore
-    (iter_sinks dl cfg ~drive ~input_slew region
+    (iter_sinks dl cfg ~drive ~input_slew region ~stage:ignore
        (fun side _ d ->
          let k = 2 * side in
          span.(k) <- Float.min span.(k) d;
@@ -235,9 +243,9 @@ let side_delays dl cfg ~drive ~input_slew (region : Ctree.t) =
   in
   (side 0, side 1)
 
-let analyze_tree dl cfg ?(source_slew = 60e-12) tree =
+let analyze_tree dl cfg tree =
   match tree.Ctree.kind with
   | Ctree.Buf _ -> analyze_driven dl cfg ~drive:cfg.Cts_config.assumed_driver
-                     ~input_slew:source_slew tree
+                     ~input_slew:Ctree.source_slew tree
   | Ctree.Merge | Ctree.Sink _ ->
       invalid_arg "Timing.analyze_tree: root must be the source driver"

@@ -22,6 +22,9 @@ type report = {
   max_delay : float;
   min_delay : float;
   worst_slew : float;  (** Worst estimated slew at any stage endpoint. *)
+  stage_slews : float list;
+      (** Worst endpoint slew of each stage, in the breadth-first
+          order the analysis walks them from the region root. *)
 }
 
 val skew : report -> float
@@ -63,10 +66,10 @@ val side_delays :
     reports for that sink: both run the same stage fold. Merge-routing's
     binary search probes with it; it builds no per-sink list. *)
 
-val analyze_tree :
-  Delaylib.t -> Cts_config.t -> ?source_slew:float -> Ctree.t -> report
+val analyze_tree : Delaylib.t -> Cts_config.t -> Ctree.t -> report
   [@@cts.raises "Invalid_argument"]
-(** Analyze a complete tree whose root is the source driver buffer. *)
+(** Analyze a complete tree whose root is the source driver buffer, its
+    input edge {!Ctree.source_slew}. *)
 
 val analyze_stage :
   Delaylib.t -> drive:Circuit.Buffer_lib.t -> input_slew:float -> Ctree.t ->

@@ -19,12 +19,12 @@ let l2_exempt path =
   || path = "rng.ml" || path = "synthetic.ml"
 
 (* The observability clock (lib/obs/obs_clock.ml) is the single blessed
-   wall-clock module: everything else in lib/ must go through Obs.Clock
-   so timing side-effects stay confined to one auditable site. *)
+   wall-clock module: everything else in lib/ must go through
+   Obs_clock.now so timing side-effects stay confined to one auditable
+   site. *)
 let l3_in_scope path =
   Front.has_prefix "lib/" path
   && (not (Front.has_prefix "lib/report/" path))
-  && (not (Front.has_prefix "lib/bench/" path))
   && not (Front.has_suffix "lib/obs/obs_clock.ml" path)
 
 let l4_in_scope path =
@@ -129,7 +129,7 @@ let check_def add (d : Front.def) =
             (Front.diag "L3" path e.pexp_loc
                (Printf.sprintf
                   "wall-clock call %s in lib/ (allowed only under \
-                   lib/report, lib/bench and Obs.Clock)"
+                   lib/report and through Obs_clock.now)"
                   d))
     | Pexp_apply (f, args) -> (
         match Front.apply_head f with

@@ -28,8 +28,8 @@
     - {b L2} — no [Random.*] or [Rng] use outside [lib/util/rng.ml]
       and [lib/bmark/synthetic.ml].
     - {b L3} — no wall-clock ([Unix.gettimeofday], [Unix.time],
-      [Sys.time]) under [lib/] outside [lib/report], [lib/bench] and
-      the observability clock [lib/obs/obs_clock.ml] ([Obs.Clock] is
+      [Sys.time]) under [lib/] outside [lib/report] and the
+      observability clock [lib/obs/obs_clock.ml] ([Obs_clock.now] is
       the one blessed gateway; timers must go through it).
     - {b L4} — float equality [=] / [<>] on syntactically-float
       operands in [lib/cts_core], [lib/dme], [lib/numerics] and

@@ -11,8 +11,6 @@
    accumulators exist but stay empty: workers only ever record inside
    tasks. *)
 
-module Clock = Obs_clock
-
 type counter =
   | Maze_selects
   | Maze_bins_evaluated
@@ -301,10 +299,10 @@ let phase name f =
     push_frame { f_id = id; f_depth = depth };
     let domain = (Domain.self () :> int) in
     let g0 = if domain = main_domain then Some (Gc.quick_stat ()) else None in
-    let t_start = Clock.now () in
+    let t_start = Obs_clock.now () in
     Fun.protect
       ~finally:(fun () ->
-        let t_stop = Clock.now () in
+        let t_stop = Obs_clock.now () in
         let gc =
           match g0 with
           | Some s0 -> Some (gc_delta_of s0 (Gc.quick_stat ()))
@@ -358,7 +356,7 @@ let[@cts.guarded "domain-local"] task_enter ?(ctx = no_task_ctx) () =
           let id = next_span_id () in
           let depth = pdepth + 1 in
           push_frame { f_id = id; f_depth = depth };
-          Some (id, parent, depth, Clock.now ())
+          Some (id, parent, depth, Obs_clock.now ())
     in
     { tt_entered = true; tt_span }
   end
@@ -378,7 +376,7 @@ let[@cts.guarded "domain-local"] task_leave tok =
             domain = (Domain.self () :> int);
             span_name = "pool.task";
             t_start;
-            t_stop = Clock.now ();
+            t_stop = Obs_clock.now ();
             gc = None;
           });
     let s = Domain.DLS.get stack in

@@ -26,8 +26,8 @@
     single predictable branch and no allocation.
 
     {b Wall-clock.} Phase timers read time exclusively through
-    {!Clock} ([lib/obs/obs_clock.ml]), the one sanctioned wall-clock
-    site under [lib/] outside report/bench (lint rule L3).
+    {!Obs_clock.now} ([lib/obs/obs_clock.ml]), the one sanctioned
+    wall-clock site under [lib/] outside [lib/report] (lint rule L3).
 
     Domain-safety: counter/gauge accumulators and the open-span stack
     live in domain-local storage (never shared between domains);
@@ -35,11 +35,6 @@
     {!task_absorb} delta hand-off on the coordinator, span ids come from
     one atomic counter, and the completed-span log sits behind a
     mutex. *)
-
-module Clock : sig
-  val now : unit -> float
-  (** See {!Obs_clock.now}. *)
-end
 
 (** {1 Counter taxonomy} *)
 
@@ -204,7 +199,7 @@ type span = {
   domain : int;  (** Domain the span ran on (trace lane). *)
   span_name : string;
   t_start : float;
-  t_stop : float;  (** Seconds, {!Clock} timebase. *)
+  t_stop : float;  (** Seconds, {!Obs_clock.now} timebase. *)
   gc : gc_delta option;
       (** Present only for spans run on the main domain: worker-domain
           heap movement measures pool internals, not synthesis phases,

@@ -1,4 +1,4 @@
 (* The single sanctioned wall-clock access point under lib/ (outside
-   report/bench); see the L3 lint rule. *)
+   lib/report); see the L3 lint rule. *)
 
 let now () = Unix.gettimeofday ()

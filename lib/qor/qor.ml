@@ -63,34 +63,6 @@ let ps x = round3 (x *. 1e12)
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
 
-(* Worst endpoint slew (s) of every buffer stage, breadth-first from
-   the source driver. Each queue entry carries its driving buffer, so
-   only buffers can be popped. *)
-let stage_slews ?(source_slew = 60e-12) dl tree =
-  let queue = Queue.create () in
-  (match tree.Ctree.kind with
-  | Ctree.Buf b -> Queue.add (source_slew, b, tree) queue
-  | _ -> invalid_arg "Qor.stage_slews: tree root must be the source driver");
-  let out = ref [] in
-  while not (Queue.is_empty queue) do
-    let input_slew, drive, root = Queue.pop queue in
-    let endpoints = Timing.analyze_stage dl ~drive ~input_slew root in
-    let worst =
-      List.fold_left
-        (fun w (e : Timing.stage_end) -> Float.max w e.Timing.slew)
-        0. endpoints
-    in
-    out := worst :: !out;
-    List.iter
-      (fun (e : Timing.stage_end) ->
-        match e.Timing.reached with
-        | Timing.At_buffer { node; cell } ->
-            Queue.add (e.Timing.slew, cell, node) queue
-        | Timing.At_sink _ -> ())
-      endpoints
-  done;
-  List.rev !out
-
 let spans_of (snap : Obs.snapshot) =
   let t0 =
     List.fold_left
@@ -124,16 +96,16 @@ let spans_of (snap : Obs.snapshot) =
 let no_obs = { Obs.counters = []; gauges = []; histograms = []; spans = [] }
 
 let capture ?(label = "unnamed") ?(profile = "custom") ?(scale = 1.0)
-    ?(obs = no_obs) ?(runtime = false) ?source_slew dl
-    (config : Cts_config.t) (res : Cts.result) =
+    ?(obs = no_obs) ?(runtime = false) dl (config : Cts_config.t)
+    (res : Cts.result) =
   let tree = res.Cts.tree in
-  let report = Timing.analyze_tree dl config ?source_slew tree in
+  let report = Timing.analyze_tree dl config tree in
   let delays = Array.of_list (List.map snd report.Timing.sink_delays) in
   let margins =
     Array.of_list
       (List.map
          (fun s -> (config.Cts_config.slew_limit -. s) *. 1e12)
-         (stage_slews ?source_slew dl tree))
+         report.Timing.stage_slews)
   in
   let pct = Util.Stats.percentile margins in
   let slew_margin =

@@ -31,9 +31,9 @@
     without a schema bump reads fine and compares as "new", never as a
     regression.
 
-    Domain-safety: capture mutates only call-local scratch (a stage
-    worklist and accumulators); records are immutable values. Safe
-    from any domain. *)
+    Domain-safety: capture mutates only call-local scratch (the
+    timing walk's worklist and accumulators); records are immutable
+    values. Safe from any domain. *)
 
 val schema_version : int
 (** Current schema version (2). *)
@@ -108,7 +108,7 @@ val round3 : float -> float
 
 val capture :
   ?label:string -> ?profile:string -> ?scale:float ->
-  ?obs:Obs.snapshot -> ?runtime:bool -> ?source_slew:float ->
+  ?obs:Obs.snapshot -> ?runtime:bool ->
   Delaylib.t -> Cts_config.t -> Cts.result -> t
   [@@cts.raises "Invalid_argument"]
 (** Take the record of a finished synthesis. Timing comes from

@@ -11,10 +11,10 @@ type env = {
   sim_config : T.config;
 }
 
-let make_env ?(profile = Delaylib.Accurate) ?(scale = 1.) ?cache () =
+let make_env ?(profile = Delaylib.Accurate) ?(scale = 1.) () =
   let tech = Circuit.Tech.default in
   let lib = Buffer_lib.default_library in
-  let cache = Delaylib.cache_file ?path:cache profile in
+  let cache = Delaylib.cache_file profile in
   let dl = Delaylib.load_or_characterize ~profile ~cache tech lib in
   { tech; lib; dl; scale; sim_config = { T.default_config with T.dt = 1e-12 } }
 
@@ -736,3 +736,13 @@ let all =
     ("ext-useful-skew", ext_useful_skew);
     ("ext-bst", ext_bst);
   ]
+
+let select = function
+  | [] -> Ok all
+  | names -> (
+      match List.find_opt (fun n -> not (List.mem_assoc n all)) names with
+      | Some n ->
+          Error
+            (Printf.sprintf "unknown experiment %S (known: %s)" n
+               (String.concat " " (List.map fst all)))
+      | None -> Ok (List.filter (fun (n, _) -> List.mem n names) all))

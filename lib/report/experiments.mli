@@ -13,12 +13,11 @@ type env = {
   sim_config : Spice_sim.Transient.config;
 }
 
-val make_env :
-  ?profile:Delaylib.profile -> ?scale:float -> ?cache:string -> unit -> env
+val make_env : ?profile:Delaylib.profile -> ?scale:float -> unit -> env
 (** Build the shared experiment environment. The delay library is loaded
-    from [cache] (default {!Delaylib.cache_file} of the profile) or
-    characterized and saved there. [scale] scales
-    benchmark sink counts/die sizes for quick runs (default 1). *)
+    from {!Delaylib.cache_file} of the profile or characterized and
+    saved there. [scale] scales benchmark sink counts/die sizes for
+    quick runs (default 1). *)
 
 (** {1 Experiments} *)
 
@@ -51,6 +50,12 @@ val all : (string * (env -> string)) list
       avoid); ["ext-useful-skew"], a subset of sinks targeted 50 ps
       late; ["ext-bst"], bounded-skew DME wirelength vs. skew bound
       (ref [4]). *)
+
+val select :
+  string list -> ((string * (env -> string)) list, string) result
+(** [select names] is the drivers of [names] in {!all} order, each
+    once; every driver for [[]]. [Error msg] names the first unknown id
+    and lists the known ones. *)
 
 val fig1_1_rows : env -> (float * float * float) list
 (** [(length, slew20x, slew30x)] data behind ["fig1.1"]. *)

@@ -3,7 +3,7 @@ module Tech = Circuit.Tech
 module Buffer_lib = Circuit.Buffer_lib
 module Device = Circuit.Device
 
-type driver = Vsource of W.t | Driven_buffer of Circuit.Buffer_lib.t * W.t
+type driver = Driven_buffer of Circuit.Buffer_lib.t * W.t
 
 type config = {
   dt : float; t_margin : float; t_max : float; newton_iters : int;
@@ -70,8 +70,6 @@ let stage1_quiescent (tech : Tech.t) ~size ~c_dt =
   tech.vdd > 0. && finite (tech.vdsat_frac *. tech.vdd) && finite tech.alpha
   && finite k && k > 0. && finite c_dt && c_dt > 0.
 
-let g_source = 1e4 (* 0.1 mohm source impedance for Dirichlet forcing *)
-
 (* The lanes' trees must share one shape: node count, parent array and
    tag positions (DESIGN.md 5t). *)
 let check_shapes (flats : Rc_flat.t array) =
@@ -125,20 +123,16 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
       cap.((i * k) + l) <- flats.(l).cap.(i)
     done
   done;
-  (* A buffer's stage 1 drives its internal node (starting at Vdd),
+  (* The buffer's stage 1 drives its internal node (starting at Vdd),
      stage 2 the root, whose load gains the output diffusion
-     capacitance. A source drives the root directly. *)
-  let input, buffer, size1, size2, c_dt1 =
-    match driver with
-    | Vsource w -> (w, false, 0., 0., 0.)
-    | Driven_buffer (buf, w) ->
-        let c_out = Buffer_lib.output_cap tech buf in
-        for l = 0 to k - 1 do
-          cap.(l) <- cap.(l) +. c_out
-        done;
-        ( w, true, buf.Buffer_lib.stage1_size, buf.Buffer_lib.size,
-          Buffer_lib.internal_cap tech buf /. dt )
-  in
+     capacitance. *)
+  let (Driven_buffer (buf, input)) = driver in
+  let c_out = Buffer_lib.output_cap tech buf in
+  for l = 0 to k - 1 do
+    cap.(l) <- cap.(l) +. c_out
+  done;
+  let c_dt1 = Buffer_lib.internal_cap tech buf /. dt in
+  let size1 = buf.Buffer_lib.stage1_size and size2 = buf.Buffer_lib.size in
   let c_dt = Array.map (fun c -> c /. dt) cap in
   (* Static part of the diagonal: C/dt + sum of incident edge
      conductances. *)
@@ -175,7 +169,7 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
      +0, [fixed] once a solved step showed that the tree maps rest to
      rest, [quiet] while the internal node is also still at Vdd. *)
   let quiet =
-    Array.make k (buffer && stage1_quiescent tech ~size:size1 ~c_dt:c_dt1)
+    Array.make k (stage1_quiescent tech ~size:size1 ~c_dt:c_dt1)
   in
   let rest = Array.make k true and fixed = Array.make k false in
   (* [stop_at] (DESIGN.md 5s), per lane: [reached.((l * ns) + j)] once
@@ -248,38 +242,29 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
          (DESIGN.md 5p), so that lane is left as it is. Then one rhs
          sweep, Newton on each lane's root unknown alone and one
          back-substitution. *)
-      if buffer then begin
-        stage1.vin <- vin;
-        advance_internal tech stage1 ~c_dt:c_dt1 ~iters
-      end;
+      stage1.vin <- vin;
+      advance_internal tech stage1 ~c_dt:c_dt1 ~iters;
       if !mw > 0 then begin
         if not !swept then sweep_rhs ~c_dt ~v ~rhs ~k ~n ~lanes:!sweep ~m:!mw;
         Rc_flat.forward fac ~lanes:!sweep ~m:!mw ~rhs
       end;
-      if buffer then stage2.vin <- stage1.vout;
+      stage2.vin <- stage1.vout;
       let solve = !solve in
       for a = 0 to !ms - 1 do
         let l = solve.(a) in
-        if buffer then begin
-          let vr = ref v.(l) and it = ref 0 in
-          while !it < iters do
-            stage2.vout <- !vr;
-            Device.eval tech stage2;
-            let g = stage2.conductance in
-            root.diag0 <- diag_base.(l) +. g;
-            root.rhs0 <- rhs.(l) +. stage2.current +. (g *. !vr);
-            Rc_flat.root_solve fac ~lane:l root ~rhs;
-            (* As in [advance_internal]: [rhs] is fixed within the
-               step. *)
-            it := if same_bits root.v0 !vr then iters else !it + 1;
-            vr := root.v0
-          done
-        end
-        else begin
-          root.diag0 <- diag_base.(l) +. g_source;
-          root.rhs0 <- rhs.(l) +. (g_source *. vin);
-          Rc_flat.root_solve fac ~lane:l root ~rhs
-        end;
+        let vr = ref v.(l) and it = ref 0 in
+        while !it < iters do
+          stage2.vout <- !vr;
+          Device.eval tech stage2;
+          let g = stage2.conductance in
+          root.diag0 <- diag_base.(l) +. g;
+          root.rhs0 <- rhs.(l) +. stage2.current +. (g *. !vr);
+          Rc_flat.root_solve fac ~lane:l root ~rhs;
+          (* As in [advance_internal]: [rhs] is fixed within the
+             step. *)
+          it := if same_bits root.v0 !vr then iters else !it + 1;
+          vr := root.v0
+        done;
         roots.(l) <- root.v0;
         (* A +0 root from rest: the back-substitution would repeat the
            fixed step's. *)

@@ -1,8 +1,7 @@
 (** Transient simulation of one clock-tree stage.
 
-    A stage is a driver — either an ideal voltage source or a
-    two-inverter buffer fed by a known input waveform — driving a lumped
-    RC tree (the interconnect up to the next buffers' gates and sinks).
+    A stage is a driver — a two-inverter buffer fed by a known input
+    waveform — driving a lumped RC tree (the interconnect up to the next buffers' gates and sinks).
     Integration is backward Euler with semi-implicit (linearized per
     Newton iteration) alpha-power inverter stamps. Only the tree root
     carries a nonlinear device, so the constant tree part of the
@@ -25,8 +24,6 @@
     Domain-safety: simulation state is per-call; no global state. *)
 
 type driver =
-  | Vsource of Waveform.t
-      (** Ideal source: the tree root is forced to the waveform. *)
   | Driven_buffer of Circuit.Buffer_lib.t * Waveform.t
       (** A buffer whose stage-1 gate sees the waveform; its output stage
           drives the tree root. *)
@@ -38,8 +35,7 @@ type config = {
           been simulated from the input's start (s), finite and >= 0. *)
   t_max : float;  (** Hard stop (s), finite and > 0. *)
   newton_iters : int;
-      (** Fixed Newton iterations per step for a buffer driver (at least
-          1); an ideal source is linear and takes one solve. *)
+      (** Fixed Newton iterations per step (at least 1). *)
   stop_at : float option;
       (** [None]: run until settled or [t_max]. [Some l], a fraction of
           Vdd in (0, 1]: also end right after recording the first
@@ -68,7 +64,7 @@ val simulate_lanes :
     simulation under one [driver]: result [l] is tree [l]'s run, bit for
     bit what {!simulate} returns for it alone, samples, sample count and
     [settled] included (DESIGN.md 5t). The lanes share the input, the
-    time grid and, for a buffer, its stage-1 trajectory and stage-2
+    time grid, the buffer's stage-1 trajectory and its stage-2
     bias; each sweep of the tree solve visits every node once for all
     the lanes it serves, so their dependent chains overlap. Each lane
     keeps its own root Newton exit, rest flags, [stop_at] bookkeeping

@@ -7,7 +7,7 @@ module C = Ctree
 
 let dl () = T_env.get_dl ()
 let cfg () = Cts_config.default (dl ())
-let env () = Cts.check_env (dl ()) (cfg ())
+let env () = Cts.check_env ~source_slew:Ctree.source_slew (dl ()) (cfg ())
 
 (* Hand-built nodes with explicit ids: the whole point is constructing
    trees the library's own constructors would never produce. *)

@@ -108,17 +108,6 @@ let sim_deterministic () =
   in
   check_f 0. "bit-identical runs" (Option.get d1) (Option.get d2)
 
-let sim_vsource_tracks_input () =
-  (* With a stiff source and a light load the root follows the input. *)
-  let input = W.ramp ~vdd:1. ~slew:200e-12 () in
-  let tree = Rc.node ~tag:"n" ~cap:1e-15 [] in
-  let res = T.simulate tech (T.Vsource input) tree in
-  let w = T.root_waveform res in
-  let t50_in = Option.get (W.crossing input 0.5) in
-  let t50_out = Option.get (W.crossing w 0.5) in
-  Alcotest.(check bool) "tracks within 2ps" true
-    (Float.abs (t50_out -. t50_in) < 2e-12)
-
 (* ---------------- delaylib extras ---------------- *)
 
 let delay_grows_with_load_class () =
@@ -254,13 +243,6 @@ let deck_measure_cards_per_sink () =
       ".measure tran slew_ma"; ".measure tran slew_mb";
     ]
 
-let deck_respects_source_slew () =
-  let s = Ctree.sink ~name:"x" ~pos:(P.make 10. 0.) ~cap:1e-15 in
-  let t = Ctree.buffer ~pos:P.origin T_env.b10 [ Ctree.edge ~length:10. s ] in
-  let d1 = Ctree_netlist.to_deck ~source_slew:40e-12 tech t in
-  let d2 = Ctree_netlist.to_deck ~source_slew:200e-12 tech t in
-  Alcotest.(check bool) "different PWL ramps" true (d1 <> d2)
-
 (* ---------------- waveform final-value edge cases ---------------- *)
 
 let incomplete_rise_detected () =
@@ -311,7 +293,6 @@ let elmore_estimate_orders_buffers () =
 let suite =
   [
     Alcotest.test_case "deck measure cards" `Quick deck_measure_cards_per_sink;
-    Alcotest.test_case "deck source slew" `Quick deck_respects_source_slew;
     Alcotest.test_case "incomplete rise" `Quick incomplete_rise_detected;
     Alcotest.test_case "config derivations" `Quick config_respects_library;
     Alcotest.test_case "span consistency" `Quick spans_consistent_with_max_length;
@@ -327,7 +308,6 @@ let suite =
     Alcotest.test_case "internal cap" `Quick internal_cap_formula;
     Alcotest.test_case "wire card values" `Quick wire_card_values;
     Alcotest.test_case "sim deterministic" `Quick sim_deterministic;
-    Alcotest.test_case "vsource tracks input" `Quick sim_vsource_tracks_input;
     Alcotest.test_case "delay vs load class" `Quick delay_grows_with_load_class;
     Alcotest.test_case "baseline violates on big die" `Slow
       baseline_violates_slew_on_big_die;

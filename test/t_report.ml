@@ -1,6 +1,7 @@
-(* Tests for table rendering and the cheap experiment drivers (the heavy
-   CTS tables are exercised by the bench harness; here we validate the
-   figure drivers' shapes on the Fast library). *)
+(* Tests for table rendering, experiment selection and the cheap
+   experiment drivers (the heavy CTS tables run through `cts_run
+   experiments`; here we validate the figure drivers' shapes on the
+   Fast library). *)
 
 let check_f eps = Alcotest.(check (float eps))
 
@@ -24,6 +25,30 @@ let unit_formatting () =
   Alcotest.(check string) "ns" "2.26" (Tables.ns 2.26e-9);
   Alcotest.(check string) "um" "123" (Tables.um 123.4);
   Alcotest.(check string) "pct" "-6.13%" (Tables.pct (-0.0613))
+
+let select_experiments () =
+  let ids names =
+    match Experiments.select names with
+    | Ok drivers -> List.map fst drivers
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check (list string)) "all by default" (List.map fst Experiments.all)
+    (ids []);
+  Alcotest.(check (list string)) "in Experiments.all order, each once"
+    [ "fig1.1"; "tab5.1"; "abl-slew" ]
+    (ids [ "abl-slew"; "tab5.1"; "fig1.1"; "tab5.1" ]);
+  match Experiments.select [ "fig1.1"; "tab9.9" ] with
+  | Ok _ -> Alcotest.fail "tab9.9 accepted"
+  | Error msg ->
+      let contains needle =
+        let nh = String.length msg and nn = String.length needle in
+        let rec at i = i + nn <= nh && (String.sub msg i nn = needle || at (i + 1)) in
+        at 0
+      in
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) (id ^ " named in the error") true (contains id))
+        ("tab9.9" :: List.map fst Experiments.all)
 
 let env =
   lazy
@@ -76,6 +101,7 @@ let suite =
   [
     Alcotest.test_case "table alignment" `Quick render_alignment;
     Alcotest.test_case "unit formatting" `Quick unit_formatting;
+    Alcotest.test_case "experiment selection" `Quick select_experiments;
     Alcotest.test_case "fig1.1 shape" `Slow fig1_1_shape;
     Alcotest.test_case "fig3.2 shape" `Slow fig3_2_shape;
     Alcotest.test_case "figure drivers render" `Quick fig_tables_render;

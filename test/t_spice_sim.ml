@@ -169,8 +169,6 @@ module Ref = struct
     Float.max (-0.1 *. tech.Circuit.Tech.vdd)
       (Float.min (1.1 *. tech.Circuit.Tech.vdd) !v)
 
-  let g_source = 1e4
-
   (* Returns the sample times, the samples of the root and of every
      tagged node (in [Rc_flat.tag_index] order), and the settled flag. *)
   let simulate (config : T.config) (tech : Circuit.Tech.t) driver tree =
@@ -178,10 +176,8 @@ module Ref = struct
     let flat = Rc_flat.of_tree tree in
     let n = flat.n in
     let cap = Array.copy flat.cap in
-    (match driver with
-    | T.Driven_buffer (buf, _) -> cap.(0) <- cap.(0) +. B.output_cap tech buf
-    | T.Vsource _ -> ());
-    let input = match driver with T.Vsource w | T.Driven_buffer (_, w) -> w in
+    let (T.Driven_buffer (buf, input)) = driver in
+    cap.(0) <- cap.(0) +. B.output_cap tech buf;
     let dt = config.dt in
     let c_dt = Array.map (fun c -> c /. dt) cap in
     let diag_base = Array.copy c_dt in
@@ -199,11 +195,7 @@ module Ref = struct
       samples := List.map (fun i -> v.(i)) targets :: !samples
     in
     let t0 = W.t_start input and t_input_end = W.t_end input in
-    let internal_cap, stage2_size =
-      match driver with
-      | T.Driven_buffer (buf, _) -> (B.internal_cap tech buf, buf.B.size)
-      | T.Vsource _ -> (0., 0.)
-    in
+    let internal_cap = B.internal_cap tech buf and stage2_size = buf.B.size in
     let v_a = ref vdd in
     record t0;
     (* [stop_at]: end once every recorded series has had a sample at or
@@ -221,40 +213,24 @@ module Ref = struct
     do
       let t_new = !t +. dt in
       let vin = W.value_at input t_new in
-      let stage2_vin =
-        match driver with
-        | T.Driven_buffer (buf, _) ->
-            v_a :=
-              advance_internal tech ~size:buf.B.stage1_size ~cap:internal_cap
-                ~dt ~iters:config.newton_iters ~vin ~v_old:!v_a;
-            !v_a
-        | T.Vsource _ -> 0.
-      in
-      let iters =
-        match driver with
-        | T.Driven_buffer _ -> config.newton_iters
-        | T.Vsource _ -> 1
-      in
+      v_a :=
+        advance_internal tech ~size:buf.B.stage1_size ~cap:internal_cap ~dt
+          ~iters:config.newton_iters ~vin ~v_old:!v_a;
+      let stage2_vin = !v_a in
       let vr = ref v.(0) in
-      for _ = 1 to iters do
+      for _ = 1 to config.newton_iters do
         Array.blit diag_base 0 diag 0 n;
         for i = 0 to n - 1 do
           rhs.(i) <- c_dt.(i) *. v.(i)
         done;
-        (match driver with
-        | T.Driven_buffer _ ->
-            let i_dev =
-              inverter_current tech ~size:stage2_size ~vin:stage2_vin ~vout:!vr
-            in
-            let g_dev =
-              inverter_conductance tech ~size:stage2_size ~vin:stage2_vin
-                ~vout:!vr
-            in
-            diag.(0) <- diag.(0) +. g_dev;
-            rhs.(0) <- rhs.(0) +. i_dev +. (g_dev *. !vr)
-        | T.Vsource _ ->
-            diag.(0) <- diag.(0) +. g_source;
-            rhs.(0) <- rhs.(0) +. (g_source *. vin));
+        let i_dev =
+          inverter_current tech ~size:stage2_size ~vin:stage2_vin ~vout:!vr
+        in
+        let g_dev =
+          inverter_conductance tech ~size:stage2_size ~vin:stage2_vin ~vout:!vr
+        in
+        diag.(0) <- diag.(0) +. g_dev;
+        rhs.(0) <- rhs.(0) +. i_dev +. (g_dev *. !vr);
         solve flat ~diag ~rhs ~into:v_next;
         vr := v_next.(0)
       done;
@@ -382,16 +358,15 @@ let random_input rng (tech : Circuit.Tech.t) =
       | Some t -> W.crop_before wave (t -. ps 100.)
       | None -> wave
 
-(* One random stage: a tree, a tech, a driver of either kind over a
-   random input, and a config at dt 0.5 or 1 ps with 1 or 3 Newton
+(* One random stage: a tree, a tech, a random buffer driving a random
+   input, and a config at dt 0.5 or 1 ps with 1 or 3 Newton
    iterations. *)
 let random_case rng =
   let tree = random_tree rng in
   let tech = List.nth techs (Util.Rng.int rng (List.length techs)) in
   let input = random_input rng tech in
   let driver =
-    if Util.Rng.int rng 4 = 0 then T.Vsource input
-    else T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
+    T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
   in
   let config =
     {
@@ -558,16 +533,17 @@ let lanes_stop_apart () =
   Alcotest.(check bool) "and runs to t_max" true
     (W.t_end last >= config.t_max)
 
-(* A source holding the smallest subnormal voltage: the 1e4 S source
-   stamp carries ~5e-320 A into the root, which a light lane's root
-   divides into a nonzero voltage and a 20 nF root rounds to +0. That
-   lane stays at rest, sweeps and back-substitutes nothing, until the
-   edge arrives. *)
+(* A threshold just below 0 V: at rest the output PMOS sources
+   k_per_x * size * (-vt)^alpha, ~1e-321 A, into the root, which a
+   light lane's root divides into a nonzero voltage and a 20 nF root
+   rounds to +0 (stage 1's internal node stays at Vdd bit for bit).
+   That lane stays at rest, sweeps and back-substitutes nothing, until
+   the edge arrives. *)
 let lane_leaves_rest_late () =
+  let tech = { tech with Circuit.Tech.vt = -8e-246 } in
   let config = { T.default_config with T.dt = 1e-12; t_max = 1e-9 } in
-  let tiny = Float.succ 0. in
-  let input = pwl [ (0., tiny); (200e-12, tiny); (260e-12, vdd) ] in
-  let driver = T.Vsource input in
+  let input = pwl [ (0., 0.); (200e-12, 0.); (260e-12, vdd) ] in
+  let driver = T.Driven_buffer (b20, input) in
   let stage root_cap =
     let r, chain = Rc.wire tech ~length:300. (Rc.leaf ~tag:"load" 5e-15) in
     Rc.node ~cap:root_cap [ (r, chain) ]
@@ -658,19 +634,18 @@ let qcheck_device_bias_matches_formula =
 (* ---------------- Transient physics ---------------- *)
 
 let source_driven_rc_analytic () =
-  (* A step-like source through a lumped R into C: the output 63% point
-     lands near tau. Use a wire short enough to act lumped. *)
-  let input = W.ramp ~vdd ~slew:1e-12 () in
+  (* A lumped R into C below the root: the load follows the root through
+     a first-order low-pass of time constant tau = RC, so it lags the
+     root by tau once the root's edge is slow against tau. A 1 pF root
+     slows the buffer's edge to a few hundred ps. *)
+  let input = W.smooth_curve ~vdd ~slew:80e-12 () in
   let load = Rc.leaf ~tag:"load" 100e-15 in
-  let tree = Rc.node [ (200., load) ] in
-  let res = T.simulate tech (T.Vsource input) tree in
-  let w = T.waveform res "load" in
+  let tree = Rc.node ~cap:1e-12 [ (200., load) ] in
+  let res = T.simulate tech (T.Driven_buffer (b20, input)) tree in
   let tau = 200. *. 100e-15 in
-  (match W.crossing w (0.632 *. vdd) with
-  | Some t ->
-      let t0 = Option.get (W.crossing (T.root_waveform res) (0.99 *. vdd)) in
-      check_f (0.1 *. tau) "63% at tau" tau (t -. t0)
-  | None -> Alcotest.fail "no crossing");
+  let t50 w = Option.get (W.crossing w (0.5 *. vdd)) in
+  check_f (0.1 *. tau) "50% lag is tau" tau
+    (t50 (T.waveform res "load") -. t50 (T.root_waveform res));
   Alcotest.(check bool) "settled" true (T.settled res)
 
 let stage_monotone_settling () =

@@ -30,7 +30,6 @@ let () =
       ("dp_probe", T_dp_probe.suite);
       ("obs_snapshot", T_qor.cost_suite);
       ("qor", T_qor.suite);
-      ("bench_cli", T_bench_cli.suite);
       ("lint", T_lint.suite);
       ("units", T_units.suite);
       ("race", T_race.suite);
