@@ -45,6 +45,20 @@ experiments-smoke:
 	  echo "experiments-smoke: unknown experiment id accepted"; exit 1; fi
 	@echo "experiments-smoke: unknown experiment id rejected"
 
+# CLI smoke: a synthesis whose verification simulation cannot settle
+# (one sink with a 0.01 F load) must exit 4, and the lint suite must
+# pass when run from the repository root (test fixture paths resolve
+# against the test binary, not the working directory).
+cli-smoke:
+	dune build bin/cts_run.exe test/test_all.exe
+	@dune exec --no-build bin/cts_run.exe -- synth \
+	  --file test/fixtures/cli/huge_cap.gsrc --profile fast \
+	  --cache .cache/delaylib_fast.txt; code=$$?; \
+	if [ $$code -ne 4 ]; then \
+	  echo "cli-smoke: unsettled synthesis exited $$code, want 4"; exit 1; fi
+	dune exec --no-build test/test_all.exe -- test lint
+	@echo "cli-smoke: unsettled synthesis exits 4; lint suite passes from the root"
+
 # Ladder smoke: one rep each of the H-correction, optimal-DP and
 # full-scale r4 rungs from sink set to signoff (accurate
 # characterization, synthesis, verification and transient simulation
@@ -150,5 +164,5 @@ clean: clean-artifacts
 	dune clean
 
 .PHONY: all test test-par bench bench-full bench-par bench-smoke \
-        experiments-smoke ladder-smoke qor-gate qor-baseline lint lint-fixtures trace-smoke examples \
+        experiments-smoke cli-smoke ladder-smoke qor-gate qor-baseline lint lint-fixtures trace-smoke examples \
         clean clean-artifacts

@@ -316,7 +316,9 @@ let synth_cmd =
       slew_limit n_blockages svg stats trace domains verbose =
     setup_logs verbose;
     setup_domains domains;
-    with_obs ~stats ~trace @@ fun () ->
+    (* The body returns the exit code, so that [with_obs] writes the
+       summary and the trace of a failing run too. *)
+    let code = with_obs ~stats ~trace @@ fun () ->
     let sinks, blocks =
       if n_blockages > 0 then begin
         match bench with
@@ -348,33 +350,46 @@ let synth_cmd =
       (List.length sinks)
       (Unix.gettimeofday () -. t0)
       res.Cts.levels res.Cts.flippings;
-    (match Ctree.validate res.Cts.tree @ Blockage.violations blocks res.Cts.tree with
-    | [] -> ()
-    | errs ->
+    match Ctree.validate res.Cts.tree @ Blockage.violations blocks res.Cts.tree with
+    | _ :: _ as errs ->
         List.iter (Printf.printf "  invariant violation: %s\n") errs;
-        exit 2);
-    let m =
-      Obs.phase "simulate" (fun () ->
-          Ctree_sim.simulate Circuit.Tech.default res.Cts.tree)
+        2
+    | [] ->
+        let m =
+          Obs.phase "simulate" (fun () ->
+              Ctree_sim.simulate Circuit.Tech.default res.Cts.tree)
+        in
+        report_metrics "aggressive CTS result:" res.Cts.tree m;
+        (match deck with
+        | Some path ->
+            Ctree_netlist.write_file Circuit.Tech.default res.Cts.tree path;
+            Printf.printf "SPICE deck written to %s\n" path
+        | None -> ());
+        (match svg with
+        | Some path ->
+            Ctree_svg.write_file ~blockages:blocks res.Cts.tree path;
+            Printf.printf "SVG written to %s\n" path
+        | None -> ());
+        if not m.Ctree_sim.all_settled then begin
+          Printf.printf "SIMULATION DID NOT SETTLE\n";
+          4
+        end
+        else if m.Ctree_sim.worst_slew > slew_limit *. 1e-12 then begin
+          Printf.printf "SLEW LIMIT VIOLATED\n";
+          3
+        end
+        else 0
     in
-    report_metrics "aggressive CTS result:" res.Cts.tree m;
-    (match deck with
-    | Some path ->
-        Ctree_netlist.write_file Circuit.Tech.default res.Cts.tree path;
-        Printf.printf "SPICE deck written to %s\n" path
-    | None -> ());
-    (match svg with
-    | Some path ->
-        Ctree_svg.write_file ~blockages:blocks res.Cts.tree path;
-        Printf.printf "SVG written to %s\n" path
-    | None -> ());
-    if m.Ctree_sim.worst_slew > slew_limit *. 1e-12 then begin
-      Printf.printf "SLEW LIMIT VIOLATED\n";
-      exit 3
-    end
+    if code <> 0 then exit code
   in
   Cmd.v
-    (Cmd.info "synth" ~doc:"Synthesize a buffered clock tree and verify it")
+    (Cmd.info "synth"
+       ~doc:
+         "Synthesize a buffered clock tree and verify it. Exits 2 when \
+          the tree breaks an invariant or places a buffer on a \
+          blockage, 3 when the simulated worst slew exceeds the slew \
+          limit, and 4 when the verification simulation did not settle \
+          (checked before the slew, which is then not a measurement).")
     Term.(
       const run $ bench_t $ file_t $ format_t $ scale_t $ profile_t $ cache_t
       $ hstructure_t $ insertion_t $ deck_t $ slew_limit_t $ blockages_t

@@ -7,11 +7,11 @@
     H-structure re-estimation/correction (Sec. 4.1.2) re-pairs the four
     grandchildren of each level's sibling merges.
 
-    Domain-safety: per-pair merge tasks run on a {!Parallel} pool but
-    never write the shared level state directly — each task appends to
-    a task-private replay log, and the coordinating domain replays the
-    logs in canonical pair order after the parallel section. Results
-    are bit-identical for any pool size. *)
+    Domain-safety: per-pair merge tasks run on a {!Parallel} pool and
+    write no shared state: each returns its merged port, the two ports
+    its final merge joined and the stats of its committed merges, and
+    the coordinating domain folds those results in pair order after the
+    parallel section. Results are bit-identical for any pool size. *)
 
 type result = {
   tree : Ctree.t;  (** Root is the source driver buffer. *)
@@ -41,9 +41,9 @@ val synthesize :
     root.
 
     [pool] (default {!Parallel.default_pool}) runs each level's
-    independent merge-routing pairs concurrently. {b Determinism}: merge
-    tasks defer every shared-state write to a per-pair log that the main
-    domain replays in pair order, and node ids are renumbered canonically
+    independent merge-routing pairs concurrently. {b Determinism}: each
+    merge task returns what it produced, the main domain folds the
+    returned stats in pair order, and node ids are renumbered canonically
     before returning, so the result — tree, netlist, and every counter —
     is bit-identical to a sequential run at any pool size. *)
 
@@ -60,8 +60,9 @@ val synthesize_bisection :
     fixed); [flippings] is always 0.
 
     [pool] parallelizes the recursion near the root (left and right
-    subtrees fork onto the pool); the same log-replay scheme as
-    {!synthesize} keeps the result bit-identical to a sequential run.
+    subtrees fork onto the pool); each subtree returns the stats of its
+    merges in execution order and the caller folds them left, right,
+    own merge, so the result is bit-identical to a sequential run.
     [check] verifies the finished tree as in {!synthesize}. *)
 
 val check_env : source_slew:float -> Delaylib.t -> Cts_config.t ->

@@ -20,9 +20,9 @@ let expand ~vertical_first pts =
   in
   go pts
 
+(* [make] and [via] pass two or three points, so [pts] is never empty. *)
 let of_points ~vertical_first pts =
   let pts = Array.of_list (expand ~vertical_first pts) in
-  assert (Array.length pts >= 1);
   let n = Array.length pts in
   let cum = Array.make n 0. in
   for i = 1 to n - 1 do

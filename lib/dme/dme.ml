@@ -184,7 +184,11 @@ let rec bounded_embed node (parent : Point.t option) : Ctree.t =
         [ Ctree.edge ~length:len1 t1; Ctree.edge ~length:len2 t2 ]
 
 let synthesize_bounded ?beta ~skew_bound tech specs =
-  if skew_bound < 0. then invalid_arg "Dme.synthesize_bounded: negative bound";
+  if not (skew_bound >= 0.) then
+    invalid_arg
+      (Printf.sprintf
+         "Dme.synthesize_bounded: skew bound must be non-negative (got %g)"
+         skew_bound);
   match specs with
   | [] -> invalid_arg "Dme.synthesize_bounded: no sinks"
   | s :: rest ->

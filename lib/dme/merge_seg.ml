@@ -45,7 +45,11 @@ let bounded_slice arc1 arc2 ~total_l ~r =
 
 let merge_bounded (tech : Circuit.Tech.t) ~skew_bound ~arc1 ~t1_min ~t1_max
     ~c1 ~arc2 ~t2_min ~t2_max ~c2 =
-  assert (skew_bound >= 0.);
+  if not (skew_bound >= 0.) then
+    invalid_arg
+      (Printf.sprintf
+         "Merge_seg.merge_bounded: skew bound must be non-negative (got %g)"
+         skew_bound);
   let beta = tech.unit_cap in
   let l = Trr.distance arc1 arc2 in
   (* Merged interval when side 1 gets r of the direct wire. *)

@@ -56,12 +56,14 @@ val merge_bounded :
   c1:(float[@cts.unit "ff"]) -> arc2:Geometry.Trr.t ->
   t2_min:(float[@cts.unit "ps"]) -> t2_max:(float[@cts.unit "ps"]) ->
   c2:(float[@cts.unit "ff"]) -> bounded
+  [@@cts.raises "Invalid_argument"]
 (** Bounded-skew merge (Cong/Kahng/Koh/Tsao's BST relaxation, ref [4] of
     the paper): subtree delays are {e intervals}; the tap may land
     anywhere in a feasible range (kept wide enough that the union of
     delay intervals over the range still fits in [skew_bound]), and wire
     is snaked onto the faster side only when even the best tap exceeds
-    the bound. With [skew_bound = 0] this degenerates to {!merge}. *)
+    the bound. With [skew_bound = 0] this degenerates to {!merge}.
+    Raises [Invalid_argument] on a negative (or NaN) [skew_bound]. *)
 
 val bounded_slice :
   Geometry.Trr.t -> Geometry.Trr.t -> total_l:(float[@cts.unit "um"]) -> r:(float[@cts.unit "um"]) ->

@@ -24,7 +24,9 @@ let of_arc a b =
   }
 
 let inflate t r =
-  assert (r >= 0.);
+  if not (r >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Trr.inflate: radius must be non-negative (got %g)" r);
   { ulo = t.ulo -. r; uhi = t.uhi +. r; vlo = t.vlo -. r; vhi = t.vhi +. r }
 
 let intersect a b =

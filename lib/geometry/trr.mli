@@ -21,9 +21,9 @@ val of_arc : Point.t -> Point.t -> t
     endpoints must lie on a common slope +-1 line (or coincide); raises
     [Invalid_argument] otherwise (tolerance 1e-6). *)
 
-val inflate : t -> float -> t
+val inflate : t -> float -> t [@@cts.raises "Invalid_argument"]
 (** [inflate t r] is the set of points within Manhattan distance [r >= 0]
-    of [t]. *)
+    of [t]. Raises [Invalid_argument] on a negative (or NaN) [r]. *)
 
 val intersect : t -> t -> t option
 (** Region intersection; [None] when empty. *)

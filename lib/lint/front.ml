@@ -367,7 +367,7 @@ let fresh_allocs =
   ]
 
 let guard_mechanism s =
-  if List.mem s [ "replay-log"; "mutex"; "atomic"; "domain-local" ] then
+  if List.mem s [ "mutex"; "atomic"; "domain-local" ] then
     Some (s, None)
   else
     match String.index_opt s ':' with

@@ -135,8 +135,8 @@ val fresh_allocs : string list
     holding one is task-local. *)
 
 val guard_mechanism : string -> (string * string option) option
-(** The mechanism of a [[@cts.guarded]] payload: ["replay-log"],
-    ["mutex"], ["atomic"], ["domain-local"], or ["mutex:NAME"] as
+(** The mechanism of a [[@cts.guarded]] payload: ["mutex"],
+    ["atomic"], ["domain-local"], or ["mutex:NAME"] as
     [("mutex", Some NAME)]; [None] when malformed. *)
 
 type task = Pool | Spawn

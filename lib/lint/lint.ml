@@ -99,8 +99,7 @@ let check_def add (d : Front.def) =
               add
                 (Front.diag "L1" path a.attr_loc
                    "[@cts.guarded] must name its mechanism: \
-                    \"replay-log\", \"mutex[:NAME]\", \"atomic\" or \
-                    \"domain-local\"");
+                    \"mutex[:NAME]\", \"atomic\" or \"domain-local\"");
             feq
         | "cts.float_eq_ok" -> true
         | _ -> feq)
@@ -197,8 +196,8 @@ let l1_message prim =
   Printf.sprintf
     "%s writes shared state reachable from a Parallel pool task; annotate \
      the enclosing definition with [@cts.guarded \
-     \"replay-log\"|\"mutex\"|\"atomic\"|\"domain-local\"] or keep the \
-     target task-local"
+     \"mutex\"|\"atomic\"|\"domain-local\"] or keep the target \
+     task-local"
     prim
 
 let check (front : Front.t) (race : Race.result) =

@@ -15,10 +15,10 @@
       [Buffer.add*], [Queue]/[Stack]/[Atomic] writes) may be reachable
       from a function submitted to a [Parallel] pool unless an
       enclosing definition carries
-      [[@cts.guarded "replay-log" | "mutex[:NAME]" | "atomic" |
-      "domain-local"]] ("domain-local" covers [Domain.DLS]-sharded
-      accumulators such as the {!Obs} counter store, merged
-      deterministically by the coordinator).
+      [[@cts.guarded "mutex[:NAME]" | "atomic" | "domain-local"]]
+      ("domain-local" covers [Domain.DLS]-sharded accumulators such as
+      the {!Obs} counter store, merged deterministically by the
+      coordinator).
       Mutation of values freshly allocated inside the task ([let r =
       ref ...], [let h = Hashtbl.create ...], record/array literals)
       is task-local and always allowed. The writes and the call graph

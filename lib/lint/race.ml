@@ -92,7 +92,7 @@ let blocking_head segs =
 (* Claims                                                               *)
 
 type claim = {
-  cl_mech : string;  (* "mutex" | "atomic" | "replay-log" | "domain-local" *)
+  cl_mech : string;  (* "mutex" | "atomic" | "domain-local" *)
   cl_lock : string option;  (* the NAME of a "mutex:NAME" payload *)
   cl_file : string;
   cl_line : int;
@@ -105,8 +105,7 @@ type claim = {
 
 type wclass =
   | W_local  (* freshly allocated in scope: never reported *)
-  | W_param  (* rooted at a function parameter (caller-provided handle) *)
-  | W_opaque  (* rooted at a let-bound value of unknown provenance *)
+  | W_opaque  (* rooted at a parameter or a let-bound value of unknown origin *)
   | W_shared of string  (* resolved module-level identity *)
   | W_dls  (* rooted at a Domain.DLS.get result *)
 
@@ -186,7 +185,7 @@ let new_info file ~pool _key =
 
 module Env = Map.Make (String)
 
-type kind = KFresh | KFn | KParam | KDls | KPlain
+type kind = KFresh | KFn | KDls | KPlain
 
 let rec kind_of_rhs e =
   match e.pexp_desc with
@@ -257,7 +256,7 @@ let rec lock_id ctx env e =
   match e.pexp_desc with
   | Pexp_ident { txt = Longident.Lident x; _ } -> (
       match Env.find_opt x env with
-      | Some (KParam | KPlain | KFn) -> "<local:" ^ x ^ ">"
+      | Some (KPlain | KFn) -> "<local:" ^ x ^ ">"
       | Some KFresh -> "<fresh:" ^ x ^ ">"
       | Some KDls -> "<dls:" ^ x ^ ">"
       | None -> ctx.file.Front.modname ^ "." ^ x)
@@ -291,8 +290,7 @@ let classify_target ctx env (target : expression option) =
           match Env.find_opt x env with
           | Some KFresh -> (W_local, None)
           | Some KDls -> (W_dls, None)
-          | Some (KParam | KFn) -> (W_param, field_id ())
-          | Some KPlain -> (W_opaque, field_id ())
+          | Some (KPlain | KFn) -> (W_opaque, field_id ())
           | None ->
               let id = ctx.file.Front.modname ^ "." ^ x in
               (W_shared id, Some id))
@@ -421,7 +419,7 @@ let rec walk ctx env locks e : string list =
       walk ctx env' locks' body
   | Pexp_fun (_, default, pat, body) ->
       Option.iter (fun d -> ignore (walk ctx env locks d)) default;
-      ignore (walk ctx (bind KParam env pat) locks body);
+      ignore (walk ctx (bind KPlain env pat) locks body);
       locks
   | Pexp_function cases ->
       walk_cases ctx env locks cases;
@@ -665,8 +663,7 @@ let describe_target w =
   in
   match w.w_id with Some id -> Printf.sprintf "%s (%s)" prim id | None -> prim
 
-let mechanism_list =
-  "\"replay-log\"|\"mutex[:NAME]\"|\"atomic\"|\"domain-local\""
+let mechanism_list = "\"mutex[:NAME]\"|\"atomic\"|\"domain-local\""
 
 (* C1: every shared mutation reachable from a task must be provably
    protected; [@cts.guarded] claims are verified, never trusted.
@@ -707,18 +704,11 @@ let report_c1 glob reached =
             match w.w_claim with
             | _ when w.w_class = W_dls -> ()
             | Some { cl_mech = "domain-local"; _ } when info.i_trans_dls -> ()
-            | Some { cl_mech = "replay-log"; _ } when w.w_class = W_param -> ()
             | Some ({ cl_mech = "domain-local"; _ } as cl) ->
                 emit
                   (Printf.sprintf
                      "[@cts.guarded %s] not verified: %s but no Domain.DLS \
                       access on the path"
-                     (claim_desc cl) (describe_target w))
-            | Some ({ cl_mech = "replay-log"; _ } as cl) ->
-                emit
-                  (Printf.sprintf
-                     "[@cts.guarded %s] not verified: %s writes module-level \
-                      state, not a caller-provided log"
                      (claim_desc cl) (describe_target w))
             | Some ({ cl_mech = "atomic"; _ } as cl) ->
                 emit

@@ -25,14 +25,12 @@
 
     - {b C1} — a shared mutation reachable from a pool task must be
       protected {e on the actual path}: a lock held at the write, an
-      [Atomic.*] primitive, a [Domain.DLS]-derived target, or a
-      replay-log write through a caller-provided handle. The enclosing
-      [[@cts.guarded]] claim is checked against what the summary
-      proves: a ["mutex"] claim with no lock held, an ["atomic"] claim
-      on a non-atomic write, a ["domain-local"] claim with no DLS
-      access on the path, or a ["replay-log"] claim writing
-      module-level state are each reported, as is an unguarded,
-      unprotected write. A claim naming its lock
+      [Atomic.*] primitive, or a [Domain.DLS]-derived target. The
+      enclosing [[@cts.guarded]] claim is checked against what the
+      summary proves: a ["mutex"] claim with no lock held, an
+      ["atomic"] claim on a non-atomic write, or a ["domain-local"]
+      claim with no DLS access on the path are each reported, as is an
+      unguarded, unprotected write. A claim naming its lock
       (["mutex:span_mutex"]) must name an existing module-level mutex
       {e and} that mutex must be among the locks held at every write
       it covers. A claim on a definition that performs no mutation at

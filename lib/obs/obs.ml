@@ -4,12 +4,11 @@
    domain-local storage. The bottom element is the domain's base
    accumulator — on the main domain, the process totals. Parallel.map
    brackets each pool task with [task_enter]/[task_leave], so increments
-   made while a task runs (on whichever domain picked it up) land in a
-   task-private accumulator; the pool absorbs the resulting deltas into
-   the caller in task-index order, mirroring the replay-log pattern that
-   keeps the synthesis itself deterministic. Worker-domain base
-   accumulators exist but stay empty: workers only ever record inside
-   tasks. *)
+   and spans recorded while a task runs (on whichever domain picked it
+   up) land in a task-private accumulator; the pool absorbs the
+   resulting deltas into the caller in task-index order. Worker-domain
+   base accumulators exist but stay empty: workers only ever record
+   inside tasks. *)
 
 type counter =
   | Maze_selects
@@ -133,11 +132,32 @@ let gauge_name = function
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)
 
-(* Histogram cells are keyed (histogram index, bucket). *)
+type gc_delta = {
+  minor_words : float;
+  major_words : float;
+  promoted_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
+
+type span = {
+  span_id : int;
+  parent_id : int;
+  depth : int;
+  domain : int;
+  span_name : string;
+  t_start : float;
+  t_stop : float;
+  gc : gc_delta option;
+}
+
+(* Histogram cells are keyed (histogram index, bucket); completed spans
+   are newest first. *)
 type acc = {
   counts : int array;
   gauges : int array;
   hists : (int * int, int) Hashtbl.t;
+  mutable spans : span list;
 }
 
 let make_acc () =
@@ -145,6 +165,7 @@ let make_acc () =
     counts = Array.make n_counters 0;
     gauges = Array.make n_gauges 0;
     hists = Hashtbl.create 16;
+    spans = [];
   }
 
 (* A domain's accumulators: the active one on top of those it will be
@@ -201,25 +222,6 @@ let gauge_read g =
 (* ------------------------------------------------------------------ *)
 (* Phases (hierarchical spans)                                         *)
 
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
-
-type span = {
-  span_id : int;
-  parent_id : int;
-  depth : int;
-  domain : int;
-  span_name : string;
-  t_start : float;
-  t_stop : float;
-  gc : gc_delta option;
-}
-
 (* The domain obs.ml was linked on — process startup runs on the initial
    domain, so this is the main domain's id. GC deltas are recorded only
    for spans that run here: worker-domain minor heaps measure pool
@@ -241,27 +243,11 @@ type frame = { f_id : int; f_depth : int }
 let open_spans : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-(* Newest first; guarded so nested pool coordinators could time phases
-   concurrently without corrupting the list. *)
-let spans : span list ref = ref []
-let spans_mutex = Mutex.create ()
-
-let[@cts.guarded "mutex:spans_mutex"] record_span s =
-  Mutex.lock spans_mutex;
-  spans := s :: !spans;
-  Mutex.unlock spans_mutex
-
-let[@cts.guarded "mutex:spans_mutex"] clear_spans () =
-  Mutex.lock spans_mutex;
-  spans := [];
-  Mutex.unlock spans_mutex
-
-(* Read-only snapshot: the lock is for a consistent view. *)
-let read_spans () =
-  Mutex.lock spans_mutex;
-  let sp = List.rev !spans in
-  Mutex.unlock spans_mutex;
-  sp
+(* A completed span joins the active accumulator: a task's spans travel
+   in its delta with its counters. *)
+let[@cts.guarded "domain-local"] record_span s =
+  let a = current () in
+  a.spans <- s :: a.spans
 
 let gc_delta_of (g0 : Gc.stat) (g1 : Gc.stat) =
   {
@@ -404,15 +390,16 @@ let[@cts.guarded "domain-local"] task_absorb = function
             match Hashtbl.find_opt a.hists key with Some x -> x | None -> 0
           in
           Hashtbl.replace a.hists key (prev + v))
-        d.hists
+        d.hists;
+      a.spans <- d.spans @ a.spans
 
 let[@cts.guarded "domain-local"] reset () =
   let a = current () in
   Array.fill a.counts 0 n_counters 0;
   Array.fill a.gauges 0 n_gauges 0;
   Hashtbl.reset a.hists;
-  Atomic.set span_ids 0;
-  clear_spans ()
+  a.spans <- [];
+  Atomic.set span_ids 0
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot and export                                                 *)
@@ -446,7 +433,7 @@ let snapshot () =
         (histogram_name h, List.sort compare buckets))
       all_histograms
   in
-  { counters; gauges; histograms; spans = read_spans () }
+  { counters; gauges; histograms; spans = List.rev a.spans }
 
 (* Derived cache-effectiveness percentages. Pure arithmetic over the
    deterministic sections, rounded to 0.01% so re-rendered values are

@@ -12,14 +12,12 @@
     bottom element on the main domain holds the process totals.
     {!Parallel.map} brackets every pool task with {!task_enter} /
     {!task_leave} and absorbs the resulting {!delta}s into the caller in
-    task-index order — the same discipline as the merge replay log of
-    PR 1 — so a parallel run reports counts identical to a sequential
-    run on the same input. (Counts are integers, so absorption order
-    cannot even introduce rounding differences; the ordering is kept to
-    mirror the replay-log pattern and keep the contract uniform.)
-    Span ids, wall-clock times and GC words are {e not} deterministic;
-    the run record therefore confines them to an optional runtime
-    section that the CI gate omits.
+    task-index order, so a parallel run reports counts identical to a
+    sequential run on the same input. Spans live in the same
+    accumulators and travel in the same deltas. Span ids, wall-clock
+    times and GC words are {e not} deterministic; the run record
+    therefore confines them to an optional runtime section that the CI
+    gate omits.
 
     {b Overhead.} Disabled (the default), every recording entry point
     checks one [bool ref] and returns — instrumented hot loops pay a
@@ -29,12 +27,11 @@
     {!Obs_clock.now} ([lib/obs/obs_clock.ml]), the one sanctioned
     wall-clock site under [lib/] outside [lib/report] (lint rule L3).
 
-    Domain-safety: counter/gauge accumulators and the open-span stack
-    live in domain-local storage (never shared between domains);
-    cross-domain merging happens only through {!task_leave} /
-    {!task_absorb} delta hand-off on the coordinator, span ids come from
-    one atomic counter, and the completed-span log sits behind a
-    mutex. *)
+    Domain-safety: counter, gauge, histogram and completed-span
+    accumulators and the open-span stack live in domain-local storage
+    (never shared between domains); cross-domain merging happens only
+    through {!task_leave} / {!task_absorb} delta hand-off on the
+    coordinator, and span ids come from one atomic counter. *)
 
 (** {1 Counter taxonomy} *)
 
@@ -140,13 +137,14 @@ val read : counter -> int
     disabled. *)
 
 val reset : unit -> unit
-(** Zero the calling domain's active accumulator, rewind the span-id
-    counter and drop all recorded phase spans. *)
+(** Zero the calling domain's active accumulator, drop its recorded
+    phase spans and rewind the span-id counter. *)
 
 (** {1 Task sharding (used by [Parallel.map])} *)
 
 type delta
-(** The increments one pool task recorded, detached from any domain. *)
+(** The increments and spans one pool task recorded, detached from any
+    domain. *)
 
 val no_delta : delta
 
@@ -176,8 +174,9 @@ val task_leave : task_token -> delta
     pushed nothing). *)
 
 val task_absorb : delta -> unit
-(** Fold a task's delta into the calling domain's active accumulator.
-    The pool calls this in task-index order after the job completes. *)
+(** Fold a task's delta into the calling domain's active accumulator,
+    its spans after those already logged there. The pool calls this in
+    task-index order after the job completes. *)
 
 (** {1 Phases} *)
 
@@ -210,8 +209,9 @@ type span = {
 val phase : string -> (unit -> 'a) -> 'a
 (** [phase name f] runs [f] and, when enabled, records a wall-clock span
     around it (also on exceptions). Phases nest: a phase opened inside
-    another becomes its child in the span tree. Spans are logged in
-    completion order. *)
+    another becomes its child in the span tree. Each domain logs its
+    spans in completion order; a pool task's spans join the caller's
+    log when its job completes, in task-index order. *)
 
 (** {1 Export} *)
 
@@ -222,11 +222,11 @@ type snapshot = {
   gauges : (string * int) list;  (** Every gauge, in one fixed order. *)
   histograms : (string * (int * int) list) list;
       (** [(bucket, value)] pairs sorted by bucket. *)
-  spans : span list;  (** Completion order. *)
+  spans : span list;  (** Log order (see {!phase}). *)
 }
 
 val snapshot : unit -> snapshot
-(** Freeze the calling domain's active accumulator and the span log. *)
+(** Freeze the calling domain's active accumulator, spans included. *)
 
 val derived_rates : snapshot -> (string * float) list
 (** Cache-effectiveness percentages computed from the deterministic

@@ -180,13 +180,16 @@ let with_pool ?size f =
 (* ------------------------------------------------------------------ *)
 (* Map / iter                                                          *)
 
-(* Observability sharding: each task runs inside an [Obs.task_enter] /
-   [Obs.task_leave] bracket so its counter increments land in a
-   task-private accumulator on whatever domain picked it up; the deltas
-   are absorbed into the caller in task-index order after the job — the
-   same replay-in-order discipline Cts.synthesize uses for its merge
-   logs — so counter totals are identical at every pool size. On the
-   sequential fast path tasks increment the caller's accumulator
+(* Each task stores what it produced in its own slot: [Ok v], or
+   [Error] with the exception and its backtrace. The caller reads the
+   slots in task-index order, so the exception it re-raises is the
+   lowest-index failure, the one [Array.map] raises on a 1-domain pool.
+   Observability sharding: each task runs inside an [Obs.task_enter] /
+   [Obs.task_leave] bracket so its counter increments and spans land in
+   a task-private accumulator on whatever domain picked it up; the
+   deltas are absorbed into the caller in task-index order after the
+   job, so counter totals are identical at every pool size. On the
+   sequential fast path tasks record into the caller's accumulator
    directly, which yields the same totals. The submission context
    captured here parents each task's trace span under the caller's
    open phase, so the Chrome trace shows which coordinator phase
@@ -197,26 +200,25 @@ let map pool f arr =
   if n = 0 then [||]
   else if n = 1 || size pool <= 1 then Array.map f arr
   else begin
-    let results = Array.make n None in
+    (* [run_job] returns only once every task has filled its slot. *)
+    let unfilled = Invalid_argument "Parallel.map: unfilled slot" in
+    let slots = Array.make n (Error (unfilled, Printexc.get_callstack 0)) in
     let deltas = Array.make n Obs.no_delta in
-    let error = Atomic.make None in
     let ctx = Obs.task_context () in
     let[@cts.catch_all_ok
          "captured with its backtrace and re-raised on the coordinator"] run i =
       let token = Obs.task_enter ~ctx () in
-      (match f arr.(i) with
-      | v -> results.(i) <- Some v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set error None (Some (e, bt))));
+      (slots.(i) <-
+         match f arr.(i) with
+         | v -> Ok v
+         | exception e -> Error (e, Printexc.get_raw_backtrace ()));
       deltas.(i) <- Obs.task_leave token
     in
     run_job pool { run; n; next = Atomic.make 0; completed = Atomic.make 0 };
     Array.iter Obs.task_absorb deltas;
-    match Atomic.get error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-        Array.map (function Some v -> v | None -> assert false) results
+    Array.map
+      (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      slots
   end
 
 (* ------------------------------------------------------------------ *)

@@ -11,21 +11,22 @@
     unspecified interleaving across domains, but the result array is
     always index-ordered. Callers that need bit-identical results across
     pool sizes must make [f] pure up to commutative-and-deterministic
-    memoization (see {!Run.span}) and must apply any side effects
-    themselves, in index order, after {!map} returns — this is how
-    {!Cts.synthesize} keeps parallel and sequential synthesis
-    bit-identical.
+    memoization (see {!Run.span}): a task returns what it produced, and
+    the caller folds the results in index order after {!map} returns —
+    this is how {!Cts.synthesize} keeps parallel and sequential
+    synthesis bit-identical.
 
     {b Observability}: {!map} brackets every task with
-    [Obs.task_enter]/[Obs.task_leave] and absorbs the per-task counter
-    deltas into the caller in task-index order, so [Obs] counter totals
-    are identical at every pool size (integers — order is kept for
-    uniformity with the replay-log discipline above).
+    [Obs.task_enter]/[Obs.task_leave] and absorbs the per-task deltas
+    (counters, gauges, histograms and spans) into the caller in
+    task-index order, so [Obs] counter totals are identical at every
+    pool size.
 
     {b Exception contract}: if one or more tasks raise, every task of the
-    job still runs to completion (or raises), the first captured
-    exception is re-raised in the caller with its backtrace, and the pool
-    remains usable.
+    job still runs to completion (or raises), the lowest-index task's
+    exception is re-raised in the caller with its backtrace — the one
+    [Array.map] raises on a 1-domain pool — and the pool remains
+    usable.
 
     Domain-safety: the pool is the synchronization — the job queue is
     guarded by the pool mutex, work-stealing indices and completion

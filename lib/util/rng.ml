@@ -15,18 +15,24 @@ let int64 t =
   mix t.state
 
 let float t bound =
-  assert (bound > 0.);
+  if not (bound > 0.) then
+    invalid_arg
+      (Printf.sprintf "Rng.float: bound must be positive (got %g)" bound);
   let bits = Int64.shift_right_logical (int64 t) 11 in
   (* 53 random bits scaled to [0,1). *)
   let unit = Int64.to_float bits *. 0x1.0p-53 in
   unit *. bound
 
 let float_range t lo hi =
-  assert (lo < hi);
+  if not (lo < hi) then
+    invalid_arg
+      (Printf.sprintf "Rng.float_range: need lo < hi (got [%g, %g))" lo hi);
   lo +. float t (hi -. lo)
 
 let int t bound =
-  assert (bound > 0);
+  if bound <= 0 then
+    invalid_arg
+      (Printf.sprintf "Rng.int: bound must be positive (got %d)" bound);
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   bits mod bound
 

@@ -20,14 +20,18 @@ val create : int -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
+val float : t -> float -> float [@@cts.raises "Invalid_argument"]
+(** [float t bound] is uniform in [\[0, bound)]. Raises
+    [Invalid_argument] unless [bound] is positive. *)
 
 val float_range : t -> float -> float -> float
-(** [float_range t lo hi] is uniform in [\[lo, hi)]. Requires [lo < hi]. *)
+  [@@cts.raises "Invalid_argument"]
+(** [float_range t lo hi] is uniform in [\[lo, hi)]. Raises
+    [Invalid_argument] unless [lo < hi]. *)
 
-val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
+val int : t -> int -> int [@@cts.raises "Invalid_argument"]
+(** [int t bound] is uniform in [\[0, bound)]. Raises
+    [Invalid_argument] unless [bound] is positive. *)
 
 val bool : t -> bool
 (** Fair coin. *)

@@ -65,6 +65,22 @@ let bounded_overlapping_regions_still_balance () =
   check_f 1e-13 "balanced interval" 0.
     (m.Merge_seg.bdelay_max -. m.Merge_seg.bdelay_min)
 
+let bounded_rejects_negative_bound () =
+  let merge skew_bound () =
+    ignore
+      (Merge_seg.merge_bounded tech ~skew_bound
+         ~arc1:(point_arc (P.make 0. 0.)) ~t1_min:0. ~t1_max:0. ~c1:10e-15
+         ~arc2:(point_arc (P.make 100. 0.)) ~t2_min:0. ~t2_max:0. ~c2:10e-15
+        : Merge_seg.bounded)
+  in
+  let msg got =
+    Invalid_argument
+      ("Merge_seg.merge_bounded: skew bound must be non-negative (got " ^ got
+     ^ ")")
+  in
+  Alcotest.check_raises "negative bound" (msg "-1e-12") (merge (-1e-12));
+  Alcotest.check_raises "NaN bound" (msg "nan") (merge Float.nan)
+
 let bounded_interval_covers_children () =
   (* Child interval widths propagate, never shrink below the widest. *)
   let m =
@@ -160,6 +176,8 @@ let suite =
     Alcotest.test_case "bounded covers child widths" `Quick
       bounded_interval_covers_children;
     Alcotest.test_case "bounded slice tangency" `Quick bounded_slice_tangency;
+    Alcotest.test_case "bounded rejects a negative bound" `Quick
+      bounded_rejects_negative_bound;
     QCheck_alcotest.to_alcotest qcheck_bounded_respects_bound;
     QCheck_alcotest.to_alcotest qcheck_bounded_never_shorter_than_direct;
     Alcotest.test_case "timing subtracts offsets" `Quick

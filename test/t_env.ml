@@ -2,6 +2,14 @@
    library per test-binary run (characterization takes ~1 s; the library
    is cached on disk inside the dune sandbox). *)
 
+(* A path under the repository root. The root is derived from the test
+   binary's own location (_build/default/test/test_all.exe), so fixture
+   paths resolve the same whatever the working directory. *)
+let repo_path rel =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../../..")
+    rel
+
 let tech = Circuit.Tech.default
 let lib = Circuit.Buffer_lib.default_library
 

@@ -304,7 +304,7 @@ let test_repo_fixtures () =
      each must trigger exactly its rule at exactly its pinned
      location, and each clean counterpart must stay silent. The E2
      pairs need their mli alongside the ml. *)
-  let dir = "../../../test/fixtures/lint/exc/lib/excfix" in
+  let dir = T_env.repo_path "test/fixtures/lint/exc/lib/excfix" in
   let expect files diags =
     let r = Lint.run_paths (List.map (Filename.concat dir) files) in
     Alcotest.(check (list string))

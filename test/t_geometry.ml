@@ -151,6 +151,15 @@ let qcheck_closest_point_optimal =
       done;
       !ok)
 
+let trr_inflate_rejects_negative () =
+  let t = Trr.of_point (P.make 1. 2.) in
+  Alcotest.check_raises "negative radius"
+    (Invalid_argument "Trr.inflate: radius must be non-negative (got -1)")
+    (fun () -> ignore (Trr.inflate t (-1.) : Trr.t));
+  Alcotest.check_raises "NaN radius"
+    (Invalid_argument "Trr.inflate: radius must be non-negative (got nan)")
+    (fun () -> ignore (Trr.inflate t Float.nan : Trr.t))
+
 let suite =
   [
     Alcotest.test_case "point arithmetic" `Quick point_arith;
@@ -161,6 +170,8 @@ let suite =
       trr_point_distance_is_manhattan;
     Alcotest.test_case "trr arc construction" `Quick trr_arc_construction;
     Alcotest.test_case "trr inflate/contains" `Quick trr_inflate_contains;
+    Alcotest.test_case "trr inflate rejects a negative radius" `Quick
+      trr_inflate_rejects_negative;
     Alcotest.test_case "trr tangent intersection" `Quick trr_intersect_tangent;
     Alcotest.test_case "trr empty intersection" `Quick trr_intersect_empty;
     Alcotest.test_case "trr closest point" `Quick trr_closest_point;

@@ -266,9 +266,7 @@ let dl5 =
     (Delaylib.load_or_characterize ~profile:Delaylib.Fast
        ~cache:"test_delaylib_fast5.txt" T_env.tech lib5)
 
-(* Same source-tree-relative convention as t_units' seeded lint
-   fixtures: the test action runs in _build/default/test. *)
-let fixture_path = "../../../test/fixtures/qor/five_cell_r1_dp.json"
+let fixture_path = T_env.repo_path "test/fixtures/qor/five_cell_r1_dp.json"
 
 let capture_five_cell () =
   let dl = Lazy.force dl5 in

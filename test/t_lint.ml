@@ -36,8 +36,8 @@ let l1_message prim =
   Printf.sprintf
     "%s writes shared state reachable from a Parallel pool task; annotate \
      the enclosing definition with [@cts.guarded \
-     \"replay-log\"|\"mutex\"|\"atomic\"|\"domain-local\"] or keep the \
-     target task-local"
+     \"mutex\"|\"atomic\"|\"domain-local\"] or keep the target \
+     task-local"
     prim
 
 let test_l1_shared () =
@@ -121,7 +121,18 @@ let test_l1_blanket_suppression () =
     "and it does not suppress the mutation report" true
     (List.exists
        (fun d -> contains d (l1_message "Hashtbl.replace"))
-       diags)
+       diags);
+  Alcotest.(check bool)
+    "an unknown mechanism is diagnosed too" true
+    (List.exists
+       (fun d -> contains d "[@cts.guarded] must name its mechanism")
+       (lint
+          [
+            ( "lib/foo/foo.ml",
+              "let tbl = Hashtbl.create 7\n\
+               let[@cts.guarded \"replay-log\"] put x =\n\
+              \  Hashtbl.replace tbl x x\n" );
+          ]))
 
 (* ----------------------------- L2 --------------------------------- *)
 
@@ -355,11 +366,10 @@ let test_whole_run_deterministic () =
   QCheck.Test.check_exn prop
 
 (* The repository's own sources, linted once for every suite that checks
-   them. Run from test/_build, so climb to the repo root. *)
+   them. *)
 let repo_run =
   lazy
-    (let root = "../../.." in
-     let dirs = [ Filename.concat root "lib"; Filename.concat root "bin" ] in
+    (let dirs = [ T_env.repo_path "lib"; T_env.repo_path "bin" ] in
      match Front.scan dirs with
      | Error msg -> Alcotest.fail msg
      | Ok paths ->

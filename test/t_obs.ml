@@ -143,6 +143,51 @@ let test_trace_validator_rejects () =
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
   | Error _ -> ()
 
+(* Spans recorded inside pool tasks travel in the tasks' deltas: each
+   appears exactly once in the caller's snapshot, in task-index order,
+   under a "pool.task" span whose parent is the submitting phase. *)
+let test_task_spans () =
+  let n = 16 in
+  let name i = Printf.sprintf "task %d" i in
+  Parallel.with_pool ~size:4 (fun p ->
+      with_obs (fun () ->
+          ignore
+            (Obs.phase "submit" (fun () ->
+                 Parallel.map p
+                   (fun i -> Obs.phase (name i) (fun () -> i))
+                   (Array.init n Fun.id))
+              : int array);
+          let spans = (Obs.snapshot ()).Obs.spans in
+          let named s =
+            List.filter (fun (x : Obs.span) -> x.Obs.span_name = s) spans
+          in
+          let inner =
+            List.filter_map
+              (fun (x : Obs.span) ->
+                if String.starts_with ~prefix:"task " x.Obs.span_name then
+                  Some x.Obs.span_name
+                else None)
+              spans
+          in
+          Alcotest.(check (list string))
+            "each task's span once, in task-index order"
+            (List.init n name) inner;
+          let submit =
+            match named "submit" with
+            | [ s ] -> s
+            | l -> Alcotest.failf "%d submit spans" (List.length l)
+          in
+          let tasks = named "pool.task" in
+          checki "one pool.task span per task" n (List.length tasks);
+          List.iter
+            (fun (t : Obs.span) ->
+              checki "a pool.task's parent is the submitting phase"
+                submit.Obs.span_id t.Obs.parent_id)
+            tasks;
+          Obs.reset ();
+          checki "reset drops them" 0
+            (List.length (Obs.snapshot ()).Obs.spans)))
+
 (* ------------------ observing must not perturb --------------------- *)
 
 let test_enabled_run_identical_and_counted () =
@@ -344,6 +389,8 @@ let suite =
       test_phase_and_trace;
     Alcotest.test_case "trace validator rejects malformed JSON" `Quick
       test_trace_validator_rejects;
+    Alcotest.test_case "pool task spans reach the snapshot once" `Quick
+      test_task_spans;
     Alcotest.test_case "observing perturbs nothing and counts" `Slow
       test_enabled_run_identical_and_counted;
     QCheck_alcotest.to_alcotest qcheck_counters_schedule_independent;

@@ -40,6 +40,37 @@ let test_exception_propagates_pool_survives () =
         [| 2; 4; 6 |]
         (Parallel.map p (fun x -> 2 * x) [| 1; 2; 3 |]))
 
+(* Tasks 3 and 7 both raise. The caller must always see task 3's
+   exception, the one [Array.map] raises, whichever task fails first:
+   task 3 sleeps before raising so that on a real pool task 7 usually
+   fails first. *)
+let test_lowest_index_failure_wins () =
+  List.iter
+    (fun size ->
+      Parallel.with_pool ~size (fun p ->
+          for run = 1 to 50 do
+            match
+              Parallel.map p
+                (fun i ->
+                  if i = 3 then begin
+                    Unix.sleepf 0.0005;
+                    raise (Boom 3)
+                  end
+                  else if i = 7 then raise (Boom 7)
+                  else i)
+                (Array.init 12 Fun.id)
+            with
+            | _ -> Alcotest.fail "expected Boom 3 to escape Parallel.map"
+            | exception Boom 3 -> ()
+            | exception e ->
+                Alcotest.failf "pool of %d, run %d: got %s" size run
+                  (Printexc.to_string e)
+          done;
+          check (Alcotest.array Alcotest.int) "pool usable after the failures"
+            [| 2; 4; 6 |]
+            (Parallel.map p (fun x -> 2 * x) [| 1; 2; 3 |])))
+    [ 1; 4 ]
+
 let test_size_one_matches_array_map () =
   Parallel.with_pool ~size:1 (fun p ->
       checkb "size clamps to 1" true (Parallel.size p = 1);
@@ -290,4 +321,6 @@ let suite =
     Alcotest.test_case "full-scale r4: pool of 4 bit-identical to pool of 1"
       `Slow test_r4_pool_identity;
     QCheck_alcotest.to_alcotest qcheck_cross_oracle_under_pool;
+    Alcotest.test_case "lowest-index failure wins at any pool size" `Quick
+      test_lowest_index_failure_wins;
   ]

@@ -15,7 +15,7 @@ let check_diags name expected srcs =
   Alcotest.check strings name expected (check srcs)
 
 let mechanisms =
-  "[@cts.guarded \"replay-log\"|\"mutex[:NAME]\"|\"atomic\"|\"domain-local\"]"
+  "[@cts.guarded \"mutex[:NAME]\"|\"atomic\"|\"domain-local\"]"
 
 (* ----------------------------- C1 --------------------------------- *)
 
@@ -70,13 +70,6 @@ let test_c1_verified_mechanisms () =
          let hits = ref 0\n\
          let[@cts.guarded \"mutex:m\"] bump () =\n\
         \  Mutex.protect m (fun () -> hits := !hits + 1)\n" );
-    ];
-  check_diags "replay-log claim verifies a caller-provided handle" []
-    [
-      ( "lib/x/a.ml",
-        "let[@cts.guarded \"replay-log\"] record sc e = sc := e :: !sc\n\
-         let run pool sc xs = Parallel.iter pool (fun y -> record sc y) xs\n"
-      );
     ]
 
 let test_c1_claims_not_trusted () =
@@ -109,16 +102,6 @@ let test_c1_claims_not_trusted () =
       ( "lib/x/a.ml",
         "let total = ref 0\n\
          let[@cts.guarded \"domain-local\"] add n = total := !total + n\n" );
-    ];
-  check_diags "a \"replay-log\" claim must write through a parameter"
-    [
-      "lib/x/a.ml:2:39: [C1] [@cts.guarded \"replay-log\"] not verified: := \
-       (A.total) writes module-level state, not a caller-provided log";
-    ]
-    [
-      ( "lib/x/a.ml",
-        "let total = ref 0\n\
-         let[@cts.guarded \"replay-log\"] add n = total := !total + n\n" );
     ]
 
 let test_c1_named_mutex () =
@@ -428,7 +411,7 @@ let test_repo_fixtures () =
   (* The on-disk seeded fixtures (also exercised by `make
      lint-fixtures`): each must trigger exactly its rule at exactly its
      pinned location. *)
-  let dir = "../../../test/fixtures/lint/race/lib/racefix" in
+  let dir = T_env.repo_path "test/fixtures/lint/race/lib/racefix" in
   let expect file diags =
     let r = Lint.run_paths [ Filename.concat dir file ] in
     Alcotest.(check (list string))

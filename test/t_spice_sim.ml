@@ -835,10 +835,9 @@ let unknown_tag_rejected () =
    characterizations) and the signoff of the 13-sink r1@0.05 instance
    synthesized with the fast one, as Int64 bits.
    CTS_UPDATE_QOR_FIXTURE=<dir> writes the file to <dir> instead of
-   comparing (run once, commit it), as for the QoR fixture. The test
-   action runs in _build/default/test. *)
+   comparing (run once, commit it), as for the QoR fixture. *)
 
-let golden_path = "../../../test/fixtures/sim/r1_fast_signoff_bits.txt"
+let golden_path = T_env.repo_path "test/fixtures/sim/r1_fast_signoff_bits.txt"
 
 let library_md5 dl =
   let file = Filename.temp_file "cts_library" ".txt" in

@@ -261,7 +261,7 @@ let test_syntax_error () =
 let test_repo_fixtures () =
   (* The on-disk seeded fixtures (also exercised by `make
      lint-fixtures`): each must trigger exactly its rule. *)
-  let dir = "../../../test/fixtures/lint/lib/cts_core" in
+  let dir = T_env.repo_path "test/fixtures/lint/lib/cts_core" in
   let expect file rules =
     let r = Lint.run_paths [ Filename.concat dir file ] in
     Alcotest.(check (list string))

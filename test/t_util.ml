@@ -102,6 +102,43 @@ let qcheck_percentile_bounds =
       let lo, hi = Util.Stats.min_max a in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
+(* The input guards raise [Invalid_argument] naming the function and the
+   bad value. NaN fails every guard. *)
+let invalid name msg f = Alcotest.check_raises name (Invalid_argument msg) f
+
+let rng_bad_bounds () =
+  let rng = Util.Rng.create 6 in
+  let ignore_f x = ignore (x : float) in
+  invalid "float: zero bound" "Rng.float: bound must be positive (got 0)"
+    (fun () -> ignore_f (Util.Rng.float rng 0.));
+  invalid "float: NaN bound" "Rng.float: bound must be positive (got nan)"
+    (fun () -> ignore_f (Util.Rng.float rng Float.nan));
+  invalid "float_range: empty range"
+    "Rng.float_range: need lo < hi (got [2, 2))" (fun () ->
+      ignore_f (Util.Rng.float_range rng 2. 2.));
+  invalid "int: negative bound" "Rng.int: bound must be positive (got -3)"
+    (fun () -> ignore (Util.Rng.int rng (-3) : int))
+
+let stats_bad_inputs () =
+  let ignore_f x = ignore (x : float) in
+  invalid "mean of nothing" "Stats.mean: empty array" (fun () ->
+      ignore_f (Util.Stats.mean [||]));
+  invalid "stddev of nothing" "Stats.stddev: empty array" (fun () ->
+      ignore_f (Util.Stats.stddev [||]));
+  invalid "min_max of nothing" "Stats.min_max: empty array" (fun () ->
+      ignore (Util.Stats.min_max [||] : float * float));
+  invalid "percentile of nothing" "Stats.percentile: empty array" (fun () ->
+      ignore (Util.Stats.percentile [||] : float -> float));
+  invalid "percentile above 1" "Stats.percentile: p must be in [0, 1] (got 1.5)"
+    (fun () -> ignore_f (Util.Stats.percentile [| 1.; 2. |] 1.5));
+  invalid "percentile at NaN" "Stats.percentile: p must be in [0, 1] (got nan)"
+    (fun () -> ignore_f (Util.Stats.percentile [| 1. |] Float.nan));
+  invalid "rms_error of different lengths"
+    "Stats.rms_error: arrays of different lengths (2 and 1)" (fun () ->
+      ignore_f (Util.Stats.rms_error [| 1.; 2. |] [| 1. |]));
+  invalid "max_abs_error of nothing" "Stats.max_abs_error: empty array"
+    (fun () -> ignore_f (Util.Stats.max_abs_error [||] [||]))
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
@@ -110,11 +147,13 @@ let suite =
     Alcotest.test_case "rng int bounds" `Quick rng_int_bounds;
     Alcotest.test_case "rng int coverage" `Quick rng_int_coverage;
     Alcotest.test_case "rng gaussian moments" `Quick rng_gaussian_moments;
+    Alcotest.test_case "rng rejects bad bounds" `Quick rng_bad_bounds;
     Alcotest.test_case "stats mean/variance" `Quick stats_mean_variance;
     Alcotest.test_case "stats min/max/spread" `Quick stats_min_max_spread;
     Alcotest.test_case "stats percentile" `Quick stats_percentile;
     Alcotest.test_case "stats percentile edges" `Quick stats_percentile_edges;
     Alcotest.test_case "stats percentiles batch" `Quick stats_percentiles_batch;
     Alcotest.test_case "stats errors" `Quick stats_errors;
+    Alcotest.test_case "stats rejects bad inputs" `Quick stats_bad_inputs;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
   ]
