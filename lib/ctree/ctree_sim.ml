@@ -75,14 +75,17 @@ let simulate ?(config = T.default_config) tech (root : Ctree.t) =
         end
     | None -> all_settled := false
   in
-  (* Worklist of buffer stages: (buffer node, its cell, input waveform). *)
+  (* Worklist of buffer stages: (buffer node, its cell, input waveform).
+     Every stage records into one sample buffer, which grows to the
+     longest stage and is reused by the rest. *)
+  let buffer = T.buffer () in
   let queue = Queue.create () in
   Queue.add (root, root_buf, source) queue;
   while not (Queue.is_empty queue) do
     let node, buf, input = Queue.pop queue in
     incr n_stages;
     let rc, next, stage_sinks = build_stage tech node in
-    let res = T.simulate ~config tech (T.Driven_buffer (buf, input)) rc in
+    let res = T.simulate ~config ~buffer tech (T.Driven_buffer (buf, input)) rc in
     if not (T.settled res) then all_settled := false;
     note_slew ("out:" ^ string_of_int node.Ctree.id) (T.root_waveform res);
     (* Sinks reached within this stage. *)

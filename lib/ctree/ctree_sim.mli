@@ -10,7 +10,9 @@
     The tree root must be a buffer ({!Ctree.Buf}) — the clock-source
     driver. 
 
-    Domain-safety: simulation state (waveforms, node arrays) is allocated per call; trees are read-only here. Safe from any domain. *)
+    Domain-safety: simulation state (waveforms, node arrays and the one
+    sample buffer every stage of a call records into) is allocated per
+    call; trees are read-only here. Safe from any domain. *)
 
 type metrics = {
   latency : float;  (** Max source-to-sink 50%-50% delay (s). *)

@@ -18,12 +18,15 @@ val buffer_output_wave :
     requested slew (within [tol], default 2 ps), shaped by [binput]
     driving a bisected-length wire into a 1 fF gate. Slews outside what
     wires of 1 to 4000 um produce saturate at the nearer end of that
-    range. *)
+    range. A bisection probe reads only its slew, so it stops at the
+    gate's 90% sample ([stop_at = Some 0.9], an exact prefix of the full
+    run); only the chosen length is simulated until it settles. *)
 
 val buffer_output_waves :
   ?tol:(float[@cts.unit "ps"]) -> Circuit.Tech.t -> Circuit.Buffer_lib.t ->
   slews:float list -> Waveform.t list
 (** [buffer_output_wave] for each slew in order, bit for bit, with each
-    wire length simulated once for the whole list: the two endpoint
-    stages, and the bisection probes the slews share (every bisection
-    starts from the same bracket). *)
+    wire length probed once for the whole list (the two endpoint
+    stages, and the bisection probes the slews share, since every
+    bisection starts from the same bracket) and each chosen length run
+    in full once. *)

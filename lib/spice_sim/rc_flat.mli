@@ -17,7 +17,10 @@
     per-node array (node-major, lane-minor). A sweep visits the nodes
     once and, at each, the lanes it is given, so the lanes' dependent
     chains overlap; each lane sees its one-lane operations in the
-    one-lane order, bit for bit (DESIGN.md 5t).
+    one-lane order, bit for bit (DESIGN.md 5t). A sweep of one lane
+    carries each value along a chain edge ([parent.(i) = i - 1]) in a
+    register rather than through memory; the float operations are the
+    same (DESIGN.md 5x).
 
     Domain-safety: a flattened or factored tree is immutable after
     construction; the solve arrays and {!root} are the caller's. No
@@ -37,33 +40,50 @@ type factored
 (** Lanes of one shape with every non-root row eliminated. *)
 
 val factor : t array -> diag:float array -> factored
+  [@@cts.raises "Invalid_argument"]
 (** [factor lanes ~diag] eliminates rows [1 .. n-1] of each lane's
     system: [lanes.(l)]'s edge conductances with diagonal
-    [diag.((i * k) + l)] ([diag] of length [n * k], not modified).
-    Every lane must have lane 0's [n] and [parent] (the caller checks);
-    the root's diagonals are ignored and given to each {!root_solve}. *)
+    [diag.((i * k) + l)] ([diag] not modified). The sweeps below index
+    unchecked, so the shape they rely on is checked here: at least one
+    lane, lane 0's [n >= 1], [parent.(0) = -1] and
+    [0 <= parent.(i) < i], every lane's [n] equal to lane 0's and its
+    [parent], [g_edge] and [cap] of length [n], and [diag] of length
+    [n * k]. Raises [Invalid_argument] naming the field that fails.
+    Only lane 0's parent array is read (and copied): that every lane
+    has the same one is the caller's check. The root's diagonals are
+    ignored and given to each {!root_solve}. *)
 
 val forward : factored -> lanes:int array -> m:int -> rhs:float array -> unit
+  [@@cts.raises "Invalid_argument"]
 (** Leaf-to-root elimination of the right-hand side of rows [1 .. n-1]
     of the lanes [lanes.(0 .. m-1)], in place. Row 0 is neither read
-    nor written, and neither is any other lane. *)
+    nor written, and neither is any other lane. Raises
+    [Invalid_argument] naming the argument, before touching [rhs],
+    unless [0 <= m <= Array.length lanes], every [lanes.(a)] with
+    [a < m] is in [[0, k)] and [rhs] has length [n * k]. *)
 
 type root = { mutable diag0 : float; mutable rhs0 : float; mutable v0 : float }
 (** The root row's diagonal and right-hand side (in) and unknown (out),
     in an all-float record so the calls below pass them unboxed. *)
 
 val root_solve : factored -> lane:int -> root -> rhs:float array -> unit
+  [@@cts.raises "Invalid_argument"]
 (** Sets [v0] to [lane]'s root unknown for [diag0] and [rhs0], given
-    [rhs] already passed through {!forward}. *)
+    [rhs] already passed through {!forward}. Raises [Invalid_argument]
+    unless [lane] is in [[0, k)] and [rhs] has length [n * k]. *)
 
 val back :
   factored -> lanes:int array -> m:int -> roots:float array ->
   rhs:float array -> into:float array -> next:float array -> unit
+  [@@cts.raises "Invalid_argument"]
 (** Back-substitution of the lanes [lanes.(0 .. m-1)] from their root
     values [roots.(l)] (as set by {!root_solve}) over the {!forward}ed
     [rhs]; writes their [n] unknowns each to [into], which may be the
-    array the rhs was built from. With a non-empty [next] (length
-    [n * k]) the same pass also sets those lanes' [rhs.(j)] to
-    [next.(j) *. into.(j)]: the next solve's right-hand side before
-    {!forward}, so a time step's rhs sweep rides along with the previous
-    step's back-substitution. With [[||]], [rhs] is only read. *)
+    array the rhs was built from. With a non-empty [next] the same pass
+    also sets those lanes' [rhs.(j)] to [next.(j) *. into.(j)]: the
+    next solve's right-hand side before {!forward}, so a time step's
+    rhs sweep rides along with the previous step's back-substitution.
+    With [[||]], [rhs] is only read. Raises [Invalid_argument] naming
+    the argument, before writing anything, unless the lanes are as for
+    {!forward}, [roots] has length [k] and [rhs], [into] and a
+    non-empty [next] have length [n * k]. *)

@@ -21,6 +21,21 @@ type result = {
   settled_flag : bool;
 }
 
+(* The sample times of a run, and its series: series [j] of lane [l] is
+   [rows.((l * ns) + j)] for a run recording [ns] series per lane. A
+   run's live rows are as long as [times]; the slots past what the run
+   has recorded hold whatever an earlier run left there, and a run
+   reads back only slots it wrote itself. *)
+type buffer = { mutable times : float array; mutable rows : float array array }
+
+let buffer () = { times = Array.create_float 1024; rows = [||] }
+
+(* [a] at length [len], its first [keep] samples copied. *)
+let regrow a ~len ~keep =
+  let b = Array.create_float len in
+  Array.blit a 0 b 0 keep;
+  b
+
 let validate c =
   let check field ok value need =
     if not ok then
@@ -111,7 +126,7 @@ let lane_at_rest v ~k ~n l =
   !zero
 
 (* The step loop over [flats], k >= 1 lanes of one shape. *)
-let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
+let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
   let k = Array.length flats in
   let f0 = flats.(0) in
   let n = f0.Rc_flat.n and parent = f0.Rc_flat.parent in
@@ -150,13 +165,19 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
   let v = Array.make (n * k) 0. and rhs = Array.make (n * k) 0. in
   let roots = Array.make k 0. in
   let vdd = tech.vdd and vt = tech.vt in
-  (* Recorded series: the root and every tagged node. The times are one
-     row for all lanes; series [j] of lane [l] is [rows.(l).(j)]. A full
-     row doubles; its copied second half is overwritten before read. *)
+  (* Recorded series: the root and every tagged node, into [samples]. The
+     times are one row for all lanes. Every row this run records starts
+     at least as long as [times]; when [times] is full, it and each live
+     lane's rows double, keeping what was recorded. *)
   let src = Array.of_list (0 :: List.map snd f0.Rc_flat.tag_index) in
   let ns = Array.length src in
-  let times = ref (Array.make 1024 0.) in
-  let rows = Array.init k (fun _ -> Array.init ns (fun _ -> Array.make 1024 0.)) in
+  let nrows = k * ns and cap0 = Array.length samples.times in
+  let have = Array.length samples.rows in
+  if have < nrows then samples.rows <- Array.append samples.rows (Array.make (nrows - have) [||]);
+  for r = 0 to nrows - 1 do
+    if Array.length samples.rows.(r) < cap0 then samples.rows.(r) <- Array.create_float cap0
+  done;
+  let rows = samples.rows in
   let t0 = W.t_start input and t_input_end = W.t_end input in
   let t_settle = t0 +. (config.t_margin /. 10.) in
   let cursor = W.cursor input and at = { W.time = t0; value = 0. } in
@@ -188,11 +209,11 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
   let live = Array.make k 0 and nlive = ref 0 and resting = ref 0 in
   let solving = Array.make k 0 and sweeping = Array.make k 0 in
   let backing = Array.make k 0 in
-  !times.(0) <- t0;
+  samples.times.(0) <- t0;
   for l = 0 to k - 1 do
     for j = 0 to ns - 1 do
       let x = v.((src.(j) * k) + l) in
-      rows.(l).(j).(0) <- x;
+      rows.((l * ns) + j).(0) <- x;
       if x >= level then begin
         reached.((l * ns) + j) <- true;
         pending.(l) <- pending.(l) - 1
@@ -300,25 +321,25 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
     t := t_new;
     incr steps;
     let s = !steps in
-    if s = Array.length !times then begin
-      times := Array.append !times !times;
+    if s = Array.length samples.times then begin
+      let len = 2 * s in
+      samples.times <- regrow samples.times ~len ~keep:s;
       for a = 0 to !nlive - 1 do
-        let r = rows.(live.(a)) in
         for j = 0 to ns - 1 do
-          r.(j) <- Array.append r.(j) r.(j)
+          let r = (live.(a) * ns) + j in
+          rows.(r) <- regrow rows.(r) ~len ~keep:s
         done
       done
     end;
-    !times.(s) <- t_new;
+    samples.times.(s) <- t_new;
     let settle_check = s mod 64 = 0 && t_new > t_input_end && t_new > t_settle in
     (* Each live lane records the step, then may end: at [stop_at] or
        settled, it stops recording and drops out of the sweeps. *)
     let a = ref 0 in
     while !a < !nlive do
       let l = live.(!a) in
-      let r = rows.(l) in
       for j = 0 to ns - 1 do
-        r.(j).(s) <- v.((src.(j) * k) + l)
+        rows.((l * ns) + j).(s) <- v.((src.(j) * k) + l)
       done;
       if stop then
         for j = 0 to ns - 1 do
@@ -348,25 +369,29 @@ let run_lanes config (tech : Tech.t) driver (flats : Rc_flat.t array) =
   for a = 0 to !nlive - 1 do
     len.(live.(a)) <- !steps + 1
   done;
+  (* Copied out: the buffer's next run overwrites it. *)
   Array.mapi
     (fun l (f : Rc_flat.t) ->
-      let ts = Array.sub !times 0 len.(l) in
-      let wave j = W.make ts (Array.sub rows.(l).(j) 0 len.(l)) in
+      let ts = Array.sub samples.times 0 len.(l) in
+      let wave j = W.make ts (Array.sub rows.((l * ns) + j) 0 len.(l)) in
       let recorded = List.mapi (fun j (tag, _) -> (tag, wave (j + 1))) f.tag_index in
       { vdd; recorded; root = wave 0; settled_flag = settled.(l) })
     flats
 
-let simulate_lanes ?(config = default_config) tech driver trees =
+let run ~config ~samples tech driver trees =
   validate config;
   if Array.length trees = 0 then [||]
   else begin
     let flats = Array.map Rc_flat.of_tree trees in
     check_shapes flats;
-    run_lanes config tech driver flats
+    run_lanes config tech driver samples flats
   end
 
-let simulate ?config tech driver tree =
-  (simulate_lanes ?config tech driver [| tree |]).(0)
+let simulate_lanes ?(config = default_config) tech driver trees =
+  run ~config ~samples:(buffer ()) tech driver trees
+
+let simulate ?(config = default_config) ?(buffer = buffer ()) tech driver tree =
+  (run ~config ~samples:buffer tech driver [| tree |]).(0)
 
 let waveform r tag =
   match List.assoc_opt tag r.recorded with

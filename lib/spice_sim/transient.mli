@@ -21,7 +21,8 @@
     it is how the paper's own delay/slew library cuts trees at buffered
     nodes (Sec. 3.2).
 
-    Domain-safety: simulation state is per-call; no global state. *)
+    Domain-safety: simulation state is per-call, apart from a
+    {!buffer} the caller passes in and owns; no global state. *)
 
 type driver =
   | Driven_buffer of Circuit.Buffer_lib.t * Waveform.t
@@ -76,12 +77,27 @@ val simulate_lanes :
     parent of every node) or tag positions differ from lane 0's. Tag
     names may differ: each lane's result records its own. *)
 
+type buffer
+(** A grow-on-demand sample buffer: the rows a run records its time
+    grid and samples into before they are copied out into its
+    waveforms. One buffer can serve a sequence of {!simulate} calls, so
+    only the first calls of the sequence (and a longer stage than any
+    before) allocate rows. Every sample a result holds was recorded by
+    its own run, so a result is bit for bit the one a fresh buffer
+    gives (DESIGN.md 5x). A buffer is mutable state: one buffer must
+    not serve two runs at once. *)
+
+val buffer : unit -> buffer
+(** An empty buffer, with room for 1,024 samples. *)
+
 val simulate :
-  ?config:config -> Circuit.Tech.t -> driver -> Circuit.Rc_tree.t -> result
+  ?config:config -> ?buffer:buffer -> Circuit.Tech.t -> driver ->
+  Circuit.Rc_tree.t -> result
   [@@cts.raises "Invalid_argument"]
-(** [simulate ?config tech driver tree] is the one-lane run of
+(** [simulate ?config ?buffer tech driver tree] is the one-lane run of
     {!simulate_lanes}: the stage from an all-quiescent initial state,
-    recording every step at the root and every tagged node. Simulation
+    recording every step at the root and every tagged node, into
+    [buffer] (a fresh one when omitted). Simulation
     ends early once the input has finished and every tree node has
     settled above 99% Vdd, at the [stop_at] sample, or at [t_max].
     Raises [Invalid_argument] naming a [config] field outside its

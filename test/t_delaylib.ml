@@ -315,9 +315,70 @@ let wave_gen_list_matches_single () =
       List.map (fun p -> p *. 1e-12) [ 30.; 40.; 80.; 120.; 150. ];
     ]
 
+(* [Wave_gen] as it was before its probes stopped at 90%: every
+   bisection probe and both endpoints simulated to settle, and the last
+   probe's (or the nearer endpoint's) wave returned. *)
+module Full_probe_wave_gen = struct
+  let l_min = 1.
+  let l_max = 4000.
+
+  let slew_for_length tech binput len =
+    let load = Rc.leaf ~tag:"gate" 1e-15 in
+    let r, chain = Rc.wire tech ~length:len load in
+    let tree = Rc.node [ (r, chain) ] in
+    let input = W.smooth_curve ~vdd:tech.Circuit.Tech.vdd ~slew:60e-12 () in
+    let res = T.simulate tech (T.Driven_buffer (binput, input)) tree in
+    let wave = T.waveform res "gate" in
+    (Option.get (W.slew_10_90 wave ~vdd:tech.Circuit.Tech.vdd), wave)
+
+  let normalize tech wave =
+    match W.crossing wave (0.01 *. tech.Circuit.Tech.vdd) with
+    | Some t -> W.shift wave (-.t)
+    | None -> wave
+
+  let buffer_output_wave tech binput ~slew =
+    let s_min, w_min = slew_for_length tech binput l_min in
+    let s_max, w_max = slew_for_length tech binput l_max in
+    if slew <= s_min then normalize tech w_min
+    else if slew >= s_max then normalize tech w_max
+    else
+      let rec bisect iter lo hi =
+        let mid = (lo +. hi) /. 2. in
+        let s, w = slew_for_length tech binput mid in
+        let lo, hi = if s < slew then (mid, hi) else (lo, mid) in
+        if iter < 24 && Float.abs (s -. slew) > 2e-12 then bisect (iter + 1) lo hi else w
+      in
+      normalize tech (bisect 1 l_min l_max)
+end
+
+(* Probes that stop at 90% pick the same lengths, and the chosen
+   length's full run is the wave the all-full bisection returned, bit
+   for bit: both entry points, slews inside the range and at or past
+   either end, two input buffers. *)
+let wave_gen_matches_full_probes () =
+  let bits w =
+    Array.map Int64.bits_of_float (Array.append (W.times w) (W.values w))
+  in
+  let slews =
+    List.map (fun p -> p *. 1e-12) [ 0.5; 20.; 45.; 80.; 120.; 150.; 190.; 250.; 2000. ]
+  in
+  List.iter
+    (fun binput ->
+      let listed = Delaylib.Wave_gen.buffer_output_waves tech binput ~slews in
+      List.iter2
+        (fun slew w ->
+          let name = Printf.sprintf "%s at %g ps" binput.B.name (slew *. 1e12) in
+          let reference = Full_probe_wave_gen.buffer_output_wave tech binput ~slew in
+          Alcotest.(check (array int64)) (name ^ ", list") (bits reference) (bits w);
+          Alcotest.(check (array int64)) (name ^ ", single") (bits reference)
+            (bits (Delaylib.Wave_gen.buffer_output_wave tech binput ~slew)))
+        slews listed)
+    [ B.smallest T_env.lib; T_env.b20 ]
+
 let suite =
   [
     Alcotest.test_case "wave gen hits target slew" `Quick wave_gen_hits_target_slew;
+    Alcotest.test_case "wave gen = full-probe bisection" `Quick wave_gen_matches_full_probes;
     Alcotest.test_case "wave gen range" `Quick wave_gen_range_sane;
     Alcotest.test_case "wave gen list = single waves" `Quick
       wave_gen_list_matches_single;

@@ -546,7 +546,7 @@ let qcheck_side =
 let dl_twin =
   lazy
     (Delaylib.load_or_characterize ~profile:Delaylib.Fast
-       ~cache:"test_delaylib_fast_twin.txt" T_env.tech
+       ~cache:(T_env.beside_binary "test_delaylib_fast_twin.txt") T_env.tech
        (Circuit.Buffer_lib.default_library
        @ [ Circuit.Buffer_lib.make ~name:"BUF20Y" ~size:20. ]))
 

@@ -1,14 +1,17 @@
 (* Shared, lazily built test environment: one Fast-profile delay/slew
    library per test-binary run (characterization takes ~1 s; the library
-   is cached on disk inside the dune sandbox). *)
+   is cached on disk next to the test binary). *)
 
-(* A path under the repository root. The root is derived from the test
-   binary's own location (_build/default/test/test_all.exe), so fixture
-   paths resolve the same whatever the working directory. *)
-let repo_path rel =
-  Filename.concat
-    (Filename.concat (Filename.dirname Sys.executable_name) "../../..")
-    rel
+(* A file next to the test binary (_build/default/test/test_all.exe):
+   the library caches live there whatever the working directory, so a
+   run from the repository root neither writes one into the root nor
+   loads a stale one left there. *)
+let beside_binary name = Filename.concat (Filename.dirname Sys.executable_name) name
+
+(* A path under the repository root, derived from the test binary's own
+   location, so fixture paths resolve the same whatever the working
+   directory. *)
+let repo_path rel = Filename.concat (beside_binary "../../..") rel
 
 let tech = Circuit.Tech.default
 let lib = Circuit.Buffer_lib.default_library
@@ -16,7 +19,7 @@ let lib = Circuit.Buffer_lib.default_library
 let dl =
   lazy
     (Delaylib.load_or_characterize ~profile:Delaylib.Fast
-       ~cache:"test_delaylib_fast.txt" tech lib)
+       ~cache:(beside_binary "test_delaylib_fast.txt") tech lib)
 
 let get_dl () = Lazy.force dl
 

@@ -264,7 +264,7 @@ let lib5 =
 let dl5 =
   lazy
     (Delaylib.load_or_characterize ~profile:Delaylib.Fast
-       ~cache:"test_delaylib_fast5.txt" T_env.tech lib5)
+       ~cache:(T_env.beside_binary "test_delaylib_fast5.txt") T_env.tech lib5)
 
 let fixture_path = T_env.repo_path "test/fixtures/qor/five_cell_r1_dp.json"
 

@@ -259,6 +259,154 @@ let bits_equal a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
+(* ---------------- Unchecked sweeps ----------------
+
+   [Rc_flat]'s sweeps index their arrays unchecked, on the strength of
+   [factor]'s shape checks and each sweep's checks of its own arguments
+   (DESIGN.md 5x). Each rejected shape or argument raises an
+   [Invalid_argument] naming the field, before any array is written. *)
+
+let hand_flat parent =
+  let n = Array.length parent in
+  { Rc_flat.n; parent; g_edge = Array.make n 1.; cap = Array.make n 0.; tag_index = [] }
+
+let flat_factor_rejects_bad_shapes () =
+  let rejects name msg lanes ~diag =
+    Alcotest.check_raises name (Invalid_argument ("Rc_flat.factor: " ^ msg))
+      (fun () -> ignore (Rc_flat.factor lanes ~diag))
+  in
+  let ok = hand_flat [| -1; 0; 1 |] in
+  let d3 = Array.make 3 3. and d6 = Array.make 6 3. in
+  rejects "root has a parent" "parent.(0) = 0, must be -1" [| hand_flat [| 0; 0; 1 |] |]
+    ~diag:d3;
+  rejects "parent after its child" "parent.(2) = 2, must be in [0, 2)"
+    [| hand_flat [| -1; 0; 2 |] |] ~diag:d3;
+  rejects "parent past its child" "parent.(1) = 2, must be in [0, 1)"
+    [| hand_flat [| -1; 2; 0 |] |] ~diag:d3;
+  rejects "negative parent" "parent.(2) = -1, must be in [0, 2)"
+    [| hand_flat [| -1; 0; -1 |] |] ~diag:d3;
+  rejects "short parent" "lane 0's parent has length 2, must be 3"
+    [| { ok with Rc_flat.parent = [| -1; 0 |] } |] ~diag:d3;
+  rejects "short g_edge" "lane 1's g_edge has length 2, must be 3"
+    [| ok; { ok with Rc_flat.g_edge = [| 0.; 1. |] } |] ~diag:d6;
+  rejects "short cap" "lane 1's cap has length 0, must be 3"
+    [| ok; { ok with Rc_flat.cap = [||] } |] ~diag:d6;
+  rejects "other node count" "lane 1's n = 2, must be lane 0's 3"
+    [| ok; hand_flat [| -1; 0 |] |] ~diag:d6;
+  rejects "short diag" "diag has length 5, must be 6" [| ok; ok |] ~diag:(Array.make 5 3.);
+  rejects "no nodes" "n = 0, must be >= 1" [| hand_flat [||] |] ~diag:[||];
+  rejects "no lanes" "no lanes" [||] ~diag:[||];
+  (* The factor keeps its own parent array: a later write to the
+     caller's cannot reach the sweeps. *)
+  let parent = [| -1; 0; 1 |] in
+  let fac = Rc_flat.factor [| hand_flat parent |] ~diag:d3 in
+  parent.(2) <- 1_000_000;
+  let rhs = [| 1.; 2.; 3. |] and into = Array.make 3 0. in
+  Rc_flat.forward fac ~lanes:[| 0 |] ~m:1 ~rhs;
+  Rc_flat.back fac ~lanes:[| 0 |] ~m:1 ~roots:[| 1. |] ~rhs ~into ~next:[||];
+  Alcotest.(check bool) "solved on the checked shape" true
+    (Array.for_all Float.is_finite into)
+
+let flat_sweeps_reject_bad_arguments () =
+  let f = hand_flat [| -1; 0; 1 |] in
+  let fac = Rc_flat.factor [| f; f |] ~diag:(Array.make 6 3.) in
+  let rhs = Array.init 6 float_of_int and into = Array.make 6 7. in
+  let rejects name fn msg run =
+    Alcotest.check_raises name (Invalid_argument (Printf.sprintf "Rc_flat.%s: %s" fn msg)) run
+  in
+  let forward ?(lanes = [| 0; 1 |]) ?(m = 2) ?(rhs = rhs) () =
+    Rc_flat.forward fac ~lanes ~m ~rhs
+  in
+  let back ?(lanes = [| 0; 1 |]) ?(m = 2) ?(roots = [| 1.; 1. |]) ?(rhs = rhs)
+      ?(into = into) ?(next = [||]) () =
+    Rc_flat.back fac ~lanes ~m ~roots ~rhs ~into ~next
+  in
+  let lane_msg a l = Printf.sprintf "lanes.(%d) = %d, must be in [0, k = 2)" a l in
+  rejects "forward: lane = k" "forward" (lane_msg 1 2) (forward ~lanes:[| 0; 2 |]);
+  rejects "forward: negative lane" "forward" (lane_msg 0 (-1)) (forward ~lanes:[| -1 |] ~m:1);
+  rejects "forward: m past lanes" "forward" "m = 2, must be in [0, 1]"
+    (forward ~lanes:[| 0 |] ~m:2);
+  rejects "forward: short rhs" "forward" "rhs has length 5, must be 6"
+    (forward ~rhs:(Array.make 5 0.));
+  rejects "back: lane = k" "back" (lane_msg 0 2) (back ~lanes:[| 2 |] ~m:1);
+  rejects "back: short roots" "back" "roots has length 1, must be 2" (back ~roots:[| 1. |]);
+  rejects "back: short rhs" "back" "rhs has length 3, must be 6" (back ~rhs:(Array.make 3 0.));
+  rejects "back: short into" "back" "into has length 5, must be 6"
+    (back ~into:(Array.make 5 0.));
+  rejects "back: short next" "back" "next has length 1, must be 6" (back ~next:[| 2. |]);
+  let root = { Rc_flat.diag0 = 3.; rhs0 = 0.; v0 = 0. } in
+  rejects "root_solve: lane = k" "root_solve" "lane = 2, must be in [0, k = 2)" (fun () ->
+      Rc_flat.root_solve fac ~lane:2 root ~rhs);
+  rejects "root_solve: short rhs" "root_solve" "rhs has length 2, must be 6" (fun () ->
+      Rc_flat.root_solve fac ~lane:0 root ~rhs:[| 0.; 0. |]);
+  Alcotest.(check (array (float 0.))) "rhs untouched" (Array.init 6 float_of_int) rhs;
+  Alcotest.(check (array (float 0.))) "into untouched" (Array.make 6 7.) into
+
+(* Lane [l] swept alone ([m = 1], the loop that carries a chain edge's
+   value in a register) against lanes 0 and 1 swept together (the lane
+   loop) on one 2-lane factor: the same bits in [rhs] and [into], with
+   and without a [next] sweep. Two thirds of the edges are chain edges
+   ([parent.(i) = i - 1]), the rest branch off an earlier node; a
+   quarter of the trees have 1 or 2 nodes. *)
+let qcheck_lone_lane_matches_lane_loop =
+  QCheck.Test.make ~count:500
+    ~name:"Rc_flat lone-lane sweeps match the lane loop bit for bit"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let n =
+        if Util.Rng.int rng 4 = 0 then 1 + Util.Rng.int rng 2 else 3 + Util.Rng.int rng 40
+      in
+      let parent =
+        Array.init n (fun i ->
+            if i = 0 then -1 else if Util.Rng.int rng 3 > 0 then i - 1 else Util.Rng.int rng i)
+      in
+      let k = 2 in
+      let lanes =
+        Array.init k (fun _ ->
+            let g_edge =
+              Array.init n (fun i -> if i = 0 then 0. else Util.Rng.float_range rng 0.1 2.)
+            in
+            { Rc_flat.n; parent; g_edge; cap = Array.make n 0.; tag_index = [] })
+      in
+      let diag =
+        Array.init (n * k) (fun _ -> Util.Rng.float_range rng 0.5 3.)
+      in
+      for l = 0 to k - 1 do
+        for i = 1 to n - 1 do
+          let g = lanes.(l).Rc_flat.g_edge.(i) in
+          diag.((i * k) + l) <- diag.((i * k) + l) +. g;
+          diag.((parent.(i) * k) + l) <- diag.((parent.(i) * k) + l) +. g
+        done
+      done;
+      let fac = Rc_flat.factor lanes ~diag in
+      let rhs0 = Array.init (n * k) (fun _ -> Util.Rng.float_range rng (-1.) 1.) in
+      let next =
+        if Util.Rng.int rng 2 = 0 then [||]
+        else Array.init (n * k) (fun _ -> Util.Rng.float_range rng 0.1 2.)
+      in
+      let solve swept =
+        let rhs = Array.copy rhs0 and m = Array.length swept in
+        Rc_flat.forward fac ~lanes:swept ~m ~rhs;
+        let roots = Array.make k 0. in
+        Array.iter
+          (fun l ->
+            let r = { Rc_flat.diag0 = diag.(l); rhs0 = rhs.(l); v0 = 0. } in
+            Rc_flat.root_solve fac ~lane:l r ~rhs;
+            roots.(l) <- r.v0)
+          swept;
+        let into = Array.make (n * k) 0. in
+        Rc_flat.back fac ~lanes:swept ~m ~roots ~rhs ~into ~next;
+        (rhs, into)
+      in
+      let lane l a = Array.init n (fun i -> a.((i * k) + l)) in
+      let rhs_both, into_both = solve [| 0; 1 |] in
+      List.for_all
+        (fun l ->
+          let rhs, into = solve [| l |] in
+          bits_equal (lane l rhs) (lane l rhs_both) && bits_equal (lane l into) (lane l into_both))
+        [ 0; 1 ])
+
 (* A random RC tree: up to four root children (the root-only Newton
    folds each one's fill-in separately), random depth, resistances and
    caps, and a tag on roughly half the nodes. *)
@@ -829,15 +977,82 @@ let unknown_tag_rejected () =
       ignore (T.node_slew res ~tag:"out"));
   Alcotest.(check bool) "recorded tag" true (T.node_slew res ~tag:"load" <> None)
 
+(* ---------------- Reused sample buffer ----------------
+
+   One buffer records a stage longer than its initial 1,024 samples, a
+   shorter stage with more tags, then a longer one again, each under an
+   input starting at its own time: every result is a fresh buffer's, in
+   every sample's bits, in sample count and in [settled]. *)
+
+let buffer_reuse_matches_fresh () =
+  let wire length load tag =
+    let r, chain = Rc.wire tech ~length (Rc.leaf ~tag load) in
+    (r, chain)
+  in
+  let stages =
+    [ ("long", Rc.node [ wire 3000. 300e-15 "far" ], 0.);
+      ( "short",
+        Rc.node [ wire 200. 2e-15 "a"; wire 300. 3e-15 "b"; wire 100. 1e-15 "c" ],
+        40e-12 );
+      ("longer", Rc.node [ wire 4000. 500e-15 "far"; wire 50. 2e-15 "near" ], 90e-12) ]
+  in
+  let buffer = T.buffer () in
+  let counts =
+    List.map
+      (fun (name, tree, t0) ->
+        let driver = T.Driven_buffer (b20, W.smooth_curve ~t0 ~vdd ~slew:80e-12 ()) in
+        let fresh = T.simulate tech driver tree in
+        let reused = T.simulate ~buffer tech driver tree in
+        let waves r =
+          T.root_waveform r
+          :: List.map (T.waveform r) (List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index)
+        in
+        Alcotest.(check int) (name ^ ": sample count") (n_samples fresh) (n_samples reused);
+        Alcotest.(check bool) (name ^ ": settled") (T.settled fresh) (T.settled reused);
+        List.iter2
+          (fun f r ->
+            Alcotest.(check bool) (name ^ ": time bits") true (bits_equal (W.times f) (W.times r));
+            Alcotest.(check bool) (name ^ ": sample bits") true
+              (bits_equal (W.values f) (W.values r)))
+          (waves fresh) (waves reused);
+        n_samples fresh)
+      stages
+  in
+  match counts with
+  | [ long; short; longer ] ->
+      Alcotest.(check bool) "past the initial capacity, shorter, longer again" true
+        (long > 1024 && short < long && longer > long)
+  | _ -> Alcotest.fail "three stages"
+
+(* Every stage of a signoff records into one buffer; a second call
+   starts from a fresh one and returns the same metrics. *)
+let ctree_sim_repeats () =
+  let dl = T_env.get_dl () in
+  let d = Bmark.Synthetic.scaled (Bmark.Synthetic.find "r1") 0.05 in
+  let tree = (Cts.synthesize dl (Bmark.Synthetic.sinks d)).Cts.tree in
+  let show (m : Ctree_sim.metrics) =
+    let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+    [ bits m.latency; bits m.skew; bits m.worst_slew; m.worst_slew_node;
+      string_of_int m.n_stages; string_of_bool m.all_settled ]
+    @ List.map (fun (name, d) -> name ^ " " ^ bits d) m.sink_delays
+  in
+  let first = Ctree_sim.simulate tech tree in
+  Alcotest.(check bool) "several stages" true (first.Ctree_sim.n_stages > 1);
+  Alcotest.(check (list string)) "equal metrics" (show first)
+    (show (Ctree_sim.simulate tech tree))
+
 (* ---------------- Golden bits ----------------
 
    The fast- and accurate-profile library files (fresh
    characterizations) and the signoff of the 13-sink r1@0.05 instance
-   synthesized with the fast one, as Int64 bits.
-   CTS_UPDATE_QOR_FIXTURE=<dir> writes the file to <dir> instead of
-   comparing (run once, commit it), as for the QoR fixture. *)
+   synthesized with the fast one, as Int64 bits; and the signoff of the
+   benchmark ladder's gsrc-r4 seed-1 instance (1,903 sinks, 2,420
+   stages). CTS_UPDATE_QOR_FIXTURE=<dir> writes each file to <dir>
+   instead of comparing (run once, commit it), as for the QoR
+   fixture. *)
 
 let golden_path = T_env.repo_path "test/fixtures/sim/r1_fast_signoff_bits.txt"
+let r4_golden_path = T_env.repo_path "test/fixtures/sim/r4_seed1_signoff_bits.txt"
 
 let library_md5 dl =
   let file = Filename.temp_file "cts_library" ".txt" in
@@ -846,15 +1061,16 @@ let library_md5 dl =
   Sys.remove file;
   md5
 
+let accurate = lazy (Delaylib.characterize ~profile:Delaylib.Accurate tech lib)
+let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
+
 let golden_lines () =
   let dl = Delaylib.characterize ~profile:Delaylib.Fast tech lib in
-  let accurate = Delaylib.characterize ~profile:Delaylib.Accurate tech lib in
   let d = Bmark.Synthetic.scaled (Bmark.Synthetic.find "r1") 0.05 in
   let tree = (Cts.synthesize dl (Bmark.Synthetic.sinks d)).Cts.tree in
   let m = Ctree_sim.simulate tech tree in
-  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
   [ "fast-library-md5 " ^ library_md5 dl;
-    "accurate-library-md5 " ^ library_md5 accurate;
+    "accurate-library-md5 " ^ library_md5 (Lazy.force accurate);
     "skew " ^ bits m.Ctree_sim.skew;
     "latency " ^ bits m.Ctree_sim.latency;
     "worst-slew " ^ bits m.Ctree_sim.worst_slew ]
@@ -862,27 +1078,61 @@ let golden_lines () =
       (fun (name, delay) -> Printf.sprintf "sink %s %s" name (bits delay))
       m.Ctree_sim.sink_delays
 
-let golden_signoff_bits () =
-  let lines = golden_lines () in
-  Alcotest.(check int) "13 sinks" 13 (List.length lines - 5);
+(* The ladder's gsrc-r4 rung at seed 1: synthetic r4 under the
+   descriptor name "r4#1" (the name seeds the generator), greedy
+   insertion, no H-structure correction, the accurate library. *)
+let r4_golden_lines () =
+  let dl = Lazy.force accurate in
+  let d = Bmark.Synthetic.find "r4" in
+  let sinks = Bmark.Synthetic.sinks { d with Bmark.Synthetic.name = "r4#1" } in
+  let config =
+    Cts_config.with_hstructure
+      (Cts_config.with_insertion (Cts_config.default dl) Cts_config.Greedy)
+      Cts_config.H_none
+  in
+  let tree = (Cts.synthesize ~config dl sinks).Cts.tree in
+  let m = Ctree_sim.simulate tech tree in
+  let delays =
+    String.concat "\n"
+      (List.map (fun (name, delay) -> name ^ " " ^ bits delay) m.Ctree_sim.sink_delays)
+  in
+  [ "netlist-md5 " ^ Digest.to_hex (Digest.string (Ctree_netlist.to_deck tech tree));
+    "stages " ^ string_of_int m.Ctree_sim.n_stages;
+    "skew " ^ bits m.Ctree_sim.skew;
+    "latency " ^ bits m.Ctree_sim.latency;
+    "worst-slew " ^ bits m.Ctree_sim.worst_slew;
+    "sinks " ^ string_of_int (List.length m.Ctree_sim.sink_delays);
+    "sink-delays-md5 " ^ Digest.to_hex (Digest.string delays) ]
+
+let check_golden path lines =
   match Sys.getenv_opt "CTS_UPDATE_QOR_FIXTURE" with
   | Some dir ->
-      let path = Filename.concat dir (Filename.basename golden_path) in
+      let path = Filename.concat dir (Filename.basename path) in
       Out_channel.with_open_text path (fun oc ->
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
       Printf.printf "fixture regenerated: %s\n" path
   | None ->
       let expected =
-        In_channel.with_open_text golden_path In_channel.input_all
+        In_channel.with_open_text path In_channel.input_all
         |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
       in
       Alcotest.(check (list string)) "golden bits" expected lines
 
+let golden_signoff_bits () =
+  let lines = golden_lines () in
+  Alcotest.(check int) "13 sinks" 13 (List.length lines - 5);
+  check_golden golden_path lines
+
+let r4_golden_signoff_bits () = check_golden r4_golden_path (r4_golden_lines ())
+
 let suite =
   [
     Alcotest.test_case "flat preorder/parents" `Quick flat_preorder_parents;
     Alcotest.test_case "tree solve = dense solve" `Quick flat_solve_matches_dense;
+    Alcotest.test_case "factor rejects bad shapes" `Quick flat_factor_rejects_bad_shapes;
+    Alcotest.test_case "sweeps reject bad arguments" `Quick flat_sweeps_reject_bad_arguments;
+    QCheck_alcotest.to_alcotest qcheck_lone_lane_matches_lane_loop;
     Alcotest.test_case "RC analytic time constant" `Quick
       source_driven_rc_analytic;
     Alcotest.test_case "stage settles physically" `Quick stage_monotone_settling;
@@ -908,6 +1158,10 @@ let suite =
       config_rejects_newton_iters;
     Alcotest.test_case "config rejects stop_at" `Quick config_rejects_stop_at;
     Alcotest.test_case "unknown tag rejected" `Quick unknown_tag_rejected;
+    Alcotest.test_case "reused buffer = fresh buffer" `Quick buffer_reuse_matches_fresh;
+    Alcotest.test_case "ctree_sim twice, same metrics" `Quick ctree_sim_repeats;
     Alcotest.test_case "golden signoff bits (fast library, r1@0.05)" `Slow
       golden_signoff_bits;
+    Alcotest.test_case "golden gsrc-r4 signoff (accurate, seed 1)" `Slow
+      r4_golden_signoff_bits;
   ]
