@@ -111,10 +111,10 @@ let stage load =
 
 (* Characterization's config: dt 1 ps and [stop_at = Some 0.9], where
    the stop check runs on every step. *)
-let char_config = { T.default_config with T.dt = 1e-12; stop_at = Some 0.9 }
+let char_config = { Delaylib.Wave_gen.char_config with T.stop_at = Some 0.9 }
 
 (* The stage simulated whole, per-stage set-up then the step loop, at
-   the default config (769 samples) and at characterization's (272
+   the default config (193 samples) and at characterization's (272
    samples). *)
 let hot_step ?config ~name () =
   let driver = driver () and tree = stage 5e-15 in
@@ -137,22 +137,22 @@ let hot_step_lanes dl =
    kernel allocates about 630 words, nearly all of it the boxed
    arguments and results of its ~73 delay-library lookups; boxed DP
    states or per-evaluation tables would cost thousands more. The stage
-   simulation allocates about 1,000-1,300 words of per-stage set-up
-   (the sample rows are major-heap blocks) and nothing per step: one
-   boxed float per step would add about 1,540 at the default config and
-   about 540 (to ~1,800) with the early stop. The four-lane group
-   allocates about 4,200 words of set-up and nothing per lane-step; its
-   lanes take 1,117 steps between them, so one boxed float per
-   lane-step would add about 2,230 (to ~6,400). *)
+   simulations allocate only per-stage set-up and nothing per step;
+   each budget is its set-up plus less than one word per (lane-)step,
+   so one boxed float (two words) per step breaches it. At the default
+   config: 1,710 words of set-up (the waveform copies of 193 samples
+   fit the minor heap) and 192 steps; with the early stop: 1,181 words
+   and 271 steps. The four-lane group: 3,569 words, and its lanes take
+   1,117 steps between them. *)
 let gated dl =
   List.map (fun t -> (8., t)) (hot_lookups dl)
   @ [
       (2000., hot_dp dl);
-      (2000., hot_step ~name:"hot-step: Transient.simulate, fig1.1 stage" ());
-      ( 1550.,
+      (1850., hot_step ~name:"hot-step: Transient.simulate, fig1.1 stage" ());
+      ( 1400.,
         hot_step ~name:"hot-step-stop: the same, stop_at 0.9, dt 1 ps"
           ~config:char_config () );
-      (5000., hot_step_lanes dl);
+      (4100., hot_step_lanes dl);
     ]
 
 (* Runs one kernel under [instances]; the result maps each of them to

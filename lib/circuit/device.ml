@@ -24,9 +24,19 @@ let[@inline] drain_current (tech : Tech.t) ~vov ~idsat ~vds =
       let x = vds /. vdsat in
       idsat *. x *. (2. -. x)
 
+(* Below [vds = 0] the drain and source swap: the device conducts from
+   its source terminal, with the gate drive taken against the drain,
+   [vgs - vds]. Its own bias, so a power per call; only a node driven
+   past a rail reaches it (DESIGN.md 5y). *)
+let[@inline] reverse_current (tech : Tech.t) ~size ~vgs ~vds =
+  let vov = vgs -. vds -. tech.vt in
+  -.drain_current tech ~vov ~idsat:(idsat tech ~size ~vov) ~vds:(-.vds)
+
 let nmos_current (tech : Tech.t) ~size ~vgs ~vds =
-  let vov = vgs -. tech.vt in
-  drain_current tech ~vov ~idsat:(idsat tech ~size ~vov) ~vds
+  if vds < 0. then reverse_current tech ~size ~vgs ~vds
+  else
+    let vov = vgs -. tech.vt in
+    drain_current tech ~vov ~idsat:(idsat tech ~size ~vov) ~vds
 
 (* Pull-down NMOS: gate at vin, source at ground. Pull-up PMOS:
    complementary — an NMOS in the mirrored frame (gate drive vdd - vin,
@@ -38,9 +48,21 @@ let rebias (tech : Tech.t) d =
   d.p_vov <- tech.vdd -. d.vin -. tech.vt;
   d.p_idsat <- idsat tech ~size:d.size ~vov:d.p_vov
 
+(* Between the rails both devices take the cached bias; below 0 V the
+   NMOS and above Vdd the PMOS conduct in reverse, pulling the node
+   back. *)
 let[@inline] current_at (tech : Tech.t) d vout =
-  drain_current tech ~vov:d.p_vov ~idsat:d.p_idsat ~vds:(tech.vdd -. vout)
-  -. drain_current tech ~vov:d.n_vov ~idsat:d.n_idsat ~vds:vout
+  let p_vds = tech.vdd -. vout in
+  let i_p =
+    if p_vds < 0. then
+      reverse_current tech ~size:d.size ~vgs:(tech.vdd -. d.vin) ~vds:p_vds
+    else drain_current tech ~vov:d.p_vov ~idsat:d.p_idsat ~vds:p_vds
+  in
+  let i_n =
+    if vout < 0. then reverse_current tech ~size:d.size ~vgs:d.vin ~vds:vout
+    else drain_current tech ~vov:d.n_vov ~idsat:d.n_idsat ~vds:vout
+  in
+  i_p -. i_n
 
 let inverter tech ~size ~vin =
   let d =

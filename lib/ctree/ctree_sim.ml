@@ -77,7 +77,9 @@ let simulate ?(config = T.default_config) tech (root : Ctree.t) =
   in
   (* Worklist of buffer stages: (buffer node, its cell, input waveform).
      Every stage records into one sample buffer, which grows to the
-     longest stage and is reused by the rest. *)
+     longest stage and is reused by the rest. A stage's recording ends
+     at its own settle, so the next stage's input holds its last value
+     from there on. *)
   let buffer = T.buffer () in
   let queue = Queue.create () in
   Queue.add (root, root_buf, source) queue;

@@ -105,8 +105,7 @@ let default_branch_classes = [| 0; 2; 3 |]
 (* The measurements below read only first crossings at 10, 50 and 90%
    Vdd, so a run may end once every recorded node has reached 90%: the
    upper level of [Waveform.slew_10_90], the highest one read. *)
-let char_sim_config =
-  { T.default_config with T.dt = 1e-12; stop_at = Some 0.9 }
+let char_sim_config = { Wave_gen.char_config with T.stop_at = Some 0.9 }
 
 (* ------------------------------------------------------------------ *)
 (* Characterization circuits                                           *)
@@ -127,8 +126,10 @@ let branch_stage tech ~len_left ~len_right (cap_left, cap_right) =
   let rr, cr = Rc_tree.wire tech ~length:len_right right in
   Rc_tree.node [ (rl, cl); (rr, cr) ]
 
-let simulate_lanes tech drive input stages =
-  T.simulate_lanes ~config:char_sim_config tech (T.Driven_buffer (drive, input)) stages
+(* The runs of one (buffer, slew) task share a driver, so they share
+   stage 1's trajectory through [stage1]. *)
+let simulate_lanes tech ~stage1 drive input stages =
+  T.simulate_lanes ~config:char_sim_config ~stage1 tech (T.Driven_buffer (drive, input)) stages
 
 (* One simulation's samples: buffer delay, wire delay and load slew. *)
 let measure_single tech input res =
@@ -293,15 +294,17 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
      classes (class pairs) as its lanes. Per length, the samples come
      back in class (pair) order. *)
   let single_samples (drive : Buffer_lib.t) slew () =
-    let input = wave_for slew in
+    let input = wave_for slew and stage1 = T.stage1 () in
     List.map
       (fun length ->
-        let res = simulate_lanes tech drive input (Array.map (single_stage tech ~length) classes) in
+        let res =
+          simulate_lanes tech ~stage1 drive input (Array.map (single_stage tech ~length) classes)
+        in
         (length, Array.map (measure_single tech input) res))
       lens
   in
   let branch_samples (drive : Buffer_lib.t) slew () =
-    let input = wave_for slew in
+    let input = wave_for slew and stage1 = T.stage1 () in
     List.concat_map
       (fun len_left ->
         List.map
@@ -309,7 +312,7 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
             let stage (cl, cr) =
               branch_stage tech ~len_left ~len_right (classes.(cl), classes.(cr))
             in
-            let res = simulate_lanes tech drive input (Array.map stage pairs) in
+            let res = simulate_lanes tech ~stage1 drive input (Array.map stage pairs) in
             ((len_left, len_right), Array.map (measure_branch tech) res))
           blens)
       blens
@@ -586,6 +589,11 @@ let fit_report t = t.residuals
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
+(* The first line of a library file. v2 libraries are characterized
+   under the BDF2 engine; a v1 file holds backward-Euler fits, so [load]
+   rejects it and [load_or_characterize] replaces it. *)
+let format_header = "delaylib v2"
+
 (* Through a temporary file in the same directory and a rename, so a
    reader, or a concurrent save, never sees a partly written file. *)
 let save t path =
@@ -595,7 +603,7 @@ let save t path =
   in
   let pf fmt = Printf.fprintf oc fmt in
   (try
-     pf "delaylib v1\n";
+     pf "%s\n" format_header;
      pf "tech %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n"
        t.tech.Tech.vdd t.tech.Tech.vt t.tech.Tech.alpha t.tech.Tech.vdsat_frac
        t.tech.Tech.k_per_x t.tech.Tech.gate_cap_per_x t.tech.Tech.drain_cap_per_x
@@ -660,8 +668,9 @@ let load path =
         | None -> fail "unexpected EOF in surface"
       in
       (match next () with
-      | Some "delaylib v1" -> ()
-      | _ -> fail "bad magic");
+      | Some h when String.equal h format_header -> ()
+      | Some h -> fail "bad header %S, must be %S" h format_header
+      | None -> fail "empty file");
       let tech =
         match next () with
         | Some line -> (

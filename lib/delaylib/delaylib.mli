@@ -48,7 +48,9 @@ val characterize :
   Circuit.Buffer_lib.t list -> t
   [@@cts.raises "Failure,Invalid_argument,Not_found"]
 (** Run all characterization simulations and fit: ~0.2 s ([Fast]) and
-    ~0.5 s ([Accurate]) on one domain of a 2-CPU x86-64 host. Each
+    ~0.5 s ([Accurate]) on one domain of a 2-CPU x86-64 host. The
+    simulations, input waveforms included, run at a 1 ps BDF2 step, half
+    of signoff's (DESIGN.md 5y). Each
     simulation stops once every node it measures has reached 90% Vdd,
     the highest crossing the fits read ({!Spice_sim.Transient.config}'s
     [stop_at]). The load classes of one (buffer, slew, length), and the
@@ -77,7 +79,10 @@ val save : t -> string -> unit [@@cts.raises "Sys_error"]
 val load : string -> t [@@cts.raises "Failure,Invalid_argument,Sys_error"]
 (** Read a library back; raises [Failure] (or [Invalid_argument] from
     a malformed surface) on bad input, [Sys_error] on an unreadable
-    path. The channel is closed on every path.
+    path. The channel is closed on every path. The first line must be
+    [delaylib v2], the header {!save} writes: a [delaylib v1] file,
+    characterized under the earlier backward-Euler engine, is rejected
+    with a [Failure] naming both headers.
 
     A file that parses is still rejected with a [Failure] naming the
     problem when the library would be unusable: no buffers, a duplicate

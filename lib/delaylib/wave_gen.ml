@@ -4,19 +4,21 @@ module T = Spice_sim.Transient
 let l_min = 1.
 let l_max = 4000.
 
+let char_config = { T.default_config with T.dt = 1e-12 }
+
 (* The input stage at wire length [len], recording at the 1 fF gate. *)
-let gate_wave ?config tech binput len =
+let gate_wave ?(config = char_config) tech binput len =
   let load = Circuit.Rc_tree.leaf ~tag:"gate" 1e-15 in
   let r, chain = Circuit.Rc_tree.wire tech ~length:len load in
   let tree = Circuit.Rc_tree.node [ (r, chain) ] in
   let input = W.smooth_curve ~vdd:tech.Circuit.Tech.vdd ~slew:60e-12 () in
-  let res = T.simulate ?config tech (T.Driven_buffer (binput, input)) tree in
+  let res = T.simulate ~config tech (T.Driven_buffer (binput, input)) tree in
   T.waveform res "gate"
 
 (* A probe reads only the gate's 10-90% slew, so its run stops at the
    90% sample: a prefix of the full run, bit for bit, which holds both
    crossings (DESIGN.md 5s). *)
-let probe_config = { T.default_config with T.stop_at = Some 0.9 }
+let probe_config = { char_config with T.stop_at = Some 0.9 }
 
 let slew_for_length tech binput len =
   let wave = gate_wave ~config:probe_config tech binput len in

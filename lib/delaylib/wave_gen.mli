@@ -7,9 +7,15 @@
     input slew. This module reproduces that scheme: it bisects the input
     wire length until the waveform arriving at the measured gate has the
     requested 10%-90% slew, and returns that waveform (time-shifted to
-    start at 0). 
+    start at 0). Its stages run at characterization's 1 ps step.
 
     Domain-safety: waveform construction uses call-local arrays only. *)
+
+val char_config : Spice_sim.Transient.config
+(** Characterization's transient config, for these input stages and
+    {!Delaylib}'s own: [Transient.default_config] at a 1 ps step, half
+    of signoff's. At 2 ps the 10%-90% crossings of the fastest loads
+    interpolate up to 1.5 ps off (DESIGN.md 5y). *)
 
 val buffer_output_wave :
   ?tol:(float[@cts.unit "ps"]) -> Circuit.Tech.t -> Circuit.Buffer_lib.t -> slew:float ->

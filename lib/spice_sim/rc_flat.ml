@@ -171,19 +171,23 @@ let root_solve f ~lane r ~rhs =
   done;
   r.v0 <- !x /. !d
 
+(* BDF2's history term for a node of capacitance/dt [c_dt] whose value
+   goes from [old] to [x]. *)
+let[@inline] history c_dt x old = c_dt *. ((2. *. x) -. (0.5 *. old))
+
 let back f ~lanes ~m ~roots ~rhs ~into ~next =
   check_lanes "back" f ~lanes ~m;
   let nk = f.n * f.k in
   check_length "back" "roots" roots f.k;
   check_length "back" "rhs" rhs nk;
   check_length "back" "into" into nk;
-  let sweep = Array.length next > 0 in
-  if sweep then check_length "back" "next" next nk;
+  check_length "back" "next" next nk;
   let k = f.k and parent = f.parent and g_edge = f.g_edge and pivot = f.pivot in
   for a = 0 to m - 1 do
     let l = iget lanes a in
+    let old = get into l in
     set into l (get roots l);
-    if sweep then set rhs l (get next l *. get roots l)
+    set rhs l (history (get next l) (get roots l) old)
   done;
   (* Row [j] of [rhs] is read before [into.(j)] is written, and never
      again. *)
@@ -195,9 +199,10 @@ let back f ~lanes ~m ~roots ~rhs ~into ~next =
       let j = (i * k) + l and p = iget parent i in
       let vp = if p = i - 1 then !prev else get into ((p * k) + l) in
       let x = (get rhs j +. (get g_edge j *. vp)) /. get pivot j in
+      let old = get into j in
       set into j x;
       prev := x;
-      if sweep then set rhs j (get next j *. x)
+      set rhs j (history (get next j) x old)
     done
   end
   else
@@ -207,7 +212,8 @@ let back f ~lanes ~m ~roots ~rhs ~into ~next =
         let l = iget lanes a in
         let j = bi + l in
         let x = (get rhs j +. (get g_edge j *. get into (bp + l))) /. get pivot j in
+        let old = get into j in
         set into j x;
-        if sweep then set rhs j (get next j *. x)
+        set rhs j (history (get next j) x old)
       done
     done

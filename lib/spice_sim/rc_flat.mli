@@ -79,11 +79,13 @@ val back :
 (** Back-substitution of the lanes [lanes.(0 .. m-1)] from their root
     values [roots.(l)] (as set by {!root_solve}) over the {!forward}ed
     [rhs]; writes their [n] unknowns each to [into], which may be the
-    array the rhs was built from. With a non-empty [next] the same pass
-    also sets those lanes' [rhs.(j)] to [next.(j) *. into.(j)]: the
-    next solve's right-hand side before {!forward}, so a time step's
-    rhs sweep rides along with the previous step's back-substitution.
-    With [[||]], [rhs] is only read. Raises [Invalid_argument] naming
+    array the rhs was built from. The same pass sets those lanes'
+    [rhs.(j)] to BDF2's history term
+    [next.(j) *. ((2. *. x) -. (0.5 *. old))], from the unknown [x] it
+    writes and the value [old] it overwrites in [into]: with [next]
+    holding C/dt, the next time step's right-hand side before
+    {!forward}, so the step's rhs sweep rides along with the
+    back-substitution. Raises [Invalid_argument] naming
     the argument, before writing anything, unless the lanes are as for
-    {!forward}, [roots] has length [k] and [rhs], [into] and a
-    non-empty [next] have length [n * k]. *)
+    {!forward}, [roots] has length [k] and [rhs], [into] and [next]
+    have length [n * k]. *)

@@ -11,7 +11,7 @@ type config = {
 }
 
 let default_config =
-  { dt = 0.5e-12; t_margin = 1.5e-9; t_max = 40e-9; newton_iters = 3;
+  { dt = 2e-12; t_margin = 1.5e-9; t_max = 40e-9; newton_iters = 3;
     stop_at = None }
 
 type result = {
@@ -29,6 +29,21 @@ type result = {
 type buffer = { mutable times : float array; mutable rows : float array array }
 
 let buffer () = { times = Array.create_float 1024; rows = [||] }
+
+(* What alone determines stage 1's trajectory (DESIGN.md 5y). *)
+type stage1_key = {
+  tech : Tech.t; buf : Buffer_lib.t; input : W.t; step : float; iters : int;
+}
+
+(* [outs.(s)]: stage 1's output after step [s <= known] of a run under
+   [key]. *)
+type stage1 = {
+  mutable key : stage1_key option;
+  mutable outs : float array;
+  mutable known : int;
+}
+
+let stage1 () = { key = None; outs = [||]; known = -1 }
 
 (* [a] at length [len], its first [keep] samples copied. *)
 let regrow a ~len ~keep =
@@ -57,19 +72,22 @@ let validate c =
 let[@inline] same_bits a b =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Scalar backward-Euler Newton step for the buffer's internal node
-   [d.vout] at input [d.vin], in place; inlined, so [c_dt] is not boxed.
-   An update is a function of the iterate alone: once one returns its
-   input bit for bit, the remaining ones would too. *)
+(* Scalar BDF2 Newton step for the buffer's internal node [d.vout] at
+   input [d.vin], in place, from its previous value [v_prev]; inlined,
+   so the floats are not boxed. The history enters as differences, so a
+   node at rest ([v = v_old = v_prev]) sees +0. An update is a function
+   of the iterate alone: once one returns its input bit for bit, the
+   remaining ones would too. *)
 let[@inline] advance_internal (tech : Tech.t) (d : Device.inverter) ~c_dt
-    ~iters =
+    ~v_prev ~iters =
   let v_old = d.vout in
+  let drift = 0.5 *. (v_old -. v_prev) in
   let v = ref v_old and k = ref 0 in
   while !k < iters do
     d.vout <- !v;
     Device.eval tech d;
-    let f = (c_dt *. (!v -. v_old)) -. d.current in
-    let fp = c_dt +. d.conductance in
+    let f = (c_dt *. ((1.5 *. (!v -. v_old)) -. drift)) -. d.current in
+    let fp = (1.5 *. c_dt) +. d.conductance in
     let next = !v -. (f /. fp) in
     k := if same_bits next !v then iters else !k + 1;
     v := next
@@ -107,15 +125,6 @@ let check_shapes (flats : Rc_flat.t array) =
 (* Removes [live.(a)] from the first [m] entries, keeping their order. *)
 let drop live ~m a = Array.blit live (a + 1) live a (m - a - 1)
 
-(* [rhs] = C/dt * v over the lanes [lanes.(0 .. m-1)]. *)
-let sweep_rhs ~c_dt ~v ~rhs ~k ~n ~lanes ~m =
-  for i = 0 to n - 1 do
-    for a = 0 to m - 1 do
-      let j = (i * k) + lanes.(a) in
-      rhs.(j) <- c_dt.(j) *. v.(j)
-    done
-  done
-
 (* Whether every node of lane [l] is +0. *)
 let lane_at_rest v ~k ~n l =
   let zero = ref true and i = ref 0 in
@@ -126,7 +135,22 @@ let lane_at_rest v ~k ~n l =
   !zero
 
 (* The step loop over [flats], k >= 1 lanes of one shape. *)
-let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
+(* [memo] ready for a run under [key]: kept when it was recorded under
+   the same one, else emptied, holding only the initial Vdd. *)
+let claim (memo : stage1) (key : stage1_key) ~vdd =
+  let same (k : stage1_key) =
+    k.tech == key.tech && k.buf == key.buf && k.input == key.input
+    && same_bits k.step key.step && k.iters = key.iters
+  in
+  match memo.key with
+  | Some k when same k -> ()
+  | Some _ | None ->
+      memo.key <- Some key;
+      if Array.length memo.outs = 0 then memo.outs <- Array.create_float 1024;
+      memo.outs.(0) <- vdd;
+      memo.known <- 0
+
+let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t array) =
   let k = Array.length flats in
   let f0 = flats.(0) in
   let n = f0.Rc_flat.n and parent = f0.Rc_flat.parent in
@@ -148,10 +172,14 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
   done;
   let c_dt1 = Buffer_lib.internal_cap tech buf /. dt in
   let size1 = buf.Buffer_lib.stage1_size and size2 = buf.Buffer_lib.size in
-  let c_dt = Array.map (fun c -> c /. dt) cap in
-  (* Static part of the diagonal: C/dt + sum of incident edge
-     conductances. *)
-  let diag_base = Array.copy c_dt in
+  (* C/dt, and the static part of the diagonal: BDF2's 1.5 C/dt + sum
+     of incident edge conductances. Loops, not [Array.map], which boxes
+     each float it reads and returns. *)
+  let c_dt = Array.make (n * k) 0. and diag_base = Array.make (n * k) 0. in
+  for j = 0 to (n * k) - 1 do
+    c_dt.(j) <- cap.(j) /. dt;
+    diag_base.(j) <- 1.5 *. c_dt.(j)
+  done;
   for i = 1 to n - 1 do
     let p = parent.(i) in
     for l = 0 to k - 1 do
@@ -178,7 +206,7 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
     if Array.length samples.rows.(r) < cap0 then samples.rows.(r) <- Array.create_float cap0
   done;
   let rows = samples.rows in
-  let t0 = W.t_start input and t_input_end = W.t_end input in
+  let t0 = W.t_start input in
   let t_settle = t0 +. (config.t_margin /. 10.) in
   let cursor = W.cursor input and at = { W.time = t0; value = 0. } in
   (* Stage 1 sees only the input and its own capacitance, and stage 2's
@@ -186,6 +214,12 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
   let stage1 = Device.inverter tech ~size:size1 ~vin:0. in
   let stage2 = Device.inverter tech ~size:size2 ~vin:vdd in
   stage1.vout <- vdd;
+  (match memo with
+  | Some m -> claim m { tech; buf; input; step = dt; iters } ~vdd
+  | None -> ());
+  (* Stage 1's value one step back. A run starts from rest, so
+     [v(-1) = v(0)], for stage 1 (Vdd) and for every tree node (+0). *)
+  let prev1 = ref vdd in
   (* At rest, per lane (DESIGN.md 5p): [rest] while every tree node is
      +0, [fixed] once a solved step showed that the tree maps rest to
      rest, [quiet] while the internal node is also still at Vdd. *)
@@ -199,6 +233,11 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
      have not. *)
   let stop = Option.is_some config.stop_at in
   let level = vdd *. Option.value config.stop_at ~default:1. in
+  (* The settle check passes only where every node is at 99% Vdd (a NaN
+     node fails it), so every recorded series has then reached a
+     [stop_at] level of at most 0.99: such a lane can settle only at its
+     stop sample, and the check runs only there (DESIGN.md 5y). *)
+  let settle_at_stop = stop && level <= 0.99 *. vdd in
   let reached = Array.make (k * ns) false and pending = Array.make k ns in
   let settled = Array.make k false and len = Array.make k 1 in
   (* The live lanes, in ascending order. While some of them is still
@@ -225,7 +264,7 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
     end
   done;
   resting := !nlive;
-  let t = ref t0 and steps = ref 0 and swept = ref false in
+  let t = ref t0 and steps = ref 0 in
   while !nlive > 0 && !t < config.t_max do
     let t_new = !t +. dt in
     at.time <- t_new;
@@ -238,7 +277,8 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
       (* A lane at rest whose tree maps rest to rest, with the internal
          node at Vdd and the input within [0, vt], would change
          nothing; the step is skipped only when every live lane would
-         skip it. At rest, [rhs] still holds the fixed step's sweep. *)
+         skip it. A lane at rest holds +0 in [rhs]: the history term of
+         a node whose last two values are +0. *)
       let window = 0. <= vin && vin <= vt in
       ms := 0;
       mw := 0;
@@ -260,15 +300,16 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
     if !ms > 0 then begin
       (* The buffer's internal node first, once for every lane: for a
          lane that would have skipped, the step returns Vdd bit for bit
-         (DESIGN.md 5p), so that lane is left as it is. Then one rhs
-         sweep, Newton on each lane's root unknown alone and one
-         back-substitution. *)
+         (DESIGN.md 5p), so that lane is left as it is. Then one forward
+         sweep of the rhs, Newton on each lane's root unknown alone and
+         one back-substitution. *)
       stage1.vin <- vin;
-      advance_internal tech stage1 ~c_dt:c_dt1 ~iters;
-      if !mw > 0 then begin
-        if not !swept then sweep_rhs ~c_dt ~v ~rhs ~k ~n ~lanes:!sweep ~m:!mw;
-        Rc_flat.forward fac ~lanes:!sweep ~m:!mw ~rhs
-      end;
+      let v1 = stage1.vout and s1 = !steps + 1 in
+      (match memo with
+      | Some m when s1 <= m.known -> stage1.vout <- m.outs.(s1)
+      | Some _ | None -> advance_internal tech stage1 ~c_dt:c_dt1 ~v_prev:!prev1 ~iters);
+      prev1 := v1;
+      if !mw > 0 then Rc_flat.forward fac ~lanes:!sweep ~m:!mw ~rhs;
       stage2.vin <- stage1.vout;
       let solve = !solve in
       for a = 0 to !ms - 1 do
@@ -295,13 +336,11 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
           incr mb
         end
       done;
-      (* Once no lane is at rest, every step sweeps every live lane, so
-         the back-substitution sweeps the next step's rhs as it goes. *)
-      if !mb > 0 then begin
-        swept := !resting = 0;
-        Rc_flat.back fac ~lanes:!back ~m:!mb ~roots ~rhs ~into:v
-          ~next:(if !swept then c_dt else [||])
-      end;
+      (* The back-substitution writes each node's next rhs from the
+         value it computes and the one it overwrites: a lane that sweeps
+         a step back-substituted the step before (DESIGN.md 5y). *)
+      if !mb > 0 then
+        Rc_flat.back fac ~lanes:!back ~m:!mb ~roots ~rhs ~into:v ~next:c_dt;
       if !resting > 0 then begin
         for a = 0 to !mb - 1 do
           let l = backing.(a) in
@@ -321,6 +360,14 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
     t := t_new;
     incr steps;
     let s = !steps in
+    (* A step no lane solved left stage 1 where an advance would have:
+       at Vdd (DESIGN.md 5p). *)
+    (match memo with
+    | Some m when s > m.known ->
+        if s = Array.length m.outs then m.outs <- regrow m.outs ~len:(2 * s) ~keep:s;
+        m.outs.(s) <- stage1.vout;
+        m.known <- s
+    | Some _ | None -> ());
     if s = Array.length samples.times then begin
       let len = 2 * s in
       samples.times <- regrow samples.times ~len ~keep:s;
@@ -332,7 +379,7 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
       done
     end;
     samples.times.(s) <- t_new;
-    let settle_check = s mod 64 = 0 && t_new > t_input_end && t_new > t_settle in
+    let settle_check = s mod 8 = 0 && t_new > t_settle && vin >= 0.99 *. vdd in
     (* Each live lane records the step, then may end: at [stop_at] or
        settled, it stops recording and drops out of the sweeps. *)
     let a = ref 0 in
@@ -349,10 +396,10 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
             pending.(l) <- pending.(l) - 1
           end
         done;
-      if settle_check then begin
-        let ok = ref (vin >= 0.99 *. vdd) and i = ref 0 in
+      if settle_check && not (settle_at_stop && pending.(l) > 0) then begin
+        let ok = ref true and i = ref 0 in
         while !ok && !i < n do
-          if v.((!i * k) + l) < 0.99 *. vdd then ok := false;
+          if not (v.((!i * k) + l) >= 0.99 *. vdd) then ok := false;
           incr i
         done;
         settled.(l) <- !ok
@@ -378,17 +425,17 @@ let run_lanes config (tech : Tech.t) driver samples (flats : Rc_flat.t array) =
       { vdd; recorded; root = wave 0; settled_flag = settled.(l) })
     flats
 
-let run ~config ~samples tech driver trees =
+let run ~config ?stage1 ~samples tech driver trees =
   validate config;
   if Array.length trees = 0 then [||]
   else begin
     let flats = Array.map Rc_flat.of_tree trees in
     check_shapes flats;
-    run_lanes config tech driver samples flats
+    run_lanes config tech driver stage1 samples flats
   end
 
-let simulate_lanes ?(config = default_config) tech driver trees =
-  run ~config ~samples:(buffer ()) tech driver trees
+let simulate_lanes ?(config = default_config) ?stage1 tech driver trees =
+  run ~config ?stage1 ~samples:(buffer ()) tech driver trees
 
 let simulate ?(config = default_config) ?(buffer = buffer ()) tech driver tree =
   (run ~config ~samples:buffer tech driver [| tree |]).(0)

@@ -2,19 +2,23 @@
 
     A stage is a driver — a two-inverter buffer fed by a known input
     waveform — driving a lumped RC tree (the interconnect up to the next buffers' gates and sinks).
-    Integration is backward Euler with semi-implicit (linearized per
-    Newton iteration) alpha-power inverter stamps. Only the tree root
-    carries a nonlinear device, so the constant tree part of the
-    backward-Euler matrix is factored once per call ({!Rc_flat.factor}).
-    Each step then costs one O(n) rhs sweep, at most [newton_iters]
-    scalar Newton iterations on the root unknown (each touching only the
-    root's children) and one O(n) back-substitution, which also sweeps
-    the next step's rhs once the stage has left rest. A step allocates
-    nothing, and steps a stage spends at rest (input still within
-    [0, vt]) are recorded without solving (DESIGN.md 5p); every sample
-    keeps the bits of a full solve. Trees of one shape under one driver
-    run as the lanes of one loop ({!simulate_lanes}); {!simulate} is its
-    one-lane case.
+    Integration is fixed-step BDF2 (Gear-2, SPICE's METHOD=GEAR:
+    [1.5 v(n+1) - 2 v(n) + 0.5 v(n-1) = dt f(v(n+1))]) with semi-implicit
+    (linearized per Newton iteration) alpha-power inverter stamps, for
+    the buffer's internal node and the tree alike; BDF2 damps the stiff
+    RC modes of short wire segments that the trapezoidal rule would ring
+    on (DESIGN.md 5y). Only the tree root carries a nonlinear device, so
+    the constant tree part of the matrix (1.5 C/dt plus the edge
+    conductances) is factored once per call ({!Rc_flat.factor}). Each
+    step then costs one O(n) forward sweep of the rhs, at most
+    [newton_iters] scalar Newton iterations on the root unknown (each
+    touching only the root's children) and one O(n) back-substitution,
+    which also writes the next step's rhs, C/dt (2 v(n+1) - v(n) / 2),
+    from the value it overwrites. A step allocates nothing, and steps a
+    stage spends at rest (input still within [0, vt]) are recorded
+    without solving (DESIGN.md 5p); every sample keeps the bits of a
+    full solve. Trees of one shape under one driver run as the lanes of
+    one loop ({!simulate_lanes}); {!simulate} is its one-lane case.
 
     This staged decomposition is exact for clock trees because buffers
     present only their (constant) gate capacitance to the upstream stage;
@@ -22,7 +26,8 @@
     nodes (Sec. 3.2).
 
     Domain-safety: simulation state is per-call, apart from a
-    {!buffer} the caller passes in and owns; no global state. *)
+    {!buffer} and a {!stage1} record the caller passes in and owns; no
+    global state. *)
 
 type driver =
   | Driven_buffer of Circuit.Buffer_lib.t * Waveform.t
@@ -51,14 +56,28 @@ type config = {
 }
 
 val default_config : config
-(** dt = 0.5 ps, margin = 1.5 ns, max = 40 ns, 3 Newton iterations, no
-    early stop. *)
+(** Signoff's: dt = 2 ps, margin = 1.5 ns, max = 40 ns, 3 Newton
+    iterations, no early stop. Characterization runs at dt = 1 ps. *)
 
 type result
 
+type stage1
+(** The buffer's stage-1 output after each step of a run. It depends on
+    the tech, the buffer, the input, [dt] and [newton_iters] alone (the
+    steps a run skips leave it where an advance would), not on the
+    trees: runs of one driver with different trees share it
+    (DESIGN.md 5y). A run given one reads the steps an earlier run
+    recorded instead of solving them, bit for bit what it would solve,
+    and records the steps past them; a run under another tech, buffer,
+    input (by physical equality), step or Newton count empties it
+    first. Mutable: one must not serve two runs at once. *)
+
+val stage1 : unit -> stage1
+(** An empty stage-1 record. *)
+
 val simulate_lanes :
-  ?config:config -> Circuit.Tech.t -> driver -> Circuit.Rc_tree.t array ->
-  result array
+  ?config:config -> ?stage1:stage1 -> Circuit.Tech.t -> driver ->
+  Circuit.Rc_tree.t array -> result array
   [@@cts.raises "Invalid_argument"]
 (** Run [k] trees of one shape, each from an all-quiescent initial state
     (rising edge: every tree node at 0 V), as the lanes of one
@@ -70,7 +89,8 @@ val simulate_lanes :
     the lanes it serves, so their dependent chains overlap. Each lane
     keeps its own root Newton exit, rest flags, [stop_at] bookkeeping
     and settle check, and drops out of the sweeps when it ends. [[||]]
-    gives [[||]].
+    gives [[||]]. With [stage1], stage 1's steps come from and go to
+    that record.
 
     Raises [Invalid_argument] naming a [config] field outside its range,
     or the first lane whose node count, parent array (the preorder
@@ -98,8 +118,10 @@ val simulate :
     {!simulate_lanes}: the stage from an all-quiescent initial state,
     recording every step at the root and every tagged node, into
     [buffer] (a fresh one when omitted). Simulation
-    ends early once the input has finished and every tree node has
-    settled above 99% Vdd, at the [stop_at] sample, or at [t_max].
+    ends early once the input and every tree node are at or above 99%
+    Vdd at a settle check (every 8 steps, from [t_margin / 10] after the
+    input's start; the input's recording may run on past it; a NaN node
+    never passes), at the [stop_at] sample, or at [t_max].
     Raises [Invalid_argument] naming a [config] field outside its
     range. *)
 
@@ -116,7 +138,9 @@ val settled : result -> bool
 (** Whether the 99% settle check passed. False when the simulation hit
     [t_max] before settling — a sign the stage is too weak to drive its
     load (severe slew violation) — and for a run [stop_at] ended, unless
-    the settle check also passed by then. *)
+    the settle check also passed by then. At a [stop_at] level of at
+    most 0.99 the check can pass only at the stop sample, so it runs
+    only there. *)
 
 val stage_delay : result -> input:Waveform.t -> tag:string -> float option
   [@@cts.raises "Invalid_argument"]

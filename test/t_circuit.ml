@@ -96,6 +96,36 @@ let inverter_conductance_nonneg () =
         (D.inverter_conductance tech ~size:10. ~vin ~vout >= 0.))
     [ (0., 0.); (0.5, 0.5); (1., 1.); (0.3, 0.9); (0.9, 0.1) ]
 
+(* Past a rail the device on that side conducts in reverse and pulls
+   the node back: the current is continuous at 0 V and at Vdd, and the
+   conductance there is non-negative. *)
+let inverter_reverse_conduction () =
+  let vdd = tech.Tech.vdd and eps = 1e-12 in
+  let i ~vin ~vout = D.inverter_current tech ~size:10. ~vin ~vout in
+  let g ~vin ~vout = D.inverter_conductance tech ~size:10. ~vin ~vout in
+  List.iter
+    (fun vin ->
+      check_f 1e-12 (Printf.sprintf "continuous at 0 V, vin %g" vin)
+        (i ~vin ~vout:0.) (i ~vin ~vout:(-.eps));
+      check_f 1e-12 (Printf.sprintf "continuous at Vdd, vin %g" vin)
+        (i ~vin ~vout:vdd) (i ~vin ~vout:(vdd +. eps)))
+    [ 0.; 0.3; 0.5; 0.7; vdd ];
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) (Printf.sprintf "pulls up from -%g V" d) true
+        (i ~vin:vdd ~vout:(-.d) > 0.);
+      Alcotest.(check bool) (Printf.sprintf "pulls down from Vdd + %g V" d) true
+        (i ~vin:0. ~vout:(vdd +. d) < 0.);
+      Alcotest.(check bool) (Printf.sprintf "g >= 0 at -%g V" d) true
+        (g ~vin:vdd ~vout:(-.d) >= 0.);
+      Alcotest.(check bool) (Printf.sprintf "g >= 0 at Vdd + %g V" d) true
+        (g ~vin:0. ~vout:(vdd +. d) >= 0.))
+    [ 1e-3; 0.05; 0.1; 0.3 ];
+  (* The NMOS alone: swapped terminals, opposite sign. *)
+  check_f 1e-18 "nmos reverse"
+    (-.D.nmos_current tech ~size:10. ~vgs:1.2 ~vds:0.2)
+    (D.nmos_current tech ~size:10. ~vgs:1.0 ~vds:(-0.2))
+
 let rc_tree_wire_conservation () =
   let tail = Rc.leaf ~tag:"end" 5e-15 in
   let r, chain = Rc.wire tech ~length:1000. tail in
@@ -153,6 +183,7 @@ let suite =
     Alcotest.test_case "nmos size scaling" `Quick nmos_scales_with_size;
     Alcotest.test_case "inverter directions" `Quick inverter_pull_directions;
     Alcotest.test_case "inverter conductance" `Quick inverter_conductance_nonneg;
+    Alcotest.test_case "inverter reverse conduction" `Quick inverter_reverse_conduction;
     Alcotest.test_case "rc wire conservation" `Quick rc_tree_wire_conservation;
     Alcotest.test_case "rc wire discretization" `Quick rc_tree_wire_discretization;
     Alcotest.test_case "rc zero-length wire" `Quick rc_tree_zero_length_wire;

@@ -257,7 +257,7 @@ let cache_is_a_directory () =
    replaces the file instead of rewriting it in place. *)
 let corrupt_cache_replaced () =
   in_temp_dir (fun cache ->
-      let corrupt = "delaylib v1\ntech 1.0" in
+      let corrupt = "delaylib v2\ntech 1.0" in
       Out_channel.with_open_text cache (fun oc -> output_string oc corrupt);
       In_channel.with_open_text cache (fun reader ->
           let dl =
@@ -268,6 +268,25 @@ let corrupt_cache_replaced () =
             (String.equal corrupt (In_channel.input_all reader));
           same_library (T_env.get_dl ()) dl;
           same_library dl (Delaylib.load cache)))
+
+(* A whole library under the v1 header, which backward-Euler libraries
+   carry: [load] names both headers, and the cache is characterized
+   again and overwritten with a v2 file. *)
+let v1_cache_replaced () =
+  in_temp_dir (fun cache ->
+      Delaylib.save (T_env.get_dl ()) cache;
+      let lines = In_channel.with_open_text cache In_channel.input_lines in
+      Out_channel.with_open_text cache (fun oc ->
+          List.iter
+            (fun l -> output_string oc ((if l = "delaylib v2" then "delaylib v1" else l) ^ "\n"))
+            lines);
+      Alcotest.check_raises "v1 rejected"
+        (Failure {|Delaylib: bad header "delaylib v1", must be "delaylib v2"|})
+        (fun () -> ignore (Delaylib.load cache));
+      let dl = Delaylib.load_or_characterize ~profile:Delaylib.Fast ~cache tech T_env.lib in
+      same_library (T_env.get_dl ()) dl;
+      Alcotest.(check (option string)) "rewritten as v2" (Some "delaylib v2")
+        (In_channel.with_open_text cache In_channel.input_line))
 
 let cache_file_per_profile () =
   Alcotest.(check bool) "the default caches differ" true
@@ -317,17 +336,19 @@ let wave_gen_list_matches_single () =
 
 (* [Wave_gen] as it was before its probes stopped at 90%: every
    bisection probe and both endpoints simulated to settle, and the last
-   probe's (or the nearer endpoint's) wave returned. *)
+   probe's (or the nearer endpoint's) wave returned, at
+   characterization's 1 ps step. *)
 module Full_probe_wave_gen = struct
   let l_min = 1.
   let l_max = 4000.
+  let config = { T.default_config with T.dt = 1e-12 }
 
   let slew_for_length tech binput len =
     let load = Rc.leaf ~tag:"gate" 1e-15 in
     let r, chain = Rc.wire tech ~length:len load in
     let tree = Rc.node [ (r, chain) ] in
     let input = W.smooth_curve ~vdd:tech.Circuit.Tech.vdd ~slew:60e-12 () in
-    let res = T.simulate tech (T.Driven_buffer (binput, input)) tree in
+    let res = T.simulate ~config tech (T.Driven_buffer (binput, input)) tree in
     let wave = T.waveform res "gate" in
     (Option.get (W.slew_10_90 wave ~vdd:tech.Circuit.Tech.vdd), wave)
 
@@ -400,6 +421,7 @@ let suite =
       load_rejects_unsorted_classes;
     Alcotest.test_case "cache path that is a directory" `Quick cache_is_a_directory;
     Alcotest.test_case "corrupt cache replaced whole" `Quick corrupt_cache_replaced;
+    Alcotest.test_case "v1 library file replaced" `Quick v1_cache_replaced;
     Alcotest.test_case "load class stability" `Quick load_class_cap_stable;
     Alcotest.test_case "one default cache per profile" `Quick
       cache_file_per_profile;

@@ -368,24 +368,28 @@ let qcheck_search_dp =
       | Some g -> feasible (Maze.select dl cfg p1 p2) || not (feasible g))
 
 (* Under Optimal_dp with a heavy area weight h falls as well as rises:
-   these pinned pairs (found by a seeded search) have 3-5 sign changes
-   over the scan, and the root that matches the grid lies past the
-   first. The search bisects every bracket, so it stays within the tie
-   window of the grid's on-segment pick. *)
+   these pinned pairs (found by a seeded search: QCheck's generator for
+   the properties above under [Random.State.make [| 1 |]], 32 of 300
+   pairs with three or more sign changes, under the fast test library)
+   have 3 sign changes over the scan each, and the root that matches the
+   grid lies past the first: a search that bisects only the first
+   bracket leaves each of them outside the tie window. The search
+   bisects every bracket, so it stays within the tie window of the
+   grid's on-segment pick. *)
 let non_monotone_pairs =
   [
-    ( (0x1.9b887d3af436dp+8, 0x1.178d2f95b66fbp+10, -0x1.13d1b73df3aa7p+10, -0x1.585da791f6c34p+10),
-      (0x1.3c02265552a92p+5, -0x1.c098d5c5576e8p+3, 0x1.d61bd282c6c38p+7),
-      (0x1.585f5842dfd92p+3, -0x1.c316dba5cc04fp+3, 0x1.7c7f5f749a51cp+7) );
-    ( (0x1.cbdb3d1227e3p+9, 0x1.04cd2e92762b5p+8, 0x1.c1be964d54d54p+10, 0x1.0b5aaf372f41p+11),
-      (0x1.d6d3d0de69748p+6, -0x1.ad1149fe9dddap+3, 0x1.ea81259aaa628p+3),
-      (0x1.2b553ff1aaa41p+8, -0x1.c0ef5ea555aedp+3, 0x1.32e941b039083p+7) );
-    ( (0x1.c17c228c90802p+10, 0x1.50a9e889babadp+10, -0x1.67899a6ec65d4p+10, 0x1.28d11cf22f07cp+9),
-      (0x1.fb02e4c9d9dd2p+8, -0x1.b065ab1db8e9bp+3, 0x1.03dd429b867bep+6),
-      (0x1.cb2072c7aff44p+7, -0x1.d40315fc48547p+3, 0x1.9494e4caf3e6p+7) );
-    ( (0x1.eefd73a560a5ep+4, 0x1.e732651757ad6p+9, -0x1.01acb5e611e1ep+11, -0x1.31c7bdb932af5p+11),
-      (0x1.56b9113cf5ad2p+8, -0x1.c63820c660bcfp+3, 0x1.c4fc8bed744e4p+6),
-      (0x1.2599cd4eb701fp+8, -0x1.c5c4fc6aeb1e6p+3, 0x1.325debb5110f6p+8) );
+    ( (0x1.2491f8f297d23p+9, 0x1.fb87eb9f0565dp+8, 0x1.4544d487da862p+11, -0x1.9162e5f943cfap+10),
+      (0x1.56ebd3ded8f19p+7, -0x1.e89f993b288a2p+3, 0x1.273d192e03a86p+8),
+      (0x1.abb97e5fadb14p+8, -0x1.ca9a4df7b0ecfp+3, 0x1.4a05603f5efb2p+8) );
+    ( (0x1.c1a428c9e503bp+6, 0x1.bf9e81d065682p+6, -0x1.bf4f5117b5737p+11, 0x1.a9219583bde6p+11),
+      (0x1.d861ef841d053p+8, -0x1.e567f2f1a146bp+3, 0x1.39a43d45aef1ap+7),
+      (0x1.0df3d83247cc9p+7, -0x1.af82edac34c57p+3, 0x1.596ef12c2d7dep+6) );
+    ( (0x1.27605596e2b72p+9, 0x1.4d56155bfabf3p+7, -0x1.b5993e678e31cp+10, -0x1.580d126460c98p+11),
+      (0x1.fb29146afdc9fp+7, -0x1.b29eff7e504a3p+3, -0x1.656e28ebb7ffep+5),
+      (0x1.7db6028d1d128p+7, -0x1.ea2ce1924962bp+3, 0x1.6373b165aae78p+5) );
+    ( (0x1.e4b65dfae939fp+10, 0x1.d7764d0038abdp+9, 0x1.3e78063d7964p+10, -0x1.e520ca5bb293cp+9),
+      (0x1.1a91337d25b31p+9, -0x1.ead8449af6747p+3, 0x1.e88160064cc74p+4),
+      (0x1.42541e57d9a3p+8, -0x1.b19b72ef23a2fp+3, 0x1.df7bbfe7d7bb4p+4) );
   ]
 
 let test_select_every_bracket () =

@@ -84,7 +84,7 @@ let flat_solve_matches_dense () =
       roots.(l) <- root.v0
     done;
     let x = Array.make (n * k) 0. in
-    Rc_flat.back fac ~lanes:all ~m:k ~roots ~rhs ~into:x ~next:[||];
+    Rc_flat.back fac ~lanes:all ~m:k ~roots ~rhs ~into:x ~next:(Array.make (n * k) 1.);
     Array.iteri
       (fun l (g, extra, b) ->
         (* Build the dense symmetric matrix. *)
@@ -108,18 +108,22 @@ let flat_solve_matches_dense () =
 
 (* ---------------- Oracles against the per-iteration kernel ----------------
 
-   A reference copy of the simulator as it was before the factor-once
-   rewrite (which an earlier form of this oracle showed bit-identical
-   to the engine that followed): the device formula evaluated from
-   scratch on every call, a full O(n) tree elimination on every Newton
-   iteration, the input read by [Waveform.value_at]'s binary search,
-   every step solved, and every tag recorded. The production kernel —
-   bias reuse, input cursor, flat sample rows and the quiescent-prefix
-   skip — must reproduce it bit for bit. *)
+   A reference copy of the simulator in its plainest form: BDF2 over
+   the whole state, with the history kept as a second array; the device
+   formula, its reverse region included, evaluated from scratch on
+   every call; a full O(n) tree elimination with the rhs rebuilt on
+   every Newton iteration; the input read by [Waveform.value_at]'s
+   binary search; every step solved; and every tag recorded. The
+   production kernel — bias reuse, input cursor, the history term
+   written by the back-substitution, flat sample rows and the
+   quiescent-prefix skip — must reproduce it bit for bit. *)
 
 module Ref = struct
-  let nmos_current (tech : Circuit.Tech.t) ~size ~vgs ~vds =
-    if vgs <= tech.vt || vds <= 0. then 0.
+  let rec nmos_current (tech : Circuit.Tech.t) ~size ~vgs ~vds =
+    if vds < 0. then
+      (* Drain and source swap. *)
+      -.nmos_current tech ~size ~vgs:(vgs -. vds) ~vds:(-.vds)
+    else if vgs <= tech.vt || vds <= 0. then 0.
     else begin
       let vov = vgs -. tech.vt in
       let idsat = tech.k_per_x *. size *. (vov ** tech.alpha) in
@@ -156,14 +160,16 @@ module Ref = struct
       into.(i) <- (rhs.(i) +. (t.g_edge.(i) *. into.(p))) /. diag.(i)
     done
 
-  let advance_internal tech ~size ~cap ~dt ~iters ~vin ~v_old =
+  let advance_internal tech ~size ~cap ~dt ~iters ~vin ~v_old ~v_prev =
     let c_dt = cap /. dt in
     let v = ref v_old in
     for _ = 1 to iters do
       let i = inverter_current tech ~size ~vin ~vout:!v in
       let g = inverter_conductance tech ~size ~vin ~vout:!v in
-      let f = (c_dt *. (!v -. v_old)) -. i in
-      let fp = c_dt +. g in
+      let f =
+        (c_dt *. ((1.5 *. (!v -. v_old)) -. (0.5 *. (v_old -. v_prev)))) -. i
+      in
+      let fp = (1.5 *. c_dt) +. g in
       v := !v -. (f /. fp)
     done;
     Float.max (-0.1 *. tech.Circuit.Tech.vdd)
@@ -180,13 +186,14 @@ module Ref = struct
     cap.(0) <- cap.(0) +. B.output_cap tech buf;
     let dt = config.dt in
     let c_dt = Array.map (fun c -> c /. dt) cap in
-    let diag_base = Array.copy c_dt in
+    let diag_base = Array.map (fun c -> 1.5 *. c) c_dt in
     for i = 1 to n - 1 do
       diag_base.(i) <- diag_base.(i) +. flat.g_edge.(i);
       let p = flat.parent.(i) in
       diag_base.(p) <- diag_base.(p) +. flat.g_edge.(i)
     done;
-    let v = Array.make n 0. and v_next = Array.make n 0. in
+    let v = Array.make n 0. and v_prev = Array.make n 0. in
+    let v_next = Array.make n 0. in
     let diag = Array.make n 0. and rhs = Array.make n 0. in
     let targets = 0 :: List.map snd flat.tag_index in
     let times = ref [] and samples = ref [] in
@@ -194,9 +201,9 @@ module Ref = struct
       times := t :: !times;
       samples := List.map (fun i -> v.(i)) targets :: !samples
     in
-    let t0 = W.t_start input and t_input_end = W.t_end input in
+    let t0 = W.t_start input in
     let internal_cap = B.internal_cap tech buf and stage2_size = buf.B.size in
-    let v_a = ref vdd in
+    let v_a = ref vdd and v_a_prev = ref vdd in
     record t0;
     (* [stop_at]: end once every recorded series has had a sample at or
        above the level, the initial one included. *)
@@ -206,22 +213,24 @@ module Ref = struct
     let t = ref t0 and step_count = ref 0 and settled = ref false in
     let all_settled () =
       W.value_at input !t >= 0.99 *. vdd
-      && Array.for_all (fun x -> not (x < 0.99 *. vdd)) v
+      && Array.for_all (fun x -> x >= 0.99 *. vdd) v
     in
     while
       (not !settled) && (not (stop && Array.for_all Fun.id reached)) && !t < config.t_max
     do
       let t_new = !t +. dt in
       let vin = W.value_at input t_new in
+      let v_a_old = !v_a in
       v_a :=
         advance_internal tech ~size:buf.B.stage1_size ~cap:internal_cap ~dt
-          ~iters:config.newton_iters ~vin ~v_old:!v_a;
+          ~iters:config.newton_iters ~vin ~v_old:v_a_old ~v_prev:!v_a_prev;
+      v_a_prev := v_a_old;
       let stage2_vin = !v_a in
       let vr = ref v.(0) in
       for _ = 1 to config.newton_iters do
         Array.blit diag_base 0 diag 0 n;
         for i = 0 to n - 1 do
-          rhs.(i) <- c_dt.(i) *. v.(i)
+          rhs.(i) <- c_dt.(i) *. ((2. *. v.(i)) -. (0.5 *. v_prev.(i)))
         done;
         let i_dev =
           inverter_current tech ~size:stage2_size ~vin:stage2_vin ~vout:!vr
@@ -234,16 +243,14 @@ module Ref = struct
         solve flat ~diag ~rhs ~into:v_next;
         vr := v_next.(0)
       done;
+      Array.blit v 0 v_prev 0 n;
       Array.blit v_next 0 v 0 n;
       t := t_new;
       incr step_count;
       record t_new;
       List.iteri (fun j i -> if v.(i) >= level then reached.(j) <- true) targets;
-      if
-        !step_count mod 64 = 0
-        && t_new > t_input_end
-        && t_new > t0 +. (config.t_margin /. 10.)
-      then settled := all_settled ()
+      if !step_count mod 8 = 0 && t_new > t0 +. (config.t_margin /. 10.) then
+        settled := all_settled ()
     done;
     let columns = List.rev !samples in
     ( Array.of_list (List.rev !times),
@@ -303,7 +310,7 @@ let flat_factor_rejects_bad_shapes () =
   parent.(2) <- 1_000_000;
   let rhs = [| 1.; 2.; 3. |] and into = Array.make 3 0. in
   Rc_flat.forward fac ~lanes:[| 0 |] ~m:1 ~rhs;
-  Rc_flat.back fac ~lanes:[| 0 |] ~m:1 ~roots:[| 1. |] ~rhs ~into ~next:[||];
+  Rc_flat.back fac ~lanes:[| 0 |] ~m:1 ~roots:[| 1. |] ~rhs ~into ~next:(Array.make 3 1.);
   Alcotest.(check bool) "solved on the checked shape" true
     (Array.for_all Float.is_finite into)
 
@@ -318,7 +325,7 @@ let flat_sweeps_reject_bad_arguments () =
     Rc_flat.forward fac ~lanes ~m ~rhs
   in
   let back ?(lanes = [| 0; 1 |]) ?(m = 2) ?(roots = [| 1.; 1. |]) ?(rhs = rhs)
-      ?(into = into) ?(next = [||]) () =
+      ?(into = into) ?(next = Array.make 6 1.) () =
     Rc_flat.back fac ~lanes ~m ~roots ~rhs ~into ~next
   in
   let lane_msg a l = Printf.sprintf "lanes.(%d) = %d, must be in [0, k = 2)" a l in
@@ -344,8 +351,8 @@ let flat_sweeps_reject_bad_arguments () =
 
 (* Lane [l] swept alone ([m = 1], the loop that carries a chain edge's
    value in a register) against lanes 0 and 1 swept together (the lane
-   loop) on one 2-lane factor: the same bits in [rhs] and [into], with
-   and without a [next] sweep. Two thirds of the edges are chain edges
+   loop) on one 2-lane factor: the same bits in [rhs] (with the next
+   step's history term) and [into]. Two thirds of the edges are chain edges
    ([parent.(i) = i - 1]), the rest branch off an earlier node; a
    quarter of the trees have 1 or 2 nodes. *)
 let qcheck_lone_lane_matches_lane_loop =
@@ -381,10 +388,9 @@ let qcheck_lone_lane_matches_lane_loop =
       done;
       let fac = Rc_flat.factor lanes ~diag in
       let rhs0 = Array.init (n * k) (fun _ -> Util.Rng.float_range rng (-1.) 1.) in
-      let next =
-        if Util.Rng.int rng 2 = 0 then [||]
-        else Array.init (n * k) (fun _ -> Util.Rng.float_range rng 0.1 2.)
-      in
+      let next = Array.init (n * k) (fun _ -> Util.Rng.float_range rng 0.1 2.) in
+      (* The values [back] overwrites, which its history term reads. *)
+      let into0 = Array.init (n * k) (fun _ -> Util.Rng.float_range rng (-1.) 1.) in
       let solve swept =
         let rhs = Array.copy rhs0 and m = Array.length swept in
         Rc_flat.forward fac ~lanes:swept ~m ~rhs;
@@ -395,7 +401,7 @@ let qcheck_lone_lane_matches_lane_loop =
             Rc_flat.root_solve fac ~lane:l r ~rhs;
             roots.(l) <- r.v0)
           swept;
-        let into = Array.make (n * k) 0. in
+        let into = Array.copy into0 in
         Rc_flat.back fac ~lanes:swept ~m ~roots ~rhs ~into ~next;
         (rhs, into)
       in
@@ -507,7 +513,7 @@ let random_input rng (tech : Circuit.Tech.t) =
       | None -> wave
 
 (* One random stage: a tree, a tech, a random buffer driving a random
-   input, and a config at dt 0.5 or 1 ps with 1 or 3 Newton
+   input, and a config at dt 0.5, 1 or 2 ps with 1 or 3 Newton
    iterations. *)
 let random_case rng =
   let tree = random_tree rng in
@@ -519,7 +525,7 @@ let random_case rng =
   let config =
     {
       T.default_config with
-      T.dt = (if Util.Rng.int rng 2 = 0 then 0.5e-12 else 1e-12);
+      T.dt = [| 0.5e-12; 1e-12; 2e-12 |].(Util.Rng.int rng 3);
       newton_iters = (if Util.Rng.int rng 2 = 0 then 1 else 3);
       t_max = 2.5e-9;
     }
@@ -650,6 +656,40 @@ let qcheck_lanes_match_reference =
       && Array.for_all2 (fun tree r -> matches_reference config tech driver tree r) trees res)
 
 let n_samples r = W.n_samples (T.root_waveform r)
+
+(* Every sample's bits, the sample counts and [settled] of two results. *)
+let same_result tree a b =
+  let waves r =
+    T.root_waveform r :: List.map (T.waveform r) (List.map fst (Rc_flat.of_tree tree).Rc_flat.tag_index)
+  in
+  Bool.equal (T.settled a) (T.settled b)
+  && List.for_all2
+       (fun x y -> bits_equal (W.times x) (W.times y) && bits_equal (W.values x) (W.values y))
+       (waves a) (waves b)
+
+(* One stage-1 record serves three lane groups of the case's shape
+   under its driver, of random lengths and [stop_at] levels, then a
+   group under another input (which empties it) and one under the first
+   driver again: every lane is the run without a record, bit for bit. *)
+let qcheck_stage1_record_matches_fresh =
+  QCheck.Test.make ~count:100
+    ~name:"Transient.simulate_lanes: a shared stage-1 record changes no bit"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let tree, tech, driver, config = random_case rng in
+      let (T.Driven_buffer (buf, _)) = driver in
+      let other = T.Driven_buffer (buf, random_input rng tech) in
+      let record = T.stage1 () in
+      let group driver =
+        let stop_at = if Util.Rng.bool rng then None else Some (1. -. Util.Rng.float rng 1.) in
+        let config = { config with T.stop_at; t_max = Util.Rng.float_range rng 0.3e-9 2.5e-9 } in
+        let trees = Array.init (1 + Util.Rng.int rng 4) (fun _ -> relane rng tree) in
+        let shared = T.simulate_lanes ~config ~stage1:record tech driver trees in
+        let fresh = T.simulate_lanes ~config tech driver trees in
+        Array.for_all2 (fun (t, a) b -> same_result t a b) (Array.combine trees shared) fresh
+      in
+      List.for_all group [ driver; driver; driver; other; driver ])
 
 (* Characterization's shape (a wire into a tagged load) at its four load
    classes plus a 1 nF load that never reaches 90% before [t_max]: the
@@ -873,19 +913,78 @@ let intrinsic_delay_slew_sensitivity () =
     (d_slow > d_fast);
   Alcotest.(check bool) "swing of several ps" true (d_slow -. d_fast > 5e-12)
 
+(* [read] of a stage at the default step and at a sixteenth of it. *)
+let at_default_and_fine read =
+  let dt = T.default_config.T.dt in
+  (read T.default_config, read { T.default_config with T.dt = dt /. 16. })
+
 let timestep_convergence () =
-  (* Halving dt changes the measured delay by well under a picosecond. *)
+  (* At the default 2 ps step the stage delay is within 0.05 ps of a
+     0.125 ps run (backward Euler at 0.5 ps was 0.24 ps off). *)
   let input = W.smooth_curve ~vdd ~slew:80e-12 () in
-  let run dt =
-    let load = Rc.leaf ~tag:"load" 5e-15 in
-    let r, chain = Rc.wire tech ~length:600. load in
-    let tree = Rc.node [ (r, chain) ] in
-    let config = { T.default_config with T.dt } in
-    let res = T.simulate ~config tech (T.Driven_buffer (b20, input)) tree in
-    Option.get (T.stage_delay res ~input ~tag:"load")
+  let load = Rc.leaf ~tag:"load" 5e-15 in
+  let r, chain = Rc.wire tech ~length:600. load in
+  let tree = Rc.node [ (r, chain) ] in
+  let coarse, fine =
+    at_default_and_fine (fun config ->
+        let res = T.simulate ~config tech (T.Driven_buffer (b20, input)) tree in
+        Option.get (T.stage_delay res ~input ~tag:"load"))
   in
-  let d1 = run 1e-12 and d2 = run 0.25e-12 in
-  Alcotest.(check bool) "dt convergence < 1ps" true (Float.abs (d1 -. d2) < 1e-12)
+  check_f 0.05e-12 "2 ps vs 0.125 ps" fine coarse
+
+(* A 20 ps edge into BUF10X drops its internal node faster than a 2 ps
+   step resolves, and BDF2 undershoots below 0 V; the stage-1 NMOS,
+   conducting in reverse, pulls it back. Without that the buffer delay
+   read 2.4 ps early at 2 ps. *)
+let fast_edge_undershoot () =
+  let input = W.smooth_curve ~vdd ~slew:20e-12 () in
+  let r, chain = Rc.wire tech ~length:1800. (Rc.leaf ~tag:"load" 35e-15) in
+  let tree = Rc.node [ (r, chain) ] in
+  let coarse, fine =
+    at_default_and_fine (fun config ->
+        let res =
+          T.simulate ~config tech (T.Driven_buffer (B.by_name lib "BUF10X", input)) tree
+        in
+        Option.get (W.delay_50 input (T.root_waveform res) ~vdd))
+  in
+  check_f 0.1e-12 "buffer delay, 2 ps vs 0.125 ps" fine coarse
+
+(* The settle check runs every 8 steps and does not wait for the end of
+   the input's recording. Stage 1 drives the next buffer's gate and a
+   slow side branch, so its recording, and with it stage 2's input,
+   runs on long after the gate has settled; stage 2 must still end
+   within 8 steps of the first sample at which it has settled. *)
+let settle_ignores_input_end () =
+  let config = T.default_config in
+  let gate = Rc.leaf ~tag:"gate" (B.input_cap tech b20) in
+  let side = Rc.leaf ~tag:"side" 400e-15 in
+  let r_side, side = Rc.wire tech ~length:3000. side in
+  let stage1 = Rc.node [ (50., gate); (r_side, side) ] in
+  let source = W.smooth_curve ~vdd ~slew:60e-12 () in
+  let first = T.simulate ~config tech (T.Driven_buffer (b20, source)) stage1 in
+  Alcotest.(check bool) "stage 1 settled" true (T.settled first);
+  let input = T.waveform first "gate" in
+  let stage2 = Rc.node [ (100., Rc.leaf ~tag:"load" 5e-15) ] in
+  let second = T.simulate ~config tech (T.Driven_buffer (b20, input)) stage2 in
+  Alcotest.(check bool) "stage 2 settled" true (T.settled second);
+  let root = T.root_waveform second and load = T.waveform second "load" in
+  let times = W.times root in
+  let t_settle = W.t_start input +. (config.T.t_margin /. 10.) in
+  let settled_at i =
+    let high x = x >= 0.99 *. vdd in
+    times.(i) > t_settle
+    && high (W.value_at input times.(i))
+    && high (W.values root).(i)
+    && high (W.values load).(i)
+  in
+  let rec first_settled i = if settled_at i then i else first_settled (i + 1) in
+  let own = first_settled 1 and last = W.n_samples root - 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "ends at sample %d, within 8 of its settle at %d" last own)
+    true
+    (own <= last && last < own + 8);
+  Alcotest.(check bool) "well before its input's end" true
+    (W.t_end root +. 100e-12 < W.t_end input)
 
 let branch_loads_interact () =
   (* Lengthening the right branch slows the left branch (common driver). *)
@@ -1126,6 +1225,24 @@ let golden_signoff_bits () =
 
 let r4_golden_signoff_bits () = check_golden r4_golden_path (r4_golden_lines ())
 
+(* ---------------- Accuracy gate ----------------
+
+   The r1@0.05 signoff (fast library) at the default step against a
+   sixteenth of it. Measured: the BDF2 engine at 2 ps is at most 0.58 ps
+   off on a sink delay and 0.02 ps on the worst slew; backward Euler at
+   0.5 ps was 1.32 ps and 0.63 ps off on the same tree. Each bound lies
+   halfway between, so an engine that is first-order again fails. *)
+let signoff_accuracy () =
+  let d = Bmark.Synthetic.scaled (Bmark.Synthetic.find "r1") 0.05 in
+  let tree = (Cts.synthesize (T_env.get_dl ()) (Bmark.Synthetic.sinks d)).Cts.tree in
+  let coarse, fine = at_default_and_fine (fun config -> Ctree_sim.simulate ~config tech tree) in
+  List.iter2
+    (fun (name, a) (name', b) ->
+      Alcotest.(check string) "same sink order" name name';
+      check_f 0.95e-12 ("sink delay " ^ name) b a)
+    coarse.Ctree_sim.sink_delays fine.Ctree_sim.sink_delays;
+  check_f 0.32e-12 "worst slew" fine.Ctree_sim.worst_slew coarse.Ctree_sim.worst_slew
+
 let suite =
   [
     Alcotest.test_case "flat preorder/parents" `Quick flat_preorder_parents;
@@ -1142,11 +1259,14 @@ let suite =
     Alcotest.test_case "intrinsic delay slew sensitivity" `Quick
       intrinsic_delay_slew_sensitivity;
     Alcotest.test_case "timestep convergence" `Quick timestep_convergence;
+    Alcotest.test_case "fast edge: internal-node undershoot" `Quick fast_edge_undershoot;
+    Alcotest.test_case "settle check ignores the input's end" `Quick settle_ignores_input_end;
     Alcotest.test_case "branch loads interact" `Quick branch_loads_interact;
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
     QCheck_alcotest.to_alcotest qcheck_transient_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_stop_at_is_a_prefix;
     QCheck_alcotest.to_alcotest qcheck_lanes_match_reference;
+    QCheck_alcotest.to_alcotest qcheck_stage1_record_matches_fresh;
     Alcotest.test_case "lanes stop apart" `Quick lanes_stop_apart;
     Alcotest.test_case "lane leaves rest late" `Quick lane_leaves_rest_late;
     Alcotest.test_case "lanes reject other shapes" `Quick lanes_reject_other_shapes;
@@ -1164,4 +1284,5 @@ let suite =
       golden_signoff_bits;
     Alcotest.test_case "golden gsrc-r4 signoff (accurate, seed 1)" `Slow
       r4_golden_signoff_bits;
+    Alcotest.test_case "signoff accuracy: default step vs a sixteenth" `Slow signoff_accuracy;
   ]
