@@ -46,17 +46,26 @@ experiments-smoke:
 	@echo "experiments-smoke: unknown experiment id rejected"
 
 # CLI smoke: a synthesis whose verification simulation cannot settle
-# (one sink with a 0.01 F load) must exit 4, and the lint suite must
-# pass when run from the repository root (test fixture paths resolve
-# against the test binary, not the working directory).
+# (one sink with a 0.01 F load) must exit 4, an output path in a
+# missing directory must end in one `cts_run:` line on stderr and exit
+# 1, and the lint suite must pass when run from the repository root
+# (test fixture paths resolve against the test binary, not the working
+# directory).
 cli-smoke:
 	dune build bin/cts_run.exe test/test_all.exe
 	@dune exec --no-build bin/cts_run.exe -- synth \
 	  --file test/fixtures/cli/huge_cap.gsrc --profile fast; code=$$?; \
 	if [ $$code -ne 4 ]; then \
 	  echo "cli-smoke: unsettled synthesis exited $$code, want 4"; exit 1; fi
+	@err=$$(dune exec --no-build bin/cts_run.exe -- characterize --profile fast \
+	  -o test/fixtures/cli/no_such_dir/lib.txt 2>&1 >/dev/null); code=$$?; \
+	echo "$$err"; \
+	if [ $$code -ne 1 ] || [ "$$(echo "$$err" | wc -l)" -ne 1 ] \
+	  || ! echo "$$err" | grep -q '^cts_run: '; then \
+	  echo "cli-smoke: unwritable -o exited $$code, want 1 and one cts_run: line"; \
+	  exit 1; fi
 	dune exec --no-build test/test_all.exe -- test lint
-	@echo "cli-smoke: unsettled synthesis exits 4; lint suite passes from the root"
+	@echo "cli-smoke: unsettled synthesis exits 4; an unwritable -o exits 1; lint suite passes from the root"
 
 # Ladder smoke: one rep each of the H-correction, optimal-DP and
 # full-scale r4 rungs from sink set to signoff (accurate

@@ -45,6 +45,14 @@ let die fmt =
       exit 1)
     fmt
 
+(* Every file a subcommand writes goes through here: a path it cannot
+   write (in a missing directory, say) is one [cts_run: ...] line and
+   exit 1. *)
+let write_to path write =
+  match write path with
+  | () -> ()
+  | exception Sys_error msg -> die "cannot write %s" msg
+
 (* An invalid configuration (a NaN or infinite --slew-limit, say);
    synthesis would reject it with the same messages. *)
 let check_config config =
@@ -146,7 +154,7 @@ let with_obs ~stats ~trace f =
         end;
         match trace with
         | Some path ->
-            Obs.write_trace path snap;
+            write_to path (fun path -> Obs.write_trace path snap);
             Printf.printf "trace written to %s\n" path
         | None -> ())
       f
@@ -207,15 +215,16 @@ let gen_cmd =
     setup_logs verbose;
     let name = Option.value ~default:"r1" bench in
     let sinks = Bmark.Synthetic.sinks (descriptor_of name scale) in
-    (match format with
-    | `Gsrc ->
-        Bmark.Gsrc_format.write_file
-          ~unit_res:Circuit.Tech.default.Circuit.Tech.unit_res
-          ~unit_cap:Circuit.Tech.default.Circuit.Tech.unit_cap sinks out
-    | `Ispd ->
-        Bmark.Ispd_format.write_file
-          (Bmark.Ispd_format.make ~slew_limit:100e-12 sinks)
-          out);
+    write_to out (fun path ->
+        match format with
+        | `Gsrc ->
+            Bmark.Gsrc_format.write_file
+              ~unit_res:Circuit.Tech.default.Circuit.Tech.unit_res
+              ~unit_cap:Circuit.Tech.default.Circuit.Tech.unit_cap sinks path
+        | `Ispd ->
+            Bmark.Ispd_format.write_file
+              (Bmark.Ispd_format.make ~slew_limit:100e-12 sinks)
+              path);
     Printf.printf "wrote %d sinks to %s\n" (List.length sinks) out
   in
   Cmd.v
@@ -238,8 +247,9 @@ let characterize_cmd =
     with_obs ~stats ~trace @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let dl = Obs.phase "characterize" (fun () -> characterize profile) in
-    Out_channel.with_open_text out (fun oc ->
-        output_string oc (Delaylib.to_text dl));
+    write_to out (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Delaylib.to_text dl)));
     Printf.printf "characterized in %.1f s; %d fits; written to %s\n"
       (Unix.gettimeofday () -. t0)
       (List.length (Delaylib.fit_report dl))
@@ -349,12 +359,12 @@ let synth_cmd =
         report_metrics "aggressive CTS result:" res.Cts.tree m;
         (match deck with
         | Some path ->
-            Ctree_netlist.write_file Circuit.Tech.default res.Cts.tree path;
+            write_to path (Ctree_netlist.write_file Circuit.Tech.default res.Cts.tree);
             Printf.printf "SPICE deck written to %s\n" path
         | None -> ());
         (match svg with
         | Some path ->
-            Ctree_svg.write_file ~blockages:blocks res.Cts.tree path;
+            write_to path (Ctree_svg.write_file ~blockages:blocks res.Cts.tree);
             Printf.printf "SVG written to %s\n" path
         | None -> ());
         if not m.Ctree_sim.all_settled then begin
@@ -496,7 +506,7 @@ let qor_cmd =
     in
     match out with
     | Some path ->
-        Qor.write_file path q;
+        write_to path (fun path -> Qor.write_file path q);
         Printf.printf "QoR record written to %s\n" path
     | None -> print_string (Qor.render q)
   in

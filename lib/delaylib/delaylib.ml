@@ -92,11 +92,6 @@ let branch_sweep = function
 let default_classes = [| 0.75e-15; 5e-15; 15e-15; 35e-15 |]
 let default_branch_classes = [| 0; 2; 3 |]
 
-(* The measurements below read only first crossings at 10, 50 and 90%
-   Vdd, so a run may end once every recorded node has reached 90%: the
-   upper level of [Waveform.slew_10_90], the highest one read. *)
-let char_sim_config = { Wave_gen.char_config with T.stop_at = Some 0.9 }
-
 (* ------------------------------------------------------------------ *)
 (* Characterization circuits                                           *)
 
@@ -119,7 +114,7 @@ let branch_stage tech ~len_left ~len_right (cap_left, cap_right) =
 (* The runs of one (buffer, slew) task share a driver, so they share
    stage 1's trajectory through [stage1]. *)
 let simulate_lanes tech ~stage1 drive input stages =
-  T.simulate_lanes ~config:char_sim_config ~stage1 tech (T.Driven_buffer (drive, input)) stages
+  T.simulate_lanes ~config:Wave_gen.char_config ~stage1 tech (T.Driven_buffer (drive, input)) stages
 
 (* One simulation's samples: buffer delay, wire delay and load slew. *)
 let measure_single tech input res =
@@ -139,20 +134,15 @@ let measure_branch tech res =
   Obs.incr Obs.Char_sims;
   let out = T.root_waveform res in
   let vdd = tech.Tech.vdd in
-  let delay_from_out tag =
-    match W.delay_50 out (T.waveform res tag) ~vdd with
-    | Some d -> d
-    | None -> invalid_arg "Delaylib: branch load did not rise"
-  in
-  let slew_at tag =
-    match T.node_slew res ~tag with
-    | Some s -> s
-    | None -> invalid_arg "Delaylib: branch slew unavailable"
-  in
-  ( delay_from_out "left",
-    delay_from_out "right",
-    slew_at "left",
-    slew_at "right" )
+  let delay tag = W.delay_50 out (T.waveform res tag) ~vdd in
+  match
+    ( delay "left",
+      delay "right",
+      T.node_slew res ~tag:"left",
+      T.node_slew res ~tag:"right" )
+  with
+  | Some dl, Some dr, Some sl, Some sr -> Some (dl, dr, sl, sr)
+  | _, _, _, _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Fitting                                                             *)
@@ -254,7 +244,11 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
   (* The fits: per (buffer, class), then per (buffer, class pair), each
      over its samples in slew-major order, and each with its residuals
      in the order the library text lists them. That order fixes the fit
-     bits, the residual list and the text. *)
+     bits, the residual list and the text. A sample whose run misses a
+     crossing is left out. *)
+  let dropped sample =
+    Log.warn (fun m -> m "dropping sample %s: a crossing is missing" sample)
+  in
   let fit_single bi ci =
     let pts = ref [] and bd = ref [] and wd = ref [] and ws = ref [] in
     List.iteri
@@ -267,10 +261,7 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
                 bd := b :: !bd;
                 wd := w :: !wd;
                 ws := s :: !ws
-            | None ->
-                Log.warn (fun m ->
-                    m "dropping sample %s/%d L=%g: a crossing is missing"
-                      names.(bi) ci length))
+            | None -> dropped (Printf.sprintf "%s/%d L=%g" names.(bi) ci length))
           singles_at.((bi * n_slews) + si))
       slews;
     let pts = Array.of_list (List.rev !pts) in
@@ -309,12 +300,17 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
       (fun si slew ->
         List.iter
           (fun ((len_left, len_right), samples) ->
-            let a, b, c, d = samples.(pi) in
-            pts := (slew, len_left, len_right) :: !pts;
-            dl := a :: !dl;
-            dr := b :: !dr;
-            sl := c :: !sl;
-            sr := d :: !sr)
+            match samples.(pi) with
+            | Some (a, b, c, d) ->
+                pts := (slew, len_left, len_right) :: !pts;
+                dl := a :: !dl;
+                dr := b :: !dr;
+                sl := c :: !sl;
+                sr := d :: !sr
+            | None ->
+                let cl, cr = pairs.(pi) in
+                dropped
+                  (Printf.sprintf "%s/b%d-%d L=%g,%g" names.(bi) cl cr len_left len_right))
           branches_at.((bi * List.length bslews) + si))
       bslews;
     let pts = Array.of_list (List.rev !pts) in

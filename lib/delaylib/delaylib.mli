@@ -54,7 +54,9 @@ val characterize :
     simulations ([Accurate]) in 489 runs.
 
     Raises [Invalid_argument] naming the problem, before any
-    simulation, when [buffers] is empty or names a cell twice.
+    simulation, when [buffers] is empty or names a cell twice. A sample
+    whose run misses a crossing it measures is left out of its fit, with
+    a warning naming it.
 
     [pool] (default {!Parallel.default_pool}) distributes the
     independent per-(buffer, slew) sample tasks across domains: 21

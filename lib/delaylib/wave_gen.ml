@@ -4,10 +4,13 @@ module T = Spice_sim.Transient
 let l_min = 1.
 let l_max = 4000.
 
-let char_config = { T.default_config with T.dt = 1e-12 }
+(* Characterization reads only first crossings at 10, 50 and 90% Vdd,
+   so its runs stop at the 90% sample: a prefix of the full run, bit for
+   bit, which holds all three (DESIGN.md 5s). *)
+let char_config = { T.default_config with T.dt = 1e-12; stop_at = Some 0.9 }
 
 (* The input stage at wire length [len], recording at the 1 fF gate. *)
-let gate_wave ?(config = char_config) tech binput len =
+let gate_wave ~config tech binput len =
   let load = Circuit.Rc_tree.leaf ~tag:"gate" 1e-15 in
   let r, chain = Circuit.Rc_tree.wire tech ~length:len load in
   let tree = Circuit.Rc_tree.node [ (r, chain) ] in
@@ -15,13 +18,9 @@ let gate_wave ?(config = char_config) tech binput len =
   let res = T.simulate ~config tech (T.Driven_buffer (binput, input)) tree in
   T.waveform res "gate"
 
-(* A probe reads only the gate's 10-90% slew, so its run stops at the
-   90% sample: a prefix of the full run, bit for bit, which holds both
-   crossings (DESIGN.md 5s). *)
-let probe_config = { char_config with T.stop_at = Some 0.9 }
-
+(* A bisection probe reads only the gate's 10-90% slew. *)
 let slew_for_length tech binput len =
-  let wave = gate_wave ~config:probe_config tech binput len in
+  let wave = gate_wave ~config:char_config tech binput len in
   match W.slew_10_90 wave ~vdd:tech.Circuit.Tech.vdd with
   | Some s -> s
   | None -> invalid_arg "Wave_gen: characterization stage did not rise"
@@ -33,9 +32,10 @@ let normalize tech wave =
   | Some t -> W.shift wave (-.t)
   | None -> wave
 
-(* The wire length the bisection settles on for [slew]: a bracket end
-   when [slew] lies outside the endpoints' slews [(s_min, s_max)]. *)
-let length_for ?(tol = 2e-12) ~probe (s_min, s_max) slew =
+(* The wire length the bisection settles on for [slew], to within
+   2 ps: a bracket end when [slew] lies outside the endpoints' slews
+   [(s_min, s_max)]. *)
+let length_for ~probe (s_min, s_max) slew =
   if slew <= s_min then l_min
   else if slew >= s_max then l_max
   else
@@ -45,15 +45,10 @@ let length_for ?(tol = 2e-12) ~probe (s_min, s_max) slew =
       let mid = (lo +. hi) /. 2. in
       let s = probe mid in
       let lo, hi = if s < slew then (mid, hi) else (lo, mid) in
-      if iter < 24 && Float.abs (s -. slew) > tol then bisect (iter + 1) lo hi
+      if iter < 24 && Float.abs (s -. slew) > 2e-12 then bisect (iter + 1) lo hi
       else mid
     in
     bisect 1 l_min l_max
-
-let buffer_output_wave ?tol tech binput ~slew =
-  let probe = slew_for_length tech binput in
-  let len = length_for ?tol ~probe (probe l_min, probe l_max) slew in
-  normalize tech (gate_wave tech binput len)
 
 (* [f] once per length, keyed by its bits ([f] is a function of the
    length alone). *)
@@ -68,11 +63,12 @@ let memo f =
         Hashtbl.add seen key r;
         r
 
-let buffer_output_waves ?tol tech binput ~slews =
+let buffer_output_waves tech binput ~slews =
   (* Every bisection starts from the same bracket, so the slews share
      their first probes; slews that settle on one length (a bracket end,
-     say) share its full run. *)
+     say) share its run, which goes on until it settles: the wave is a
+     stage's whole input. *)
   let probe = memo (slew_for_length tech binput) in
-  let wave = memo (gate_wave tech binput) in
+  let wave = memo (gate_wave ~config:{ char_config with T.stop_at = None } tech binput) in
   let ends = (probe l_min, probe l_max) in
-  List.map (fun slew -> normalize tech (wave (length_for ?tol ~probe ends slew))) slews
+  List.map (fun slew -> normalize tech (wave (length_for ~probe ends slew))) slews

@@ -32,16 +32,19 @@ type bounded = {
   bcap : float;
 }
 
+(* Absolute slack absorbing float noise in the exact-radius
+   intersection (micrometres; 1e-6 um is sub-numerical for timing). *)
 let slack = 1e-6
 
-let bounded_slice arc1 arc2 ~total_l ~r =
-  match
-    Trr.intersect
-      (Trr.inflate arc1 (r +. slack))
-      (Trr.inflate arc2 (total_l -. r +. slack))
-  with
+(* The points within [r1] of [arc1] and [r2] of [arc2]; the point of
+   [arc1] closest to [arc2]'s centre when that is numerically empty. *)
+let meet arc1 r1 arc2 r2 =
+  match Trr.intersect (Trr.inflate arc1 r1) (Trr.inflate arc2 r2) with
   | Some s -> s
   | None -> Trr.of_point (Trr.closest_point arc1 (Trr.center arc2))
+
+let bounded_slice arc1 arc2 ~total_l ~r =
+  meet arc1 (r +. slack) arc2 (total_l -. r +. slack)
 
 let merge_bounded (tech : Circuit.Tech.t) ~skew_bound ~arc1 ~t1_min ~t1_max
     ~c1 ~arc2 ~t2_min ~t2_max ~c2 =
@@ -78,19 +81,11 @@ let merge_bounded (tech : Circuit.Tech.t) ~skew_bound ~arc1 ~t1_min ~t1_max
        budget is still exploited where it matters most: snake avoidance
        (the [budget]-relaxed feasibility above) and looser balancing of
        already-wide child intervals. *)
-    let r_lo = r_star and r_hi = r_star in
     let d_min, d_max = interval r_star in
     {
-      bms =
-        (match
-           Trr.intersect
-             (Trr.inflate arc1 (r_hi +. slack))
-             (Trr.inflate arc2 (l -. r_lo +. slack))
-         with
-        | Some r -> r
-        | None -> Trr.of_point (Trr.closest_point arc1 (Trr.center arc2)));
-      r_lo;
-      r_hi;
+      bms = bounded_slice arc1 arc2 ~total_l:l ~r:r_star;
+      r_lo = r_star;
+      r_hi = r_star;
       total_l = l;
       bdelay_min = d_min;
       bdelay_max = d_max;
@@ -139,25 +134,12 @@ let merge (tech : Circuit.Tech.t) ~arc1 ~t1 ~c1 ~arc2 ~t2 ~c2 =
       (t2 -. t1 +. (alpha *. l *. (c2 +. (beta *. l /. 2.))))
       /. (alpha *. l *. (c1 +. c2 +. (beta *. l)))
   in
-  (* Absolute slack absorbing float noise in the exact-radius
-     intersection (micrometres; 1e-6 um is sub-numerical for timing). *)
-  let slack = 1e-6 in
   if l > 0. && balanced_x >= 0. && balanced_x <= 1. then begin
+    (* len1 + len2 = distance(arc1, arc2): the inflated arcs meet. *)
     let len1 = balanced_x *. l in
     let len2 = l -. len1 in
-    let ms =
-      match
-        Trr.intersect
-          (Trr.inflate arc1 (len1 +. slack))
-          (Trr.inflate arc2 (len2 +. slack))
-      with
-      | Some r -> r
-      | None ->
-          (* Cannot happen: len1 + len2 = distance(arc1, arc2). *)
-          assert false
-    in
     {
-      ms;
+      ms = meet arc1 (len1 +. slack) arc2 (len2 +. slack);
       len1;
       len2;
       delay = t1 +. wire_elmore tech ~length:len1 ~load:c1;
@@ -170,13 +152,8 @@ let merge (tech : Circuit.Tech.t) ~arc1 ~t1 ~c1 ~arc2 ~t2 ~c2 =
        snaked length — and snake the wire toward side 1. *)
     let len1 = snake_length_for_delay tech ~load:c1 ~delay:(t2 -. t1) in
     let len1 = Float.max len1 l in
-    let ms =
-      match Trr.intersect arc2 (Trr.inflate arc1 (len1 +. slack)) with
-      | Some r -> r
-      | None -> Trr.of_point (Trr.closest_point arc2 (Trr.center arc1))
-    in
     {
-      ms;
+      ms = meet arc2 0. arc1 (len1 +. slack);
       len1;
       len2 = 0.;
       delay = t2;
@@ -186,13 +163,8 @@ let merge (tech : Circuit.Tech.t) ~arc1 ~t1 ~c1 ~arc2 ~t2 ~c2 =
   else begin
     let len2 = snake_length_for_delay tech ~load:c2 ~delay:(t1 -. t2) in
     let len2 = Float.max len2 l in
-    let ms =
-      match Trr.intersect arc1 (Trr.inflate arc2 (len2 +. slack)) with
-      | Some r -> r
-      | None -> Trr.of_point (Trr.closest_point arc1 (Trr.center arc2))
-    in
     {
-      ms;
+      ms = meet arc1 0. arc2 (len2 +. slack);
       len1 = 0.;
       len2;
       delay = t1;

@@ -19,15 +19,19 @@ let make_env ?(profile = Delaylib.Accurate) ?(scale = 1.) () =
 
 let bench_of env d = if env.scale >= 1. then d else Bmark.Synthetic.scaled d env.scale
 
+(* Fig. 3.1's input: [binput]'s output wave at [slew]. *)
+let input_wave env binput slew =
+  List.hd (Delaylib.Wave_gen.buffer_output_waves env.tech binput ~slews:[ slew ])
+
 (* ------------------------------------------------------------------ *)
 (* FIG-1.1: wire output slew vs length, 20X vs 30X drivers.            *)
 
 let fig1_1_rows env =
+  let input = input_wave env (Buffer_lib.smallest env.lib) 100e-12 in
   let slew_for drive len =
     let load = Rc.leaf ~tag:"load" (Buffer_lib.input_cap env.tech (List.hd env.lib)) in
     let r, chain = Rc.wire env.tech ~length:len load in
     let tree = Rc.node ~tag:"out" [ (r, chain) ] in
-    let input = Delaylib.Wave_gen.buffer_output_wave env.tech (Buffer_lib.smallest env.lib) ~slew:100e-12 in
     let res = T.simulate ~config:env.sim_config env.tech (T.Driven_buffer (drive, input)) tree in
     match T.node_slew res ~tag:"load" with Some s -> s | None -> Float.infinity
   in
@@ -71,12 +75,7 @@ let fig3_2_data env =
   in
   (* The "curved" input is a real buffer-output waveform, produced exactly
      as in Fig. 3.1: an input buffer plus a wire tuned to the target slew. *)
-  let curve =
-    measure
-      (Delaylib.Wave_gen.buffer_output_wave env.tech
-         (Buffer_lib.by_name env.lib "BUF10X")
-         ~slew)
-  in
+  let curve = measure (input_wave env buffer slew) in
   let ramp = measure (W.ramp ~vdd ~slew ()) in
   (curve, ramp)
 
@@ -167,11 +166,11 @@ let fig3_6 env =
 let model_accuracy env =
   let drive = Buffer_lib.by_name env.lib "BUF20X" in
   let vdd = env.tech.Circuit.Tech.vdd in
+  let input = input_wave env (Buffer_lib.smallest env.lib) 80e-12 in
   let rows =
     List.map
       (fun len ->
         let load_cap = 5e-15 in
-        let input = Delaylib.Wave_gen.buffer_output_wave env.tech (Buffer_lib.smallest env.lib) ~slew:80e-12 in
         let load = Rc.leaf ~tag:"load" load_cap in
         let r, chain = Rc.wire env.tech ~length:len load in
         let tree = Rc.node ~tag:"out" [ (r, chain) ] in

@@ -125,16 +125,15 @@ let check_shapes (flats : Rc_flat.t array) =
 (* Removes [live.(a)] from the first [m] entries, keeping their order. *)
 let drop live ~m a = Array.blit live (a + 1) live a (m - a - 1)
 
-(* Whether every node of lane [l] is +0. *)
-let lane_at_rest v ~k ~n l =
-  let zero = ref true and i = ref 0 in
-  while !zero && !i < n do
-    if not (same_bits v.((!i * k) + l) 0.) then zero := false;
-    incr i
+(* Whether every node of every lane is +0. *)
+let at_rest v =
+  let zero = ref true and j = ref 0 in
+  while !zero && !j < Array.length v do
+    if not (same_bits v.(!j) 0.) then zero := false;
+    incr j
   done;
   !zero
 
-(* The step loop over [flats], k >= 1 lanes of one shape. *)
 (* [memo] ready for a run under [key]: kept when it was recorded under
    the same one, else emptied, holding only the initial Vdd. *)
 let claim (memo : stage1) (key : stage1_key) ~vdd =
@@ -150,6 +149,7 @@ let claim (memo : stage1) (key : stage1_key) ~vdd =
       memo.outs.(0) <- vdd;
       memo.known <- 0
 
+(* The step loop over [flats], k >= 1 lanes of one shape. *)
 let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t array) =
   let k = Array.length flats in
   let f0 = flats.(0) in
@@ -220,13 +220,12 @@ let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t arra
   (* Stage 1's value one step back. A run starts from rest, so
      [v(-1) = v(0)], for stage 1 (Vdd) and for every tree node (+0). *)
   let prev1 = ref vdd in
-  (* At rest, per lane (DESIGN.md 5p): [rest] while every tree node is
-     +0, [fixed] once a solved step showed that the tree maps rest to
-     rest, [quiet] while the internal node is also still at Vdd. *)
-  let quiet =
-    Array.make k (stage1_quiescent tech ~size:size1 ~c_dt:c_dt1)
-  in
-  let rest = Array.make k true and fixed = Array.make k false in
+  (* At rest, for the whole group (DESIGN.md 5p, 5t): [rest] while every
+     tree node of every lane is +0, [fixed] once a solved step showed
+     that the trees map rest to rest, [quiet] while the internal node is
+     also still at Vdd. *)
+  let quiet = ref (stage1_quiescent tech ~size:size1 ~c_dt:c_dt1) in
+  let rest = ref true and fixed = ref false in
   (* [stop_at] (DESIGN.md 5s), per lane: [reached.((l * ns) + j)] once
      series [j] has had a value >= [level], the comparison
      [Waveform.crossing] makes; [pending.(l)] counts the series that
@@ -240,14 +239,8 @@ let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t arra
   let settle_at_stop = stop && level <= 0.99 *. vdd in
   let reached = Array.make (k * ns) false and pending = Array.make k ns in
   let settled = Array.make k false and len = Array.make k 1 in
-  (* The live lanes, in ascending order. While some of them is still
-     at rest ([resting] counts those), the lanes that solve a step, and
-     of those the ones that sweep and back-substitute, are chosen per
-     lane; after that every live lane does all three, and no flag can
-     change. *)
-  let live = Array.make k 0 and nlive = ref 0 and resting = ref 0 in
-  let solving = Array.make k 0 and sweeping = Array.make k 0 in
-  let backing = Array.make k 0 in
+  (* The live lanes, in ascending order. *)
+  let live = Array.make k 0 and nlive = ref 0 in
   samples.times.(0) <- t0;
   for l = 0 to k - 1 do
     for j = 0 to ns - 1 do
@@ -263,57 +256,34 @@ let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t arra
       incr nlive
     end
   done;
-  resting := !nlive;
   let t = ref t0 and steps = ref 0 in
   while !nlive > 0 && !t < config.t_max do
     let t_new = !t +. dt in
     at.time <- t_new;
     W.read cursor at;
     let vin = at.value in
-    let solve = ref live and ms = ref !nlive in
-    let sweep = ref live and mw = ref !nlive in
-    let back = ref live and mb = ref 0 in
-    if !resting > 0 then begin
-      (* A lane at rest whose tree maps rest to rest, with the internal
-         node at Vdd and the input within [0, vt], would change
-         nothing; the step is skipped only when every live lane would
-         skip it. A lane at rest holds +0 in [rhs]: the history term of
-         a node whose last two values are +0. *)
-      let window = 0. <= vin && vin <= vt in
-      ms := 0;
-      mw := 0;
-      for a = 0 to !nlive - 1 do
-        let l = live.(a) in
-        if not (quiet.(l) && fixed.(l) && window) then begin
-          solving.(!ms) <- l;
-          incr ms;
-          if not (rest.(l) && fixed.(l)) then begin
-            sweeping.(!mw) <- l;
-            incr mw
-          end
-        end
-      done;
-      solve := solving;
-      sweep := sweeping;
-      back := backing
-    end;
-    if !ms > 0 then begin
-      (* The buffer's internal node first, once for every lane: for a
-         lane that would have skipped, the step returns Vdd bit for bit
-         (DESIGN.md 5p), so that lane is left as it is. Then one forward
-         sweep of the rhs, Newton on each lane's root unknown alone and
-         one back-substitution. *)
+    (* At rest, fixed and quiet, with the input within [0, vt], a step
+       changes nothing, and it is recorded without solving. *)
+    if not (!quiet && !fixed && 0. <= vin && vin <= vt) then begin
+      (* The buffer's internal node first, once for every lane; then one
+         forward sweep of the rhs, Newton on each lane's root unknown
+         alone and one back-substitution. *)
       stage1.vin <- vin;
       let v1 = stage1.vout and s1 = !steps + 1 in
       (match memo with
       | Some m when s1 <= m.known -> stage1.vout <- m.outs.(s1)
       | Some _ | None -> advance_internal tech stage1 ~c_dt:c_dt1 ~v_prev:!prev1 ~iters);
       prev1 := v1;
-      if !mw > 0 then Rc_flat.forward fac ~lanes:!sweep ~m:!mw ~rhs;
+      (* At rest and fixed, every row of [rhs] is +0: the forwarded rhs
+         of the fixed step (DESIGN.md 5y). *)
+      let held = !rest && !fixed in
+      if not held then Rc_flat.forward fac ~lanes:live ~m:!nlive ~rhs;
       stage2.vin <- stage1.vout;
-      let solve = !solve in
-      for a = 0 to !ms - 1 do
-        let l = solve.(a) in
+      (* Whether the back-substitution would repeat the fixed step's:
+         the same rhs and a +0 root in every lane. *)
+      let repeat = ref held in
+      for a = 0 to !nlive - 1 do
+        let l = live.(a) in
         let vr = ref v.(l) and it = ref 0 in
         while !it < iters do
           stage2.vout <- !vr;
@@ -328,40 +298,22 @@ let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t arra
           vr := root.v0
         done;
         roots.(l) <- root.v0;
-        (* A +0 root from rest: the back-substitution would repeat the
-           fixed step's. *)
-        if !resting = 0 then mb := !ms
-        else if not (rest.(l) && fixed.(l) && same_bits root.v0 0.) then begin
-          backing.(!mb) <- l;
-          incr mb
-        end
+        repeat := !repeat && same_bits root.v0 0.
       done;
       (* The back-substitution writes each node's next rhs from the
-         value it computes and the one it overwrites: a lane that sweeps
-         a step back-substituted the step before (DESIGN.md 5y). *)
-      if !mb > 0 then
-        Rc_flat.back fac ~lanes:!back ~m:!mb ~roots ~rhs ~into:v ~next:c_dt;
-      if !resting > 0 then begin
-        for a = 0 to !mb - 1 do
-          let l = backing.(a) in
-          if rest.(l) then
-            if lane_at_rest v ~k ~n l then fixed.(l) <- true
-            else begin
-              rest.(l) <- false;
-              decr resting
-            end
-        done;
-        for a = 0 to !ms - 1 do
-          let l = solve.(a) in
-          if not (rest.(l) && same_bits stage1.vout vdd) then quiet.(l) <- false
-        done
-      end
+         value it computes and the one it overwrites: a step that sweeps
+         back-substituted the step before (DESIGN.md 5y). *)
+      if not !repeat then begin
+        Rc_flat.back fac ~lanes:live ~m:!nlive ~roots ~rhs ~into:v ~next:c_dt;
+        if !rest then if at_rest v then fixed := true else rest := false
+      end;
+      if not (!rest && same_bits stage1.vout vdd) then quiet := false
     end;
     t := t_new;
     incr steps;
     let s = !steps in
-    (* A step no lane solved left stage 1 where an advance would have:
-       at Vdd (DESIGN.md 5p). *)
+    (* A skipped step left stage 1 where an advance would have: at Vdd
+       (DESIGN.md 5p). *)
     (match memo with
     | Some m when s > m.known ->
         if s = Array.length m.outs then m.outs <- regrow m.outs ~len:(2 * s) ~keep:s;
@@ -406,7 +358,6 @@ let run_lanes config (tech : Tech.t) driver memo samples (flats : Rc_flat.t arra
       end;
       if settled.(l) || (stop && pending.(l) = 0) then begin
         len.(l) <- s + 1;
-        if rest.(l) then decr resting;
         drop live ~m:!nlive !a;
         decr nlive
       end

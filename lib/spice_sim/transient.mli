@@ -86,10 +86,12 @@ val simulate_lanes :
     [settled] included (DESIGN.md 5t). The lanes share the input, the
     time grid, the buffer's stage-1 trajectory and its stage-2
     bias; each sweep of the tree solve visits every node once for all
-    the lanes it serves, so their dependent chains overlap. Each lane
-    keeps its own root Newton exit, rest flags, [stop_at] bookkeeping
-    and settle check, and drops out of the sweeps when it ends. [[||]]
-    gives [[||]]. With [stage1], stage 1's steps come from and go to
+    the live lanes, so their dependent chains overlap. The group rests
+    as one: a step is recorded without solving, or a sweep left out,
+    only while every lane's tree is at rest (DESIGN.md 5p). Each lane
+    keeps its own root Newton exit, [stop_at] bookkeeping and settle
+    check, and drops out of the sweeps when it ends. [[||]] gives
+    [[||]]. With [stage1], stage 1's steps come from and go to
     that record.
 
     Raises [Invalid_argument] naming a [config] field outside its range,

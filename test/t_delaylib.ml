@@ -8,10 +8,14 @@ module B = Circuit.Buffer_lib
 let tech = T_env.tech
 let check_f eps = Alcotest.(check (float eps))
 
+(* [binput]'s input wave at one slew. *)
+let wave_at binput slew =
+  List.hd (Delaylib.Wave_gen.buffer_output_waves tech binput ~slews:[ slew ])
+
 let wave_gen_hits_target_slew () =
   List.iter
     (fun target ->
-      let w = Delaylib.Wave_gen.buffer_output_wave tech T_env.b10 ~slew:target in
+      let w = wave_at T_env.b10 target in
       match W.slew_10_90 w ~vdd:tech.Circuit.Tech.vdd with
       | Some s -> check_f 3e-12 (Printf.sprintf "%g" target) target s
       | None -> Alcotest.fail "no slew")
@@ -21,7 +25,7 @@ let wave_gen_hits_target_slew () =
    the shortest wire's slew below 1 ps, the longest one's above 1 ns. *)
 let wave_gen_range_sane () =
   let slew_for target =
-    let w = Delaylib.Wave_gen.buffer_output_wave tech T_env.b10 ~slew:target in
+    let w = wave_at T_env.b10 target in
     Option.get (W.slew_10_90 w ~vdd:tech.Circuit.Tech.vdd)
   in
   let lo = slew_for 1e-12 and hi = slew_for 1e-9 in
@@ -43,7 +47,7 @@ let library_matches_simulator_offgrid () =
   (* The acceptance test of Chapter 3: library predictions at points not
      in the characterization sweep agree with direct simulation. *)
   let dl = T_env.get_dl () in
-  let input = Delaylib.Wave_gen.buffer_output_wave tech T_env.b10 ~slew:95e-12 in
+  let input = wave_at T_env.b10 95e-12 in
   let length = 640. and load_cap = 0.75e-15 in
   let load = Rc.leaf ~tag:"load" load_cap in
   let r, chain = Rc.wire tech ~length load in
@@ -167,7 +171,7 @@ let intrinsic_delay_increases_with_slew () =
 
 (* The shared probe table changes no bit: for both profiles' slew sets
    (including the fast ones the table shares), the list equals the
-   single-slew waves. *)
+   waves of one-slew calls. *)
 let wave_gen_list_matches_single () =
   let bits w =
     Array.map Int64.bits_of_float
@@ -179,7 +183,7 @@ let wave_gen_list_matches_single () =
       let listed = Delaylib.Wave_gen.buffer_output_waves tech binput ~slews in
       List.iter2
         (fun slew w ->
-          let single = Delaylib.Wave_gen.buffer_output_wave tech binput ~slew in
+          let single = wave_at binput slew in
           Alcotest.(check (array int64))
             (Printf.sprintf "slew %g ps" (slew *. 1e12))
             (bits single) (bits w))
@@ -229,8 +233,8 @@ end
 
 (* Probes that stop at 90% pick the same lengths, and the chosen
    length's full run is the wave the all-full bisection returned, bit
-   for bit: both entry points, slews inside the range and at or past
-   either end, two input buffers. *)
+   for bit: in a list and in one-slew calls, slews inside the range and
+   at or past either end, two input buffers. *)
 let wave_gen_matches_full_probes () =
   let bits w =
     Array.map Int64.bits_of_float (Array.append (W.times w) (W.values w))
@@ -247,7 +251,7 @@ let wave_gen_matches_full_probes () =
           let reference = Full_probe_wave_gen.buffer_output_wave tech binput ~slew in
           Alcotest.(check (array int64)) (name ^ ", list") (bits reference) (bits w);
           Alcotest.(check (array int64)) (name ^ ", single") (bits reference)
-            (bits (Delaylib.Wave_gen.buffer_output_wave tech binput ~slew)))
+            (bits (wave_at binput slew)))
         slews listed)
     [ B.smallest T_env.lib; T_env.b20 ]
 

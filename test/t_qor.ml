@@ -535,43 +535,6 @@ let threshold_oracle () =
         (List.mem name (pinned_names @ unpinned_names)))
     (Qor.metrics q @ Qor.metrics (synth_dp ()))
 
-(* ----------------------- bench JSON record ------------------------ *)
-
-let par_bench_round_trip () =
-  let rec_ =
-    {
-      Bench_json.domains = 4;
-      available_cpus = 8;
-      profile = "fast";
-      char_seq_s = 2.21637;
-      char_par_s = 0.75561;
-      char_identical = true;
-      sinks = 80;
-      syn_seq_s = 2.47;
-      syn_par_s = 0.9;
-      syn_identical = true;
-    }
-  in
-  let v = Bench_json.par_bench_json rec_ in
-  (* The emitted document must satisfy its own validator after a trip
-     through the writer and the strict parser. *)
-  (match J.parse (J.to_string ~pretty:true v) with
-  | Error e -> Alcotest.fail ("par_bench JSON does not parse: " ^ e)
-  | Ok v' -> (
-      match Bench_json.validate_par_bench v' with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("validator rejects writer output: " ^ e)));
-  (* Speedup is computed inside, rounded to 3 decimals. *)
-  (match J.member "characterization" v with
-  | Some (J.Obj ms) -> (
-      match List.assoc_opt "speedup" ms with
-      | Some (J.Num s) -> check_f "speedup" 2.933 s
-      | _ -> Alcotest.fail "speedup missing")
-  | _ -> Alcotest.fail "characterization missing");
-  match Bench_json.validate_par_bench (J.Obj [ ("domains", J.Num 4.) ]) with
-  | Ok () -> Alcotest.fail "validator accepted a truncated document"
-  | Error _ -> ()
-
 (* ------------------- cost sections: capture ---------------------- *)
 
 let capture_shape () =
@@ -899,7 +862,6 @@ let suite =
     Alcotest.test_case "compare: injected regression" `Quick
       compare_injected_regression;
     Alcotest.test_case "compare: threshold oracle" `Quick threshold_oracle;
-    Alcotest.test_case "par_bench json round trip" `Quick par_bench_round_trip;
   ]
 
 let cost_suite =

@@ -725,9 +725,12 @@ let lanes_stop_apart () =
    k_per_x * size * (-vt)^alpha, ~1e-321 A, into the root, which a
    light lane's root divides into a nonzero voltage and a 20 nF root
    rounds to +0 (stage 1's internal node stays at Vdd bit for bit).
-   That lane stays at rest, sweeps and back-substitutes nothing, until
-   the edge arrives. *)
-let lane_leaves_rest_late () =
+   The light lane ends the group's rest on the first step, so from then
+   on the heavy lane, still at +0, sweeps and back-substitutes on every
+   step: those full solves must hold it at +0, bit for bit, until the
+   edge arrives. With [heavy_first] the lane still at rest is lane 0,
+   so the group's at-rest check must look at every lane. *)
+let lane_leaves_rest_late ?(heavy_first = false) () =
   let tech = { tech with Circuit.Tech.vt = -8e-246 } in
   let config = { T.default_config with T.dt = 1e-12; t_max = 1e-9 } in
   let input = pwl [ (0., 0.); (200e-12, 0.); (260e-12, vdd) ] in
@@ -736,7 +739,10 @@ let lane_leaves_rest_late () =
     let r, chain = Rc.wire tech ~length:300. (Rc.leaf ~tag:"load" 5e-15) in
     Rc.node ~cap:root_cap [ (r, chain) ]
   in
-  let trees = [| stage 1e-15; stage 2e-8 |] in
+  let light = 0 and heavy = 1 in
+  let light, heavy = if heavy_first then (heavy, light) else (light, heavy) in
+  let trees = Array.make 2 (stage 1e-15) in
+  trees.(heavy) <- stage 2e-8;
   let res = T.simulate_lanes ~config tech driver trees in
   Array.iteri
     (fun l r ->
@@ -751,9 +757,9 @@ let lane_leaves_rest_late () =
     go 0
   in
   Alcotest.(check int) "the light lane leaves rest on the first step" 1
-    (first_nonzero res.(0));
+    (first_nonzero res.(light));
   Alcotest.(check bool) "the heavy lane leaves rest with the edge" true
-    (first_nonzero res.(1) > 150)
+    (first_nonzero res.(heavy) > 150)
 
 let lanes_reject_other_shapes () =
   let input = W.smooth_curve ~vdd ~slew:80e-12 () in
@@ -1262,7 +1268,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_lanes_match_reference;
     QCheck_alcotest.to_alcotest qcheck_stage1_record_matches_fresh;
     Alcotest.test_case "lanes stop apart" `Quick lanes_stop_apart;
-    Alcotest.test_case "lane leaves rest late" `Quick lane_leaves_rest_late;
+    Alcotest.test_case "lane leaves rest late" `Quick (lane_leaves_rest_late ~heavy_first:false);
+    Alcotest.test_case "lane leaves rest late, heavy lane first" `Quick
+      (lane_leaves_rest_late ~heavy_first:true);
     Alcotest.test_case "lanes reject other shapes" `Quick lanes_reject_other_shapes;
     QCheck_alcotest.to_alcotest qcheck_device_bias_matches_formula;
     Alcotest.test_case "config rejects dt" `Quick config_rejects_dt;
