@@ -2,7 +2,8 @@
 
    Subcommands:
      gen           generate a synthetic benchmark file (GSRC or ISPD format)
-     characterize  build the delay/slew library and write its text
+     characterize  build the delay/slew library, write its text and print
+                   its held-out error
      synth         synthesize a clock tree and verify it by simulation
      baseline      merge-node-only buffered DME on the same input
      experiments   run the paper-reproduction experiment drivers
@@ -52,6 +53,21 @@ let write_to path write =
   match write path with
   | () -> ()
   | exception Sys_error msg -> die "cannot write %s" msg
+
+(* Every output path is checked before any work starts: one whose
+   directory is missing or not writable is one [cts_run: ...] line and
+   exit 1, instead of a failure after the whole run. [write_to] still
+   catches what this cannot foresee. *)
+let check_outputs paths =
+  List.iter
+    (fun path ->
+      let dir = Filename.dirname path in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        die "cannot write %s: no directory %s" path dir;
+      match Unix.access dir [ Unix.W_OK ] with
+      | () -> ()
+      | exception Unix.Unix_error _ -> die "cannot write %s: directory %s is not writable" path dir)
+    (List.filter_map Fun.id paths)
 
 (* An invalid configuration (a NaN or infinite --slew-limit, say);
    synthesis would reject it with the same messages. *)
@@ -213,6 +229,7 @@ let gen_cmd =
   in
   let run bench scale format out verbose =
     setup_logs verbose;
+    check_outputs [ Some out ];
     let name = Option.value ~default:"r1" bench in
     let sinks = Bmark.Synthetic.sinks (descriptor_of name scale) in
     write_to out (fun path ->
@@ -244,6 +261,7 @@ let characterize_cmd =
   let run profile out stats trace domains verbose =
     setup_logs verbose;
     setup_domains domains;
+    check_outputs [ Some out; trace ];
     with_obs ~stats ~trace @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let dl = Obs.phase "characterize" (fun () -> characterize profile) in
@@ -254,12 +272,10 @@ let characterize_cmd =
       (Unix.gettimeofday () -. t0)
       (List.length (Delaylib.fit_report dl))
       out;
-    let worst =
-      List.fold_left
-        (fun acc (_, _, w) -> Float.max acc w)
-        0. (Delaylib.fit_report dl)
-    in
-    Printf.printf "worst fit residual: %.2f ps\n" (worst *. 1e12)
+    (* The held-out points are simulated here, after the library is
+       built and timed. *)
+    print_string
+      (Delaylib.render_report (Obs.phase "held-out" (fun () -> Delaylib.held_out dl)))
   in
   Cmd.v
     (Cmd.info "characterize"
@@ -313,6 +329,7 @@ let synth_cmd =
       slew_limit n_blockages svg stats trace domains verbose =
     setup_logs verbose;
     setup_domains domains;
+    check_outputs [ deck; svg; trace ];
     (* The body returns the exit code, so that [with_obs] writes the
        summary and the trace of a failing run too. *)
     let code = with_obs ~stats ~trace @@ fun () ->
@@ -420,6 +437,7 @@ let experiments_cmd =
   let run names scale profile stats trace domains verbose =
     setup_logs verbose;
     setup_domains domains;
+    check_outputs [ trace ];
     let todo =
       match Experiments.select names with Ok d -> d | Error msg -> die "%s" msg
     in
@@ -468,6 +486,7 @@ let qor_cmd =
       with_runtime domains verbose =
     setup_logs verbose;
     setup_domains domains;
+    check_outputs [ out ];
     let sinks = sinks_of ~bench ~file ~format ~scale in
     check_sinks sinks;
     let dl = characterize profile in

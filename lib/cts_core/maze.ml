@@ -91,7 +91,8 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
     }
   in
   (* Probe the point [at u] of a family: both sides at its exact
-     manhattan distances; returns h there. *)
+     manhattan distances; returns h there and whether both runs are
+     feasible. *)
   let probe at u =
     Obs.incr Obs.Maze_bins_evaluated;
     let c = at u in
@@ -112,26 +113,31 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
       b.h <- h;
       b.feas <- feas
     end;
-    h
+    (h, feas)
   in
-  (* Narrow a sign change of h on [lo, hi] to [resolution] um. *)
-  let rec bisect at lo hi h_lo h_hi =
+  (* A bracket: h changes sign, or feasibility changes, between two
+     probes. *)
+  let brackets (h_a, f_a) (h_b, f_b) = opposite h_a h_b || not (Bool.equal f_a f_b) in
+  (* Narrow every bracket on [lo, hi] to [resolution] um. A sign change
+     with no feasibility edge stays in one half; a half that keeps a
+     feasibility edge is narrowed toward it as well. *)
+  let rec bisect at lo hi p_lo p_hi =
     if hi -. lo > resolution then begin
       let mid = 0.5 *. (lo +. hi) in
-      let h_mid = probe at mid in
-      if opposite h_lo h_mid then bisect at lo mid h_lo h_mid
-      else if opposite h_mid h_hi then bisect at mid hi h_mid h_hi
+      let p_mid = probe at mid in
+      if brackets p_lo p_mid then bisect at lo mid p_lo p_mid;
+      if brackets p_mid p_hi then bisect at mid hi p_mid p_hi
     end
   in
   (* Scan a family over [0, len] um and bisect inside every bracket. *)
   let search at len =
     let n = if len > resolution then scan_intervals else 0 in
     let u k = len *. float_of_int k /. float_of_int scan_intervals in
-    let rec scan k h_prev =
+    let rec scan k p_prev =
       if k <= n then begin
-        let h = probe at (u k) in
-        if opposite h_prev h then bisect at (u (k - 1)) (u k) h_prev h;
-        scan (k + 1) h
+        let p = probe at (u k) in
+        if brackets p_prev p then bisect at (u (k - 1)) (u k) p_prev p;
+        scan (k + 1) p
       end
     in
     scan 1 (probe at 0.)

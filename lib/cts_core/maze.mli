@@ -7,9 +7,12 @@
     inside the port box d1 + d2 = D. [select] therefore searches the
     split directly: h(t) is side 1's delay at t·D minus side 2's at
     (1 − t)·D, scanned at 33 points and bisected to 0.01 um inside every
-    sign change — every bracket, since h need not be monotone under
-    [Optimal_dp]. Points rank feasible first, then lower skew outside a
-    0.05 fs tie window, then shorter wire. When the direct family leaves
+    bracket: every sign change of h, since h need not be monotone under
+    [Optimal_dp], and every change of feasibility between neighbouring
+    probes, whose edge can hold the best feasible point (the bisection
+    probes count in [Obs.Maze_bins_evaluated] like the scan's). Points
+    rank feasible first, then lower skew outside a
+    0.05 ps tie window, then shorter wire. When the direct family leaves
     more than 0.5 ps of skew or no feasible point, a detour family is
     searched the same way: the merge point moves up to two {!bins_for}
     pitches beyond the slower side's port.

@@ -15,6 +15,31 @@ type profile = Fast | Accurate
 
 let profile_name = function Fast -> "fast" | Accurate -> "accurate"
 
+type grid = { slews : float list; lengths : float list }
+
+type sweep = {
+  single_degree : int;
+  single : grid;
+  branch_degree : int;
+  branch : grid;
+}
+
+type quantity = Buffer_delay | Wire_delay | Wire_slew | Branch_delay | Branch_slew
+
+let quantities = [ Buffer_delay; Wire_delay; Wire_slew; Branch_delay; Branch_slew ]
+
+let quantity_name = function
+  | Buffer_delay -> "buffer delay"
+  | Wire_delay -> "wire delay"
+  | Wire_slew -> "wire slew"
+  | Branch_delay -> "branch delay"
+  | Branch_slew -> "branch slew"
+
+type cost = { runs : int; lanes : int; samples : int }
+
+let no_cost = { runs = 0; lanes = 0; samples = 0 }
+let add_cost a b = { runs = a.runs + b.runs; lanes = a.lanes + b.lanes; samples = a.samples + b.samples }
+
 type single_fit = {
   buf_delay_fit : Polyfit.surface2;
   wire_delay_fit : Polyfit.surface2;
@@ -30,6 +55,7 @@ type branch_fit = {
 
 type t = {
   tech : Tech.t;
+  profile : profile;
   buffers : Buffer_lib.t list;
   first_buffer : Buffer_lib.t;
   names : string array;  (** Buffer slots: the cell names, library order. *)
@@ -43,6 +69,7 @@ type t = {
           range excludes 0, negatives, non-finite and extreme caps. *)
   fast_hi : float;
   branch_classes : int array;  (** Indices into [classes] used for branches. *)
+  pairs : (int * int) array;  (** Branch class pairs [(cl, cr)], [cl <= cr]. *)
   slew_lo : float;
   slew_hi : float;
   len_lo : float;
@@ -53,7 +80,8 @@ type t = {
       (** Flat [(buffer slot * n_classes) + class] table: every pair has
           a fit. *)
   branches : (string * int * int, branch_fit) Hashtbl.t;
-  residuals : (string * float * float) list;
+  residuals : (quantity * (string * float * float)) list;
+  cost : cost;  (** The sweep's lane runs, lanes and lane-samples. *)
 }
 
 type single_eval = { buf_delay : float; wire_delay : float; wire_slew : float }
@@ -68,23 +96,46 @@ type branch_eval = {
 (* ------------------------------------------------------------------ *)
 (* Sweep definitions                                                   *)
 
-let ps x = x *. 1e-12
+let ps = List.map (fun x -> x *. 1e-12)
 
-let single_sweep = function
+(* Every sweep needs at least (degree + 1) distinct values per
+   dimension, otherwise high-order basis columns collapse onto lower
+   ones and mid-grid evaluation loses coefficient mass. The accurate
+   sweep is the cheapest design found whose held-out worst error stays
+   within 0.5 ps for every quantity (DESIGN.md 5ab); its domain
+   endpoints are the denser sweep's it replaced. *)
+let sweep = function
   | Fast ->
-      (2, [ ps 30.; ps 80.; ps 150. ], [ 25.; 200.; 500.; 900.; 1400. ])
+      {
+        single_degree = 2;
+        single = { slews = ps [ 30.; 80.; 150. ]; lengths = [ 25.; 200.; 500.; 900.; 1400. ] };
+        branch_degree = 2;
+        branch = { slews = ps [ 40.; 80.; 120. ]; lengths = [ 50.; 300.; 700.; 1100. ] };
+      }
   | Accurate ->
-      ( 4,
-        [ ps 20.; ps 40.; ps 70.; ps 100.; ps 140.; ps 190.; ps 250. ],
-        [ 10.; 60.; 150.; 300.; 500.; 750.; 1050.; 1400.; 1800. ] )
+      {
+        single_degree = 4;
+        single =
+          {
+            slews = ps [ 20.; 50.; 100.; 170.; 250. ];
+            lengths = [ 10.; 50.; 150.; 400.; 800.; 1300.; 1800. ];
+          };
+        branch_degree = 3;
+        branch = { slews = ps [ 30.; 70.; 120.; 180. ]; lengths = [ 25.; 250.; 650.; 1050. ] };
+      }
 
-(* Note: every sweep needs at least (degree + 1) distinct values per
-   dimension, otherwise high-order basis columns collapse onto lower ones
-   and mid-grid evaluation loses coefficient mass. *)
-let branch_sweep = function
-  | Fast -> (2, [ ps 40.; ps 80.; ps 120. ], [ 50.; 300.; 700.; 1100. ])
+(* Off every sweep value of both profiles' designs (and of the denser
+   accurate sweep the design replaced), inside each profile's domain. *)
+let held_out_set = function
+  | Fast ->
+      ( { slews = ps [ 35.; 55.; 85.; 120. ]; lengths = [ 35.; 120.; 230.; 420.; 640.; 1000.; 1225. ] },
+        { slews = ps [ 50.; 95.; 110. ]; lengths = [ 90.; 230.; 550.; 900. ] } )
   | Accurate ->
-      (3, [ ps 30.; ps 70.; ps 120.; ps 180. ], [ 25.; 150.; 400.; 700.; 1050. ])
+      ( {
+          slews = ps [ 25.; 60.; 85.; 120.; 145.; 200.; 220. ];
+          lengths = [ 35.; 120.; 230.; 420.; 640.; 900.; 1225.; 1600. ];
+        },
+        { slews = ps [ 50.; 95.; 150. ]; lengths = [ 90.; 230.; 550.; 900. ] } )
 
 (* Gate class (a typical buffer input cap) plus three sink classes,
    positive and each more than 1e-6 relative above the last: the
@@ -112,9 +163,15 @@ let branch_stage tech ~len_left ~len_right (cap_left, cap_right) =
   Rc_tree.node [ (rl, cl); (rr, cr) ]
 
 (* The runs of one (buffer, slew) task share a driver, so they share
-   stage 1's trajectory through [stage1]. *)
+   stage 1's trajectory through [stage1]. Returns the lanes' results
+   and the run's cost: one run, its lanes and the samples they
+   recorded. *)
 let simulate_lanes tech ~stage1 drive input stages =
-  T.simulate_lanes ~config:Wave_gen.char_config ~stage1 tech (T.Driven_buffer (drive, input)) stages
+  let res =
+    T.simulate_lanes ~config:Wave_gen.char_config ~stage1 tech (T.Driven_buffer (drive, input)) stages
+  in
+  let samples = Array.fold_left (fun n r -> n + W.n_samples (T.root_waveform r)) 0 res in
+  (res, { runs = 1; lanes = Array.length res; samples })
 
 (* One simulation's samples: buffer delay, wire delay and load slew. *)
 let measure_single tech input res =
@@ -144,14 +201,123 @@ let measure_branch tech res =
   | Some dl, Some dr, Some sl, Some sr -> Some (dl, dr, sl, sr)
   | _, _, _, _ -> None
 
+(* One (buffer, input wave) task over single wires: every length,
+   simulated once with the load classes as its lanes. Per length, the
+   samples come back in class order. *)
+let single_samples tech classes (drive : Buffer_lib.t) input lengths () =
+  let stage1 = T.stage1 () in
+  List.fold_left_map
+    (fun cost length ->
+      let res, c =
+        simulate_lanes tech ~stage1 drive input (Array.map (single_stage tech ~length) classes)
+      in
+      (add_cost cost c, (length, Array.map (measure_single tech input) res)))
+    no_cost lengths
+
+(* The mirror of a branch sample: left and right swapped. *)
+let swap = Option.map (fun (dl, dr, sl, sr) -> (dr, dl, sr, sl))
+
+(* One (buffer, input wave) task over branches: every ordered length
+   pair, with the class pairs as its lanes, in left-major order. An
+   equal-class pair at (L1, L2), left after right in [lengths], is the
+   (L2, L1) run's with its sides swapped: the two stages are mirror
+   images, so that run simulates only the unequal-class lanes. The
+   mirror stays inside this task, so the samples are the same at any
+   pool size. *)
+let branch_samples tech classes pairs (drive : Buffer_lib.t) input lengths () =
+  let stage1 = T.stage1 () in
+  let lens = Array.of_list lengths in
+  let n = Array.length lens in
+  let all = Array.init (Array.length pairs) Fun.id in
+  let unequal = Array.of_list (List.filter (fun k -> fst pairs.(k) <> snd pairs.(k)) (Array.to_list all)) in
+  let table = Array.make_matrix n n [||] in
+  let cost = ref no_cost in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let len_left = lens.(i) and len_right = lens.(j) in
+      let stage k =
+        let cl, cr = pairs.(k) in
+        branch_stage tech ~len_left ~len_right (classes.(cl), classes.(cr))
+      in
+      let lanes = if i > j then unequal else all in
+      let res, c = simulate_lanes tech ~stage1 drive input (Array.map stage lanes) in
+      cost := add_cost !cost c;
+      let measured = Array.make (Array.length pairs) None in
+      Array.iteri (fun l k -> measured.(k) <- measure_branch tech res.(l)) lanes;
+      if i > j then
+        Array.iteri
+          (fun k (cl, cr) -> if cl = cr then measured.(k) <- swap table.(j).(i).(k))
+          pairs;
+      table.(i).(j) <- measured
+    done
+  done;
+  ( !cost,
+    List.concat
+      (List.init n (fun i -> List.init n (fun j -> ((lens.(i), lens.(j)), table.(i).(j))))) )
+
+let branch_pairs branch_classes =
+  Array.of_list
+    (List.concat_map
+       (fun cl ->
+         List.filter_map
+           (fun cr -> if cl <= cr then Some (cl, cr) else None)
+           (Array.to_list branch_classes))
+       (Array.to_list branch_classes))
+
+(* What the tasks of one (single-wire grid, branch grid) pair produced:
+   per grid, the measured slew of each input wave, and per (buffer,
+   wave), buffer-major, the samples of its task. *)
+type runs = {
+  single_slews : float list;
+  singles : (float * (float * float * float) option array) list array;
+  branch_slews : float list;
+  branches : ((float * float) * (float * float * float * float) option array) list array;
+  run_cost : cost;
+}
+
+(* Both grids through the sweep's tasks on [pool]. The input waves, one
+   per slew (the single-wire grid's, then the branch grid's), are shaped
+   by the smallest buffer and computed up front on the calling domain;
+   [Wave_gen] simulates a slew both grids share once. Each wave's
+   coordinate is its measured 10%-90% slew, since [Wave_gen] lands only
+   within 2 ps of the nominal one. *)
+let run_grids pool tech buffers classes pairs single branch =
+  let binput = Buffer_lib.smallest buffers in
+  let waves =
+    List.map
+      (fun w ->
+        match W.slew_10_90 w ~vdd:tech.Tech.vdd with
+        | Some s -> (w, s)
+        | None -> invalid_arg "Delaylib: an input wave did not rise")
+      (Wave_gen.buffer_output_waves tech binput ~slews:(single.slews @ branch.slews))
+  in
+  let n = List.length single.slews in
+  let single_waves = List.filteri (fun i _ -> i < n) waves
+  and branch_waves = List.filteri (fun i _ -> i >= n) waves in
+  let per_wave task waves lens =
+    Array.of_list
+      (List.concat_map (fun d -> List.map (fun (w, _) -> task d w lens) waves) buffers)
+  in
+  let run jobs = Parallel.map pool (fun job -> job ()) jobs in
+  let singles = run (per_wave (single_samples tech classes) single_waves single.lengths) in
+  let branches = run (per_wave (branch_samples tech classes pairs) branch_waves branch.lengths) in
+  let total tasks = Array.fold_left (fun acc (c, _) -> add_cost acc c) no_cost tasks in
+  {
+    single_slews = List.map snd single_waves;
+    singles = Array.map snd singles;
+    branch_slews = List.map snd branch_waves;
+    branches = Array.map snd branches;
+    run_cost = add_cost (total singles) (total branches);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Fitting                                                             *)
 
-let residual_stats label fit_eval pts expected =
+let residual_stats quantity label fit_eval pts expected =
   let predicted = Array.map fit_eval pts in
   let rms = Util.Stats.rms_error predicted expected in
   let worst = Util.Stats.max_abs_error predicted expected in
-  (label, rms, worst)
+  (quantity, (label, rms, worst))
 
 (* ------------------------------------------------------------------ *)
 (* Characterization                                                    *)
@@ -181,71 +347,20 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
         invalid_arg ("Delaylib.characterize: duplicate buffer " ^ n))
     names;
   let pool = match pool with Some p -> p | None -> Parallel.default_pool () in
-  let deg_s, slews, lens = single_sweep profile in
-  let deg_b, bslews, blens = branch_sweep profile in
+  let sw = sweep profile in
   let classes = default_classes in
   let branch_classes = default_branch_classes in
-  let pairs =
-    Array.of_list
-      (List.concat_map
-         (fun cl ->
-           List.filter_map
-             (fun cr -> if cl <= cr then Some (cl, cr) else None)
-             (Array.to_list branch_classes))
-         (Array.to_list branch_classes))
-  in
+  let pairs = branch_pairs branch_classes in
   let n_buf = Array.length names
   and n_cls = Array.length classes
   and n_pairs = Array.length pairs in
-  (* Input waveforms shaped by a real input buffer, one per sweep slew:
-     the single-wire slews', then the branch slews'. [Wave_gen] memoizes
-     its runs by wire length, so a slew in both sweeps is simulated
-     once. Computed up front on the calling domain; the jobs below only
-     read them. *)
-  let binput = Buffer_lib.smallest buffers in
-  let waves = Wave_gen.buffer_output_waves tech binput ~slews:(slews @ bslews) in
-  let n_slews = List.length slews in
-  let single_waves = List.filteri (fun i _ -> i < n_slews) waves
-  and branch_waves = List.filteri (fun i _ -> i >= n_slews) waves in
-  (* Pool tasks, one per (buffer, slew), runnable on any domain: every
-     length (pair) of the sweep, each simulated once with the load
-     classes (class pairs) as its lanes. Per length, the samples come
-     back in class (pair) order. *)
-  let single_samples (drive : Buffer_lib.t) input () =
-    let stage1 = T.stage1 () in
-    List.map
-      (fun length ->
-        let res =
-          simulate_lanes tech ~stage1 drive input (Array.map (single_stage tech ~length) classes)
-        in
-        (length, Array.map (measure_single tech input) res))
-      lens
-  in
-  let branch_samples (drive : Buffer_lib.t) input () =
-    let stage1 = T.stage1 () in
-    List.concat_map
-      (fun len_left ->
-        List.map
-          (fun len_right ->
-            let stage (cl, cr) =
-              branch_stage tech ~len_left ~len_right (classes.(cl), classes.(cr))
-            in
-            let res = simulate_lanes tech ~stage1 drive input (Array.map stage pairs) in
-            ((len_left, len_right), Array.map (measure_branch tech) res))
-          blens)
-      blens
-  in
-  let per_slew task waves =
-    Array.of_list (List.concat_map (fun d -> List.map (task d) waves) buffers)
-  in
-  let run jobs = Parallel.map pool (fun job -> job ()) jobs in
-  let singles_at = run (per_slew single_samples single_waves) in
-  let branches_at = run (per_slew branch_samples branch_waves) in
+  let runs = run_grids pool tech buffers classes pairs sw.single sw.branch in
+  let n_slews = List.length runs.single_slews and n_bslews = List.length runs.branch_slews in
   (* The fits: per (buffer, class), then per (buffer, class pair), each
-     over its samples in slew-major order, and each with its residuals
-     in the order the library text lists them. That order fixes the fit
-     bits, the residual list and the text. A sample whose run misses a
-     crossing is left out. *)
+     over its samples in slew-major order at the waves' measured slews,
+     and each with its residuals in the order the library text lists
+     them. That order fixes the fit bits, the residual list and the
+     text. A sample whose run misses a crossing is left out. *)
   let dropped sample =
     Log.warn (fun m -> m "dropping sample %s: a crossing is missing" sample)
   in
@@ -262,13 +377,13 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
                 wd := w :: !wd;
                 ws := s :: !ws
             | None -> dropped (Printf.sprintf "%s/%d L=%g" names.(bi) ci length))
-          singles_at.((bi * n_slews) + si))
-      slews;
+          runs.singles.((bi * n_slews) + si))
+      runs.single_slews;
     let pts = Array.of_list (List.rev !pts) in
     let bd = Array.of_list (List.rev !bd) in
     let wd = Array.of_list (List.rev !wd) in
     let ws = Array.of_list (List.rev !ws) in
-    let fit = Polyfit.fit2 ~degree:deg_s in
+    let fit = Polyfit.fit2 ~degree:sw.single_degree in
     let f =
       {
         buf_delay_fit = fit pts bd;
@@ -279,13 +394,13 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
     let lbl kind = Printf.sprintf "%s/c%d/%s" names.(bi) ci kind in
     ( f,
       [
-        residual_stats (lbl "wire_slew")
+        residual_stats Wire_slew (lbl "wire_slew")
           (fun (s, l) -> Polyfit.eval2 f.wire_slew_fit s l)
           pts ws;
-        residual_stats (lbl "wire_delay")
+        residual_stats Wire_delay (lbl "wire_delay")
           (fun (s, l) -> Polyfit.eval2 f.wire_delay_fit s l)
           pts wd;
-        residual_stats (lbl "buf_delay")
+        residual_stats Buffer_delay (lbl "buf_delay")
           (fun (s, l) -> Polyfit.eval2 f.buf_delay_fit s l)
           pts bd;
       ] )
@@ -311,11 +426,11 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
                 let cl, cr = pairs.(pi) in
                 dropped
                   (Printf.sprintf "%s/b%d-%d L=%g,%g" names.(bi) cl cr len_left len_right))
-          branches_at.((bi * List.length bslews) + si))
-      bslews;
+          runs.branches.((bi * n_bslews) + si))
+      runs.branch_slews;
     let pts = Array.of_list (List.rev !pts) in
     let arr r = Array.of_list (List.rev !r) in
-    let fit = Polyfit.fit3 ~degree:deg_b in
+    let fit = Polyfit.fit3 ~degree:sw.branch_degree in
     let f =
       {
         delay_left_fit = fit pts (arr dl);
@@ -328,10 +443,10 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
     let lbl kind = Printf.sprintf "%s/b%d-%d/%s" names.(bi) cl cr kind in
     ( f,
       [
-        residual_stats (lbl "slew_left")
+        residual_stats Branch_slew (lbl "slew_left")
           (fun (s, a, b) -> Polyfit.eval3 f.slew_left_fit s a b)
           pts (arr sl);
-        residual_stats (lbl "delay_left")
+        residual_stats Branch_delay (lbl "delay_left")
           (fun (s, a, b) -> Polyfit.eval3 f.delay_left_fit s a b)
           pts (arr dl);
       ] )
@@ -354,14 +469,15 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
       (fun bi -> chunks singles n_cls bi @ chunks branch_fits n_pairs bi)
       (List.init n_buf Fun.id)
   in
-  (* The sweep lists are non-empty literals sorted ascending; fold for
-     the bounds rather than trusting the ordering with a partial
-     List.hd. *)
+  (* The domains are the sweeps' extremes: the measured slews', and the
+     lengths'. Folded, rather than trusting the sweeps' order with a
+     partial List.hd. *)
   let lo = List.fold_left Float.min Float.infinity
   and hi = List.fold_left Float.max 0. in
   let bound k = sqrt (classes.(k) *. classes.(k + 1)) in
   {
     tech;
+    profile;
     buffers;
     first_buffer;
     names;
@@ -373,15 +489,17 @@ let characterize ?(profile = Accurate) ?pool tech buffers =
     fast_lo = classes.(n_cls - 1) *. 0x1p-500;
     fast_hi = classes.(0) *. 0x1p500;
     branch_classes;
-    slew_lo = lo slews;
-    slew_hi = hi slews;
-    len_lo = lo lens;
-    len_hi = hi lens;
-    blen_lo = lo blens;
-    blen_hi = hi blens;
+    pairs;
+    slew_lo = lo runs.single_slews;
+    slew_hi = hi runs.single_slews;
+    len_lo = lo sw.single.lengths;
+    len_hi = hi sw.single.lengths;
+    blen_lo = lo sw.branch.lengths;
+    blen_hi = hi sw.branch.lengths;
     singles = Array.map fst singles;
     branches;
     residuals;
+    cost = runs.run_cost;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -525,16 +643,119 @@ let first_buffer t = t.first_buffer
 let tech t = t.tech
 let len_domain t = (t.len_lo, t.len_hi)
 let slew_domain t = (t.slew_lo, t.slew_hi)
-let fit_report t = t.residuals
+let fit_report t = List.map snd t.residuals
+let sweep_cost t = t.cost
+
+(* ------------------------------------------------------------------ *)
+(* Held-out error                                                      *)
+
+type accuracy = {
+  quantity : quantity;
+  in_sample : float;
+  worst : float;
+  rms : float;
+  samples : int;
+}
+
+type report = { profile : profile; accuracy : accuracy list; cost : cost }
+
+(* The held-out points run through the sweep's own tasks and measure
+   functions, at their waves' measured slews, and each sample is
+   compared with the lookup a synthesis makes there. *)
+let held_out ?set (t : t) =
+  let single, branch = match set with Some s -> s | None -> held_out_set t.profile in
+  let runs =
+    run_grids (Parallel.default_pool ()) t.tech t.buffers t.classes t.pairs single branch
+  in
+  (* (quantity, predicted, simulated) per compared sample. *)
+  let compared = ref [] in
+  let add q predicted simulated = compared := (q, predicted, simulated) :: !compared in
+  let per_wave slews = List.concat_map (fun d -> List.map (fun s -> (d, s)) slews) t.buffers in
+  List.iteri
+    (fun idx (drive, input_slew) ->
+      List.iter
+        (fun (length, samples) ->
+          Array.iteri
+            (fun ci sample ->
+              Option.iter
+                (fun (b, w, s) ->
+                  let e = eval_single t ~drive ~load_cap:t.classes.(ci) ~input_slew ~length in
+                  add Buffer_delay e.buf_delay b;
+                  add Wire_delay e.wire_delay w;
+                  add Wire_slew e.wire_slew s)
+                sample)
+            samples)
+        runs.singles.(idx))
+    (per_wave runs.single_slews);
+  List.iteri
+    (fun idx (drive, input_slew) ->
+      List.iter
+        (fun ((len_left, len_right), samples) ->
+          Array.iteri
+            (fun k sample ->
+              Option.iter
+                (fun (dl, dr, sl, sr) ->
+                  let cl, cr = t.pairs.(k) in
+                  let e =
+                    eval_branch t ~drive ~load_cap_left:t.classes.(cl)
+                      ~load_cap_right:t.classes.(cr) ~input_slew ~len_left ~len_right
+                  in
+                  add Branch_delay e.delay_left dl;
+                  add Branch_delay e.delay_right dr;
+                  add Branch_slew e.slew_left sl;
+                  add Branch_slew e.slew_right sr)
+                sample)
+            samples)
+        runs.branches.(idx))
+    (per_wave runs.branch_slews);
+  let accuracy =
+    List.map
+      (fun quantity ->
+        let mine = List.filter (fun (q, _, _) -> q = quantity) !compared in
+        let predicted = Array.of_list (List.map (fun (_, p, _) -> p) mine)
+        and simulated = Array.of_list (List.map (fun (_, _, x) -> x) mine) in
+        let in_sample =
+          List.fold_left
+            (fun m (q, (_, _, worst)) -> if q = quantity then Float.max m worst else m)
+            0. t.residuals
+        in
+        {
+          quantity;
+          in_sample;
+          worst = Util.Stats.max_abs_error predicted simulated;
+          rms = Util.Stats.rms_error predicted simulated;
+          samples = Array.length predicted;
+        })
+      quantities
+  in
+  { profile = t.profile; accuracy; cost = t.cost }
+
+let render_report r =
+  let b = Buffer.create 512 in
+  Printf.bprintf b
+    "error at the %s profile's held-out points (off its sweep, simulated by the same lane \
+     runs), beside the fits' in-sample residual:\n"
+    (profile_name r.profile);
+  Printf.bprintf b "%-13s %15s %13s %16s %8s\n" "quantity" "held-out worst" "held-out rms"
+    "in-sample worst" "samples";
+  List.iter
+    (fun a ->
+      Printf.bprintf b "%-13s %12.3f ps %10.3f ps %13.3f ps %8d\n" (quantity_name a.quantity)
+        (a.worst *. 1e12) (a.rms *. 1e12) (a.in_sample *. 1e12) a.samples)
+    r.accuracy;
+  Printf.bprintf b "sweep: %d lane runs, %d lanes, %d lane-samples\n" r.cost.runs r.cost.lanes
+    r.cost.samples;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
-let to_text t =
+let to_text (t : t) =
   let b = Buffer.create 65536 in
   let pf fmt = Printf.bprintf b fmt in
-  (* v2: fits characterized under the BDF2 engine (DESIGN.md 5y). *)
-  pf "delaylib v2\n";
+  (* v3: fits at the input waves' measured slews, and the sweep's cost
+     (DESIGN.md 5ab). *)
+  pf "delaylib v3 %s\n" (profile_name t.profile);
   pf "tech %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n"
     t.tech.Tech.vdd t.tech.Tech.vt t.tech.Tech.alpha t.tech.Tech.vdsat_frac
     t.tech.Tech.k_per_x t.tech.Tech.gate_cap_per_x t.tech.Tech.drain_cap_per_x
@@ -551,6 +772,7 @@ let to_text t =
        (Array.to_list (Array.map string_of_int t.branch_classes)));
   pf "domains %.17g %.17g %.17g %.17g %.17g %.17g\n" t.slew_lo t.slew_hi
     t.len_lo t.len_hi t.blen_lo t.blen_hi;
+  pf "sweep %d %d %d\n" t.cost.runs t.cost.lanes t.cost.samples;
   let n_cls = Array.length t.classes in
   Array.iteri
     (fun idx f ->
@@ -568,7 +790,7 @@ let to_text t =
       pf "T %s\n" (Polyfit.surface3_to_string f.slew_right_fit))
     t.branches;
   List.iter
-    (fun (label, rms, worst) -> pf "residual %s %.17g %.17g\n" label rms worst)
+    (fun (_, (label, rms, worst)) -> pf "residual %s %.17g %.17g\n" label rms worst)
     t.residuals;
   pf "end\n";
   Buffer.contents b

@@ -28,30 +28,81 @@ module Wave_gen = Wave_gen
 type t
 
 type profile = Fast | Accurate
-(** Sweep density / fit order. [Fast] (degree 3, coarse sweep) is for
-    tests; [Accurate] (degree 4 singles, degree 3 branches, dense sweep)
-    is for experiments. *)
+(** Sweep density / fit order ({!sweep}). [Fast] (degree 2, 3 slews by
+    5 lengths and 3 slews by 4 lengths a side) is for tests and the QoR
+    gate; [Accurate] (degree 4 singles over 5 slews by 7 lengths,
+    degree 3 branches over 4 slews by 4 lengths a side) is for
+    experiments and the ladder. The accurate sweep is the cheapest
+    design found whose error at its held-out points ({!held_out}) stays
+    within 0.5 ps for every quantity (DESIGN.md 5ab); the fast one is
+    cheaper still, and its error is larger (about 1.2 ps worst). *)
 
 val profile_name : profile -> string
 (** ["fast"] or ["accurate"]: the name on the command line and in run
     records. *)
 
+type grid = {
+  slews : (float[@cts.unit "ps"]) list;
+      (** Nominal input slews (s), each the target of one {!Wave_gen}
+          wave. *)
+  lengths : (float[@cts.unit "um"]) list;
+      (** Wire lengths (um); per side for branches. *)
+}
+(** Every (slew, length) point of a grid runs at every buffer and at
+    every load class (single wires) or class pair (branches). *)
+
+type sweep = {
+  single_degree : int;
+  single : grid;
+  branch_degree : int;
+  branch : grid;  (** Every ordered (left, right) pair of its lengths. *)
+}
+
+val sweep : profile -> sweep
+(** A profile's characterization sweep: its fit degrees and grids, each
+    dimension ascending with at least degree + 1 values. *)
+
+val held_out_set : profile -> grid * grid
+(** A profile's fixed held-out set, (single-wire grid, branch grid):
+    every coordinate off the sweep and inside its domain. *)
+
+type quantity = Buffer_delay | Wire_delay | Wire_slew | Branch_delay | Branch_slew
+
+val quantity_name : quantity -> string
+(** ["buffer delay"], ["wire delay"], ..., as the report prints it. *)
+
+type cost = {
+  runs : int;  (** Lane runs: {!Spice_sim.Transient.simulate_lanes} calls. *)
+  lanes : int;  (** Simulated stages over all runs. *)
+  samples : int;
+      (** Lane-samples: the samples each lane recorded, summed over the
+          lanes; the noise-free cost of a sweep. *)
+}
+
 val characterize :
   ?profile:profile -> ?pool:Parallel.t -> Circuit.Tech.t ->
   Circuit.Buffer_lib.t list -> t
   [@@cts.raises "Failure,Invalid_argument"]
-(** Run all characterization simulations and fit: ~0.1 s ([Fast]) and
-    ~0.2 s ([Accurate]) on a 2-domain pool of a 2-CPU x86-64 host,
-    ~0.2 s and ~0.4 s on one domain. Every library is built here, in
-    the process that uses it; nothing reads a library back from a file.
-    The simulations, input waveforms included, run at a 1 ps BDF2 step,
-    half of signoff's (DESIGN.md 5y). Each
-    simulation stops once every node it measures has reached 90% Vdd,
-    the highest crossing the fits read ({!Spice_sim.Transient.config}'s
-    [stop_at]). The load classes of one (buffer, slew, length), and the
-    class pairs of one (buffer, slew, left length, right length), are
-    the lanes of one run ({!Spice_sim.Transient.simulate_lanes}): 2,556
-    simulations ([Accurate]) in 489 runs.
+(** Run all characterization simulations and fit: ~0.13 s
+    ([Accurate]: 297 runs of 1,356 simulations, 382,220 lane-samples)
+    and ~0.10 s ([Fast]: 189 runs of 882, 246,745) on one domain of a
+    2-CPU x86-64 host, ~0.09 s and ~0.06 s on two. Every library is built here, in the process
+    that uses it; nothing reads a library back from a file. The
+    simulations, input waveforms included, run at a 1 ps BDF2 step,
+    half of signoff's (DESIGN.md 5y). Each simulation stops once every
+    node it measures has reached 90% Vdd, the highest crossing the fits
+    read ({!Spice_sim.Transient.config}'s [stop_at]). The load classes
+    of one (buffer, slew, length), and the class pairs of one (buffer,
+    slew, left length, right length), are the lanes of one run
+    ({!Spice_sim.Transient.simulate_lanes}).
+
+    The slew coordinate of every fit is its input wave's measured
+    10%-90% slew, not the nominal one it was bisected toward, and the
+    slew domain spans the measured single-wire slews. The equal-class
+    branch pairs (0-0, 2-2, 3-3) at (L1, L2), L1 after L2 in the sweep,
+    are not simulated: their samples are the (L2, L1) run's with left
+    and right swapped, the mirror image, equal to rounding (DESIGN.md
+    5ab). No held-out point is simulated here ({!held_out}).
 
     Raises [Invalid_argument] naming the problem, before any
     simulation, when [buffers] is empty or names a cell twice. A sample
@@ -59,21 +110,23 @@ val characterize :
     a warning naming it.
 
     [pool] (default {!Parallel.default_pool}) distributes the
-    independent per-(buffer, slew) sample tasks across domains: 21
-    single-wire and 12 branch tasks ([Accurate]). The fits then run on
-    the calling domain per (buffer, class) and per (buffer, class pair),
-    each over its samples in slew-major order, so the library —
-    including fit-report ordering and its {!to_text} — is identical at
-    any pool size.
+    independent per-(buffer, slew) sample tasks across domains: 15
+    single-wire and 12 branch tasks ([Accurate]); a branch task holds
+    every length pair of its slew, so the mirror never crosses tasks.
+    The fits then run on the calling domain per (buffer, class) and per
+    (buffer, class pair), each over its samples in slew-major order, so
+    the library — including fit-report ordering and its {!to_text} — is
+    identical at any pool size.
 
     {b Domain safety}: a characterized [t] is immutable after this
     returns and may be read concurrently from every domain. *)
 
 val to_text : t -> string
-(** The library as text: its header line [delaylib v2], tech, buffers,
-    classes, domains, every fit's coefficients at 17 significant digits
-    and the fit report. A pure function of the library, so its MD5 pins
-    every fitted bit (the r1 golden file holds both profiles');
+(** The library as text: its header line [delaylib v3 PROFILE], tech,
+    buffers, classes, domains, the sweep's {!cost}, every fit's
+    coefficients at 17 significant digits and the fit report. A pure
+    function of the library, so its MD5 pins every fitted bit (the r1
+    golden file holds both profiles');
     [cts_run characterize -o] writes it for inspection. Nothing parses
     it. *)
 
@@ -169,3 +222,33 @@ val fit_report :
   t -> (string * (float[@cts.unit "ps"]) * (float[@cts.unit "ps"])) list
 (** Per-fit [(label, rms residual, max |residual|)] against the
     characterization samples, in seconds. *)
+
+val sweep_cost : t -> cost
+(** What the sweep simulated. *)
+
+type accuracy = {
+  quantity : quantity;
+  in_sample : float [@cts.unit "ps"];  (** Worst |residual| of its fits at the sweep's points (s). *)
+  worst : float [@cts.unit "ps"];  (** Worst |error| over the held-out samples (s). *)
+  rms : float [@cts.unit "ps"];  (** RMS error over the held-out samples (s). *)
+  samples : int;  (** Held-out samples compared. *)
+}
+
+type report = { profile : profile; accuracy : accuracy list; cost : cost }
+
+val held_out : ?set:grid * grid -> t -> report
+  [@@cts.raises "Invalid_argument"]
+(** The library's error off its sweep: [set] (default its profile's
+    {!held_out_set}) simulated by the sweep's own lane runs and
+    measurements on {!Parallel.default_pool}, each point compared with
+    {!eval_single} or {!eval_branch} at its input wave's measured slew
+    (both sides of a branch count). [accuracy] lists the five
+    quantities in order, and [cost] is the library's {!sweep_cost}.
+    About as costly as the characterization itself, which is why
+    {!characterize} does not run it. The report is the same at any
+    pool size. *)
+
+val render_report : report -> string
+(** The report as a header naming the profile, a table with one line
+    per quantity, then the sweep's cost: what [cts_run characterize]
+    and MODEL-ACC print. *)

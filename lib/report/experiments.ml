@@ -214,6 +214,7 @@ let model_accuracy env =
       rows
   ^ "Shape check: Elmore overestimates; D2M is closer; the characterized \
      library tracks the simulator within ~1-2 ps.\n"
+  ^ Delaylib.render_report (Delaylib.held_out env.dl)
 
 (* ------------------------------------------------------------------ *)
 (* CTS benchmark tables.                                               *)

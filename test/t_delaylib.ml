@@ -255,6 +255,120 @@ let wave_gen_matches_full_probes () =
         slews listed)
     [ B.smallest T_env.lib; T_env.b20 ]
 
+(* An equal-class branch stage at (L1, L2) and at (L2, L1) are mirror
+   images: characterization takes the second's samples from the first
+   with its sides swapped. Simulated here directly, the two agree to
+   rounding (the trees factor in another order), at every equal class
+   pair the library fits and under every buffer. *)
+let mirrored_branch_runs_agree () =
+  let input = wave_at (B.smallest T_env.lib) 70e-12 in
+  let vdd = tech.Circuit.Tech.vdd in
+  let measure drive cap len_left len_right =
+    let wire tag len = Rc.wire tech ~length:len (Rc.leaf ~tag cap) in
+    let tree = Rc.node [ wire "left" len_left; wire "right" len_right ] in
+    let res =
+      T.simulate ~config:Delaylib.Wave_gen.char_config tech (T.Driven_buffer (drive, input)) tree
+    in
+    let out = T.root_waveform res in
+    let delay tag = Option.get (W.delay_50 out (T.waveform res tag) ~vdd) in
+    let slew tag = Option.get (T.node_slew res ~tag) in
+    (delay "left", delay "right", slew "left", slew "right")
+  in
+  let close name a b =
+    if Float.abs (a -. b) > 1e-12 *. Float.abs a then
+      Alcotest.failf "%s: %h vs %h (%.3g relative)" name a b (Float.abs (a -. b) /. Float.abs a)
+  in
+  List.iter
+    (fun drive ->
+      List.iter
+        (fun cap ->
+          let dl, dr, sl, sr = measure drive cap 250. 650. in
+          let dl', dr', sl', sr' = measure drive cap 650. 250. in
+          let name q = Printf.sprintf "%s %g fF %s" drive.B.name (cap *. 1e15) q in
+          close (name "delay left") dl dr';
+          close (name "delay right") dr dl';
+          close (name "slew left") sl sr';
+          close (name "slew right") sr sl')
+        [ 0.75e-15; 15e-15; 35e-15 ])
+    T_env.lib
+
+(* Every profile's sweep is well posed, and its held-out set lies off
+   it and inside its domain. *)
+let sweeps_well_posed () =
+  let rec ascending = function
+    | a :: (b :: _ as tl) -> a < b && ascending tl
+    | [ _ ] | [] -> true
+  in
+  List.iter
+    (fun profile ->
+      let name = Delaylib.profile_name profile in
+      let sw = Delaylib.sweep profile in
+      let single, branch = Delaylib.held_out_set profile in
+      let dims =
+        [
+          ("single slews", sw.Delaylib.single_degree, sw.single.slews, single.Delaylib.slews);
+          ("single lengths", sw.single_degree, sw.single.lengths, single.lengths);
+          ("branch slews", sw.branch_degree, sw.branch.slews, branch.slews);
+          ("branch lengths", sw.branch_degree, sw.branch.lengths, branch.lengths);
+        ]
+      in
+      List.iter
+        (fun (dim, degree, values, held) ->
+          let label what = Printf.sprintf "%s %s: %s" name dim what in
+          Alcotest.(check bool) (label "ascending") true (ascending values);
+          Alcotest.(check bool) (label "degree + 1 values") true
+            (List.length values >= degree + 1);
+          let lo = List.fold_left Float.min Float.infinity values
+          and hi = List.fold_left Float.max Float.neg_infinity values in
+          List.iter
+            (fun x ->
+              Alcotest.(check bool) (label (Printf.sprintf "%g off the sweep" x)) false
+                (List.mem x values);
+              Alcotest.(check bool) (label (Printf.sprintf "%g inside the domain" x)) true
+                (x > lo && x < hi))
+            held)
+        dims)
+    [ Delaylib.Fast; Delaylib.Accurate ]
+
+(* The characterization ran its sweep and nothing more: its lane runs and
+   lanes are the sweep's, with each mirrored branch run simulating the
+   three unequal class pairs only. *)
+let characterize_runs_its_sweep () =
+  let dl = T_env.get_dl () in
+  let sw = Delaylib.sweep Delaylib.Fast in
+  let len = List.length in
+  let n_buf = len (Delaylib.buffers dl) in
+  let singles = len sw.Delaylib.single.slews * len sw.single.lengths in
+  let n = len sw.branch.lengths in
+  let branch_runs = len sw.branch.slews * n * n in
+  let branch_lanes = len sw.branch.slews * ((n * (n + 1) / 2 * 6) + (n * (n - 1) / 2 * 3)) in
+  let cost = Delaylib.sweep_cost dl in
+  Alcotest.(check int) "lane runs" (n_buf * (singles + branch_runs)) cost.Delaylib.runs;
+  Alcotest.(check int) "lanes"
+    (n_buf * ((singles * Delaylib.n_classes dl) + branch_lanes))
+    cost.Delaylib.lanes
+
+(* The fast profile's held-out error, pinned at its measured figures
+   (rounded up to 0.01 ps): its sweep is coarse, so only the accurate
+   profile meets the 0.5 ps budget (t_spice_sim's held-out gate). *)
+let fast_held_out_error () =
+  let report = Delaylib.held_out (T_env.get_dl ()) in
+  let bound = function
+    | Delaylib.Buffer_delay -> 1.21
+    | Wire_delay -> 0.61
+    | Wire_slew -> 0.54
+    | Branch_delay -> 0.49
+    | Branch_slew -> 1.15
+  in
+  List.iter
+    (fun (a : Delaylib.accuracy) ->
+      let name = Delaylib.quantity_name a.quantity in
+      Alcotest.(check bool) (name ^ " samples") true (a.samples > 0);
+      if a.worst > bound a.quantity *. 1e-12 then
+        Alcotest.failf "%s: held-out worst %.3f ps over %.2f ps" name (a.worst *. 1e12)
+          (bound a.quantity))
+    report.Delaylib.accuracy
+
 let suite =
   [
     Alcotest.test_case "wave gen hits target slew" `Quick wave_gen_hits_target_slew;
@@ -278,4 +392,8 @@ let suite =
     Alcotest.test_case "load class stability" `Quick load_class_cap_stable;
     Alcotest.test_case "intrinsic delay vs slew" `Quick
       intrinsic_delay_increases_with_slew;
+    Alcotest.test_case "mirrored branch runs agree" `Quick mirrored_branch_runs_agree;
+    Alcotest.test_case "sweeps well posed, held-out sets off them" `Quick sweeps_well_posed;
+    Alcotest.test_case "characterize runs its sweep only" `Quick characterize_runs_its_sweep;
+    Alcotest.test_case "held-out error, fast profile" `Quick fast_held_out_error;
   ]

@@ -417,6 +417,37 @@ let test_select_every_bracket () =
         true (within_grid dl cfg p1 p2))
     non_monotone_pairs
 
+(* A pair whose best feasible split lies at a feasibility edge between
+   two scan points. Over the 33 scan points h rises monotonically with
+   no sign change, and the last point (d2 = 0) is infeasible while the
+   one before it is feasible: a search that brackets only sign changes
+   never probes between them and misses the grid's on-segment pick by
+   more than the tie window. Found by a soak of the property "no worse
+   than the grid where h is monotone" (QCheck's generator, seed 12). *)
+let feasibility_edge_pair =
+  ( (0x1.746558bb19eb8p+10, 0x1.f032cb80c75afp+10, 0x1.d2d4dd1cdafe8p+9, -0x1.a70564c20515cp+10),
+    (0x1.eba16b825a47p+5, -0x1.bb9fcd76f202ap+3, 0x1.9f634522cfdccp+6),
+    (0x1.1654497dd156fp+9, -0x1.d97ccaedb6d1dp+3, 0x1.11a511ff1c92cp+8) )
+
+let test_select_feasibility_edge () =
+  let dl = T_env.get_dl () in
+  let cfg = Cts_config.default dl in
+  let p1, p2 = ports_of feasibility_edge_pair in
+  let d = Geometry.Point.manhattan (Port.pos p1) (Port.pos p2) in
+  let feas =
+    List.init 33 (fun k ->
+        let d1 = d *. float_of_int k /. 32. in
+        (Run.eval dl cfg p1 d1).Run.feasible && (Run.eval dl cfg p2 (d -. d1)).Run.feasible)
+  in
+  let rec edges = function
+    | a :: (b :: _ as tl) -> (if Bool.equal a b then 0 else 1) + edges tl
+    | [ _ ] | [] -> 0
+  in
+  let h = scan_h dl cfg p1 p2 in
+  Alcotest.(check bool) "h monotone over the scan" true (monotone ( <= ) h || monotone ( >= ) h);
+  Alcotest.(check bool) "a feasibility edge between scan points" true (edges feas >= 1);
+  Alcotest.(check bool) "within the grid's tie window" true (within_grid dl cfg p1 p2)
+
 let test_select_edges () =
   let dl = T_env.get_dl () in
   let cfg = Cts_config.default dl in
@@ -445,4 +476,6 @@ let suite =
       `Quick test_select_every_bracket;
     Alcotest.test_case "select: coincident ports and max_grid_bins" `Slow
       test_select_edges;
+    Alcotest.test_case "select: a feasibility edge between scan points" `Quick
+      test_select_feasibility_edge;
   ]

@@ -1225,6 +1225,35 @@ let golden_signoff_bits () =
 
 let r4_golden_signoff_bits () = check_golden r4_golden_path (r4_golden_lines ())
 
+(* ---------------- Held-out gate ----------------
+
+   The accurate library's error off its sweep stays within 0.5 ps for
+   every quantity: on the fixed held-out set the sweep was chosen by,
+   and on a seeded-random set over the same ranges that played no part
+   in choosing it (five single-wire slews by eight lengths, three branch
+   slews by four lengths a side). *)
+let accurate_held_out_error () =
+  let dl = Lazy.force accurate in
+  let rng = Util.Rng.create 2024 in
+  let draw n lo hi = List.sort compare (List.init n (fun _ -> Util.Rng.float_range rng lo hi)) in
+  let random_set =
+    ( { Delaylib.slews = draw 5 25e-12 220e-12; lengths = draw 8 35. 1600. },
+      { Delaylib.slews = draw 3 50e-12 150e-12; lengths = draw 4 90. 900. } )
+  in
+  List.iter
+    (fun (set_name, report) ->
+      List.iter
+        (fun (a : Delaylib.accuracy) ->
+          let name = set_name ^ " " ^ Delaylib.quantity_name a.quantity in
+          Alcotest.(check bool) (name ^ " samples") true (a.samples > 0);
+          if a.worst > 0.5e-12 then
+            Alcotest.failf "%s: held-out worst %.3f ps over 0.5 ps" name (a.worst *. 1e12))
+        report.Delaylib.accuracy)
+    [
+      ("fixed set", Delaylib.held_out dl);
+      ("random set", Delaylib.held_out ~set:random_set dl);
+    ]
+
 (* ---------------- Accuracy gate ----------------
 
    The r1@0.05 signoff (fast library) at the default step against a
@@ -1287,4 +1316,5 @@ let suite =
     Alcotest.test_case "golden gsrc-r4 signoff (accurate, seed 1)" `Slow
       r4_golden_signoff_bits;
     Alcotest.test_case "signoff accuracy: default step vs a sixteenth" `Slow signoff_accuracy;
+    Alcotest.test_case "held-out error within 0.5 ps (accurate)" `Slow accurate_held_out_error;
   ]
