@@ -71,17 +71,17 @@ cli-smoke:
 	dune exec --no-build test/test_all.exe -- test lint
 	@echo "cli-smoke: unsettled synthesis exits 4; unwritable outputs exit 1 before any work; lint suite passes from the root"
 
-# On demand, not in CI: the suites that hold QCheck properties under N
-# fixed QCHECK_SEEDs (1..N), printing each seed that fails; rerun one
-# with QCHECK_SEED=<seed> dune exec test/test_all.exe. `dune runtest`
-# draws a fresh seed every run, so a property that fails once in a
-# thousand runs shows up here reproducibly. About 12 s a seed.
+# On demand, not in CI: every QCheck property, and none of the
+# deterministic cases, under N fixed QCHECK_SEEDs (1..N), printing each
+# seed that fails; rerun one with QCHECK_SEED=<seed> dune exec
+# test/qcheck_soak.exe. `dune runtest` draws a fresh seed every run, so
+# a property that fails once in a thousand runs shows up here
+# reproducibly. About 10 s a seed, three quarters of it spice_sim's.
 N ?= 20
 qcheck-soak:
-	dune build test/test_all.exe
+	dune build test/qcheck_soak.exe
 	@failed=0; for s in $$(seq 1 $(N)); do \
-	  if ! QCHECK_SEED=$$s dune exec --no-build test/test_all.exe -- test \
-	    'bounded|ctree_check|cts|dme|dp_probe|elmore|geometry|insertion|numerics|obs|parallel|probe|robust|spice_sim|topology|util|waveform' \
+	  if ! QCHECK_SEED=$$s dune exec --no-build test/qcheck_soak.exe \
 	    > /dev/null 2>&1; then \
 	    echo "qcheck-soak: QCHECK_SEED=$$s failed"; failed=$$((failed + 1)); fi; \
 	done; \

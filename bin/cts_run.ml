@@ -364,7 +364,13 @@ let synth_cmd =
       (List.length sinks)
       (Unix.gettimeofday () -. t0)
       res.Cts.levels res.Cts.flippings;
-    match Ctree.validate res.Cts.tree @ Blockage.violations blocks res.Cts.tree with
+    let violations =
+      Obs.phase "verify" (fun () -> Cts.verify_tree dl config res.Cts.tree)
+    in
+    match
+      List.map Ctree_check.to_string violations
+      @ Blockage.violations blocks res.Cts.tree
+    with
     | _ :: _ as errs ->
         List.iter (Printf.printf "  invariant violation: %s\n") errs;
         2
@@ -399,11 +405,13 @@ let synth_cmd =
   Cmd.v
     (Cmd.info "synth"
        ~doc:
-         "Synthesize a buffered clock tree and verify it. Exits 2 when \
-          the tree breaks an invariant or places a buffer on a \
-          blockage, 3 when the simulated worst slew exceeds the slew \
-          limit, and 4 when the verification simulation did not settle \
-          (checked before the slew, which is then not a measurement).")
+         "Synthesize a buffered clock tree and verify it. Exits 2, \
+          before simulating, when the tree fails the invariant check \
+          (structure, stage slews, buffer input slews and the latency \
+          cross-check) or places a buffer on a blockage, 3 when the \
+          simulated worst slew exceeds the slew limit, and 4 when the \
+          verification simulation did not settle (checked before the \
+          slew, which is then not a measurement).")
     Term.(
       const run $ bench_t $ file_t $ format_t $ scale_t $ profile_t
       $ hstructure_t $ insertion_t $ deck_t $ slew_limit_t $ blockages_t
@@ -506,6 +514,15 @@ let qor_cmd =
     let res = Obs.phase "synthesize" (fun () -> Cts.synthesize ~config dl sinks) in
     let obs = Obs.snapshot () in
     Obs.set_enabled false;
+    (match Cts.verify_tree dl config res.Cts.tree with
+    | [] -> ()
+    | violations ->
+        List.iter
+          (fun v ->
+            Printf.eprintf "cts_run: invariant violation: %s\n"
+              (Ctree_check.to_string v))
+          violations;
+        exit 2);
     let label =
       match (bench, file) with
       | Some name, _ -> name
@@ -534,7 +551,10 @@ let qor_cmd =
        ~doc:
          "Synthesize and emit the versioned run record (JSON): QoR, \
           counters, gauges and histograms. Deterministic: \
-          byte-identical at any --domains value.")
+          byte-identical at any --domains value. Exits 2, writing no \
+          record, when the tree fails the invariant check (structure, \
+          stage slews, buffer input slews and the latency \
+          cross-check).")
     Term.(
       const run $ bench_t $ file_t $ format_t $ scale_t $ profile_t
       $ insertion_t $ slew_limit_t $ out_t $ runtime_t $ domains_t

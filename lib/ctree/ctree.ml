@@ -116,30 +116,66 @@ let dynamic_power tech ~freq t =
 let rec depth t =
   1 + List.fold_left (fun acc e -> Int.max acc (depth e.child)) 0 t.children
 
-let validate t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let seen = Hashtbl.create 64 in
+type problem =
+  | Duplicate_id of { id : int }
+  | Non_canonical_id of { expected : int; got : int }
+  | Sink_not_leaf of { id : int; name : string }
+  | Overfull_node of { id : int; children : int }
+  | Childless_internal of { id : int }
+  | Non_finite_edge of { parent : int; child : int; length : float }
+  | Short_edge of { parent : int; child : int; length : float; manhattan : float }
+
+let problems ~canonical_ids t =
+  let found = ref [] in
+  let add p = found := p :: !found in
+  let seen = Hashtbl.create 256 in
+  let preorder = ref 0 in
+  (* [t] is a value tree, so a shared node surfaces as a duplicate id. *)
   iter
     (fun n ->
-      if Hashtbl.mem seen n.id then err "duplicate node id %d" n.id;
-      Hashtbl.replace seen n.id ();
+      incr preorder;
+      if Hashtbl.mem seen n.id then add (Duplicate_id { id = n.id })
+      else Hashtbl.replace seen n.id ();
+      if canonical_ids && n.id <> !preorder then
+        add (Non_canonical_id { expected = !preorder; got = n.id });
+      let arity = List.length n.children in
       (match n.kind with
-      | Sink { name; _ } ->
-          if n.children <> [] then err "sink %s is not a leaf" name
-      | Merge | Buf _ ->
-          if List.length n.children > 2 then
-            err "node %d has arity %d > 2" n.id (List.length n.children);
-          if n.children = [] then err "internal node %d has no children" n.id);
+      | Sink { name; _ } -> if arity > 0 then add (Sink_not_leaf { id = n.id; name })
+      | Merge | Buf _ -> if arity = 0 then add (Childless_internal { id = n.id }));
+      if arity > 2 then add (Overfull_node { id = n.id; children = arity });
       List.iter
         (fun e ->
+          let parent = n.id and child = e.child.id and length = e.length in
           let d = Point.manhattan n.pos e.child.pos in
-          if ((e.length +. 1e-6) [@cts.unit_ok]) < d then
-            err "edge %d->%d shorter (%g) than Manhattan distance (%g)" n.id
-              e.child.id e.length d)
+          if not (Float.is_finite length) then
+            add (Non_finite_edge { parent; child; length })
+          else if not (((length +. 1e-6) [@cts.unit_ok]) >= d) then
+            add (Short_edge { parent; child; length; manhattan = d }))
         n.children)
     t;
-  List.rev !errors
+  List.rev !found
+
+let problem_to_string = function
+  | Duplicate_id { id } -> Printf.sprintf "duplicate node id %d" id
+  | Non_canonical_id { expected; got } ->
+      Printf.sprintf "non-canonical id: preorder position %d holds node %d"
+        expected got
+  | Sink_not_leaf { id; name } ->
+      Printf.sprintf "sink %S (node %d) has children" name id
+  | Overfull_node { id; children } ->
+      Printf.sprintf "node %d has %d children (max 2)" id children
+  | Childless_internal { id } ->
+      Printf.sprintf "internal node %d has no children" id
+  | Non_finite_edge { parent; child; length } ->
+      Printf.sprintf "edge %d->%d: routed length %g um is not finite" parent
+        child length
+  | Short_edge { parent; child; length; manhattan } ->
+      Printf.sprintf
+        "edge %d->%d: routed length %.3f um undercuts Manhattan distance \
+         %.3f um (negative snaking slack)"
+        parent child length manhattan
+
+let validate t = List.map problem_to_string (problems ~canonical_ids:false t)
 
 let pp_summary fmt t =
   Format.fprintf fmt

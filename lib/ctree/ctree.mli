@@ -71,10 +71,40 @@ val dynamic_power :
     outside the units checker's lattice; [dimensionless] marks them as
     deliberately unchecked scalars. *)
 
+(** A broken structural rule. The rules are written once, here:
+    {!validate} renders them and [Ctree_check.structure] reports them. *)
+type problem =
+  | Duplicate_id of { id : int }
+  | Non_canonical_id of { expected : int; got : int }
+      (** Preorder position [expected] (1-based) holds node [got]. *)
+  | Sink_not_leaf of { id : int; name : string }
+  | Overfull_node of { id : int; children : int }  (** Arity > 2. *)
+  | Childless_internal of { id : int }
+  | Non_finite_edge of { parent : int; child : int; length : float }
+      (** A NaN or infinite routed length. *)
+  | Short_edge of {
+      parent : int;
+      child : int;
+      length : float;
+      manhattan : float [@cts.unit "um"];
+    }
+      (** Recorded routed length undercuts the endpoint Manhattan
+          distance: negative snaking slack. A non-finite endpoint
+          coordinate breaks it too. *)
+
+val problems : canonical_ids:bool -> t -> problem list
+(** Every structural problem, in preorder: ids unique and, with
+    [canonical_ids], exactly the 1-based preorder numbering {!renumber}
+    establishes; sinks are leaves; internal nodes have one or two
+    children; every routed length is finite and at least the Manhattan
+    distance between its endpoints less 1e-6 um. Each comparison is
+    written so that a NaN fails it. *)
+
+val problem_to_string : problem -> string
+
 val validate : t -> string list
-(** Structural invariant violations (empty = valid): sinks must be
-    leaves, arity at most 2, edge length at least the Manhattan distance
-    between endpoints (tolerance 1e-6), ids unique. *)
+(** {!problems} without the canonical-id rule, rendered (empty =
+    valid): the check for trees whose ids are not yet canonical. *)
 
 val iter : (t -> unit) -> t -> unit
 (** Preorder traversal. *)

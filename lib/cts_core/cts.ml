@@ -122,57 +122,49 @@ let leaf_port (cfg : Cts_config.t) (s : Sinks.spec) =
   Port.of_sink ~offset s
 
 (* ------------------------------------------------------------------ *)
-(* Invariant checking (Ctree_check glue)                               *)
-
-let check_env ~source_slew dl (cfg : Cts_config.t) =
-  (* Trusted input-slew range: [Delaylib.eval_single] clamps into the
-     characterized fit domain, so an edge faster than [lo] is evaluated
-     at [lo] — a pessimistic, therefore safe, saturation. Above [hi]
-     the same clamp would under-report delay and slew, so the top of
-     the fit domain is a hard bound. *)
-  let _, hi = Delaylib.slew_domain dl in
-  {
-    Ctree_check.stage =
-      (fun ~drive ~input_slew root ->
-        List.map
-          (fun (e : Timing.stage_end) ->
-            match e.Timing.reached with
-            | Timing.At_sink { node; _ } | Timing.At_buffer { node; _ } ->
-                (node, e.Timing.delay, e.Timing.slew))
-          (Timing.analyze_stage dl ~drive ~input_slew root));
-    default_driver = cfg.Cts_config.assumed_driver;
-    slew_limit = cfg.Cts_config.slew_limit;
-    slew_range = (0., hi);
-    source_slew;
-  }
+(* Invariant checking                                                  *)
 
 let verify_tree dl (cfg : Cts_config.t) tree =
-  let env = check_env ~source_slew:Ctree.source_slew dl cfg in
-  let report = Timing.analyze_tree dl cfg tree in
-  (* The reference reports arrivals net of prescribed offsets; the
-     checker accumulates absolute latencies, so add them back. *)
-  let offset name =
-    Option.value ~default:0. (List.assoc_opt name cfg.Cts_config.sink_offsets)
-  in
-  let expected =
-    List.map (fun (n, d) -> (n, d +. offset n)) report.Timing.sink_delays
-  in
-  Ctree_check.verify ~expected_latencies:expected env tree
+  let structure = Ctree_check.structure ~canonical_ids:true tree in
+  (* The electrical sections walk a sound tree from the source driver;
+     on any other they would measure nothing (or raise), so the problems
+     found so far are the verdict. *)
+  match (tree.Ctree.kind, structure) with
+  | (Ctree.Merge | Ctree.Sink _), _ ->
+      Ctree_check.Root_not_buffer { id = tree.Ctree.id } :: structure
+  | Ctree.Buf _, _ :: _ -> structure
+  | Ctree.Buf _, [] ->
+      let timing, got =
+        Ctree_check.timing dl cfg ~source_slew:Ctree.source_slew tree
+      in
+      let report = Timing.analyze_tree dl cfg tree in
+      (* The reference reports arrivals net of prescribed offsets; the
+         checker accumulates absolute latencies, so add them back. *)
+      let offset name =
+        Option.value ~default:0.
+          (List.assoc_opt name cfg.Cts_config.sink_offsets)
+      in
+      let expected =
+        List.map (fun (n, d) -> (n, d +. offset n)) report.Timing.sink_delays
+      in
+      timing @ Ctree_check.compare_latencies ~got ~expected
 
 (* Per-level check: every merged subtree must already satisfy the
    structural and electrical invariants. Ids are only canonicalized by
    [finalize], and stages below a merge root are driven at the target
    slew the construction assumed. *)
 let check_level dl (cfg : Cts_config.t) items =
-  let env = check_env ~source_slew:cfg.Cts_config.slew_target dl cfg in
   let violations =
     List.concat_map
       (fun { port; _ } ->
-        match port.Port.node.Ctree.kind with
+        let node = port.Port.node in
+        match node.Ctree.kind with
         | Ctree.Sink _ -> []
         | Ctree.Merge | Ctree.Buf _ ->
-            Ctree_check.structure ~canonical_ids:false port.Port.node
-            @ fst (Ctree_check.timing env port.Port.node))
+            Ctree_check.structure ~canonical_ids:false node
+            @ fst
+                (Ctree_check.timing dl cfg
+                   ~source_slew:cfg.Cts_config.slew_target node))
       (Array.to_list items)
   in
   match violations with

@@ -65,21 +65,17 @@ val synthesize_bisection :
     own merge, so the result is bit-identical to a sequential run.
     [check] verifies the finished tree as in {!synthesize}. *)
 
-val check_env : source_slew:float -> Delaylib.t -> Cts_config.t ->
-  Ctree_check.env
-(** The {!Ctree_check} timing environment for this library and
-    configuration: stages are analyzed by {!Timing.analyze_stage}, the
-    default driver and slew limit come from the configuration, and the
-    trusted buffer input-slew range is [(0, hi)] where [hi] is the top
-    of [Delaylib.slew_domain] — the library clamps faster-than-
-    characterized edges pessimistically, so only the slow side of the
-    fit domain is a hard bound. [source_slew] is the input slew of the
-    checked region's root: {!Ctree.source_slew} for a finished tree. *)
-
 val verify_tree : Delaylib.t -> Cts_config.t -> Ctree.t ->
   Ctree_check.violation list
-(** Full post-synthesis verification of a finished tree: structural
-    invariants, canonical preorder ids, per-stage slews, buffer
-    input-slew ranges, and the checker's independently accumulated sink
-    latencies compared against {!Timing.analyze_tree} (prescribed sink
-    offsets added back) within 1 ps. Empty list = clean. *)
+  [@@cts.raises "Invalid_argument"]
+(** The one full check of a finished tree; empty list = clean. It
+    reports a root that is not a buffer ({!Ctree_check.Root_not_buffer})
+    and every structural problem, canonical preorder ids included. Only
+    on a buffer-rooted tree with no structural problem does it then run
+    the electrical sections: {!Ctree_check.timing}'s walk from
+    {!Ctree.source_slew} (per-stage slews, buffer input-slew ranges) and
+    its independently accumulated sink latencies compared against
+    {!Timing.analyze_tree} (prescribed sink offsets added back) within
+    1 ps. A merge- or sink-rooted tree is a verdict, not an exception:
+    only a buffer cell the library does not hold raises
+    [Invalid_argument]. *)

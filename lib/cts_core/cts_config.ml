@@ -75,6 +75,11 @@ let validate t =
       "topology_beta must be non-negative (got %g um/s): a negative weight \
        rewards delay imbalance"
       t.topology_beta;
+  if t.prefer_small_within < 0. then
+    err
+      "prefer_small_within must be non-negative (got %g um): below zero no \
+       buffer is within it of the best span"
+      t.prefer_small_within;
   if t.dp_area_weight < 0. then
     err "dp_area_weight must be non-negative (got %g s/X)" t.dp_area_weight;
   if t.dp_grid < 2 then

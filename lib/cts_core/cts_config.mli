@@ -75,7 +75,9 @@ val validate : t -> string list
     field and every [sink_offsets] value is finite, by name (NaN and
     infinities pass every ordering test, and a NaN slew target matches
     no span table), that the slew target is positive and within the
-    limit, and that [topology_beta] is non-negative (a negative Eq. 4.1
-    weight would reward delay imbalance).
+    limit, that [topology_beta] is non-negative (a negative Eq. 4.1
+    weight would reward delay imbalance) and that [prefer_small_within]
+    is non-negative (below zero no buffer counts as within it of the
+    best span, and sizing picks the first buffer with a NaN span).
     {!Cts.synthesize} and {!Cts.synthesize_bisection} reject invalid
     configs with [Invalid_argument]. *)

@@ -78,9 +78,8 @@ val analyze_stage :
 (** Endpoints of the single buffer stage rooted at the given region:
     each first buffer or sink below the root, with its delay from the
     driver input and the slew presented at it. This is the primitive
-    {!analyze_driven} iterates — exported so the {!Ctree_check}
-    environment ({!Cts.check_env}) can walk stages with exactly the
-    analyzer's numbers. *)
+    {!analyze_driven} iterates — exported so that {!Ctree_check.timing}
+    walks stages with exactly the analyzer's numbers. *)
 
 val stage_worst_slew :
   Delaylib.t -> drive:Circuit.Buffer_lib.t -> input_slew:float -> Ctree.t ->

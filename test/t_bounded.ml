@@ -164,7 +164,7 @@ let port_offset_starts_negative () =
   let q = Port.of_sink spec in
   check_f 1e-18 "default zero" 0. q.Port.delay
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "bounded symmetric" `Quick bounded_symmetric_direct;
     Alcotest.test_case "bounded absorbs imbalance" `Quick
@@ -178,8 +178,8 @@ let suite =
     Alcotest.test_case "bounded slice tangency" `Quick bounded_slice_tangency;
     Alcotest.test_case "bounded rejects a negative bound" `Quick
       bounded_rejects_negative_bound;
-    QCheck_alcotest.to_alcotest qcheck_bounded_respects_bound;
-    QCheck_alcotest.to_alcotest qcheck_bounded_never_shorter_than_direct;
+    property qcheck_bounded_respects_bound;
+    property qcheck_bounded_never_shorter_than_direct;
     Alcotest.test_case "timing subtracts offsets" `Quick
       timing_subtracts_offsets;
     Alcotest.test_case "port offset" `Quick port_offset_starts_negative;

@@ -526,7 +526,7 @@ let bisection_topology_works () =
      levels; buffers inflate node depth, so compare level counts). *)
   Alcotest.(check bool) "balanced depth" true (res.Cts.levels <= 7)
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "lpath basics" `Quick lpath_basics;
     Alcotest.test_case "lpath distances" `Quick lpath_distance_consistent;
@@ -550,7 +550,7 @@ let suite =
       timing_stage_slew_branch_aware;
     Alcotest.test_case "side delays reject non-merge" `Quick
       side_delays_rejects_non_merge;
-    QCheck_alcotest.to_alcotest qcheck_side_delays_match_name_table;
+    property qcheck_side_delays_match_name_table;
     Alcotest.test_case "synthesis meets slew limit" `Slow synth_meets_slew_limit;
     Alcotest.test_case "synthesis skew reasonable" `Slow synth_skew_reasonable;
     Alcotest.test_case "mid-path buffer insertion" `Quick

@@ -184,7 +184,7 @@ let qcheck_merge_balances =
       let d2 = t2 +. Merge_seg.wire_elmore tech ~length:m.Merge_seg.len2 ~load:c2 in
       Float.abs (d1 -. d2) < 1e-15 +. (1e-9 *. Float.max d1 d2))
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "wire elmore formula" `Quick wire_elmore_formula;
     Alcotest.test_case "snake length inverse" `Quick snake_length_inverts_elmore;
@@ -202,5 +202,5 @@ let suite =
     Alcotest.test_case "bounded zero = zero skew" `Quick bounded_zero_matches_zero_skew;
     Alcotest.test_case "buffer delay estimate" `Quick
       buffer_delay_estimate_monotone;
-    QCheck_alcotest.to_alcotest qcheck_merge_balances;
+    property qcheck_merge_balances;
   ]

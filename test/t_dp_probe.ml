@@ -594,12 +594,12 @@ let test_side_edges () =
         [ 0.; 0.5; 1.; 1.5; 2.; 15.9; 100.; 2000.; 4999.; 0. ])
     [ 2; 3; 16; 40 ]
 
-let suite =
+let suite ~property =
   [
-    QCheck_alcotest.to_alcotest qcheck_eval_dp;
-    QCheck_alcotest.to_alcotest qcheck_positions;
-    QCheck_alcotest.to_alcotest qcheck_place;
-    QCheck_alcotest.to_alcotest qcheck_side;
-    QCheck_alcotest.to_alcotest qcheck_ties;
+    property qcheck_eval_dp;
+    property qcheck_positions;
+    property qcheck_place;
+    property qcheck_side;
+    property qcheck_ties;
     Alcotest.test_case "side: degenerate and long runs" `Quick test_side_edges;
   ]

@@ -102,7 +102,7 @@ let qcheck_elmore_monotone_in_length =
       in
       analyze (len *. factor) > analyze len)
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "single pole exact" `Quick single_pole_exact;
     Alcotest.test_case "source resistance" `Quick source_resistance_adds;
@@ -113,5 +113,5 @@ let suite =
     Alcotest.test_case "d2m below elmore" `Quick d2m_below_elmore;
     Alcotest.test_case "ramp slew rss" `Quick ramp_slew_rss;
     Alcotest.test_case "unknown tag" `Quick unknown_tag_raises;
-    QCheck_alcotest.to_alcotest qcheck_elmore_monotone_in_length;
+    property qcheck_elmore_monotone_in_length;
   ]

@@ -160,7 +160,7 @@ let trr_inflate_rejects_negative () =
     (Invalid_argument "Trr.inflate: radius must be non-negative (got nan)")
     (fun () -> ignore (Trr.inflate t Float.nan : Trr.t))
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "point arithmetic" `Quick point_arith;
     Alcotest.test_case "point lerp/midpoint" `Quick point_lerp_midpoint;
@@ -178,6 +178,6 @@ let suite =
     Alcotest.test_case "trr sample contained" `Quick trr_sample_contained;
     Alcotest.test_case "bbox basics" `Quick bbox_basics;
     Alcotest.test_case "bbox expand/union" `Quick bbox_expand_union;
-    QCheck_alcotest.to_alcotest qcheck_trr_distance;
-    QCheck_alcotest.to_alcotest qcheck_closest_point_optimal;
+    property qcheck_trr_distance;
+    property qcheck_closest_point_optimal;
   ]

@@ -306,12 +306,12 @@ let test_five_cell_mixed_and_gated () =
           check (Alcotest.list Alcotest.string) "no metadata mismatch" []
             rep.Qor_compare.warnings)
 
-let suite =
+let suite ~property =
   [
-    QCheck_alcotest.to_alcotest qcheck_dp_never_worse_than_greedy;
-    QCheck_alcotest.to_alcotest qcheck_dp_matches_brute_force;
-    QCheck_alcotest.to_alcotest qcheck_dp_synthesis_verifies;
-    QCheck_alcotest.to_alcotest qcheck_dp_deterministic_across_domains;
+    property qcheck_dp_never_worse_than_greedy;
+    property qcheck_dp_matches_brute_force;
+    property qcheck_dp_synthesis_verifies;
+    property qcheck_dp_deterministic_across_domains;
     Alcotest.test_case "five-cell library: mixed cells, gated vs fixture"
       `Slow test_five_cell_mixed_and_gated;
   ]

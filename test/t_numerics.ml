@@ -462,7 +462,7 @@ let qcheck_bisect_with_bit_identical =
                Roots.bisect_with ~tol ~max_iter ~flo:(f lo) ~fhi:(f hi)
                  f_inner lo hi))
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "solve identity" `Quick matrix_solve_identity;
     Alcotest.test_case "solve 2x2" `Quick matrix_solve_2x2;
@@ -483,10 +483,10 @@ let suite =
     Alcotest.test_case "golden min" `Quick golden_min_quadratic;
     Alcotest.test_case "polyfit rejects non-finite samples" `Quick
       polyfit_rejects_non_finite;
-    QCheck_alcotest.to_alcotest qcheck_matrix_products_bit_identical;
-    QCheck_alcotest.to_alcotest qcheck_eval2_bit_identical;
-    QCheck_alcotest.to_alcotest qcheck_eval3_bit_identical;
-    QCheck_alcotest.to_alcotest qcheck_bisect_finds_root;
-    QCheck_alcotest.to_alcotest qcheck_solve_bit_identical;
-    QCheck_alcotest.to_alcotest qcheck_bisect_with_bit_identical;
+    property qcheck_matrix_products_bit_identical;
+    property qcheck_eval2_bit_identical;
+    property qcheck_eval3_bit_identical;
+    property qcheck_bisect_finds_root;
+    property qcheck_solve_bit_identical;
+    property qcheck_bisect_with_bit_identical;
   ]

@@ -59,6 +59,14 @@ let test_config_validation () =
        (Cts_config.validate (set "topology_beta" (-1.))));
   checkb "a zero topology_beta is valid" true
     (Cts_config.validate (set "topology_beta" 0.) = []);
+  (* Below zero no buffer counts as within it of the best span, and the
+     sizing rule has nothing to choose from. *)
+  checkb "a negative prefer_small_within is reported by name" true
+    (List.exists
+       (fun m -> contains m "prefer_small_within must be non-negative")
+       (Cts_config.validate (set "prefer_small_within" (-1.))));
+  checkb "a zero prefer_small_within is valid" true
+    (Cts_config.validate (set "prefer_small_within" 0.) = []);
   match Cts.synthesize ~config:(set "slew_limit" Float.nan) dl specs with
   | _ -> Alcotest.fail "synthesize accepted a NaN slew limit"
   | exception Invalid_argument msg ->
@@ -378,7 +386,7 @@ let test_span_foreign_driver () =
       checki "and reads the published table" built
         (Obs.read Obs.Span_cache_misses))
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "invalid configs are rejected" `Quick
       test_config_validation;
@@ -393,10 +401,10 @@ let suite =
       test_task_spans;
     Alcotest.test_case "observing perturbs nothing and counts" `Slow
       test_enabled_run_identical_and_counted;
-    QCheck_alcotest.to_alcotest qcheck_counters_schedule_independent;
+    property qcheck_counters_schedule_independent;
     Alcotest.test_case "back-to-back syntheses count the same" `Slow
       test_back_to_back_counters_equal;
-    QCheck_alcotest.to_alcotest qcheck_span_table_matches_direct;
+    property qcheck_span_table_matches_direct;
     Alcotest.test_case "span of a driver outside the library" `Quick
       test_span_foreign_driver;
   ]

@@ -298,7 +298,7 @@ let qcheck_cross_oracle_under_pool =
              the transient simulation to ~15% / 25 ps. *)
           lat_err <= Float.max (0.15 *. m.Ctree_sim.latency) 25e-12))
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "map on empty input" `Quick test_empty_input;
     Alcotest.test_case "single task" `Quick test_single_task;
@@ -319,11 +319,11 @@ let suite =
       test_cts_domains_forces_sequential;
     Alcotest.test_case "characterization deterministic across pool sizes"
       `Slow test_characterize_deterministic;
-    QCheck_alcotest.to_alcotest qcheck_synthesize_deterministic;
-    QCheck_alcotest.to_alcotest qcheck_bisection_deterministic;
+    property qcheck_synthesize_deterministic;
+    property qcheck_bisection_deterministic;
     Alcotest.test_case "full-scale r4: pool of 4 bit-identical to pool of 1"
       `Slow test_r4_pool_identity;
-    QCheck_alcotest.to_alcotest qcheck_cross_oracle_under_pool;
+    property qcheck_cross_oracle_under_pool;
     Alcotest.test_case "lowest-index failure wins at any pool size" `Quick
       test_lowest_index_failure_wins;
   ]

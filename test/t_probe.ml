@@ -462,16 +462,16 @@ let test_select_edges () =
   Alcotest.(check int) "grid at the cap" 181 (Maze.bins_for 11300.);
   check "max_grid_bins span" (place (0., 0.) pd) (place (11000., 300.) pd')
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "class_index at boundaries and edge caps" `Quick
       test_class_index_edges;
-    QCheck_alcotest.to_alcotest qcheck_class_index;
-    QCheck_alcotest.to_alcotest qcheck_surface_lookups;
-    QCheck_alcotest.to_alcotest qcheck_chain;
-    QCheck_alcotest.to_alcotest qcheck_search_greedy;
-    QCheck_alcotest.to_alcotest qcheck_search_exact;
-    QCheck_alcotest.to_alcotest qcheck_search_dp;
+    property qcheck_class_index;
+    property qcheck_surface_lookups;
+    property qcheck_chain;
+    property qcheck_search_greedy;
+    property qcheck_search_exact;
+    property qcheck_search_dp;
     Alcotest.test_case "select (Optimal_dp): every bracket of a non-monotone h"
       `Quick test_select_every_bracket;
     Alcotest.test_case "select: coincident ports and max_grid_bins" `Slow

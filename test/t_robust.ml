@@ -193,7 +193,7 @@ let useful_skew_scheduling () =
   Alcotest.(check bool) "slew still met" true
     (m.Ctree_sim.worst_slew <= 100e-12)
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "useful skew" `Slow useful_skew_scheduling;
     Alcotest.test_case "coincident sinks" `Slow coincident_sinks;
@@ -203,6 +203,6 @@ let suite =
     Alcotest.test_case "collinear sinks" `Slow line_of_sinks;
     Alcotest.test_case "netlist card counts" `Quick netlist_card_counts;
     Alcotest.test_case "bisection timing" `Slow bisection_timing_consistent;
-    QCheck_alcotest.to_alcotest qcheck_random_instances_meet_slew;
-    QCheck_alcotest.to_alcotest qcheck_dme_vs_cts_sink_sets;
+    property qcheck_random_instances_meet_slew;
+    property qcheck_dme_vs_cts_sink_sets;
   ]

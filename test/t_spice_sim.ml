@@ -1272,13 +1272,13 @@ let signoff_accuracy () =
     coarse.Ctree_sim.sink_delays fine.Ctree_sim.sink_delays;
   check_f 0.32e-12 "worst slew" fine.Ctree_sim.worst_slew coarse.Ctree_sim.worst_slew
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "flat preorder/parents" `Quick flat_preorder_parents;
     Alcotest.test_case "tree solve = dense solve" `Quick flat_solve_matches_dense;
     Alcotest.test_case "factor rejects bad shapes" `Quick flat_factor_rejects_bad_shapes;
     Alcotest.test_case "sweeps reject bad arguments" `Quick flat_sweeps_reject_bad_arguments;
-    QCheck_alcotest.to_alcotest qcheck_lone_lane_matches_lane_loop;
+    property qcheck_lone_lane_matches_lane_loop;
     Alcotest.test_case "RC analytic time constant" `Quick
       source_driven_rc_analytic;
     Alcotest.test_case "stage settles physically" `Quick stage_monotone_settling;
@@ -1292,16 +1292,16 @@ let suite =
     Alcotest.test_case "settle check ignores the input's end" `Quick settle_ignores_input_end;
     Alcotest.test_case "branch loads interact" `Quick branch_loads_interact;
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
-    QCheck_alcotest.to_alcotest qcheck_transient_matches_reference;
-    QCheck_alcotest.to_alcotest qcheck_stop_at_is_a_prefix;
-    QCheck_alcotest.to_alcotest qcheck_lanes_match_reference;
-    QCheck_alcotest.to_alcotest qcheck_stage1_record_matches_fresh;
+    property qcheck_transient_matches_reference;
+    property qcheck_stop_at_is_a_prefix;
+    property qcheck_lanes_match_reference;
+    property qcheck_stage1_record_matches_fresh;
     Alcotest.test_case "lanes stop apart" `Quick lanes_stop_apart;
     Alcotest.test_case "lane leaves rest late" `Quick (lane_leaves_rest_late ~heavy_first:false);
     Alcotest.test_case "lane leaves rest late, heavy lane first" `Quick
       (lane_leaves_rest_late ~heavy_first:true);
     Alcotest.test_case "lanes reject other shapes" `Quick lanes_reject_other_shapes;
-    QCheck_alcotest.to_alcotest qcheck_device_bias_matches_formula;
+    property qcheck_device_bias_matches_formula;
     Alcotest.test_case "config rejects dt" `Quick config_rejects_dt;
     Alcotest.test_case "config rejects t_max" `Quick config_rejects_t_max;
     Alcotest.test_case "config rejects t_margin" `Quick config_rejects_t_margin;

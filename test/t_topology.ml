@@ -205,7 +205,7 @@ let qcheck_sweep_matches_scan =
       Topology.level_pairing ~beta ~centroid items
       = reference_pairing ~beta ~centroid items)
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "perfect matching" `Quick pairing_is_perfect_matching;
     Alcotest.test_case "seed = max latency" `Quick seed_is_max_latency;
@@ -215,6 +215,6 @@ let suite =
     Alcotest.test_case "farthest-first" `Quick farthest_first_processing;
     Alcotest.test_case "rejects singleton" `Quick rejects_singletons;
     Alcotest.test_case "rejects negative beta" `Quick rejects_negative_beta;
-    QCheck_alcotest.to_alcotest qcheck_sweep_matches_scan;
-    QCheck_alcotest.to_alcotest qcheck_matching_covers_all;
+    property qcheck_sweep_matches_scan;
+    property qcheck_matching_covers_all;
   ]

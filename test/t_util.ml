@@ -139,7 +139,7 @@ let stats_bad_inputs () =
   invalid "max_abs_error of nothing" "Stats.max_abs_error: empty array"
     (fun () -> ignore_f (Util.Stats.max_abs_error [||] [||]))
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
     Alcotest.test_case "rng seed sensitivity" `Quick rng_seed_sensitivity;
@@ -155,5 +155,5 @@ let suite =
     Alcotest.test_case "stats percentiles batch" `Quick stats_percentiles_batch;
     Alcotest.test_case "stats errors" `Quick stats_errors;
     Alcotest.test_case "stats rejects bad inputs" `Quick stats_bad_inputs;
-    QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
+    property qcheck_percentile_bounds;
   ]

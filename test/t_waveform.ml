@@ -129,10 +129,10 @@ let qcheck_cursor_matches_value_at =
             (Int64.bits_of_float (W.value_at w t)))
         probes)
 
-let suite =
+let suite ~property =
   [
     Alcotest.test_case "make validation" `Quick make_rejects_bad_input;
-    QCheck_alcotest.to_alcotest qcheck_cursor_matches_value_at;
+    property qcheck_cursor_matches_value_at;
     Alcotest.test_case "value interpolation" `Quick value_interpolation;
     Alcotest.test_case "crossing interpolation" `Quick crossing_interpolated;
     Alcotest.test_case "first upward crossing" `Quick crossing_first_upward;
@@ -143,6 +143,6 @@ let suite =
     Alcotest.test_case "shift" `Quick shift_preserves_shape;
     Alcotest.test_case "crop keeps tail" `Quick crop_before_keeps_tail;
     Alcotest.test_case "crop no-op" `Quick crop_before_start_noop;
-    QCheck_alcotest.to_alcotest qcheck_ramp_slew;
-    QCheck_alcotest.to_alcotest qcheck_crossing_monotone_levels;
+    property qcheck_ramp_slew;
+    property qcheck_crossing_monotone_levels;
   ]
